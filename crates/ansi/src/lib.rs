@@ -1,6 +1,6 @@
 #![deny(missing_docs)]
 
-//! # dme-ansi — the ANSI/SPARC three-schema multi-model architecture
+//! # dme-ansi — external views of the ANSI/SPARC three-schema architecture
 //!
 //! §1.2 of the paper describes the architecture that motivates the whole
 //! equivalence framework: an **internal schema** (physical storage), a
@@ -11,34 +11,25 @@
 //! a shared database would allow the best of both worlds — a simple
 //! relational view for retrieval and a graph model for updating."
 //!
-//! [`MultiModelDatabase`] is that system:
+//! This crate holds the external level:
 //!
-//! * the **conceptual level** is a semantic graph application model
-//!   (`dme-graph`), per the paper's recommendation of semantic models for
-//!   the conceptual schema;
-//! * the **internal level** is a `dme-storage` record store holding an
-//!   encoded representation of the conceptual state, updated atomically
-//!   (journaled transactions) by a conceptual→internal mapping that is
-//!   deliberately many-to-one (page layouts and record pointers have "no
-//!   equivalent at the conceptual level", §3.2.3);
-//! * each **external level** is a semantic relation application model
-//!   (`dme-relation`) kept in lockstep through the verified operation
-//!   translators of `dme-core` — several relational views of the same
-//!   graph conceptual model, exactly Figure 9's "many different
-//!   relational views";
-//! * updates may enter at *any* level's interface: an external update is
-//!   translated to the conceptual model and re-broadcast to every other
-//!   external view and to storage.
+//! * [`ExternalView`] is one external schema — a semantic relation
+//!   application model (`dme-relation`) materialized over the graph
+//!   conceptual state and kept in lockstep through the verified
+//!   operation translators of `dme-core`, with a per-view completion
+//!   mode and vocabulary (so a view may describe a §1.2 *subset* of the
+//!   conceptual schema);
+//! * [`ViewSession`] is one user's snapshot handle over a view, which
+//!   translates the user's relational operations up to conceptual ones.
 //!
-//! Concurrency: the database is shared via `Arc` and guarded by a
-//! `parking_lot` read-write lock; readers snapshot, writers serialize.
+//! The database that wires the three levels together is
+//! `dme-server`'s `SessionService`: its conceptual level is a semantic
+//! graph state, its external levels are these views, and its internal
+//! level is the MVCC store, write-ahead log and checkpoint chain of
+//! `dme-storage`.
 
-pub mod database;
-pub mod internal;
 pub mod session;
 pub mod view;
 
-pub use database::{AnsiError, MultiModelDatabase};
-pub use internal::InternalLevel;
 pub use session::ViewSession;
 pub use view::ExternalView;

@@ -1,10 +1,10 @@
-//! The internal-schema substrate in isolation: codec, slotted pages,
-//! heap files and transactional record-store operations.
+//! The internal-schema substrate in isolation: codec, slotted pages
+//! and heap files.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use dme_storage::{decode_tuple, encode_tuple, HeapFile, Page, RecordStore};
+use dme_storage::{decode_tuple, encode_tuple, HeapFile, Page};
 use dme_value::{tuple, Tuple};
 
 fn sample_tuple(i: i64) -> Tuple {
@@ -60,7 +60,7 @@ fn bench_page(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_heap_and_store(c: &mut Criterion) {
+fn bench_heap(c: &mut Criterion) {
     let mut group = c.benchmark_group("store");
     for n in [100usize, 1000, 10_000] {
         group.throughput(Throughput::Elements(n as u64));
@@ -74,51 +74,13 @@ fn bench_heap_and_store(c: &mut Criterion) {
                 h
             })
         });
-        group.bench_with_input(BenchmarkId::new("txn_insert_commit", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut s = RecordStore::new();
-                s.create_table("T").expect("fresh");
-                let mut txn = s.begin();
-                for i in 0..n {
-                    txn.insert("T", sample_tuple(i as i64)).expect("inserts");
-                }
-                txn.commit();
-                s
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("txn_insert_rollback", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut s = RecordStore::new();
-                s.create_table("T").expect("fresh");
-                {
-                    let mut txn = s.begin();
-                    for i in 0..n {
-                        txn.insert("T", sample_tuple(i as i64)).expect("inserts");
-                    }
-                    // dropped: rollback
-                }
-                s
-            })
-        });
     }
-    let mut filled = RecordStore::new();
-    filled.create_table("T").expect("fresh");
-    let mut txn = filled.begin();
-    for i in 0..10_000 {
-        txn.insert("T", sample_tuple(i)).expect("inserts");
-    }
-    txn.commit();
-    group.bench_function("scan_10k", |b| b.iter(|| filled.scan("T").expect("scans")));
-    group.bench_function("point_lookup_10k", |b| {
-        let probe = sample_tuple(5_000);
-        b.iter(|| filled.contains("T", black_box(&probe)).expect("reads"))
-    });
     group.finish();
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).warm_up_time(std::time::Duration::from_millis(400)).measurement_time(std::time::Duration::from_millis(1500));
-    targets = bench_codec, bench_page, bench_heap_and_store
+    targets = bench_codec, bench_page, bench_heap
 }
 criterion_main!(benches);

@@ -1014,7 +1014,7 @@ fn incremental_recheck() -> String {
 /// — without ever enumerating the closure. The enumerative side must
 /// build both 2^k-state closures before it can compare anything.
 ///
-/// The enumerative leg runs under a node [`CheckBudget`]. A fixture
+/// The enumerative leg runs under a node [`dme_core::CheckBudget`]. A fixture
 /// that exhausts the budget records a *skipped* row (null enumerative
 /// columns, a `skipped` marker) instead of aborting the sweep, so the
 /// largest size shows the symbolic tier answering where enumeration

@@ -4,7 +4,7 @@
 //! (sequential report checkers in [`crate::equiv`], parallel verdict
 //! checkers in [`crate::parallel`]): pick a [`Tier`], optionally a
 //! [`ParallelConfig`], a [`CheckBudget`] and an
-//! [`Observer`](dme_obs::Observer), and [`Checker::run`] returns the
+//! [`Observer`], and [`Checker::run`] returns the
 //! engine's structured [`Verdict`] either way.
 //!
 //! ```

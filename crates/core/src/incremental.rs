@@ -53,7 +53,7 @@
 //! The cache keys a model by its **name**, its **initial state
 //! fingerprint** and its ordered **operation labels** (wide 128-bit
 //! hashes of all three, see
-//! [`content_fingerprint_wide`](dme_logic::content_fingerprint_wide)).
+//! [`content_fingerprint_wide`]).
 //! The contract: within one session, two models with the same name,
 //! initial state and operation labels must have the same semantics.
 //! Anything else that affects behaviour — a constraint set baked into a

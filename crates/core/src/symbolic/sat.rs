@@ -8,7 +8,7 @@
 //! `solve` calls, which is how the closure-discovery loop enumerates
 //! models (solve, read the model, add a blocking clause, solve again).
 //!
-//! The instances produced by [`super::encode`] are tiny by SAT
+//! The instances produced by the `encode` module are tiny by SAT
 //! standards (hundreds of variables, low tens of thousands of clauses),
 //! so the core optimizes for being obviously correct over being fast:
 //! the decision heuristic is a linear scan for the highest-activity

@@ -16,9 +16,9 @@ use crate::{Fact, Pattern};
 /// An immutable-ish set of ground facts with set-algebra helpers.
 ///
 /// Carries an incrementally-maintained 64-bit content fingerprint (the
-/// XOR of per-fact [`content_fingerprint`] hashes), so the equivalence
-/// kernel can probe hash-consing tables without re-hashing the whole
-/// set. All comparisons and hashing remain functions of the fact set
+/// XOR of per-fact [`crate::content_fingerprint`] hashes), so the
+/// equivalence kernel can probe hash-consing tables without re-hashing
+/// the whole set. All comparisons and hashing remain functions of the fact set
 /// alone; the fingerprint is derived state.
 #[derive(Clone, Default)]
 pub struct FactBase {

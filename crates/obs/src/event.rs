@@ -42,10 +42,6 @@ pub enum Counter {
     OpsEnumerated,
     /// Operations produced by the cross-model translators.
     OpsTranslated,
-    /// Undo entries recorded by the storage journal.
-    JournalEntries,
-    /// Undo entries replayed by aborted transactions.
-    UndoReplays,
     /// ANSI/SPARC consistency audits run.
     AuditsRun,
     /// Sessions opened against the session service.
@@ -130,7 +126,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (the order snapshot arrays
     /// are indexed in).
-    pub const ALL: [Counter; 47] = [
+    pub const ALL: [Counter; 45] = [
         Counter::NodesExpanded,
         Counter::StatesEnumerated,
         Counter::StatesCompiled,
@@ -146,8 +142,6 @@ impl Counter {
         Counter::BudgetTrips,
         Counter::OpsEnumerated,
         Counter::OpsTranslated,
-        Counter::JournalEntries,
-        Counter::UndoReplays,
         Counter::AuditsRun,
         Counter::SessionsOpened,
         Counter::TxnsCommitted,
@@ -202,8 +196,6 @@ impl Counter {
             Counter::BudgetTrips => "budget_trips",
             Counter::OpsEnumerated => "ops_enumerated",
             Counter::OpsTranslated => "ops_translated",
-            Counter::JournalEntries => "journal_entries",
-            Counter::UndoReplays => "undo_replays",
             Counter::AuditsRun => "audits_run",
             Counter::SessionsOpened => "sessions_opened",
             Counter::TxnsCommitted => "txns_committed",

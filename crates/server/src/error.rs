@@ -54,6 +54,9 @@ pub enum ServerError {
     /// opened, already closed, or currently checked out by another
     /// in-flight request on the same connection.
     UnknownSession(u64),
+    /// A consistency audit found that the internal level (the MVCC
+    /// fold at the latest LSN) no longer rebuilds the conceptual state.
+    StorageDiverged(String),
 }
 
 impl ServerError {
@@ -73,6 +76,7 @@ impl ServerError {
             ServerError::InvalidConfig(_) => 9,
             ServerError::Protocol(_) => 10,
             ServerError::UnknownSession(_) => 11,
+            ServerError::StorageDiverged(_) => 12,
         }
     }
 }
@@ -97,6 +101,7 @@ impl fmt::Display for ServerError {
             ServerError::UnknownSession(id) => {
                 write!(f, "unknown or busy session {id}")
             }
+            ServerError::StorageDiverged(why) => write!(f, "internal level diverged: {why}"),
         }
     }
 }
@@ -169,8 +174,9 @@ mod tests {
             ServerError::InvalidConfig(String::new()),
             ServerError::Protocol(String::new()),
             ServerError::UnknownSession(0),
+            ServerError::StorageDiverged(String::new()),
         ];
         let codes: Vec<u16> = all.iter().map(ServerError::code).collect();
-        assert_eq!(codes, (1..=11).collect::<Vec<u16>>());
+        assert_eq!(codes, (1..=12).collect::<Vec<u16>>());
     }
 }

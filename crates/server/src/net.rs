@@ -153,7 +153,7 @@ impl Conn {
     }
 
     /// Receives the next complete frame; see
-    /// [`FrameReader::recv_frame_blocking`].
+    /// `FrameReader::recv_frame_blocking`.
     pub fn recv_frame_blocking(&mut self) -> Result<Option<Vec<u8>>, ServerError> {
         self.reader.recv_frame_blocking()
     }

@@ -60,6 +60,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use dme_ansi::ExternalView;
 use dme_core::translate::CompletionMode;
 use dme_graph::{GraphOp, GraphSchema, GraphState};
+use dme_logic::ToFacts;
 use dme_obs::{Counter, Metric, Observer, ShardRegistry, TelemetrySnapshot, TraceHub, TraceId};
 use dme_relation::{RelationState, RelationalSchema};
 use dme_storage::wal;
@@ -1034,6 +1035,10 @@ impl SessionService {
         if let Some(why) = &core.crashed {
             return Err(ServerError::Crashed(why.clone()));
         }
+        Self::fold_at(&core, lsn)
+    }
+
+    fn fold_at(core: &Core, lsn: u64) -> Result<GraphState, ServerError> {
         let mut records: Vec<(u8, Vec<u8>, Vec<u8>)> = Vec::new();
         for store in &core.mvcc {
             for (key, v) in store.latest_upto(lsn) {
@@ -1053,6 +1058,39 @@ impl SessionService {
             delta.extend_from_slice(bytes);
         }
         codec::apply_delta_lenient(&core.base, &delta)
+    }
+
+    /// Audits all three levels under an `ansi/audit` span (one
+    /// [`Counter::AuditsRun`] per call): every external view must be
+    /// state equivalent to the conceptual state within its vocabulary,
+    /// and the internal level — the MVCC fold at the latest LSN — must
+    /// rebuild the conceptual state exactly. The conceptual state is
+    /// compiled once for all views.
+    pub fn verify_consistency(&self) -> Result<(), ServerError> {
+        let obs = &self.shared.config.obs;
+        let _span = obs.span("ansi/audit");
+        obs.add(Counter::AuditsRun, 1);
+        let (conceptual, views) = {
+            let core = self.shared.core.lock().unwrap();
+            if let Some(why) = &core.crashed {
+                return Err(ServerError::Crashed(why.clone()));
+            }
+            let lsn = core.next_lsn - 1;
+            if Self::fold_at(&core, lsn)? != *core.conceptual {
+                return Err(ServerError::StorageDiverged(format!(
+                    "MVCC fold at LSN {lsn} differs from the conceptual state"
+                )));
+            }
+            (Arc::clone(&core.conceptual), core.views.clone())
+        };
+        obs.mark("ansi/views_audited", views.len() as u64);
+        let conceptual_facts = conceptual.to_facts();
+        for (name, view) in &views {
+            if !view.consistent_with_facts(&conceptual_facts) {
+                return Err(ServerError::LockstepDiverged { view: name.clone() });
+            }
+        }
+        Ok(())
     }
 
     /// The committed schedule so far, in commit (LSN) order — what the
@@ -1671,5 +1709,71 @@ impl SessionService {
             }
         }
         outcomes
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::device::MemDevice;
+    use dme_graph::fixtures as gfix;
+    use dme_graph::{Association, EntityRef};
+    use dme_relation::fixtures as rfix;
+    use dme_value::Atom;
+
+    /// A Figure 4 service with the Figure 3 view, after one committed
+    /// conceptual update (the Figure 6 supervision), plus the view as
+    /// it stood before that commit.
+    fn committed_once() -> (SessionService, Arc<ExternalView>) {
+        let service = SessionService::new(
+            gfix::figure4_state(),
+            vec![ViewSpec {
+                name: "shop".into(),
+                schema: rfix::machine_shop_schema(),
+                mode: CompletionMode::StateCompleted,
+            }],
+            ServiceConfig::default(),
+            Box::new(MemDevice::new()),
+            Box::new(MemDevice::new()),
+        )
+        .unwrap();
+        let stale = Arc::clone(&service.shared.core.lock().unwrap().views["shop"]);
+        let emp = |name: &str| EntityRef::new("employee", Atom::str(name));
+        let op = GraphOp::InsertAssociation(Association::new(
+            "supervise",
+            [("agent", emp("G.Wayshum")), ("object", emp("T.Manhart"))],
+        ));
+        let mut session = service.open_session(SessionKind::Graph).unwrap();
+        session.submit_graph(vec![op]).unwrap().expect_commit();
+        service.verify_consistency().unwrap();
+        (service, stale)
+    }
+
+    #[test]
+    fn audit_names_a_stale_view() {
+        let (service, stale) = committed_once();
+        service
+            .shared
+            .core
+            .lock()
+            .unwrap()
+            .views
+            .insert("shop".into(), stale);
+        assert_eq!(
+            service.verify_consistency(),
+            Err(ServerError::LockstepDiverged {
+                view: "shop".into()
+            })
+        );
+    }
+
+    #[test]
+    fn audit_catches_a_lost_internal_version() {
+        let (service, _) = committed_once();
+        service.shared.core.lock().unwrap().mvcc = vec![MvccStore::new()];
+        assert!(matches!(
+            service.verify_consistency(),
+            Err(ServerError::StorageDiverged(_))
+        ));
     }
 }

@@ -759,6 +759,7 @@ pub fn error_from_wire(code: u16, message: String) -> ServerError {
         8 => ServerError::UnknownView(message),
         9 => ServerError::InvalidConfig(message),
         11 => ServerError::UnknownSession(0),
+        12 => ServerError::StorageDiverged(message),
         // 10 and anything a newer server might mint.
         _ => ServerError::Protocol(message),
     }

@@ -12,33 +12,31 @@
 //! * heap files of encoded records ([`heap`]),
 //! * a compact binary codec for tuples ([`codec`]),
 //! * ordered and hash secondary indexes ([`index`]),
-//! * an undo journal giving atomic multi-record operations
-//!   ([`journal`]),
+//! * LSN-versioned fact storage with snapshot reads and garbage
+//!   collection ([`mvcc`]), and
 //! * a framed, checksummed write-ahead log with torn-write-tolerant
-//!   replay and appended checkpoints ([`wal`]), and
-//! * a transactional [`store::RecordStore`] combining them.
+//!   replay and appended checkpoints ([`wal`]).
 //!
-//! `dme-ansi` maps conceptual-level operations onto this engine; the
-//! paper's point that "the internal schema presumably contains much
+//! Together the WAL, the MVCC store and the checkpoint chain are the
+//! one durable format: `dme-server`'s `SessionService` logs every
+//! committed conceptual delta to the WAL, keeps its fact versions in
+//! MVCC stores, and recovers from the checkpoint chain plus the log.
+//! The paper's point that "the internal schema presumably contains much
 //! implementation information which has no equivalent at the conceptual
-//! level" (§3.2.3) shows up concretely: record pointers, page layouts and
-//! index choices all vary without changing the conceptual state, so the
-//! internal→conceptual correspondence is many-to-one rather than the 1-1
-//! correspondence of the external levels.
+//! level" (§3.2.3) shows up concretely: record pointers, page layouts,
+//! LSNs and checkpoint cadences all vary without changing the conceptual
+//! state, so the internal→conceptual correspondence is many-to-one
+//! rather than the 1-1 correspondence of the external levels.
 
 pub mod codec;
 pub mod heap;
 pub mod index;
-pub mod journal;
 pub mod mvcc;
 pub mod page;
-pub mod store;
 pub mod wal;
 
 pub use codec::{decode_tuple, encode_tuple, CodecError};
 pub use heap::{HeapFile, RecordPtr};
 pub use mvcc::{GcStats, MvccStore, PinSet};
-pub use journal::{Journal, JournalError};
 pub use page::{Page, PageError, PAGE_SIZE};
-pub use store::{RecordStore, StoreError};
 pub use wal::{WalError, WalRecord};

@@ -8,27 +8,33 @@
 //!
 //! Run with: `cargo run --example personnel_view`
 
-use borkin_equiv::ansi::MultiModelDatabase;
 use borkin_equiv::equivalence::translate::CompletionMode;
 use borkin_equiv::graph::fixtures as gfix;
 use borkin_equiv::relation::fixtures as rfix;
 use borkin_equiv::relation::RelOp;
+use borkin_equiv::server::{MemDevice, ServiceConfig, SessionKind, SessionService, ViewSpec};
 use borkin_equiv::value::tuple;
 
 fn main() {
-    let db = MultiModelDatabase::new(gfix::figure4_state()).expect("database initializes");
-    db.add_view(
-        "shopfloor",
-        rfix::machine_shop_schema(),
-        CompletionMode::StateCompleted,
+    let db = SessionService::new(
+        gfix::figure4_state(),
+        vec![
+            ViewSpec {
+                name: "shopfloor".into(),
+                schema: rfix::machine_shop_schema(),
+                mode: CompletionMode::StateCompleted,
+            },
+            ViewSpec {
+                name: "personnel".into(),
+                schema: rfix::personnel_schema(),
+                mode: CompletionMode::Minimal,
+            },
+        ],
+        ServiceConfig::default(),
+        Box::new(MemDevice::new()),
+        Box::new(MemDevice::new()),
     )
-    .expect("full view");
-    db.add_view(
-        "personnel",
-        rfix::personnel_schema(),
-        CompletionMode::Minimal,
-    )
-    .expect("subset view");
+    .expect("database initializes");
 
     println!(
         "Conceptual state (Figure 4):\n{}",
@@ -44,7 +50,13 @@ fn main() {
     // operator, so the semantic unit cascade removes it too.
     let op = RelOp::delete("Employees", [tuple!["T.Manhart", 32]]);
     println!("Personnel update: {op}\n");
-    db.update_view("personnel", &op).expect("valid update");
+    db.open_session(SessionKind::Relational {
+        view: "personnel".into(),
+    })
+    .expect("personnel session")
+    .submit_relational(&op)
+    .expect("valid update")
+    .expect_commit();
     db.verify_consistency().expect("all levels equivalent");
 
     println!("Conceptual state after (machine NZ745 cascaded away):");

@@ -3,13 +3,15 @@
 //! byte-identical — "one such possible new state is the *error* state"
 //! (§2.1), and operations are pure functions of the state.
 
-use borkin_equiv::ansi::MultiModelDatabase;
 use borkin_equiv::equivalence::translate::CompletionMode;
 use borkin_equiv::graph::fixtures as gfix;
 use borkin_equiv::graph::{Association, Entity, EntityRef, GraphOp, SemanticUnit};
 use borkin_equiv::relation::fixtures as rfix;
 use borkin_equiv::relation::ops::StatementSet;
 use borkin_equiv::relation::RelOp;
+use borkin_equiv::server::{
+    MemDevice, ServiceConfig, Session, SessionKind, SessionService, ViewSpec,
+};
 use borkin_equiv::syntactic::codd::CoddOp;
 use borkin_equiv::syntactic::dbtg::{DbtgOp, Record, RecordId};
 use borkin_equiv::syntactic::fixtures as sfix;
@@ -21,6 +23,40 @@ fn emp(name: &str) -> EntityRef {
 
 fn machine(number: &str) -> EntityRef {
     EntityRef::new("machine", Atom::str(number))
+}
+
+fn full_view() -> ViewSpec {
+    ViewSpec {
+        name: "full".into(),
+        schema: rfix::machine_shop_schema(),
+        mode: CompletionMode::StateCompleted,
+    }
+}
+
+fn personnel_view() -> ViewSpec {
+    ViewSpec {
+        name: "personnel".into(),
+        schema: rfix::personnel_schema(),
+        mode: CompletionMode::Minimal,
+    }
+}
+
+/// A Figure 4 service serving `views`.
+fn boot(views: Vec<ViewSpec>) -> SessionService {
+    SessionService::new(
+        gfix::figure4_state(),
+        views,
+        ServiceConfig::default(),
+        Box::new(MemDevice::new()),
+        Box::new(MemDevice::new()),
+    )
+    .unwrap()
+}
+
+fn open(service: &SessionService, view: &str) -> Session {
+    service
+        .open_session(SessionKind::Relational { view: view.into() })
+        .unwrap()
 }
 
 #[test]
@@ -147,19 +183,7 @@ fn every_invalid_syntactic_op_is_rejected_cleanly() {
 
 #[test]
 fn multi_model_database_survives_a_barrage_of_invalid_updates() {
-    let db = MultiModelDatabase::new(gfix::figure4_state()).unwrap();
-    db.add_view(
-        "full",
-        rfix::machine_shop_schema(),
-        CompletionMode::StateCompleted,
-    )
-    .unwrap();
-    db.add_view(
-        "personnel",
-        rfix::personnel_schema(),
-        CompletionMode::Minimal,
-    )
-    .unwrap();
+    let service = boot(vec![full_view(), personnel_view()]);
 
     let graph_attacks = vec![
         GraphOp::DeleteEntity(emp("G.Wayshum")),
@@ -168,8 +192,9 @@ fn multi_model_database_survives_a_barrage_of_invalid_updates() {
             [("agent", emp("C.Gershag")), ("object", machine("NZ745"))],
         )),
     ];
+    let mut graph = service.open_session(SessionKind::Graph).unwrap();
     for op in &graph_attacks {
-        assert!(db.update_conceptual(op).is_err());
+        assert!(graph.submit_graph(vec![op.clone()]).is_err());
     }
     let rel_attacks = vec![
         (
@@ -187,24 +212,19 @@ fn multi_model_database_survives_a_barrage_of_invalid_updates() {
         ),
     ];
     for (view, op) in &rel_attacks {
-        assert!(db.update_view(view, op).is_err(), "{view}: {op}");
+        let result = open(&service, view).submit_relational(op);
+        assert!(result.is_err(), "{view}: {op}");
     }
     // Nothing moved, everything still consistent.
-    db.verify_consistency().unwrap();
-    assert_eq!(db.conceptual(), gfix::figure4_state());
-    assert_eq!(db.view_state("full").unwrap(), rfix::figure3_state());
+    service.verify_consistency().unwrap();
+    assert_eq!(*service.conceptual(), gfix::figure4_state());
+    assert_eq!(service.view_state("full").unwrap(), rfix::figure3_state());
 }
 
 /// One run of the invalid-update barrage, returning the transcript of
 /// every rejection message and the final audit outcome.
 fn barrage_transcript() -> Vec<String> {
-    let db = MultiModelDatabase::new(gfix::figure4_state()).unwrap();
-    db.add_view(
-        "full",
-        rfix::machine_shop_schema(),
-        CompletionMode::StateCompleted,
-    )
-    .unwrap();
+    let service = boot(vec![full_view()]);
     let mut transcript = Vec::new();
     let graph_attacks = vec![
         GraphOp::DeleteEntity(emp("G.Wayshum")),
@@ -214,8 +234,9 @@ fn barrage_transcript() -> Vec<String> {
         )),
         GraphOp::DeleteEntity(emp("Nobody")),
     ];
+    let mut graph = service.open_session(SessionKind::Graph).unwrap();
     for op in &graph_attacks {
-        let err = db.update_conceptual(op).unwrap_err();
+        let err = graph.submit_graph(vec![op.clone()]).unwrap_err();
         transcript.push(format!("{op} => {err}"));
     }
     let rel_attacks = vec![
@@ -223,11 +244,14 @@ fn barrage_transcript() -> Vec<String> {
         RelOp::insert("Ghost", [tuple!["x"]]),
         RelOp::delete("Employees", [tuple!["C.Gershag", 40]]),
     ];
+    let mut full = open(&service, "full");
     for op in &rel_attacks {
-        let err = db.update_view("full", op).unwrap_err();
+        let err = full.submit_relational(op).unwrap_err();
         transcript.push(format!("{op} => {err}"));
     }
-    transcript.push(format!("audit => {:?}", db.verify_consistency()));
+    assert_eq!(*service.conceptual(), gfix::figure4_state());
+    assert_eq!(service.view_state("full").unwrap(), rfix::figure3_state());
+    transcript.push(format!("audit => {:?}", service.verify_consistency()));
     transcript
 }
 
@@ -244,38 +268,16 @@ fn failure_barrage_is_deterministic() {
 }
 
 #[test]
-fn storage_transactions_roll_back_on_panic_free_abort() {
-    // The internal level's journal under interleaved valid/invalid work.
-    let mut store = borkin_equiv::storage::RecordStore::new();
-    store.create_table("T").unwrap();
-    let mut txn = store.begin();
-    txn.insert("T", tuple![1]).unwrap();
-    txn.commit();
-    for _ in 0..10 {
-        let mut txn = store.begin();
-        txn.insert("T", tuple![2]).unwrap();
-        txn.delete("T", &tuple![1]).unwrap();
-        assert!(txn.insert("Ghost", tuple![3]).is_err());
-        // Abort by drop.
-    }
-    assert_eq!(store.scan("T").unwrap(), vec![tuple![1]]);
-}
-
-#[test]
 fn personnel_delete_of_supervising_employee_is_rejected() {
     // Deleting G.Wayshum through the personnel view: the view itself
     // still asserts the supervision (subset constraint) — error, and the
     // conceptual model is untouched.
-    let db = MultiModelDatabase::new(gfix::figure4_state()).unwrap();
-    db.add_view(
-        "personnel",
-        rfix::personnel_schema(),
-        CompletionMode::Minimal,
-    )
-    .unwrap();
+    let service = boot(vec![personnel_view()]);
+    let mut personnel = open(&service, "personnel");
     let op = RelOp::delete("Employees", [tuple!["G.Wayshum", 50]]);
-    assert!(db.update_view("personnel", &op).is_err());
-    db.verify_consistency().unwrap();
+    assert!(personnel.submit_relational(&op).is_err());
+    service.verify_consistency().unwrap();
+    assert_eq!(*service.conceptual(), gfix::figure4_state());
 
     // Denying the supervision in the same statement set succeeds and
     // cascades correctly everywhere.
@@ -284,7 +286,7 @@ fn personnel_delete_of_supervising_employee_is_rejected() {
             .with("Employees", tuple!["G.Wayshum", 50])
             .with("Supervisions", tuple!["G.Wayshum", "C.Gershag"]),
     );
-    db.update_view("personnel", &op).unwrap();
-    db.verify_consistency().unwrap();
-    assert!(db.conceptual().entity(&emp("G.Wayshum")).is_none());
+    personnel.submit_relational(&op).unwrap().expect_commit();
+    service.verify_consistency().unwrap();
+    assert!(service.conceptual().entity(&emp("G.Wayshum")).is_none());
 }

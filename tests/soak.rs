@@ -1,17 +1,51 @@
-//! End-to-end soak: a scaled multi-model database under a long mixed
-//! stream of supervision and machine-unit updates, audited for full
+//! End-to-end soak: a scaled multi-model session service under a long
+//! mixed stream of supervision and machine-unit updates, audited for full
 //! cross-level consistency after every operation.
 //!
 //! This is the architecture of §1.2 under sustained load: every update
 //! is translated to two relational views (one per completion mode) and
 //! to storage, and `verify_consistency` re-derives and compares all four
-//! representations.
+//! representations. A crash at the end must recover to the same
+//! conceptual state from the durable image alone.
 
-use borkin_equiv::ansi::MultiModelDatabase;
 use borkin_equiv::equivalence::translate::CompletionMode;
+use borkin_equiv::graph::GraphOp;
+use borkin_equiv::logic::ToFacts;
+use borkin_equiv::server::{
+    MemDevice, ServiceConfig, Session, SessionKind, SessionService, ViewSpec,
+};
 use borkin_equiv::workload::{
     graph_state, machine_toggle_ops, relational_schema, supervision_toggle_ops, ShopConfig,
 };
+
+fn shop_views(cfg: ShopConfig, modes: &[(&str, CompletionMode)]) -> Vec<ViewSpec> {
+    modes
+        .iter()
+        .map(|&(name, mode)| ViewSpec {
+            name: name.into(),
+            schema: relational_schema(cfg),
+            mode,
+        })
+        .collect()
+}
+
+fn boot(cfg: ShopConfig, views: Vec<ViewSpec>) -> SessionService {
+    SessionService::new(
+        graph_state(cfg),
+        views,
+        ServiceConfig::default(),
+        Box::new(MemDevice::new()),
+        Box::new(MemDevice::new()),
+    )
+    .expect("service boots")
+}
+
+fn commit(session: &mut Session, op: &GraphOp) {
+    session
+        .submit_graph(vec![op.clone()])
+        .unwrap_or_else(|e| panic!("workload op {op} rejected: {e}"))
+        .expect_commit();
+}
 
 #[test]
 fn mixed_update_soak_with_two_views() {
@@ -21,55 +55,68 @@ fn mixed_update_soak_with_two_views() {
         supervisions: 10,
         seed: 7,
     };
-    let db = MultiModelDatabase::new(graph_state(cfg)).expect("database initializes");
-    db.add_view("minimal", relational_schema(cfg), CompletionMode::Minimal)
-        .expect("view materializes");
-    db.add_view(
-        "completed",
-        relational_schema(cfg),
-        CompletionMode::StateCompleted,
-    )
-    .expect("view materializes");
-    db.verify_consistency().expect("initially consistent");
+    let views = shop_views(
+        cfg,
+        &[
+            ("minimal", CompletionMode::Minimal),
+            ("completed", CompletionMode::StateCompleted),
+        ],
+    );
+    let service = boot(cfg, views.clone());
+    service.verify_consistency().expect("initially consistent");
 
+    let mut session = service.open_session(SessionKind::Graph).unwrap();
     let supervisions = supervision_toggle_ops(cfg, 20);
     let machines = machine_toggle_ops(cfg, 20);
     let mut applied = 0;
     for (s, m) in supervisions.iter().zip(&machines) {
         for op in [s, m] {
-            match db.update_conceptual(op) {
-                Ok(()) => applied += 1,
-                Err(e) => panic!("workload op {op} rejected: {e}"),
-            }
-            db.verify_consistency()
+            commit(&mut session, op);
+            applied += 1;
+            service
+                .verify_consistency()
                 .unwrap_or_else(|e| panic!("diverged after {op}: {e}"));
         }
     }
     assert_eq!(applied, 40);
 
-    // Storage stays healthy under churn.
-    db.vacuum();
-    db.verify_consistency().expect("consistent after vacuum");
+    // Crash: only the durable image survives. Recovery rebuilds exactly
+    // the pre-crash conceptual state, and every level audits clean.
+    let (recovered, report) = SessionService::recover(
+        service.schema().clone(),
+        &service.durable_image(),
+        views,
+        ServiceConfig::default(),
+        Box::new(MemDevice::new()),
+        Box::new(MemDevice::new()),
+    )
+    .expect("recovers");
+    assert_eq!(report.replayed, 40);
+    assert_eq!(*recovered.conceptual(), *service.conceptual());
+    recovered
+        .verify_consistency()
+        .expect("consistent after recovery");
 }
 
 /// One run of the soak body, returning a full transcript: every applied
 /// operation's display form followed by the fact count of the resulting
 /// conceptual state.
 fn soak_transcript(cfg: ShopConfig) -> Vec<String> {
-    let db = MultiModelDatabase::new(graph_state(cfg)).expect("database initializes");
-    db.add_view("minimal", relational_schema(cfg), CompletionMode::Minimal)
-        .expect("view materializes");
+    let service = boot(
+        cfg,
+        shop_views(cfg, &[("minimal", CompletionMode::Minimal)]),
+    );
+    let mut session = service.open_session(SessionKind::Graph).unwrap();
     let mut transcript = Vec::new();
     for (s, m) in supervision_toggle_ops(cfg, 12)
         .iter()
         .zip(&machine_toggle_ops(cfg, 12))
     {
         for op in [s, m] {
-            db.update_conceptual(op).expect("workload ops apply");
-            use borkin_equiv::logic::ToFacts;
+            commit(&mut session, op);
             transcript.push(format!(
                 "{op} => {} facts",
-                db.conceptual().to_facts().len()
+                service.conceptual().to_facts().len()
             ));
         }
     }
@@ -77,7 +124,7 @@ fn soak_transcript(cfg: ShopConfig) -> Vec<String> {
 }
 
 /// The soak is deterministic: the seeded workload generators and the
-/// database produce byte-identical transcripts across in-process runs.
+/// service produce byte-identical transcripts across in-process runs.
 #[test]
 fn soak_runs_are_deterministic() {
     let cfg = ShopConfig {
@@ -92,7 +139,7 @@ fn soak_runs_are_deterministic() {
         supervision_toggle_ops(cfg, 12)
     );
     assert_eq!(machine_toggle_ops(cfg, 12), machine_toggle_ops(cfg, 12));
-    // …and so does the full database run.
+    // …and so does the full service run.
     let first = soak_transcript(cfg);
     let second = soak_transcript(cfg);
     assert_eq!(first, second, "soak transcripts diverged between runs");

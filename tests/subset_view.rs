@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use borkin_equiv::ansi::MultiModelDatabase;
 use borkin_equiv::equivalence::translate::{
     graph_op_to_relational, materialize_relational_state, relational_op_to_graph, CompletionMode,
 };
@@ -22,6 +21,7 @@ use borkin_equiv::graph::{Association, EntityRef, GraphOp};
 use borkin_equiv::logic::{state_equivalent, ToFacts};
 use borkin_equiv::relation::fixtures as rfix;
 use borkin_equiv::relation::RelOp;
+use borkin_equiv::server::{MemDevice, ServiceConfig, SessionKind, SessionService, ViewSpec};
 use borkin_equiv::value::{tuple, Atom};
 
 fn emp(name: &str) -> EntityRef {
@@ -129,42 +129,57 @@ fn view_delete_cascades_invisibly() {
 
 #[test]
 fn ansi_database_with_mixed_full_and_subset_views() {
-    let db = MultiModelDatabase::new(gfix::figure4_state()).unwrap();
-    db.add_view(
-        "full",
-        rfix::machine_shop_schema(),
-        CompletionMode::StateCompleted,
+    let service = SessionService::new(
+        gfix::figure4_state(),
+        vec![
+            ViewSpec {
+                name: "full".into(),
+                schema: rfix::machine_shop_schema(),
+                mode: CompletionMode::StateCompleted,
+            },
+            ViewSpec {
+                name: "personnel".into(),
+                schema: rfix::personnel_schema(),
+                mode: CompletionMode::Minimal,
+            },
+        ],
+        ServiceConfig::default(),
+        Box::new(MemDevice::new()),
+        Box::new(MemDevice::new()),
     )
     .unwrap();
-    db.add_view(
-        "personnel",
-        rfix::personnel_schema(),
-        CompletionMode::Minimal,
-    )
-    .unwrap();
-    db.verify_consistency().unwrap();
+    service.verify_consistency().unwrap();
 
     // A conceptual machine deletion: the full view changes, the
     // personnel view does not.
     let unit = borkin_equiv::graph::unit::deletion_unit(
-        &db.conceptual(),
+        &service.conceptual(),
         [EntityRef::new("machine", Atom::str("NZ745"))],
         [],
     );
-    let personnel_before = db.view_state("personnel").unwrap();
-    db.update_conceptual(&GraphOp::DeleteUnit(unit)).unwrap();
-    db.verify_consistency().unwrap();
-    assert_eq!(db.view_state("personnel").unwrap(), personnel_before);
+    let personnel_before = service.view_state("personnel").unwrap();
+    let mut graph = service.open_session(SessionKind::Graph).unwrap();
+    graph
+        .submit_graph(vec![GraphOp::DeleteUnit(unit)])
+        .unwrap()
+        .expect_commit();
+    service.verify_consistency().unwrap();
+    assert_eq!(service.view_state("personnel").unwrap(), personnel_before);
     assert_eq!(
-        db.view_state("full").unwrap(),
+        service.view_state("full").unwrap(),
         rfix::figure8_premise_state()
     );
 
     // An update through the subset view propagates everywhere.
     let op = RelOp::insert("Supervisions", [tuple!["G.Wayshum", "T.Manhart"]]);
-    db.update_view("personnel", &op).unwrap();
-    db.verify_consistency().unwrap();
-    assert!(db
+    let mut personnel = service
+        .open_session(SessionKind::Relational {
+            view: "personnel".into(),
+        })
+        .unwrap();
+    personnel.submit_relational(&op).unwrap().expect_commit();
+    service.verify_consistency().unwrap();
+    assert!(service
         .view_state("full")
         .unwrap()
         .tuples("Jobs")

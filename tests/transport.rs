@@ -9,13 +9,13 @@
 
 use std::sync::Arc;
 
-use borkin_equiv::ansi::MultiModelDatabase;
 use borkin_equiv::equivalence::translate::{materialize_relational_state, CompletionMode};
 use borkin_equiv::graph::facts::materialize_graph_state;
 use borkin_equiv::graph::fixtures as gfix;
 use borkin_equiv::logic::{state_equivalent, ToFacts};
 use borkin_equiv::relation::fixtures as rfix;
 use borkin_equiv::relation::RelOp;
+use borkin_equiv::server::{MemDevice, ServiceConfig, SessionKind, SessionService, ViewSpec};
 use borkin_equiv::value::tuple;
 
 #[test]
@@ -33,21 +33,35 @@ fn relational_database_transports_to_a_graph_system() {
 
     // Spin up the full new system with the old schema as one of its
     // views; the users' old queries keep working.
-    let db = MultiModelDatabase::new(conceptual).expect("new system initializes");
-    db.add_view(
-        "legacy",
-        rfix::machine_shop_schema(),
-        CompletionMode::StateCompleted,
+    let service = SessionService::new(
+        conceptual,
+        vec![ViewSpec {
+            name: "legacy".into(),
+            schema: rfix::machine_shop_schema(),
+            mode: CompletionMode::StateCompleted,
+        }],
+        ServiceConfig::default(),
+        Box::new(MemDevice::new()),
+        Box::new(MemDevice::new()),
     )
-    .expect("legacy view materializes");
-    assert_eq!(db.view_state("legacy").unwrap(), old);
-    db.verify_consistency().expect("consistent after transport");
+    .expect("new system initializes");
+    assert_eq!(service.view_state("legacy").unwrap(), old);
+    service
+        .verify_consistency()
+        .expect("consistent after transport");
 
     // And the migrated database accepts updates through the legacy view.
     let op = RelOp::insert("Jobs", [tuple!["G.Wayshum", "T.Manhart", "NZ745"]]);
-    db.update_view("legacy", &op)
-        .expect("post-migration update");
-    assert_eq!(db.conceptual(), gfix::figure6_state());
+    let mut legacy = service
+        .open_session(SessionKind::Relational {
+            view: "legacy".into(),
+        })
+        .unwrap();
+    legacy
+        .submit_relational(&op)
+        .expect("post-migration update")
+        .expect_commit();
+    assert_eq!(*service.conceptual(), gfix::figure6_state());
 }
 
 #[test]
