@@ -6,8 +6,8 @@
 //! pairing through fact compilation, and signature search. The
 //! translator benches (op_translate.rs) are the "algorithm" alternative
 //! the paper prefers; comparing the two quantifies its point. All
-//! checks run through the [`Checker`] facade (sequential reference
-//! engine: no `.parallel()` configured).
+//! checks run through the [`Checker`] facade on its default route (one
+//! engine thread: no `.parallel()` configured).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 

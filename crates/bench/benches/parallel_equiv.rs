@@ -1,11 +1,10 @@
-//! E-P1: the parallel, memoized engine against the sequential reference
-//! on the largest Definition 6 fixture (the E-D6 micro data models) and
-//! on the mini machine shop's state-dependent check.
+//! E-P1: the memoized engine at several thread counts on the largest
+//! Definition 6 fixture (the E-D6 micro data models) and on the mini
+//! machine shop's state-dependent check.
 //!
-//! Both engines run through the [`Checker`] facade — the sequential
-//! rows omit `.parallel()` and route to the reference checkers; this
-//! bench quantifies what the work-stealing grid driver plus the shared
-//! fact-base interner buy on multi-core hardware.
+//! Every row runs through the [`Checker`] facade; `t1` is the facade's
+//! default route. The bench quantifies what the work-stealing grid
+//! driver buys on multi-core hardware.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -63,17 +62,6 @@ fn bench_parallel_equiv(c: &mut Criterion) {
     group.sample_size(10);
 
     let (ms, ns) = d6_fixture();
-    group.bench_function("data_model/sequential", |b| {
-        b.iter(|| {
-            let verdict = Checker::data_models(&ms, &ns)
-                .tier(Tier::DataModel { kind })
-                .state_cap(STATE_CAP)
-                .run()
-                .expect("runs");
-            assert!(!verdict.is_equivalent());
-            verdict
-        })
-    });
     for threads in [1usize, 2, 4] {
         group.bench_with_input(
             BenchmarkId::new("data_model/parallel", threads),
@@ -97,17 +85,6 @@ fn bench_parallel_equiv(c: &mut Criterion) {
     let schema = Arc::new(witness::mini_graph_schema());
     let ops = enumerate_graph_ops(&schema);
     let n = graph_model("mini-graph", GraphState::empty(schema), ops);
-    group.bench_function("mini_machine_shop/sequential", |b| {
-        b.iter(|| {
-            let verdict = Checker::new(&m, &n)
-                .tier(Tier::StateDependent { max_depth: 3 })
-                .state_cap(STATE_CAP)
-                .run()
-                .expect("runs");
-            assert!(verdict.is_equivalent());
-            verdict
-        })
-    });
     for threads in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("mini_machine_shop/parallel", threads),

@@ -1158,19 +1158,6 @@ fn main() {
     // ---- Fixture timings (the Criterion parallel_equiv group) -------
     println!("== fixtures (median of {SAMPLES}) ==");
     let (ms, ns) = d6_fixture();
-    let stats = time_us(SAMPLES, || {
-        let verdict = Checker::data_models(&ms, &ns)
-            .tier(Tier::DataModel { kind })
-            .state_cap(STATE_CAP)
-            .run()
-            .expect("runs");
-        assert!(!verdict.is_equivalent());
-    });
-    println!("data_model/sequential: {}µs", stats.median_us);
-    fixtures.push(Timing {
-        name: "data_model/sequential".into(),
-        stats,
-    });
     for threads in [1usize, 2, 4] {
         let config = ParallelConfig::with_threads(threads);
         let stats = time_us(SAMPLES, || {
@@ -1193,13 +1180,11 @@ fn main() {
     let schema = Arc::new(witness::mini_graph_schema());
     let ops = enumerate_graph_ops(&schema);
     let n = graph_model("mini-graph", GraphState::empty(schema), ops);
-    // The mini configs are sampled round-robin (seq, t1, t2, t4 per
-    // round) rather than config-by-config: the scaling guard below
-    // compares these medians, and on a busy shared host a whole-block
-    // schedule lets slow drift land on one config and bias the
-    // comparison.
-    let mini_configs: [(&str, usize); 4] = [
-        ("mini_machine_shop/sequential", 0),
+    // The mini configs are sampled round-robin (t1, t2, t4 per round)
+    // rather than config-by-config: the scaling guard below compares
+    // these medians, and on a busy shared host a whole-block schedule
+    // lets slow drift land on one config and bias the comparison.
+    let mini_configs: [(&str, usize); 3] = [
         ("mini_machine_shop/parallel/t1", 1),
         ("mini_machine_shop/parallel/t2", 2),
         ("mini_machine_shop/parallel/t4", 4),
@@ -1207,12 +1192,10 @@ fn main() {
     let mut mini_samples: Vec<Vec<u64>> = vec![Vec::new(); mini_configs.len()];
     for _ in 0..SAMPLES {
         for (i, (_, threads)) in mini_configs.iter().enumerate() {
-            let mut checker = Checker::new(&m, &n)
+            let checker = Checker::new(&m, &n)
                 .tier(Tier::StateDependent { max_depth: 3 })
-                .state_cap(STATE_CAP);
-            if *threads > 0 {
-                checker = checker.parallel(ParallelConfig::with_threads(*threads));
-            }
+                .state_cap(STATE_CAP)
+                .parallel(ParallelConfig::with_threads(*threads));
             let t = Instant::now();
             let verdict = checker.run().expect("runs");
             mini_samples[i].push(t.elapsed().as_micros() as u64);

@@ -1,11 +1,9 @@
 //! The unified [`Checker`] facade over the equivalence hierarchy.
 //!
-//! One builder replaces the crate's historical pairs of entry points
-//! (sequential report checkers in [`crate::equiv`], parallel verdict
-//! checkers in [`crate::parallel`]): pick a [`Tier`], optionally a
-//! [`ParallelConfig`], a [`CheckBudget`] and an
-//! [`Observer`], and [`Checker::run`] returns the
-//! engine's structured [`Verdict`] either way.
+//! One builder in front of one engine ([`crate::parallel`]): pick a
+//! [`Tier`], optionally a [`ParallelConfig`], a [`CheckBudget`], shared
+//! [`FactInterner`]s and an [`Observer`], and [`Checker::run`] returns
+//! the engine's structured [`Verdict`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -24,10 +22,10 @@
 //! assert!(verdict.is_equivalent());
 //! ```
 //!
-//! The sequential and parallel paths decide the same predicates — the
-//! differential test suite pins their verdicts to each other — so the
-//! facade is free to route a *budgeted* sequential request through the
-//! one-thread parallel engine, which is where budget enforcement lives.
+//! Every tier and target runs on the same engine; the thread count is a
+//! setting of it, and the default is one deterministic thread. The
+//! differential suites pin the engine's verdicts, at every thread count,
+//! to the independent oracle in [`crate::slow_reference`].
 
 use std::fmt;
 use std::hash::Hash;
@@ -37,7 +35,7 @@ use dme_logic::ToFacts;
 use dme_obs::{EventSink, Metric, Observer};
 
 use crate::canon::FactInterner;
-use crate::equiv::{self, CheckError, EquivKind};
+use crate::equiv::{CheckError, EquivKind};
 use crate::model::FiniteModel;
 use crate::parallel::{self, CheckBudget, ParallelConfig, Verdict};
 
@@ -88,7 +86,8 @@ impl Tier {
     }
 
     /// The per-pair [`EquivKind`] this tier decides with (`None` for
-    /// [`Tier::Operation`], which has no set-level lifting).
+    /// [`Tier::Operation`], which has no set-level lifting; the engine
+    /// reads `None` as Definition 1's index-aligned comparison).
     fn kind(&self) -> Option<EquivKind> {
         match *self {
             Tier::Operation => None,
@@ -106,25 +105,14 @@ enum Target<'a, MS, MO, NS, NO> {
     Sets(&'a [FiniteModel<MS, MO>], &'a [FiniteModel<NS, NO>]),
 }
 
-/// The unified equivalence checker: a builder over the six tiers, the
-/// sequential and parallel engines, budgets and observability.
+/// The unified equivalence checker: a builder over the six tiers,
+/// engine threads, budgets, interners and observability.
 ///
 /// Construction picks the target ([`Checker::new`] for an
 /// application-model pair, [`Checker::data_models`] for Definition 6
 /// sets); the builder methods refine the check; [`Checker::run`]
-/// decides it.
-///
-/// Routing rules:
-///
-/// - no [`Checker::parallel`], no [`Checker::budget`], no
-///   [`Checker::interners`] → the sequential reference checkers;
-/// - [`Checker::parallel`] → the parallel engine with that config;
-/// - [`Checker::budget`] or [`Checker::interners`] alone → the parallel
-///   engine on one thread (budget enforcement and interner sharing live
-///   in the engine; one engine thread decides exactly what the
-///   sequential checkers decide);
-/// - [`Tier::Operation`] always runs sequentially (it is a plain
-///   signature comparison) and ignores budget and parallel settings.
+/// decides it on the engine. Every tier, [`Tier::Operation`] included,
+/// honours the thread count, the budget and the interners.
 pub struct Checker<'a, MS, MO, NS, NO> {
     target: Target<'a, MS, MO, NS, NO>,
     tier: Tier,
@@ -149,8 +137,8 @@ impl<'a, MS, MO, NS, NO> Checker<'a, MS, MO, NS, NO> {
     }
 
     /// A checker over one application-model pair. Defaults to
-    /// [`Tier::Isomorphic`] (Definition 2), sequential, unbudgeted,
-    /// unobserved.
+    /// [`Tier::Isomorphic`] (Definition 2), one engine thread,
+    /// unbudgeted, unobserved.
     pub fn new(m: &'a FiniteModel<MS, MO>, n: &'a FiniteModel<NS, NO>) -> Self {
         Self::with_target(Target::Pair(m, n), Tier::Isomorphic)
     }
@@ -181,15 +169,16 @@ impl<'a, MS, MO, NS, NO> Checker<'a, MS, MO, NS, NO> {
         self
     }
 
-    /// Runs the check on the parallel engine with `config`. A budget
-    /// set via [`Checker::budget`] overrides `config.budget`.
+    /// Runs the engine with `config` instead of the default one
+    /// thread. A budget set via [`Checker::budget`] overrides
+    /// `config.budget`.
     pub fn parallel(mut self, config: ParallelConfig) -> Self {
         self.parallel = Some(config);
         self
     }
 
-    /// Bounds the check. Implies the (one-thread, deterministic)
-    /// parallel engine when [`Checker::parallel`] is not also set.
+    /// Bounds the check; exhausting the budget yields
+    /// [`Verdict::BudgetExhausted`], never an answer.
     pub fn budget(mut self, budget: CheckBudget) -> Self {
         self.budget = Some(budget);
         self
@@ -209,9 +198,9 @@ impl<'a, MS, MO, NS, NO> Checker<'a, MS, MO, NS, NO> {
         self.observer(Observer::new(sink))
     }
 
-    /// Shares caller-owned fact-base interners across checks (the
-    /// historical `*_with` entry points). Implies the engine path,
-    /// where compilation is interned.
+    /// Shares caller-owned fact-base interners across checks, so a
+    /// state compiled by one check is a cache hit in the next. Without
+    /// them every run compiles through fresh interners.
     pub fn interners(
         mut self,
         m_interner: &'a FactInterner<MS>,
@@ -229,82 +218,42 @@ where
     MO: Clone + fmt::Display + Send + Sync,
     NO: Clone + fmt::Display + Send + Sync,
 {
-    /// Decides the configured equivalence and returns the structured
-    /// [`Verdict`]. The sequential and parallel routes decide the same
-    /// predicates (see `tests/facade.rs` for the parity proofs). Wall
-    /// time lands in the observer's [`Metric::CheckLatency`] histogram.
+    /// Decides the configured equivalence on the engine and returns the
+    /// structured [`Verdict`]. Wall time lands in the observer's
+    /// [`Metric::CheckLatency`] histogram.
     pub fn run(&self) -> Result<Verdict, CheckError> {
         let _timer = self.observer.time(Metric::CheckLatency);
-        match (&self.target, self.tier) {
-            (Target::Pair(m, n), Tier::Operation) => {
-                equiv::operation_pairs_report_obs(m, n, self.state_cap, &self.observer)
-                    .map(|r| r.to_verdict())
+        let mut config = self.parallel.unwrap_or(ParallelConfig::with_threads(1));
+        if let Some(budget) = self.budget {
+            config.budget = budget;
+        }
+        let fresh;
+        let (mi, ni) = match self.interners {
+            Some(pair) => pair,
+            None => {
+                fresh = (FactInterner::new(), FactInterner::new());
+                (&fresh.0, &fresh.1)
             }
-            (Target::Sets(..), Tier::Operation) => Err(CheckError::Unsupported(
-                "Definition 1 compares the aligned operations of a single model pair; \
-                 data-model sets have no operation alignment"
-                    .into(),
-            )),
+        };
+        let (ms, ns, kind) = match (&self.target, self.tier) {
+            (Target::Sets(..), Tier::Operation) => {
+                return Err(CheckError::Unsupported(
+                    "Definition 1 compares the aligned operations of a single model pair; \
+                     data-model sets have no operation alignment"
+                        .into(),
+                ))
+            }
             (Target::Pair(m, n), Tier::DataModel { kind }) => {
-                self.run_sets(slice::from_ref(*m), slice::from_ref(*n), kind)
+                (slice::from_ref(*m), slice::from_ref(*n), kind)
             }
             (Target::Sets(ms, ns), tier) => {
-                self.run_sets(ms, ns, tier.kind().expect("Operation tier handled above"))
+                (*ms, *ns, tier.kind().expect("Operation tier handled above"))
             }
             (Target::Pair(m, n), tier) => {
-                let kind = tier.kind().expect("Operation tier handled above");
-                match self.engine_config() {
-                    None => {
-                        equiv::app_models_report_obs(m, n, kind, self.state_cap, &self.observer)
-                            .map(|r| r.to_verdict())
-                    }
-                    Some(config) => {
-                        let fresh;
-                        let (mi, ni) = match self.interners {
-                            Some(pair) => pair,
-                            None => {
-                                fresh = (FactInterner::new(), FactInterner::new());
-                                (&fresh.0, &fresh.1)
-                            }
-                        };
-                        parallel::parallel_app_models_verdict_obs(
-                            m,
-                            n,
-                            kind,
-                            self.state_cap,
-                            &config,
-                            mi,
-                            ni,
-                            &self.observer,
-                        )
-                    }
-                }
-            }
-        }
-    }
-
-    fn run_sets(
-        &self,
-        ms: &[FiniteModel<MS, MO>],
-        ns: &[FiniteModel<NS, NO>],
-        kind: EquivKind,
-    ) -> Result<Verdict, CheckError> {
-        match self.engine_config() {
-            None => equiv::data_model_report_obs(ms, ns, kind, self.state_cap, &self.observer)
-                .map(|r| r.to_verdict()),
-            Some(config) => {
-                let fresh;
-                let (mi, ni) = match self.interners {
-                    Some(pair) => pair,
-                    None => {
-                        fresh = (FactInterner::new(), FactInterner::new());
-                        (&fresh.0, &fresh.1)
-                    }
-                };
-                parallel::parallel_data_model_verdict_obs(
-                    ms,
-                    ns,
-                    kind,
+                return parallel::models_verdict(
+                    m,
+                    n,
+                    tier.kind(),
                     self.state_cap,
                     &config,
                     mi,
@@ -312,21 +261,17 @@ where
                     &self.observer,
                 )
             }
-        }
-    }
-
-    /// Resolves the routing rules to the engine config, or `None` for
-    /// the sequential reference checkers.
-    fn engine_config(&self) -> Option<ParallelConfig> {
-        match (self.parallel, self.budget) {
-            (Some(mut config), Some(budget)) => {
-                config.budget = budget;
-                Some(config)
-            }
-            (Some(config), None) => Some(config),
-            (None, Some(budget)) => Some(ParallelConfig::with_threads(1).budget(budget)),
-            (None, None) => self.interners.map(|_| ParallelConfig::with_threads(1)),
-        }
+        };
+        parallel::data_models_verdict(
+            ms,
+            ns,
+            kind,
+            self.state_cap,
+            &config,
+            mi,
+            ni,
+            &self.observer,
+        )
     }
 }
 
@@ -372,7 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn default_tier_is_isomorphic_and_sequential() {
+    fn default_tier_is_isomorphic_on_one_thread() {
         let m = two_fact_model("m");
         let n = two_fact_model("n");
         let verdict = Checker::new(&m, &n).run().unwrap();
@@ -384,7 +329,59 @@ mod tests {
         let m = two_fact_model("m");
         let n = two_fact_model("n");
         let verdict = Checker::new(&m, &n).tier(Tier::Operation).run().unwrap();
-        assert!(verdict.is_equivalent(), "{verdict}");
+        assert_eq!(verdict, Verdict::Equivalent { state_pairs: 4 });
+    }
+
+    #[test]
+    fn operation_tier_honours_threads_budget_and_interners() {
+        let m = two_fact_model("m");
+        let n = two_fact_model("n");
+        let left = FactInterner::new();
+        let right = FactInterner::new();
+        let verdict = Checker::new(&m, &n)
+            .tier(Tier::Operation)
+            .parallel(ParallelConfig::with_threads(2))
+            .interners(&left, &right)
+            .run()
+            .unwrap();
+        assert_eq!(verdict, Verdict::Equivalent { state_pairs: 4 });
+        assert_eq!(left.stats().unique, 4);
+        let starved = Checker::new(&m, &n)
+            .tier(Tier::Operation)
+            .budget(CheckBudget::nodes(3))
+            .run()
+            .unwrap();
+        assert!(
+            matches!(starved, Verdict::BudgetExhausted { .. }),
+            "{starved}"
+        );
+    }
+
+    #[test]
+    fn composed_finds_two_step_equivalents() {
+        // m's `+1+2` inserts both facts at once; n can only insert them
+        // one at a time, so the match needs a composition of depth 2.
+        let m = FiniteModel::new(
+            "m",
+            FactBase::default(),
+            vec!["+1".to_owned(), "+2".to_owned(), "+1+2".to_owned()],
+            |op: &String, s: &FactBase| {
+                let mut next = s.clone();
+                let facts: &[i64] = match op.as_str() {
+                    "+1" => &[1],
+                    "+2" => &[2],
+                    _ => &[1, 2],
+                };
+                facts.iter().all(|&x| next.insert(f(x))).then_some(next)
+            },
+        );
+        let n = toy_model("n", vec![(true, f(1)), (true, f(2))]);
+        let run = |tier| Checker::new(&m, &n).tier(tier).run().unwrap();
+        assert!(run(Tier::Composed { max_depth: 2 }).is_equivalent());
+        let shallow = run(Tier::Composed { max_depth: 1 });
+        assert_eq!(shallow.witnesses().len(), 1, "{shallow}");
+        assert_eq!(shallow.witnesses()[0].label, "+1+2");
+        assert!(!run(Tier::Isomorphic).is_equivalent());
     }
 
     #[test]
@@ -399,7 +396,7 @@ mod tests {
     }
 
     #[test]
-    fn budget_routes_through_the_engine() {
+    fn budget_exhausts_without_an_answer() {
         let m = two_fact_model("m");
         let n = two_fact_model("n");
         let verdict = Checker::new(&m, &n)
@@ -426,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn interners_imply_the_engine_and_fill() {
+    fn shared_interners_fill() {
         let m = two_fact_model("m");
         let n = two_fact_model("n");
         let left = FactInterner::new();
@@ -453,7 +450,8 @@ mod tests {
             .unwrap();
         assert_eq!(observed, silent);
         let report = Report::from_events(&ring.events()).with_totals(obs.counters());
-        assert!(report.phase("seq/state_dependent").is_some());
+        assert!(report.phase("par/check").is_some());
+        assert!(report.phase("par/reachability").is_some());
         assert!(obs.counter(Counter::StatesEnumerated) > 0);
     }
 

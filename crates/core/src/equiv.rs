@@ -1,9 +1,13 @@
-//! The equivalence hierarchy (Definitions 1–6) as decision procedures.
+//! The vocabulary of the equivalence hierarchy (Definitions 1–6): the
+//! kinds, errors, reports and the behaviour-signature algebra.
 //!
-//! The checkers work on [`FiniteModel`]s whose closures of valid states
-//! (§2.2) are enumerable. The pipeline:
+//! The decision procedure itself is the [`crate::parallel`] engine, run
+//! through [`Checker`](crate::check::Checker). It works on finite
+//! application models whose closures of valid states (§2.2) are
+//! enumerable:
 //!
-//! 1. enumerate both closures ([`FiniteModel::reachable_states`]);
+//! 1. enumerate both closures
+//!    ([`FiniteModel::closure`](crate::model::FiniteModel::closure));
 //! 2. establish the **state equivalence correspondence** by compiling
 //!    every state to its fact base ([`pair_states`]); the paper requires
 //!    this correspondence to be 1-1 and onto, which here means: fact
@@ -14,8 +18,8 @@
 //!    state). Definition 1's operation equivalence is then signature
 //!    equality;
 //! 4. Definitions 2/3/5 quantify over signatures: exact match
-//!    (isomorphic), match by bounded composition (composed), or per-state
-//!    match by bounded composition (state dependent);
+//!    (isomorphic), match by bounded composition (composed), or
+//!    per-state match by bounded composition (state dependent);
 //! 5. Definition 6 lifts the chosen application-model equivalence to sets
 //!    of application models, reporting *partial equivalence* — exactly
 //!    which application models lack a counterpart — when it fails.
@@ -24,11 +28,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
 use dme_logic::{FactBase, ToFacts};
-use dme_obs::{Counter, Observer};
 
-use crate::arena::{Closure, StateId};
 use crate::bitset::BitSet;
-use crate::model::{ClosureTooLarge, FiniteModel};
+use crate::model::ClosureTooLarge;
 use crate::parallel::{Side, Verdict, Witness};
 
 /// Which application-model equivalence (Definition 2, 3 or 5) to use.
@@ -130,122 +132,6 @@ where
 /// or `None` for the error state.
 pub type Signature = Vec<Option<u32>>;
 
-/// An enumerated model: the arena-backed closure with its memoized
-/// transition table, plus every state's compiled fact base (in state-ID
-/// order). Computed once per model and shared across all the checks that
-/// need it — in particular across every cell of a Definition 6 grid.
-pub(crate) struct EnumeratedModel<S> {
-    pub(crate) closure: Closure<S>,
-    pub(crate) facts: Vec<FactBase>,
-}
-
-impl<S> EnumeratedModel<S> {
-    fn len(&self) -> usize {
-        self.closure.len()
-    }
-}
-
-pub(crate) fn enumerate_model<S, O>(
-    model: &FiniteModel<S, O>,
-    state_cap: usize,
-) -> Result<EnumeratedModel<S>, ClosureTooLarge>
-where
-    S: Clone + Ord + ToFacts,
-    O: Clone,
-{
-    let closure = model.closure(state_cap)?;
-    let facts = closure
-        .arena
-        .states()
-        .iter()
-        .map(ToFacts::to_facts)
-        .collect();
-    Ok(EnumeratedModel { closure, facts })
-}
-
-/// The §3.3.1 state equivalence correspondence over two enumerated
-/// closures, in integer form: `m_by_pair[p]` / `n_by_pair[p]` name the
-/// states of pair *p* (pairs ordered by fact base), and `m_rank` /
-/// `n_rank` invert them (state index → pair index).
-pub(crate) struct PairedClosures {
-    pub(crate) pairs: usize,
-    pub(crate) m_by_pair: Vec<StateId>,
-    pub(crate) n_by_pair: Vec<StateId>,
-    pub(crate) m_rank: Vec<u32>,
-    pub(crate) n_rank: Vec<u32>,
-}
-
-pub(crate) fn pair_enumerated<MS, NS>(
-    m: &EnumeratedModel<MS>,
-    n: &EnumeratedModel<NS>,
-) -> Result<PairedClosures, CheckError> {
-    let mut m_by_facts: BTreeMap<&FactBase, StateId> = BTreeMap::new();
-    for (i, fb) in m.facts.iter().enumerate() {
-        if m_by_facts.insert(fb, StateId::from_index(i)).is_some() {
-            return Err(CheckError::Pairing(
-                "two left states share a fact base (compilation not injective)".into(),
-            ));
-        }
-    }
-    let mut n_by_facts: BTreeMap<&FactBase, StateId> = BTreeMap::new();
-    for (i, fb) in n.facts.iter().enumerate() {
-        if n_by_facts.insert(fb, StateId::from_index(i)).is_some() {
-            return Err(CheckError::Pairing(
-                "two right states share a fact base (compilation not injective)".into(),
-            ));
-        }
-    }
-    if m_by_facts.len() != n_by_facts.len() || !m_by_facts.keys().eq(n_by_facts.keys()) {
-        let only_left = m_by_facts
-            .keys()
-            .filter(|k| !n_by_facts.contains_key(*k))
-            .count();
-        let only_right = n_by_facts
-            .keys()
-            .filter(|k| !m_by_facts.contains_key(*k))
-            .count();
-        return Err(CheckError::Pairing(format!(
-            "state sets are not onto: {only_left} application states expressible only on the left, {only_right} only on the right"
-        )));
-    }
-    let m_by_pair: Vec<StateId> = m_by_facts.into_values().collect();
-    let n_by_pair: Vec<StateId> = n_by_facts.into_values().collect();
-    let mut m_rank = vec![0u32; m.len()];
-    for (p, sid) in m_by_pair.iter().enumerate() {
-        m_rank[sid.index()] = p as u32;
-    }
-    let mut n_rank = vec![0u32; n.len()];
-    for (p, sid) in n_by_pair.iter().enumerate() {
-        n_rank[sid.index()] = p as u32;
-    }
-    Ok(PairedClosures {
-        pairs: m_by_pair.len(),
-        m_by_pair,
-        n_by_pair,
-        m_rank,
-        n_rank,
-    })
-}
-
-/// Behaviour signatures as a pure relabelling of the memoized transition
-/// table: no operation is re-applied — `sig[op][p]` is the recorded
-/// successor of pair `p`'s state, renamed to its pair index.
-pub(crate) fn relabel_signatures<S>(
-    e: &EnumeratedModel<S>,
-    by_pair: &[StateId],
-    rank: &[u32],
-    op_count: usize,
-) -> Vec<Signature> {
-    (0..op_count)
-        .map(|oi| {
-            by_pair
-                .iter()
-                .map(|sid| e.closure.transitions[sid.index()][oi].map(|t| rank[t.index()]))
-                .collect()
-        })
-        .collect()
-}
-
 pub(crate) fn identity_signature(n: usize) -> Signature {
     (0..n as u32).map(Some).collect()
 }
@@ -257,115 +143,68 @@ pub(crate) fn compose(first: &Signature, then: &Signature) -> Signature {
         .collect()
 }
 
-/// Enumerates both closures into arenas, with the work attributed to the
-/// observer's `seq/closure` span and the arena probe statistics exported
-/// as the `arena_hits`/`arena_misses` counters.
-fn closure_phase_obs<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    n: &FiniteModel<NS, NO>,
-    state_cap: usize,
-    obs: &Observer,
-) -> Result<(EnumeratedModel<MS>, EnumeratedModel<NS>), CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone,
-    NO: Clone,
-{
-    let _span = obs.span("seq/closure");
-    let me = enumerate_model(m, state_cap)?;
-    let ne = enumerate_model(n, state_cap)?;
-    obs.add(Counter::StatesEnumerated, (me.len() + ne.len()) as u64);
-    obs.add(
-        Counter::NodesExpanded,
-        ((me.len() * m.ops().len()) + (ne.len() * n.ops().len())) as u64,
-    );
-    let (ms, ns) = (me.closure.arena.stats(), ne.closure.arena.stats());
-    obs.add(Counter::ArenaHits, ms.hits + ns.hits);
-    obs.add(Counter::ArenaMisses, ms.misses + ns.misses);
-    Ok((me, ne))
-}
-
-/// Aligns two enumerated closures through the §3.3.1 state equivalence
-/// correspondence, attributed to the `seq/pairing` span.
-fn pairing_phase_obs<MS, NS>(
-    me: &EnumeratedModel<MS>,
-    ne: &EnumeratedModel<NS>,
-    obs: &Observer,
-) -> Result<PairedClosures, CheckError> {
-    let _span = obs.span("seq/pairing");
-    obs.add(Counter::PairingChecks, 1);
-    obs.add(Counter::StatesCompiled, (me.len() + ne.len()) as u64);
-    pair_enumerated(me, ne)
-}
-
-/// Definition 1 lifted to whole models, as used by
-/// [`Tier::Operation`](crate::check::Tier::Operation): the *i*-th left
-/// operation must be operation equivalent (signature-equal over the
-/// aligned states) to the *i*-th right operation. A mismatched pair
-/// contributes both operations as witnesses; a length mismatch
-/// contributes the overhanging operations.
-pub(crate) fn operation_pairs_report_obs<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    n: &FiniteModel<NS, NO>,
-    state_cap: usize,
-    obs: &Observer,
-) -> Result<MatchReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    let _tier = obs.span_with("seq/operation", || format!("{} vs {}", m.name(), n.name()));
-    let (me, ne) = closure_phase_obs(m, n, state_cap, obs)?;
-    operation_pairs_from_enums(m, &me, n, &ne, obs)
-}
-
-pub(crate) fn operation_pairs_from_enums<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    me: &EnumeratedModel<MS>,
-    n: &FiniteModel<NS, NO>,
-    ne: &EnumeratedModel<NS>,
-    obs: &Observer,
-) -> Result<MatchReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    let paired = pairing_phase_obs(me, ne, obs)?;
-    let m_sigs = relabel_signatures(me, &paired.m_by_pair, &paired.m_rank, m.ops().len());
-    let n_sigs = relabel_signatures(ne, &paired.n_by_pair, &paired.n_rank, n.ops().len());
-    obs.add(
-        Counter::SignaturesBuilt,
-        (m_sigs.len() + n_sigs.len()) as u64,
-    );
-    let mut unmatched_m = Vec::new();
-    let mut unmatched_n = Vec::new();
-    for i in 0..m_sigs.len().max(n_sigs.len()) {
-        match (m_sigs.get(i), n_sigs.get(i)) {
-            (Some(a), Some(b)) if a == b => {}
-            (Some(_), Some(_)) => {
-                unmatched_m.push(m.ops()[i].to_string());
-                unmatched_n.push(n.ops()[i].to_string());
+/// All signatures reachable by composing at most `max_depth` operations
+/// (the behaviours of `ops*`, truncated). Includes the identity (the
+/// empty composition).
+pub(crate) fn composable_signatures(
+    op_sigs: &[Signature],
+    pairs: usize,
+    max_depth: usize,
+) -> BTreeSet<Signature> {
+    let mut seen: BTreeSet<Signature> = BTreeSet::new();
+    let identity = identity_signature(pairs);
+    seen.insert(identity.clone());
+    let mut frontier = vec![identity];
+    for _ in 0..max_depth {
+        let mut next_frontier = Vec::new();
+        for sig in &frontier {
+            for op in op_sigs {
+                let composed = compose(sig, op);
+                if seen.insert(composed.clone()) {
+                    next_frontier.push(composed);
+                }
             }
-            (Some(_), None) => unmatched_m.push(m.ops()[i].to_string()),
-            (None, Some(_)) => unmatched_n.push(n.ops()[i].to_string()),
-            (None, None) => unreachable!("loop is bounded by the longer side"),
+        }
+        if next_frontier.is_empty() {
+            break;
+        }
+        frontier = next_frontier;
+    }
+    seen
+}
+
+/// Per-state reachability from one start: the pair indices reachable
+/// from `start` within `max_depth` steps (as a word-packed [`BitSet`]
+/// over the pair universe), and whether the error state is reachable
+/// (by erroring at any point along a valid prefix) — the Definition 5
+/// semantics. The engine fans the starts across workers.
+pub(crate) fn reach_from(
+    op_sigs: &[Signature],
+    pairs: usize,
+    start: u32,
+    max_depth: usize,
+) -> (BitSet, bool) {
+    let mut seen = BitSet::with_capacity(pairs);
+    seen.insert(start as usize);
+    let mut queue: VecDeque<(u32, usize)> = VecDeque::new();
+    queue.push_back((start, 0));
+    let mut error = false;
+    while let Some((state, depth)) = queue.pop_front() {
+        if depth >= max_depth {
+            continue;
+        }
+        for sig in op_sigs {
+            match sig[state as usize] {
+                Some(next) => {
+                    if seen.insert(next as usize) {
+                        queue.push_back((next, depth + 1));
+                    }
+                }
+                None => error = true,
+            }
         }
     }
-    obs.add(
-        Counter::WitnessesFound,
-        (unmatched_m.len() + unmatched_n.len()) as u64,
-    );
-    Ok(MatchReport {
-        equivalent: unmatched_m.is_empty() && unmatched_n.is_empty(),
-        unmatched_m,
-        unmatched_n,
-        state_pairs: paired.pairs,
-    })
+    (seen, error)
 }
 
 /// The outcome of an application-model equivalence check, with the
@@ -425,403 +264,6 @@ impl fmt::Display for MatchReport {
             writeln!(f, "  right op without equivalent: {op}")?;
         }
         Ok(())
-    }
-}
-
-/// Definition 2: isomorphic application model equivalence, as routed by
-/// [`Tier::Isomorphic`](crate::check::Tier::Isomorphic).
-pub(crate) fn isomorphic_report_obs<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    n: &FiniteModel<NS, NO>,
-    state_cap: usize,
-    obs: &Observer,
-) -> Result<MatchReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    let _tier = obs.span_with("seq/isomorphic", || format!("{} vs {}", m.name(), n.name()));
-    let (me, ne) = closure_phase_obs(m, n, state_cap, obs)?;
-    isomorphic_from_enums(m, &me, n, &ne, obs)
-}
-
-pub(crate) fn isomorphic_from_enums<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    me: &EnumeratedModel<MS>,
-    n: &FiniteModel<NS, NO>,
-    ne: &EnumeratedModel<NS>,
-    obs: &Observer,
-) -> Result<MatchReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    let paired = pairing_phase_obs(me, ne, obs)?;
-    let _span = obs.span("seq/signatures");
-    let m_sigs = relabel_signatures(me, &paired.m_by_pair, &paired.m_rank, m.ops().len());
-    let n_sigs = relabel_signatures(ne, &paired.n_by_pair, &paired.n_rank, n.ops().len());
-    obs.add(
-        Counter::SignaturesBuilt,
-        (m_sigs.len() + n_sigs.len()) as u64,
-    );
-    obs.add(
-        Counter::NodesExpanded,
-        ((m_sigs.len() + n_sigs.len()) * paired.pairs) as u64,
-    );
-    let n_set: BTreeSet<&Signature> = n_sigs.iter().collect();
-    let m_set: BTreeSet<&Signature> = m_sigs.iter().collect();
-    let unmatched_m: Vec<String> = m
-        .ops()
-        .iter()
-        .zip(&m_sigs)
-        .filter(|(_, sig)| !n_set.contains(sig))
-        .map(|(op, _)| op.to_string())
-        .collect();
-    let unmatched_n: Vec<String> = n
-        .ops()
-        .iter()
-        .zip(&n_sigs)
-        .filter(|(_, sig)| !m_set.contains(sig))
-        .map(|(op, _)| op.to_string())
-        .collect();
-    obs.add(
-        Counter::WitnessesFound,
-        (unmatched_m.len() + unmatched_n.len()) as u64,
-    );
-    Ok(MatchReport {
-        equivalent: unmatched_m.is_empty() && unmatched_n.is_empty(),
-        unmatched_m,
-        unmatched_n,
-        state_pairs: paired.pairs,
-    })
-}
-
-/// All signatures reachable by composing at most `max_depth` operations
-/// (the behaviours of `ops*`, truncated). Includes the identity (the
-/// empty composition).
-fn composable_signatures(
-    op_sigs: &[Signature],
-    pairs: usize,
-    max_depth: usize,
-) -> BTreeSet<Signature> {
-    let mut seen: BTreeSet<Signature> = BTreeSet::new();
-    let identity = identity_signature(pairs);
-    seen.insert(identity.clone());
-    let mut frontier = vec![identity];
-    for _ in 0..max_depth {
-        let mut next_frontier = Vec::new();
-        for sig in &frontier {
-            for op in op_sigs {
-                let composed = compose(sig, op);
-                if seen.insert(composed.clone()) {
-                    next_frontier.push(composed);
-                }
-            }
-        }
-        if next_frontier.is_empty() {
-            break;
-        }
-        frontier = next_frontier;
-    }
-    seen
-}
-
-/// Definition 3: composed operation application model equivalence, with
-/// compositions searched up to `max_depth`, as routed by
-/// [`Tier::Composed`](crate::check::Tier::Composed).
-pub(crate) fn composed_report_obs<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    n: &FiniteModel<NS, NO>,
-    state_cap: usize,
-    max_depth: usize,
-    obs: &Observer,
-) -> Result<MatchReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    let _tier = obs.span_with("seq/composed", || {
-        format!("{} vs {} (depth {max_depth})", m.name(), n.name())
-    });
-    let (me, ne) = closure_phase_obs(m, n, state_cap, obs)?;
-    composed_from_enums(m, &me, n, &ne, max_depth, obs)
-}
-
-pub(crate) fn composed_from_enums<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    me: &EnumeratedModel<MS>,
-    n: &FiniteModel<NS, NO>,
-    ne: &EnumeratedModel<NS>,
-    max_depth: usize,
-    obs: &Observer,
-) -> Result<MatchReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    let paired = pairing_phase_obs(me, ne, obs)?;
-    let pairs = paired.pairs;
-    let m_sigs = relabel_signatures(me, &paired.m_by_pair, &paired.m_rank, m.ops().len());
-    let n_sigs = relabel_signatures(ne, &paired.n_by_pair, &paired.n_rank, n.ops().len());
-    obs.add(
-        Counter::SignaturesBuilt,
-        (m_sigs.len() + n_sigs.len()) as u64,
-    );
-    let (m_star, n_star) = {
-        let _span = obs.span("seq/composition");
-        let m_star = composable_signatures(&m_sigs, pairs, max_depth);
-        let n_star = composable_signatures(&n_sigs, pairs, max_depth);
-        obs.add(
-            Counter::SignaturesComposed,
-            (m_star.len() + n_star.len()) as u64,
-        );
-        obs.add(
-            Counter::NodesExpanded,
-            ((m_star.len() * m_sigs.len()) + (n_star.len() * n_sigs.len())) as u64,
-        );
-        (m_star, n_star)
-    };
-    let unmatched_m: Vec<String> = m
-        .ops()
-        .iter()
-        .zip(&m_sigs)
-        .filter(|(_, sig)| !n_star.contains(*sig))
-        .map(|(op, _)| op.to_string())
-        .collect();
-    let unmatched_n: Vec<String> = n
-        .ops()
-        .iter()
-        .zip(&n_sigs)
-        .filter(|(_, sig)| !m_star.contains(*sig))
-        .map(|(op, _)| op.to_string())
-        .collect();
-    obs.add(
-        Counter::WitnessesFound,
-        (unmatched_m.len() + unmatched_n.len()) as u64,
-    );
-    Ok(MatchReport {
-        equivalent: unmatched_m.is_empty() && unmatched_n.is_empty(),
-        unmatched_m,
-        unmatched_n,
-        state_pairs: pairs,
-    })
-}
-
-/// Per-state reachability: from each pair index, the set of pair indices
-/// reachable within `max_depth` steps, and whether the error state is
-/// reachable within `max_depth` steps (by erroring at any point along a
-/// valid prefix).
-fn per_state_reachability(
-    op_sigs: &[Signature],
-    pairs: usize,
-    max_depth: usize,
-) -> (Vec<BitSet>, Vec<bool>) {
-    let mut reach: Vec<BitSet> = Vec::with_capacity(pairs);
-    let mut can_error: Vec<bool> = vec![false; pairs];
-    for start in 0..pairs as u32 {
-        let (seen, error) = reach_from(op_sigs, pairs, start, max_depth);
-        reach.push(seen);
-        can_error[start as usize] = error;
-    }
-    (reach, can_error)
-}
-
-/// One start state's slice of [`per_state_reachability`]: the pair
-/// indices reachable from `start` within `max_depth` steps (as a
-/// word-packed [`BitSet`] over the pair universe), and whether the error
-/// state is reachable. Shared with the parallel engine, which fans the
-/// starts across workers.
-pub(crate) fn reach_from(
-    op_sigs: &[Signature],
-    pairs: usize,
-    start: u32,
-    max_depth: usize,
-) -> (BitSet, bool) {
-    let mut seen = BitSet::with_capacity(pairs);
-    seen.insert(start as usize);
-    let mut queue: VecDeque<(u32, usize)> = VecDeque::new();
-    queue.push_back((start, 0));
-    let mut error = false;
-    while let Some((state, depth)) = queue.pop_front() {
-        if depth >= max_depth {
-            continue;
-        }
-        for sig in op_sigs {
-            match sig[state as usize] {
-                Some(next) => {
-                    if seen.insert(next as usize) {
-                        queue.push_back((next, depth + 1));
-                    }
-                }
-                None => error = true,
-            }
-        }
-    }
-    (seen, error)
-}
-
-/// Definition 5: state dependent application model equivalence, with
-/// per-state compositions searched up to `max_depth`, as routed by
-/// [`Tier::StateDependent`](crate::check::Tier::StateDependent).
-pub(crate) fn state_dependent_report_obs<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    n: &FiniteModel<NS, NO>,
-    state_cap: usize,
-    max_depth: usize,
-    obs: &Observer,
-) -> Result<MatchReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    let _tier = obs.span_with("seq/state_dependent", || {
-        format!("{} vs {} (depth {max_depth})", m.name(), n.name())
-    });
-    let (me, ne) = closure_phase_obs(m, n, state_cap, obs)?;
-    state_dependent_from_enums(m, &me, n, &ne, max_depth, obs)
-}
-
-pub(crate) fn state_dependent_from_enums<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    me: &EnumeratedModel<MS>,
-    n: &FiniteModel<NS, NO>,
-    ne: &EnumeratedModel<NS>,
-    max_depth: usize,
-    obs: &Observer,
-) -> Result<MatchReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    let paired = pairing_phase_obs(me, ne, obs)?;
-    let pairs = paired.pairs;
-    let m_sigs = relabel_signatures(me, &paired.m_by_pair, &paired.m_rank, m.ops().len());
-    let n_sigs = relabel_signatures(ne, &paired.n_by_pair, &paired.n_rank, n.ops().len());
-    obs.add(
-        Counter::SignaturesBuilt,
-        (m_sigs.len() + n_sigs.len()) as u64,
-    );
-    let (n_reach, n_err, m_reach, m_err) = {
-        let _span = obs.span("seq/reachability");
-        let (n_reach, n_err) = per_state_reachability(&n_sigs, pairs, max_depth);
-        let (m_reach, m_err) = per_state_reachability(&m_sigs, pairs, max_depth);
-        let expansions: usize = n_reach.iter().chain(&m_reach).map(BitSet::count).sum();
-        obs.add(Counter::ReachabilityExpansions, expansions as u64);
-        obs.add(
-            Counter::NodesExpanded,
-            (expansions * m_sigs.len().max(1)) as u64,
-        );
-        (n_reach, n_err, m_reach, m_err)
-    };
-
-    let check =
-        |sigs: &[Signature], ops: Vec<String>, reach: &[BitSet], err: &[bool]| -> Vec<String> {
-            ops.into_iter()
-                .zip(sigs)
-                .filter(|(_, sig)| {
-                    (0..pairs).any(|i| match sig[i] {
-                        Some(target) => !reach[i].contains(target as usize),
-                        None => !err[i],
-                    })
-                })
-                .map(|(op, _)| op)
-                .collect()
-        };
-
-    let unmatched_m = check(
-        &m_sigs,
-        m.ops().iter().map(ToString::to_string).collect(),
-        &n_reach,
-        &n_err,
-    );
-    let unmatched_n = check(
-        &n_sigs,
-        n.ops().iter().map(ToString::to_string).collect(),
-        &m_reach,
-        &m_err,
-    );
-    obs.add(
-        Counter::WitnessesFound,
-        (unmatched_m.len() + unmatched_n.len()) as u64,
-    );
-    Ok(MatchReport {
-        equivalent: unmatched_m.is_empty() && unmatched_n.is_empty(),
-        unmatched_m,
-        unmatched_n,
-        state_pairs: pairs,
-    })
-}
-
-/// Runs the requested application-model equivalence check — the
-/// [`EquivKind`] dispatcher behind the facade's per-tier routing.
-pub(crate) fn app_models_report_obs<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    n: &FiniteModel<NS, NO>,
-    kind: EquivKind,
-    state_cap: usize,
-    obs: &Observer,
-) -> Result<MatchReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    match kind {
-        EquivKind::Isomorphic => isomorphic_report_obs(m, n, state_cap, obs),
-        EquivKind::Composed { max_depth } => composed_report_obs(m, n, state_cap, max_depth, obs),
-        EquivKind::StateDependent { max_depth } => {
-            state_dependent_report_obs(m, n, state_cap, max_depth, obs)
-        }
-    }
-}
-
-/// [`app_models_report_obs`] over pre-enumerated closures — the grid
-/// checker's fast path: each model's closure is enumerated once and
-/// reused across every cell it participates in.
-fn app_models_report_from_enums<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    me: &EnumeratedModel<MS>,
-    n: &FiniteModel<NS, NO>,
-    ne: &EnumeratedModel<NS>,
-    kind: EquivKind,
-    obs: &Observer,
-) -> Result<MatchReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    match kind {
-        EquivKind::Isomorphic => {
-            let _tier = obs.span_with("seq/isomorphic", || format!("{} vs {}", m.name(), n.name()));
-            isomorphic_from_enums(m, me, n, ne, obs)
-        }
-        EquivKind::Composed { max_depth } => {
-            let _tier = obs.span_with("seq/composed", || {
-                format!("{} vs {} (depth {max_depth})", m.name(), n.name())
-            });
-            composed_from_enums(m, me, n, ne, max_depth, obs)
-        }
-        EquivKind::StateDependent { max_depth } => {
-            let _tier = obs.span_with("seq/state_dependent", || {
-                format!("{} vs {} (depth {max_depth})", m.name(), n.name())
-            });
-            state_dependent_from_enums(m, me, n, ne, max_depth, obs)
-        }
     }
 }
 
@@ -901,104 +343,6 @@ impl fmt::Display for DataModelReport {
     }
 }
 
-fn record_enum_counters<S, O>(
-    models: &[FiniteModel<S, O>],
-    enums: &[EnumeratedModel<S>],
-    obs: &Observer,
-) where
-    S: Clone + Ord + ToFacts,
-    O: Clone,
-{
-    let states: usize = enums.iter().map(EnumeratedModel::len).sum();
-    let expanded: usize = models
-        .iter()
-        .zip(enums)
-        .map(|(m, e)| e.len() * m.ops().len())
-        .sum();
-    obs.add(Counter::StatesEnumerated, states as u64);
-    obs.add(Counter::NodesExpanded, expanded as u64);
-    let (hits, misses) = enums.iter().fold((0, 0), |(h, mi), e| {
-        let s = e.closure.arena.stats();
-        (h + s.hits, mi + s.misses)
-    });
-    obs.add(Counter::ArenaHits, hits);
-    obs.add(Counter::ArenaMisses, misses);
-}
-
-/// Definition 6: two data models (finite sets of application models) are
-/// equivalent iff application model equivalence defines a correspondence
-/// onto both sets. The correspondence need not be 1-1 (§3.3.2: "there may
-/// be several relational application models state dependent equivalent to
-/// each graph model"). Routed by
-/// [`Tier::DataModel`](crate::check::Tier::DataModel).
-pub(crate) fn data_model_report_obs<MS, MO, NS, NO>(
-    ms: &[FiniteModel<MS, MO>],
-    ns: &[FiniteModel<NS, NO>],
-    kind: EquivKind,
-    state_cap: usize,
-    obs: &Observer,
-) -> Result<DataModelReport, CheckError>
-where
-    MS: Clone + Ord + ToFacts,
-    NS: Clone + Ord + ToFacts,
-    MO: Clone + fmt::Display,
-    NO: Clone + fmt::Display,
-{
-    let _tier = obs.span_with("seq/data_model", || {
-        format!("{}x{} grid", ms.len(), ns.len())
-    });
-    obs.add(Counter::GridCells, (ms.len() * ns.len()) as u64);
-    // Enumerate every model's closure exactly once; the cells below only
-    // pair and relabel.
-    let m_enums: Vec<EnumeratedModel<MS>> = {
-        let _span = obs.span("seq/closure");
-        let enums: Vec<_> = ms
-            .iter()
-            .map(|m| enumerate_model(m, state_cap))
-            .collect::<Result<_, _>>()?;
-        record_enum_counters(ms, &enums, obs);
-        enums
-    };
-    let n_enums: Vec<EnumeratedModel<NS>> = {
-        let _span = obs.span("seq/closure");
-        let enums: Vec<_> = ns
-            .iter()
-            .map(|n| enumerate_model(n, state_cap))
-            .collect::<Result<_, _>>()?;
-        record_enum_counters(ns, &enums, obs);
-        enums
-    };
-    let mut matches_m: Vec<(String, Vec<String>)> = Vec::new();
-    let mut matches_n: Vec<(String, Vec<String>)> = ns
-        .iter()
-        .map(|n| (n.name().to_owned(), Vec::new()))
-        .collect();
-    for (m, me) in ms.iter().zip(&m_enums) {
-        let mut found = Vec::new();
-        for (ni, (n, ne)) in ns.iter().zip(&n_enums).enumerate() {
-            // A pairing failure means "not equivalent", not a checker
-            // error: the two models express different application states.
-            let report = match app_models_report_from_enums(m, me, n, ne, kind, obs) {
-                Ok(r) => r,
-                Err(CheckError::Pairing(_)) => continue,
-                Err(e) => return Err(e),
-            };
-            if report.equivalent {
-                found.push(n.name().to_owned());
-                matches_n[ni].1.push(m.name().to_owned());
-            }
-        }
-        matches_m.push((m.name().to_owned(), found));
-    }
-    let equivalent = matches_m.iter().all(|(_, v)| !v.is_empty())
-        && matches_n.iter().all(|(_, v)| !v.is_empty());
-    Ok(DataModelReport {
-        equivalent,
-        matches_m,
-        matches_n,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1027,96 +371,18 @@ mod tests {
         assert_eq!(set.len(), 2); // swap ∘ swap = id
     }
 
-    /// A toy model whose states *are* fact bases: apply adds or removes
-    /// one fact. Lets the checker plumbing be tested without the data
-    /// models.
-    fn toy_model(
-        name: &str,
-        facts: Vec<dme_logic::Fact>,
-        ops: Vec<(bool, dme_logic::Fact)>,
-    ) -> crate::model::FiniteModel<FactBase, String> {
-        use crate::model::FiniteModel;
-        let universe: std::collections::BTreeMap<String, (bool, dme_logic::Fact)> = ops
-            .into_iter()
-            .map(|(add, f)| (format!("{}{}", if add { "+" } else { "-" }, f), (add, f)))
-            .collect();
-        let op_names: Vec<String> = universe.keys().cloned().collect();
-        let initial = FactBase::from_facts(facts);
-        FiniteModel::new(name, initial, op_names, move |op, s| {
-            let (add, fact) = &universe[op];
-            let mut next = s.clone();
-            if *add {
-                next.insert(fact.clone()).then_some(next)
-            } else {
-                next.remove(fact).then_some(next)
-            }
-        })
-    }
-
     fn f(n: i64) -> dme_logic::Fact {
         dme_logic::Fact::new("p", [("x", dme_value::Atom::Int(n))])
     }
 
     #[test]
     fn pair_states_detects_non_onto_sets() {
-        let m = toy_model("m", vec![], vec![(true, f(1)), (false, f(1))]);
-        let n = toy_model("n", vec![], vec![(true, f(2)), (false, f(2))]);
-        let ms = m.reachable_states(100).unwrap();
-        let ns = n.reachable_states(100).unwrap();
-        let err = pair_states(&ms, &ns).unwrap_err();
+        // A fact base compiles to itself: {∅, {p(1)}} against {∅, {p(2)}}.
+        let side = |n| BTreeSet::from([FactBase::default(), FactBase::from_facts([f(n)])]);
+        let err = pair_states(&side(1), &side(2)).unwrap_err();
         assert!(matches!(err, CheckError::Pairing(_)));
         assert!(err.to_string().contains("not onto"));
     }
-
-    #[test]
-    fn toy_models_with_same_facts_are_isomorphic() {
-        let m = toy_model("m", vec![], vec![(true, f(1)), (false, f(1))]);
-        let n = toy_model("n", vec![], vec![(true, f(1)), (false, f(1))]);
-        let report = isomorphic_report_obs(&m, &n, 100, &Observer::disabled()).unwrap();
-        assert!(report.equivalent, "{report}");
-        assert_eq!(report.state_pairs, 2);
-        assert_eq!(report.to_string(), "equivalent over 2 state pairs");
-    }
-
-    #[test]
-    fn dispatcher_routes_each_kind() {
-        let m = toy_model("m", vec![], vec![(true, f(1)), (false, f(1))]);
-        let n = toy_model("n", vec![], vec![(true, f(1)), (false, f(1))]);
-        for kind in [
-            EquivKind::Isomorphic,
-            EquivKind::Composed { max_depth: 2 },
-            EquivKind::StateDependent { max_depth: 2 },
-        ] {
-            let report = app_models_report_obs(&m, &n, kind, 100, &Observer::disabled()).unwrap();
-            assert!(report.equivalent, "{kind:?}: {report}");
-        }
-    }
-
-    #[test]
-    fn composed_finds_two_step_equivalents() {
-        // m has a "swap both facts" op; n only has single-fact ops.
-        let m = toy_model(
-            "m",
-            vec![],
-            vec![(true, f(1)), (true, f(2)), (false, f(1)), (false, f(2))],
-        );
-        let n = toy_model(
-            "n",
-            vec![],
-            vec![(true, f(1)), (true, f(2)), (false, f(1)), (false, f(2))],
-        );
-        let report = composed_report_obs(&m, &n, 100, 2, &Observer::disabled()).unwrap();
-        assert!(report.equivalent);
-    }
-
-    #[test]
-    fn closure_cap_propagates_as_check_error() {
-        let m = toy_model("m", vec![], vec![(true, f(1)), (true, f(2)), (true, f(3))]);
-        let n = toy_model("n", vec![], vec![(true, f(1)), (true, f(2)), (true, f(3))]);
-        let err = isomorphic_report_obs(&m, &n, 3, &Observer::disabled()).unwrap_err();
-        assert!(matches!(err, CheckError::Closure(_)));
-    }
-
     #[test]
     fn data_model_report_accessors_and_display() {
         let report = DataModelReport {
@@ -1147,19 +413,28 @@ mod tests {
         assert!(text.contains("NOT equivalent over 5 state pairs"));
         assert!(text.contains("op-a"));
         assert!(text.contains("op-b"));
+        let equivalent = MatchReport {
+            equivalent: true,
+            unmatched_m: vec![],
+            unmatched_n: vec![],
+            state_pairs: 2,
+        };
+        assert_eq!(equivalent.to_string(), "equivalent over 2 state pairs");
     }
 
     #[test]
-    fn per_state_reachability_tracks_errors() {
+    fn reach_from_tracks_errors_within_depth() {
         // op: 0→1, 1→err.
         let sigs = vec![vec![Some(1), None]];
-        let (reach, err) = per_state_reachability(&sigs, 2, 3);
-        assert!(reach[0].contains(1));
-        assert!(err[0], "0 →op→ 1 →op→ error within depth");
-        assert!(err[1]);
-        // Depth 1 from state 0: reaches 1, sees no error yet beyond it…
-        let (_, err1) = per_state_reachability(&sigs, 2, 1);
-        assert!(!err1[0], "error from 0 needs two steps");
-        assert!(err1[1]);
+        let (reach, err) = reach_from(&sigs, 2, 0, 3);
+        assert!(reach.contains(1));
+        assert!(err, "0 →op→ 1 →op→ error within depth");
+        assert!(reach_from(&sigs, 2, 1, 3).1);
+        // Depth 1 from state 0 reaches 1 but not the error beyond it.
+        assert!(
+            !reach_from(&sigs, 2, 0, 1).1,
+            "error from 0 needs two steps"
+        );
+        assert!(reach_from(&sigs, 2, 1, 1).1);
     }
 }

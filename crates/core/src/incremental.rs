@@ -38,15 +38,15 @@
 //! ## Verdict fidelity
 //!
 //! The session never *approximates*. On a verdict-cache miss it
-//! materializes, from the cached columns, a [`Closure`] that is
-//! **identical** to what a fresh enumeration would produce: states are
-//! re-numbered by a breadth-first walk from the initial state in
-//! operation order — the exact discovery order of
+//! materializes, from the cached columns, a closure — state order and
+//! transition table — that is **identical** to what a fresh enumeration
+//! would produce: states are re-numbered by a breadth-first walk from
+//! the initial state in operation order — the exact discovery order of
 //! [`FiniteModel::closure`] — and the engine then runs its normal
 //! pairing/signature/scan pipeline on it. Verdicts, witness sets and
 //! witness order are the fresh engine's, which `tests/incremental.rs`
 //! proves differentially against full enumeration and the
-//! `slow-reference` engine.
+//! [`crate::slow_reference`] oracle.
 //!
 //! ## Model identity
 //!
@@ -83,11 +83,11 @@ use dme_logic::{content_fingerprint_wide, ToFacts};
 use dme_obs::{Counter, Observer};
 use dme_storage::wal;
 
-use crate::arena::{Closure, StateArena, StateId};
+use crate::arena::{StateArena, StateId};
 use crate::canon::FactInterner;
 use crate::equiv::{CheckError, EquivKind};
 use crate::model::{ClosureTooLarge, FiniteModel};
-use crate::parallel::{check_prepaired, pair_on_closures, PairedIds, Side, Verdict, Witness};
+use crate::parallel::{check_prepaired, pair_on_states, PairedIds, Side, Verdict, Witness};
 
 /// Running totals of what the session reused versus recomputed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -143,14 +143,17 @@ enum Tx {
     To(StateId),
 }
 
-/// The closure materialized for one operation list, plus the two pieces
-/// of identity the pairing-rank cache needs: the dense→persistent id map
-/// it was renumbered through, and an order-independent fingerprint of
-/// the reachable state *set*.
-struct Materialized<S> {
+/// The closure materialized for one operation list — its transition
+/// table over dense ids — plus the two pieces of identity the
+/// pairing-rank cache needs: the dense→persistent id map it was
+/// renumbered through, and an order-independent fingerprint of the
+/// reachable state *set*. The states themselves stay in the persistent
+/// arena; only a pairing that cannot reuse cached ranks copies them out.
+struct Materialized {
     /// Wide hash of the ordered operation labels this closure is for.
     ops_digest: u128,
-    closure: Closure<S>,
+    /// Dense id → per-operation successor dense id (`None` = error).
+    transitions: Vec<Vec<Option<StateId>>>,
     /// Dense id → persistent arena id, in discovery order
     /// (`order[d]` is the arena state behind dense state `d`).
     order: Vec<StateId>,
@@ -194,7 +197,7 @@ impl RankCache {
 /// from the per-side rank caches and the current closures' dense order.
 /// Valid only when both sides' reachable sets match the harvest
 /// (checked by the caller against [`RankCache::set_id`]); the result is
-/// then identical to what [`pair_on_closures`] would recompute.
+/// then identical to what [`pair_on_states`] would recompute.
 fn rebuild_pairing(
     left: &RankCache,
     m_order: &[StateId],
@@ -236,7 +239,7 @@ struct ClosureCache<S> {
     /// vectors read as `Unknown`).
     columns: HashMap<String, Vec<Tx>>,
     /// The closure materialized for the most recent operation list.
-    materialized: Option<Materialized<S>>,
+    materialized: Option<Materialized>,
     /// Pairing ranks harvested from the most recent engine run whose
     /// pairing succeeded; both sides are always harvested together.
     ranks: Option<RankCache>,
@@ -258,6 +261,18 @@ impl<S> ClosureCache<S>
 where
     S: Clone + Ord + Hash + ToFacts,
 {
+    /// The materialized closure's states, in dense-id order.
+    fn dense_states(&self) -> Vec<S> {
+        let mat = self
+            .materialized
+            .as_ref()
+            .expect("refreshed before pairing");
+        mat.order
+            .iter()
+            .map(|&id| self.arena.get(id).clone())
+            .collect()
+    }
+
     /// Brings the cache up to date with `model`, leaving its closure in
     /// [`ClosureCache::materialized`] and reusing every still-valid
     /// transition. The materialized closure is identical — same states,
@@ -292,13 +307,13 @@ where
         let ops_digest = content_fingerprint_wide(&labels);
         if let Some(mat) = &self.materialized {
             if mat.ops_digest == ops_digest {
-                if mat.closure.arena.len() > cap {
+                if mat.order.len() > cap {
                     return Err(ClosureTooLarge {
                         model: model.name().to_owned(),
                         cap,
                     });
                 }
-                let reused = (mat.closure.arena.len() * labels.len()) as u64;
+                let reused = (mat.order.len() * labels.len()) as u64;
                 stats.transitions_reused += reused;
                 obs.add(Counter::TransitionsReused, reused);
                 return Ok(());
@@ -423,19 +438,12 @@ where
         obs.add(Counter::TransitionsRecomputed, recomputed);
         obs.add(Counter::StatesEnumerated, order.len() as u64);
 
-        let mut dense_arena: StateArena<S> = StateArena::new();
-        for &old in &order {
-            dense_arena.intern(self.arena.fingerprint_of(old), self.arena.get(old).clone());
-        }
         let mut sorted: Vec<u64> = order.iter().map(|s| s.index() as u64).collect();
         sorted.sort_unstable();
         let set_id = content_fingerprint_wide(&sorted);
         self.materialized = Some(Materialized {
             ops_digest,
-            closure: Closure {
-                arena: dense_arena,
-                transitions,
-            },
+            transitions,
             order,
             set_id,
         });
@@ -642,9 +650,9 @@ where
                     // A pairing failure propagates before any harvest;
                     // stale ranks stay (they remain valid for the sets
                     // they name — set ids, not recency, gate reuse).
-                    let paired = pair_on_closures(
-                        &lm.closure,
-                        &rm.closure,
+                    let paired = pair_on_states(
+                        &self.left.dense_states(),
+                        &self.right.dense_states(),
                         self.threads,
                         &self.m_interner,
                         &self.n_interner,
@@ -674,8 +682,8 @@ where
         let verdict = check_prepaired(
             m,
             n,
-            &lm.closure,
-            &rm.closure,
+            &lm.transitions,
+            &rm.transitions,
             &paired,
             kind,
             self.threads,

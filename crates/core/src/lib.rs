@@ -40,7 +40,6 @@ pub mod equiv;
 pub mod incremental;
 pub mod model;
 pub mod parallel;
-#[cfg(feature = "slow-reference")]
 pub mod slow_reference;
 pub mod symbolic;
 pub mod translate;

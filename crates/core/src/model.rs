@@ -8,9 +8,9 @@
 //!
 //! [`FiniteModel`] packages exactly that: an initial state, a finite list
 //! of operations (operation types already applied to concrete arguments —
-//! the paper's `operations`), and the application function. The checkers
-//! in [`crate::equiv`] enumerate the closure with
-//! [`FiniteModel::reachable_states`].
+//! the paper's `operations`), and the application function. The engine
+//! behind [`Checker`](crate::check::Checker) enumerates the closure with
+//! [`FiniteModel::closure_with`].
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -227,9 +227,10 @@ where
     ///
     /// `on_expand` runs once per state before its expansion (with the
     /// number of operations about to be applied); returning `false`
-    /// stops the enumeration early and yields `Ok(None)` — the budget
-    /// hook for the engine. IDs are assigned in breadth-first discovery
-    /// order, with ID 0 the initial state.
+    /// stops the enumeration early and yields `Ok(None)`. The engine's
+    /// one-thread closure phase passes its budget charge here. IDs are
+    /// assigned in breadth-first discovery order, with ID 0 the initial
+    /// state — the order the engine's multi-thread levels reproduce.
     pub fn closure_with(
         &self,
         cap: usize,

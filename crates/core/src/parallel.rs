@@ -1,12 +1,17 @@
-//! Parallel, memoized, budgeted equivalence checking.
+//! The equivalence engine: memoized, budgeted, optionally parallel.
 //!
-//! The sequential checkers in [`crate::equiv`] are the reference
-//! semantics; this module is the production driver. It fans the three
-//! expensive phases of a check across worker threads with deterministic
+//! This is the one decision procedure behind
+//! [`Checker`](crate::check::Checker), for every tier from Definition 1
+//! to Definition 6; [`crate::slow_reference`] is its independent test
+//! oracle. The thread count is a setting: one thread (the facade's
+//! default) is deterministic and sequential, and more threads fan the
+//! three expensive phases of a check across workers with the same
 //! results:
 //!
-//! 1. **closure exploration** — level-synchronous BFS over the valid
-//!    states, each frontier chunked across workers by an atomic cursor;
+//! 1. **closure exploration** — breadth-first over the valid states; on
+//!    one thread through [`FiniteModel::closure_with`], on several a
+//!    level-synchronous BFS with each frontier chunked across workers by
+//!    an atomic cursor;
 //! 2. **canonical pairing** — every state's fact base is compiled
 //!    through a shared [`FactInterner`], so each state is compiled once
 //!    per engine run (and once per *grid* in a data-model check, where
@@ -28,7 +33,8 @@
 //! time limit yields [`Verdict::BudgetExhausted`] instead of an answer,
 //! never a wrong answer.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp;
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -38,7 +44,7 @@ use std::time::{Duration, Instant};
 use dme_logic::{FactBase, ToFacts};
 use dme_obs::{Counter, Observer};
 
-use crate::arena::{Closure, StateId};
+use crate::arena::{Closure, StateArena, StateId};
 use crate::bitset::BitSet;
 use crate::canon::FactInterner;
 use crate::equiv::{compose, identity_signature, reach_from, CheckError, EquivKind, Signature};
@@ -90,7 +96,7 @@ impl Default for CheckBudget {
     }
 }
 
-/// Configuration of the parallel engine.
+/// Configuration of the engine: worker threads, budget, early exit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads; `0` uses the machine's available parallelism.
@@ -170,7 +176,7 @@ impl fmt::Display for Witness {
     }
 }
 
-/// The structured outcome of a parallel check.
+/// The structured outcome of a check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// The models are equivalent under the requested definition.
@@ -396,17 +402,18 @@ enum Probe<S> {
     New(u64, S),
 }
 
-/// Level-synchronous parallel closure enumeration over the state arena.
+/// Closure enumeration over the state arena, charged to the budget.
 /// `Ok(None)` means the budget stopped the exploration.
 ///
-/// Workers expand a frontier level through the delta hook: each claimed
-/// state is cloned once into a scratch buffer, every operation is
-/// applied as an undoable delta, and the *shared* arena is probed by
-/// fingerprint — successors are only materialized (cloned out of the
-/// scratch) when the probe misses. Discoveries are merged on the calling
+/// One thread runs [`FiniteModel::closure_with`]. More threads run a
+/// level-synchronous BFS: workers expand a frontier level through the
+/// delta hook — each claimed state is cloned once into a scratch
+/// buffer, every operation is applied as an undoable delta, and the
+/// *shared* arena is probed by fingerprint, so successors are only
+/// materialized (cloned out of the scratch) when the probe misses. Discoveries are merged on the calling
 /// thread in `(state, op)` order, so state IDs land in breadth-first
-/// discovery order no matter how many workers ran — the same IDs the
-/// sequential enumeration assigns.
+/// discovery order no matter how many workers ran — the same IDs
+/// [`FiniteModel::closure_with`] assigns.
 fn explore_closure<S, O>(
     model: &FiniteModel<S, O>,
     cap: usize,
@@ -419,7 +426,14 @@ where
 {
     let _span = ctx.obs.span_with("par/closure", || model.name().to_owned());
     let _timer = ctx.obs.time(dme_obs::Metric::ClosureLatency);
-    let mut arena = crate::arena::StateArena::new();
+    if threads <= 1 {
+        let closure = model.closure_with(cap, |ops| ctx.charge(ops as u64))?;
+        if let Some(closure) = &closure {
+            export_arena_counters(&closure.arena, &ctx.obs);
+        }
+        return Ok(closure);
+    }
+    let mut arena = StateArena::new();
     arena.intern(
         model.state_fingerprint(model.initial()),
         model.initial().clone(),
@@ -497,11 +511,15 @@ where
         frontier = next;
     }
     arena.add_probe_stats(probe_hits.load(Ordering::Relaxed), 0);
-    let stats = arena.stats();
-    ctx.obs.add(Counter::ArenaHits, stats.hits);
-    ctx.obs.add(Counter::ArenaMisses, stats.misses);
-    ctx.obs.add(Counter::StatesEnumerated, arena.len() as u64);
+    export_arena_counters(&arena, &ctx.obs);
     Ok(Some(Closure { arena, transitions }))
+}
+
+fn export_arena_counters<S>(arena: &StateArena<S>, obs: &Observer) {
+    let stats = arena.stats();
+    obs.add(Counter::ArenaHits, stats.hits);
+    obs.add(Counter::ArenaMisses, stats.misses);
+    obs.add(Counter::StatesEnumerated, arena.len() as u64);
 }
 
 /// A paired grid of state IDs: pair index → state ID per side, plus the
@@ -515,11 +533,14 @@ pub(crate) struct PairedIds {
 }
 
 /// Parallel fact compilation through the interner, then the §3.3.1
-/// pairing checks (injective per side, onto across sides). `Ok(None)`
-/// means the budget stopped the run.
+/// pairing checks (injective per side, onto across sides). Pairs are
+/// numbered in fact-base order by fingerprint, then content: a total
+/// order on content, so a state's pair index depends only on its fact
+/// base and the state set, and sorting compares mostly one `u64`.
+/// `Ok(None)` means the budget stopped the run.
 fn pair_with_interner<MS, NS>(
-    m_closure: &Closure<MS>,
-    n_closure: &Closure<NS>,
+    m_states: &[MS],
+    n_states: &[NS],
     threads: usize,
     ctx: &EngineCtx,
     m_interner: &FactInterner<MS>,
@@ -529,17 +550,24 @@ where
     MS: Clone + Ord + Hash + ToFacts + Send + Sync,
     NS: Clone + Ord + Hash + ToFacts + Send + Sync,
 {
+    fn by_content(a: &FactBase, b: &FactBase) -> cmp::Ordering {
+        a.fingerprint().cmp(&b.fingerprint()).then_with(|| a.cmp(b))
+    }
+
+    /// One side's compiled fact bases and state IDs, sorted by
+    /// [`by_content`].
+    type Sorted = Vec<(Arc<FactBase>, StateId)>;
+
     fn compile_side<S>(
-        closure: &Closure<S>,
+        states: &[S],
         threads: usize,
         ctx: &EngineCtx,
         interner: &FactInterner<S>,
         side: &str,
-    ) -> Result<Option<BTreeMap<Arc<FactBase>, StateId>>, CheckError>
+    ) -> Result<Option<Sorted>, CheckError>
     where
         S: Clone + Ord + Hash + ToFacts + Send + Sync,
     {
-        let states = closure.arena.states();
         let compiled = drive(
             effective_threads(threads, states.len()),
             states.len(),
@@ -554,45 +582,59 @@ where
             return Ok(None);
         }
         ctx.obs.add(Counter::StatesCompiled, states.len() as u64);
-        let mut by_facts: BTreeMap<Arc<FactBase>, StateId> = BTreeMap::new();
-        for (i, facts) in compiled {
-            if by_facts.insert(facts, StateId::from_index(i)).is_some() {
-                return Err(CheckError::Pairing(format!(
-                    "two {side} states share a fact base (compilation not injective)"
-                )));
-            }
+        let mut sorted: Sorted = compiled
+            .into_iter()
+            .map(|(i, facts)| (facts, StateId::from_index(i)))
+            .collect();
+        sorted.sort_unstable_by(|a, b| by_content(&a.0, &b.0));
+        if sorted.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(CheckError::Pairing(format!(
+                "two {side} states share a fact base (compilation not injective)"
+            )));
         }
-        Ok(Some(by_facts))
+        Ok(Some(sorted))
     }
 
     let _span = ctx.obs.span("par/pairing");
     ctx.obs.add(Counter::PairingChecks, 1);
-    let Some(m_by_facts) = compile_side(m_closure, threads, ctx, m_interner, "left")? else {
+    let Some(m_sorted) = compile_side(m_states, threads, ctx, m_interner, "left")? else {
         return Ok(None);
     };
-    let Some(n_by_facts) = compile_side(n_closure, threads, ctx, n_interner, "right")? else {
+    let Some(n_sorted) = compile_side(n_states, threads, ctx, n_interner, "right")? else {
         return Ok(None);
     };
-    if m_by_facts.len() != n_by_facts.len() || !m_by_facts.keys().eq(n_by_facts.keys()) {
-        let only_left = m_by_facts
-            .keys()
-            .filter(|k| !n_by_facts.contains_key(*k))
-            .count();
-        let only_right = n_by_facts
-            .keys()
-            .filter(|k| !m_by_facts.contains_key(*k))
-            .count();
+    // Onto: one merge walk over the two sorted lists.
+    let (mut i, mut j, mut only_left, mut only_right) = (0, 0, 0, 0);
+    while i < m_sorted.len() && j < n_sorted.len() {
+        match by_content(&m_sorted[i].0, &n_sorted[j].0) {
+            cmp::Ordering::Less => {
+                only_left += 1;
+                i += 1;
+            }
+            cmp::Ordering::Greater => {
+                only_right += 1;
+                j += 1;
+            }
+            cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    only_left += m_sorted.len() - i;
+    only_right += n_sorted.len() - j;
+    if only_left + only_right > 0 {
         return Err(CheckError::Pairing(format!(
             "state sets are not onto: {only_left} application states expressible only on the left, {only_right} only on the right"
         )));
     }
-    let m_by_pair: Vec<StateId> = m_by_facts.into_values().collect();
-    let n_by_pair: Vec<StateId> = n_by_facts.into_values().collect();
-    let mut m_rank = vec![0u32; m_closure.len()];
+    let m_by_pair: Vec<StateId> = m_sorted.into_iter().map(|(_, sid)| sid).collect();
+    let n_by_pair: Vec<StateId> = n_sorted.into_iter().map(|(_, sid)| sid).collect();
+    let mut m_rank = vec![0u32; m_states.len()];
     for (p, sid) in m_by_pair.iter().enumerate() {
         m_rank[sid.index()] = p as u32;
     }
-    let mut n_rank = vec![0u32; n_closure.len()];
+    let mut n_rank = vec![0u32; n_states.len()];
     for (p, sid) in n_by_pair.iter().enumerate() {
         n_rank[sid.index()] = p as u32;
     }
@@ -608,8 +650,8 @@ where
 /// Behaviour signatures, one worker item per operation — a pure relabel
 /// of the transition table memoized during closure exploration: no
 /// operation is re-applied to any state.
-fn signatures_parallel<S: Sync>(
-    closure: &Closure<S>,
+fn signatures_parallel(
+    transitions: &[Vec<Option<StateId>>],
     by_pair: &[StateId],
     rank: &[u32],
     op_count: usize,
@@ -626,7 +668,7 @@ fn signatures_parallel<S: Sync>(
             }
             let sig: Signature = by_pair
                 .iter()
-                .map(|sid| closure.transitions[sid.index()][oi].map(|t| rank[t.index()]))
+                .map(|sid| transitions[sid.index()][oi].map(|t| rank[t.index()]))
                 .collect();
             (Some(sig), true)
         },
@@ -772,15 +814,16 @@ where
     Some(found)
 }
 
-/// One application-model pair on precomputed closures. `Ok(None)` means
-/// the budget stopped the run.
+/// One application-model pair on precomputed closures. `kind` is the
+/// Definition 2/3/5 match, or `None` for Definition 1's index-aligned
+/// comparison. `Ok(None)` means the budget stopped the run.
 #[allow(clippy::too_many_arguments)]
 fn check_pair<MS, MO, NS, NO>(
     m: &FiniteModel<MS, MO>,
     n: &FiniteModel<NS, NO>,
     m_closure: &Closure<MS>,
     n_closure: &Closure<NS>,
-    kind: EquivKind,
+    kind: Option<EquivKind>,
     threads: usize,
     ctx: &EngineCtx,
     early: bool,
@@ -793,28 +836,43 @@ where
     MO: Clone + fmt::Display + Send + Sync,
     NO: Clone + fmt::Display + Send + Sync,
 {
-    let Some(paired) =
-        pair_with_interner(m_closure, n_closure, threads, ctx, m_interner, n_interner)?
+    let Some(paired) = pair_with_interner(
+        m_closure.arena.states(),
+        n_closure.arena.states(),
+        threads,
+        ctx,
+        m_interner,
+        n_interner,
+    )?
     else {
         return Ok(None);
     };
     check_paired(
-        m, n, m_closure, n_closure, &paired, kind, threads, ctx, early,
+        m,
+        n,
+        &m_closure.transitions,
+        &n_closure.transitions,
+        &paired,
+        kind,
+        threads,
+        ctx,
+        early,
     )
 }
 
 /// The post-pairing half of [`check_pair`]: signature relabeling, the
 /// kind-specific scan, and witness assembly, on a caller-supplied
-/// pairing. Split out so [`crate::incremental`] can replay a cached
-/// pairing without recompiling every state's fact base.
+/// pairing and the closures' transition tables. Split out so
+/// [`crate::incremental`] can replay a cached pairing without
+/// recompiling every state's fact base.
 #[allow(clippy::too_many_arguments)]
 fn check_paired<MS, MO, NS, NO>(
     m: &FiniteModel<MS, MO>,
     n: &FiniteModel<NS, NO>,
-    m_closure: &Closure<MS>,
-    n_closure: &Closure<NS>,
+    m_transitions: &[Vec<Option<StateId>>],
+    n_transitions: &[Vec<Option<StateId>>],
     paired: &PairedIds,
-    kind: EquivKind,
+    kind: Option<EquivKind>,
     threads: usize,
     ctx: &EngineCtx,
     early: bool,
@@ -827,7 +885,7 @@ where
 {
     let pairs = paired.pairs;
     let Some(m_sigs) = signatures_parallel(
-        m_closure,
+        m_transitions,
         &paired.m_by_pair,
         &paired.m_rank,
         m.ops().len(),
@@ -837,7 +895,7 @@ where
         return Ok(None);
     };
     let Some(n_sigs) = signatures_parallel(
-        n_closure,
+        n_transitions,
         &paired.n_by_pair,
         &paired.n_rank,
         n.ops().len(),
@@ -848,7 +906,21 @@ where
     };
 
     let found = match kind {
-        EquivKind::Isomorphic => {
+        // Definition 1: the i-th operations must have equal signatures.
+        // A mismatched pair is a witness on both sides; an operation
+        // past the other side's last one is a witness on its own.
+        None => scan_unmatched(
+            m_sigs.len(),
+            n_sigs.len(),
+            threads,
+            ctx,
+            early,
+            |side, i| match side {
+                Side::Left => n_sigs.get(i) != Some(&m_sigs[i]),
+                Side::Right => m_sigs.get(i) != Some(&n_sigs[i]),
+            },
+        ),
+        Some(EquivKind::Isomorphic) => {
             let m_set: BTreeSet<&Signature> = m_sigs.iter().collect();
             let n_set: BTreeSet<&Signature> = n_sigs.iter().collect();
             scan_unmatched(
@@ -863,7 +935,7 @@ where
                 },
             )
         }
-        EquivKind::Composed { max_depth } => {
+        Some(EquivKind::Composed { max_depth }) => {
             let Some(m_star) =
                 composable_signatures_parallel(&m_sigs, pairs, max_depth, threads, ctx)
             else {
@@ -886,7 +958,7 @@ where
                 },
             )
         }
-        EquivKind::StateDependent { max_depth } => {
+        Some(EquivKind::StateDependent { max_depth }) => {
             let Some((n_reach, n_err)) =
                 reachability_parallel(&n_sigs, pairs, max_depth, threads, ctx)
             else {
@@ -939,14 +1011,15 @@ where
 }
 
 /// Runs the §3.3.1 pairing (injective per side, onto across sides) on
-/// closures the caller already holds, with an unlimited budget. This is
-/// the first half of the [`crate::incremental`] engine entry: the
-/// session materializes both closures from its caches (bit-identical to
-/// a fresh enumeration) and harvests the resulting ranks so later
-/// re-checks over the same state sets can skip compilation entirely.
-pub(crate) fn pair_on_closures<MS, NS>(
-    m_closure: &Closure<MS>,
-    n_closure: &Closure<NS>,
+/// closure states the caller already holds (in state-ID order), with an
+/// unlimited budget. This is the first half of the [`crate::incremental`]
+/// engine entry: the session materializes both closures from its caches
+/// (bit-identical to a fresh enumeration) and harvests the resulting
+/// ranks so later re-checks over the same state sets can skip
+/// compilation entirely.
+pub(crate) fn pair_on_states<MS, NS>(
+    m_states: &[MS],
+    n_states: &[NS],
     threads: usize,
     m_interner: &FactInterner<MS>,
     n_interner: &FactInterner<NS>,
@@ -958,8 +1031,8 @@ where
 {
     let ctx = EngineCtx::new(&CheckBudget::UNLIMITED, obs.clone());
     let paired = pair_with_interner(
-        m_closure,
-        n_closure,
+        m_states,
+        n_states,
         resolve_threads(threads),
         &ctx,
         m_interner,
@@ -968,18 +1041,18 @@ where
     Ok(paired.expect("an unlimited budget cannot exhaust"))
 }
 
-/// Runs the signature-through-scan half of the engine on closures and a
-/// pairing the caller already holds, with an unlimited budget. Paired
-/// with [`pair_on_closures`] this reproduces [`check_pair`] exactly —
-/// same signatures, same scan order, same witness labels — which is what
-/// lets [`crate::incremental`] reuse a cached pairing without changing
-/// any verdict.
+/// Runs the signature-through-scan half of the engine on transition
+/// tables and a pairing the caller already holds, with an unlimited
+/// budget. Paired with [`pair_on_states`] this reproduces [`check_pair`]
+/// exactly — same signatures, same scan order, same witness labels —
+/// which is what lets [`crate::incremental`] reuse a cached pairing
+/// without changing any verdict.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn check_prepaired<MS, MO, NS, NO>(
     m: &FiniteModel<MS, MO>,
     n: &FiniteModel<NS, NO>,
-    m_closure: &Closure<MS>,
-    n_closure: &Closure<NS>,
+    m_transitions: &[Vec<Option<StateId>>],
+    n_transitions: &[Vec<Option<StateId>>],
     paired: &PairedIds,
     kind: EquivKind,
     threads: usize,
@@ -995,10 +1068,10 @@ where
     let verdict = check_paired(
         m,
         n,
-        m_closure,
-        n_closure,
+        m_transitions,
+        n_transitions,
         paired,
-        kind,
+        Some(kind),
         resolve_threads(threads),
         &ctx,
         false,
@@ -1006,15 +1079,16 @@ where
     Ok(verdict.expect("an unlimited budget cannot exhaust"))
 }
 
-/// Parallel Definition 2/3/5 check with caller-provided interners (so
-/// the facade can share compilation caches across checks and read
-/// [`FactInterner::stats`] afterwards). Routed by
-/// [`Checker::parallel`](crate::check::Checker::parallel).
+/// The engine's model-pair check — Definition 1 when `kind` is `None`,
+/// else Definition 2/3/5 — with caller-provided interners (so the
+/// facade can share compilation caches across checks and read
+/// [`FactInterner::stats`] afterwards). The entry behind
+/// [`Checker::run`](crate::check::Checker::run) for a model pair.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn parallel_app_models_verdict_obs<MS, MO, NS, NO>(
+pub(crate) fn models_verdict<MS, MO, NS, NO>(
     m: &FiniteModel<MS, MO>,
     n: &FiniteModel<NS, NO>,
-    kind: EquivKind,
+    kind: Option<EquivKind>,
     state_cap: usize,
     config: &ParallelConfig,
     m_interner: &FactInterner<MS>,
@@ -1058,11 +1132,11 @@ where
 /// single-threaded to avoid oversubscription); the shared interners
 /// make every state compile once for the whole grid, not once per
 /// pair. Witnesses are the names of application models with no
-/// equivalent counterpart. Routed by
-/// [`Checker::parallel`](crate::check::Checker::parallel) with
+/// equivalent counterpart. The entry behind
+/// [`Checker::run`](crate::check::Checker::run) for
 /// [`Tier::DataModel`](crate::check::Tier::DataModel).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn parallel_data_model_verdict_obs<MS, MO, NS, NO>(
+pub(crate) fn data_models_verdict<MS, MO, NS, NO>(
     ms: &[FiniteModel<MS, MO>],
     ns: &[FiniteModel<NS, NO>],
     kind: EquivKind,
@@ -1118,8 +1192,8 @@ where
     };
 
     // The grid: every (m, n) pair, one worker item each. Pairing
-    // failures mean "not equivalent", not a checker error, exactly as
-    // in the sequential checker.
+    // failures mean "not equivalent", not a checker error: the two
+    // models express different application states.
     let grid = ms.len() * ns.len();
     let cells = drive(threads, grid, |cell| {
         let (mi, ni) = (cell / ns.len(), cell % ns.len());
@@ -1128,7 +1202,7 @@ where
             &ns[ni],
             &m_closures[mi],
             &n_closures[ni],
-            kind,
+            Some(kind),
             1,
             &ctx,
             true, // only pair equivalence matters here; exit pairs early
@@ -1187,6 +1261,7 @@ mod tests {
     use super::*;
     use dme_logic::{Fact, FactBase};
     use dme_value::Atom;
+    use std::collections::BTreeMap;
 
     fn f(n: i64) -> Fact {
         Fact::new("p", [("x", Atom::Int(n))])
@@ -1201,10 +1276,10 @@ mod tests {
         state_cap: usize,
         config: &ParallelConfig,
     ) -> Result<Verdict, CheckError> {
-        parallel_app_models_verdict_obs(
+        models_verdict(
             m,
             n,
-            kind,
+            Some(kind),
             state_cap,
             config,
             &FactInterner::new(),
@@ -1213,8 +1288,8 @@ mod tests {
         )
     }
 
-    /// The same toy model as `equiv::tests`: states are fact bases,
-    /// operations add or remove one fact.
+    /// A toy model whose states are fact bases: each operation adds or
+    /// removes one fact.
     fn toy_model(name: &str, ops: Vec<(bool, Fact)>) -> FiniteModel<FactBase, String> {
         let universe: BTreeMap<String, (bool, Fact)> = ops
             .into_iter()
@@ -1391,7 +1466,7 @@ mod tests {
         let ns = vec![two_fact_model("n0"), two_fact_model("n1")];
         let left = FactInterner::new();
         let right = FactInterner::new();
-        let verdict = parallel_data_model_verdict_obs(
+        let verdict = data_models_verdict(
             &ms,
             &ns,
             EquivKind::Isomorphic,

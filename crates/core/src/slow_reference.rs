@@ -1,18 +1,17 @@
-//! The pre-arena reference engine, preserved behind
-//! `--features slow-reference`.
+//! The pre-arena reference checkers: the engine's independent oracle.
 //!
-//! Before the state-arena kernel, the sequential checkers enumerated
-//! closures as `BTreeSet<S>` of whole cloned states, rebuilt every
-//! behaviour signature by re-applying each operation to each paired
-//! state, and tracked Definition 4–5 reachability in per-state
-//! `BTreeSet<u32>`s. That path is kept here verbatim as a differential
-//! oracle: `tests/differential.rs` (under this feature) asserts the
-//! arena-backed engines return byte-identical [`Verdict`]s — same
-//! answers, same witness labels in the same order, same pairing and
-//! closure errors — on randomly generated models.
+//! Before the state-arena kernel, the checkers enumerated closures as
+//! `BTreeSet<S>` of whole cloned states, rebuilt every behaviour
+//! signature by re-applying each operation to each paired state, and
+//! tracked Definition 4–5 reachability in per-state `BTreeSet<u32>`s.
+//! That path is kept here as a differential oracle for Definitions 1–6:
+//! `tests/differential.rs`, `tests/facade.rs`, `tests/incremental.rs`
+//! and `tests/symbolic.rs` assert the engine returns byte-identical
+//! [`Verdict`]s — same answers, same witness labels in the same order,
+//! same pairing and closure errors — at every thread count.
 //!
-//! Nothing in this module is reachable from the production engines; it
-//! exists only so the refactor stays falsifiable.
+//! Nothing in this module is reachable from the engine; it exists only
+//! so the engine stays falsifiable.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -105,6 +104,49 @@ where
     let m_states = reachable_states_slow(m, state_cap)?;
     let n_states = reachable_states_slow(n, state_cap)?;
     pair_states(&m_states, &n_states)
+}
+
+/// Definition 1 lifted to whole models, the way
+/// [`Tier::Operation`](crate::check::Tier::Operation) decides it: the
+/// *i*-th left operation must have the *i*-th right operation's
+/// signature. A mismatched pair contributes both operations as
+/// witnesses; an operation past the other side's last contributes
+/// itself.
+pub fn operation_pairs_verdict_slow<MS, MO, NS, NO>(
+    m: &FiniteModel<MS, MO>,
+    n: &FiniteModel<NS, NO>,
+    state_cap: usize,
+) -> Result<Verdict, CheckError>
+where
+    MS: Clone + Ord + ToFacts,
+    NS: Clone + Ord + ToFacts,
+    MO: Clone + fmt::Display,
+    NO: Clone + fmt::Display,
+{
+    let (m_states, n_states) = paired_lists_slow(m, n, state_cap)?;
+    let m_sigs = signatures(m, &m_states);
+    let n_sigs = signatures(n, &n_states);
+    let mut unmatched_m = Vec::new();
+    let mut unmatched_n = Vec::new();
+    for i in 0..m_sigs.len().max(n_sigs.len()) {
+        match (m_sigs.get(i), n_sigs.get(i)) {
+            (Some(a), Some(b)) if a == b => {}
+            (Some(_), Some(_)) => {
+                unmatched_m.push(m.ops()[i].to_string());
+                unmatched_n.push(n.ops()[i].to_string());
+            }
+            (Some(_), None) => unmatched_m.push(m.ops()[i].to_string()),
+            (None, Some(_)) => unmatched_n.push(n.ops()[i].to_string()),
+            (None, None) => unreachable!("loop is bounded by the longer side"),
+        }
+    }
+    Ok(MatchReport {
+        equivalent: unmatched_m.is_empty() && unmatched_n.is_empty(),
+        unmatched_m,
+        unmatched_n,
+        state_pairs: m_states.len(),
+    }
+    .to_verdict())
 }
 
 /// All signatures reachable by composing at most `max_depth` operations.

@@ -28,11 +28,10 @@
 //!   (no witness within the bound), mirroring the bounded-verification
 //!   contract.
 //!
-//! The decision procedure reimplements the signature algebra
-//! (composition, reachability, matching) independently of
-//! [`crate::equiv`] on purpose: the differential suite then compares
-//! two genuinely separate implementations, not one implementation with
-//! two state sources.
+//! Once the closure is discovered, the verdict uses the engine's
+//! signature algebra from [`crate::equiv`] (composition, reachability).
+//! The independent implementation the differential suite compares
+//! against is [`crate::slow_reference`].
 //!
 //! ## Scope
 //!
@@ -48,13 +47,16 @@ pub mod sat;
 
 mod encode;
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use dme_logic::{Fact, FactBase};
 use dme_obs::{Counter, Metric, Observer};
 
+use crate::bitset::BitSet;
 use crate::check::Tier;
-use crate::equiv::{CheckError, DataModelReport, MatchReport};
+use crate::equiv::{
+    composable_signatures, reach_from, CheckError, DataModelReport, MatchReport, Signature,
+};
 use crate::model::ClosureTooLarge;
 use crate::parallel::{Side, Verdict, Witness};
 
@@ -733,7 +735,7 @@ impl<'a> SymbolicChecker<'a> {
 
 /// A discovered closure in symbolic form: sorted fact-subset states
 /// with the full transition table — the symbolic analogue of the
-/// enumerative `EnumeratedModel`.
+/// engine's arena [`Closure`](crate::arena::Closure).
 struct SymEnum {
     name: String,
     labels: Vec<String>,
@@ -744,10 +746,6 @@ struct SymEnum {
     /// for the error state.
     transitions: Vec<Vec<Option<u32>>>,
 }
-
-/// A behaviour signature over pair indices (local reimplementation —
-/// see the module docs on differential independence).
-type Sig = Vec<Option<u32>>;
 
 enum MatchKind {
     Isomorphic,
@@ -933,7 +931,7 @@ fn pair_sym(me: &SymEnum, ne: &SymEnum) -> Result<SymPaired, CheckError> {
     })
 }
 
-fn relabel(e: &SymEnum, by_pair: &[u32], rank: &[u32]) -> Vec<Sig> {
+fn relabel(e: &SymEnum, by_pair: &[u32], rank: &[u32]) -> Vec<Signature> {
     e.transitions
         .iter()
         .map(|row| {
@@ -943,71 +941,6 @@ fn relabel(e: &SymEnum, by_pair: &[u32], rank: &[u32]) -> Vec<Sig> {
                 .collect()
         })
         .collect()
-}
-
-fn sig_identity(n: usize) -> Sig {
-    (0..n as u32).map(Some).collect()
-}
-
-fn sig_compose(first: &Sig, then: &Sig) -> Sig {
-    first
-        .iter()
-        .map(|r| r.and_then(|i| then[i as usize]))
-        .collect()
-}
-
-/// All signatures expressible as compositions of at most `max_depth`
-/// operations (including the identity, the empty composition).
-fn composable_sigs(op_sigs: &[Sig], pairs: usize, max_depth: usize) -> BTreeSet<Sig> {
-    let mut seen: BTreeSet<Sig> = BTreeSet::new();
-    let identity = sig_identity(pairs);
-    seen.insert(identity.clone());
-    let mut frontier = vec![identity];
-    for _ in 0..max_depth {
-        let mut next_frontier = Vec::new();
-        for sig in &frontier {
-            for op in op_sigs {
-                let composed = sig_compose(sig, op);
-                if seen.insert(composed.clone()) {
-                    next_frontier.push(composed);
-                }
-            }
-        }
-        if next_frontier.is_empty() {
-            break;
-        }
-        frontier = next_frontier;
-    }
-    seen
-}
-
-/// Per-start reachability within `max_depth` steps, and whether the
-/// error state is reachable (by erroring at any point along a valid
-/// prefix) — the Definition 5 semantics, matching the enumerative
-/// engine's depth accounting exactly.
-fn reach_from(op_sigs: &[Sig], pairs: usize, start: u32, max_depth: usize) -> (Vec<bool>, bool) {
-    let mut seen = vec![false; pairs];
-    seen[start as usize] = true;
-    let mut queue: VecDeque<(u32, usize)> = VecDeque::new();
-    queue.push_back((start, 0));
-    let mut error = false;
-    while let Some((state, depth)) = queue.pop_front() {
-        if depth >= max_depth {
-            continue;
-        }
-        for sig in op_sigs {
-            match sig[state as usize] {
-                Some(next) => {
-                    if !seen[next as usize] {
-                        seen[next as usize] = true;
-                        queue.push_back((next, depth + 1));
-                    }
-                }
-                None => error = true,
-            }
-        }
-    }
-    (seen, error)
 }
 
 /// Definition 1 lifted to whole models: index-aligned signature
@@ -1047,8 +980,8 @@ fn app_match(me: &SymEnum, ne: &SymEnum, kind: MatchKind) -> Result<MatchReport,
     let n_sigs = relabel(ne, &paired.n_by_pair, &paired.n_rank);
     let (unmatched_m, unmatched_n) = match kind {
         MatchKind::Isomorphic => {
-            let n_set: BTreeSet<&Sig> = n_sigs.iter().collect();
-            let m_set: BTreeSet<&Sig> = m_sigs.iter().collect();
+            let n_set: BTreeSet<&Signature> = n_sigs.iter().collect();
+            let m_set: BTreeSet<&Signature> = m_sigs.iter().collect();
             let unmatched_m: Vec<String> = me
                 .labels
                 .iter()
@@ -1066,8 +999,8 @@ fn app_match(me: &SymEnum, ne: &SymEnum, kind: MatchKind) -> Result<MatchReport,
             (unmatched_m, unmatched_n)
         }
         MatchKind::Composed { max_depth } => {
-            let m_star = composable_sigs(&m_sigs, pairs, max_depth);
-            let n_star = composable_sigs(&n_sigs, pairs, max_depth);
+            let m_star = composable_signatures(&m_sigs, pairs, max_depth);
+            let n_star = composable_signatures(&n_sigs, pairs, max_depth);
             let unmatched_m: Vec<String> = me
                 .labels
                 .iter()
@@ -1085,7 +1018,7 @@ fn app_match(me: &SymEnum, ne: &SymEnum, kind: MatchKind) -> Result<MatchReport,
             (unmatched_m, unmatched_n)
         }
         MatchKind::StateDependent { max_depth } => {
-            let reach_all = |sigs: &[Sig]| -> (Vec<Vec<bool>>, Vec<bool>) {
+            let reach_all = |sigs: &[Signature]| -> (Vec<BitSet>, Vec<bool>) {
                 let mut reach = Vec::with_capacity(pairs);
                 let mut err = vec![false; pairs];
                 for start in 0..pairs as u32 {
@@ -1097,9 +1030,9 @@ fn app_match(me: &SymEnum, ne: &SymEnum, kind: MatchKind) -> Result<MatchReport,
             };
             let (n_reach, n_err) = reach_all(&n_sigs);
             let (m_reach, m_err) = reach_all(&m_sigs);
-            let check = |sigs: &[Sig],
+            let check = |sigs: &[Signature],
                          labels: &[String],
-                         reach: &[Vec<bool>],
+                         reach: &[BitSet],
                          err: &[bool]|
              -> Vec<String> {
                 labels
@@ -1107,7 +1040,7 @@ fn app_match(me: &SymEnum, ne: &SymEnum, kind: MatchKind) -> Result<MatchReport,
                     .zip(sigs)
                     .filter(|(_, sig)| {
                         (0..pairs).any(|i| match sig[i] {
-                            Some(target) => !reach[i][target as usize],
+                            Some(target) => !reach[i].contains(target as usize),
                             None => !err[i],
                         })
                     })

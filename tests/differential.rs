@@ -1,13 +1,14 @@
-//! Differential testing: the parallel, memoized engine must agree with
-//! the sequential reference checkers — same verdicts, same witness
-//! sets, same errors — on randomly generated finite application models,
-//! across all four checker tiers (Definitions 2, 3, 5 and 6), at every
-//! thread count.
+//! Differential testing: the memoized engine must agree with itself
+//! across thread counts and with the independent pre-arena oracle in
+//! `slow_reference` — same verdicts, same witness sets, same errors —
+//! on randomly generated finite application models, across every
+//! checker tier (Definitions 1, 2, 3, 5 and 6).
 //!
-//! Both engines are driven through the [`Checker`] facade (no
-//! `.parallel()` routes to the sequential reference checkers; see
-//! `tests/facade.rs` for the facade/legacy parity proofs), so this
-//! suite is a differential test of the engines themselves.
+//! The engine is driven through the [`Checker`] facade; without
+//! `.parallel()` it runs on one deterministic thread. The "sequential"
+//! side of every comparison below is `slow_reference`'s BTreeSet
+//! checkers, which share no code with the engine's arena or
+//! signature algebra.
 //!
 //! The generated models are the checker-plumbing toys from the unit
 //! suites: states are fact bases, operations insert or delete one fact
@@ -21,8 +22,8 @@ use proptest::prelude::*;
 
 use borkin_equiv::equivalence::equiv::{CheckError, EquivKind};
 use borkin_equiv::equivalence::model::FiniteModel;
-use borkin_equiv::equivalence::parallel::{CheckBudget, ParallelConfig, Side, Verdict};
-use borkin_equiv::equivalence::{Checker, Tier};
+use borkin_equiv::equivalence::parallel::{CheckBudget, ParallelConfig, Verdict};
+use borkin_equiv::equivalence::{slow_reference, Checker, Tier};
 use borkin_equiv::logic::{Fact, FactBase};
 use borkin_equiv::value::Atom;
 
@@ -70,51 +71,13 @@ fn kind_strategy() -> impl Strategy<Value = EquivKind> {
     ]
 }
 
-/// Per-side witness labels, in report order.
-fn labels(verdict: &Verdict, side: Side) -> Vec<&str> {
-    verdict
-        .witnesses()
-        .iter()
-        .filter(|w| w.side == side)
-        .map(|w| w.label.as_str())
-        .collect()
-}
-
-/// Asserts that a parallel [`Verdict`] says exactly what the sequential
-/// one says: same answer, same searched pair count, same witnesses in
-/// the same order.
-fn assert_verdicts_agree(parallel: &Verdict, sequential: &Verdict) -> Result<(), TestCaseError> {
-    prop_assert_eq!(parallel.is_equivalent(), sequential.is_equivalent());
-    match (parallel, sequential) {
-        (Verdict::Equivalent { state_pairs: p }, Verdict::Equivalent { state_pairs: s }) => {
-            prop_assert_eq!(p, s)
-        }
-        (
-            Verdict::Counterexample { state_pairs: p, .. },
-            Verdict::Counterexample { state_pairs: s, .. },
-        ) => {
-            prop_assert_eq!(p, s);
-            prop_assert_eq!(labels(parallel, Side::Left), labels(sequential, Side::Left));
-            prop_assert_eq!(
-                labels(parallel, Side::Right),
-                labels(sequential, Side::Right)
-            );
-        }
-        _ => prop_assert!(
-            false,
-            "verdict shapes disagree: parallel {:?}, sequential {:?}",
-            parallel,
-            sequential
-        ),
-    }
-    Ok(())
-}
-
 proptest! {
     /// Tier 2/3/5 differential: on every random model pair and every
-    /// definition, the parallel engine returns the sequential checker's
-    /// exact outcome — including the exact pairing/closure error when
-    /// the pair cannot be checked — at 1, 2 and 4 threads.
+    /// definition, the engine at 1, 2 and 4 threads returns the
+    /// sequential BTreeSet checkers' exact outcome (the independent
+    /// oracle in `slow_reference`) — same witnesses in the same order,
+    /// and the exact pairing/closure error when the pair cannot be
+    /// checked.
     #[test]
     fn parallel_engine_agrees_with_sequential_checkers(
         m_ops in ops_strategy(),
@@ -123,28 +86,14 @@ proptest! {
     ) {
         let m = toy_model("m", &m_ops);
         let n = toy_model("n", &n_ops);
-        let sequential = Checker::new(&m, &n)
-            .tier(Tier::from_kind(kind))
-            .state_cap(STATE_CAP)
-            .run();
+        let sequential = slow_reference::app_models_verdict_slow(&m, &n, kind, STATE_CAP);
         for threads in [1usize, 2, 4] {
             let parallel = Checker::new(&m, &n)
                 .tier(Tier::from_kind(kind))
                 .state_cap(STATE_CAP)
                 .parallel(ParallelConfig::with_threads(threads))
                 .run();
-            match (&sequential, &parallel) {
-                (Ok(seq_verdict), Ok(par_verdict)) => {
-                    assert_verdicts_agree(par_verdict, seq_verdict)?
-                }
-                (Err(seq_err), Err(par_err)) => prop_assert_eq!(seq_err, par_err),
-                _ => prop_assert!(
-                    false,
-                    "engines disagree on checkability: sequential {:?}, parallel {:?}",
-                    sequential,
-                    parallel
-                ),
-            }
+            prop_assert_eq!(&parallel, &sequential, "engine at {} threads", threads);
         }
     }
 
@@ -184,9 +133,10 @@ proptest! {
         }
     }
 
-    /// Tier 6 differential: data-model (Definition 6) checks agree —
-    /// the parallel grid's witness names are exactly the sequential
-    /// check's unmatched application models, in declaration order.
+    /// Tier 6 differential: on multi-model data models (several models
+    /// per side, so many-to-one matches), the engine's grid at 1, 2 and
+    /// 4 threads returns the sequential BTreeSet grid's exact verdict —
+    /// the same unmatched application models, in declaration order.
     #[test]
     fn parallel_data_model_check_agrees_with_sequential(
         m_sets in prop::collection::vec(ops_strategy(), 1..3),
@@ -203,38 +153,28 @@ proptest! {
             .enumerate()
             .map(|(i, ops)| toy_model(&format!("n{i}"), ops))
             .collect();
-        let sequential = Checker::data_models(&ms, &ns)
-            .tier(Tier::DataModel { kind })
-            .state_cap(STATE_CAP)
-            .run()
-            .unwrap();
-        for threads in [1usize, 4] {
+        let sequential = slow_reference::data_model_verdict_slow(&ms, &ns, kind, STATE_CAP);
+        for threads in [1usize, 2, 4] {
             let verdict = Checker::data_models(&ms, &ns)
                 .tier(Tier::DataModel { kind })
                 .state_cap(STATE_CAP)
                 .parallel(ParallelConfig::with_threads(threads))
-                .run()
-                .unwrap();
-            prop_assert_eq!(verdict.is_equivalent(), sequential.is_equivalent());
-            prop_assert_eq!(labels(&verdict, Side::Left), labels(&sequential, Side::Left));
-            prop_assert_eq!(labels(&verdict, Side::Right), labels(&sequential, Side::Right));
+                .run();
+            prop_assert_eq!(&verdict, &sequential, "grid at {} threads", threads);
         }
     }
 
-    /// Slow-reference differential (enabled with
-    /// `--features slow-reference`): the arena-backed engines —
-    /// sequential and parallel — return byte-identical verdicts to the
-    /// pre-arena BTreeSet engine preserved in
+    /// Slow-reference differential: the arena engine, on one thread and
+    /// on four, returns byte-identical verdicts to the pre-arena
+    /// BTreeSet checkers preserved in
     /// `borkin_equiv::equivalence::slow_reference`, across Definitions
-    /// 2/3/5 and the Definition 6 grid.
-    #[cfg(feature = "slow-reference")]
+    /// 1/2/3/5 and the Definition 6 grid.
     #[test]
     fn arena_engines_match_the_slow_reference(
         m_ops in ops_strategy(),
         n_ops in ops_strategy(),
         kind in kind_strategy(),
     ) {
-        use borkin_equiv::equivalence::slow_reference;
         let m = toy_model("m", &m_ops);
         let n = toy_model("n", &n_ops);
         let slow = slow_reference::app_models_verdict_slow(&m, &n, kind, STATE_CAP);
@@ -247,8 +187,8 @@ proptest! {
             .state_cap(STATE_CAP)
             .parallel(ParallelConfig::with_threads(4))
             .run();
-        prop_assert_eq!(&arena_seq, &slow, "sequential arena engine vs slow reference");
-        prop_assert_eq!(&arena_par, &slow, "parallel arena engine vs slow reference");
+        prop_assert_eq!(&arena_seq, &slow, "one-thread arena engine vs slow reference");
+        prop_assert_eq!(&arena_par, &slow, "four-thread arena engine vs slow reference");
 
         let slow_grid = slow_reference::data_model_verdict_slow(
             std::slice::from_ref(&m),
@@ -261,6 +201,16 @@ proptest! {
             .state_cap(STATE_CAP)
             .run();
         prop_assert_eq!(&arena_grid, &slow_grid, "Definition 6 grid vs slow reference");
+
+        let slow_def1 = slow_reference::operation_pairs_verdict_slow(&m, &n, STATE_CAP);
+        for threads in [1usize, 4] {
+            let arena_def1 = Checker::new(&m, &n)
+                .tier(Tier::Operation)
+                .state_cap(STATE_CAP)
+                .parallel(ParallelConfig::with_threads(threads))
+                .run();
+            prop_assert_eq!(&arena_def1, &slow_def1, "Definition 1 at {} threads", threads);
+        }
     }
 
     /// Budget-exhaustion differential: a budgeted run either gives the

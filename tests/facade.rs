@@ -1,8 +1,7 @@
-//! Facade routing parity: the sequential reference checkers and the
-//! parallel engine behind [`Checker`] decide the same predicates, so
-//! every routing rule (plain, `.parallel(..)`, `.budget(..)`,
-//! `.interners(..)`) must agree on the verdict — with the observer
-//! enabled and disabled.
+//! Facade parity: every setting of the one engine behind [`Checker`]
+//! (plain, `.parallel(..)`, `.budget(..)`, `.interners(..)`) decides the
+//! same predicates as the independent `slow_reference` oracle — with
+//! the observer enabled and disabled.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -11,6 +10,7 @@ use borkin_equiv::equivalence::enumerate::{enumerate_graph_ops, enumerate_rel_op
 use borkin_equiv::equivalence::equiv::EquivKind;
 use borkin_equiv::equivalence::model::{graph_model, relational_model, FiniteModel};
 use borkin_equiv::equivalence::parallel::{CheckBudget, ParallelConfig, Verdict};
+use borkin_equiv::equivalence::slow_reference;
 use borkin_equiv::equivalence::witness;
 use borkin_equiv::equivalence::{Checker, FactInterner, Tier};
 use borkin_equiv::graph::{GraphOp, GraphState};
@@ -90,25 +90,30 @@ fn micro_graph() -> FiniteModel<GraphState, GraphOp> {
 #[test]
 fn sequential_and_engine_agree_on_every_toy_pair_and_tier() {
     for (m, n) in toy_pairs() {
-        for tier in [
-            Tier::Isomorphic,
-            Tier::Composed { max_depth: 1 },
-            Tier::Composed { max_depth: 2 },
-            Tier::Composed { max_depth: 3 },
-            Tier::StateDependent { max_depth: 1 },
-            Tier::StateDependent { max_depth: 2 },
-            Tier::StateDependent { max_depth: 3 },
+        let oracle = slow_reference::operation_pairs_verdict_slow(&m, &n, STATE_CAP);
+        let engine = Checker::new(&m, &n)
+            .tier(Tier::Operation)
+            .state_cap(STATE_CAP)
+            .run();
+        assert_eq!(norm(oracle), norm(engine), "{}/{}", m.name(), n.name());
+        for kind in [
+            EquivKind::Isomorphic,
+            EquivKind::Composed { max_depth: 1 },
+            EquivKind::Composed { max_depth: 2 },
+            EquivKind::Composed { max_depth: 3 },
+            EquivKind::StateDependent { max_depth: 1 },
+            EquivKind::StateDependent { max_depth: 2 },
+            EquivKind::StateDependent { max_depth: 3 },
         ] {
-            let sequential = Checker::new(&m, &n).tier(tier).state_cap(STATE_CAP).run();
+            let oracle = slow_reference::app_models_verdict_slow(&m, &n, kind, STATE_CAP);
             let engine = Checker::new(&m, &n)
-                .tier(tier)
+                .tier(Tier::from_kind(kind))
                 .state_cap(STATE_CAP)
-                .parallel(ParallelConfig::with_threads(1))
                 .run();
             assert_eq!(
-                norm(sequential),
+                norm(oracle),
                 norm(engine),
-                "{}/{} {tier:?}",
+                "{}/{} {kind:?}",
                 m.name(),
                 n.name()
             );
@@ -121,11 +126,7 @@ fn thread_count_never_changes_the_verdict_on_paper_witness() {
     let m = micro_rel();
     let n = micro_graph();
     let kind = EquivKind::StateDependent { max_depth: 2 };
-    let sequential = Checker::new(&m, &n)
-        .tier(Tier::from_kind(kind))
-        .state_cap(STATE_CAP)
-        .run()
-        .unwrap();
+    let oracle = slow_reference::app_models_verdict_slow(&m, &n, kind, STATE_CAP).unwrap();
     for threads in [1usize, 2, 4] {
         let engine = Checker::new(&m, &n)
             .tier(Tier::from_kind(kind))
@@ -133,7 +134,7 @@ fn thread_count_never_changes_the_verdict_on_paper_witness() {
             .parallel(ParallelConfig::with_threads(threads))
             .run()
             .unwrap();
-        assert_eq!(engine, sequential, "threads {threads}");
+        assert_eq!(engine, oracle, "threads {threads}");
     }
 }
 
@@ -142,18 +143,16 @@ fn data_model_routes_agree_on_paper_witness() {
     let ms = vec![micro_rel()];
     let ns = vec![micro_graph()];
     let kind = EquivKind::StateDependent { max_depth: 2 };
-    let sequential = Checker::data_models(&ms, &ns)
-        .tier(Tier::DataModel { kind })
-        .state_cap(STATE_CAP)
-        .run()
-        .unwrap();
-    let engine = Checker::data_models(&ms, &ns)
-        .tier(Tier::DataModel { kind })
-        .state_cap(STATE_CAP)
-        .parallel(ParallelConfig::with_threads(2))
-        .run()
-        .unwrap();
-    assert_eq!(sequential.is_equivalent(), engine.is_equivalent());
+    let oracle = slow_reference::data_model_verdict_slow(&ms, &ns, kind, STATE_CAP).unwrap();
+    for threads in [1usize, 2] {
+        let engine = Checker::data_models(&ms, &ns)
+            .tier(Tier::DataModel { kind })
+            .state_cap(STATE_CAP)
+            .parallel(ParallelConfig::with_threads(threads))
+            .run()
+            .unwrap();
+        assert_eq!(engine, oracle, "threads {threads}");
+    }
 }
 
 #[test]
@@ -304,12 +303,8 @@ fn def6_with_jsonl_sink_writes_machine_readable_transcript() {
         .sink(sink)
         .run()
         .unwrap();
-    let sequential = Checker::data_models(&ms, &ns)
-        .tier(Tier::DataModel { kind })
-        .state_cap(STATE_CAP)
-        .run()
-        .unwrap();
-    assert_eq!(verdict.is_equivalent(), sequential.is_equivalent());
+    let oracle = slow_reference::data_model_verdict_slow(&ms, &ns, kind, STATE_CAP).unwrap();
+    assert_eq!(verdict, oracle);
 
     let transcript = std::fs::read_to_string(&path).unwrap();
     std::fs::remove_file(&path).ok();

@@ -11,8 +11,8 @@
 //!    generator can derive (drop a constraint, swap an operation's
 //!    direction, rename a case binding, drop an operation), priming a
 //!    session on the base pair and re-checking the mutant
-//!    incrementally equals a cold full check — and, with
-//!    `--features slow-reference`, the pre-arena reference engine.
+//!    incrementally equals a cold full check and the pre-arena
+//!    reference checkers in `slow_reference`.
 //!    Failing cases are greedily minimized and appended to
 //!    `proptest-regressions/incremental.txt` before the panic (the
 //!    vendored proptest shim has no shrinking or persistence of its
@@ -30,6 +30,7 @@ use std::path::PathBuf;
 use borkin_equiv::equivalence::equiv::{CheckError, EquivKind};
 use borkin_equiv::equivalence::model::FiniteModel;
 use borkin_equiv::equivalence::parallel::Verdict;
+use borkin_equiv::equivalence::slow_reference;
 use borkin_equiv::equivalence::{Checker, IncrementalChecker, Tier};
 use borkin_equiv::logic::FactBase;
 use borkin_equiv::workload::scenario::{corpus, Mutation, Scenario, ScenarioConfig, ScenarioOp};
@@ -90,8 +91,8 @@ fn verdicts_survive_threads_and_cache_warmth() {
 
 /// One differential probe: prime a session on `(base, base)`, mutate the
 /// right side, re-check incrementally, and compare against a cold full
-/// check (and the slow reference, when compiled). Returns a description
-/// of the first disagreement.
+/// check and the slow reference. Returns a description of the first
+/// disagreement.
 fn mismatch(base: &Scenario, mutation: Mutation) -> Option<String> {
     let mutant = base.mutate(mutation);
     let m = base.model("left");
@@ -107,13 +108,9 @@ fn mismatch(base: &Scenario, mutation: Mutation) -> Option<String> {
                 "kind {kind:?}: incremental {incremental:?} != full {full:?}"
             ));
         }
-        #[cfg(feature = "slow-reference")]
-        {
-            use borkin_equiv::equivalence::slow_reference;
-            let slow = slow_reference::app_models_verdict_slow(&m, &n_after, kind, STATE_CAP);
-            if full != slow {
-                return Some(format!("kind {kind:?}: full {full:?} != slow {slow:?}"));
-            }
+        let slow = slow_reference::app_models_verdict_slow(&m, &n_after, kind, STATE_CAP);
+        if full != slow {
+            return Some(format!("kind {kind:?}: full {full:?} != slow {slow:?}"));
         }
     }
     None
@@ -203,8 +200,8 @@ fn persist_regression(base: &Scenario, mutation: Mutation, detail: &str) -> Path
 }
 
 /// Satellite: for every mutation kind on every probe scenario, the
-/// incremental re-check, the full enumeration and (when compiled) the
-/// slow reference agree exactly. A disagreement is minimized and
+/// incremental re-check, the full enumeration and the slow reference
+/// agree exactly. A disagreement is minimized and
 /// persisted before failing.
 #[test]
 fn every_mutation_kind_matches_full_and_reference() {

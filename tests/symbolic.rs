@@ -1,6 +1,6 @@
 //! Differential testing of the symbolic bounded-equivalence tier
-//! against the enumerative engine (and, with `--features
-//! slow-reference`, the pre-arena reference engine).
+//! against the enumerative engine and the pre-arena reference checkers
+//! in `slow_reference`.
 //!
 //! The contract under test: whenever [`SymbolicChecker::run`] returns
 //! [`SymbolicOutcome::Definitive`], its verdict — including witnesses,
@@ -41,6 +41,7 @@ use proptest::prelude::*;
 use borkin_equiv::equivalence::equiv::{CheckError, EquivKind};
 use borkin_equiv::equivalence::model::FiniteModel;
 use borkin_equiv::equivalence::parallel::Verdict;
+use borkin_equiv::equivalence::slow_reference;
 use borkin_equiv::equivalence::symbolic::{
     SymbolicChecker, SymbolicOp, SymbolicOutcome, SymbolicSpec,
 };
@@ -181,9 +182,9 @@ fn symbolic_agrees_on_data_model_grids() {
 // 2. Mutation differential with greedy minimization
 // ---------------------------------------------------------------------
 
-/// One differential probe: compare symbolic against enumerative (and
-/// the slow reference, when compiled) for `base` vs its mutant on every
-/// pair tier. Returns a description of the first disagreement.
+/// One differential probe: compare symbolic against enumerative and
+/// the slow reference for `base` vs its mutant on every pair tier.
+/// Returns a description of the first disagreement.
 fn mismatch(base: &Scenario, mutation: Mutation) -> Option<String> {
     let mutant = base.mutate(mutation);
     let m = base.model("left");
@@ -201,18 +202,16 @@ fn mismatch(base: &Scenario, mutation: Mutation) -> Option<String> {
         if sym != full {
             return Some(format!("tier {tier:?}: symbolic {sym:?} != full {full:?}"));
         }
-        #[cfg(feature = "slow-reference")]
-        if let Some(kind) = match tier {
-            Tier::Isomorphic => Some(EquivKind::Isomorphic),
-            Tier::Composed { max_depth } => Some(EquivKind::Composed { max_depth }),
-            Tier::StateDependent { max_depth } => Some(EquivKind::StateDependent { max_depth }),
-            _ => None,
-        } {
-            use borkin_equiv::equivalence::slow_reference;
-            let slow = slow_reference::app_models_verdict_slow(&m, &n, kind, STATE_CAP);
-            if sym != slow {
-                return Some(format!("tier {tier:?}: symbolic {sym:?} != slow {slow:?}"));
-            }
+        let app = |kind| slow_reference::app_models_verdict_slow(&m, &n, kind, STATE_CAP);
+        let slow = match tier {
+            Tier::Operation => slow_reference::operation_pairs_verdict_slow(&m, &n, STATE_CAP),
+            Tier::Isomorphic => app(EquivKind::Isomorphic),
+            Tier::Composed { max_depth } => app(EquivKind::Composed { max_depth }),
+            Tier::StateDependent { max_depth } => app(EquivKind::StateDependent { max_depth }),
+            Tier::DataModel { .. } => continue,
+        };
+        if sym != slow {
+            return Some(format!("tier {tier:?}: symbolic {sym:?} != slow {slow:?}"));
         }
     }
     None
