@@ -88,7 +88,7 @@ impl Tier {
     /// The per-pair [`EquivKind`] this tier decides with (`None` for
     /// [`Tier::Operation`], which has no set-level lifting; the engine
     /// reads `None` as Definition 1's index-aligned comparison).
-    fn kind(&self) -> Option<EquivKind> {
+    pub(crate) fn kind(&self) -> Option<EquivKind> {
         match *self {
             Tier::Operation => None,
             Tier::Isomorphic => Some(EquivKind::Isomorphic),

@@ -143,36 +143,6 @@ pub(crate) fn compose(first: &Signature, then: &Signature) -> Signature {
         .collect()
 }
 
-/// All signatures reachable by composing at most `max_depth` operations
-/// (the behaviours of `ops*`, truncated). Includes the identity (the
-/// empty composition).
-pub(crate) fn composable_signatures(
-    op_sigs: &[Signature],
-    pairs: usize,
-    max_depth: usize,
-) -> BTreeSet<Signature> {
-    let mut seen: BTreeSet<Signature> = BTreeSet::new();
-    let identity = identity_signature(pairs);
-    seen.insert(identity.clone());
-    let mut frontier = vec![identity];
-    for _ in 0..max_depth {
-        let mut next_frontier = Vec::new();
-        for sig in &frontier {
-            for op in op_sigs {
-                let composed = compose(sig, op);
-                if seen.insert(composed.clone()) {
-                    next_frontier.push(composed);
-                }
-            }
-        }
-        if next_frontier.is_empty() {
-            break;
-        }
-        frontier = next_frontier;
-    }
-    seen
-}
-
 /// Per-state reachability from one start: the pair indices reachable
 /// from `start` within `max_depth` steps (as a word-packed [`BitSet`]
 /// over the pair universe), and whether the error state is reachable
@@ -360,15 +330,6 @@ mod tests {
         // Definition 1: operation equivalence is signature equality.
         assert_eq!(a, a.clone());
         assert_ne!(a, b);
-    }
-
-    #[test]
-    fn composable_signatures_includes_identity_and_closes() {
-        let a: Signature = vec![Some(1), Some(0)]; // swap
-        let set = composable_signatures(std::slice::from_ref(&a), 2, 3);
-        assert!(set.contains(&identity_signature(2)));
-        assert!(set.contains(&a));
-        assert_eq!(set.len(), 2); // swap ∘ swap = id
     }
 
     fn f(n: i64) -> dme_logic::Fact {

@@ -680,12 +680,12 @@ where
         let lm = self.left.materialized.as_ref().expect("refreshed above");
         let rm = self.right.materialized.as_ref().expect("refreshed above");
         let verdict = check_prepaired(
-            m,
-            n,
+            m.ops(),
+            n.ops(),
             &lm.transitions,
             &rm.transitions,
             &paired,
-            kind,
+            Some(kind),
             self.threads,
             &self.obs,
         )?;

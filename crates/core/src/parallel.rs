@@ -2,8 +2,10 @@
 //!
 //! This is the one decision procedure behind
 //! [`Checker`](crate::check::Checker), for every tier from Definition 1
-//! to Definition 6; [`crate::slow_reference`] is its independent test
-//! oracle. The thread count is a setting: one thread (the facade's
+//! to Definition 6, and the verdict stage of [`crate::incremental`] and
+//! [`crate::symbolic`] decide mode, which discover closures their own
+//! way and hand them in; [`crate::slow_reference`] is its independent
+//! test oracle. The thread count is a setting: one thread (the facade's
 //! default) is deterministic and sequential, and more threads fan the
 //! three expensive phases of a check across workers with the same
 //! results:
@@ -248,7 +250,7 @@ impl fmt::Display for Verdict {
 /// Shared run state: the cancellation flag, node meter, deadline, and
 /// the run's [`Observer`] (disabled observers cost one branch per
 /// charge).
-struct EngineCtx {
+pub(crate) struct EngineCtx {
     cancel: AtomicBool,
     exhausted: AtomicBool,
     nodes: AtomicU64,
@@ -259,7 +261,7 @@ struct EngineCtx {
 }
 
 impl EngineCtx {
-    fn new(budget: &CheckBudget, obs: Observer) -> Self {
+    pub(crate) fn new(budget: &CheckBudget, obs: Observer) -> Self {
         let started = Instant::now();
         EngineCtx {
             cancel: AtomicBool::new(false),
@@ -680,8 +682,10 @@ fn signatures_parallel(
     Some(rows.into_iter().map(|(_, sig)| sig).collect())
 }
 
-/// Parallel composition closure: BFS over signatures, frontier chunked
-/// across workers. Mirrors `equiv::composable_signatures`.
+/// Composition closure: all signatures reachable by composing at most
+/// `max_depth` operations (the behaviours of `ops*`, truncated),
+/// identity included; a BFS over signatures with each frontier chunked
+/// across workers.
 fn composable_signatures_parallel(
     op_sigs: &[Signature],
     pairs: usize,
@@ -819,8 +823,8 @@ where
 /// comparison. `Ok(None)` means the budget stopped the run.
 #[allow(clippy::too_many_arguments)]
 fn check_pair<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    n: &FiniteModel<NS, NO>,
+    m_ops: &[MO],
+    n_ops: &[NO],
     m_closure: &Closure<MS>,
     n_closure: &Closure<NS>,
     kind: Option<EquivKind>,
@@ -833,8 +837,8 @@ fn check_pair<MS, MO, NS, NO>(
 where
     MS: Clone + Ord + Hash + ToFacts + Send + Sync,
     NS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    MO: Clone + fmt::Display + Send + Sync,
-    NO: Clone + fmt::Display + Send + Sync,
+    MO: fmt::Display,
+    NO: fmt::Display,
 {
     let Some(paired) = pair_with_interner(
         m_closure.arena.states(),
@@ -848,8 +852,8 @@ where
         return Ok(None);
     };
     check_paired(
-        m,
-        n,
+        m_ops,
+        n_ops,
         &m_closure.transitions,
         &n_closure.transitions,
         &paired,
@@ -862,13 +866,12 @@ where
 
 /// The post-pairing half of [`check_pair`]: signature relabeling, the
 /// kind-specific scan, and witness assembly, on a caller-supplied
-/// pairing and the closures' transition tables. Split out so
-/// [`crate::incremental`] can replay a cached pairing without
-/// recompiling every state's fact base.
+/// pairing and the closures' transition tables. Of each model it reads
+/// only the operation list: its length and the witness labels.
 #[allow(clippy::too_many_arguments)]
-fn check_paired<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    n: &FiniteModel<NS, NO>,
+fn check_paired<MO, NO>(
+    m_ops: &[MO],
+    n_ops: &[NO],
     m_transitions: &[Vec<Option<StateId>>],
     n_transitions: &[Vec<Option<StateId>>],
     paired: &PairedIds,
@@ -878,17 +881,15 @@ fn check_paired<MS, MO, NS, NO>(
     early: bool,
 ) -> Result<Option<Verdict>, CheckError>
 where
-    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    MO: Clone + fmt::Display + Send + Sync,
-    NO: Clone + fmt::Display + Send + Sync,
+    MO: fmt::Display,
+    NO: fmt::Display,
 {
     let pairs = paired.pairs;
     let Some(m_sigs) = signatures_parallel(
         m_transitions,
         &paired.m_by_pair,
         &paired.m_rank,
-        m.ops().len(),
+        m_ops.len(),
         threads,
         ctx,
     ) else {
@@ -898,7 +899,7 @@ where
         n_transitions,
         &paired.n_by_pair,
         &paired.n_rank,
-        n.ops().len(),
+        n_ops.len(),
         threads,
         ctx,
     ) else {
@@ -999,8 +1000,8 @@ where
         .map(|(side, i)| Witness {
             side,
             label: match side {
-                Side::Left => m.ops()[i].to_string(),
-                Side::Right => n.ops()[i].to_string(),
+                Side::Left => m_ops[i].to_string(),
+                Side::Right => n_ops[i].to_string(),
             },
         })
         .collect();
@@ -1012,11 +1013,12 @@ where
 
 /// Runs the §3.3.1 pairing (injective per side, onto across sides) on
 /// closure states the caller already holds (in state-ID order), with an
-/// unlimited budget. This is the first half of the [`crate::incremental`]
-/// engine entry: the session materializes both closures from its caches
-/// (bit-identical to a fresh enumeration) and harvests the resulting
-/// ranks so later re-checks over the same state sets can skip
-/// compilation entirely.
+/// unlimited budget. This is the first half of the engine entry for
+/// closures discovered elsewhere: [`crate::incremental`] materializes
+/// both closures from its caches (bit-identical to a fresh enumeration)
+/// and harvests the resulting ranks so later re-checks over the same
+/// state sets can skip compilation entirely; [`crate::symbolic`] hands
+/// in the closures its SAT layers discovered.
 pub(crate) fn pair_on_states<MS, NS>(
     m_states: &[MS],
     n_states: &[NS],
@@ -1043,35 +1045,35 @@ where
 
 /// Runs the signature-through-scan half of the engine on transition
 /// tables and a pairing the caller already holds, with an unlimited
-/// budget. Paired with [`pair_on_states`] this reproduces [`check_pair`]
-/// exactly — same signatures, same scan order, same witness labels —
-/// which is what lets [`crate::incremental`] reuse a cached pairing
-/// without changing any verdict.
+/// budget; `kind` is `None` for Definition 1. Paired with
+/// [`pair_on_states`] this reproduces [`check_pair`] exactly — same
+/// signatures, same scan order, same witness labels — which is what
+/// lets [`crate::incremental`] reuse a cached pairing and
+/// [`crate::symbolic`] decide on SAT-discovered closures without
+/// changing any verdict.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn check_prepaired<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    n: &FiniteModel<NS, NO>,
+pub(crate) fn check_prepaired<MO, NO>(
+    m_ops: &[MO],
+    n_ops: &[NO],
     m_transitions: &[Vec<Option<StateId>>],
     n_transitions: &[Vec<Option<StateId>>],
     paired: &PairedIds,
-    kind: EquivKind,
+    kind: Option<EquivKind>,
     threads: usize,
     obs: &Observer,
 ) -> Result<Verdict, CheckError>
 where
-    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    MO: Clone + fmt::Display + Send + Sync,
-    NO: Clone + fmt::Display + Send + Sync,
+    MO: fmt::Display,
+    NO: fmt::Display,
 {
     let ctx = EngineCtx::new(&CheckBudget::UNLIMITED, obs.clone());
     let verdict = check_paired(
-        m,
-        n,
+        m_ops,
+        n_ops,
         m_transitions,
         n_transitions,
         paired,
-        Some(kind),
+        kind,
         resolve_threads(threads),
         &ctx,
         false,
@@ -1111,8 +1113,8 @@ where
         return Ok(ctx.exhausted_verdict());
     };
     match check_pair(
-        m,
-        n,
+        m.ops(),
+        n.ops(),
         &m_closure,
         &n_closure,
         kind,
@@ -1127,14 +1129,10 @@ where
     }
 }
 
-/// Parallel Definition 6 check with caller-provided interners. The
-/// model-pair grid is fanned across workers (each pair checked
-/// single-threaded to avoid oversubscription); the shared interners
-/// make every state compile once for the whole grid, not once per
-/// pair. Witnesses are the names of application models with no
-/// equivalent counterpart. The entry behind
-/// [`Checker::run`](crate::check::Checker::run) for
-/// [`Tier::DataModel`](crate::check::Tier::DataModel).
+/// Parallel Definition 6 check with caller-provided interners: every
+/// model's closure is explored once, then [`grid_verdict`] decides the
+/// grid. The entry behind [`Checker::run`](crate::check::Checker::run)
+/// for [`Tier::DataModel`](crate::check::Tier::DataModel).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn data_models_verdict<MS, MO, NS, NO>(
     ms: &[FiniteModel<MS, MO>],
@@ -1157,12 +1155,12 @@ where
     let ctx = EngineCtx::new(&config.budget, obs.clone());
     let threads = resolve_threads(config.threads);
 
-    fn closures<S, O>(
-        models: &[FiniteModel<S, O>],
+    fn explore<'a, S, O>(
+        models: &'a [FiniteModel<S, O>],
         cap: usize,
         threads: usize,
         ctx: &EngineCtx,
-    ) -> Result<Option<Vec<Closure<S>>>, CheckError>
+    ) -> Result<Option<Vec<Explored<'a, S, O>>>, CheckError>
     where
         S: Clone + Ord + ToFacts + Send + Sync,
         O: Clone + Send + Sync,
@@ -1178,33 +1176,68 @@ where
             return Ok(None);
         }
         let mut out = Vec::with_capacity(models.len());
-        for (_, row) in rows {
-            out.push(row.map_err(CheckError::Closure)?);
+        for (i, row) in rows {
+            out.push(Explored {
+                name: models[i].name(),
+                ops: models[i].ops(),
+                closure: row.map_err(CheckError::Closure)?,
+            });
         }
         Ok(Some(out))
     }
 
-    let Some(m_closures) = closures(ms, state_cap, threads, &ctx)? else {
+    let Some(m_side) = explore(ms, state_cap, threads, &ctx)? else {
         return Ok(ctx.exhausted_verdict());
     };
-    let Some(n_closures) = closures(ns, state_cap, threads, &ctx)? else {
+    let Some(n_side) = explore(ns, state_cap, threads, &ctx)? else {
         return Ok(ctx.exhausted_verdict());
     };
+    grid_verdict(
+        &m_side, &n_side, kind, threads, &ctx, m_interner, n_interner,
+    )
+}
 
-    // The grid: every (m, n) pair, one worker item each. Pairing
-    // failures mean "not equivalent", not a checker error: the two
-    // models express different application states.
+/// One model of a Definition 6 grid after closure discovery: the name
+/// its witness reports, its operations and its closure.
+pub(crate) struct Explored<'a, S, O> {
+    pub(crate) name: &'a str,
+    pub(crate) ops: &'a [O],
+    pub(crate) closure: Closure<S>,
+}
+
+/// The Definition 6 grid on already explored closures: every (m, n)
+/// pair, one worker item each (each pair checked single-threaded to
+/// avoid oversubscription); the shared interners make every state
+/// compile once for the whole grid, not once per pair. Witnesses are
+/// the names of application models with no equivalent counterpart.
+pub(crate) fn grid_verdict<MS, MO, NS, NO>(
+    ms: &[Explored<'_, MS, MO>],
+    ns: &[Explored<'_, NS, NO>],
+    kind: EquivKind,
+    threads: usize,
+    ctx: &EngineCtx,
+    m_interner: &FactInterner<MS>,
+    n_interner: &FactInterner<NS>,
+) -> Result<Verdict, CheckError>
+where
+    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
+    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
+    MO: fmt::Display + Sync,
+    NO: fmt::Display + Sync,
+{
+    // Pairing failures mean "not equivalent", not a checker error: the
+    // two models express different application states.
     let grid = ms.len() * ns.len();
     let cells = drive(threads, grid, |cell| {
-        let (mi, ni) = (cell / ns.len(), cell % ns.len());
+        let (m, n) = (&ms[cell / ns.len()], &ns[cell % ns.len()]);
         let outcome = check_pair(
-            &ms[mi],
-            &ns[ni],
-            &m_closures[mi],
-            &n_closures[ni],
+            m.ops,
+            n.ops,
+            &m.closure,
+            &n.closure,
             Some(kind),
             1,
-            &ctx,
+            ctx,
             true, // only pair equivalence matters here; exit pairs early
             m_interner,
             n_interner,
@@ -1227,22 +1260,21 @@ where
             matched_n[cell % ns.len()] = true;
         }
     }
-    let witnesses: Vec<Witness> = matched_m
+    let witnesses: Vec<Witness> = ms
         .iter()
-        .enumerate()
+        .zip(&matched_m)
         .filter(|(_, ok)| !**ok)
-        .map(|(i, _)| Witness {
+        .map(|(m, _)| Witness {
             side: Side::Left,
-            label: ms[i].name().to_owned(),
+            label: m.name.to_owned(),
         })
         .chain(
-            matched_n
-                .iter()
-                .enumerate()
+            ns.iter()
+                .zip(&matched_n)
                 .filter(|(_, ok)| !**ok)
-                .map(|(i, _)| Witness {
+                .map(|(n, _)| Witness {
                     side: Side::Right,
-                    label: ns[i].name().to_owned(),
+                    label: n.name.to_owned(),
                 }),
         )
         .collect();
@@ -1483,6 +1515,16 @@ mod tests {
         let stats = left.stats();
         assert_eq!(stats.unique, 4);
         assert!(stats.hits > 0, "grid reuses compiled fact bases: {stats:?}");
+    }
+
+    #[test]
+    fn composable_signatures_includes_identity_and_closes() {
+        let a: Signature = vec![Some(1), Some(0)]; // swap
+        let ctx = EngineCtx::new(&CheckBudget::UNLIMITED, Observer::disabled());
+        let set = composable_signatures_parallel(std::slice::from_ref(&a), 2, 3, 1, &ctx).unwrap();
+        assert!(set.contains(&identity_signature(2)));
+        assert!(set.contains(&a));
+        assert_eq!(set.len(), 2); // swap ∘ swap = id
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //!   unrollings enumerate the closure's BFS layers via blocking clauses.
 //!   A round that yields no new state proves the closure complete
 //!   (every state at BFS distance *d+1* has a predecessor at distance
-//!   *d*), after which the verdict is computed over the discovered
-//!   states and is **bit-identical** to the enumerative engine's — the
+//!   *d*), after which the engine decides over the discovered states,
+//!   so the verdict is **bit-identical** to [`crate::Checker`]'s — the
 //!   differential suite in `tests/symbolic.rs` pins this. If the bound
 //!   runs out first, the outcome is [`SymbolicOutcome::BoundExhausted`]:
 //!   **no verdict** — never "equivalent".
@@ -28,10 +28,13 @@
 //!   (no witness within the bound), mirroring the bounded-verification
 //!   contract.
 //!
-//! Once the closure is discovered, the verdict uses the engine's
-//! signature algebra from [`crate::equiv`] (composition, reachability).
-//! The independent implementation the differential suite compares
-//! against is [`crate::slow_reference`].
+//! Once the closure is discovered, this module stops: it hands the
+//! engine ([`crate::parallel`]) each closure in the engine's own form —
+//! states as fact bases, transitions per state and operation — and the
+//! engine pairs states, builds signatures and decides pairs,
+//! Definition 1 and Definition 6 grids exactly as it does for
+//! [`crate::Checker`]. The independent implementation the differential
+//! suite compares against is [`crate::slow_reference`].
 //!
 //! ## Scope
 //!
@@ -52,13 +55,15 @@ use std::collections::{BTreeMap, BTreeSet};
 use dme_logic::{Fact, FactBase};
 use dme_obs::{Counter, Metric, Observer};
 
-use crate::bitset::BitSet;
+use crate::arena::{Closure, StateArena, StateId};
+use crate::canon::FactInterner;
 use crate::check::Tier;
-use crate::equiv::{
-    composable_signatures, reach_from, CheckError, DataModelReport, MatchReport, Signature,
-};
+use crate::equiv::{CheckError, EquivKind};
 use crate::model::ClosureTooLarge;
-use crate::parallel::{Side, Verdict, Witness};
+use crate::parallel::{
+    check_prepaired, grid_verdict, pair_on_states, CheckBudget, EngineCtx, Explored, Side, Verdict,
+    Witness,
+};
 
 use encode::{
     apply_summary, assert_any, block_state, encode_path, read_state, result_bits, success_bit,
@@ -161,29 +166,31 @@ impl SymbolicSpec {
 
     /// Replays an operation-index path concretely from the empty state:
     /// the reached fact base, or `None` if any operation along the path
-    /// errors. This is the bridge the bound-soundness tests use to show
-    /// a symbolic witness is a real concrete execution.
+    /// errors or is not an operation index of this spec. This is the
+    /// bridge the bound-soundness tests use to show a symbolic witness
+    /// is a real concrete execution.
     pub fn replay(&self, path: &[usize]) -> Option<FactBase> {
         let summaries: Vec<OpSummary> =
             self.ops.iter().map(|op| summarize(&op.steps)).collect();
         let mut state = 0u128;
         for &i in path {
-            state = apply_summary(&summaries[i], state, &self.constraints)?;
+            state = apply_summary(summaries.get(i)?, state, &self.constraints)?;
         }
         Some(self.fact_base(state))
     }
 
     /// Applies one operation to a concrete fact-subset state (given as
     /// a fact base over this spec's universe); `None` is the error
-    /// state.
+    /// state, and also the answer for an out-of-range `op_index`.
     pub fn apply_op(&self, op_index: usize, state: &FactBase) -> Option<FactBase> {
+        let op = self.ops.get(op_index)?;
         let mut bits = 0u128;
         for (v, fact) in self.facts.iter().enumerate() {
             if state.holds(fact) {
                 bits |= 1 << v;
             }
         }
-        let sum = summarize(&self.ops[op_index].steps);
+        let sum = summarize(&op.steps);
         apply_summary(&sum, bits, &self.constraints).map(|next| self.fact_base(next))
     }
 
@@ -363,13 +370,13 @@ impl<'a> SymbolicChecker<'a> {
                         .into(),
                 )))
             }
-            (SymTarget::Pair(m, n), Tier::DataModel { kind }) => self.run_grid(
-                std::slice::from_ref(*m),
-                std::slice::from_ref(*n),
-                Tier::from_kind(kind),
-            ),
-            (SymTarget::Pair(m, n), tier) => self.run_pair(m, n, tier),
-            (SymTarget::Sets(ms, ns), tier) => self.run_grid(ms, ns, tier),
+            (SymTarget::Pair(m, n), Tier::DataModel { kind }) => {
+                self.run_grid(std::slice::from_ref(*m), std::slice::from_ref(*n), kind)
+            }
+            (SymTarget::Sets(ms, ns), tier) => {
+                self.run_grid(ms, ns, tier.kind().expect("Operation tier handled above"))
+            }
+            (SymTarget::Pair(m, n), tier) => self.run_pair(m, n, tier.kind()),
         };
         if outcome.is_bound_exhausted() {
             self.observer.add(Counter::BoundExhausted, 1);
@@ -377,97 +384,99 @@ impl<'a> SymbolicChecker<'a> {
         outcome
     }
 
-    fn run_pair(&self, m: &SymbolicSpec, n: &SymbolicSpec, tier: Tier) -> SymbolicOutcome {
-        let me = match self.enumerate(m) {
-            Ok(e) => e,
+    /// One model pair: both closures discovered, then the engine's
+    /// pairing and signature match (`kind` is `None` for Definition 1).
+    fn run_pair(
+        &self,
+        m: &SymbolicSpec,
+        n: &SymbolicSpec,
+        kind: Option<EquivKind>,
+    ) -> SymbolicOutcome {
+        let m_closure = match self.enumerate(m) {
+            Ok(c) => c,
             Err(stop) => return stop,
         };
-        let ne = match self.enumerate(n) {
-            Ok(e) => e,
+        let n_closure = match self.enumerate(n) {
+            Ok(c) => c,
             Err(stop) => return stop,
         };
-        let report = match tier {
-            Tier::Operation => operation_match(&me, &ne),
-            Tier::Isomorphic => app_match(&me, &ne, MatchKind::Isomorphic),
-            Tier::Composed { max_depth } => {
-                app_match(&me, &ne, MatchKind::Composed { max_depth })
-            }
-            Tier::StateDependent { max_depth } => {
-                app_match(&me, &ne, MatchKind::StateDependent { max_depth })
-            }
-            Tier::DataModel { .. } => unreachable!("grid tiers handled by run_grid"),
-        };
-        SymbolicOutcome::Definitive(report.map(|r| r.to_verdict()))
+        let verdict = pair_on_states(
+            m_closure.arena.states(),
+            n_closure.arena.states(),
+            1,
+            &FactInterner::new(),
+            &FactInterner::new(),
+            &self.observer,
+        )
+        .and_then(|paired| {
+            check_prepaired(
+                &labels(m),
+                &labels(n),
+                &m_closure.transitions,
+                &n_closure.transitions,
+                &paired,
+                kind,
+                1,
+                &self.observer,
+            )
+        });
+        SymbolicOutcome::Definitive(verdict)
     }
 
-    /// Definition 6: replicates the enumerative grid loop — each
-    /// model's closure discovered once, a pairing failure in a cell
-    /// meaning "not equivalent" (skip), any other error propagating.
-    fn run_grid(&self, ms: &[SymbolicSpec], ns: &[SymbolicSpec], tier: Tier) -> SymbolicOutcome {
-        let kind = match tier {
-            Tier::Operation => {
-                return SymbolicOutcome::Definitive(Err(CheckError::Unsupported(
-                    "Definition 1 compares the aligned operations of a single model pair; \
-                     data-model sets have no operation alignment"
-                        .into(),
-                )))
-            }
-            Tier::Isomorphic => MatchKind::Isomorphic,
-            Tier::Composed { max_depth } => MatchKind::Composed { max_depth },
-            Tier::StateDependent { max_depth } => MatchKind::StateDependent { max_depth },
-            Tier::DataModel { kind } => match Tier::from_kind(kind) {
-                Tier::Isomorphic => MatchKind::Isomorphic,
-                Tier::Composed { max_depth } => MatchKind::Composed { max_depth },
-                Tier::StateDependent { max_depth } => MatchKind::StateDependent { max_depth },
-                _ => unreachable!("EquivKind maps onto the three app-model tiers"),
-            },
+    /// Definition 6: each model's closure discovered once, then the
+    /// engine's grid over them.
+    fn run_grid(
+        &self,
+        ms: &[SymbolicSpec],
+        ns: &[SymbolicSpec],
+        kind: EquivKind,
+    ) -> SymbolicOutcome {
+        let m_labels: Vec<_> = ms.iter().map(labels).collect();
+        let n_labels: Vec<_> = ns.iter().map(labels).collect();
+        let m_side = match self.explore(ms, &m_labels) {
+            Ok(side) => side,
+            Err(stop) => return stop,
         };
-        let mut m_enums = Vec::with_capacity(ms.len());
-        for m in ms {
-            match self.enumerate(m) {
-                Ok(e) => m_enums.push(e),
-                Err(stop) => return stop,
-            }
-        }
-        let mut n_enums = Vec::with_capacity(ns.len());
-        for n in ns {
-            match self.enumerate(n) {
-                Ok(e) => n_enums.push(e),
-                Err(stop) => return stop,
-            }
-        }
-        let mut matches_m: Vec<(String, Vec<String>)> = Vec::new();
-        let mut matches_n: Vec<(String, Vec<String>)> = n_enums
+        let n_side = match self.explore(ns, &n_labels) {
+            Ok(side) => side,
+            Err(stop) => return stop,
+        };
+        let ctx = EngineCtx::new(&CheckBudget::UNLIMITED, self.observer.clone());
+        SymbolicOutcome::Definitive(grid_verdict(
+            &m_side,
+            &n_side,
+            kind,
+            1,
+            &ctx,
+            &FactInterner::new(),
+            &FactInterner::new(),
+        ))
+    }
+
+    /// Discovers every spec's closure, in order, for the engine's grid.
+    fn explore<'s>(
+        &self,
+        specs: &'s [SymbolicSpec],
+        labels: &'s [Vec<String>],
+    ) -> Result<Vec<Explored<'s, FactBase, String>>, SymbolicOutcome> {
+        specs
             .iter()
-            .map(|n| (n.name.clone(), Vec::new()))
-            .collect();
-        for me in &m_enums {
-            let mut found = Vec::new();
-            for (ni, ne) in n_enums.iter().enumerate() {
-                let report = match app_match(me, ne, kind) {
-                    Ok(r) => r,
-                    Err(CheckError::Pairing(_)) => continue,
-                    Err(e) => return SymbolicOutcome::Definitive(Err(e)),
-                };
-                if report.equivalent {
-                    found.push(ne.name.clone());
-                    matches_n[ni].1.push(me.name.clone());
-                }
-            }
-            matches_m.push((me.name.clone(), found));
-        }
-        let equivalent = matches_m.iter().all(|(_, v)| !v.is_empty())
-            && matches_n.iter().all(|(_, v)| !v.is_empty());
-        SymbolicOutcome::Definitive(Ok(DataModelReport {
-            equivalent,
-            matches_m,
-            matches_n,
-        }
-        .to_verdict()))
+            .zip(labels)
+            .map(|(spec, ops)| {
+                Ok(Explored {
+                    name: &spec.name,
+                    ops,
+                    closure: self.enumerate(spec)?,
+                })
+            })
+            .collect()
     }
 
-    /// Discovers one spec's closure by per-depth SAT layer enumeration.
-    fn enumerate(&self, spec: &SymbolicSpec) -> Result<SymEnum, SymbolicOutcome> {
+    /// Discovers one spec's closure by per-depth SAT layer enumeration,
+    /// in the engine's form: states are the discovered fact subsets in
+    /// ascending bit order (the empty initial state first) as fact
+    /// bases, with `transitions[state][op]`.
+    fn enumerate(&self, spec: &SymbolicSpec) -> Result<Closure<FactBase>, SymbolicOutcome> {
         let nvars = spec.facts.len();
         if nvars > 128 {
             return Err(SymbolicOutcome::Definitive(Err(CheckError::Unsupported(
@@ -475,6 +484,14 @@ impl<'a> SymbolicChecker<'a> {
                     "symbolic tier supports at most 128 facts per universe; `{}` has {nvars}",
                     spec.name
                 ),
+            ))));
+        }
+        // Two fact subsets must compile to two fact bases, one arena
+        // state each.
+        let mut distinct = BTreeSet::new();
+        if let Some(twice) = spec.facts.iter().find(|f| !distinct.insert(*f)) {
+            return Err(SymbolicOutcome::Definitive(Err(CheckError::Unsupported(
+                format!("symbolic universe of `{}` lists {twice} twice", spec.name),
             ))));
         }
         let summaries: Vec<OpSummary> =
@@ -530,29 +547,29 @@ impl<'a> SymbolicChecker<'a> {
             });
         }
         let states: Vec<u128> = known.into_iter().collect();
-        let transitions: Vec<Vec<Option<u32>>> = summaries
+        let mut arena = StateArena::new();
+        for &bits in &states {
+            let facts = spec.fact_base(bits);
+            arena.intern(facts.fingerprint(), facts);
+        }
+        let transitions = states
             .iter()
-            .map(|sum| {
-                states
+            .map(|&st| {
+                summaries
                     .iter()
-                    .map(|&st| {
+                    .map(|sum| {
                         apply_summary(sum, st, &spec.constraints).map(|next| {
-                            states
-                                .binary_search(&next)
-                                .expect("closure is closed under successful operations")
-                                as u32
+                            StateId::from_index(
+                                states
+                                    .binary_search(&next)
+                                    .expect("closure is closed under successful operations"),
+                            )
                         })
                     })
                     .collect()
             })
             .collect();
-        Ok(SymEnum {
-            name: spec.name.clone(),
-            labels: spec.ops.iter().map(|op| op.label.clone()).collect(),
-            facts: spec.facts.clone(),
-            states,
-            transitions,
-        })
+        Ok(Closure { arena, transitions })
     }
 
     /// Records one solver's cumulative work into the observer: the
@@ -733,33 +750,6 @@ impl<'a> SymbolicChecker<'a> {
     }
 }
 
-/// A discovered closure in symbolic form: sorted fact-subset states
-/// with the full transition table — the symbolic analogue of the
-/// engine's arena [`Closure`](crate::arena::Closure).
-struct SymEnum {
-    name: String,
-    labels: Vec<String>,
-    facts: Vec<Fact>,
-    /// Sorted fact-subset states over the spec's local universe.
-    states: Vec<u128>,
-    /// `transitions[op][state index]` = successor state index, `None`
-    /// for the error state.
-    transitions: Vec<Vec<Option<u32>>>,
-}
-
-enum MatchKind {
-    Isomorphic,
-    Composed { max_depth: usize },
-    StateDependent { max_depth: usize },
-}
-
-impl Clone for MatchKind {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl Copy for MatchKind {}
-
 /// One spec's operation summaries and constraints remapped into a
 /// joint pair universe (for find mode).
 struct JointCtx {
@@ -838,227 +828,9 @@ fn extract_path(s: &Solver, enc: &encode::PathEnc) -> Vec<usize> {
     path
 }
 
-/// The §3.3.1 state equivalence correspondence over two discovered
-/// closures: states pair iff they compile to the same fact set in the
-/// joint universe. Errors exactly as the enumerative pairing does when
-/// the correspondence is not onto. (Injectivity cannot fail here:
-/// symbolic states *are* fact sets.)
-struct SymPaired {
-    pairs: usize,
-    m_by_pair: Vec<u32>,
-    n_by_pair: Vec<u32>,
-    m_rank: Vec<u32>,
-    n_rank: Vec<u32>,
-}
-
-fn pair_sym(me: &SymEnum, ne: &SymEnum) -> Result<SymPaired, CheckError> {
-    let (joint, m_map, n_map) = {
-        // Rebuild the joint universe from the enumerated facts.
-        let m_spec_facts = &me.facts;
-        let mut joint: Vec<Fact> = m_spec_facts.clone();
-        let m_map: Vec<usize> = (0..m_spec_facts.len()).collect();
-        let n_map: Vec<usize> = ne
-            .facts
-            .iter()
-            .map(|f| match joint.iter().position(|g| g == f) {
-                Some(i) => i,
-                None => {
-                    joint.push(f.clone());
-                    joint.len() - 1
-                }
-            })
-            .collect();
-        (joint, m_map, n_map)
-    };
-    if joint.len() > 128 {
-        return Err(CheckError::Unsupported(format!(
-            "symbolic tier supports at most 128 joint facts; `{}` vs `{}` has {}",
-            me.name,
-            ne.name,
-            joint.len()
-        )));
-    }
-    let remap = |bits: u128, map: &[usize]| -> u128 {
-        let mut out = 0u128;
-        for (v, &jv) in map.iter().enumerate() {
-            if bits >> v & 1 == 1 {
-                out |= 1 << jv;
-            }
-        }
-        out
-    };
-    let m_by_joint: BTreeMap<u128, u32> = me
-        .states
-        .iter()
-        .enumerate()
-        .map(|(i, &st)| (remap(st, &m_map), i as u32))
-        .collect();
-    let n_by_joint: BTreeMap<u128, u32> = ne
-        .states
-        .iter()
-        .enumerate()
-        .map(|(i, &st)| (remap(st, &n_map), i as u32))
-        .collect();
-    if m_by_joint.len() != n_by_joint.len() || !m_by_joint.keys().eq(n_by_joint.keys()) {
-        let only_left = m_by_joint
-            .keys()
-            .filter(|k| !n_by_joint.contains_key(*k))
-            .count();
-        let only_right = n_by_joint
-            .keys()
-            .filter(|k| !m_by_joint.contains_key(*k))
-            .count();
-        return Err(CheckError::Pairing(format!(
-            "state sets are not onto: {only_left} application states expressible only on the left, {only_right} only on the right"
-        )));
-    }
-    let m_by_pair: Vec<u32> = m_by_joint.into_values().collect();
-    let n_by_pair: Vec<u32> = n_by_joint.into_values().collect();
-    let mut m_rank = vec![0u32; me.states.len()];
-    for (p, &si) in m_by_pair.iter().enumerate() {
-        m_rank[si as usize] = p as u32;
-    }
-    let mut n_rank = vec![0u32; ne.states.len()];
-    for (p, &si) in n_by_pair.iter().enumerate() {
-        n_rank[si as usize] = p as u32;
-    }
-    Ok(SymPaired {
-        pairs: m_by_pair.len(),
-        m_by_pair,
-        n_by_pair,
-        m_rank,
-        n_rank,
-    })
-}
-
-fn relabel(e: &SymEnum, by_pair: &[u32], rank: &[u32]) -> Vec<Signature> {
-    e.transitions
-        .iter()
-        .map(|row| {
-            by_pair
-                .iter()
-                .map(|&si| row[si as usize].map(|t| rank[t as usize]))
-                .collect()
-        })
-        .collect()
-}
-
-/// Definition 1 lifted to whole models: index-aligned signature
-/// equality, mismatches contributing both operations and length
-/// overhang contributing one.
-fn operation_match(me: &SymEnum, ne: &SymEnum) -> Result<MatchReport, CheckError> {
-    let paired = pair_sym(me, ne)?;
-    let m_sigs = relabel(me, &paired.m_by_pair, &paired.m_rank);
-    let n_sigs = relabel(ne, &paired.n_by_pair, &paired.n_rank);
-    let mut unmatched_m = Vec::new();
-    let mut unmatched_n = Vec::new();
-    for i in 0..m_sigs.len().max(n_sigs.len()) {
-        match (m_sigs.get(i), n_sigs.get(i)) {
-            (Some(a), Some(b)) if a == b => {}
-            (Some(_), Some(_)) => {
-                unmatched_m.push(me.labels[i].clone());
-                unmatched_n.push(ne.labels[i].clone());
-            }
-            (Some(_), None) => unmatched_m.push(me.labels[i].clone()),
-            (None, Some(_)) => unmatched_n.push(ne.labels[i].clone()),
-            (None, None) => unreachable!("loop is bounded by the longer side"),
-        }
-    }
-    Ok(MatchReport {
-        equivalent: unmatched_m.is_empty() && unmatched_n.is_empty(),
-        unmatched_m,
-        unmatched_n,
-        state_pairs: paired.pairs,
-    })
-}
-
-/// Definitions 2/3/5 over two discovered closures.
-fn app_match(me: &SymEnum, ne: &SymEnum, kind: MatchKind) -> Result<MatchReport, CheckError> {
-    let paired = pair_sym(me, ne)?;
-    let pairs = paired.pairs;
-    let m_sigs = relabel(me, &paired.m_by_pair, &paired.m_rank);
-    let n_sigs = relabel(ne, &paired.n_by_pair, &paired.n_rank);
-    let (unmatched_m, unmatched_n) = match kind {
-        MatchKind::Isomorphic => {
-            let n_set: BTreeSet<&Signature> = n_sigs.iter().collect();
-            let m_set: BTreeSet<&Signature> = m_sigs.iter().collect();
-            let unmatched_m: Vec<String> = me
-                .labels
-                .iter()
-                .zip(&m_sigs)
-                .filter(|(_, sig)| !n_set.contains(sig))
-                .map(|(label, _)| label.clone())
-                .collect();
-            let unmatched_n: Vec<String> = ne
-                .labels
-                .iter()
-                .zip(&n_sigs)
-                .filter(|(_, sig)| !m_set.contains(sig))
-                .map(|(label, _)| label.clone())
-                .collect();
-            (unmatched_m, unmatched_n)
-        }
-        MatchKind::Composed { max_depth } => {
-            let m_star = composable_signatures(&m_sigs, pairs, max_depth);
-            let n_star = composable_signatures(&n_sigs, pairs, max_depth);
-            let unmatched_m: Vec<String> = me
-                .labels
-                .iter()
-                .zip(&m_sigs)
-                .filter(|(_, sig)| !n_star.contains(*sig))
-                .map(|(label, _)| label.clone())
-                .collect();
-            let unmatched_n: Vec<String> = ne
-                .labels
-                .iter()
-                .zip(&n_sigs)
-                .filter(|(_, sig)| !m_star.contains(*sig))
-                .map(|(label, _)| label.clone())
-                .collect();
-            (unmatched_m, unmatched_n)
-        }
-        MatchKind::StateDependent { max_depth } => {
-            let reach_all = |sigs: &[Signature]| -> (Vec<BitSet>, Vec<bool>) {
-                let mut reach = Vec::with_capacity(pairs);
-                let mut err = vec![false; pairs];
-                for start in 0..pairs as u32 {
-                    let (seen, e) = reach_from(sigs, pairs, start, max_depth);
-                    reach.push(seen);
-                    err[start as usize] = e;
-                }
-                (reach, err)
-            };
-            let (n_reach, n_err) = reach_all(&n_sigs);
-            let (m_reach, m_err) = reach_all(&m_sigs);
-            let check = |sigs: &[Signature],
-                         labels: &[String],
-                         reach: &[BitSet],
-                         err: &[bool]|
-             -> Vec<String> {
-                labels
-                    .iter()
-                    .zip(sigs)
-                    .filter(|(_, sig)| {
-                        (0..pairs).any(|i| match sig[i] {
-                            Some(target) => !reach[i].contains(target as usize),
-                            None => !err[i],
-                        })
-                    })
-                    .map(|(label, _)| label.clone())
-                    .collect()
-            };
-            (
-                check(&m_sigs, &me.labels, &n_reach, &n_err),
-                check(&n_sigs, &ne.labels, &m_reach, &m_err),
-            )
-        }
-    };
-    Ok(MatchReport {
-        equivalent: unmatched_m.is_empty() && unmatched_n.is_empty(),
-        unmatched_m,
-        unmatched_n,
-        state_pairs: pairs,
-    })
+/// A spec's witness labels, in operation order.
+fn labels(spec: &SymbolicSpec) -> Vec<String> {
+    spec.ops.iter().map(|op| op.label.clone()).collect()
 }
 
 #[cfg(test)]
@@ -1220,6 +992,38 @@ mod tests {
         assert!(m.replay(&[ins, del]).is_some());
         assert!(m.replay(&[del]).is_none(), "deleting from empty errors");
         assert!(m.replay(&[ins, ins]).is_none(), "double insert errors");
+        let past_end = m.ops.len();
+        assert!(m.replay(&[ins, past_end]).is_none(), "no such operation");
+        assert!(m.apply_op(past_end, &FactBase::default()).is_none());
+    }
+
+    #[test]
+    fn joint_universe_beyond_128_facts_gets_the_engine_verdict() {
+        // Each side fits the 128-fact encoding; together they hold 201
+        // facts, which decide mode never packs into one word.
+        let padded = |name: &str, base: i64| {
+            let mut spec = SymbolicSpec::toggles(name, vec![f(1)]);
+            spec.facts.extend((0..100).map(|i| f(base + i)));
+            spec
+        };
+        let m = padded("m", 1_000);
+        let n = padded("n", 2_000);
+        let outcome = SymbolicChecker::new(&m, &n).run();
+        assert_eq!(
+            outcome.definitive().unwrap().as_ref().unwrap(),
+            &Verdict::Equivalent { state_pairs: 2 }
+        );
+    }
+
+    #[test]
+    fn a_fact_listed_twice_is_unsupported() {
+        let mut m = SymbolicSpec::toggles("m", vec![f(1)]);
+        m.facts.push(f(1));
+        let outcome = SymbolicChecker::new(&m, &m).run();
+        assert!(matches!(
+            outcome.definitive().unwrap().as_ref().unwrap_err(),
+            CheckError::Unsupported(_)
+        ));
     }
 
     #[test]
@@ -1272,6 +1076,9 @@ mod tests {
         assert!(outcome.definitive().is_some());
         assert!(obs.counter(Counter::SymbolicClauses) > 0);
         assert_eq!(obs.counter(Counter::BoundExhausted), 0);
+        // The verdict stage is the engine's: its phases report too.
+        assert!(obs.counter(Counter::PairingChecks) > 0);
+        assert!(obs.counter(Counter::SignaturesBuilt) > 0);
         let bounded = SymbolicChecker::new(&m, &n)
             .bound(1)
             .observer(obs.clone())

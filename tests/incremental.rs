@@ -252,14 +252,14 @@ fn every_mutation_kind_matches_full_and_reference() {
     assert_eq!(covered.len(), 4, "all four mutation kinds exercised");
 }
 
-/// Cross-tier leg (enabled with `--features symbolic`): a *warm*
-/// incremental session — primed on the base pair, its caches reused for
-/// the mutant re-check — agrees with a *cold* symbolic decision on every
-/// mutation kind. The two paths share nothing (one replays cached
-/// closure columns, the other enumerates BFS layers through a SAT
-/// encoder), so this catches cache-invalidation bugs and encoder drift
-/// in one comparison.
-#[cfg(feature = "symbolic")]
+/// Cross-tier leg: a *warm* incremental session — primed on the base
+/// pair, its caches reused for the mutant re-check — agrees with a
+/// *cold* symbolic decision on every mutation kind. The two paths share
+/// the engine's verdict stage (pairing, signatures, match) but discover
+/// their closures independently: one replays cached closure columns,
+/// the other enumerates BFS layers through a SAT encoder. So this
+/// guards the discovery paths, catching cache-invalidation bugs and
+/// encoder drift in one comparison.
 #[test]
 fn warm_incremental_rechecks_agree_with_cold_symbolic() {
     use borkin_equiv::equivalence::symbolic::{SymbolicChecker, SymbolicOutcome};

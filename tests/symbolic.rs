@@ -6,7 +6,11 @@
 //! [`SymbolicOutcome::Definitive`], its verdict — including witnesses,
 //! their order, the searched pair count, and pairing/closure *errors* —
 //! is **bit-identical** to running the enumerative [`Checker`] facade
-//! on the same models. Four proofs:
+//! on the same models. Decide mode hands its SAT-discovered closures to
+//! the same engine `Checker` runs, so agreeing with `Checker` alone
+//! would only test closure discovery; every differential below also
+//! compares against `slow_reference`, which shares no verdict code
+//! with the engine. Four proofs:
 //!
 //! 1. **Corpus differential** — the 64-scenario workload corpus, each
 //!    base paired against one of its adversarial mutants, across
@@ -80,6 +84,22 @@ fn full_check(m: &Model, n: &Model, tier: Tier) -> Outcome {
     Checker::new(m, n).tier(tier).state_cap(STATE_CAP).run()
 }
 
+/// The independent oracle for one pair tier.
+fn slow_check<O: Clone + std::fmt::Display>(
+    m: &FiniteModel<FactBase, O>,
+    n: &FiniteModel<FactBase, O>,
+    tier: Tier,
+) -> Outcome {
+    let app = |kind| slow_reference::app_models_verdict_slow(m, n, kind, STATE_CAP);
+    match tier {
+        Tier::Operation => slow_reference::operation_pairs_verdict_slow(m, n, STATE_CAP),
+        Tier::Isomorphic => app(EquivKind::Isomorphic),
+        Tier::Composed { max_depth } => app(EquivKind::Composed { max_depth }),
+        Tier::StateDependent { max_depth } => app(EquivKind::StateDependent { max_depth }),
+        Tier::DataModel { .. } => unreachable!("pair tiers only"),
+    }
+}
+
 fn symbolic_check(m: &SymbolicSpec, n: &SymbolicSpec, tier: Tier) -> SymbolicOutcome {
     SymbolicChecker::new(m, n)
         .tier(tier)
@@ -128,13 +148,18 @@ fn symbolic_agrees_with_enumerative_on_the_corpus() {
                 &format!("scenario {i} tier {tier:?}"),
             );
             assert_eq!(sym, full, "scenario {i} tier {tier:?} diverges");
+            assert_eq!(
+                sym,
+                slow_check(&m, &n, tier),
+                "scenario {i} tier {tier:?} diverges from the slow reference"
+            );
         }
     }
 }
 
-/// Definition 6 grids over scenario *sets*: the symbolic grid loop must
-/// reproduce the enumerative grid's partial-equivalence verdicts, cell
-/// pairing skips included.
+/// Definition 6 grids over scenario *sets*: the symbolic grid must
+/// reproduce the enumerative grid's and the slow reference's
+/// partial-equivalence verdicts, cell pairing skips included.
 #[test]
 fn symbolic_agrees_on_data_model_grids() {
     let scenarios = corpus(0x6121D, 8);
@@ -174,6 +199,11 @@ fn symbolic_agrees_on_data_model_grids() {
                 &format!("grid kind {kind:?}"),
             );
             assert_eq!(sym, full, "Definition 6 grid diverges for {kind:?}");
+            let slow = slow_reference::data_model_verdict_slow(&ms, &ns, kind, STATE_CAP);
+            assert_eq!(
+                sym, slow,
+                "Definition 6 grid diverges from the slow reference for {kind:?}"
+            );
         }
     }
 }
@@ -202,14 +232,7 @@ fn mismatch(base: &Scenario, mutation: Mutation) -> Option<String> {
         if sym != full {
             return Some(format!("tier {tier:?}: symbolic {sym:?} != full {full:?}"));
         }
-        let app = |kind| slow_reference::app_models_verdict_slow(&m, &n, kind, STATE_CAP);
-        let slow = match tier {
-            Tier::Operation => slow_reference::operation_pairs_verdict_slow(&m, &n, STATE_CAP),
-            Tier::Isomorphic => app(EquivKind::Isomorphic),
-            Tier::Composed { max_depth } => app(EquivKind::Composed { max_depth }),
-            Tier::StateDependent { max_depth } => app(EquivKind::StateDependent { max_depth }),
-            Tier::DataModel { .. } => continue,
-        };
+        let slow = slow_check(&m, &n, tier);
         if sym != slow {
             return Some(format!("tier {tier:?}: symbolic {sym:?} != slow {slow:?}"));
         }
@@ -426,7 +449,8 @@ fn tier_strategy() -> impl Strategy<Value = Tier> {
 
 proptest! {
     /// On every random toy-model pair and every tier, the symbolic
-    /// verdict equals the enumerative facade's — including errors.
+    /// verdict equals the enumerative facade's and the slow reference's
+    /// — including errors.
     #[test]
     fn symbolic_agrees_on_random_toy_models(
         m_ops in ops_strategy(),
@@ -436,13 +460,17 @@ proptest! {
         let m = toy_model("m", &m_ops);
         let n = toy_model("n", &n_ops);
         let full = Checker::new(&m, &n).tier(tier).state_cap(STATE_CAP).run();
+        let slow = slow_check(&m, &n, tier);
         let sym = SymbolicChecker::new(&toy_spec("m", &m_ops), &toy_spec("n", &n_ops))
             .tier(tier)
             .state_cap(STATE_CAP)
             .bound(BOUND)
             .run();
         match sym {
-            SymbolicOutcome::Definitive(r) => prop_assert_eq!(r, full),
+            SymbolicOutcome::Definitive(r) => {
+                prop_assert_eq!(&r, &full);
+                prop_assert_eq!(r, slow);
+            }
             SymbolicOutcome::BoundExhausted { .. } => prop_assert!(
                 false,
                 "toy closures (≤ 8 states) must close within bound {}",
