@@ -330,6 +330,16 @@ pub fn graph_model(
             DeltaState::apply_delta(state, op)
                 .map(|undo| Box::new(move |s: &mut GraphState| s.undo(undo)) as UndoFn<_>)
         })
+        // `GraphOp::apply` is the raw logged changes + `validate`, and
+        // most closure transitions probe-hit an interned state, so the
+        // whole-state validation runs only on probe misses.
+        .with_candidate(
+            |op, state| {
+                let undo = op.apply_unvalidated(state).ok()?;
+                Some(Box::new(move |s: &mut GraphState| s.undo(undo)) as UndoFn<_>)
+            },
+            |state| state.validate().is_ok(),
+        )
 }
 
 #[cfg(test)]

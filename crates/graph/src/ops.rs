@@ -120,6 +120,18 @@ impl GraphOp {
         Ok(next)
     }
 
+    /// Applies the operation's raw changes in place *without* the final
+    /// whole-state validation, returning the undo token. On a raw-change
+    /// error the state is left untouched.
+    ///
+    /// [`GraphOp::apply`] is exactly this followed by
+    /// [`GraphState::validate`] on the result. The split lets the
+    /// closure enumerator validate only candidates that are not already
+    /// interned (an interned state was validated when it was interned).
+    pub fn apply_unvalidated(&self, state: &mut GraphState) -> Result<GraphUndo, GraphOpError> {
+        apply_raw_logged(state, self).map(|log| GraphUndo { log })
+    }
+
     /// Applies a sequence of operations (a composed operation), stopping
     /// at the first error.
     pub fn apply_all<'a>(
@@ -382,12 +394,12 @@ impl DeltaState for GraphState {
     }
 
     fn apply_delta(&mut self, op: &GraphOp) -> Option<GraphUndo> {
-        let log = apply_raw_logged(self, op).ok()?;
+        let undo = op.apply_unvalidated(self).ok()?;
         if self.validate().is_err() {
-            rollback(self, log);
+            self.undo(undo);
             return None;
         }
-        Some(GraphUndo { log })
+        Some(undo)
     }
 
     fn undo(&mut self, token: GraphUndo) {

@@ -43,7 +43,11 @@ impl DerivedRelation {
     /// Wraps a base relation of a state as a derived relation.
     pub fn base(state: &RelationState, name: &str) -> Option<DerivedRelation> {
         let schema = state.schema().relation(name)?.clone();
-        let tuples = state.relation(name)?.clone();
+        let tuples = state
+            .relation(name)?
+            .iter()
+            .map(|s| s.tuple().clone())
+            .collect();
         Some(DerivedRelation { schema, tuples })
     }
 

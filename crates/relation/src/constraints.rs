@@ -67,11 +67,8 @@ impl ColsRef {
     /// The projection of `state` on these columns, dropping rows with a
     /// null in any projected column.
     pub fn project(&self, state: &RelationState) -> Vec<Tuple> {
-        let Some(tuples) = state.relation(self.relation.as_str()) else {
-            return Vec::new();
-        };
-        let mut out: Vec<Tuple> = tuples
-            .iter()
+        let mut out: Vec<Tuple> = state
+            .tuples(self.relation.as_str())
             .filter_map(|t| t.project(&self.columns))
             .filter(|t| !t.has_null())
             .collect();
@@ -87,13 +84,89 @@ impl fmt::Display for ColsRef {
     }
 }
 
-/// A violated constraint, with a human-readable account of the witness.
+/// A violated constraint, with the tuples that witness the violation.
+///
+/// The human-readable description and detail are built only when the
+/// violation is displayed: the closure enumerator rejects thousands of
+/// candidate states and reads nothing but the rejection.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ConstraintViolation {
-    /// Description of the violated constraint.
-    pub constraint: String,
-    /// What went wrong.
-    pub detail: String,
+pub struct ConstraintViolation(Box<Violation>);
+
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct Violation {
+    constraint: Constraint,
+    witness: Witness,
+}
+
+/// The evidence of a violation; its shape depends on the constraint kind.
+#[derive(Clone, Debug, PartialEq, Eq)]
+enum Witness {
+    /// `Subset`: a row missing from the containing projection.
+    /// `NotNull`, `Implies`: the offending tuple.
+    Row(Tuple),
+    /// `Unique`: two tuples sharing a key. `Functional`: two tuples
+    /// agreeing on the determinant but not on the dependents.
+    Pair {
+        first: Tuple,
+        second: Tuple,
+        shared: Tuple,
+    },
+    /// `Agreement`: the sizes of the two differing projections.
+    Sizes { left: usize, right: usize },
+}
+
+impl ConstraintViolation {
+    /// Description of the violated constraint (see
+    /// [`Constraint::describe`]).
+    pub fn description(&self) -> String {
+        self.0.constraint.describe()
+    }
+
+    /// What went wrong, naming the witnessing tuples.
+    pub fn detail(&self) -> String {
+        match (&self.0.constraint, &self.0.witness) {
+            (Constraint::Subset { from, to }, Witness::Row(row)) => {
+                format!("{row} present in {from} but not in {to}")
+            }
+            (Constraint::NotNull { column, .. }, Witness::Row(t)) => {
+                format!("tuple {t} has null in column {column}")
+            }
+            (
+                Constraint::Unique { .. },
+                Witness::Pair {
+                    first,
+                    second,
+                    shared,
+                },
+            ) => {
+                format!("tuples {first} and {second} share key {shared}")
+            }
+            (
+                Constraint::Functional { .. },
+                Witness::Pair {
+                    first,
+                    second,
+                    shared,
+                },
+            ) => {
+                format!("tuples {first} and {second} agree on {shared} but disagree on dependents")
+            }
+            (Constraint::Agreement { .. }, Witness::Sizes { left, right }) => {
+                format!("projections differ: {left} rows vs {right} rows")
+            }
+            (
+                Constraint::Implies {
+                    if_nonnull,
+                    then_nonnull,
+                    ..
+                },
+                Witness::Row(t),
+            ) => {
+                format!("tuple {t} has non-null column {if_nonnull} but null column {then_nonnull}")
+            }
+            _ => unreachable!("each constraint kind builds its own witness shape"),
+        }
+    }
 }
 
 impl fmt::Display for ConstraintViolation {
@@ -101,7 +174,8 @@ impl fmt::Display for ConstraintViolation {
         write!(
             f,
             "constraint violated: {} — {}",
-            self.constraint, self.detail
+            self.description(),
+            self.detail()
         )
     }
 }
@@ -241,18 +315,18 @@ impl Constraint {
 
     /// Checks the constraint against a state.
     pub fn check(&self, state: &RelationState) -> Result<(), ConstraintViolation> {
-        let fail = |detail: String| {
-            Err(ConstraintViolation {
-                constraint: self.describe(),
-                detail,
-            })
+        let fail = |witness: Witness| {
+            Err(ConstraintViolation(Box::new(Violation {
+                constraint: self.clone(),
+                witness,
+            })))
         };
         match self {
             Constraint::Subset { from, to } => {
                 let sup: std::collections::BTreeSet<_> = to.project(state).into_iter().collect();
                 for row in from.project(state) {
                     if !sup.contains(&row) {
-                        return fail(format!("{row} present in {from} but not in {to}"));
+                        return fail(Witness::Row(row));
                     }
                 }
                 Ok(())
@@ -260,7 +334,7 @@ impl Constraint {
             Constraint::NotNull { relation, column } => {
                 for t in state.tuples(relation.as_str()) {
                     if t.get(*column).is_some_and(|v| v.is_null()) {
-                        return fail(format!("tuple {t} has null in column {column}"));
+                        return fail(Witness::Row(t.clone()));
                     }
                 }
                 Ok(())
@@ -274,8 +348,12 @@ impl Constraint {
                     if key.has_null() {
                         continue;
                     }
-                    if let Some(prev) = seen.insert(key.clone(), t.clone()) {
-                        return fail(format!("tuples {prev} and {t} share key {key}"));
+                    if let Some(prev) = seen.insert(key.clone(), t) {
+                        return fail(Witness::Pair {
+                            first: prev.clone(),
+                            second: t.clone(),
+                            shared: key,
+                        });
                     }
                 }
                 Ok(())
@@ -285,7 +363,7 @@ impl Constraint {
                 determinant,
                 dependent,
             } => {
-                let mut seen: std::collections::BTreeMap<Tuple, (Tuple, Tuple)> =
+                let mut seen: std::collections::BTreeMap<Tuple, (Tuple, &Tuple)> =
                     std::collections::BTreeMap::new();
                 for t in state.tuples(relation.as_str()) {
                     let Some(det) = t.project(determinant) else {
@@ -299,12 +377,14 @@ impl Constraint {
                     };
                     if let Some((prev_dep, prev_t)) = seen.get(&det) {
                         if *prev_dep != dep {
-                            return fail(format!(
-                                "tuples {prev_t} and {t} agree on {det} but disagree on dependents"
-                            ));
+                            return fail(Witness::Pair {
+                                first: (*prev_t).clone(),
+                                second: t.clone(),
+                                shared: det,
+                            });
                         }
                     } else {
-                        seen.insert(det, (dep, t.clone()));
+                        seen.insert(det, (dep, t));
                     }
                 }
                 Ok(())
@@ -313,11 +393,10 @@ impl Constraint {
                 let l = left.project(state);
                 let r = right.project(state);
                 if l != r {
-                    return fail(format!(
-                        "projections differ: {} rows vs {} rows",
-                        l.len(),
-                        r.len()
-                    ));
+                    return fail(Witness::Sizes {
+                        left: l.len(),
+                        right: r.len(),
+                    });
                 }
                 Ok(())
             }
@@ -330,9 +409,7 @@ impl Constraint {
                     let guard = t.get(*if_nonnull).is_some_and(|v| !v.is_null());
                     let needed = t.get(*then_nonnull).is_some_and(|v| !v.is_null());
                     if guard && !needed {
-                        return fail(format!(
-                            "tuple {t} has non-null column {if_nonnull} but null column {then_nonnull}"
-                        ));
+                        return fail(Witness::Row(t.clone()));
                     }
                 }
                 Ok(())
@@ -378,7 +455,7 @@ mod tests {
             to: ColsRef::new("Employees", [0]),
         };
         let err = c.check(&state).unwrap_err();
-        assert!(err.detail.contains("T.Manhart"));
+        assert!(err.detail().contains("T.Manhart"));
         assert!(check_all(&schema, &state).is_err());
     }
 
@@ -392,7 +469,7 @@ mod tests {
             column: 0,
         };
         let err = c.check(&state).unwrap_err();
-        assert!(err.detail.contains("null"));
+        assert!(err.detail().contains("null"));
         // And satisfied where no null occurs.
         let c_ok = Constraint::NotNull {
             relation: "Operate".into(),
@@ -413,7 +490,7 @@ mod tests {
             columns: vec![1],
         };
         let err = c.check(&state).unwrap_err();
-        assert!(err.detail.contains("NZ745"));
+        assert!(err.detail().contains("NZ745"));
     }
 
     #[test]
@@ -511,10 +588,17 @@ mod tests {
 
     #[test]
     fn violation_display() {
-        let v = ConstraintViolation {
-            constraint: "not-null Operate[0]".into(),
-            detail: "tuple (----) has null".into(),
+        let state = fixtures::figure3_state();
+        let c = Constraint::NotNull {
+            relation: "Jobs".into(),
+            column: 0,
         };
-        assert!(v.to_string().contains("not-null Operate[0]"));
+        let v = c.check(&state).unwrap_err();
+        assert_eq!(v.description(), "not-null Jobs[0]");
+        assert_eq!(
+            v.to_string(),
+            format!("constraint violated: not-null Jobs[0] — {}", v.detail())
+        );
+        assert!(v.detail().starts_with("tuple (----"));
     }
 }

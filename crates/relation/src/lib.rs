@@ -26,7 +26,8 @@
 //!
 //! * [`schema`] — headings ([`Participant`], [`RelationSchema`]) and the
 //!   application-model schema [`RelationalSchema`];
-//! * [`state`] — [`RelationState`]: relation name → set of tuples, with
+//! * [`state`] — [`RelationState`]: relation name → set of stored
+//!   [`Statement`]s (a tuple with the facts it compiled to), with
 //!   well-formedness and normalization;
 //! * [`ops`] — [`RelOp`]: `insert-statements` / `delete-statements`;
 //! * [`constraints`] — the constraint language and checker;
@@ -49,4 +50,4 @@ pub use ops::{OpError, RelOp};
 pub use schema::{
     CharacteristicCol, Pair, Participant, RelationSchema, RelationalSchema, SchemaError,
 };
-pub use state::{RelationState, StateError};
+pub use state::{RelationState, StateError, Statement};

@@ -50,8 +50,8 @@ use dme_value::{Symbol, Tuple, Value};
 
 use crate::constraints::{check_all, ConstraintViolation};
 use crate::facts::tuple_facts;
-use crate::schema::RelationSchema;
-use crate::state::{RelationState, StateError};
+use crate::schema::{RelationSchema, MAX_NULLABLE_COLUMNS};
+use crate::state::{RelationState, StateError, Statement};
 
 /// Errors turning an operation application into the paper's error state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -250,8 +250,16 @@ impl RelOp {
                     let rel = schema
                         .relation(relation.as_str())
                         .ok_or_else(|| StateError::UnknownRelation(relation.clone()))?;
-                    RelationState::check_tuple(&schema, rel, t)?;
-                    denied.extend(tuple_facts(rel, t).iter().cloned());
+                    // A stored statement was checked and compiled when it
+                    // was stored.
+                    match next.relation(relation.as_str()).and_then(|s| s.get(t)) {
+                        Some(stored) => denied.extend(stored.facts().iter().cloned()),
+                        None => denied.extend(
+                            RelationState::checked_tuple_facts(&schema, rel, t)?
+                                .iter()
+                                .cloned(),
+                        ),
+                    }
                 }
                 // A statement can only be affected if one of its facts is
                 // denied, and every statement fact is in the state's fact
@@ -261,19 +269,23 @@ impl RelOp {
                     next.normalize();
                     return Ok(next);
                 }
-                // Weaken every statement asserting a denied fact.
+                // Weaken every statement asserting a denied fact, reading
+                // the facts each statement stored when it was inserted.
                 for rel in schema.relations() {
+                    let name = rel.name().as_str();
                     let affected: Vec<Tuple> = next
-                        .tuples(rel.name().as_str())
-                        .filter(|u| tuple_facts(rel, u).iter().any(|f| denied.holds(f)))
-                        .cloned()
+                        .statements(name)
+                        .filter(|u| u.facts().iter().any(|f| denied.holds(f)))
+                        .map(|u| u.tuple().clone())
                         .collect();
                     for u in affected {
-                        next.delete_raw(rel.name().as_str(), &u)
-                            .expect("relation exists");
-                        for r in remainders(rel, &u, &denied) {
-                            next.insert_raw(rel.name().as_str(), r)
-                                .expect("remainders are well-formed by construction");
+                        next.delete_raw(name, &u).expect("relation exists");
+                        let stored = next.relation(name).expect("relation exists");
+                        for r in weakenings(rel, &u, &denied, stored) {
+                            debug_assert!(
+                                RelationState::check_tuple(&schema, rel, r.tuple()).is_ok()
+                            );
+                            next.store(name, r);
                         }
                     }
                 }
@@ -307,6 +319,9 @@ impl RelOp {
 /// previous state (swap-in, swap-out), which costs exactly what the
 /// clone-based `apply` already paid; the kernel's win on this model
 /// comes from fingerprint probing and transition memoization instead.
+/// The clone shares every stored statement with its compiled facts, so
+/// the new state compiles facts only for the tuples the operation adds,
+/// and undoing restores the previous statements without recompiling.
 impl dme_logic::DeltaState for RelationState {
     type Op = RelOp;
     type Undo = RelationState;
@@ -334,7 +349,28 @@ impl dme_logic::DeltaState for RelationState {
 /// it is public because the cross-model translators use the same
 /// computation to synthesize delete-then-reinsert plans for views whose
 /// headings cannot express a fact's denial in isolation.
+///
+/// # Panics
+///
+/// When `u` has more than [`MAX_NULLABLE_COLUMNS`] non-null nullable
+/// columns, which [`crate::RelationalSchema::new`] rules out for the
+/// relations of a schema.
 pub fn remainders(rel: &RelationSchema, u: &Tuple, denied: &dme_logic::FactBase) -> Vec<Tuple> {
+    weakenings(rel, u, denied, &BTreeSet::new())
+        .into_iter()
+        .map(|r| r.tuple().clone())
+        .collect()
+}
+
+/// [`remainders`] as statements with their facts, so `delete-statements`
+/// stores them without compiling twice. A candidate already in `stored`
+/// reuses its stored facts instead of being compiled.
+fn weakenings(
+    rel: &RelationSchema,
+    u: &Tuple,
+    denied: &dme_logic::FactBase,
+    stored: &BTreeSet<Statement>,
+) -> Vec<Statement> {
     // Columns we may null: currently non-null and schema-nullable.
     let mut maskable = Vec::new();
     for (pi, p) in rel.participants().iter().enumerate() {
@@ -346,10 +382,10 @@ pub fn remainders(rel: &RelationSchema, u: &Tuple, denied: &dme_logic::FactBase)
         }
     }
     assert!(
-        maskable.len() <= 16,
-        "remainder enumeration supports at most 16 nullable columns"
+        maskable.len() <= MAX_NULLABLE_COLUMNS,
+        "remainder enumeration supports at most {MAX_NULLABLE_COLUMNS} nullable columns"
     );
-    let mut candidates: Vec<Tuple> = Vec::new();
+    let mut candidates: Vec<Statement> = Vec::new();
     // Skip the empty mask: `u` itself asserts a denied fact.
     for mask in 1u32..(1 << maskable.len()) {
         let values: Vec<Value> = u
@@ -367,29 +403,35 @@ pub fn remainders(rel: &RelationSchema, u: &Tuple, denied: &dme_logic::FactBase)
                 }
             })
             .collect();
-        let candidate = Tuple::new(values);
-        let facts = tuple_facts(rel, &candidate);
+        let t = Tuple::new(values);
+        let candidate = match stored.get(&t) {
+            Some(s) => s.clone(),
+            None => {
+                let facts = tuple_facts(rel, &t);
+                Statement::new(t, &facts)
+            }
+        };
+        let facts = candidate.facts();
         if facts.is_empty() || facts.iter().any(|f| denied.holds(f)) {
             continue;
         }
         // Coherence: nulling an identifying column while keeping other
         // characteristics would be incoherent.
+        let t = candidate.tuple();
         let coherent = rel.participants().iter().enumerate().all(|(pi, p)| {
             let base = rel.participant_offset(pi);
-            !candidate[rel.id_column(pi)].is_null()
-                || (1..p.columns.len()).all(|ci| candidate[base + ci].is_null())
+            !t[rel.id_column(pi)].is_null() || (1..p.columns.len()).all(|ci| t[base + ci].is_null())
         });
         if coherent {
             candidates.push(candidate);
         }
     }
     // Keep only maximal candidates.
-    let maximal: Vec<Tuple> = candidates
+    candidates
         .iter()
-        .filter(|c| !candidates.iter().any(|d| c.sem_lt(d)))
+        .filter(|c| !candidates.iter().any(|d| c.tuple().sem_lt(d.tuple())))
         .cloned()
-        .collect();
-    maximal
+        .collect()
 }
 
 impl fmt::Display for RelOp {

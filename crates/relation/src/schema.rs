@@ -155,6 +155,12 @@ impl Participant {
     }
 }
 
+/// The most nullable columns one relation may have. `delete-statements`
+/// weakens a statement by trying every subset of its nullable columns
+/// (see [`crate::ops::remainders`]), so the limit bounds that search at
+/// 2¹⁶ candidates per weakened statement.
+pub const MAX_NULLABLE_COLUMNS: usize = 16;
+
 /// Errors found while validating relation headings against a universe.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SchemaError {
@@ -235,6 +241,14 @@ pub enum SchemaError {
         /// A case no participant fills.
         missing: Symbol,
     },
+    /// The relation has more nullable columns than `delete-statements`
+    /// can weaken (see [`MAX_NULLABLE_COLUMNS`]).
+    TooManyNullableColumns {
+        /// The relation at fault.
+        relation: Symbol,
+        /// Its number of nullable columns.
+        nullable: usize,
+    },
     /// A constraint references a relation or column that does not exist.
     BadConstraint {
         /// The constraint's description.
@@ -277,6 +291,10 @@ impl fmt::Display for SchemaError {
             SchemaError::IncompletePredicate { relation, predicate, missing } => write!(
                 f,
                 "relation `{relation}`: predicate `{predicate}` mentioned but case `{missing}` is not covered"
+            ),
+            SchemaError::TooManyNullableColumns { relation, nullable } => write!(
+                f,
+                "relation `{relation}`: {nullable} nullable columns, at most {MAX_NULLABLE_COLUMNS} supported"
             ),
             SchemaError::BadConstraint { constraint, reason } => {
                 write!(f, "constraint `{constraint}`: {reason}")
@@ -551,6 +569,18 @@ impl RelationSchema {
                     });
                 }
             }
+        }
+        let nullable = self
+            .participants
+            .iter()
+            .flat_map(|p| &p.columns)
+            .filter(|c| c.nullable)
+            .count();
+        if nullable > MAX_NULLABLE_COLUMNS {
+            return Err(SchemaError::TooManyNullableColumns {
+                relation: self.name.clone(),
+                nullable,
+            });
         }
         Ok(())
     }
@@ -871,6 +901,39 @@ mod tests {
         assert!(s.relation("Employees").is_some());
         assert!(s.relation("Nope").is_none());
         assert_eq!(s.constraints().len(), 0);
+    }
+
+    /// `width` participants of one nullable column each.
+    fn nullable_relation(width: usize) -> RelationSchema {
+        RelationSchema::new(
+            "Wide",
+            (0..width).map(|_| {
+                Participant::new(
+                    "employee",
+                    [Pair::Existence],
+                    [CharacteristicCol::optional("name", "names")],
+                )
+            }),
+        )
+    }
+
+    #[test]
+    fn relational_schema_rejects_too_many_nullable_columns() {
+        RelationalSchema::new(universe(), [nullable_relation(MAX_NULLABLE_COLUMNS)], []).unwrap();
+        let err = RelationalSchema::new(
+            universe(),
+            [nullable_relation(MAX_NULLABLE_COLUMNS + 1)],
+            [],
+        )
+        .unwrap_err();
+        assert_eq!(
+            err,
+            SchemaError::TooManyNullableColumns {
+                relation: sym!("Wide"),
+                nullable: MAX_NULLABLE_COLUMNS + 1,
+            }
+        );
+        assert!(err.to_string().contains("17 nullable columns"));
     }
 
     #[test]

@@ -20,11 +20,12 @@
 //! the state → fact-base compilation injective, giving the paper its
 //! required 1-1 state-equivalence correspondence.
 
+use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use dme_logic::Fact;
+use dme_logic::{Fact, FactBase};
 use dme_value::{Symbol, Tuple, Value};
 
 use crate::facts::tuple_facts;
@@ -128,14 +129,101 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
+/// One stored statement: a tuple together with the facts it compiled to
+/// when the state stored it (see [`crate::facts::tuple_facts`]).
+///
+/// The facts are a function of the tuple under its relation's heading,
+/// so a statement is compared, ordered and hashed by its tuple alone, and
+/// it borrows as its tuple: a relation's statement set answers
+/// `contains(&tuple)` directly. A statement is immutable and shared:
+/// cloning a state shares its statements instead of copying them.
+#[derive(Clone)]
+pub struct Statement(Arc<StatementData>);
+
+struct StatementData {
+    tuple: Tuple,
+    /// The tuple's facts in canonical `Fact` order, without duplicates.
+    facts: Box<[Fact]>,
+}
+
+impl Statement {
+    pub(crate) fn new(tuple: Tuple, facts: &FactBase) -> Self {
+        Statement(Arc::new(StatementData {
+            tuple,
+            facts: facts.iter().cloned().collect(),
+        }))
+    }
+
+    /// The statement's tuple.
+    pub fn tuple(&self) -> &Tuple {
+        &self.0.tuple
+    }
+
+    /// The facts the statement asserts, in canonical `Fact` order.
+    pub fn facts(&self) -> &[Fact] {
+        &self.0.facts
+    }
+
+    fn asserts(&self, fact: &Fact) -> bool {
+        self.0.facts.binary_search(fact).is_ok()
+    }
+}
+
+impl PartialEq for Statement {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.tuple() == other.tuple()
+    }
+}
+
+impl Eq for Statement {}
+
+impl PartialOrd for Statement {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Statement {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        if Arc::ptr_eq(&self.0, &other.0) {
+            return std::cmp::Ordering::Equal;
+        }
+        self.tuple().cmp(other.tuple())
+    }
+}
+
+impl std::hash::Hash for Statement {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.tuple().hash(state);
+    }
+}
+
+impl Borrow<Tuple> for Statement {
+    fn borrow(&self) -> &Tuple {
+        self.tuple()
+    }
+}
+
+impl fmt::Debug for Statement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}", self.tuple())
+    }
+}
+
 /// A database state of the semantic relation model.
+///
+/// Each relation stores its statements with the facts they compiled to
+/// on insertion. A transition therefore compiles facts only for tuples
+/// the state does not already store: deleting a statement, replaying a
+/// normalization and scanning for denied facts all read the stored
+/// facts.
 #[derive(Clone)]
 pub struct RelationState {
     schema: Arc<RelationalSchema>,
-    relations: BTreeMap<Symbol, BTreeSet<Tuple>>,
+    relations: BTreeMap<Symbol, BTreeSet<Statement>>,
     /// Incrementally-maintained content fingerprint: the XOR of
     /// per-(relation, tuple) hashes. Derived data — equality and
-    /// ordering work on `relations` alone.
+    /// ordering work on the tuples alone.
     fp: u64,
     /// Incrementally-maintained fact index: for every fact asserted by
     /// the state, how many statements assert it. The key set equals
@@ -148,6 +236,26 @@ pub struct RelationState {
 /// Element hash of one statement: the (relation, tuple) pair.
 fn statement_fp(relation: &str, tuple: &Tuple) -> u64 {
     dme_logic::content_fingerprint(&(relation, tuple))
+}
+
+/// Counts one stored statement's facts into the fact index.
+fn index_facts(index: &mut BTreeMap<Fact, u32>, facts: &[Fact]) {
+    for f in facts {
+        *index.entry(f.clone()).or_insert(0) += 1;
+    }
+}
+
+/// Takes one removed statement's facts out of the fact index.
+fn unindex_facts(index: &mut BTreeMap<Fact, u32>, facts: &[Fact]) {
+    for f in facts {
+        match index.get_mut(f) {
+            Some(1) => {
+                index.remove(f);
+            }
+            Some(n) => *n -= 1,
+            None => unreachable!("fact index out of sync with statements"),
+        }
+    }
 }
 
 impl PartialEq for RelationState {
@@ -184,10 +292,10 @@ impl std::hash::Hash for RelationState {
 impl fmt::Debug for RelationState {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "RelationState {{")?;
-        for (name, tuples) in &self.relations {
+        for (name, statements) in &self.relations {
             writeln!(f, "  {name}:")?;
-            for t in tuples {
-                writeln!(f, "    {t}")?;
+            for s in statements {
+                writeln!(f, "    {}", s.tuple())?;
             }
         }
         write!(f, "}}")
@@ -223,14 +331,22 @@ impl RelationState {
         &self.schema
     }
 
-    /// The tuples of a relation, if the relation exists.
-    pub fn relation(&self, name: &str) -> Option<&BTreeSet<Tuple>> {
+    /// The stored statements of a relation, if the relation exists.
+    /// [`Statement`] borrows as its tuple, so `contains(&tuple)` works
+    /// on the returned set.
+    pub fn relation(&self, name: &str) -> Option<&BTreeSet<Statement>> {
         self.relations.get(name)
+    }
+
+    /// Iterates over a relation's stored statements (empty for unknown
+    /// relations).
+    pub fn statements(&self, name: &str) -> impl Iterator<Item = &Statement> {
+        self.relations.get(name).into_iter().flatten()
     }
 
     /// Iterates over a relation's tuples (empty for unknown relations).
     pub fn tuples(&self, name: &str) -> impl Iterator<Item = &Tuple> {
-        self.relations.get(name).into_iter().flatten()
+        self.statements(name).map(Statement::tuple)
     }
 
     /// Total number of tuples across relations.
@@ -253,13 +369,13 @@ impl RelationState {
     }
 
     /// Well-formedness check that also returns the tuple's compiled
-    /// facts (the vacuity check needs them anyway; `insert_raw` reuses
-    /// them to maintain the fact index without a second compilation).
-    fn checked_tuple_facts(
+    /// facts (the vacuity check needs them anyway; `insert_raw` stores
+    /// them with the statement, and `delete-statements` denies them).
+    pub(crate) fn checked_tuple_facts(
         schema: &RelationalSchema,
         rel: &RelationSchema,
         tuple: &Tuple,
-    ) -> Result<dme_logic::FactBase, StateError> {
+    ) -> Result<FactBase, StateError> {
         let name = rel.name();
         if tuple.arity() != rel.arity() {
             return Err(StateError::ArityMismatch {
@@ -320,51 +436,41 @@ impl RelationState {
         let rel = schema
             .relation(relation)
             .ok_or_else(|| StateError::UnknownRelation(Symbol::new(relation)))?;
-        let tf = Self::checked_tuple_facts(&schema, rel, &tuple)?;
-        let h = statement_fp(relation, &tuple);
-        let inserted = self
-            .relations
-            .get_mut(relation)
-            .expect("schema relations are pre-populated")
-            .insert(tuple);
-        if inserted {
-            self.fp ^= h;
-            for f in tf.iter() {
-                *self.facts.entry(f.clone()).or_insert(0) += 1;
-            }
+        if self.relations[relation].contains(&tuple) {
+            // A stored statement passed these checks when it was stored.
+            return Ok(());
         }
+        let facts = Self::checked_tuple_facts(&schema, rel, &tuple)?;
+        self.store(relation, Statement::new(tuple, &facts));
         Ok(())
     }
 
-    /// Removes an exact tuple; returns whether it was present.
-    pub fn delete_raw(&mut self, relation: &str, tuple: &Tuple) -> Result<bool, StateError> {
-        let schema = Arc::clone(&self.schema);
-        let rel = schema
-            .relation(relation)
-            .ok_or_else(|| StateError::UnknownRelation(Symbol::new(relation)))?;
+    /// Stores a statement whose tuple is well-formed and whose facts the
+    /// caller already compiled; a tuple already stored is left as it is.
+    pub(crate) fn store(&mut self, relation: &str, statement: Statement) {
         let set = self
             .relations
             .get_mut(relation)
             .expect("schema relations are pre-populated");
-        let removed = set.remove(tuple);
-        if removed {
-            self.fp ^= statement_fp(relation, tuple);
-            self.unindex_facts(rel, tuple);
+        if !set.contains(&statement) {
+            self.fp ^= statement_fp(relation, statement.tuple());
+            index_facts(&mut self.facts, statement.facts());
+            set.insert(statement);
         }
-        Ok(removed)
     }
 
-    /// Decrements the fact-index refcounts for one removed statement.
-    fn unindex_facts(&mut self, rel: &RelationSchema, tuple: &Tuple) {
-        for f in tuple_facts(rel, tuple).iter() {
-            match self.facts.get_mut(f) {
-                Some(1) => {
-                    self.facts.remove(f);
-                }
-                Some(n) => *n -= 1,
-                None => unreachable!("fact index out of sync with statements"),
-            }
-        }
+    /// Removes an exact tuple; returns whether it was present.
+    pub fn delete_raw(&mut self, relation: &str, tuple: &Tuple) -> Result<bool, StateError> {
+        let set = self
+            .relations
+            .get_mut(relation)
+            .ok_or_else(|| StateError::UnknownRelation(Symbol::new(relation)))?;
+        let Some(removed) = set.take(tuple) else {
+            return Ok(false);
+        };
+        self.fp ^= statement_fp(relation, tuple);
+        unindex_facts(&mut self.facts, removed.facts());
+        Ok(true)
     }
 
     /// Whether the state asserts `fact` (O(log n) on the fact index).
@@ -373,9 +479,9 @@ impl RelationState {
     }
 
     /// The state's fact index: every asserted fact with the number of
-    /// statements asserting it. The key set is exactly
+    /// stored statements asserting it. The key set is exactly
     /// [`crate::facts::state_facts`].
-    pub(crate) fn fact_counts(&self) -> &BTreeMap<Fact, u32> {
+    pub fn fact_counts(&self) -> &BTreeMap<Fact, u32> {
         &self.facts
     }
 
@@ -395,29 +501,19 @@ impl RelationState {
     pub fn is_normalized(&self) -> bool {
         let facts = FactView(&self.facts);
         self.schema.relations().all(|rel| {
-            let tuples = &self.relations[rel.name()];
-            for a in tuples {
-                for b in tuples {
-                    if a < b {
-                        if a.sem_cmp(b).is_some() {
-                            return false; // comparable distinct pair
-                        }
-                        if let Some(j) = a.sem_join(b) {
-                            let union = tuple_facts(rel, a).union(&tuple_facts(rel, b));
-                            if tuple_facts(rel, &j) == union {
-                                return false; // mergeable pair
-                            }
-                        }
-                    }
-                }
-                if !saturation_extensions(rel, a, &facts)
-                    .into_iter()
-                    .all(|t| tuples.iter().any(|b| t.sem_le(b)))
-                {
-                    return false; // extendable statement not yet covered
-                }
-            }
-            true
+            let statements = &self.relations[rel.name()];
+            statements.iter().all(|a| {
+                let pairs_ok = statements.iter().filter(|b| a < *b).all(|b| {
+                    // No comparable distinct pair and no mergeable pair.
+                    a.tuple().sem_cmp(b.tuple()).is_none()
+                        && !a
+                            .tuple()
+                            .sem_join(b.tuple())
+                            .is_some_and(|j| asserts_exactly(&tuple_facts(rel, &j), a, b))
+                });
+                // No extendable statement left uncovered.
+                pairs_ok && saturation_extensions(rel, a.tuple(), statements, &facts).is_empty()
+            })
         })
     }
 
@@ -438,51 +534,53 @@ impl RelationState {
     /// on canonical states — the paper's requirement that "some specific
     /// application state is represented by a unique state" (§3.3.1).
     /// Both properties are enforced by property tests.
+    ///
+    /// Each relation is normalized in place, so a relation already at
+    /// its fixpoint costs one round of the three checks and nothing
+    /// else. Only the tuples a pass creates (a join, a saturation
+    /// extension) are compiled; their facts are stored with them.
     pub fn normalize(&mut self) {
-        // The fact *set* is a normalization invariant, and the fact
-        // index maintains it incrementally, so the passes read the
-        // index directly instead of recompiling every tuple. Each
-        // relation's set is normalized on a scratch copy; the diff is
-        // then replayed through the index- and fingerprint-maintaining
-        // helpers (per-statement refcounts do change even though the
-        // fact set does not — a subsumed statement's facts stay
-        // asserted by its dominator).
         let schema = Arc::clone(&self.schema);
         for rel in schema.relations() {
-            let before = self
+            let statements = self
                 .relations
-                .get(rel.name())
+                .get_mut(rel.name())
                 .expect("schema relations are pre-populated");
-            let mut after = before.clone();
-            normalize_relation(rel, &mut after, &FactView(&self.facts));
-            let removed: Vec<Tuple> = before.difference(&after).cloned().collect();
-            let added: Vec<Tuple> = after.difference(before).cloned().collect();
-            for t in &removed {
-                let set = self
-                    .relations
-                    .get_mut(rel.name())
-                    .expect("schema relations are pre-populated");
-                set.remove(t);
-                self.fp ^= statement_fp(rel.name().as_str(), t);
-                self.unindex_facts(rel, t);
+            // The fact *set* is a normalization invariant, so the passes
+            // read the index as it stood before the relation changed;
+            // the per-statement refcounts catch up below.
+            let replay = normalize_relation(rel, statements, &FactView(&self.facts));
+            self.fp ^= replay.fp;
+            // Count gains before losses: every fact stays asserted, so
+            // a fact is then never dropped from the index while a
+            // statement asserting it is still to be counted in.
+            for s in &replay.gained {
+                index_facts(&mut self.facts, s.facts());
             }
-            for t in added {
-                let tf = tuple_facts(rel, &t);
-                self.fp ^= statement_fp(rel.name().as_str(), &t);
-                self.relations
-                    .get_mut(rel.name())
-                    .expect("schema relations are pre-populated")
-                    .insert(t);
-                for f in tf.iter() {
-                    *self.facts.entry(f.clone()).or_insert(0) += 1;
-                }
+            for s in &replay.lost {
+                unindex_facts(&mut self.facts, s.facts());
             }
         }
     }
 }
 
-/// Single-column extensions of `t` justified by already-true facts.
-fn saturation_extensions(rel: &RelationSchema, t: &Tuple, facts: &FactView<'_>) -> Vec<Tuple> {
+/// Whether `joined` (the compiled facts of `a ⊔ b`) asserts exactly the
+/// facts of `a` and `b` combined.
+fn asserts_exactly(joined: &FactBase, a: &Statement, b: &Statement) -> bool {
+    a.facts().iter().chain(b.facts()).all(|f| joined.holds(f))
+        && joined.iter().all(|f| a.asserts(f) || b.asserts(f))
+}
+
+/// Single-column extensions of `t` justified by already-true facts and
+/// not covered by any stored statement, with their compiled facts.
+/// Coverage is checked before compiling, so a stored tuple (which covers
+/// itself) is never recompiled.
+fn saturation_extensions(
+    rel: &RelationSchema,
+    t: &Tuple,
+    statements: &BTreeSet<Statement>,
+    facts: &FactView<'_>,
+) -> Vec<Statement> {
     use dme_logic::Pattern;
     let mut out = Vec::new();
     let mut push_candidate = |column: usize, atom: dme_value::Atom| {
@@ -498,8 +596,12 @@ fn saturation_extensions(rel: &RelationSchema, t: &Tuple, facts: &FactView<'_>) 
             })
             .collect();
         let candidate = Tuple::new(values);
-        if tuple_facts(rel, &candidate).iter().all(|f| facts.holds(f)) {
-            out.push(candidate);
+        if statements.iter().any(|b| candidate.sem_le(b.tuple())) {
+            return;
+        }
+        let compiled = tuple_facts(rel, &candidate);
+        if compiled.iter().all(|f| facts.holds(f)) {
+            out.push(Statement::new(candidate, &compiled));
         }
     };
 
@@ -559,56 +661,90 @@ fn saturation_extensions(rel: &RelationSchema, t: &Tuple, facts: &FactView<'_>) 
     out
 }
 
-fn normalize_relation(rel: &RelationSchema, tuples: &mut BTreeSet<Tuple>, facts: &FactView<'_>) {
+/// What one relation's normalization changed, for the state to replay
+/// into its fingerprint and fact index.
+#[derive(Default)]
+struct Replay {
+    /// XOR of the fingerprints of every statement added or removed.
+    fp: u64,
+    /// The statements added.
+    gained: Vec<Statement>,
+    /// The statements removed.
+    lost: Vec<Statement>,
+}
+
+impl Replay {
+    fn add(&mut self, rel: &RelationSchema, statements: &mut BTreeSet<Statement>, s: Statement) {
+        self.fp ^= statement_fp(rel.name().as_str(), s.tuple());
+        self.gained.push(s.clone());
+        let inserted = statements.insert(s);
+        debug_assert!(inserted, "normalization adds only unstored statements");
+    }
+
+    fn remove(&mut self, rel: &RelationSchema, statements: &mut BTreeSet<Statement>, t: &Tuple) {
+        let s = statements.take(t).expect("removed statements are stored");
+        self.fp ^= statement_fp(rel.name().as_str(), s.tuple());
+        self.lost.push(s);
+    }
+}
+
+fn normalize_relation(
+    rel: &RelationSchema,
+    statements: &mut BTreeSet<Statement>,
+    facts: &FactView<'_>,
+) -> Replay {
+    let mut replay = Replay::default();
     loop {
         // Subsumption pass: drop statements strictly below another.
-        let dominated: Vec<Tuple> = tuples
+        let dominated: Vec<Tuple> = statements
             .iter()
-            .filter(|a| tuples.iter().any(|b| a.sem_lt(b)))
-            .cloned()
+            .filter(|a| statements.iter().any(|b| a.tuple().sem_lt(b.tuple())))
+            .map(|a| a.tuple().clone())
             .collect();
         for t in &dominated {
-            tuples.remove(t);
+            replay.remove(rel, statements, t);
         }
 
         // Merge pass: find one mergeable pair, apply, restart.
-        let mut merge: Option<(Tuple, Tuple, Tuple)> = None;
-        'outer: for a in tuples.iter() {
-            for b in tuples.iter() {
+        let mut merge: Option<(Tuple, Tuple, Statement)> = None;
+        'outer: for a in statements.iter() {
+            for b in statements.iter() {
                 if a >= b {
                     continue;
                 }
-                if let Some(j) = a.sem_join(b) {
-                    if j == *a || j == *b {
+                if let Some(j) = a.tuple().sem_join(b.tuple()) {
+                    if j == *a.tuple() || j == *b.tuple() {
                         continue; // comparable pair, handled by subsumption
                     }
-                    let union = tuple_facts(rel, a).union(&tuple_facts(rel, b));
-                    if tuple_facts(rel, &j) == union {
-                        merge = Some((a.clone(), b.clone(), j));
+                    // `j` is not stored: it would strictly dominate `a`,
+                    // and the subsumption pass just removed such pairs.
+                    let joined = tuple_facts(rel, &j);
+                    if asserts_exactly(&joined, a, b) {
+                        merge = Some((
+                            a.tuple().clone(),
+                            b.tuple().clone(),
+                            Statement::new(j, &joined),
+                        ));
                         break 'outer;
                     }
                 }
             }
         }
         if let Some((a, b, j)) = merge {
-            tuples.remove(&a);
-            tuples.remove(&b);
-            tuples.insert(j);
+            replay.remove(rel, statements, &a);
+            replay.remove(rel, statements, &b);
+            replay.add(rel, statements, j);
             continue;
         }
 
         // Saturation pass: add one uncovered extension, restart.
-        let mut extension: Option<Tuple> = None;
-        'sat: for t in tuples.iter() {
-            for candidate in saturation_extensions(rel, t, facts) {
-                if !tuples.iter().any(|b| candidate.sem_le(b)) {
-                    extension = Some(candidate);
-                    break 'sat;
-                }
-            }
-        }
+        let extension = statements.iter().find_map(|s| {
+            saturation_extensions(rel, s.tuple(), statements, facts)
+                .into_iter()
+                .next()
+        });
         if let Some(candidate) = extension {
-            tuples.insert(candidate);
+            replay.add(rel, statements, candidate);
             continue;
         }
 
@@ -616,6 +752,7 @@ fn normalize_relation(rel: &RelationSchema, tuples: &mut BTreeSet<Tuple>, facts:
             break;
         }
     }
+    replay
 }
 
 #[cfg(test)]

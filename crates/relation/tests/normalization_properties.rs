@@ -8,12 +8,16 @@
 //!   state does not depend on the order statements arrived, which is
 //!   what makes the state ↔ fact-base correspondence 1-1 (§3.3.1's
 //!   uniqueness requirement);
-//! * `insert-statements` is idempotent and monotone in the fact set.
+//! * `insert-statements` is idempotent and monotone in the fact set;
+//! * every transition path (`apply`, `apply_candidate`, `apply_delta` and
+//!   `undo`) keeps the state's derived data — fingerprint, fact index and
+//!   each statement's stored facts — equal to a rebuild from its tuples.
 
 use std::sync::Arc;
 
-use dme_logic::ToFacts;
+use dme_logic::{DeltaState, ToFacts};
 use dme_relation::fixtures;
+use dme_relation::ops::StatementSet;
 use dme_relation::{RelOp, RelationState};
 use dme_value::{Tuple, Value};
 use proptest::prelude::*;
@@ -38,6 +42,106 @@ fn arb_jobs_tuple() -> impl Strategy<Value = Tuple> {
         Just(Value::str("JCL181")),
     ];
     (name, supervisee, machine).prop_map(|(a, b, c)| Tuple::new([a, b, c]))
+}
+
+fn arb_name() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::str("T.Manhart")),
+        Just(Value::str("C.Gershag")),
+        Just(Value::str("G.Wayshum")),
+    ]
+}
+
+fn arb_machine() -> impl Strategy<Value = Value> {
+    prop_oneof![Just(Value::str("NZ745")), Just(Value::str("JCL181"))]
+}
+
+/// One statement of any machine-shop relation.
+fn arb_statement() -> impl Strategy<Value = (&'static str, Tuple)> {
+    let age = prop_oneof![Just(Value::int(32)), Just(Value::int(50))];
+    let kind = prop_oneof![Just("lathe"), Just("press")];
+    (
+        0u8..4,
+        arb_jobs_tuple(),
+        (arb_name(), age),
+        (arb_name(), arb_machine(), kind),
+    )
+        .prop_map(
+            |(relation, jobs, (name, age), (operator, machine, kind))| match relation {
+                0 => ("Employees", Tuple::new([name, age])),
+                1 => ("Operate", Tuple::new([operator, machine, Value::str(kind)])),
+                _ => ("Jobs", jobs),
+            },
+        )
+}
+
+/// How one scripted step applies its operation.
+#[derive(Clone, Copy, Debug)]
+enum Path {
+    /// `RelOp::apply`, keeping the result on success.
+    Apply,
+    /// `RelOp::apply_candidate` (no constraint check), keeping the result.
+    Candidate,
+    /// `DeltaState::apply_delta`, keeping the result.
+    Delta,
+    /// `DeltaState::apply_delta`, then `undo`.
+    DeltaUndo,
+}
+
+fn arb_step() -> impl Strategy<Value = (Path, RelOp)> {
+    let path = prop_oneof![
+        Just(Path::Apply),
+        Just(Path::Candidate),
+        Just(Path::Delta),
+        Just(Path::DeltaUndo),
+    ];
+    (
+        path,
+        any::<bool>(),
+        prop::collection::vec(arb_statement(), 1..3),
+    )
+        .prop_map(|(path, insert, statements)| {
+            let mut set = StatementSet::new();
+            for (relation, tuple) in statements {
+                set.add(relation, tuple);
+            }
+            let op = if insert {
+                RelOp::insert_set(set)
+            } else {
+                RelOp::delete_set(set)
+            };
+            (path, op)
+        })
+}
+
+/// Checks the state's derived data against a state rebuilt by
+/// `insert_raw` of the same tuples: the fingerprint, the fact index and
+/// every statement's stored facts.
+fn assert_matches_rebuild(state: &RelationState) -> Result<(), TestCaseError> {
+    let mut rebuilt = RelationState::empty(std::sync::Arc::clone(state.schema()));
+    for rel in state.schema().relations() {
+        for t in state.tuples(rel.name().as_str()) {
+            rebuilt
+                .insert_raw(rel.name().as_str(), t.clone())
+                .expect("stored tuples are well-formed");
+        }
+    }
+    prop_assert_eq!(state, &rebuilt);
+    prop_assert_eq!(state.fingerprint(), rebuilt.fingerprint());
+    prop_assert_eq!(state.fact_counts(), rebuilt.fact_counts());
+    for rel in state.schema().relations() {
+        let name = rel.name().as_str();
+        for (stored, fresh) in state.statements(name).zip(rebuilt.statements(name)) {
+            prop_assert_eq!(stored.tuple(), fresh.tuple());
+            prop_assert_eq!(
+                stored.facts(),
+                fresh.facts(),
+                "stored facts of {}",
+                stored.tuple()
+            );
+        }
+    }
+    Ok(())
 }
 
 fn state_with(tuples: &[Tuple]) -> RelationState {
@@ -113,7 +217,6 @@ proptest! {
         base in prop::collection::vec(arb_jobs_tuple(), 0..5),
         script in prop::collection::vec((any::<bool>(), arb_jobs_tuple()), 1..6),
     ) {
-        use dme_logic::DeltaState;
         let mut cur = state_with(&base);
         cur.normalize();
         let mut trail: Vec<(RelationState, RelationState)> = Vec::new();
@@ -159,6 +262,40 @@ proptest! {
         sb.normalize();
         if sa == sb {
             prop_assert_eq!(sa.fingerprint(), sb.fingerprint());
+        }
+    }
+
+    /// Every transition path keeps the stored per-statement facts, the
+    /// fact index and the fingerprint equal to a rebuild from the tuples.
+    #[test]
+    fn stored_facts_match_a_rebuild(
+        script in prop::collection::vec(arb_step(), 1..10),
+    ) {
+        let mut cur = fixtures::figure3_state();
+        assert_matches_rebuild(&cur)?;
+        for (path, op) in script {
+            match path {
+                Path::Apply => {
+                    if let Ok(next) = op.apply(&cur) {
+                        cur = next;
+                    }
+                }
+                Path::Candidate => {
+                    if let Ok(next) = op.apply_candidate(&cur) {
+                        cur = next;
+                    }
+                }
+                Path::Delta => {
+                    cur.apply_delta(&op);
+                }
+                Path::DeltaUndo => {
+                    if let Some(undo) = cur.apply_delta(&op) {
+                        assert_matches_rebuild(&cur)?;
+                        cur.undo(undo);
+                    }
+                }
+            }
+            assert_matches_rebuild(&cur)?;
         }
     }
 
