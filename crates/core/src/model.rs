@@ -24,7 +24,7 @@ use dme_relation::{RelOp, RelationState};
 
 use crate::arena::{Closure, StateArena, StateId};
 
-/// A one-shot rollback token produced by [`FiniteModel::apply_delta`]:
+/// A one-shot rollback token produced by [`FiniteModel::expand_delta`]:
 /// calling it restores the state to what it was before the delta.
 pub type UndoFn<S> = Box<dyn FnOnce(&mut S) + Send>;
 
@@ -39,12 +39,13 @@ type ValidateFn<S> = Arc<dyn Fn(&S) -> bool + Send + Sync>;
 /// Beyond the defining triple, a model carries two *kernel hooks* used
 /// by the arena-backed closure machinery ([`FiniteModel::closure`]):
 /// a state fingerprint (64-bit content hash, used to probe the
-/// [`StateArena`] before constructing successors) and a delta
-/// application (apply an operation in place, returning an undo token).
-/// Both have universal fallbacks — hash the whole state, clone-apply —
-/// so plain models work unchanged; the semantic-model wrappers
-/// ([`relational_model`], [`graph_model`]) install the incremental
-/// implementations from [`DeltaState`].
+/// [`StateArena`] before constructing successors) and an expansion
+/// split (apply an operation in place as an undoable candidate, then
+/// validate the candidate only when it is a new state). Both have
+/// universal fallbacks — hash the whole state; clone-apply with a
+/// trivial validator — so plain models work unchanged; the
+/// semantic-model wrappers ([`relational_model`], [`graph_model`])
+/// install their own.
 #[derive(Clone)]
 pub struct FiniteModel<S, O> {
     name: String,
@@ -52,13 +53,13 @@ pub struct FiniteModel<S, O> {
     ops: Vec<O>,
     apply: ApplyFn<S, O>,
     fingerprint: FingerprintFn<S>,
-    delta: DeltaFn<S, O>,
-    /// Deferred-validation split, when the model supports it: the pair
-    /// `(candidate delta, validator)` such that `apply = candidate`
-    /// followed by the validator accepting the result. The closure
-    /// enumerator then only runs the validator on candidates that
-    /// probe-miss the arena — an interned state already passed it.
-    candidate: Option<(DeltaFn<S, O>, ValidateFn<S>)>,
+    /// Deferred-validation split: `apply = candidate` followed by
+    /// `validate` accepting the result. The closure enumerator only
+    /// runs the validator on candidates that probe-miss the arena — an
+    /// interned state already passed it. Defaults to clone-apply with
+    /// a validator that accepts everything.
+    candidate: DeltaFn<S, O>,
+    validate: ValidateFn<S>,
 }
 
 impl<S, O> fmt::Debug for FiniteModel<S, O> {
@@ -95,7 +96,7 @@ where
     O: Clone + 'static,
 {
     /// Creates a model with the fallback kernel hooks: whole-state
-    /// hashing for fingerprints and clone-apply for deltas. (The
+    /// hashing for fingerprints and clone-apply for expansion. (The
     /// `Hash + Send + 'static` bounds exist only for those fallbacks;
     /// everything else lives in the laxer impl below.)
     pub fn new(
@@ -105,19 +106,19 @@ where
         apply: impl Fn(&O, &S) -> Option<S> + Send + Sync + 'static,
     ) -> Self {
         let apply: ApplyFn<S, O> = Arc::new(apply);
-        let delta_apply = apply.clone();
+        let clone_apply = apply.clone();
         FiniteModel {
             name: name.into(),
             initial,
             ops,
             apply,
             fingerprint: Arc::new(|s: &S| content_fingerprint(s)),
-            delta: Arc::new(move |op: &O, s: &mut S| {
-                let next = delta_apply(op, s)?;
+            candidate: Arc::new(move |op: &O, s: &mut S| {
+                let next = clone_apply(op, s)?;
                 let prev = std::mem::replace(s, next);
                 Some(Box::new(move |s: &mut S| *s = prev) as UndoFn<S>)
             }),
-            candidate: None,
+            validate: Arc::new(|_: &S| true),
         }
     }
 
@@ -128,34 +129,25 @@ where
         self
     }
 
-    /// Replaces the delta hook. The delta must be observationally
-    /// identical to [`FiniteModel::apply`] (same success/error outcome,
-    /// same resulting state) and its undo token must restore the exact
-    /// prior state.
-    pub fn with_delta(
-        mut self,
-        f: impl Fn(&O, &mut S) -> Option<UndoFn<S>> + Send + Sync + 'static,
-    ) -> Self {
-        self.delta = Arc::new(f);
-        self
-    }
-
     /// Installs a deferred-validation split of the application function.
     ///
-    /// `candidate` must behave like the delta hook *minus* some final,
+    /// `candidate` applies an operation in place *minus* some final,
     /// state-only validation pass, and `validate` must be that pass: for
     /// every state and operation, `apply` succeeds iff `candidate`
     /// succeeds *and* `validate` accepts the candidate state, in which
-    /// case the candidate state is the applied state. Because
-    /// validation is a pure function of the resulting state, the
-    /// closure enumerator skips it whenever the candidate hash-conses
-    /// to an already-interned (hence already-validated) state.
+    /// case the candidate state is the applied state. On error the
+    /// candidate leaves the state untouched; on success its undo token
+    /// restores the exact prior state. Because validation is a pure
+    /// function of the resulting state, the closure enumerator skips it
+    /// whenever the candidate hash-conses to an already-interned (hence
+    /// already-validated) state.
     pub fn with_candidate(
         mut self,
         candidate: impl Fn(&O, &mut S) -> Option<UndoFn<S>> + Send + Sync + 'static,
         validate: impl Fn(&S) -> bool + Send + Sync + 'static,
     ) -> Self {
-        self.candidate = Some((Arc::new(candidate), Arc::new(validate)));
+        self.candidate = Arc::new(candidate);
+        self.validate = Arc::new(validate);
         self
     }
 }
@@ -190,36 +182,25 @@ where
         (self.fingerprint)(state)
     }
 
-    /// Applies one operation in place (kernel hook). Returns an undo
-    /// token on success; on error (`None`) the state is untouched.
-    pub fn apply_delta(&self, op: &O, state: &mut S) -> Option<UndoFn<S>> {
-        (self.delta)(op, state)
-    }
-
-    /// The expansion delta used by the closure enumerators: the
-    /// candidate hook when a deferred-validation split is installed,
-    /// the full delta otherwise. A success must be followed by
+    /// The expansion delta used by the closure enumerators (kernel
+    /// hook): applies one operation in place as a candidate, returning
+    /// an undo token on success; on error (`None`) the state is
+    /// untouched. A success must be followed by
     /// [`FiniteModel::validate_candidate`] before the resulting state
     /// may be interned as new.
     pub fn expand_delta(&self, op: &O, state: &mut S) -> Option<UndoFn<S>> {
-        match &self.candidate {
-            Some((candidate, _)) => candidate(op, state),
-            None => (self.delta)(op, state),
-        }
+        (self.candidate)(op, state)
     }
 
     /// Validates a candidate produced by [`FiniteModel::expand_delta`].
-    /// Trivially true when no deferred-validation split is installed
-    /// (the full delta already validated).
+    /// Trivially true without a deferred-validation split (clone-apply
+    /// already validated).
     pub fn validate_candidate(&self, state: &S) -> bool {
-        match &self.candidate {
-            Some((_, validate)) => validate(state),
-            None => true,
-        }
+        (self.validate)(state)
     }
 
     /// Enumerates the closure into a [`StateArena`] with the memoized
-    /// transition table, driving expansion through the delta hook: each
+    /// transition table, driving expansion through the candidate hook: each
     /// frontier state is cloned once into a scratch buffer, every
     /// operation is applied as an undoable delta, and the arena is
     /// probed by fingerprint so successors are only materialized when
@@ -301,10 +282,6 @@ pub fn relational_model(
 ) -> FiniteModel<RelationState, RelOp> {
     FiniteModel::new(name, initial, ops, |op, state| op.apply(state).ok())
         .with_fingerprint(RelationState::fingerprint)
-        .with_delta(|op, state| {
-            DeltaState::apply_delta(state, op)
-                .map(|undo| Box::new(move |s: &mut RelationState| s.undo(undo)) as UndoFn<_>)
-        })
         // `RelOp::apply` is `apply_candidate` + `check_all`, and the
         // constraint check is by far the expensive half — deferring it
         // to probe-missing candidates is this model's main closure win.
@@ -326,10 +303,6 @@ pub fn graph_model(
 ) -> FiniteModel<GraphState, GraphOp> {
     FiniteModel::new(name, initial, ops, |op, state| op.apply(state).ok())
         .with_fingerprint(GraphState::fingerprint)
-        .with_delta(|op, state| {
-            DeltaState::apply_delta(state, op)
-                .map(|undo| Box::new(move |s: &mut GraphState| s.undo(undo)) as UndoFn<_>)
-        })
         // `GraphOp::apply` is the raw logged changes + `validate`, and
         // most closure transitions probe-hit an interned state, so the
         // whole-state validation runs only on probe misses.

@@ -409,7 +409,7 @@ enum Probe<S> {
 ///
 /// One thread runs [`FiniteModel::closure_with`]. More threads run a
 /// level-synchronous BFS: workers expand a frontier level through the
-/// delta hook — each claimed state is cloned once into a scratch
+/// candidate hook — each claimed state is cloned once into a scratch
 /// buffer, every operation is applied as an undoable delta, and the
 /// *shared* arena is probed by fingerprint, so successors are only
 /// materialized (cloned out of the scratch) when the probe misses. Discoveries are merged on the calling

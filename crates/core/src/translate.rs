@@ -422,21 +422,17 @@ pub fn graph_op_to_relational(
                 // re-inserting its remainders (the facts it carries that
                 // are not being removed).
                 for rel in schema.relations() {
-                    let stored = rel_before
-                        .tuples(rel.name().as_str())
-                        .find(|u| tuple_facts(rel, u).holds(fact))
-                        .cloned();
-                    if let Some(u) = stored {
-                        covered.extend(
-                            tuple_facts(rel, &u)
-                                .iter()
-                                .filter(|f| delta.removed.holds(f))
-                                .cloned(),
-                        );
-                        for r in dme_relation::ops::remainders(rel, &u, &delta.removed) {
-                            reinserts.add(rel.name().clone(), r);
+                    let name = rel.name().as_str();
+                    if let Some(u) = rel_before.statements(name).find(|u| u.asserts(fact)) {
+                        covered
+                            .extend(u.facts().iter().filter(|f| delta.removed.holds(f)).cloned());
+                        let stored = rel_before.relation(name).expect("schema relation");
+                        for r in
+                            dme_relation::ops::remainders(rel, u.tuple(), &delta.removed, stored)
+                        {
+                            reinserts.add(rel.name().clone(), r.tuple().clone());
                         }
-                        set.add(rel.name().clone(), u);
+                        set.add(rel.name().clone(), u.tuple().clone());
                         found = true;
                         break;
                     }

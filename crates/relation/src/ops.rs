@@ -281,10 +281,11 @@ impl RelOp {
                     for u in affected {
                         next.delete_raw(name, &u).expect("relation exists");
                         let stored = next.relation(name).expect("relation exists");
-                        for r in weakenings(rel, &u, &denied, stored) {
-                            debug_assert!(
-                                RelationState::check_tuple(&schema, rel, r.tuple()).is_ok()
-                            );
+                        for r in remainders(rel, &u, &denied, stored) {
+                            // Remainders assert facts by construction, so
+                            // the shape check is all of well-formedness.
+                            RelationState::check_shape(&schema, rel, r.tuple())
+                                .expect("remainders are well-formed by construction");
                             next.store(name, r);
                         }
                     }
@@ -355,17 +356,12 @@ impl dme_logic::DeltaState for RelationState {
 /// When `u` has more than [`MAX_NULLABLE_COLUMNS`] non-null nullable
 /// columns, which [`crate::RelationalSchema::new`] rules out for the
 /// relations of a schema.
-pub fn remainders(rel: &RelationSchema, u: &Tuple, denied: &dme_logic::FactBase) -> Vec<Tuple> {
-    weakenings(rel, u, denied, &BTreeSet::new())
-        .into_iter()
-        .map(|r| r.tuple().clone())
-        .collect()
-}
-
-/// [`remainders`] as statements with their facts, so `delete-statements`
-/// stores them without compiling twice. A candidate already in `stored`
-/// reuses its stored facts instead of being compiled.
-fn weakenings(
+///
+/// The remainders come back as statements with their facts, so
+/// `delete-statements` stores them without compiling twice. A candidate
+/// already in `stored` (the relation's stored statements) reuses its
+/// stored facts instead of being compiled.
+pub fn remainders(
     rel: &RelationSchema,
     u: &Tuple,
     denied: &dme_logic::FactBase,

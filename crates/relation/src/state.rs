@@ -164,7 +164,9 @@ impl Statement {
         &self.0.facts
     }
 
-    fn asserts(&self, fact: &Fact) -> bool {
+    /// Whether the statement asserts `fact` (a binary search of its
+    /// facts).
+    pub fn asserts(&self, fact: &Fact) -> bool {
         self.0.facts.binary_search(fact).is_ok()
     }
 }
@@ -376,6 +378,24 @@ impl RelationState {
         rel: &RelationSchema,
         tuple: &Tuple,
     ) -> Result<FactBase, StateError> {
+        Self::check_shape(schema, rel, tuple)?;
+        let facts = tuple_facts(rel, tuple);
+        if facts.is_empty() {
+            return Err(StateError::VacuousTuple {
+                relation: rel.name().clone(),
+                tuple: tuple.clone(),
+            });
+        }
+        Ok(facts)
+    }
+
+    /// Every well-formedness check but vacuity, which needs the tuple's
+    /// facts: arity, nulls, domains and participant coherence.
+    pub(crate) fn check_shape(
+        schema: &RelationalSchema,
+        rel: &RelationSchema,
+        tuple: &Tuple,
+    ) -> Result<(), StateError> {
         let name = rel.name();
         if tuple.arity() != rel.arity() {
             return Err(StateError::ArityMismatch {
@@ -417,14 +437,7 @@ impl RelationState {
                 });
             }
         }
-        let facts = tuple_facts(rel, tuple);
-        if facts.is_empty() {
-            return Err(StateError::VacuousTuple {
-                relation: name.clone(),
-                tuple: tuple.clone(),
-            });
-        }
-        Ok(facts)
+        Ok(())
     }
 
     /// Inserts a tuple after well-formedness checks, but **without**
@@ -481,7 +494,7 @@ impl RelationState {
     /// The state's fact index: every asserted fact with the number of
     /// stored statements asserting it. The key set is exactly
     /// [`crate::facts::state_facts`].
-    pub fn fact_counts(&self) -> &BTreeMap<Fact, u32> {
+    pub(crate) fn fact_counts(&self) -> &BTreeMap<Fact, u32> {
         &self.facts
     }
 
@@ -842,6 +855,64 @@ mod tests {
             s.insert_raw("Jobs", tuple![Value::Null, "G.Wayshum", Value::Null]),
             Err(StateError::VacuousTuple { .. })
         ));
+    }
+
+    /// After every transition path, and after undoing a delta, the fact
+    /// index counts for each fact the stored tuples whose compiled facts
+    /// include it. Walks two levels of machine-shop operations from
+    /// Figure 3.
+    #[test]
+    fn fact_index_counts_match_a_recount() {
+        use crate::ops::RelOp;
+        use dme_logic::DeltaState;
+
+        // Recounts from freshly compiled facts, not through `store`.
+        fn assert_counts(state: &RelationState) {
+            let mut recount: BTreeMap<Fact, u32> = BTreeMap::new();
+            for rel in state.schema().relations() {
+                for t in state.tuples(rel.name().as_str()) {
+                    for f in tuple_facts(rel, t).iter() {
+                        *recount.entry(f.clone()).or_insert(0) += 1;
+                    }
+                }
+            }
+            assert_eq!(state.fact_counts(), &recount, "{state:?}");
+        }
+
+        let ops = [
+            RelOp::insert("Jobs", [tuple!["G.Wayshum", "T.Manhart", "NZ745"]]),
+            RelOp::insert("Jobs", [tuple!["G.Wayshum", "T.Manhart", Value::Null]]),
+            RelOp::delete("Jobs", [tuple!["G.Wayshum", Value::Null, Value::Null]]),
+            RelOp::delete("Jobs", [tuple!["G.Wayshum", "T.Manhart", Value::Null]]),
+            RelOp::delete("Jobs", [tuple![Value::Null, "C.Gershag", "JCL181"]]),
+            RelOp::delete("Operate", [tuple!["T.Manhart", "NZ745", "lathe"]]),
+            RelOp::insert("Operate", [tuple!["G.Wayshum", "NZ745", "lathe"]]),
+        ];
+        let mut frontier = vec![fixtures::figure3_state()];
+        for _ in 0..2 {
+            let mut next_frontier = Vec::new();
+            for state in &frontier {
+                assert_counts(state);
+                for op in &ops {
+                    if let Ok(next) = op.apply(state) {
+                        assert_counts(&next);
+                    }
+                    let mut scratch = state.clone();
+                    if let Some(undo) = scratch.apply_delta(op) {
+                        assert_counts(&scratch);
+                        scratch.undo(undo);
+                        assert_counts(&scratch);
+                    }
+                    if let Ok(next) = op.apply_candidate(state) {
+                        next_frontier.push(next);
+                    }
+                }
+            }
+            frontier = next_frontier;
+        }
+        for state in &frontier {
+            assert_counts(state);
+        }
     }
 
     #[test]
