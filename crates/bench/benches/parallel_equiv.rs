@@ -30,11 +30,14 @@ fn rel_model(
     relational_model(name, RelationState::empty(Arc::new(schema)), ops)
 }
 
-/// The E-D6 fixture: the largest data-model check in the suite.
-fn d6_fixture() -> (
+/// The E-D6 grid's two sides: relational models and graph models.
+type D6Fixture = (
     Vec<FiniteModel<RelationState, RelOp>>,
     Vec<FiniteModel<GraphState, GraphOp>>,
-) {
+);
+
+/// The E-D6 fixture: the largest data-model check in the suite.
+fn d6_fixture() -> D6Fixture {
     let ms = vec![
         rel_model("micro-rel", witness::micro_relational_schema(), 2),
         rel_model(

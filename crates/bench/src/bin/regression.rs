@@ -824,9 +824,13 @@ fn streaming_overhead() -> String {
 
     // One observer per mode, shared across samples, so the streamed
     // delta count accumulates over the whole subscribed column.
-    let run = |watch: bool| {
-        let obs = Observer::new(RingSink::with_capacity(64));
-        let stats = time_us(SAMPLES, || {
+    let baseline_obs = Observer::new(RingSink::with_capacity(64));
+    let watching_obs = Observer::new(RingSink::with_capacity(64));
+    let sample = |watch: bool| {
+        let obs = if watch { &watching_obs } else { &baseline_obs };
+        let t = Instant::now();
+        // A block, so the service and client drop inside the timing.
+        {
             let service = SessionService::new(
                 initial.clone(),
                 Vec::new(),
@@ -871,11 +875,30 @@ fn streaming_overhead() -> String {
             drop(subscription);
             drop(client);
             server.shutdown();
-        });
-        (stats, obs.counter(Counter::MetricsDeltasStreamed))
+        }
+        t.elapsed().as_micros() as u64
     };
-    let (baseline, baseline_deltas) = run(false);
-    let (watching, deltas) = run(true);
+    // The modes are sampled interleaved, alternating which runs first
+    // each round (as the mini configs are sampled round-robin): on a
+    // busy shared host a slow stretch then lands on both columns
+    // instead of biasing the comparison against one.
+    let mut baseline_us = Vec::with_capacity(SAMPLES);
+    let mut watching_us = Vec::with_capacity(SAMPLES);
+    for round in 0..SAMPLES {
+        let watch_first = round % 2 == 1;
+        for watch in [watch_first, !watch_first] {
+            let us = sample(watch);
+            if watch {
+                watching_us.push(us);
+            } else {
+                baseline_us.push(us);
+            }
+        }
+    }
+    let baseline = Stats::from_samples(baseline_us);
+    let watching = Stats::from_samples(watching_us);
+    let baseline_deltas = baseline_obs.counter(Counter::MetricsDeltasStreamed);
+    let deltas = watching_obs.counter(Counter::MetricsDeltasStreamed);
     assert_eq!(baseline_deltas, 0, "no pusher without a subscriber");
     assert!(
         deltas >= SAMPLES as u64,

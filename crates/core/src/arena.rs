@@ -19,9 +19,7 @@
 //! applied twice to the same state.
 //!
 //! IDs are assigned in breadth-first discovery order from the initial
-//! state, which makes them deterministic for a given model regardless of
-//! how the enumeration is driven (sequentially or by a worker pool that
-//! merges discoveries in index order).
+//! state, which makes them deterministic for a given model.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -73,12 +71,10 @@ impl ArenaStats {
 
 /// A hash-consing arena over whole states.
 ///
-/// States are appended once and never move, so `&self` probes are safe
-/// to run from many threads while a single owner later merges the
-/// misses with [`StateArena::intern`]. Lookup is fingerprint-first: the
-/// index maps a 64-bit fingerprint to the (almost always singleton)
-/// list of IDs carrying it, and the full `Eq` comparison only runs on
-/// fingerprint collisions.
+/// States are appended once and never move. Lookup is
+/// fingerprint-first: the index maps a 64-bit fingerprint to the
+/// (almost always singleton) list of IDs carrying it, and the full `Eq`
+/// comparison only runs on fingerprint collisions.
 #[derive(Clone, Debug)]
 pub struct StateArena<S> {
     states: Vec<S>,
@@ -148,8 +144,8 @@ impl<S> StateArena<S> {
         }
     }
 
-    /// Folds probe counts gathered externally (e.g. by worker threads
-    /// probing through `&self`) into the arena's statistics.
+    /// Folds probe counts gathered outside [`StateArena::intern`] (a
+    /// hit found by [`StateArena::probe`]) into the arena's statistics.
     pub fn add_probe_stats(&mut self, hits: u64, misses: u64) {
         self.hits += hits;
         self.misses += misses;

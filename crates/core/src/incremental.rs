@@ -38,15 +38,17 @@
 //! ## Verdict fidelity
 //!
 //! The session never *approximates*. On a verdict-cache miss it
-//! materializes, from the cached columns, a closure — state order and
-//! transition table — that is **identical** to what a fresh enumeration
-//! would produce: states are re-numbered by a breadth-first walk from
-//! the initial state in operation order — the exact discovery order of
-//! [`FiniteModel::closure`] — and the engine then runs its normal
-//! pairing/signature/scan pipeline on it. Verdicts, witness sets and
-//! witness order are the fresh engine's, which `tests/incremental.rs`
-//! proves differentially against full enumeration and the
-//! [`crate::slow_reference`] oracle.
+//! materializes a closure — state order and transition table — that is
+//! **identical** to what a fresh enumeration would produce, because it
+//! runs the same loop: [`FiniteModel::closure`] and the session both
+//! discover closures through the model's one breadth-first discovery
+//! loop, the session over its persistent arena with its columns passed
+//! in as the transition memo. States are numbered densely in discovery
+//! order from the initial state, in operation order, and the engine then
+//! runs its normal pairing/signature/scan pipeline on the result.
+//! Verdicts, witness sets and witness order are the fresh engine's,
+//! which `tests/incremental.rs` proves differentially against full
+//! enumeration and the [`crate::slow_reference`] oracle.
 //!
 //! ## Model identity
 //!
@@ -86,7 +88,7 @@ use dme_storage::wal;
 use crate::arena::{StateArena, StateId};
 use crate::canon::FactInterner;
 use crate::equiv::{CheckError, EquivKind};
-use crate::model::{ClosureTooLarge, FiniteModel};
+use crate::model::{ClosureTooLarge, Discovery, FiniteModel, TransitionMemo, Tx};
 use crate::parallel::{check_prepaired, pair_on_states, PairedIds, Side, Verdict, Witness};
 
 /// Running totals of what the session reused versus recomputed.
@@ -128,19 +130,6 @@ impl CacheStats {
             self.transitions_reused as f64 / total as f64
         }
     }
-}
-
-/// One memoized transition outcome: applying one operation to one arena
-/// state. `Unknown` marks a `(state, operation)` pair not yet explored
-/// (the invalidated frontier).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Tx {
-    /// Not yet computed.
-    Unknown,
-    /// The operation errors (precondition or constraint failure).
-    Error,
-    /// The operation transitions to this arena state.
-    To(StateId),
 }
 
 /// The closure materialized for one operation list — its transition
@@ -320,122 +309,29 @@ where
             }
         }
 
-        // Delta re-expansion: breadth-first walk from the initial state
-        // over the *current* operation list, resolving each transition
-        // from its memoized column when present and applying the
-        // operation only on `Unknown` entries. Dense ids are assigned in
-        // discovery order, reproducing the fresh enumeration exactly.
-        //
-        // The columns move out of the label map for the walk so the hot
-        // loop indexes by op position instead of hashing a label per
-        // transition; every exit path reinstalls them.
-        let mut cols: Vec<Vec<Tx>> = labels
-            .iter()
-            .map(|l| self.columns.remove(l).unwrap_or_default())
-            .collect();
-        let mut order: Vec<StateId> = vec![StateId::from_index(0)];
-        // Persistent arena index → dense id, grown lazily; a flat vector
-        // because the warm path remaps every transition through it.
-        let mut dense: Vec<Option<u32>> = vec![Some(0)];
-        let mut transitions: Vec<Vec<Option<StateId>>> = Vec::new();
-        let mut reused = 0u64;
-        let mut recomputed = 0u64;
-        let mut cursor = 0usize;
-        while cursor < order.len() {
-            let old = order[cursor];
-            let idx = old.index();
-            let mut row: Vec<Option<StateId>> = Vec::with_capacity(labels.len());
-            for oi in 0..labels.len() {
-                let entry = cols[oi].get(idx).copied().unwrap_or(Tx::Unknown);
-                let target = match entry {
-                    Tx::Error => {
-                        reused += 1;
-                        None
-                    }
-                    Tx::To(t) => {
-                        reused += 1;
-                        Some(t)
-                    }
-                    Tx::Unknown => {
-                        recomputed += 1;
-                        let op = &model.ops()[oi];
-                        let mut scratch = self.arena.get(old).clone();
-                        let outcome = match model.expand_delta(op, &mut scratch) {
-                            None => Tx::Error,
-                            Some(_undo) => {
-                                let fp = model.state_fingerprint(&scratch);
-                                match self.arena.probe(fp, &scratch) {
-                                    Some(id) => {
-                                        self.arena.add_probe_stats(1, 0);
-                                        obs.add(Counter::ArenaHits, 1);
-                                        Tx::To(id)
-                                    }
-                                    None if !model.validate_candidate(&scratch) => Tx::Error,
-                                    None => {
-                                        obs.add(Counter::ArenaMisses, 1);
-                                        Tx::To(self.arena.intern(fp, scratch).0)
-                                    }
-                                }
-                            }
-                        };
-                        let col = &mut cols[oi];
-                        if col.len() <= idx {
-                            col.resize(idx + 1, Tx::Unknown);
-                        }
-                        col[idx] = outcome;
-                        match outcome {
-                            Tx::Error => None,
-                            Tx::To(t) => Some(t),
-                            Tx::Unknown => unreachable!("outcome is always resolved"),
-                        }
-                    }
-                };
-                let mapped = match target {
-                    None => None,
-                    Some(t) => {
-                        let ti = t.index();
-                        if ti >= dense.len() {
-                            dense.resize(ti + 1, None);
-                        }
-                        match dense[ti] {
-                            Some(d) => Some(StateId::from_index(d as usize)),
-                            None => {
-                                // A genuinely new reachable state; the fresh
-                                // enumerator raises the cap error at exactly
-                                // this discovery point.
-                                if order.len() >= cap {
-                                    stats.transitions_reused += reused;
-                                    stats.transitions_recomputed += recomputed;
-                                    obs.add(Counter::TransitionsReused, reused);
-                                    obs.add(Counter::TransitionsRecomputed, recomputed);
-                                    for (label, col) in labels.iter().zip(cols) {
-                                        self.columns.insert(label.clone(), col);
-                                    }
-                                    return Err(ClosureTooLarge {
-                                        model: model.name().to_owned(),
-                                        cap,
-                                    });
-                                }
-                                let d = order.len() as u32;
-                                dense[ti] = Some(d);
-                                order.push(t);
-                                Some(StateId::from_index(d as usize))
-                            }
-                        }
-                    }
-                };
-                row.push(mapped);
-            }
-            transitions.push(row);
-            cursor += 1;
-        }
-        for (label, col) in labels.iter().zip(cols) {
+        // Delta re-expansion: the columns move out of the label map as
+        // the walk's memo, indexed by op position so the loop hashes no
+        // label per transition, and go back on every exit path.
+        let mut memo = TransitionMemo {
+            columns: labels
+                .iter()
+                .map(|l| self.columns.remove(l).unwrap_or_default())
+                .collect(),
+            ..TransitionMemo::default()
+        };
+        let before = self.arena.stats();
+        let found = model.discover(&mut self.arena, Some(&mut memo), cap, |_| true);
+        for (label, col) in labels.iter().zip(memo.columns) {
             self.columns.insert(label.clone(), col);
         }
-        stats.transitions_reused += reused;
-        stats.transitions_recomputed += recomputed;
-        obs.add(Counter::TransitionsReused, reused);
-        obs.add(Counter::TransitionsRecomputed, recomputed);
+        let after = self.arena.stats();
+        obs.add(Counter::ArenaHits, after.hits - before.hits);
+        obs.add(Counter::ArenaMisses, after.misses - before.misses);
+        stats.transitions_reused += memo.reused;
+        stats.transitions_recomputed += memo.recomputed;
+        obs.add(Counter::TransitionsReused, memo.reused);
+        obs.add(Counter::TransitionsRecomputed, memo.recomputed);
+        let Discovery { order, transitions } = found?.expect("an always-true hook never stops");
         obs.add(Counter::StatesEnumerated, order.len() as u64);
 
         let mut sorted: Vec<u64> = order.iter().map(|s| s.index() as u64).collect();
@@ -984,6 +880,55 @@ mod tests {
         assert_eq!(err, Err(CheckError::Closure(fresh)));
         // A larger cap on the same session still succeeds.
         assert!(session.check(&m, &n, EquivKind::Isomorphic, 512).is_ok());
+    }
+
+    /// Asserts that a side's materialized closure is the one
+    /// `FiniteModel::closure` enumerates for the same model: the same
+    /// states in the same dense order, the same transition table.
+    fn assert_fresh(cache: &ClosureCache<FactBase>, model: &FiniteModel<FactBase, String>) {
+        let fresh = model.closure(512).unwrap();
+        let mat = cache.materialized.as_ref().expect("refreshed");
+        assert_eq!(cache.dense_states(), fresh.arena.states(), "{model:?}");
+        assert_eq!(mat.transitions, fresh.transitions, "{model:?}");
+    }
+
+    #[test]
+    fn materialized_closures_equal_fresh_enumeration() {
+        let base = [(true, 0), (false, 0), (true, 1), (true, 2), (false, 2)];
+        let swapped = [(true, 0), (false, 0), (false, 1), (true, 2), (false, 2)];
+        let dropped = [(true, 0), (true, 1), (true, 2), (false, 2)];
+        let n = toy("n", &base);
+        // The same walk twice: `errored` first asks the swapped model
+        // (four states, one unknown column) with a cap it exceeds,
+        // `clean` does not.
+        let mut errored = IncrementalChecker::new();
+        let mut clean = IncrementalChecker::new();
+        for (step, ops) in [&base[..], &swapped[..], &dropped[..], &base[..]]
+            .into_iter()
+            .enumerate()
+        {
+            let m = toy("m", ops);
+            if step == 1 {
+                let err = errored.check(&m, &n, EquivKind::Isomorphic, 3);
+                assert_eq!(err, Err(CheckError::Closure(m.closure(3).unwrap_err())));
+            }
+            // A new kind per step, so no step is a verdict-cache hit.
+            let kind = EquivKind::Composed {
+                max_depth: step + 1,
+            };
+            for session in [&mut errored, &mut clean] {
+                let _ = session.check(&m, &n, kind, 512);
+                assert_fresh(&session.left, &m);
+                assert_fresh(&session.right, &n);
+            }
+        }
+        // The columns written before the cap error survive it: the
+        // retry recomputes only what the erroring walk left unknown.
+        assert_eq!(
+            errored.stats().transitions_recomputed,
+            clean.stats().transitions_recomputed
+        );
+        assert!(errored.stats().transitions_reused > clean.stats().transitions_reused);
     }
 
     #[test]

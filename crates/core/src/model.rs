@@ -8,9 +8,14 @@
 //!
 //! [`FiniteModel`] packages exactly that: an initial state, a finite list
 //! of operations (operation types already applied to concrete arguments —
-//! the paper's `operations`), and the application function. The engine
-//! behind [`Checker`](crate::check::Checker) enumerates the closure with
-//! [`FiniteModel::closure_with`].
+//! the paper's `operations`), and the application function.
+//!
+//! The closure is discovered by one breadth-first loop, `discover`. The
+//! engine behind [`Checker`](crate::check::Checker) runs it through
+//! [`FiniteModel::closure_with`] on a fresh arena; the
+//! [`IncrementalChecker`](crate::incremental::IncrementalChecker) runs
+//! it on its persistent arena with its memoized transitions passed in,
+//! so known transitions are reused rather than re-applied.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -89,6 +94,60 @@ impl fmt::Display for ClosureTooLarge {
 }
 
 impl std::error::Error for ClosureTooLarge {}
+
+/// One memoized transition outcome: applying one operation to one arena
+/// state. `Unknown` marks a `(state, operation)` pair not yet explored.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Tx {
+    /// Not yet computed.
+    Unknown,
+    /// The operation errors (precondition or constraint failure).
+    Error,
+    /// The operation transitions to this arena state.
+    To(StateId),
+}
+
+/// Prior transition knowledge for [`FiniteModel::discover`]: one column
+/// per operation *position*, indexed by arena id (shorter columns read
+/// as [`Tx::Unknown`]), plus how many lookups it answered and how many
+/// it had to leave to the model.
+#[derive(Default)]
+pub(crate) struct TransitionMemo {
+    pub(crate) columns: Vec<Vec<Tx>>,
+    pub(crate) reused: u64,
+    pub(crate) recomputed: u64,
+}
+
+impl TransitionMemo {
+    fn lookup(&mut self, op: usize, state: StateId) -> Tx {
+        let tx = self.columns[op]
+            .get(state.index())
+            .copied()
+            .unwrap_or(Tx::Unknown);
+        if tx == Tx::Unknown {
+            self.recomputed += 1;
+        } else {
+            self.reused += 1;
+        }
+        tx
+    }
+
+    fn record(&mut self, op: usize, state: StateId, target: Option<StateId>) {
+        let column = &mut self.columns[op];
+        if column.len() <= state.index() {
+            column.resize(state.index() + 1, Tx::Unknown);
+        }
+        column[state.index()] = target.map_or(Tx::Error, Tx::To);
+    }
+}
+
+/// What [`FiniteModel::discover`] found: the reachable states as arena
+/// ids in discovery order (`order[d]` is dense state `d`) and the
+/// transition table over dense ids (`None` = error).
+pub(crate) struct Discovery {
+    pub(crate) order: Vec<StateId>,
+    pub(crate) transitions: Vec<Vec<Option<StateId>>>,
+}
 
 impl<S, O> FiniteModel<S, O>
 where
@@ -199,64 +258,39 @@ where
         (self.validate)(state)
     }
 
-    /// Enumerates the closure into a [`StateArena`] with the memoized
-    /// transition table, driving expansion through the candidate hook: each
-    /// frontier state is cloned once into a scratch buffer, every
-    /// operation is applied as an undoable delta, and the arena is
-    /// probed by fingerprint so successors are only materialized when
-    /// genuinely new.
+    /// Enumerates the closure into a fresh [`StateArena`] with the
+    /// transition table, through the one discovery loop (`discover`)
+    /// without a memo: every frontier state is cloned once into a
+    /// scratch buffer, every operation is applied as an undoable delta,
+    /// and the arena is probed by fingerprint so successors are only
+    /// materialized when genuinely new.
     ///
     /// `on_expand` runs once per state before its expansion (with the
     /// number of operations about to be applied); returning `false`
-    /// stops the enumeration early and yields `Ok(None)`. The engine's
-    /// one-thread closure phase passes its budget charge here. IDs are
-    /// assigned in breadth-first discovery order, with ID 0 the initial
-    /// state — the order the engine's multi-thread levels reproduce.
+    /// stops the enumeration early and yields `Ok(None)`. The engine
+    /// passes its budget charge here. IDs are assigned in breadth-first
+    /// discovery order, with ID 0 the initial state.
     pub fn closure_with(
         &self,
         cap: usize,
-        mut on_expand: impl FnMut(usize) -> bool,
+        on_expand: impl FnMut(usize) -> bool,
     ) -> Result<Option<Closure<S>>, ClosureTooLarge> {
         let mut arena: StateArena<S> = StateArena::new();
         arena.intern(self.state_fingerprint(&self.initial), self.initial.clone());
-        let mut transitions: Vec<Vec<Option<StateId>>> = Vec::new();
-        let mut cursor = 0usize;
-        while cursor < arena.len() {
-            if !on_expand(self.ops.len()) {
-                return Ok(None);
-            }
-            let mut scratch = arena.get(StateId::from_index(cursor)).clone();
-            let mut row: Vec<Option<StateId>> = Vec::with_capacity(self.ops.len());
-            for op in &self.ops {
-                match self.expand_delta(op, &mut scratch) {
-                    None => row.push(None),
-                    Some(undo) => {
-                        let fp = self.state_fingerprint(&scratch);
-                        let id = match arena.probe(fp, &scratch) {
-                            Some(id) => {
-                                arena.add_probe_stats(1, 0);
-                                Some(id)
-                            }
-                            None if !self.validate_candidate(&scratch) => None,
-                            None => {
-                                if arena.len() >= cap {
-                                    return Err(ClosureTooLarge {
-                                        model: self.name.clone(),
-                                        cap,
-                                    });
-                                }
-                                Some(arena.intern(fp, scratch.clone()).0)
-                            }
-                        };
-                        row.push(id);
-                        undo(&mut scratch);
-                    }
-                }
-            }
-            transitions.push(row);
-            cursor += 1;
-        }
-        Ok(Some(Closure { arena, transitions }))
+        let Some(found) = self.discover(&mut arena, None, cap, on_expand)? else {
+            return Ok(None);
+        };
+        // A fresh arena holds only discovered states, so dense ids are
+        // arena ids and the dense table is the arena's table.
+        debug_assert!(found
+            .order
+            .iter()
+            .enumerate()
+            .all(|(d, id)| id.index() == d));
+        Ok(Some(Closure {
+            arena,
+            transitions: found.transitions,
+        }))
     }
 
     /// [`FiniteModel::closure_with`] without a budget hook.
@@ -271,6 +305,105 @@ where
     /// reachable.
     pub fn reachable_states(&self, cap: usize) -> Result<BTreeSet<S>, ClosureTooLarge> {
         Ok(self.closure(cap)?.arena.states().iter().cloned().collect())
+    }
+
+    /// The one closure discovery loop: a breadth-first walk from arena
+    /// id 0 (which must hold the initial state) over a caller-owned
+    /// arena, in operation order. Reachable states are numbered densely
+    /// in discovery order; the arena may hold more states than this
+    /// model reaches (a session's arena outlives operation lists), so
+    /// the result maps dense ids back to arena ids.
+    ///
+    /// Each expanded state is cloned at most once into a scratch buffer,
+    /// operations are applied through [`FiniteModel::expand_delta`] and
+    /// undone, and [`FiniteModel::validate_candidate`] runs only on
+    /// probe misses. With a `memo`, a known transition is reused without
+    /// touching the state and an unknown one is computed and written
+    /// back. `on_expand` is [`FiniteModel::closure_with`]'s budget hook.
+    /// A new reachable state beyond `cap` raises [`ClosureTooLarge`] at
+    /// the same discovery point for every arena and memo.
+    pub(crate) fn discover(
+        &self,
+        arena: &mut StateArena<S>,
+        mut memo: Option<&mut TransitionMemo>,
+        cap: usize,
+        mut on_expand: impl FnMut(usize) -> bool,
+    ) -> Result<Option<Discovery>, ClosureTooLarge> {
+        let mut order: Vec<StateId> = vec![StateId::from_index(0)];
+        // Arena index → dense id, grown lazily; a flat vector because
+        // every transition is remapped through it.
+        let mut dense: Vec<Option<u32>> = vec![Some(0)];
+        let mut transitions: Vec<Vec<Option<StateId>>> = Vec::new();
+        let mut cursor = 0usize;
+        while cursor < order.len() {
+            if !on_expand(self.ops.len()) {
+                return Ok(None);
+            }
+            let at = order[cursor];
+            let mut scratch: Option<S> = None;
+            let mut row: Vec<Option<StateId>> = Vec::with_capacity(self.ops.len());
+            for (oi, op) in self.ops.iter().enumerate() {
+                let known = memo
+                    .as_deref_mut()
+                    .map_or(Tx::Unknown, |m| m.lookup(oi, at));
+                let target = match known {
+                    Tx::Error => None,
+                    Tx::To(t) => Some(t),
+                    Tx::Unknown => {
+                        let scratch = scratch.get_or_insert_with(|| arena.get(at).clone());
+                        let target = self.step(op, scratch, arena);
+                        if let Some(memo) = memo.as_deref_mut() {
+                            memo.record(oi, at, target);
+                        }
+                        target
+                    }
+                };
+                let Some(t) = target else {
+                    row.push(None);
+                    continue;
+                };
+                if t.index() >= dense.len() {
+                    dense.resize(t.index() + 1, None);
+                }
+                let d = match dense[t.index()] {
+                    Some(d) => d as usize,
+                    None => {
+                        if order.len() >= cap {
+                            return Err(ClosureTooLarge {
+                                model: self.name.clone(),
+                                cap,
+                            });
+                        }
+                        dense[t.index()] = Some(order.len() as u32);
+                        order.push(t);
+                        order.len() - 1
+                    }
+                };
+                row.push(Some(StateId::from_index(d)));
+            }
+            transitions.push(row);
+            cursor += 1;
+        }
+        Ok(Some(Discovery { order, transitions }))
+    }
+
+    /// Applies `op` to `scratch` as an undoable candidate and resolves
+    /// the successor in `arena`: a probe hit, a newly interned (and
+    /// validated) state, or `None` for the error state. `scratch` is
+    /// restored before returning.
+    fn step(&self, op: &O, scratch: &mut S, arena: &mut StateArena<S>) -> Option<StateId> {
+        let undo = self.expand_delta(op, scratch)?;
+        let fp = self.state_fingerprint(scratch);
+        let target = match arena.probe(fp, scratch) {
+            Some(id) => {
+                arena.add_probe_stats(1, 0);
+                Some(id)
+            }
+            None if !self.validate_candidate(scratch) => None,
+            None => Some(arena.intern(fp, scratch.clone()).0),
+        };
+        undo(scratch);
+        target
     }
 }
 

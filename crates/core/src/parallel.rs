@@ -2,25 +2,27 @@
 //!
 //! This is the one decision procedure behind
 //! [`Checker`](crate::check::Checker), for every tier from Definition 1
-//! to Definition 6, and the verdict stage of [`crate::incremental`] and
-//! [`crate::symbolic`] decide mode, which discover closures their own
-//! way and hand them in; [`crate::slow_reference`] is its independent
-//! test oracle. The thread count is a setting: one thread (the facade's
-//! default) is deterministic and sequential, and more threads fan the
-//! three expensive phases of a check across workers with the same
-//! results:
+//! to Definition 6, and the verdict stage of [`crate::incremental`]
+//! (which runs the same discovery loop with its transition memo) and of
+//! [`crate::symbolic`] decide mode (which discovers closures by SAT);
+//! both hand their closures in. [`crate::slow_reference`] is its
+//! independent test oracle. A check has three phases:
 //!
-//! 1. **closure exploration** — breadth-first over the valid states; on
-//!    one thread through [`FiniteModel::closure_with`], on several a
-//!    level-synchronous BFS with each frontier chunked across workers by
-//!    an atomic cursor;
+//! 1. **closure exploration** — breadth-first over the valid states,
+//!    always on the calling thread through
+//!    [`FiniteModel::closure_with`], the crate's one discovery loop;
 //! 2. **canonical pairing** — every state's fact base is compiled
 //!    through a shared [`FactInterner`], so each state is compiled once
 //!    per engine run (and once per *grid* in a data-model check, where
 //!    the same states recur across model pairs);
 //! 3. **the operation-pairing frontier** — behaviour signatures,
 //!    composition closures, per-state reachability and the final
-//!    unmatched-operation scan all run chunked across workers.
+//!    unmatched-operation scan.
+//!
+//! The thread count is a setting: one thread (the facade's default) is
+//! deterministic and sequential, and more threads chunk phases 2 and 3
+//! across workers, and the models of a Definition 6 grid, with the same
+//! results.
 //!
 //! Determinism: workers claim indices from a monotonic atomic cursor and
 //! tag every result with its index; results are merged and re-sorted, so
@@ -395,126 +397,25 @@ where
     out
 }
 
-/// One operation's outcome at a frontier state, as seen by a worker:
-/// either an error transition, a state already in the shared arena, or a
-/// genuinely (so far) new successor carried back for interning.
-enum Probe<S> {
-    Error,
-    Known(StateId),
-    New(u64, S),
-}
-
-/// Closure enumeration over the state arena, charged to the budget.
+/// Closure enumeration over the state arena, charged to the budget:
+/// [`FiniteModel::closure_with`] with the engine's budget as its hook.
 /// `Ok(None)` means the budget stopped the exploration.
-///
-/// One thread runs [`FiniteModel::closure_with`]. More threads run a
-/// level-synchronous BFS: workers expand a frontier level through the
-/// candidate hook — each claimed state is cloned once into a scratch
-/// buffer, every operation is applied as an undoable delta, and the
-/// *shared* arena is probed by fingerprint, so successors are only
-/// materialized (cloned out of the scratch) when the probe misses. Discoveries are merged on the calling
-/// thread in `(state, op)` order, so state IDs land in breadth-first
-/// discovery order no matter how many workers ran — the same IDs
-/// [`FiniteModel::closure_with`] assigns.
 fn explore_closure<S, O>(
     model: &FiniteModel<S, O>,
     cap: usize,
-    threads: usize,
     ctx: &EngineCtx,
 ) -> Result<Option<Closure<S>>, ClosureTooLarge>
 where
-    S: Clone + Ord + ToFacts + Send + Sync,
-    O: Clone + Send + Sync,
+    S: Clone + Ord + ToFacts,
+    O: Clone,
 {
     let _span = ctx.obs.span_with("par/closure", || model.name().to_owned());
     let _timer = ctx.obs.time(dme_obs::Metric::ClosureLatency);
-    if threads <= 1 {
-        let closure = model.closure_with(cap, |ops| ctx.charge(ops as u64))?;
-        if let Some(closure) = &closure {
-            export_arena_counters(&closure.arena, &ctx.obs);
-        }
-        return Ok(closure);
+    let closure = model.closure_with(cap, |ops| ctx.charge(ops as u64))?;
+    if let Some(closure) = &closure {
+        export_arena_counters(&closure.arena, &ctx.obs);
     }
-    let mut arena = StateArena::new();
-    arena.intern(
-        model.state_fingerprint(model.initial()),
-        model.initial().clone(),
-    );
-    let mut transitions: Vec<Vec<Option<StateId>>> = Vec::new();
-    let mut frontier: Vec<StateId> = vec![StateId::from_index(0)];
-    let op_count = model.ops().len() as u64;
-    let probe_hits = AtomicU64::new(0);
-    while !frontier.is_empty() {
-        let level_threads = effective_threads(threads, frontier.len() * model.ops().len());
-        let expanded = {
-            let _expand = ctx.obs.span("closure/expand");
-            let arena_ref = &arena;
-            drive(level_threads, frontier.len(), |i| {
-                if !ctx.charge(op_count) {
-                    return (None, false);
-                }
-                let mut scratch = arena_ref.get(frontier[i]).clone();
-                let row: Vec<Probe<S>> = model
-                    .ops()
-                    .iter()
-                    .map(|op| match model.expand_delta(op, &mut scratch) {
-                        None => Probe::Error,
-                        Some(undo) => {
-                            let fp = model.state_fingerprint(&scratch);
-                            let probe = match arena_ref.probe(fp, &scratch) {
-                                Some(id) => {
-                                    probe_hits.fetch_add(1, Ordering::Relaxed);
-                                    Probe::Known(id)
-                                }
-                                // Deferred validation runs on the worker,
-                                // so only valid candidates reach the
-                                // merge; invalid ones are the error state.
-                                None if !model.validate_candidate(&scratch) => Probe::Error,
-                                None => Probe::New(fp, scratch.clone()),
-                            };
-                            undo(&mut scratch);
-                            probe
-                        }
-                    })
-                    .collect();
-                (Some(row), true)
-            })
-        };
-        if expanded.len() != frontier.len() {
-            return Ok(None);
-        }
-        // Sequential merge in (state, op) order: IDs are deterministic,
-        // and same-level duplicates collapse through the arena's
-        // first-insert-wins interning.
-        let mut next: Vec<StateId> = Vec::new();
-        for (_, row) in expanded {
-            let mut out: Vec<Option<StateId>> = Vec::with_capacity(row.len());
-            for probe in row {
-                match probe {
-                    Probe::Error => out.push(None),
-                    Probe::Known(id) => out.push(Some(id)),
-                    Probe::New(fp, state) => {
-                        if arena.probe(fp, &state).is_none() && arena.len() >= cap {
-                            return Err(ClosureTooLarge {
-                                model: model.name().to_owned(),
-                                cap,
-                            });
-                        }
-                        let (id, new) = arena.intern(fp, state);
-                        if new {
-                            next.push(id);
-                        }
-                        out.push(Some(id));
-                    }
-                }
-            }
-            transitions.push(out);
-        }
-        frontier = next;
-    }
-    arena.add_probe_stats(probe_hits.load(Ordering::Relaxed), 0);
-    export_arena_counters(&arena, &ctx.obs);
-    Ok(Some(Closure { arena, transitions }))
+    Ok(closure)
 }
 
 fn export_arena_counters<S>(arena: &StateArena<S>, obs: &Observer) {
@@ -1106,10 +1007,10 @@ where
     let _span = obs.span_with("par/check", || format!("{} vs {}", m.name(), n.name()));
     let ctx = EngineCtx::new(&config.budget, obs.clone());
     let threads = resolve_threads(config.threads);
-    let Some(m_closure) = explore_closure(m, state_cap, threads, &ctx)? else {
+    let Some(m_closure) = explore_closure(m, state_cap, &ctx)? else {
         return Ok(ctx.exhausted_verdict());
     };
-    let Some(n_closure) = explore_closure(n, state_cap, threads, &ctx)? else {
+    let Some(n_closure) = explore_closure(n, state_cap, &ctx)? else {
         return Ok(ctx.exhausted_verdict());
     };
     match check_pair(
@@ -1166,7 +1067,7 @@ where
         O: Clone + Send + Sync,
     {
         let rows = drive(threads, models.len(), |i| {
-            match explore_closure(&models[i], cap, 1, ctx) {
+            match explore_closure(&models[i], cap, ctx) {
                 Ok(Some(states)) => (Some(Ok(states)), true),
                 Ok(None) => (None, false),
                 Err(e) => (Some(Err(e)), false),

@@ -153,7 +153,7 @@ mod tests {
         let obs = Observer::new(ring.clone());
         let t = TraceId::derive(9);
         obs.trace_event_linked("server/wal_append", t, 4, 2, || "lsn 7".into());
-        obs.trace_event("server/admit", t, || String::new());
+        obs.trace_event("server/admit", t, String::new);
         let events = ring.events();
         let json = events[0].to_json();
         assert!(json.contains("\"span\":4"), "{json}");

@@ -141,7 +141,7 @@ mod tests {
     #[test]
     fn string_round_trip() {
         let s = Symbol::new("machine");
-        let back = Symbol::new(s.as_str().to_owned());
+        let back = Symbol::new(s.as_str());
         assert_eq!(back, s);
     }
 

@@ -331,6 +331,7 @@ fn mutations_invalidate_exactly_the_affected_frontier() {
         STATE_CAP,
     )
     .unwrap();
+    let primed = s.stats();
     let after = s.check(
         &base.model("left"),
         &swapped.model("right"),
@@ -346,9 +347,24 @@ fn mutations_invalidate_exactly_the_affected_frontier() {
         )
     );
     let stats = s.stats();
-    assert!(
-        stats.transitions_reused > 0,
-        "op mutation should reuse unchanged columns: {stats:?}"
+    // Exactly one column is new: the swapped operation's, computed once
+    // per reachable right state. The unchanged left closure and every
+    // other right column are reused entry for entry.
+    let left = base.model("left");
+    let right = swapped.model("right");
+    let left_len = left.closure(STATE_CAP).unwrap().len();
+    let right_len = right.closure(STATE_CAP).unwrap().len();
+    let ops = right.ops().len();
+    assert_eq!(left.ops().len(), ops);
+    assert_eq!(
+        stats.transitions_recomputed - primed.transitions_recomputed,
+        right_len as u64,
+        "op mutation recomputes exactly the swapped column: {stats:?}"
+    );
+    assert_eq!(
+        stats.transitions_reused - primed.transitions_reused,
+        (left_len * ops + right_len * (ops - 1)) as u64,
+        "op mutation reuses every unchanged entry: {stats:?}"
     );
     assert_eq!(stats.invalidations, 0, "op mutation keeps the universe");
 

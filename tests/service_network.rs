@@ -263,7 +263,7 @@ fn drive_and_check(
 
     // Oracle 2: every view through the sequential view machinery.
     for vs in views(cfg) {
-        let mut view = ExternalView::materialize(&vs.name, vs.schema, &initial, vs.mode)
+        let mut view = ExternalView::materialize(&vs.name, vs.schema, initial, vs.mode)
             .map_err(|e| format!("oracle materialize {}: {e}", vs.name))?;
         let mut cursor = initial.clone();
         for txn in &history {
