@@ -781,9 +781,11 @@ fn storage_engine() -> String {
 /// Live metric streaming overhead: the same committed workload through
 /// the networked front door with and without a `WatchMetrics`
 /// subscriber on a 100ms interval. The workload is WAL-sync-bound
-/// (per-op commits against a journal with a fixed sync latency), so
-/// each sample runs long enough for the pusher to fire several times;
-/// the gate asserts the subscribed run's median stays within 5% of the
+/// (per-op commits against a journal with a fixed sync latency). Each
+/// sample is timed from service boot until its sessions have closed;
+/// a subscribed sample then waits, untimed, for its first pushed delta
+/// before teardown, so every subscribed sample streams at least one.
+/// The gate asserts the subscribed run's median stays within 5% of the
 /// baseline. Returns the `streaming_overhead` JSON object.
 fn streaming_overhead() -> String {
     use dme_server::NetServer;
@@ -829,54 +831,57 @@ fn streaming_overhead() -> String {
     let sample = |watch: bool| {
         let obs = if watch { &watching_obs } else { &baseline_obs };
         let t = Instant::now();
-        // A block, so the service and client drop inside the timing.
-        {
-            let service = SessionService::new(
-                initial.clone(),
-                Vec::new(),
-                ServiceConfig {
-                    commit_mode: CommitMode::PerOp,
-                    obs: obs.clone(),
-                    ..ServiceConfig::default()
-                },
-                Box::new(
-                    MemDevice::new().with_sync_delay(Duration::from_micros(SYNC_DELAY_US)),
-                ),
-                Box::new(MemDevice::new()),
-            )
-            .expect("service boots");
-            let server = NetServer::serve(service.clone());
-            let client = server.connect().expect("connect");
-            let subscription = if watch {
-                Some(client.watch_metrics(INTERVAL_MS).expect("subscription opens"))
-            } else {
-                None
-            };
-            std::thread::scope(|scope| {
-                for k in 0..SESSIONS_N {
-                    let client = &client;
-                    scope.spawn(move || {
-                        let sess = client
-                            .open_session(SessionKind::Graph)
-                            .expect("session admits");
-                        for i in 0..OPS_EACH {
-                            sess.submit_graph(vec![toggle(k, i % 2 == 0)])
-                                .expect("disjoint toggles commit");
-                        }
-                        sess.close().expect("graceful teardown");
-                    });
-                }
-            });
-            assert_eq!(
-                service.committed_history().len(),
-                SESSIONS_N * OPS_EACH,
-                "every submission commits"
-            );
-            drop(subscription);
-            drop(client);
-            server.shutdown();
+        let service = SessionService::new(
+            initial.clone(),
+            Vec::new(),
+            ServiceConfig {
+                commit_mode: CommitMode::PerOp,
+                obs: obs.clone(),
+                ..ServiceConfig::default()
+            },
+            Box::new(MemDevice::new().with_sync_delay(Duration::from_micros(SYNC_DELAY_US))),
+            Box::new(MemDevice::new()),
+        )
+        .expect("service boots");
+        let server = NetServer::serve(service.clone());
+        let client = server.connect().expect("connect");
+        let subscription =
+            watch.then(|| client.watch_metrics(INTERVAL_MS).expect("subscription opens"));
+        std::thread::scope(|scope| {
+            for k in 0..SESSIONS_N {
+                let client = &client;
+                scope.spawn(move || {
+                    let sess = client
+                        .open_session(SessionKind::Graph)
+                        .expect("session admits");
+                    for i in 0..OPS_EACH {
+                        sess.submit_graph(vec![toggle(k, i % 2 == 0)])
+                            .expect("disjoint toggles commit");
+                    }
+                    sess.close().expect("graceful teardown");
+                });
+            }
+        });
+        // The clock stops once the sessions have closed, at the same
+        // point in both modes; what follows is untimed.
+        let elapsed_us = t.elapsed().as_micros() as u64;
+        assert_eq!(
+            service.committed_history().len(),
+            SESSIONS_N * OPS_EACH,
+            "every submission commits"
+        );
+        // A sample lasts about one push interval, so it may end before
+        // the first push; the pusher sends on every interval, so this
+        // waits at most about one interval for it.
+        if let Some(subscription) = &subscription {
+            subscription
+                .recv_blocking()
+                .expect("the subscription streams a delta");
         }
-        t.elapsed().as_micros() as u64
+        drop(subscription);
+        drop(client);
+        server.shutdown();
+        elapsed_us
     };
     // The modes are sampled interleaved, alternating which runs first
     // each round (as the mini configs are sampled round-robin): on a

@@ -16,16 +16,19 @@
 //! [`IncrementalChecker`](crate::incremental::IncrementalChecker) runs
 //! it on its persistent arena with its memoized transitions passed in,
 //! so known transitions are reused rather than re-applied.
+//!
+//! Each `discover` call also keeps the candidates it rejected, so the
+//! validator runs once per distinct new state, valid or not.
 
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dme_logic::{content_fingerprint, DeltaState, ToFacts};
 
 use dme_graph::{GraphOp, GraphState};
-use dme_relation::{RelOp, RelationState};
+use dme_relation::{CompiledOp, RelOp, RelationState};
 
 use crate::arena::{Closure, StateArena, StateId};
 
@@ -35,7 +38,7 @@ pub type UndoFn<S> = Box<dyn FnOnce(&mut S) + Send>;
 
 type ApplyFn<S, O> = Arc<dyn Fn(&O, &S) -> Option<S> + Send + Sync>;
 type FingerprintFn<S> = Arc<dyn Fn(&S) -> u64 + Send + Sync>;
-type DeltaFn<S, O> = Arc<dyn Fn(&O, &mut S) -> Option<UndoFn<S>> + Send + Sync>;
+type DeltaFn<S, O> = Arc<dyn Fn(usize, &O, &mut S) -> Option<UndoFn<S>> + Send + Sync>;
 type ValidateFn<S> = Arc<dyn Fn(&S) -> bool + Send + Sync>;
 
 /// A finite application model: initial state, operations, application
@@ -61,8 +64,9 @@ pub struct FiniteModel<S, O> {
     /// Deferred-validation split: `apply = candidate` followed by
     /// `validate` accepting the result. The closure enumerator only
     /// runs the validator on candidates that probe-miss the arena — an
-    /// interned state already passed it. Defaults to clone-apply with
-    /// a validator that accepts everything.
+    /// interned state already passed it — and at most once per distinct
+    /// rejected candidate. Defaults to clone-apply with a validator that
+    /// accepts everything.
     candidate: DeltaFn<S, O>,
     validate: ValidateFn<S>,
 }
@@ -172,7 +176,7 @@ where
             ops,
             apply,
             fingerprint: Arc::new(|s: &S| content_fingerprint(s)),
-            candidate: Arc::new(move |op: &O, s: &mut S| {
+            candidate: Arc::new(move |_, op: &O, s: &mut S| {
                 let next = clone_apply(op, s)?;
                 let prev = std::mem::replace(s, next);
                 Some(Box::new(move |s: &mut S| *s = prev) as UndoFn<S>)
@@ -197,12 +201,18 @@ where
     /// case the candidate state is the applied state. On error the
     /// candidate leaves the state untouched; on success its undo token
     /// restores the exact prior state. Because validation is a pure
-    /// function of the resulting state, the closure enumerator skips it
-    /// whenever the candidate hash-conses to an already-interned (hence
-    /// already-validated) state.
+    /// function of the resulting state, the closure enumerator runs it
+    /// once per distinct candidate: not on a candidate that hash-conses
+    /// to an already-interned (hence already-validated) state, nor on
+    /// one it already rejected.
+    ///
+    /// `candidate` receives the operation's position in
+    /// [`FiniteModel::ops`] along with the operation, so a model can keep
+    /// per-operation data (such as a compiled form) in a slot indexed by
+    /// position; a model that needs none ignores it.
     pub fn with_candidate(
         mut self,
-        candidate: impl Fn(&O, &mut S) -> Option<UndoFn<S>> + Send + Sync + 'static,
+        candidate: impl Fn(usize, &O, &mut S) -> Option<UndoFn<S>> + Send + Sync + 'static,
         validate: impl Fn(&S) -> bool + Send + Sync + 'static,
     ) -> Self {
         self.candidate = Arc::new(candidate);
@@ -242,13 +252,17 @@ where
     }
 
     /// The expansion delta used by the closure enumerators (kernel
-    /// hook): applies one operation in place as a candidate, returning
-    /// an undo token on success; on error (`None`) the state is
-    /// untouched. A success must be followed by
-    /// [`FiniteModel::validate_candidate`] before the resulting state
-    /// may be interned as new.
-    pub fn expand_delta(&self, op: &O, state: &mut S) -> Option<UndoFn<S>> {
-        (self.candidate)(op, state)
+    /// hook): applies the operation at position `op` of
+    /// [`FiniteModel::ops`] in place as a candidate, returning an undo
+    /// token on success; on error (`None`) the state is untouched. A
+    /// success must be followed by [`FiniteModel::validate_candidate`]
+    /// before the resulting state may be interned as new.
+    ///
+    /// # Panics
+    ///
+    /// When `op` is not a position in [`FiniteModel::ops`].
+    pub fn expand_delta(&self, op: usize, state: &mut S) -> Option<UndoFn<S>> {
+        (self.candidate)(op, &self.ops[op], state)
     }
 
     /// Validates a candidate produced by [`FiniteModel::expand_delta`].
@@ -317,7 +331,11 @@ where
     /// Each expanded state is cloned at most once into a scratch buffer,
     /// operations are applied through [`FiniteModel::expand_delta`] and
     /// undone, and [`FiniteModel::validate_candidate`] runs only on
-    /// probe misses. With a `memo`, a known transition is reused without
+    /// probe misses, once per distinct candidate: the candidates it
+    /// rejected are kept in a second table for the rest of the call and
+    /// probed (fingerprint, then `Eq`) before validating. Those probes
+    /// count as neither arena hits nor misses. With a `memo`, a known
+    /// transition is reused without
     /// touching the state and an unknown one is computed and written
     /// back. `on_expand` is [`FiniteModel::closure_with`]'s budget hook.
     /// A new reachable state beyond `cap` raises [`ClosureTooLarge`] at
@@ -334,6 +352,7 @@ where
         // every transition is remapped through it.
         let mut dense: Vec<Option<u32>> = vec![Some(0)];
         let mut transitions: Vec<Vec<Option<StateId>>> = Vec::new();
+        let mut rejected: StateArena<S> = StateArena::new();
         let mut cursor = 0usize;
         while cursor < order.len() {
             if !on_expand(self.ops.len()) {
@@ -342,7 +361,7 @@ where
             let at = order[cursor];
             let mut scratch: Option<S> = None;
             let mut row: Vec<Option<StateId>> = Vec::with_capacity(self.ops.len());
-            for (oi, op) in self.ops.iter().enumerate() {
+            for oi in 0..self.ops.len() {
                 let known = memo
                     .as_deref_mut()
                     .map_or(Tx::Unknown, |m| m.lookup(oi, at));
@@ -351,7 +370,7 @@ where
                     Tx::To(t) => Some(t),
                     Tx::Unknown => {
                         let scratch = scratch.get_or_insert_with(|| arena.get(at).clone());
-                        let target = self.step(op, scratch, arena);
+                        let target = self.step(oi, scratch, arena, &mut rejected);
                         if let Some(memo) = memo.as_deref_mut() {
                             memo.record(oi, at, target);
                         }
@@ -387,20 +406,31 @@ where
         Ok(Some(Discovery { order, transitions }))
     }
 
-    /// Applies `op` to `scratch` as an undoable candidate and resolves
-    /// the successor in `arena`: a probe hit, a newly interned (and
-    /// validated) state, or `None` for the error state. `scratch` is
-    /// restored before returning.
-    fn step(&self, op: &O, scratch: &mut S, arena: &mut StateArena<S>) -> Option<StateId> {
+    /// Applies operation `op` to `scratch` as an undoable candidate and
+    /// resolves the successor in `arena`: a probe hit, a newly interned
+    /// (and validated) state, or `None` for the error state. A candidate
+    /// that fails validation is kept in `rejected`, so an equal one later
+    /// is refused without validating again. `scratch` is restored before
+    /// returning.
+    fn step(
+        &self,
+        op: usize,
+        scratch: &mut S,
+        arena: &mut StateArena<S>,
+        rejected: &mut StateArena<S>,
+    ) -> Option<StateId> {
         let undo = self.expand_delta(op, scratch)?;
         let fp = self.state_fingerprint(scratch);
-        let target = match arena.probe(fp, scratch) {
-            Some(id) => {
-                arena.add_probe_stats(1, 0);
-                Some(id)
-            }
-            None if !self.validate_candidate(scratch) => None,
-            None => Some(arena.intern(fp, scratch.clone()).0),
+        let target = if let Some(id) = arena.probe(fp, scratch) {
+            arena.add_probe_stats(1, 0);
+            Some(id)
+        } else if rejected.probe(fp, scratch).is_some() {
+            None
+        } else if self.validate_candidate(scratch) {
+            Some(arena.intern(fp, scratch.clone()).0)
+        } else {
+            rejected.intern(fp, scratch.clone());
+            None
         };
         undo(scratch);
         target
@@ -408,19 +438,32 @@ where
 }
 
 /// Wraps a semantic-relation application model for the checkers.
+///
+/// The closure enumerator applies each operation through its
+/// [`CompiledOp`], compiled on the operation's first application and
+/// kept for the model's lifetime (one slot per operation position,
+/// shared by clones of the model), so building the model compiles
+/// nothing and a closure compiles each operation at most once.
 pub fn relational_model(
     name: impl Into<String>,
     initial: RelationState,
     ops: Vec<RelOp>,
 ) -> FiniteModel<RelationState, RelOp> {
+    let compiled: Arc<[OnceLock<Option<CompiledOp>>]> =
+        ops.iter().map(|_| OnceLock::new()).collect();
     FiniteModel::new(name, initial, ops, |op, state| op.apply(state).ok())
         .with_fingerprint(RelationState::fingerprint)
         // `RelOp::apply` is `apply_candidate` + `check_all`, and the
         // constraint check is by far the expensive half — deferring it
         // to probe-missing candidates is this model's main closure win.
         .with_candidate(
-            |op, state| {
-                let next = op.apply_candidate(state).ok()?;
+            move |oi, op, state| {
+                // A malformed statement fails the operation on every
+                // state, so the slot caches that as `None`.
+                let compiled = compiled[oi]
+                    .get_or_init(|| op.compile(state.schema()).ok())
+                    .as_ref()?;
+                let next = compiled.apply_candidate(state);
                 let prev = std::mem::replace(state, next);
                 Some(Box::new(move |s: &mut RelationState| *s = prev) as UndoFn<_>)
             },
@@ -440,7 +483,7 @@ pub fn graph_model(
         // most closure transitions probe-hit an interned state, so the
         // whole-state validation runs only on probe misses.
         .with_candidate(
-            |op, state| {
+            |_, op, state| {
                 let undo = op.apply_unvalidated(state).ok()?;
                 Some(Box::new(move |s: &mut GraphState| s.undo(undo)) as UndoFn<_>)
             },
@@ -571,6 +614,166 @@ mod tests {
             .unwrap();
         assert!(stopped.is_none());
         assert_eq!(calls, 3);
+    }
+
+    /// Toggles of 1, 2 and 3 where at most one element may be held: 4
+    /// valid states, and 3 distinct invalid candidates ({1,2}, {1,3},
+    /// {2,3}) each reached twice. The validator counts its calls.
+    #[test]
+    fn rejected_candidates_are_validated_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let toggle = |op: &i64, s: &mut Ints| {
+            if !s.0.remove(op) {
+                s.0.insert(*op);
+            }
+        };
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let split = FiniteModel::new(
+            "one-hot",
+            Ints(BTreeSet::new()),
+            vec![1, 2, 3],
+            move |op, s| {
+                let mut next = s.clone();
+                toggle(op, &mut next);
+                (next.0.len() <= 1).then_some(next)
+            },
+        )
+        .with_candidate(
+            move |_, op, s| {
+                toggle(op, s);
+                let op = *op;
+                Some(Box::new(move |s: &mut Ints| toggle(&op, s)) as UndoFn<Ints>)
+            },
+            move |s| {
+                counted.fetch_add(1, Ordering::Relaxed);
+                s.0.len() <= 1
+            },
+        );
+        let closure = split.closure(100).unwrap();
+        assert_eq!(closure.len(), 4);
+        // 3 new valid states + 3 distinct invalid candidates; without the
+        // rejected table each invalid candidate would be validated twice
+        // (3 + 6 = 9 calls).
+        assert_eq!(calls.load(Ordering::Relaxed), 6);
+        // The rejected table moves no arena counter: the clone-apply
+        // model, which validates inside `apply`, counts the same hits and
+        // misses and finds the same table.
+        let plain = FiniteModel::new("one-hot", Ints(BTreeSet::new()), vec![1, 2, 3], {
+            let split = split.clone();
+            move |op, s: &Ints| split.apply(op, s)
+        });
+        let reference = plain.closure(100).unwrap();
+        assert_eq!(closure.arena.states(), reference.arena.states());
+        assert_eq!(closure.transitions, reference.transitions);
+        let (stats, expect) = (closure.arena.stats(), reference.arena.stats());
+        assert_eq!((stats.hits, stats.misses), (expect.hits, expect.misses));
+        assert_eq!((stats.hits, stats.misses), (3, 4));
+        // The table lives for one discovery: a second closure validates
+        // the same candidates again.
+        split.closure(100).unwrap();
+        assert_eq!(calls.load(Ordering::Relaxed), 12);
+    }
+
+    /// For every reachable state and every operation position, the
+    /// candidate followed by validation equals `apply`, and the undo
+    /// token restores the state.
+    fn assert_candidate_agrees<S, O>(model: &FiniteModel<S, O>)
+    where
+        S: Clone + Ord + Hash + ToFacts + Send + fmt::Debug + 'static,
+        O: Clone + fmt::Display + 'static,
+    {
+        let closure = model.closure(4_000).unwrap();
+        for (_, state) in closure.arena.iter() {
+            for (oi, op) in model.ops().iter().enumerate() {
+                let pure = model.apply(op, state);
+                let mut scratch = state.clone();
+                let via_candidate = model.expand_delta(oi, &mut scratch).and_then(|undo| {
+                    let out = model.validate_candidate(&scratch).then(|| scratch.clone());
+                    undo(&mut scratch);
+                    out
+                });
+                assert_eq!(pure, via_candidate, "{}: op {oi} ({op})", model.name());
+                assert_eq!(&scratch, state, "{}: undo of op {oi}", model.name());
+            }
+        }
+    }
+
+    fn rel_model(
+        name: &str,
+        schema: dme_relation::RelationalSchema,
+    ) -> FiniteModel<RelationState, RelOp> {
+        let ops = crate::enumerate::enumerate_rel_ops(&schema, 2);
+        relational_model(name, RelationState::empty(Arc::new(schema)), ops)
+    }
+
+    #[test]
+    fn relational_candidate_agrees_with_apply() {
+        use crate::witness;
+        assert_candidate_agrees(&rel_model("mini-rel", witness::mini_relational_schema()));
+        assert_candidate_agrees(&rel_model("micro-rel", witness::micro_relational_schema()));
+        assert_candidate_agrees(&rel_model(
+            "micro-rel-ss",
+            witness::micro_relational_schema_supervisors_supervised(),
+        ));
+    }
+
+    #[test]
+    fn graph_candidate_agrees_with_apply() {
+        use crate::witness;
+        let schemas =
+            std::iter::once(witness::mini_graph_schema()).chain(witness::all_micro_graph_schemas());
+        for (i, schema) in schemas.enumerate() {
+            let schema = Arc::new(schema);
+            let ops = crate::enumerate::enumerate_graph_ops(&schema);
+            assert_candidate_agrees(&graph_model(
+                format!("graph-{i}"),
+                GraphState::empty(schema),
+                ops,
+            ));
+        }
+    }
+
+    /// The mini shop's relational closure validates 520 candidates: its
+    /// 56 new states and its 464 distinct rejected candidates. Without
+    /// the rejected table it validated every one of its 4 935 rejected
+    /// candidates, 4 991 calls in all.
+    #[test]
+    fn mini_shop_validates_each_rejected_state_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let mut model = rel_model("mini-rel", crate::witness::mini_relational_schema());
+        let calls = Arc::new(AtomicUsize::new(0));
+        let check = Arc::clone(&model.validate);
+        model.validate = {
+            let calls = Arc::clone(&calls);
+            Arc::new(move |s: &RelationState| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                check(s)
+            })
+        };
+        let closure = model.closure(4_000).unwrap();
+        assert_eq!(closure.len(), 57);
+        assert_eq!(calls.load(Ordering::Relaxed), 520);
+
+        let mut rejected = 0;
+        let mut distinct = BTreeSet::new();
+        for (_, state) in closure.arena.iter() {
+            for oi in 0..model.ops().len() {
+                let mut scratch = state.clone();
+                if let Some(undo) = model.expand_delta(oi, &mut scratch) {
+                    if closure
+                        .arena
+                        .probe(model.state_fingerprint(&scratch), &scratch)
+                        .is_none()
+                    {
+                        rejected += 1;
+                        distinct.insert(scratch.clone());
+                    }
+                    undo(&mut scratch);
+                }
+            }
+        }
+        assert_eq!((rejected, distinct.len()), (4_935, 464));
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod schema;
 pub mod state;
 
 pub use constraints::{ColsRef, Constraint, ConstraintViolation};
-pub use ops::{OpError, RelOp};
+pub use ops::{CompiledOp, OpError, RelOp};
 pub use schema::{
     CharacteristicCol, Pair, Participant, RelationSchema, RelationalSchema, SchemaError,
 };

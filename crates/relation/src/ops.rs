@@ -46,11 +46,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use dme_logic::FactBase;
 use dme_value::{Symbol, Tuple, Value};
 
 use crate::constraints::{check_all, ConstraintViolation};
 use crate::facts::tuple_facts;
-use crate::schema::{RelationSchema, MAX_NULLABLE_COLUMNS};
+use crate::schema::{RelationSchema, RelationalSchema, MAX_NULLABLE_COLUMNS};
 use crate::state::{RelationState, StateError, Statement};
 
 /// Errors turning an operation application into the paper's error state.
@@ -233,67 +234,61 @@ impl RelOp {
     /// the candidate state, so a candidate that hash-conses to an
     /// already-interned (hence already-validated) state needs no second
     /// check — only genuinely new states pay for `check_all`.
+    ///
+    /// This is [`RelOp::compile`] followed by
+    /// [`CompiledOp::apply_candidate`], except that a statement `state`
+    /// already stores is taken with its stored facts rather than checked
+    /// and compiled again. A caller applying one operation to many
+    /// states compiles it once and applies the [`CompiledOp`] instead.
     pub fn apply_candidate(&self, state: &RelationState) -> Result<RelationState, OpError> {
-        let mut next = state.clone();
-        match self {
-            RelOp::Insert(set) => {
-                for (relation, t) in set.iter() {
-                    next.insert_raw(relation.as_str(), t.clone())?;
-                }
-                next.normalize();
-            }
-            RelOp::Delete(set) => {
-                // Validate deleted statements and collect denied facts.
-                let schema = std::sync::Arc::clone(state.schema());
-                let mut denied = dme_logic::FactBase::new();
-                for (relation, t) in set.iter() {
-                    let rel = schema
-                        .relation(relation.as_str())
-                        .ok_or_else(|| StateError::UnknownRelation(relation.clone()))?;
-                    // A stored statement was checked and compiled when it
-                    // was stored.
-                    match next.relation(relation.as_str()).and_then(|s| s.get(t)) {
-                        Some(stored) => denied.extend(stored.facts().iter().cloned()),
-                        None => denied.extend(
-                            RelationState::checked_tuple_facts(&schema, rel, t)?
-                                .iter()
-                                .cloned(),
-                        ),
-                    }
-                }
-                // A statement can only be affected if one of its facts is
-                // denied, and every statement fact is in the state's fact
-                // index — so when no denied fact is held at all, the
-                // per-tuple scans below would all come up empty.
-                if !denied.iter().any(|f| next.holds_fact(f)) {
-                    next.normalize();
-                    return Ok(next);
-                }
-                // Weaken every statement asserting a denied fact, reading
-                // the facts each statement stored when it was inserted.
-                for rel in schema.relations() {
-                    let name = rel.name().as_str();
-                    let affected: Vec<Tuple> = next
-                        .statements(name)
-                        .filter(|u| u.facts().iter().any(|f| denied.holds(f)))
-                        .map(|u| u.tuple().clone())
-                        .collect();
-                    for u in affected {
-                        next.delete_raw(name, &u).expect("relation exists");
-                        let stored = next.relation(name).expect("relation exists");
-                        for r in remainders(rel, &u, &denied, stored) {
-                            // Remainders assert facts by construction, so
-                            // the shape check is all of well-formedness.
-                            RelationState::check_shape(&schema, rel, r.tuple())
-                                .expect("remainders are well-formed by construction");
-                            next.store(name, r);
-                        }
-                    }
-                }
-                next.normalize();
-            }
+        Ok(self
+            .compile_with(state.schema(), Some(state))?
+            .apply_candidate(state))
+    }
+
+    /// Compiles the operation against a schema: every statement is
+    /// checked for well-formedness and compiled to its facts, once. The
+    /// result depends only on the operation and the schema, so it
+    /// serves every state of that schema. A malformed statement is the
+    /// error every application of the operation returns.
+    pub fn compile(&self, schema: &RelationalSchema) -> Result<CompiledOp, OpError> {
+        self.compile_with(schema, None)
+    }
+
+    /// [`RelOp::compile`], reusing the statements `stored` already holds.
+    fn compile_with(
+        &self,
+        schema: &RelationalSchema,
+        stored: Option<&RelationState>,
+    ) -> Result<CompiledOp, OpError> {
+        let mut statements = Vec::with_capacity(self.statements().len());
+        for (relation, t) in self.statements().iter() {
+            let rel = schema
+                .relation(relation.as_str())
+                .ok_or_else(|| StateError::UnknownRelation(relation.clone()))?;
+            // A stored statement was checked and compiled when it was
+            // stored.
+            let known = stored
+                .and_then(|s| s.relation(relation.as_str()))
+                .and_then(|set| set.get(t));
+            let statement = match known {
+                Some(s) => s.clone(),
+                None => Statement::new(
+                    t.clone(),
+                    &RelationState::checked_tuple_facts(schema, rel, t)?,
+                ),
+            };
+            statements.push((relation.clone(), statement));
         }
-        Ok(next)
+        Ok(CompiledOp(match self {
+            RelOp::Insert(_) => Compiled::Insert(statements),
+            RelOp::Delete(_) => Compiled::Delete(
+                statements
+                    .iter()
+                    .flat_map(|(_, s)| s.facts().iter().cloned())
+                    .collect(),
+            ),
+        }))
     }
 
     /// Applies a sequence of operations (a *composed* operation, the
@@ -307,6 +302,76 @@ impl RelOp {
             cur = op.apply(&cur)?;
         }
         Ok(cur)
+    }
+}
+
+/// A [`RelOp`] compiled against its schema by [`RelOp::compile`]: an
+/// insert holds its statements, each checked and compiled to its facts;
+/// a delete holds the facts its statements assert, which it denies.
+/// Applying it does only the work that depends on the state.
+#[derive(Clone, Debug)]
+pub struct CompiledOp(Compiled);
+
+#[derive(Clone, Debug)]
+enum Compiled {
+    /// The statements to store, in statement-set order.
+    Insert(Vec<(Symbol, Statement)>),
+    /// The denied facts.
+    Delete(FactBase),
+}
+
+impl CompiledOp {
+    /// The one application path of both operation types, without the
+    /// final constraint check: store the inserted statements or weaken
+    /// every statement asserting a denied fact, then normalize. The
+    /// result is what [`RelOp::apply_candidate`] returns for the
+    /// operation this was compiled from; it cannot fail, because every
+    /// malformed statement was rejected at compile time.
+    pub fn apply_candidate(&self, state: &RelationState) -> RelationState {
+        let mut next = state.clone();
+        match &self.0 {
+            Compiled::Insert(statements) => {
+                for (relation, statement) in statements {
+                    next.store(relation.as_str(), statement.clone());
+                }
+            }
+            Compiled::Delete(denied) => deny(&mut next, denied),
+        }
+        next.normalize();
+        next
+    }
+}
+
+/// Weakens every statement of `state` that asserts a denied fact to its
+/// [`remainders`], reading the facts each statement stored when it was
+/// inserted. Leaves the state unnormalized.
+fn deny(state: &mut RelationState, denied: &FactBase) {
+    // A statement can only be affected if one of its facts is denied,
+    // and every statement fact is in the state's fact index — so when no
+    // denied fact is held at all, the per-tuple scans below would all
+    // come up empty.
+    if !denied.iter().any(|f| state.holds_fact(f)) {
+        return;
+    }
+    let schema = std::sync::Arc::clone(state.schema());
+    for rel in schema.relations() {
+        let name = rel.name().as_str();
+        let affected: Vec<Tuple> = state
+            .statements(name)
+            .filter(|u| u.facts().iter().any(|f| denied.holds(f)))
+            .map(|u| u.tuple().clone())
+            .collect();
+        for u in affected {
+            state.delete_raw(name, &u).expect("relation exists");
+            let stored = state.relation(name).expect("relation exists");
+            for r in remainders(rel, &u, denied, stored) {
+                // Remainders assert facts by construction, so the shape
+                // check is all of well-formedness.
+                RelationState::check_shape(&schema, rel, r.tuple())
+                    .expect("remainders are well-formed by construction");
+                state.store(name, r);
+            }
+        }
     }
 }
 
@@ -364,7 +429,7 @@ impl dme_logic::DeltaState for RelationState {
 pub fn remainders(
     rel: &RelationSchema,
     u: &Tuple,
-    denied: &dme_logic::FactBase,
+    denied: &FactBase,
     stored: &BTreeSet<Statement>,
 ) -> Vec<Statement> {
     // Columns we may null: currently non-null and schema-nullable.

@@ -16,9 +16,17 @@
 //! Valid states — those reachable through the operations — are
 //! additionally **normalized**: no statement is dominated by another
 //! (subsumption, §3.3.1) and no two statements are mergeable into one
-//! that asserts exactly their combined facts. Normalization is what makes
-//! the state → fact-base compilation injective, giving the paper its
-//! required 1-1 state-equivalence correspondence.
+//! that asserts exactly their combined facts. Within one relation,
+//! normalization makes the tuples → fact-base compilation injective.
+//! Across relations it does not: `{Employees(T.Manhart, 32),
+//! Operate(T.Manhart, NZ745, lathe)}` and the same state plus
+//! `Jobs(----, T.Manhart, NZ745)` are both normalized and assert equal
+//! facts (the Jobs row repeats the operate fact), yet only the second
+//! satisfies the Operate/Jobs agreement constraint. The paper's 1-1
+//! state-equivalence correspondence is therefore a property of the
+//! closure states, checked at run time: `dme-core`'s `pair_states`
+//! rejects two valid states sharing one fact base. No fast path may key
+//! relational states by their facts alone.
 
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -219,6 +227,12 @@ impl fmt::Debug for Statement {
 /// the state does not already store: deleting a statement, replaying a
 /// normalization and scanning for denied facts all read the stored
 /// facts.
+///
+/// A state also records whether it is normalized. [`RelationState::normalize`]
+/// sets the flag and every change to the statements clears it, so a
+/// transition that leaves a normalized state unchanged (an insert of
+/// stored statements, a delete of facts the state does not assert)
+/// skips normalization entirely.
 #[derive(Clone)]
 pub struct RelationState {
     schema: Arc<RelationalSchema>,
@@ -233,6 +247,11 @@ pub struct RelationState {
     /// checking read it instead of recompiling every tuple on each
     /// operation. Derived data, like `fp`: ignored by `Eq`/`Ord`/`Hash`.
     facts: BTreeMap<Fact, u32>,
+    /// Set by [`RelationState::normalize`] and cleared by every change
+    /// to the statements, so a set flag means the state is normalized
+    /// and `normalize` has nothing to do. Derived data, like `fp`:
+    /// ignored by `Eq`/`Ord`/`Hash`/`Debug`.
+    normal: bool,
 }
 
 /// Element hash of one statement: the (relation, tuple) pair.
@@ -318,6 +337,7 @@ impl RelationState {
             relations,
             fp: 0,
             facts: BTreeMap::new(),
+            normal: true,
         }
     }
 
@@ -469,6 +489,7 @@ impl RelationState {
             self.fp ^= statement_fp(relation, statement.tuple());
             index_facts(&mut self.facts, statement.facts());
             set.insert(statement);
+            self.normal = false;
         }
     }
 
@@ -483,6 +504,7 @@ impl RelationState {
         };
         self.fp ^= statement_fp(relation, tuple);
         unindex_facts(&mut self.facts, removed.facts());
+        self.normal = false;
         Ok(true)
     }
 
@@ -543,16 +565,23 @@ impl RelationState {
     ///    *maximal* true statements).
     ///
     /// Iterates to a fixpoint. Normalization never changes the asserted
-    /// fact set, and it makes the state → fact-base compilation injective
-    /// on canonical states — the paper's requirement that "some specific
-    /// application state is represented by a unique state" (§3.3.1).
-    /// Both properties are enforced by property tests.
+    /// fact set, and within one relation it makes the tuples → fact-base
+    /// compilation injective — the paper's requirement that "some
+    /// specific application state is represented by a unique state"
+    /// (§3.3.1). Both properties are enforced by property tests. Across
+    /// relations two normalized states can assert equal facts (see the
+    /// module docs), so the correspondence holds on closure states only.
     ///
-    /// Each relation is normalized in place, so a relation already at
-    /// its fixpoint costs one round of the three checks and nothing
-    /// else. Only the tuples a pass creates (a join, a saturation
-    /// extension) are compiled; their facts are stored with them.
+    /// Returns at once on a state already normalized: the flag this sets
+    /// survives until the statements change. Otherwise each relation is
+    /// normalized in place, so a relation already at its fixpoint costs
+    /// one round of the three checks and nothing else. Only the tuples a
+    /// pass creates (a join, a saturation extension) are compiled; their
+    /// facts are stored with them.
     pub fn normalize(&mut self) {
+        if self.normal {
+            return;
+        }
         let schema = Arc::clone(&self.schema);
         for rel in schema.relations() {
             let statements = self
@@ -574,6 +603,9 @@ impl RelationState {
                 unindex_facts(&mut self.facts, s.facts());
             }
         }
+        // The fact set is unchanged, so normalizing a later relation
+        // leaves an earlier one at its fixpoint: one pass suffices.
+        self.normal = true;
     }
 }
 
@@ -912,6 +944,107 @@ mod tests {
         }
         for state in &frontier {
             assert_counts(state);
+        }
+    }
+
+    /// Two normalized states over several relations can assert equal
+    /// facts: the fact base does not determine the state, and only one of
+    /// the two passes the agreement constraint. No fast path may key
+    /// relational states by facts alone.
+    #[test]
+    fn normalized_states_are_not_determined_by_their_facts() {
+        let schema = Arc::new(fixtures::machine_shop_schema());
+        let mut without_jobs = RelationState::empty(Arc::clone(&schema));
+        without_jobs
+            .insert_raw("Employees", tuple!["T.Manhart", 32])
+            .unwrap();
+        without_jobs
+            .insert_raw("Operate", tuple!["T.Manhart", "NZ745", "lathe"])
+            .unwrap();
+        let mut with_jobs = without_jobs.clone();
+        with_jobs
+            .insert_raw("Jobs", tuple![Value::Null, "T.Manhart", "NZ745"])
+            .unwrap();
+        for s in [&mut without_jobs, &mut with_jobs] {
+            s.normalize();
+            assert!(s.is_normalized());
+        }
+        assert_eq!(without_jobs.to_facts(), with_jobs.to_facts());
+        assert_ne!(without_jobs, with_jobs);
+        assert!(crate::constraints::check_all(&schema, &without_jobs).is_err());
+        assert!(crate::constraints::check_all(&schema, &with_jobs).is_ok());
+    }
+
+    /// The `normal` flag is set only by `normalize` and cleared by every
+    /// change to the statements, so a state carrying it is normalized.
+    /// Walks raw edits and two levels of machine-shop operations from
+    /// the Figure 3 state.
+    #[test]
+    fn normal_flag_implies_normalized() {
+        use crate::ops::RelOp;
+
+        fn assert_flag_sound(state: &RelationState) {
+            assert!(!state.normal || state.is_normalized(), "{state:?}");
+        }
+
+        let mut s = RelationState::empty(Arc::new(fixtures::machine_shop_schema()));
+        assert!(s.normal, "the empty state is normalized");
+        assert_flag_sound(&s);
+        // Every raw change clears the flag, including one that leaves a
+        // normalized state; a no-op keeps it.
+        let edits: [(&str, Tuple, bool); 6] = [
+            ("Employees", tuple!["T.Manhart", 32], true),
+            ("Jobs", tuple![Value::Null, "T.Manhart", Value::Null], true),
+            ("Operate", tuple!["T.Manhart", "NZ745", "lathe"], true),
+            ("Jobs", tuple![Value::Null, "T.Manhart", "NZ745"], true),
+            ("Jobs", tuple![Value::Null, "T.Manhart", "NZ745"], false),
+            ("Operate", tuple!["T.Manhart", "NZ745", "lathe"], false),
+        ];
+        for (relation, t, insert) in edits {
+            s.normalize();
+            assert_flag_sound(&s);
+            let changed = if insert {
+                let before = s.len();
+                // Vacuous tuples are rejected and change nothing.
+                let _ = s.insert_raw(relation, t.clone());
+                s.len() != before
+            } else {
+                s.delete_raw(relation, &t).unwrap()
+            };
+            assert_eq!(s.normal, !changed, "{relation}{t}: flag after an edit");
+            assert_flag_sound(&s);
+            // Repeating the edit changes nothing and keeps the flag.
+            s.normalize();
+            if insert {
+                let _ = s.insert_raw(relation, t.clone());
+            } else {
+                assert!(!s.delete_raw(relation, &t).unwrap());
+            }
+            assert!(s.normal, "{relation}{t}: a no-op keeps the flag");
+        }
+
+        let ops = [
+            RelOp::insert("Jobs", [tuple!["G.Wayshum", "T.Manhart", "NZ745"]]),
+            RelOp::insert("Jobs", [tuple![Value::Null, "T.Manhart", "NZ745"]]),
+            RelOp::delete("Jobs", [tuple!["G.Wayshum", Value::Null, Value::Null]]),
+            RelOp::delete("Jobs", [tuple!["G.Wayshum", "T.Manhart", Value::Null]]),
+            RelOp::delete("Operate", [tuple!["T.Manhart", "NZ745", "lathe"]]),
+            RelOp::insert("Operate", [tuple!["G.Wayshum", "NZ745", "lathe"]]),
+        ];
+        let mut frontier = vec![fixtures::figure3_state()];
+        for _ in 0..2 {
+            let mut next_frontier = Vec::new();
+            for state in &frontier {
+                assert_flag_sound(state);
+                for op in &ops {
+                    if let Ok(next) = op.apply_candidate(state) {
+                        assert!(next.normal, "a transition ends normalized");
+                        assert_flag_sound(&next);
+                        next_frontier.push(next);
+                    }
+                }
+            }
+            frontier = next_frontier;
         }
     }
 

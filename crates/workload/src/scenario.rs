@@ -352,7 +352,7 @@ impl Scenario {
         )
         .with_fingerprint(FactBase::fingerprint)
         .with_candidate(
-            |op: &ScenarioOp, state: &mut FactBase| {
+            |_, op: &ScenarioOp, state: &mut FactBase| {
                 let applied = op.apply_steps(state)?;
                 Some(Box::new(move |s: &mut FactBase| {
                     for (add, fact) in applied.iter().rev() {
@@ -607,10 +607,10 @@ mod tests {
         let model = s.model("m");
         let states = model.reachable_states(10_000).unwrap();
         for state in &states {
-            for op in model.ops().to_vec() {
-                let pure = model.apply(&op, state);
+            for (oi, op) in model.ops().iter().enumerate() {
+                let pure = model.apply(op, state);
                 let mut scratch = state.clone();
-                let via_candidate = match model.expand_delta(&op, &mut scratch) {
+                let via_candidate = match model.expand_delta(oi, &mut scratch) {
                     None => None,
                     Some(undo) => {
                         let out = model.validate_candidate(&scratch).then(|| scratch.clone());
