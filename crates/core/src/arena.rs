@@ -6,7 +6,7 @@
 //! clones whole states for every successor. [`StateArena`] hash-conses
 //! states instead: every distinct state is stored exactly once and named
 //! by a dense [`StateId`] (`u32`), probes go through a 64-bit content
-//! fingerprint (see [`dme_logic::DeltaState::fingerprint`]), and the
+//! fingerprint (see [`crate::FiniteModel::with_fingerprint`]), and the
 //! closure machinery downstream — pairing, signatures, reachability —
 //! operates on integer IDs and ID-indexed tables rather than on state
 //! clones.

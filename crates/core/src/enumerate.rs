@@ -280,33 +280,6 @@ pub fn enumerate_graph_ops(schema: &Arc<GraphSchema>) -> Vec<GraphOp> {
     out
 }
 
-/// [`enumerate_rel_ops`], with the enumeration timed under an
-/// `enumerate/rel_ops` span and charged to
-/// [`Counter::OpsEnumerated`](dme_obs::Counter::OpsEnumerated).
-pub fn enumerate_rel_ops_observed(
-    schema: &RelationalSchema,
-    max_statements: usize,
-    obs: &dme_obs::Observer,
-) -> Vec<RelOp> {
-    let _span = obs.span("enumerate/rel_ops");
-    let ops = enumerate_rel_ops(schema, max_statements);
-    obs.add(dme_obs::Counter::OpsEnumerated, ops.len() as u64);
-    ops
-}
-
-/// [`enumerate_graph_ops`], with the enumeration timed under an
-/// `enumerate/graph_ops` span and charged to
-/// [`Counter::OpsEnumerated`](dme_obs::Counter::OpsEnumerated).
-pub fn enumerate_graph_ops_observed(
-    schema: &Arc<GraphSchema>,
-    obs: &dme_obs::Observer,
-) -> Vec<GraphOp> {
-    let _span = obs.span("enumerate/graph_ops");
-    let ops = enumerate_graph_ops(schema);
-    obs.add(dme_obs::Counter::OpsEnumerated, ops.len() as u64);
-    ops
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

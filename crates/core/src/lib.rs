@@ -62,7 +62,6 @@ pub use symbolic::{
     SymbolicOutcome, SymbolicSpec, DEFAULT_BOUND,
 };
 pub use translate::{
-    compile_time_translation, graph_op_to_relational, graph_op_to_relational_observed,
-    materialize_relational_state, relational_op_to_graph, relational_op_to_graph_observed,
-    CompletionMode, TranslateError,
+    compile_time_translation, graph_op_to_relational, materialize_relational_state,
+    relational_op_to_graph, CompletionMode, TranslateError,
 };

@@ -25,7 +25,7 @@ use std::fmt;
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
-use dme_logic::{content_fingerprint, DeltaState, ToFacts};
+use dme_logic::{content_fingerprint, ToFacts};
 
 use dme_graph::{GraphOp, GraphState};
 use dme_relation::{CompiledOp, RelOp, RelationState};
@@ -185,8 +185,11 @@ where
         }
     }
 
-    /// Replaces the fingerprint hook (must be a pure function of the
-    /// state's content: equal states ⇒ equal fingerprints).
+    /// Replaces the fingerprint hook.
+    ///
+    /// The hook must be a pure function of the state's content: equal
+    /// states ⇒ equal fingerprints. Distinct states may collide, because
+    /// the arena confirms every fingerprint match with `Eq`.
     pub fn with_fingerprint(mut self, f: impl Fn(&S) -> u64 + Send + Sync + 'static) -> Self {
         self.fingerprint = Arc::new(f);
         self
@@ -485,7 +488,7 @@ pub fn graph_model(
         .with_candidate(
             |_, op, state| {
                 let undo = op.apply_unvalidated(state).ok()?;
-                Some(Box::new(move |s: &mut GraphState| s.undo(undo)) as UndoFn<_>)
+                Some(Box::new(move |s: &mut GraphState| undo.revert(s)) as UndoFn<_>)
             },
             |state| state.validate().is_ok(),
         )

@@ -741,37 +741,6 @@ pub fn relational_op_to_graph(
     Ok(ops)
 }
 
-/// [`graph_op_to_relational`], timed under a `translate/graph_to_rel`
-/// span with the emitted operations charged to
-/// [`Counter::OpsTranslated`](dme_obs::Counter::OpsTranslated).
-pub fn graph_op_to_relational_observed(
-    op: &GraphOp,
-    graph_before: &GraphState,
-    rel_before: &RelationState,
-    mode: CompletionMode,
-    obs: &dme_obs::Observer,
-) -> Result<Vec<RelOp>, TranslateError> {
-    let _span = obs.span("translate/graph_to_rel");
-    let ops = graph_op_to_relational(op, graph_before, rel_before, mode)?;
-    obs.add(dme_obs::Counter::OpsTranslated, ops.len() as u64);
-    Ok(ops)
-}
-
-/// [`relational_op_to_graph`], timed under a `translate/rel_to_graph`
-/// span with the emitted operations charged to
-/// [`Counter::OpsTranslated`](dme_obs::Counter::OpsTranslated).
-pub fn relational_op_to_graph_observed(
-    op: &RelOp,
-    rel_before: &RelationState,
-    graph_before: &GraphState,
-    obs: &dme_obs::Observer,
-) -> Result<Vec<GraphOp>, TranslateError> {
-    let _span = obs.span("translate/rel_to_graph");
-    let ops = relational_op_to_graph(op, rel_before, graph_before)?;
-    obs.add(dme_obs::Counter::OpsTranslated, ops.len() as u64);
-    Ok(ops)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,8 +13,6 @@
 
 use std::fmt;
 
-use dme_logic::DeltaState;
-
 use crate::state::{Association, Entity, EntityRef, GraphState, GraphStateError};
 use crate::unit::SemanticUnit;
 
@@ -58,7 +56,9 @@ pub enum GraphOp {
 }
 
 impl GraphOp {
-    /// Applies the operation, yielding the new state or the error state.
+    /// Applies the operation, yielding the new state or the error state:
+    /// [`GraphOp::apply_unvalidated`] on a clone of `state`, then
+    /// [`GraphState::validate`] on the result.
     ///
     /// The paper's Figure 4 → Figure 6 transition:
     ///
@@ -80,42 +80,7 @@ impl GraphOp {
     /// ```
     pub fn apply(&self, state: &GraphState) -> Result<GraphState, GraphOpError> {
         let mut next = state.clone();
-        match self {
-            GraphOp::InsertEntity(e) => {
-                next.insert_entity_raw(e.clone())?;
-            }
-            GraphOp::DeleteEntity(r) => {
-                next.remove_entity_raw(r)?;
-            }
-            GraphOp::InsertAssociation(a) => {
-                next.insert_association_raw(a.clone())?;
-            }
-            GraphOp::DeleteAssociation(a) => {
-                next.remove_association_raw(a)?;
-            }
-            GraphOp::InsertUnit(u) => {
-                for e in &u.entities {
-                    next.insert_entity_raw(e.clone())?;
-                }
-                for a in &u.associations {
-                    next.insert_association_raw(a.clone())?;
-                }
-            }
-            GraphOp::DeleteUnit(u) => {
-                for a in &u.associations {
-                    next.remove_association_raw(a)?;
-                }
-                for e in &u.entities {
-                    let r = e.to_ref(next.schema()).ok_or_else(|| {
-                        GraphStateError::BadCharacteristics(EntityRef::new(
-                            e.entity_type.clone(),
-                            dme_value::Atom::str("<missing id>"),
-                        ))
-                    })?;
-                    next.remove_entity_raw(&r)?;
-                }
-            }
-        }
+        self.apply_unvalidated(&mut next)?;
         next.validate()?;
         Ok(next)
     }
@@ -125,9 +90,11 @@ impl GraphOp {
     /// error the state is left untouched.
     ///
     /// [`GraphOp::apply`] is exactly this followed by
-    /// [`GraphState::validate`] on the result. The split lets the
-    /// closure enumerator validate only candidates that are not already
-    /// interned (an interned state was validated when it was interned).
+    /// [`GraphState::validate`] on the result; an in-place caller that
+    /// meets a failed validation hands the token to [`GraphUndo::revert`].
+    /// The split lets the closure enumerator validate only candidates
+    /// that are not already interned (an interned state was validated
+    /// when it was interned).
     pub fn apply_unvalidated(&self, state: &mut GraphState) -> Result<GraphUndo, GraphOpError> {
         apply_raw_logged(state, self).map(|log| GraphUndo { log })
     }
@@ -222,19 +189,6 @@ impl GraphOp {
         })
     }
 
-    /// Clone-based convenience over [`GraphOp::apply_all_delta`]:
-    /// applies the sequence to a copy, returning the post-state and the
-    /// raw change log. Observationally identical to `apply_all` on
-    /// success/error, one clone total instead of one per operation.
-    pub fn apply_all_incremental<'a>(
-        ops: impl IntoIterator<Item = &'a GraphOp>,
-        state: &GraphState,
-    ) -> Result<(GraphState, Vec<GraphChange>), GraphOpError> {
-        let mut cur = state.clone();
-        let txn = GraphOp::apply_all_delta(ops, &mut cur)?;
-        Ok((cur, txn.into_changes()))
-    }
-
     /// Reverts a transaction produced by [`GraphOp::apply_all_delta`],
     /// restoring the exact pre-sequence state. Only meaningful against
     /// the state the transaction was applied to, with no interleaving
@@ -302,6 +256,16 @@ enum GraphUndoEntry {
 #[derive(Debug)]
 pub struct GraphUndo {
     log: Vec<GraphUndoEntry>,
+}
+
+impl GraphUndo {
+    /// Reverts the [`GraphOp::apply_unvalidated`] call that produced this
+    /// token, restoring the exact prior state (fingerprint and role index
+    /// included). Tokens must be reverted in LIFO order, against the
+    /// state they were produced on.
+    pub fn revert(self, state: &mut GraphState) {
+        rollback(state, self.log);
+    }
 }
 
 fn rollback(state: &mut GraphState, log: Vec<GraphUndoEntry>) {
@@ -377,33 +341,6 @@ fn apply_raw_logged(
             rollback(state, log);
             Err(e)
         }
-    }
-}
-
-/// In-place, undoable graph operation application: the raw mutations of
-/// [`GraphOp::apply`] without the whole-state clone. The full
-/// post-state validation still runs; on the error state the partial
-/// mutation is rolled back, leaving `self` untouched — exactly
-/// `apply`'s semantics (property-tested in `tests/`).
-impl DeltaState for GraphState {
-    type Op = GraphOp;
-    type Undo = GraphUndo;
-
-    fn fingerprint(&self) -> u64 {
-        GraphState::fingerprint(self)
-    }
-
-    fn apply_delta(&mut self, op: &GraphOp) -> Option<GraphUndo> {
-        let undo = op.apply_unvalidated(self).ok()?;
-        if self.validate().is_err() {
-            self.undo(undo);
-            return None;
-        }
-        Some(undo)
-    }
-
-    fn undo(&mut self, token: GraphUndo) {
-        rollback(self, token.log);
     }
 }
 

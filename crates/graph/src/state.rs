@@ -384,9 +384,9 @@ impl GraphState {
         }
     }
 
-    /// The state's incrementally-maintained 64-bit content fingerprint
-    /// (see [`dme_logic::DeltaState::fingerprint`]). Equal states always
-    /// carry equal fingerprints; distinct states may collide.
+    /// The state's incrementally-maintained 64-bit content fingerprint,
+    /// which keeps the law `dme_core::FiniteModel::with_fingerprint`
+    /// states for the arena's fingerprint hook.
     pub fn fingerprint(&self) -> u64 {
         self.fp
     }

@@ -7,14 +7,20 @@
 //!   computed by `deletion_unit` really is "a group … which must be
 //!   deleted as a single unit");
 //! * operations are pure: a failed apply leaves the input untouched, a
-//!   successful apply never mutates it either.
+//!   successful apply never mutates it either;
+//! * in-place application, composed application and the facts each
+//!   operation asserts or retracts agree with clone-apply.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+use dme_graph::facts::{association_fact, entity_facts, state_facts};
 use dme_graph::unit::deletion_unit;
-use dme_graph::{fixtures, Association, Entity, EntityRef, GraphChange, GraphOp, GraphState};
-use dme_logic::ToFacts;
+use dme_graph::{
+    fixtures, Association, Entity, EntityRef, GraphChange, GraphOp, GraphSchema, GraphState,
+    GraphUndo, SemanticUnit,
+};
+use dme_logic::{FactBase, ToFacts};
 use dme_value::Atom;
 use proptest::prelude::*;
 
@@ -97,6 +103,74 @@ fn arb_state() -> impl Strategy<Value = Option<GraphState>> {
         .prop_map(|(e, m, s)| build_state(e, m, s))
 }
 
+/// Operation scripts over the machine shop: `(kind, insert, k)` steps
+/// that [`script_op`] turns into operations.
+fn arb_script() -> impl Strategy<Value = Vec<(usize, bool, usize)>> {
+    prop::collection::vec((0usize..5, any::<bool>(), 0usize..9), 1..8)
+}
+
+/// One script step as an operation against `cur`, the state it will
+/// meet (deletion units are computed from it). Covers every `GraphOp`
+/// variant.
+fn script_op((kind, insert, k): (usize, bool, usize), cur: &GraphState) -> GraphOp {
+    let employee = |i: usize| EntityRef::new("employee", Atom::str(NAMES[i]));
+    let (number, ty) = MACHINES[k % 2];
+    match kind {
+        0 => {
+            let assoc = Association::new(
+                "supervise",
+                [("agent", employee(k / 3)), ("object", employee(k % 3))],
+            );
+            if insert {
+                GraphOp::InsertAssociation(assoc)
+            } else {
+                GraphOp::DeleteAssociation(assoc)
+            }
+        }
+        1 => GraphOp::InsertEntity(Entity::new(
+            "employee",
+            [
+                ("name", Atom::str(NAMES[k % 3])),
+                ("age", Atom::Int(AGES[k % 3])),
+            ],
+        )),
+        2 => GraphOp::DeleteEntity(employee(k % 3)),
+        3 => GraphOp::DeleteUnit(deletion_unit(
+            cur,
+            [EntityRef::new("machine", Atom::str(number))],
+            [],
+        )),
+        _ => GraphOp::InsertUnit(
+            SemanticUnit::new()
+                .with_entity(Entity::new(
+                    "machine",
+                    [("number", Atom::str(number)), ("type", Atom::str(ty))],
+                ))
+                .with_association(Association::new(
+                    "operate",
+                    [
+                        ("agent", employee(k % 3)),
+                        ("object", EntityRef::new("machine", Atom::str(number))),
+                    ],
+                )),
+        ),
+    }
+}
+
+/// The facts of a semantic unit's associations and of its entities,
+/// each entity as `stored` returns it.
+fn unit_facts(
+    schema: &GraphSchema,
+    unit: &SemanticUnit,
+    stored: impl Fn(&Entity) -> Entity,
+) -> FactBase {
+    let mut out = FactBase::from_facts(unit.associations.iter().map(association_fact));
+    for e in &unit.entities {
+        out.extend(entity_facts(schema, &stored(e)).iter().cloned());
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -176,86 +250,60 @@ proptest! {
         prop_assert_eq!(state.validate().is_ok(), state.validate_scan().is_ok());
     }
 
-    /// Delta application is observationally identical to clone-apply
-    /// over whole generated operation scripts: same success/error
-    /// outcomes, same resulting states, same fingerprints — and undoing
-    /// the script in LIFO order walks back through the exact
-    /// intermediate states.
+    /// In-place application (`apply_unvalidated`, then `validate`, with
+    /// a failed validation reverted) is observationally identical to
+    /// clone-apply over whole generated operation scripts: same
+    /// success/error outcomes, same resulting states, same fingerprints
+    /// — and reverting the script in LIFO order walks back through the
+    /// exact intermediate states.
     #[test]
-    fn delta_apply_matches_clone_apply(
-        state in arb_state(),
-        script in prop::collection::vec((0usize..4, any::<bool>(), 0usize..9), 1..8),
-    ) {
-        use dme_logic::DeltaState;
+    fn delta_apply_matches_clone_apply(state in arb_state(), script in arb_script()) {
         let Some(state) = state else { return Ok(()) };
         let mut cur = state.clone();
-        let mut trail: Vec<(dme_graph::GraphUndo, GraphState)> = Vec::new();
-        for (kind, insert, k) in script {
-            let op = match kind {
-                0 => {
-                    let (a, b) = (k / 3, k % 3);
-                    let assoc = Association::new(
-                        "supervise",
-                        [
-                            ("agent", EntityRef::new("employee", Atom::str(NAMES[a]))),
-                            ("object", EntityRef::new("employee", Atom::str(NAMES[b]))),
-                        ],
-                    );
-                    if insert {
-                        GraphOp::InsertAssociation(assoc)
-                    } else {
-                        GraphOp::DeleteAssociation(assoc)
-                    }
-                }
-                1 => GraphOp::InsertEntity(Entity::new(
-                    "employee",
-                    [
-                        ("name", Atom::str(NAMES[k % 3])),
-                        ("age", Atom::Int(AGES[k % 3])),
-                    ],
-                )),
-                2 => GraphOp::DeleteEntity(EntityRef::new("employee", Atom::str(NAMES[k % 3]))),
-                _ => {
-                    let seed = EntityRef::new("machine", Atom::str(MACHINES[k % 2].0));
-                    GraphOp::DeleteUnit(deletion_unit(&cur, [seed], []))
-                }
-            };
+        let mut trail: Vec<(GraphUndo, GraphState)> = Vec::new();
+        for step in script {
+            let op = script_op(step, &cur);
             let cloned = op.apply(&cur);
             let before = cur.clone();
-            match cur.apply_delta(&op) {
+            let applied = match op.apply_unvalidated(&mut cur) {
+                Ok(undo) if cur.validate().is_ok() => Some(undo),
+                Ok(undo) => {
+                    undo.revert(&mut cur);
+                    None
+                }
+                Err(_) => None,
+            };
+            match applied {
                 Some(undo) => {
-                    let applied = cloned.expect("delta succeeded, clone-apply must too");
-                    prop_assert_eq!(&cur, &applied);
-                    prop_assert_eq!(cur.fingerprint(), applied.fingerprint());
+                    let cloned = cloned.expect("in-place apply succeeded, clone-apply must too");
+                    prop_assert_eq!(&cur, &cloned);
+                    prop_assert_eq!(cur.fingerprint(), cloned.fingerprint());
                     trail.push((undo, before));
                 }
                 None => {
-                    prop_assert!(cloned.is_err(), "clone-apply succeeded where delta failed");
-                    prop_assert_eq!(&cur, &before, "failed delta must leave the state untouched");
+                    prop_assert!(cloned.is_err(), "clone-apply succeeded where in-place failed");
+                    prop_assert_eq!(&cur, &before, "a failed apply must leave the state untouched");
                     prop_assert_eq!(cur.fingerprint(), before.fingerprint());
                 }
             }
         }
         for (undo, before) in trail.into_iter().rev() {
-            cur.undo(undo);
-            prop_assert_eq!(&cur, &before, "undo must restore the exact prior state");
+            undo.revert(&mut cur);
+            prop_assert_eq!(&cur, &before, "revert must restore the exact prior state");
             prop_assert_eq!(cur.fingerprint(), before.fingerprint());
-            cur.validate().expect("undone states stay valid");
+            cur.validate().expect("reverted states stay valid");
         }
     }
 
-    /// The O(delta) composed-apply (`apply_all_incremental`: in-place
-    /// raw mutations + touched-ref validation) agrees with the O(state)
+    /// The O(delta) composed apply (`apply_all_delta`: in-place raw
+    /// mutations + touched-ref validation) agrees with the O(state)
     /// baseline (`apply_all`: clone per op + whole-state validation)
     /// over whole generated scripts: same success/error outcome, same
     /// post-state and fingerprint, a change log that raw-replays the
-    /// pre-state to the post-state exactly, and an in-place apply whose
-    /// error rollback / explicit undo restore the pre-state exactly.
+    /// pre-state to the post-state exactly, and an error rollback /
+    /// explicit undo that restore the pre-state exactly.
     #[test]
-    fn incremental_apply_matches_clone_apply(
-        state in arb_state(),
-        script in prop::collection::vec((0usize..4, any::<bool>(), 0usize..9), 1..8),
-    ) {
+    fn incremental_apply_matches_clone_apply(state in arb_state(), script in arb_script()) {
         let Some(state) = state else { return Ok(()) };
         // Materialize the script into concrete ops, advancing a cursor
         // on success so deletion units are computed against the state
@@ -263,36 +311,8 @@ proptest! {
         // data — both paths must stop at the same place).
         let mut cur = state.clone();
         let mut ops: Vec<GraphOp> = Vec::new();
-        for (kind, insert, k) in script {
-            let op = match kind {
-                0 => {
-                    let (a, b) = (k / 3, k % 3);
-                    let assoc = Association::new(
-                        "supervise",
-                        [
-                            ("agent", EntityRef::new("employee", Atom::str(NAMES[a]))),
-                            ("object", EntityRef::new("employee", Atom::str(NAMES[b]))),
-                        ],
-                    );
-                    if insert {
-                        GraphOp::InsertAssociation(assoc)
-                    } else {
-                        GraphOp::DeleteAssociation(assoc)
-                    }
-                }
-                1 => GraphOp::InsertEntity(Entity::new(
-                    "employee",
-                    [
-                        ("name", Atom::str(NAMES[k % 3])),
-                        ("age", Atom::Int(AGES[k % 3])),
-                    ],
-                )),
-                2 => GraphOp::DeleteEntity(EntityRef::new("employee", Atom::str(NAMES[k % 3]))),
-                _ => {
-                    let seed = EntityRef::new("machine", Atom::str(MACHINES[k % 2].0));
-                    GraphOp::DeleteUnit(deletion_unit(&cur, [seed], []))
-                }
-            };
+        for step in script {
+            let op = script_op(step, &cur);
             if let Ok(next) = op.apply(&cur) {
                 cur = next;
             }
@@ -300,14 +320,15 @@ proptest! {
         }
 
         let slow = GraphOp::apply_all(&ops, &state);
-        let fast = GraphOp::apply_all_incremental(&ops, &state);
+        let mut fast_state = state.clone();
+        let fast = GraphOp::apply_all_delta(&ops, &mut fast_state);
         match (slow, fast) {
-            (Ok(slow_state), Ok((fast_state, changes))) => {
+            (Ok(slow_state), Ok(txn)) => {
                 prop_assert_eq!(&slow_state, &fast_state);
                 prop_assert_eq!(slow_state.fingerprint(), fast_state.fingerprint());
                 // The change log is a replay-exact script pre → post.
                 let mut replay = state.clone();
-                for c in &changes {
+                for c in txn.changes() {
                     match c {
                         GraphChange::InsertEntity(e) => {
                             replay.insert_entity_raw(e.clone()).expect("replay insert");
@@ -327,28 +348,66 @@ proptest! {
                 prop_assert_eq!(&replay, &fast_state);
                 prop_assert_eq!(replay.fingerprint(), fast_state.fingerprint());
                 // Undoing the in-place transaction restores the input.
-                let mut undone = state.clone();
-                let txn = GraphOp::apply_all_delta(&ops, &mut undone)
-                    .expect("incremental path already succeeded");
-                GraphOp::undo_txn(&mut undone, txn);
-                prop_assert_eq!(&undone, &state);
-                prop_assert_eq!(undone.fingerprint(), state.fingerprint());
+                GraphOp::undo_txn(&mut fast_state, txn);
+                prop_assert_eq!(&fast_state, &state);
+                prop_assert_eq!(fast_state.fingerprint(), state.fingerprint());
             }
             (Err(_), Err(_)) => {
-                // Error rollback leaves an in-place state untouched.
-                let mut rolled = state.clone();
-                prop_assert!(GraphOp::apply_all_delta(&ops, &mut rolled).is_err());
-                prop_assert_eq!(&rolled, &state);
-                prop_assert_eq!(rolled.fingerprint(), state.fingerprint());
+                // Error rollback leaves the in-place state untouched.
+                prop_assert_eq!(&fast_state, &state);
+                prop_assert_eq!(fast_state.fingerprint(), state.fingerprint());
             }
             (slow, fast) => {
                 prop_assert!(
                     false,
-                    "outcome mismatch: apply_all ok={} incremental ok={}",
+                    "outcome mismatch: apply_all ok={} apply_all_delta ok={}",
                     slow.is_ok(),
                     fast.is_ok()
                 );
             }
+        }
+    }
+
+    /// A fact-level oracle for every operation, independent of the one
+    /// mutation routine that both `apply` and the closure candidate run:
+    /// a successful apply asserts exactly the facts of the state before,
+    /// minus those of the entities and associations the operation
+    /// removes, plus those of the ones it inserts.
+    #[test]
+    fn applied_facts_match_the_operation(state in arb_state(), script in arb_script()) {
+        // Scripts from the empty state reach the entity operations,
+        // which rarely succeed on the states `arb_state` builds.
+        let mut cur = state.unwrap_or_else(|| {
+            GraphState::empty(Arc::new(fixtures::machine_shop_graph_schema()))
+        });
+        for step in script {
+            let op = script_op(step, &cur);
+            let Ok(after) = op.apply(&cur) else { continue };
+            let schema = cur.schema();
+            let removed_entity = |r: &EntityRef| {
+                entity_facts(schema, cur.entity(r).expect("deleted entity was present"))
+            };
+            let (removed, inserted) = match &op {
+                GraphOp::InsertEntity(e) => (FactBase::new(), entity_facts(schema, e)),
+                GraphOp::DeleteEntity(r) => (removed_entity(r), FactBase::new()),
+                GraphOp::InsertAssociation(a) => {
+                    (FactBase::new(), FactBase::from_facts([association_fact(a)]))
+                }
+                GraphOp::DeleteAssociation(a) => {
+                    (FactBase::from_facts([association_fact(a)]), FactBase::new())
+                }
+                GraphOp::InsertUnit(u) => (FactBase::new(), unit_facts(schema, u, |e| e.clone())),
+                GraphOp::DeleteUnit(u) => (
+                    unit_facts(schema, u, |e| {
+                        let r = e.to_ref(schema).expect("unit entity has a key");
+                        cur.entity(&r).expect("deleted entity was present").clone()
+                    }),
+                    FactBase::new(),
+                ),
+            };
+            let expected = state_facts(&cur).difference(&removed).union(&inserted);
+            prop_assert_eq!(state_facts(&after), expected, "{}", op);
+            cur = after;
         }
     }
 

@@ -1,20 +1,13 @@
-//! Delta transitions: undoable in-place operation application plus
-//! incrementally-maintained 64-bit state fingerprints.
+//! Content fingerprints: 64- and 128-bit hashes of a value's content.
 //!
-//! The equivalence kernel enumerates closures by repeatedly applying
-//! operations to frontier states. Constructing every successor as a full
-//! clone — only to discover it was already visited — dominates the hot
-//! loop. [`DeltaState`] lets a state apply an operation **in place**,
-//! returning an undo token that restores the previous state exactly, and
-//! exposes a content fingerprint that the mutators maintain
-//! incrementally. The kernel then probes its state arena by fingerprint
-//! and only clones the scratch state when the successor is genuinely new.
-//!
-//! Fingerprints are the XOR of per-element [`content_fingerprint`]
-//! hashes, so they are order- and path-independent: two equal states
-//! always carry equal fingerprints, no matter which operation sequence
-//! produced them. Distinct states may collide — the kernel always
-//! confirms a fingerprint match with a full equality comparison.
+//! The equivalence kernel probes its state arena by a state's 64-bit
+//! fingerprint and confirms every match with a full equality
+//! comparison, so only the successors that are genuinely new get
+//! interned. The semantic states keep theirs incrementally: each is the
+//! XOR of per-element [`content_fingerprint`] hashes, maintained by the
+//! state's mutators, so it is order- and path-independent — two equal
+//! states carry equal fingerprints whichever operation sequence produced
+//! them. Distinct states may collide.
 
 use std::hash::{DefaultHasher, Hash, Hasher};
 
@@ -54,36 +47,6 @@ pub fn content_fingerprint_wide<T: Hash + ?Sized>(value: &T) -> u128 {
     let lo = content_fingerprint_seeded(0x9e37_79b9_7f4a_7c15, value);
     let hi = content_fingerprint_seeded(0xc2b2_ae3d_27d4_eb4f, value);
     ((hi as u128) << 64) | lo as u128
-}
-
-/// A state that can apply an operation as an undoable in-place diff and
-/// report an incrementally-maintained content fingerprint.
-///
-/// Laws (property-tested in the implementing crates):
-///
-/// * **delta ≡ clone-apply** — `apply_delta(op)` succeeds exactly when
-///   the model's pure `apply` does, and leaves `self` equal to the state
-///   `apply` would have returned;
-/// * **undo restores** — `undo(token)` returns `self` (and its
-///   fingerprint) to exactly the pre-`apply_delta` value;
-/// * **fingerprint coherence** — equal states have equal
-///   [`DeltaState::fingerprint`] values.
-pub trait DeltaState: Sized {
-    /// The operation type the state applies.
-    type Op;
-    /// The token that undoes one successful [`DeltaState::apply_delta`].
-    type Undo;
-
-    /// The state's current content fingerprint.
-    fn fingerprint(&self) -> u64;
-
-    /// Applies `op` in place. On success returns the undo token; on the
-    /// error state returns `None` **with `self` unchanged**.
-    fn apply_delta(&mut self, op: &Self::Op) -> Option<Self::Undo>;
-
-    /// Reverts the most recent successful [`DeltaState::apply_delta`]
-    /// that produced `token`. Tokens must be undone in LIFO order.
-    fn undo(&mut self, token: Self::Undo);
 }
 
 #[cfg(test)]

@@ -28,19 +28,17 @@
 //!   event described by a predicate, with each case (role) bound to the
 //!   identifying value of its participant.
 
-pub mod delta;
 pub mod fact;
 pub mod factbase;
+pub mod fingerprint;
 pub mod interpretation;
 pub mod pattern;
 pub mod universe;
 pub mod vocab;
 
-pub use delta::{
-    content_fingerprint, content_fingerprint_seeded, content_fingerprint_wide, DeltaState,
-};
 pub use fact::Fact;
 pub use factbase::{FactBase, FactDelta};
+pub use fingerprint::{content_fingerprint, content_fingerprint_seeded, content_fingerprint_wide};
 pub use interpretation::{state_equivalent, EquivalenceReport, ToFacts};
 pub use pattern::Pattern;
 pub use universe::{EntityTypeDecl, PredicateDecl, Universe, UniverseError};

@@ -375,37 +375,6 @@ fn deny(state: &mut RelationState, denied: &FactBase) {
     }
 }
 
-/// Undoable relational operation application for the equivalence
-/// kernel.
-///
-/// Unlike the graph model, `delete-statements` may weaken tuples in
-/// *every* relation (semantic deletion) and normalization's saturation
-/// pass reads the global fact set — so no sub-state undo log is bounded
-/// by the operation's footprint. The undo token is therefore the full
-/// previous state (swap-in, swap-out), which costs exactly what the
-/// clone-based `apply` already paid; the kernel's win on this model
-/// comes from fingerprint probing and transition memoization instead.
-/// The clone shares every stored statement with its compiled facts, so
-/// the new state compiles facts only for the tuples the operation adds,
-/// and undoing restores the previous statements without recompiling.
-impl dme_logic::DeltaState for RelationState {
-    type Op = RelOp;
-    type Undo = RelationState;
-
-    fn fingerprint(&self) -> u64 {
-        RelationState::fingerprint(self)
-    }
-
-    fn apply_delta(&mut self, op: &RelOp) -> Option<RelationState> {
-        let next = op.apply(self).ok()?;
-        Some(std::mem::replace(self, next))
-    }
-
-    fn undo(&mut self, token: RelationState) {
-        *self = token;
-    }
-}
-
 /// The maximal remainders of `u` avoiding the denied facts: versions of
 /// `u` with nullable columns nulled that are well-formed, assert at least
 /// one fact, assert no denied fact, and are maximal with those

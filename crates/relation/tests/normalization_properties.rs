@@ -10,14 +10,14 @@
 //!   facts (§3.3.1's uniqueness requirement; across relations they are
 //!   not, see `dme_relation::state`);
 //! * `insert-statements` is idempotent and monotone in the fact set;
-//! * every transition path (`apply`, `apply_candidate`, a compiled
-//!   operation, `apply_delta` and `undo`) keeps the state's derived data —
-//!   fingerprint, fact index and each statement's stored facts — equal
-//!   to a rebuild from its tuples.
+//! * every transition path (`apply`, `apply_candidate` and a compiled
+//!   operation) keeps the state's derived data — fingerprint, fact index
+//!   and each statement's stored facts — equal to a rebuild from its
+//!   tuples.
 
 use std::sync::Arc;
 
-use dme_logic::{DeltaState, ToFacts};
+use dme_logic::ToFacts;
 use dme_relation::fixtures;
 use dme_relation::ops::StatementSet;
 use dme_relation::{RelOp, RelationState};
@@ -87,10 +87,6 @@ enum Path {
     /// `RelOp::compile` then `CompiledOp::apply_candidate`, keeping the
     /// result (which must equal `RelOp::apply_candidate`'s).
     Compiled,
-    /// `DeltaState::apply_delta`, keeping the result.
-    Delta,
-    /// `DeltaState::apply_delta`, then `undo`.
-    DeltaUndo,
 }
 
 fn arb_step() -> impl Strategy<Value = (Path, RelOp)> {
@@ -98,8 +94,6 @@ fn arb_step() -> impl Strategy<Value = (Path, RelOp)> {
         Just(Path::Apply),
         Just(Path::Candidate),
         Just(Path::Compiled),
-        Just(Path::Delta),
-        Just(Path::DeltaUndo),
     ];
     (
         path,
@@ -216,47 +210,6 @@ proptest! {
         prop_assert_eq!(sa.to_facts() == sb.to_facts(), sa == sb);
     }
 
-    /// Delta application is observationally identical to clone-apply
-    /// over generated op scripts, and undoing in LIFO order walks back
-    /// through the exact intermediate states (with coherent
-    /// fingerprints throughout).
-    #[test]
-    fn delta_apply_matches_clone_apply(
-        base in prop::collection::vec(arb_jobs_tuple(), 0..5),
-        script in prop::collection::vec((any::<bool>(), arb_jobs_tuple()), 1..6),
-    ) {
-        let mut cur = state_with(&base);
-        cur.normalize();
-        let mut trail: Vec<(RelationState, RelationState)> = Vec::new();
-        for (insert, tuple) in script {
-            let op = if insert {
-                RelOp::insert("Jobs", [tuple])
-            } else {
-                RelOp::delete("Jobs", [tuple])
-            };
-            let cloned = op.apply(&cur);
-            let before = cur.clone();
-            match cur.apply_delta(&op) {
-                Some(undo) => {
-                    let applied = cloned.expect("delta succeeded, clone-apply must too");
-                    prop_assert_eq!(&cur, &applied);
-                    prop_assert_eq!(cur.fingerprint(), applied.fingerprint());
-                    trail.push((undo, before));
-                }
-                None => {
-                    prop_assert!(cloned.is_err(), "clone-apply succeeded where delta failed");
-                    prop_assert_eq!(&cur, &before, "failed delta must leave the state untouched");
-                    prop_assert_eq!(cur.fingerprint(), before.fingerprint());
-                }
-            }
-        }
-        for (undo, before) in trail.into_iter().rev() {
-            cur.undo(undo);
-            prop_assert_eq!(&cur, &before, "undo must restore the exact prior state");
-            prop_assert_eq!(cur.fingerprint(), before.fingerprint());
-        }
-    }
-
     /// Fingerprints are coherent with equality: equal states carry
     /// equal fingerprints regardless of how they were built.
     #[test]
@@ -302,15 +255,6 @@ proptest! {
                             cur = next;
                         }
                         Err(e) => prop_assert_eq!(Err(e), one_shot),
-                    }
-                }
-                Path::Delta => {
-                    cur.apply_delta(&op);
-                }
-                Path::DeltaUndo => {
-                    if let Some(undo) = cur.apply_delta(&op) {
-                        assert_matches_rebuild(&cur)?;
-                        cur.undo(undo);
                     }
                 }
             }

@@ -1191,23 +1191,6 @@ impl SessionService {
         }
     }
 
-    /// Serves a legacy admin request.
-    #[deprecated(
-        note = "speak the typed wire API: SessionService::handle with wire::Request::Metrics"
-    )]
-    pub fn admin(&self, request: codec::AdminRequest) -> String {
-        self.render_metrics(matches!(request, codec::AdminRequest::MetricsJson))
-    }
-
-    /// Serves a legacy admin request from its wire encoding.
-    #[deprecated(
-        note = "speak the typed wire API: SessionService::handle_frame with a wire::Request frame"
-    )]
-    pub fn admin_bytes(&self, bytes: &[u8]) -> Result<String, ServerError> {
-        let request = codec::AdminRequest::decode(bytes)?;
-        Ok(self.render_metrics(matches!(request, codec::AdminRequest::MetricsJson)))
-    }
-
     /// Appends a checkpoint image to the checkpoint device and syncs
     /// it. Every `full_checkpoint_every`-th image (and always the
     /// first) is a full conceptual state; the ones in between are
