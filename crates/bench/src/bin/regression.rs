@@ -745,8 +745,7 @@ fn storage_engine() -> String {
     let warm = Stats::from_samples(warm_samples);
     let cold = Stats::from_samples(cold_samples);
     let wal_mb = replayed_bytes as f64 / (1024.0 * 1024.0);
-    let marginal_ms_per_mb =
-        (cold.p50_us.saturating_sub(warm.p50_us)) as f64 / 1_000.0 / wal_mb;
+    let marginal_ms_per_mb = (cold.p50_us.saturating_sub(warm.p50_us)) as f64 / 1_000.0 / wal_mb;
     assert!(
         cold.p50_us > warm.p50_us,
         "a fresh checkpoint must bound recovery: warm p50 {}µs vs cold {}µs",
@@ -845,8 +844,11 @@ fn streaming_overhead() -> String {
         .expect("service boots");
         let server = NetServer::serve(service.clone());
         let client = server.connect().expect("connect");
-        let subscription =
-            watch.then(|| client.watch_metrics(INTERVAL_MS).expect("subscription opens"));
+        let subscription = watch.then(|| {
+            client
+                .watch_metrics(INTERVAL_MS)
+                .expect("subscription opens")
+        });
         std::thread::scope(|scope| {
             for k in 0..SESSIONS_N {
                 let client = &client;
@@ -909,8 +911,7 @@ fn streaming_overhead() -> String {
         deltas >= SAMPLES as u64,
         "subscribed runs streamed only {deltas} deltas across {SAMPLES} samples"
     );
-    let overhead_pct =
-        (watching.median_us as f64 / baseline.median_us.max(1) as f64 - 1.0) * 100.0;
+    let overhead_pct = (watching.median_us as f64 / baseline.median_us.max(1) as f64 - 1.0) * 100.0;
     println!(
         "streaming/baseline: {}µs  streaming/watch_{INTERVAL_MS}ms: {}µs \
          ({overhead_pct:+.2}%, {deltas} deltas streamed)",

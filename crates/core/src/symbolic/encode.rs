@@ -249,7 +249,11 @@ pub(crate) fn at_most(s: &mut Solver, lits: &[Lit], k: usize, act: Option<Lit>) 
         emit(s, act, &[lits[i].negate(), r[i][0]]);
         emit(s, act, &[r[i - 1][0].negate(), r[i][0]]);
         for j in 1..k {
-            emit(s, act, &[lits[i].negate(), r[i - 1][j - 1].negate(), r[i][j]]);
+            emit(
+                s,
+                act,
+                &[lits[i].negate(), r[i - 1][j - 1].negate(), r[i][j]],
+            );
             emit(s, act, &[r[i - 1][j].negate(), r[i][j]]);
         }
         emit(s, act, &[lits[i].negate(), r[i - 1][k - 1].negate()]);
@@ -299,9 +303,7 @@ pub(crate) fn assert_constraint(s: &mut Solver, c: &SymbolicConstraint, state: &
 /// constants).
 pub(crate) fn constraint_bit(s: &mut Solver, c: &SymbolicConstraint, state: &[Bit]) -> Bit {
     match c {
-        SymbolicConstraint::Excludes { a, b } => {
-            or_bit(s, &[state[*a].not(), state[*b].not()])
-        }
+        SymbolicConstraint::Excludes { a, b } => or_bit(s, &[state[*a].not(), state[*b].not()]),
         SymbolicConstraint::Requires { a, b } => or_bit(s, &[state[*a].not(), state[*b]]),
         SymbolicConstraint::AtMost { vars, cap } => {
             let mut fixed_true = 0usize;
@@ -373,11 +375,9 @@ pub(crate) fn success_bit(
 /// constants, untouched facts pass the state literal through.
 pub(crate) fn result_bits(sum: &OpSummary, state: &[Lit]) -> Vec<Bit> {
     (0..state.len())
-        .map(|v| {
-            match sum.post.iter().find(|&&(pv, _)| pv == v) {
-                Some(&(_, val)) => Bit::Const(val),
-                None => Bit::Is(state[v]),
-            }
+        .map(|v| match sum.post.iter().find(|&&(pv, _)| pv == v) {
+            Some(&(_, val)) => Bit::Const(val),
+            None => Bit::Is(state[v]),
         })
         .collect()
 }
@@ -425,7 +425,11 @@ pub(crate) fn encode_path(
                 continue;
             }
             for &(v, want) in &sum.pre {
-                let l = if want { state[t][v] } else { state[t][v].negate() };
+                let l = if want {
+                    state[t][v]
+                } else {
+                    state[t][v].negate()
+                };
                 s.add_clause(&[so.negate(), l]);
             }
             for &(v, val) in &sum.post {
@@ -516,7 +520,10 @@ mod tests {
         // A constraint on the result turns success into error.
         let excl = SymbolicConstraint::Excludes { a: 0, b: 1 };
         assert_eq!(apply_summary(&ins, 0b10, std::slice::from_ref(&excl)), None);
-        assert_eq!(apply_summary(&ins, 0b00, std::slice::from_ref(&excl)), Some(0b1));
+        assert_eq!(
+            apply_summary(&ins, 0b00, std::slice::from_ref(&excl)),
+            Some(0b1)
+        );
     }
 
     /// Oracle check: for every assignment of `n` plain variables, the

@@ -170,8 +170,7 @@ impl SymbolicSpec {
     /// bridge the bound-soundness tests use to show a symbolic witness
     /// is a real concrete execution.
     pub fn replay(&self, path: &[usize]) -> Option<FactBase> {
-        let summaries: Vec<OpSummary> =
-            self.ops.iter().map(|op| summarize(&op.steps)).collect();
+        let summaries: Vec<OpSummary> = self.ops.iter().map(|op| summarize(&op.steps)).collect();
         let mut state = 0u128;
         for &i in path {
             state = apply_summary(summaries.get(i)?, state, &self.constraints)?;
@@ -494,8 +493,7 @@ impl<'a> SymbolicChecker<'a> {
                 format!("symbolic universe of `{}` lists {twice} twice", spec.name),
             ))));
         }
-        let summaries: Vec<OpSummary> =
-            spec.ops.iter().map(|op| summarize(&op.steps)).collect();
+        let summaries: Vec<OpSummary> = spec.ops.iter().map(|op| summarize(&op.steps)).collect();
         let mut known: BTreeSet<u128> = BTreeSet::new();
         known.insert(0);
         let mut complete = false;
@@ -580,7 +578,8 @@ impl<'a> SymbolicChecker<'a> {
     fn record_solver(&self, solver: &Solver) {
         let stats = solver.stats();
         self.observer.add(Counter::SymbolicClauses, stats.clauses);
-        self.observer.add(Counter::SymbolicConflicts, stats.conflicts);
+        self.observer
+            .add(Counter::SymbolicConflicts, stats.conflicts);
         self.observer.add(Counter::SymbolicRestarts, stats.restarts);
         self.observer
             .record(Metric::SymbolicDecisionsPerDepth, stats.decisions);
@@ -931,9 +930,11 @@ mod tests {
     #[test]
     fn constraints_prune_discovery() {
         let mut m = SymbolicSpec::toggles("m", vec![f(1), f(2)]);
-        m.constraints.push(SymbolicConstraint::Excludes { a: 0, b: 1 });
+        m.constraints
+            .push(SymbolicConstraint::Excludes { a: 0, b: 1 });
         let mut n = SymbolicSpec::toggles("n", vec![f(1), f(2)]);
-        n.constraints.push(SymbolicConstraint::Excludes { a: 0, b: 1 });
+        n.constraints
+            .push(SymbolicConstraint::Excludes { a: 0, b: 1 });
         let outcome = SymbolicChecker::new(&m, &n).run();
         assert_eq!(
             outcome.definitive().unwrap().as_ref().unwrap(),

@@ -278,7 +278,11 @@ impl Solver {
             Value::True => true,
             Value::Unassigned => {
                 let v = l.var();
-                self.assign[v] = if l.is_neg() { Value::False } else { Value::True };
+                self.assign[v] = if l.is_neg() {
+                    Value::False
+                } else {
+                    Value::True
+                };
                 self.phase[v] = !l.is_neg();
                 self.level[v] = self.decision_level();
                 self.reason[v] = reason;
@@ -401,7 +405,11 @@ impl Solver {
         for &l in &learnt[1..] {
             self.seen[l.var()] = false;
         }
-        let backjump = learnt[1..].iter().map(|l| self.level[l.var()]).max().unwrap_or(0);
+        let backjump = learnt[1..]
+            .iter()
+            .map(|l| self.level[l.var()])
+            .max()
+            .unwrap_or(0);
         (learnt, backjump)
     }
 
@@ -597,7 +605,11 @@ mod tests {
         let mut s = solver_from(n, &clauses);
         assert_eq!(s.solve(), SatResult::Sat);
         assert!(s.value(0) && s.value(1) && s.value(2));
-        assert_eq!(s.stats().decisions, 0, "chain should resolve by propagation alone");
+        assert_eq!(
+            s.stats().decisions,
+            0,
+            "chain should resolve by propagation alone"
+        );
     }
 
     #[test]
@@ -631,11 +643,15 @@ mod tests {
     fn learning_is_exercised() {
         // The fully contradictory 3-variable instance cannot be solved
         // without conflicts.
-        let body = "1 2 3 0\n1 2 -3 0\n1 -2 3 0\n1 -2 -3 0\n-1 2 3 0\n-1 2 -3 0\n-1 -2 3 0\n-1 -2 -3 0\n";
+        let body =
+            "1 2 3 0\n1 2 -3 0\n1 -2 3 0\n1 -2 -3 0\n-1 2 3 0\n-1 2 -3 0\n-1 -2 3 0\n-1 -2 -3 0\n";
         let (n, clauses) = parse_dimacs(body);
         let mut s = solver_from(n, &clauses);
         assert_eq!(s.solve(), SatResult::Unsat);
-        assert!(s.stats().conflicts > 0, "UNSAT proof must analyze conflicts");
+        assert!(
+            s.stats().conflicts > 0,
+            "UNSAT proof must analyze conflicts"
+        );
     }
 
     /// Pigeonhole principle PHP(n): n+1 pigeons into n holes, UNSAT for
@@ -717,7 +733,10 @@ mod tests {
             } else {
                 SatResult::Unsat
             };
-            assert_eq!(got, want, "round {round}: solver disagrees with oracle on {clauses:?}");
+            assert_eq!(
+                got, want,
+                "round {round}: solver disagrees with oracle on {clauses:?}"
+            );
             if got == SatResult::Sat {
                 for clause in &clauses {
                     assert!(
@@ -744,10 +763,7 @@ mod tests {
         while s.solve() == SatResult::Sat {
             let m = (s.value(x), s.value(y));
             models.push(m);
-            s.add_clause(&[
-                Lit::new(x, !m.0),
-                Lit::new(y, !m.1),
-            ]);
+            s.add_clause(&[Lit::new(x, !m.0), Lit::new(y, !m.1)]);
         }
         models.sort();
         assert_eq!(models, vec![(false, true), (true, false), (true, true)]);

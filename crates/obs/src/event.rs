@@ -356,7 +356,9 @@ impl Event {
                 parent,
                 detail,
             } => {
-                out.push_str(&crate::trace::trace_json(name, *trace, *span, *parent, detail));
+                out.push_str(&crate::trace::trace_json(
+                    name, *trace, *span, *parent, detail,
+                ));
             }
         }
         out.push('}');

@@ -138,10 +138,17 @@ impl TelemetrySnapshot {
         out.push_str("# HELP dme_latency_us Log-bucketed latency summaries (microseconds).\n");
         out.push_str("# TYPE dme_latency_us summary\n");
         for (m, s) in &self.metrics {
-            render_summary(&mut out, "dme_latency_us", &format!("metric=\"{}\"", m.name()), s);
+            render_summary(
+                &mut out,
+                "dme_latency_us",
+                &format!("metric=\"{}\"", m.name()),
+                s,
+            );
         }
         if !self.shards.is_empty() {
-            out.push_str("# HELP dme_shard_counter Per-shard monotonic counters (non-zero only).\n");
+            out.push_str(
+                "# HELP dme_shard_counter Per-shard monotonic counters (non-zero only).\n",
+            );
             out.push_str("# TYPE dme_shard_counter counter\n");
             for (i, shard) in self.shards.iter().enumerate() {
                 for (c, v) in &shard.counters {
@@ -379,11 +386,14 @@ mod tests {
         assert!(text.contains("dme_shard_counter{shard=\"1\",name=\"txns_committed\"} 2"));
         assert!(text.contains("dme_shard_lane_depth{shard=\"0\"} 5"));
         assert!(text.contains("dme_shard_lane_depth{shard=\"1\"} 0"));
-        assert!(text.contains(
-            "dme_shard_latency_us_count{shard=\"1\",metric=\"commit_latency_us\"} 1"
-        ));
+        assert!(
+            text.contains("dme_shard_latency_us_count{shard=\"1\",metric=\"commit_latency_us\"} 1")
+        );
         let json = snap.to_json();
-        assert!(json.contains("\"shards\":[{\"shard\":0,\"lane_depth\":5,"), "{json}");
+        assert!(
+            json.contains("\"shards\":[{\"shard\":0,\"lane_depth\":5,"),
+            "{json}"
+        );
         assert!(json.contains("\"requests_shed\":3"), "{json}");
         let merged = snap.merged_shards();
         let shed = merged

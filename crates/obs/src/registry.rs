@@ -73,7 +73,10 @@ impl ShardMetrics {
     /// gauge.
     pub fn snapshot(&self) -> ShardSnapshot {
         ShardSnapshot {
-            counters: Counter::ALL.iter().map(|c| (*c, self.counter(*c))).collect(),
+            counters: Counter::ALL
+                .iter()
+                .map(|c| (*c, self.counter(*c)))
+                .collect(),
             metrics: self.metrics.snapshot(),
             lane_depth: self.lane_depth(),
         }

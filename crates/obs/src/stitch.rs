@@ -400,7 +400,10 @@ mod tests {
         let text = asm.render(t);
         // One root, children indented under it.
         assert_eq!(text.matches("• ").count(), 1, "{text}");
-        assert!(text.contains("• server/admit [span 1] — session 3"), "{text}");
+        assert!(
+            text.contains("• server/admit [span 1] — session 3"),
+            "{text}"
+        );
         assert!(
             text.contains("    └─ server/wal_append [span 4] shard=0 — lsn 1"),
             "{text}"

@@ -85,7 +85,13 @@ impl Event {
     }
 }
 
-pub(crate) fn trace_json(name: &str, trace: TraceId, span: u64, parent: u64, detail: &str) -> String {
+pub(crate) fn trace_json(
+    name: &str,
+    trace: TraceId,
+    span: u64,
+    parent: u64,
+    detail: &str,
+) -> String {
     let mut out = format!(
         "\"ev\":\"trace\",\"name\":\"{}\",\"trace\":\"{trace}\"",
         escape(name)

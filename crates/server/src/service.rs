@@ -658,7 +658,9 @@ impl SessionService {
             history: Vec::new(),
             checkpoints: checkpoint_device,
             crashed: None,
-            mvcc: std::iter::repeat_with(MvccStore::new).take(shards).collect(),
+            mvcc: std::iter::repeat_with(MvccStore::new)
+                .take(shards)
+                .collect(),
             dirty: BTreeSet::new(),
             base_lsn: 0,
             last_cp_lsn: 0,
@@ -884,7 +886,9 @@ impl SessionService {
             history: Vec::new(),
             checkpoints: checkpoint_device,
             crashed: None,
-            mvcc: std::iter::repeat_with(MvccStore::new).take(shards).collect(),
+            mvcc: std::iter::repeat_with(MvccStore::new)
+                .take(shards)
+                .collect(),
             dirty: BTreeSet::new(),
             base_lsn,
             last_cp_lsn: 0,
@@ -1268,9 +1272,7 @@ impl SessionService {
                         core.base_lsn = lsn;
                         for store in &mut core.mvcc {
                             dropped += store
-                                .purge_if(horizon, |v| {
-                                    v.value.is_none_or(codec::record_is_delete)
-                                })
+                                .purge_if(horizon, |v| v.value.is_none_or(codec::record_is_delete))
                                 .versions_dropped;
                         }
                     }
@@ -1460,12 +1462,12 @@ impl SessionService {
                 "def1-translation"
             };
             let views = core.views.len();
-            let verify_span = self
-                .shared
-                .trace_hub
-                .record(req.trace, "server/verify", req.span, None, || {
-                    format!("tier={tier} views={views}")
-                });
+            let verify_span =
+                self.shared
+                    .trace_hub
+                    .record(req.trace, "server/verify", req.span, None, || {
+                        format!("tier={tier} views={views}")
+                    });
             obs.trace_event_linked("server/verify", req.trace, verify_span, req.span, || {
                 format!("tier={tier} views={views}")
             });

@@ -189,7 +189,10 @@ impl MvccStore {
     pub fn latest_upto(&self, snapshot_lsn: u64) -> Vec<(Vec<u8>, Version<'_>)> {
         let mut out: Vec<(Vec<u8>, Version<'_>)> = Vec::new();
         let mut current: Option<(Vec<u8>, Version<'_>)> = None;
-        for (composite, ptr) in self.index.range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded) {
+        for (composite, ptr) in self
+            .index
+            .range(std::ops::Bound::Unbounded, std::ops::Bound::Unbounded)
+        {
             let (key, lsn) = split_composite(composite);
             if lsn > snapshot_lsn {
                 continue;

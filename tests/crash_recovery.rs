@@ -532,7 +532,11 @@ fn corrupt_newest_checkpoint_chain_degrades_to_older_chain() {
             .join("target")
             .join("flight");
         std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("chained_checkpoint_stream.bin"), &run.image.checkpoint).unwrap();
+        std::fs::write(
+            dir.join("chained_checkpoint_stream.bin"),
+            &run.image.checkpoint,
+        )
+        .unwrap();
         std::fs::write(dir.join("truncated_wal.bin"), &run.image.wal).unwrap();
         dump_flight(&run.recorder, "corrupt_newest_checkpoint_chain");
     }
@@ -545,11 +549,19 @@ fn corrupt_newest_checkpoint_chain_degrades_to_older_chain() {
 #[test]
 fn large_image_recovery_scales_with_wal_since_checkpoint() {
     // ~2.7 facts per scale unit (employees + machines + supervisions).
-    let scale = if cfg!(debug_assertions) { 40_000 } else { 380_000 };
+    let scale = if cfg!(debug_assertions) {
+        40_000
+    } else {
+        380_000
+    };
     let cfg = ShopConfig::scaled(scale);
     let initial = workload::graph_state(cfg);
     let (entities, assocs) = initial.sizes();
-    let floor = if cfg!(debug_assertions) { 100_000 } else { 1_000_000 };
+    let floor = if cfg!(debug_assertions) {
+        100_000
+    } else {
+        1_000_000
+    };
     assert!(
         entities + assocs >= floor,
         "image too small: {} facts",

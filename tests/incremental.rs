@@ -297,9 +297,9 @@ fn warm_incremental_rechecks_agree_with_cold_symbolic() {
                     warm, sym,
                     "warm incremental vs cold symbolic diverge: {mutation:?} {kind:?}"
                 ),
-                SymbolicOutcome::BoundExhausted { bound, .. } => panic!(
-                    "probe closure must fit the default bound {bound}: {mutation:?}"
-                ),
+                SymbolicOutcome::BoundExhausted { bound, .. } => {
+                    panic!("probe closure must fit the default bound {bound}: {mutation:?}")
+                }
             }
         }
     }

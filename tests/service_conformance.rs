@@ -596,8 +596,13 @@ fn a_cross_shard_transaction_stitches_into_one_causal_tree() {
     // Every involved shard's WAL carries the transaction, stamped with
     // that shard's own (span, parent) pair from the stitched tree.
     let image = service.durable_image();
-    let wal_bytes =
-        |s: u32| -> &Vec<u8> { if s == 0 { &image.wal } else { &image.shard_wals[s as usize - 1] } };
+    let wal_bytes = |s: u32| -> &Vec<u8> {
+        if s == 0 {
+            &image.wal
+        } else {
+            &image.shard_wals[s as usize - 1]
+        }
+    };
     for &s in &involved {
         let records = wal::replay(wal_bytes(s)).unwrap();
         let record = records

@@ -93,7 +93,10 @@ fn dump_observability(service: &SessionService, test: &str) {
         snap.to_json(),
     );
     for (i, shard) in snap.shards.iter().enumerate() {
-        let mut out = format!("{{\"shard\":{i},\"lane_depth\":{},\"counters\":{{", shard.lane_depth);
+        let mut out = format!(
+            "{{\"shard\":{i},\"lane_depth\":{},\"counters\":{{",
+            shard.lane_depth
+        );
         for (j, (c, v)) in shard.counters.iter().enumerate() {
             if j > 0 {
                 out.push(',');
@@ -669,10 +672,7 @@ fn a_cross_shard_transaction_resolves_to_one_stitched_tree_over_the_wire() {
         .map(|pair| {
             GraphOp::InsertAssociation(Association::new(
                 "supervise",
-                [
-                    ("agent", employee(pair[0])),
-                    ("object", employee(pair[1])),
-                ],
+                [("agent", employee(pair[0])), ("object", employee(pair[1]))],
             ))
         })
         .collect();

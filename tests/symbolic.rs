@@ -313,7 +313,10 @@ fn persist_regression(base: &Scenario, mutation: Mutation, detail: &str) -> Path
     let _ = fs::create_dir_all(&dir);
     let path = dir.join("symbolic.txt");
     let mut entry = String::new();
-    let _ = writeln!(entry, "# symbolic-vs-enumerative mismatch (minimized): {detail}");
+    let _ = writeln!(
+        entry,
+        "# symbolic-vs-enumerative mismatch (minimized): {detail}"
+    );
     let _ = writeln!(entry, "cc mutation={mutation:?} scenario={base:?}");
     if let Ok(mut file) = fs::OpenOptions::new().create(true).append(true).open(&path) {
         let _ = file.write_all(entry.as_bytes());
@@ -571,7 +574,11 @@ fn bound_exhaustion_is_no_verdict() {
         SymbolicChecker::new(&ms, &ns).bound(BOUND).run(),
         "sufficient bound",
     );
-    let full = full_check(&base.model("left"), &mutant.model("right"), Tier::Isomorphic);
+    let full = full_check(
+        &base.model("left"),
+        &mutant.model("right"),
+        Tier::Isomorphic,
+    );
     assert_eq!(long, full);
     assert!(
         matches!(long, Ok(Verdict::Counterexample { .. })),
@@ -598,7 +605,10 @@ fn symbolic_counters_reach_the_observer() {
         .observer(obs.clone())
         .run();
     assert!(outcome.definitive().is_some());
-    assert!(obs.counter(Counter::SymbolicClauses) > 0, "encoding emits clauses");
+    assert!(
+        obs.counter(Counter::SymbolicClauses) > 0,
+        "encoding emits clauses"
+    );
     assert_eq!(obs.counter(Counter::BoundExhausted), 0);
     let exhausted = SymbolicChecker::new(&ms, &ns)
         .bound(1)
