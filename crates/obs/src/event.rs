@@ -38,10 +38,6 @@ pub enum Counter {
     EarlyExits,
     /// Checks stopped by a blown node or wall-clock budget.
     BudgetTrips,
-    /// Operations produced by operation enumeration.
-    OpsEnumerated,
-    /// Operations produced by the cross-model translators.
-    OpsTranslated,
     /// ANSI/SPARC consistency audits run.
     AuditsRun,
     /// Sessions opened against the session service.
@@ -126,7 +122,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (the order snapshot arrays
     /// are indexed in).
-    pub const ALL: [Counter; 45] = [
+    pub const ALL: [Counter; 43] = [
         Counter::NodesExpanded,
         Counter::StatesEnumerated,
         Counter::StatesCompiled,
@@ -140,8 +136,6 @@ impl Counter {
         Counter::WitnessesFound,
         Counter::EarlyExits,
         Counter::BudgetTrips,
-        Counter::OpsEnumerated,
-        Counter::OpsTranslated,
         Counter::AuditsRun,
         Counter::SessionsOpened,
         Counter::TxnsCommitted,
@@ -194,8 +188,6 @@ impl Counter {
             Counter::WitnessesFound => "witnesses_found",
             Counter::EarlyExits => "early_exits",
             Counter::BudgetTrips => "budget_trips",
-            Counter::OpsEnumerated => "ops_enumerated",
-            Counter::OpsTranslated => "ops_translated",
             Counter::AuditsRun => "audits_run",
             Counter::SessionsOpened => "sessions_opened",
             Counter::TxnsCommitted => "txns_committed",
