@@ -29,67 +29,69 @@ const AGES: [i64; 3] = [32, 40, 50];
 const MACHINES: [(&str, &str); 2] = [("NZ745", "lathe"), ("JCL181", "press")];
 
 /// Builds a random *valid* machine-shop graph state from selector bits.
+/// Each machine's operator and each supervision is drawn only among the
+/// employees present, so every draw is a valid state: a machine whose
+/// operator cannot be drawn (nobody is present) and a supervision with
+/// an absent end are left out.
 fn build_state(
     employees: [bool; 3],
     machines: [Option<usize>; 2],
     supervisions: [bool; 9],
-) -> Option<GraphState> {
+) -> GraphState {
     let schema = Arc::new(fixtures::machine_shop_graph_schema());
     let mut s = GraphState::empty(schema);
-    for (i, present) in employees.iter().enumerate() {
-        if *present {
-            s.insert_entity_raw(Entity::new(
-                "employee",
-                [("name", Atom::str(NAMES[i])), ("age", Atom::Int(AGES[i]))],
-            ))
-            .ok()?;
-        }
+    let present: Vec<usize> = (0..3).filter(|&i| employees[i]).collect();
+    for &i in &present {
+        s.insert_entity_raw(Entity::new(
+            "employee",
+            [("name", Atom::str(NAMES[i])), ("age", Atom::Int(AGES[i]))],
+        ))
+        .expect("distinct employees");
     }
     for (m, operator) in machines.iter().enumerate() {
-        if let Some(op_idx) = operator {
-            if !employees[*op_idx] {
-                return None; // operator must exist
-            }
-            let (number, ty) = MACHINES[m];
-            s.insert_entity_raw(Entity::new(
-                "machine",
-                [("number", Atom::str(number)), ("type", Atom::str(ty))],
-            ))
-            .ok()?;
-            s.insert_association_raw(Association::new(
-                "operate",
-                [
-                    (
-                        "agent",
-                        EntityRef::new("employee", Atom::str(NAMES[*op_idx])),
-                    ),
-                    ("object", EntityRef::new("machine", Atom::str(number))),
-                ],
-            ))
-            .ok()?;
+        let Some(choice) = operator else { continue };
+        if present.is_empty() {
+            continue; // a machine needs an operator
         }
+        let op_idx = present[choice % present.len()];
+        let (number, ty) = MACHINES[m];
+        s.insert_entity_raw(Entity::new(
+            "machine",
+            [("number", Atom::str(number)), ("type", Atom::str(ty))],
+        ))
+        .expect("distinct machines");
+        s.insert_association_raw(Association::new(
+            "operate",
+            [
+                (
+                    "agent",
+                    EntityRef::new("employee", Atom::str(NAMES[op_idx])),
+                ),
+                ("object", EntityRef::new("machine", Atom::str(number))),
+            ],
+        ))
+        .expect("the operator and the machine are present");
     }
-    for (k, present) in supervisions.iter().enumerate() {
-        if *present {
-            let (a, b) = (k / 3, k % 3);
-            if !employees[a] || !employees[b] {
-                return None;
-            }
-            s.insert_association_raw(Association::new(
-                "supervise",
-                [
-                    ("agent", EntityRef::new("employee", Atom::str(NAMES[a]))),
-                    ("object", EntityRef::new("employee", Atom::str(NAMES[b]))),
-                ],
-            ))
-            .ok()?;
+    for (k, chosen) in supervisions.iter().enumerate() {
+        let (a, b) = (k / 3, k % 3);
+        if !*chosen || !employees[a] || !employees[b] {
+            continue;
         }
+        s.insert_association_raw(Association::new(
+            "supervise",
+            [
+                ("agent", EntityRef::new("employee", Atom::str(NAMES[a]))),
+                ("object", EntityRef::new("employee", Atom::str(NAMES[b]))),
+            ],
+        ))
+        .expect("both employees are present");
     }
-    s.validate().ok()?;
-    Some(s)
+    s.validate()
+        .expect("states drawn among present employees are valid");
+    s
 }
 
-fn arb_state() -> impl Strategy<Value = Option<GraphState>> {
+fn arb_state() -> impl Strategy<Value = GraphState> {
     (
         prop::array::uniform3(any::<bool>()),
         prop::array::uniform2(prop_oneof![
@@ -176,9 +178,7 @@ proptest! {
 
     #[test]
     fn fact_compilation_is_injective(a in arb_state(), b in arb_state()) {
-        if let (Some(a), Some(b)) = (a, b) {
-            prop_assert_eq!(a.to_facts() == b.to_facts(), a == b);
-        }
+        prop_assert_eq!(a.to_facts() == b.to_facts(), a == b);
     }
 
     #[test]
@@ -188,7 +188,6 @@ proptest! {
         seed_machine in 0usize..2,
         use_machine in any::<bool>(),
     ) {
-        let Some(state) = state else { return Ok(()) };
         let seed: EntityRef = if use_machine {
             EntityRef::new("machine", Atom::str(MACHINES[seed_machine].0))
         } else {
@@ -208,7 +207,6 @@ proptest! {
 
     #[test]
     fn operations_are_pure(state in arb_state(), k in 0usize..9) {
-        let Some(state) = state else { return Ok(()) };
         let snapshot = state.clone();
         let (a, b) = (k / 3, k % 3);
         let op = GraphOp::InsertAssociation(Association::new(
@@ -230,7 +228,7 @@ proptest! {
         break_it in any::<bool>(),
         victim in 0usize..2,
     ) {
-        let Some(mut state) = state else { return Ok(()) };
+        let mut state = state;
         if break_it {
             // Remove a machine's operation association (if any) to break
             // totality, or a machine entity to dangle a role edge.
@@ -258,7 +256,6 @@ proptest! {
     /// exact intermediate states.
     #[test]
     fn delta_apply_matches_clone_apply(state in arb_state(), script in arb_script()) {
-        let Some(state) = state else { return Ok(()) };
         let mut cur = state.clone();
         let mut trail: Vec<(GraphUndo, GraphState)> = Vec::new();
         for step in script {
@@ -304,7 +301,6 @@ proptest! {
     /// explicit undo that restore the pre-state exactly.
     #[test]
     fn incremental_apply_matches_clone_apply(state in arb_state(), script in arb_script()) {
-        let Some(state) = state else { return Ok(()) };
         // Materialize the script into concrete ops, advancing a cursor
         // on success so deletion units are computed against the state
         // they will meet (ops past the first failure are still valid
@@ -374,12 +370,18 @@ proptest! {
     /// minus those of the entities and associations the operation
     /// removes, plus those of the ones it inserts.
     #[test]
-    fn applied_facts_match_the_operation(state in arb_state(), script in arb_script()) {
+    fn applied_facts_match_the_operation(
+        state in arb_state(),
+        from_empty in any::<bool>(),
+        script in arb_script(),
+    ) {
         // Scripts from the empty state reach the entity operations,
         // which rarely succeed on the states `arb_state` builds.
-        let mut cur = state.unwrap_or_else(|| {
+        let mut cur = if from_empty {
             GraphState::empty(Arc::new(fixtures::machine_shop_graph_schema()))
-        });
+        } else {
+            state
+        };
         for step in script {
             let op = script_op(step, &cur);
             let Ok(after) = op.apply(&cur) else { continue };
@@ -415,17 +417,14 @@ proptest! {
     /// they were built) carry equal fingerprints.
     #[test]
     fn fingerprints_agree_on_equal_states(a in arb_state(), b in arb_state()) {
-        if let (Some(a), Some(b)) = (a, b) {
-            if a == b {
-                prop_assert_eq!(a.fingerprint(), b.fingerprint());
-            }
+        if a == b {
+            prop_assert_eq!(a.fingerprint(), b.fingerprint());
         }
     }
 
     /// Entity and association counts compiled into facts add up.
     #[test]
     fn fact_counts_match_structure(state in arb_state()) {
-        let Some(state) = state else { return Ok(()) };
         let (entities, associations) = state.sizes();
         // Every entity: existence + exactly one non-id characteristic.
         prop_assert_eq!(state.to_facts().len(), entities * 2 + associations);
