@@ -447,6 +447,14 @@ where
 /// kept for the model's lifetime (one slot per operation position,
 /// shared by clones of the model), so building the model compiles
 /// nothing and a closure compiles each operation at most once.
+///
+/// A candidate is applied to the scratch state in place
+/// ([`CompiledOp::apply_in_place`]), normalizing only what the
+/// operation's changes can affect, and its undo replays the returned
+/// log backwards: no transition clones the state. A transition that
+/// changes nothing (an insert of stored statements, a delete of facts
+/// the state does not assert) logs nothing, and its undo is a no-op
+/// that allocates nothing.
 pub fn relational_model(
     name: impl Into<String>,
     initial: RelationState,
@@ -466,9 +474,12 @@ pub fn relational_model(
                 let compiled = compiled[oi]
                     .get_or_init(|| op.compile(state.schema()).ok())
                     .as_ref()?;
-                let next = compiled.apply_candidate(state);
-                let prev = std::mem::replace(state, next);
-                Some(Box::new(move |s: &mut RelationState| *s = prev) as UndoFn<_>)
+                let log = compiled.apply_in_place(state);
+                Some(if log.is_empty() {
+                    Box::new(|_: &mut RelationState| {}) as UndoFn<_>
+                } else {
+                    Box::new(move |s: &mut RelationState| log.undo(s))
+                })
             },
             |state| dme_relation::constraints::check_all(state.schema(), state).is_ok(),
         )

@@ -31,15 +31,52 @@ use dme_relation::{
     CharacteristicCol, ColsRef, Constraint, Pair, Participant, RelationSchema, RelationalSchema,
 };
 
-/// A reduced machine shop: two employees (one possible age), one machine
-/// (one possible type). Small enough that the full closure of valid
-/// states is enumerable, rich enough to exercise machines' semantic
-/// units.
-pub fn mini_universe() -> Universe {
+/// Employee names of [`machine_shop`], in domain order.
+const SHOP_NAMES: [&str; 6] = [
+    "A.Alpha",
+    "B.Beta",
+    "C.Gamma",
+    "D.Delta",
+    "E.Epsilon",
+    "F.Phi",
+];
+
+/// The machine shop over `names` employees (one possible age) and
+/// `machines` machines (one possible type): the Figure 3 relational
+/// schema shape and the Figure 5 graph schema shape over the same
+/// universe. The mini shop is `machine_shop(2, 1)`; larger sizes grow
+/// the closures the checkers enumerate (ROADMAP item 1).
+///
+/// # Panics
+///
+/// When `names` exceeds 6, or when either size is 0.
+pub fn machine_shop(names: usize, machines: usize) -> (RelationalSchema, GraphSchema) {
+    let universe = machine_shop_universe(names, machines);
+    (
+        machine_shop_relational(universe.clone()),
+        machine_shop_graph(universe),
+    )
+}
+
+/// The universe of [`machine_shop`]: names `A.Alpha`, `B.Beta`, … and
+/// serial numbers `M1`, `M2`, ….
+fn machine_shop_universe(names: usize, machines: usize) -> Universe {
+    assert!(
+        (1..=SHOP_NAMES.len()).contains(&names) && machines >= 1,
+        "machine_shop supports 1 to {} names and at least one machine",
+        SHOP_NAMES.len()
+    );
+    let serials: Vec<String> = (1..=machines).map(|m| format!("M{m}")).collect();
     let domains = DomainCatalog::new()
-        .with(Domain::of_strs("names", ["A.Alpha", "B.Beta"]))
+        .with(Domain::of_strs(
+            "names",
+            SHOP_NAMES[..names].iter().copied(),
+        ))
         .with(Domain::of_ints("years", [30]))
-        .with(Domain::of_strs("serial-numbers", ["M1"]))
+        .with(Domain::of_strs(
+            "serial-numbers",
+            serials.iter().map(String::as_str),
+        ))
         .with(Domain::of_strs("machine-types", ["lathe"]));
     Universe::new(
         domains,
@@ -78,7 +115,15 @@ pub fn mini_universe() -> Universe {
             ),
         ],
     )
-    .expect("mini universe is well-formed")
+    .expect("machine shop universe is well-formed")
+}
+
+/// A reduced machine shop: two employees (one possible age), one machine
+/// (one possible type) — [`machine_shop`]`(2, 1)`'s universe. Small
+/// enough that the full closure of valid states is enumerable, rich
+/// enough to exercise machines' semantic units.
+pub fn mini_universe() -> Universe {
+    machine_shop_universe(2, 1)
 }
 
 fn machine_shop_relations() -> [RelationSchema; 3] {
@@ -173,12 +218,16 @@ fn machine_shop_constraints(employees: &str, operate: &str, jobs: &str) -> Vec<C
 
 /// The Figure 3 schema shape over the mini universe.
 pub fn mini_relational_schema() -> RelationalSchema {
+    machine_shop_relational(mini_universe())
+}
+
+fn machine_shop_relational(universe: Universe) -> RelationalSchema {
     RelationalSchema::new(
-        mini_universe(),
+        universe,
         machine_shop_relations(),
         machine_shop_constraints("Employees", "Operate", "Jobs"),
     )
-    .expect("mini relational schema is well-formed")
+    .expect("machine shop relational schema is well-formed")
 }
 
 /// The same application model with every relation renamed — states and
@@ -202,8 +251,12 @@ pub fn mini_relational_schema_renamed() -> RelationalSchema {
 
 /// The Figure 5 schema shape over the mini universe.
 pub fn mini_graph_schema() -> GraphSchema {
+    machine_shop_graph(mini_universe())
+}
+
+fn machine_shop_graph(universe: Universe) -> GraphSchema {
     GraphSchema::new(
-        mini_universe(),
+        universe,
         [
             ((sym!("operate"), sym!("agent")), Participation::OPTIONAL),
             (
@@ -214,7 +267,7 @@ pub fn mini_graph_schema() -> GraphSchema {
             ((sym!("supervise"), sym!("object")), Participation::OPTIONAL),
         ],
     )
-    .expect("mini graph schema is well-formed")
+    .expect("machine shop graph schema is well-formed")
 }
 
 /// The Figure 9 single-relation schema shape over the mini universe —
@@ -469,6 +522,31 @@ mod tests {
         mini_graph_schema();
         micro_relational_schema();
         micro_graph_schema();
+    }
+
+    /// The mini shop is the machine shop at (2, 1), over the domains it
+    /// always had; larger sizes only widen the names and serial numbers.
+    #[test]
+    fn machine_shop_two_by_one_is_the_mini_shop() {
+        let (relational, graph) = machine_shop(2, 1);
+        assert_eq!(relational, mini_relational_schema());
+        assert_eq!(graph, mini_graph_schema());
+        let literal = DomainCatalog::new()
+            .with(Domain::of_strs("names", ["A.Alpha", "B.Beta"]))
+            .with(Domain::of_ints("years", [30]))
+            .with(Domain::of_strs("serial-numbers", ["M1"]))
+            .with(Domain::of_strs("machine-types", ["lathe"]));
+        assert_eq!(relational.universe().domains(), &literal);
+
+        let (wide, wide_graph) = machine_shop(3, 2);
+        let wider = DomainCatalog::new()
+            .with(Domain::of_strs("names", ["A.Alpha", "B.Beta", "C.Gamma"]))
+            .with(Domain::of_ints("years", [30]))
+            .with(Domain::of_strs("serial-numbers", ["M1", "M2"]))
+            .with(Domain::of_strs("machine-types", ["lathe"]));
+        assert_eq!(wide.universe().domains(), &wider);
+        assert_eq!(wide_graph.universe(), wide.universe());
+        assert_eq!(wide.relations().count(), 3);
     }
 
     #[test]

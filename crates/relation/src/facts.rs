@@ -102,7 +102,7 @@ pub fn state_facts(state: &RelationState) -> FactBase {
     // The state maintains its fact index incrementally (see
     // [`RelationState`]); its key set is exactly this union, so read it
     // instead of recompiling every tuple.
-    FactBase::from_facts(state.fact_counts().keys().cloned())
+    FactBase::from_facts(state.fact_counts().map(|(f, _)| f.clone()))
 }
 
 impl ToFacts for RelationState {

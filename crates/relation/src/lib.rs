@@ -50,4 +50,4 @@ pub use ops::{CompiledOp, OpError, RelOp};
 pub use schema::{
     CharacteristicCol, Pair, Participant, RelationSchema, RelationalSchema, SchemaError,
 };
-pub use state::{RelationState, StateError, Statement};
+pub use state::{RelationState, StateError, Statement, UndoLog};

@@ -43,16 +43,17 @@
 //! existence statement lives in the non-nullable Operate row — the
 //! relational mirror of the graph model's *semantic unit* deletion).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
+use std::sync::{Arc, Mutex};
 
-use dme_logic::FactBase;
+use dme_logic::{Fact, FactBase};
 use dme_value::{Symbol, Tuple, Value};
 
 use crate::constraints::{check_all, ConstraintViolation};
 use crate::facts::tuple_facts;
 use crate::schema::{RelationSchema, RelationalSchema, MAX_NULLABLE_COLUMNS};
-use crate::state::{RelationState, StateError, Statement};
+use crate::state::{RelationState, StateError, Statement, StatementMemo, UndoLog};
 
 /// Errors turning an operation application into the paper's error state.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -274,21 +275,26 @@ impl RelOp {
             let statement = match known {
                 Some(s) => s.clone(),
                 None => Statement::new(
+                    relation.as_str(),
                     t.clone(),
                     &RelationState::checked_tuple_facts(schema, rel, t)?,
                 ),
             };
             statements.push((relation.clone(), statement));
         }
-        Ok(CompiledOp(match self {
+        let op = match self {
             RelOp::Insert(_) => Compiled::Insert(statements),
-            RelOp::Delete(_) => Compiled::Delete(
+            RelOp::Delete(_) => Compiled::Delete(Denial::new(
                 statements
                     .iter()
                     .flat_map(|(_, s)| s.facts().iter().cloned())
                     .collect(),
-            ),
-        }))
+            )),
+        };
+        Ok(CompiledOp {
+            op,
+            made: Arc::default(),
+        })
     }
 
     /// Applies a sequence of operations (a *composed* operation, the
@@ -310,14 +316,81 @@ impl RelOp {
 /// a delete holds the facts its statements assert, which it denies.
 /// Applying it does only the work that depends on the state.
 #[derive(Clone, Debug)]
-pub struct CompiledOp(Compiled);
+pub struct CompiledOp {
+    op: Compiled,
+    /// The statements the operation's in-place normalizations created,
+    /// shared by clones.
+    made: Arc<StatementMemo>,
+}
 
 #[derive(Clone, Debug)]
 enum Compiled {
     /// The statements to store, in statement-set order.
     Insert(Vec<(Symbol, Statement)>),
-    /// The denied facts.
-    Delete(FactBase),
+    /// The denied facts, with the remainders found so far.
+    Delete(Denial),
+}
+
+/// A compiled `delete-statements`: the facts it denies, and the
+/// remainders it has weakened each statement to so far.
+#[derive(Clone, Debug)]
+struct Denial {
+    facts: FactBase,
+    /// The denied facts' fingerprints, sorted: they rule out most facts
+    /// before a lookup in `facts`.
+    fingerprints: Vec<u64>,
+    /// With the denied facts fixed, a statement's remainders depend on
+    /// the statement alone, so each is computed once per compiled
+    /// operation and shared by its clones. Keyed by the statement's
+    /// fingerprint (relation and tuple), confirmed by both.
+    weakened: Arc<Mutex<HashMap<u64, Vec<Weakening>>>>,
+}
+
+/// One weakened statement of a [`Denial`]: its relation, the statement
+/// and its remainders.
+type Weakening = (Symbol, Statement, Arc<[Statement]>);
+
+impl Denial {
+    fn new(facts: FactBase) -> Self {
+        let mut fingerprints: Vec<u64> = facts.iter().map(Fact::fingerprint).collect();
+        fingerprints.sort_unstable();
+        Denial {
+            facts,
+            fingerprints,
+            weakened: Arc::default(),
+        }
+    }
+
+    fn denies(&self, fact: &Fact) -> bool {
+        self.fingerprints.binary_search(&fact.fingerprint()).is_ok() && self.facts.holds(fact)
+    }
+
+    /// The [`remainders`] of a statement of `rel`, each checked
+    /// well-formed, computed on the statement's first weakening.
+    fn remainders_of(
+        &self,
+        schema: &RelationalSchema,
+        rel: &RelationSchema,
+        u: &Statement,
+    ) -> Arc<[Statement]> {
+        // Every update leaves the memo valid (an entry is pushed whole),
+        // so a guard poisoned by a panic elsewhere is still sound.
+        let mut weakened = self.weakened.lock().unwrap_or_else(|e| e.into_inner());
+        let entries = weakened.entry(u.fingerprint()).or_default();
+        if let Some((_, _, found)) = entries.iter().find(|(r, s, _)| r == rel.name() && s == u) {
+            return Arc::clone(found);
+        }
+        let found: Arc<[Statement]> =
+            remainders(rel, u.tuple(), &self.facts, &BTreeSet::new()).into();
+        for r in found.iter() {
+            // Remainders assert facts by construction, so the shape
+            // check is all of well-formedness.
+            RelationState::check_shape(schema, rel, r.tuple())
+                .expect("remainders are well-formed by construction");
+        }
+        entries.push((rel.name().clone(), u.clone(), Arc::clone(&found)));
+        found
+    }
 }
 
 impl CompiledOp {
@@ -329,47 +402,66 @@ impl CompiledOp {
     /// malformed statement was rejected at compile time.
     pub fn apply_candidate(&self, state: &RelationState) -> RelationState {
         let mut next = state.clone();
-        match &self.0 {
+        self.apply_to(&mut next, None, None);
+        next
+    }
+
+    /// [`CompiledOp::apply_candidate`] in place: `state` becomes the
+    /// candidate, and the returned log undoes every statement stored and
+    /// removed on the way. An insert of stored statements or a delete of
+    /// facts a normalized state does not assert changes nothing, and its
+    /// log is empty and allocated nothing.
+    ///
+    /// The operation keeps the statements these normalizations create
+    /// (the joins and extensions of the normal form), so applying it to
+    /// many states compiles each of them once.
+    pub fn apply_in_place(&self, state: &mut RelationState) -> UndoLog {
+        let mut log = UndoLog::begin(state);
+        self.apply_to(state, Some(&mut log), Some(&self.made));
+        log
+    }
+
+    fn apply_to(
+        &self,
+        state: &mut RelationState,
+        mut log: Option<&mut UndoLog>,
+        memo: Option<&StatementMemo>,
+    ) {
+        match &self.op {
             Compiled::Insert(statements) => {
                 for (relation, statement) in statements {
-                    next.store(relation.as_str(), statement.clone());
+                    state.store(relation, statement.clone(), log.as_deref_mut());
                 }
             }
-            Compiled::Delete(denied) => deny(&mut next, denied),
+            Compiled::Delete(denied) => deny(state, denied, log.as_deref_mut()),
         }
-        next.normalize();
-        next
+        state.normalize_logged(log, memo);
     }
 }
 
 /// Weakens every statement of `state` that asserts a denied fact to its
 /// [`remainders`], reading the facts each statement stored when it was
 /// inserted. Leaves the state unnormalized.
-fn deny(state: &mut RelationState, denied: &FactBase) {
+fn deny(state: &mut RelationState, denial: &Denial, mut log: Option<&mut UndoLog>) {
     // A statement can only be affected if one of its facts is denied,
     // and every statement fact is in the state's fact index — so when no
     // denied fact is held at all, the per-tuple scans below would all
     // come up empty.
-    if !denied.iter().any(|f| state.holds_fact(f)) {
+    if !denial.facts.iter().any(|f| state.holds_fact(f)) {
         return;
     }
-    let schema = std::sync::Arc::clone(state.schema());
+    let schema = Arc::clone(state.schema());
     for rel in schema.relations() {
-        let name = rel.name().as_str();
-        let affected: Vec<Tuple> = state
-            .statements(name)
-            .filter(|u| u.facts().iter().any(|f| denied.holds(f)))
-            .map(|u| u.tuple().clone())
+        let name = rel.name();
+        let affected: Vec<Statement> = state
+            .statements(name.as_str())
+            .filter(|u| u.facts().iter().any(|f| denial.denies(f)))
+            .cloned()
             .collect();
         for u in affected {
-            state.delete_raw(name, &u).expect("relation exists");
-            let stored = state.relation(name).expect("relation exists");
-            for r in remainders(rel, &u, denied, stored) {
-                // Remainders assert facts by construction, so the shape
-                // check is all of well-formedness.
-                RelationState::check_shape(&schema, rel, r.tuple())
-                    .expect("remainders are well-formed by construction");
-                state.store(name, r);
+            state.remove(name, u.tuple(), log.as_deref_mut());
+            for r in denial.remainders_of(&schema, rel, &u).iter() {
+                state.store_remainder(name, r.clone(), log.as_deref_mut());
             }
         }
     }
@@ -438,7 +530,7 @@ pub fn remainders(
             Some(s) => s.clone(),
             None => {
                 let facts = tuple_facts(rel, &t);
-                Statement::new(t, &facts)
+                Statement::new(rel.name().as_str(), t, &facts)
             }
         };
         let facts = candidate.facts();

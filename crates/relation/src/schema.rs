@@ -429,6 +429,12 @@ impl RelationSchema {
         self.compiled.bindings.get(predicate)
     }
 
+    /// Every mentioned predicate with its case → participant-index map,
+    /// in predicate order.
+    pub(crate) fn all_bindings(&self) -> impl Iterator<Item = (&Symbol, &BTreeMap<Symbol, usize>)> {
+        self.compiled.bindings.iter()
+    }
+
     /// The relation's name.
     pub fn name(&self) -> &Symbol {
         &self.name

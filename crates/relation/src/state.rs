@@ -27,11 +27,25 @@
 //! closure states, checked at run time: `dme-core`'s `pair_states`
 //! rejects two valid states sharing one fact base. No fast path may key
 //! relational states by their facts alone.
+//!
+//! A state changes in place. Every statement stored or removed goes
+//! through one pair of primitives that keep the fingerprint and the fact
+//! index in step, and joins the state's *dirty set* (what changed since
+//! the last [`RelationState::normalize`]), which lets normalization
+//! re-check only what a change can affect. A transition run with an
+//! [`UndoLog`] ([`crate::CompiledOp::apply_in_place`]) records each of
+//! those changes in order, and [`UndoLog::undo`] replays them backwards
+//! to the exact prior state, dirty set and `normal` flag included: the
+//! closure enumerator applies every operation to one scratch state this
+//! way instead of cloning it.
 
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::sync::Arc;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::Bound;
+use std::sync::{Arc, Mutex};
 
 use dme_logic::{Fact, FactBase};
 use dme_value::{Symbol, Tuple, Value};
@@ -39,26 +53,153 @@ use dme_value::{Symbol, Tuple, Value};
 use crate::facts::tuple_facts;
 use crate::schema::{RelationSchema, RelationalSchema};
 
+/// A state's fact index: for every fact the state asserts, how many
+/// stored statements assert it. Hashed by each fact's cached
+/// fingerprint, so a lookup hashes nothing and compares facts only on a
+/// fingerprint match; a fact whose fingerprint another indexed fact
+/// already has waits in `collided`.
+#[derive(Clone, Default)]
+struct FactIndex {
+    by_fingerprint: HashMap<u64, (Fact, u32), BuildHasherDefault<FingerprintHasher>>,
+    collided: Vec<(Fact, u32)>,
+}
+
+/// Hashes a fact fingerprint to itself: it already is a hash.
+#[derive(Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(*b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+impl FactIndex {
+    fn slot(&mut self, fact: &Fact) -> Option<&mut u32> {
+        match self.by_fingerprint.get_mut(&fact.fingerprint()) {
+            Some((f, n)) if f == fact => Some(n),
+            Some(_) => self
+                .collided
+                .iter_mut()
+                .find(|(f, _)| f == fact)
+                .map(|(_, n)| n),
+            None => None,
+        }
+    }
+
+    fn contains(&self, fact: &Fact) -> bool {
+        match self.by_fingerprint.get(&fact.fingerprint()) {
+            Some((f, _)) if f == fact => true,
+            Some(_) => self.collided.iter().any(|(f, _)| f == fact),
+            None => false,
+        }
+    }
+
+    /// Counts one more statement asserting `fact`; returns whether the
+    /// fact is newly asserted.
+    fn increment(&mut self, fact: &Fact) -> bool {
+        if let Some(n) = self.slot(fact) {
+            *n += 1;
+            return false;
+        }
+        match self.by_fingerprint.entry(fact.fingerprint()) {
+            Entry::Vacant(v) => {
+                v.insert((fact.clone(), 1));
+            }
+            Entry::Occupied(_) => self.collided.push((fact.clone(), 1)),
+        }
+        true
+    }
+
+    /// Counts one statement fewer asserting `fact`, dropping the fact at
+    /// zero.
+    fn decrement(&mut self, fact: &Fact) {
+        let fp = fact.fingerprint();
+        match self.by_fingerprint.get_mut(&fp) {
+            Some((f, n)) if f == fact => {
+                *n -= 1;
+                if *n == 0 {
+                    self.by_fingerprint.remove(&fp);
+                    if let Some(at) = self
+                        .collided
+                        .iter()
+                        .position(|(f, _)| f.fingerprint() == fp)
+                    {
+                        let promoted = self.collided.swap_remove(at);
+                        self.by_fingerprint.insert(fp, promoted);
+                    }
+                }
+            }
+            _ => {
+                let at = self
+                    .collided
+                    .iter()
+                    .position(|(f, _)| f == fact)
+                    .expect("fact index out of sync with statements");
+                self.collided[at].1 -= 1;
+                if self.collided[at].1 == 0 {
+                    self.collided.swap_remove(at);
+                }
+            }
+        }
+    }
+
+    /// Every indexed fact with its count, in no particular order.
+    fn iter(&self) -> impl Iterator<Item = (&Fact, u32)> {
+        self.by_fingerprint
+            .values()
+            .chain(&self.collided)
+            .map(|(f, n)| (f, *n))
+    }
+}
+
 /// Read-only view over a state's incrementally-maintained fact index,
 /// exposing exactly the [`dme_logic::FactBase`] queries normalization
-/// needs. Keys iterate in the same canonical `Fact` order as a
+/// needs. Scans return facts in the canonical `Fact` order of a
 /// `FactBase`, so pass outcomes (e.g. which saturation candidate is
 /// found first) are identical to the rebuild-from-scratch path.
-pub(crate) struct FactView<'a>(&'a BTreeMap<Fact, u32>);
+pub(crate) struct FactView<'a>(&'a FactIndex);
 
 impl FactView<'_> {
     /// Membership — mirrors [`dme_logic::FactBase::holds`].
     pub(crate) fn holds(&self, fact: &Fact) -> bool {
-        self.0.contains_key(fact)
+        self.0.contains(fact)
     }
 
-    /// Facts matching a pattern, in canonical order — mirrors
-    /// [`dme_logic::FactBase::matching`].
-    pub(crate) fn matching<'b>(
-        &'b self,
-        pattern: &'b dme_logic::Pattern,
-    ) -> impl Iterator<Item = &'b Fact> {
-        self.0.keys().filter(move |f| pattern.matches(f))
+    /// Visits the facts of one predicate that pass `filter` in canonical
+    /// order — what [`dme_logic::FactBase::matching`] yields for a
+    /// pattern, without building one — until `visit` returns a value.
+    /// Each step takes the least match after the last one visited, so
+    /// nothing is collected; a scan usually stops at its first match.
+    pub(crate) fn find_matching<T>(
+        &self,
+        predicate: &Symbol,
+        filter: impl Fn(&Fact) -> bool,
+        mut visit: impl FnMut(&Fact) -> Option<T>,
+    ) -> Option<T> {
+        let mut last: Option<&Fact> = None;
+        loop {
+            let next = self
+                .0
+                .iter()
+                .map(|(f, _)| f)
+                .filter(|f| f.predicate() == predicate && last.is_none_or(|l| *f > l) && filter(f))
+                .min()?;
+            if let Some(found) = visit(next) {
+                return Some(found);
+            }
+            last = Some(next);
+        }
     }
 }
 
@@ -152,11 +293,22 @@ struct StatementData {
     tuple: Tuple,
     /// The tuple's facts in canonical `Fact` order, without duplicates.
     facts: Box<[Fact]>,
+    /// The statement's share of its state's fingerprint: the hash of
+    /// (relation, tuple).
+    fp: u64,
 }
 
 impl Statement {
-    pub(crate) fn new(tuple: Tuple, facts: &FactBase) -> Self {
+    /// A statement of `relation`, which is the relation a state stores
+    /// it in.
+    pub(crate) fn new(relation: &str, tuple: Tuple, facts: &FactBase) -> Self {
+        Self::with_fingerprint(statement_fp(relation, &tuple), tuple, facts)
+    }
+
+    /// [`Statement::new`] with the (relation, tuple) hash already known.
+    fn with_fingerprint(fp: u64, tuple: Tuple, facts: &FactBase) -> Self {
         Statement(Arc::new(StatementData {
+            fp,
             tuple,
             facts: facts.iter().cloned().collect(),
         }))
@@ -170,6 +322,12 @@ impl Statement {
     /// The facts the statement asserts, in canonical `Fact` order.
     pub fn facts(&self) -> &[Fact] {
         &self.0.facts
+    }
+
+    /// The statement's share of its state's fingerprint: the hash of
+    /// its relation and tuple.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.0.fp
     }
 
     /// Whether the statement asserts `fact` (a binary search of its
@@ -220,6 +378,46 @@ impl fmt::Debug for Statement {
     }
 }
 
+/// The statements normalizations compiled — joins and saturation
+/// extensions — kept so that a later normalization that creates the same
+/// tuple takes the stored statement instead of compiling it again. A
+/// compiled operation keeps one for the normalizations it runs
+/// ([`crate::CompiledOp::apply_in_place`]); an operation applied to
+/// many states keeps creating the same few statements.
+#[derive(Debug, Default)]
+pub(crate) struct StatementMemo(
+    Mutex<HashMap<u64, Vec<Statement>, BuildHasherDefault<FingerprintHasher>>>,
+);
+
+impl StatementMemo {
+    /// The statement of `tuple` in `rel`, compiled on first use.
+    fn statement(&self, rel: &RelationSchema, tuple: Tuple) -> Statement {
+        let fp = statement_fp(rel.name().as_str(), &tuple);
+        // Every update leaves the memo valid (a statement is pushed
+        // whole), so a guard poisoned by a panic elsewhere is still sound.
+        let mut memo = self.0.lock().unwrap_or_else(|e| e.into_inner());
+        let known = memo.entry(fp).or_default();
+        if let Some(s) = known.iter().find(|s| *s.tuple() == tuple) {
+            return s.clone();
+        }
+        let facts = tuple_facts(rel, &tuple);
+        let s = Statement::with_fingerprint(fp, tuple, &facts);
+        known.push(s.clone());
+        s
+    }
+}
+
+/// A statement of `tuple` in `rel`, through `memo` when there is one.
+fn compile(memo: Option<&StatementMemo>, rel: &RelationSchema, tuple: Tuple) -> Statement {
+    match memo {
+        Some(memo) => memo.statement(rel, tuple),
+        None => {
+            let facts = tuple_facts(rel, &tuple);
+            Statement::new(rel.name().as_str(), tuple, &facts)
+        }
+    }
+}
+
 /// A database state of the semantic relation model.
 ///
 /// Each relation stores its statements with the facts they compiled to
@@ -228,11 +426,13 @@ impl fmt::Debug for Statement {
 /// normalization and scanning for denied facts all read the stored
 /// facts.
 ///
-/// A state also records whether it is normalized. [`RelationState::normalize`]
-/// sets the flag and every change to the statements clears it, so a
-/// transition that leaves a normalized state unchanged (an insert of
-/// stored statements, a delete of facts the state does not assert)
-/// skips normalization entirely.
+/// A state also records what changed since it was last normalized: a
+/// `normal` flag, which [`RelationState::normalize`] sets and every
+/// change to the statements clears, and the *dirty set* — the statements
+/// stored and the facts newly asserted since. A transition that leaves a
+/// normalized state unchanged (an insert of stored statements, a delete
+/// of facts the state does not assert) skips normalization entirely, and
+/// one that changes it normalizes only what the dirty set can affect.
 #[derive(Clone)]
 pub struct RelationState {
     schema: Arc<RelationalSchema>,
@@ -242,11 +442,14 @@ pub struct RelationState {
     /// ordering work on the tuples alone.
     fp: u64,
     /// Incrementally-maintained fact index: for every fact asserted by
-    /// the state, how many statements assert it. The key set equals
+    /// the state, how many statements assert it. The fact set equals
     /// [`crate::facts::state_facts`], so normalization and constraint
     /// checking read it instead of recompiling every tuple on each
     /// operation. Derived data, like `fp`: ignored by `Eq`/`Ord`/`Hash`.
-    facts: BTreeMap<Fact, u32>,
+    facts: FactIndex,
+    /// The dirty set: what changed since the last normalization.
+    /// Derived data, like `fp`: ignored by `Eq`/`Ord`/`Hash`/`Debug`.
+    pending: Pending,
     /// Set by [`RelationState::normalize`] and cleared by every change
     /// to the statements, so a set flag means the state is normalized
     /// and `normalize` has nothing to do. Derived data, like `fp`:
@@ -254,28 +457,107 @@ pub struct RelationState {
     normal: bool,
 }
 
+/// What changed in a state since it was last normalized. A statement
+/// not listed in `stored` was in the state then, when the state was
+/// normalized; a fact asserted now but not then is in `asserted`.
+/// Entries may be stale (a statement since removed, a fact since
+/// denied); `normalize` skips those.
+#[derive(Clone, Default)]
+struct Pending {
+    /// The statements stored, with their relations.
+    stored: Vec<(Symbol, Statement)>,
+    /// The facts whose index count rose from zero.
+    asserted: Vec<Fact>,
+}
+
+impl Pending {
+    fn is_empty(&self) -> bool {
+        self.stored.is_empty() && self.asserted.is_empty()
+    }
+}
+
+/// One change an [`UndoLog`] records.
+enum Change {
+    /// A statement was stored in the relation.
+    Stored(Symbol, Statement),
+    /// A statement was removed from the relation.
+    Removed(Symbol, Statement),
+}
+
+/// The statements an in-place transition stored and removed, in order,
+/// with the state's dirty set and `normal` flag from before it.
+/// [`UndoLog::undo`] restores that state exactly; the fingerprint and
+/// fact index follow the statements back.
+///
+/// Returned by [`crate::CompiledOp::apply_in_place`].
+pub struct UndoLog {
+    changes: Vec<Change>,
+    normal: bool,
+    pending: Pending,
+}
+
+impl UndoLog {
+    /// Starts a log for changes about to be made to `state`. Saving an
+    /// empty dirty set allocates nothing.
+    pub(crate) fn begin(state: &RelationState) -> Self {
+        UndoLog {
+            changes: Vec::new(),
+            normal: state.normal,
+            pending: state.pending.clone(),
+        }
+    }
+
+    /// Whether undoing would change nothing: the transition stored and
+    /// removed no statement and started from a normalized state, which
+    /// it therefore left as it was.
+    pub fn is_empty(&self) -> bool {
+        self.changes.is_empty() && self.normal
+    }
+
+    /// Restores the state the log began on: replays the changes
+    /// backwards, then restores the dirty set and the `normal` flag.
+    pub fn undo(self, state: &mut RelationState) {
+        for change in self.changes.into_iter().rev() {
+            match change {
+                Change::Stored(relation, s) => {
+                    let taken = state.unlink(relation.as_str(), s.tuple());
+                    debug_assert!(taken.is_some(), "a logged store is undone while stored");
+                }
+                Change::Removed(relation, s) => state.link(relation.as_str(), s, None),
+            }
+        }
+        if self.pending.is_empty() {
+            // Keep the buffers' capacity for the next transition.
+            state.pending.stored.clear();
+            state.pending.asserted.clear();
+        } else {
+            state.pending = self.pending;
+        }
+        state.normal = self.normal;
+    }
+}
+
 /// Element hash of one statement: the (relation, tuple) pair.
 fn statement_fp(relation: &str, tuple: &Tuple) -> u64 {
     dme_logic::content_fingerprint(&(relation, tuple))
 }
 
-/// Counts one stored statement's facts into the fact index.
-fn index_facts(index: &mut BTreeMap<Fact, u32>, facts: &[Fact]) {
+/// Counts one stored statement's facts into the fact index, pushing
+/// each fact it is the first to assert onto `asserted`.
+fn index_facts(index: &mut FactIndex, facts: &[Fact], mut asserted: Option<&mut Vec<Fact>>) {
     for f in facts {
-        *index.entry(f.clone()).or_insert(0) += 1;
+        if index.increment(f) {
+            if let Some(asserted) = asserted.as_deref_mut() {
+                asserted.push(f.clone());
+            }
+        }
     }
 }
 
 /// Takes one removed statement's facts out of the fact index.
-fn unindex_facts(index: &mut BTreeMap<Fact, u32>, facts: &[Fact]) {
+fn unindex_facts(index: &mut FactIndex, facts: &[Fact]) {
     for f in facts {
-        match index.get_mut(f) {
-            Some(1) => {
-                index.remove(f);
-            }
-            Some(n) => *n -= 1,
-            None => unreachable!("fact index out of sync with statements"),
-        }
+        index.decrement(f);
     }
 }
 
@@ -336,7 +618,8 @@ impl RelationState {
             schema,
             relations,
             fp: 0,
-            facts: BTreeMap::new(),
+            facts: FactIndex::default(),
+            pending: Pending::default(),
             normal: true,
         }
     }
@@ -474,50 +757,125 @@ impl RelationState {
             return Ok(());
         }
         let facts = Self::checked_tuple_facts(&schema, rel, &tuple)?;
-        self.store(relation, Statement::new(tuple, &facts));
+        self.store(rel.name(), Statement::new(relation, tuple, &facts), None);
         Ok(())
     }
 
     /// Stores a statement whose tuple is well-formed and whose facts the
     /// caller already compiled; a tuple already stored is left as it is.
-    pub(crate) fn store(&mut self, relation: &str, statement: Statement) {
-        let set = self
-            .relations
-            .get_mut(relation)
-            .expect("schema relations are pre-populated");
-        if !set.contains(&statement) {
-            self.fp ^= statement_fp(relation, statement.tuple());
-            index_facts(&mut self.facts, statement.facts());
-            set.insert(statement);
-            self.normal = false;
+    /// A change joins the dirty set and, with a `log`, the log.
+    pub(crate) fn store(
+        &mut self,
+        relation: &Symbol,
+        statement: Statement,
+        log: Option<&mut UndoLog>,
+    ) {
+        self.store_tracked(relation, statement, log, true);
+    }
+
+    /// [`RelationState::store`] of a remainder of a statement just
+    /// removed. Its facts are a subset of that statement's, so none of
+    /// them is newly asserted since the last normalization, and the
+    /// dirty set records only the statement.
+    pub(crate) fn store_remainder(
+        &mut self,
+        relation: &Symbol,
+        statement: Statement,
+        log: Option<&mut UndoLog>,
+    ) {
+        self.store_tracked(relation, statement, log, false);
+    }
+
+    fn store_tracked(
+        &mut self,
+        relation: &Symbol,
+        statement: Statement,
+        log: Option<&mut UndoLog>,
+        track_facts: bool,
+    ) {
+        if self.relations[relation].contains(&statement) {
+            return;
+        }
+        if track_facts {
+            let mut asserted = std::mem::take(&mut self.pending.asserted);
+            self.link(relation.as_str(), statement.clone(), Some(&mut asserted));
+            self.pending.asserted = asserted;
+        } else {
+            self.link(relation.as_str(), statement.clone(), None);
+        }
+        self.normal = false;
+        self.pending
+            .stored
+            .push((relation.clone(), statement.clone()));
+        if let Some(log) = log {
+            log.changes
+                .push(Change::Stored(relation.clone(), statement));
         }
     }
 
     /// Removes an exact tuple; returns whether it was present.
     pub fn delete_raw(&mut self, relation: &str, tuple: &Tuple) -> Result<bool, StateError> {
+        let Some((relation, _)) = self.relations.get_key_value(relation) else {
+            return Err(StateError::UnknownRelation(Symbol::new(relation)));
+        };
+        Ok(self.remove(&relation.clone(), tuple, None))
+    }
+
+    /// [`RelationState::delete_raw`] of a relation of the schema, with
+    /// an optional log; returns whether the tuple was present.
+    pub(crate) fn remove(
+        &mut self,
+        relation: &Symbol,
+        tuple: &Tuple,
+        log: Option<&mut UndoLog>,
+    ) -> bool {
+        let Some(removed) = self.unlink(relation.as_str(), tuple) else {
+            return false;
+        };
+        self.normal = false;
+        if let Some(log) = log {
+            log.changes.push(Change::Removed(relation.clone(), removed));
+        }
+        true
+    }
+
+    /// Adds an unstored statement with its fingerprint and fact-index
+    /// entries, pushing the facts it is the first to assert onto
+    /// `asserted`. Leaves the flag and the dirty set to the caller.
+    fn link(&mut self, relation: &str, statement: Statement, asserted: Option<&mut Vec<Fact>>) {
+        self.fp ^= statement.0.fp;
+        index_facts(&mut self.facts, statement.facts(), asserted);
         let set = self
             .relations
             .get_mut(relation)
-            .ok_or_else(|| StateError::UnknownRelation(Symbol::new(relation)))?;
-        let Some(removed) = set.take(tuple) else {
-            return Ok(false);
-        };
-        self.fp ^= statement_fp(relation, tuple);
-        unindex_facts(&mut self.facts, removed.facts());
-        self.normal = false;
-        Ok(true)
+            .expect("schema relations are pre-populated");
+        let inserted = set.insert(statement);
+        debug_assert!(inserted, "linked statements are unstored");
     }
 
-    /// Whether the state asserts `fact` (O(log n) on the fact index).
+    /// Takes a stored statement out with its fingerprint and fact-index
+    /// entries. Leaves the flag and the dirty set to the caller.
+    fn unlink(&mut self, relation: &str, tuple: &Tuple) -> Option<Statement> {
+        let removed = self
+            .relations
+            .get_mut(relation)
+            .expect("schema relations are pre-populated")
+            .take(tuple)?;
+        self.fp ^= removed.0.fp;
+        unindex_facts(&mut self.facts, removed.facts());
+        Some(removed)
+    }
+
+    /// Whether the state asserts `fact` (one hash probe of the fact index).
     pub fn holds_fact(&self, fact: &Fact) -> bool {
-        self.facts.contains_key(fact)
+        self.facts.contains(fact)
     }
 
     /// The state's fact index: every asserted fact with the number of
-    /// stored statements asserting it. The key set is exactly
-    /// [`crate::facts::state_facts`].
-    pub(crate) fn fact_counts(&self) -> &BTreeMap<Fact, u32> {
-        &self.facts
+    /// stored statements asserting it, in no particular order. The fact
+    /// set is exactly [`crate::facts::state_facts`].
+    pub(crate) fn fact_counts(&self) -> impl Iterator<Item = (&Fact, u32)> {
+        self.facts.iter()
     }
 
     /// Checks every tuple's well-formedness.
@@ -547,9 +905,16 @@ impl RelationState {
                             .is_some_and(|j| asserts_exactly(&tuple_facts(rel, &j), a, b))
                 });
                 // No extendable statement left uncovered.
-                pairs_ok && saturation_extensions(rel, a.tuple(), statements, &facts).is_empty()
+                pairs_ok && first_extension(rel, a.tuple(), statements, &facts, None).is_none()
             })
         })
+    }
+
+    /// Whether the state carries the flag [`RelationState::normalize`]
+    /// sets and every change to the statements clears: when it does, the
+    /// state is normalized and `normalize` returns at once.
+    pub fn is_marked_normalized(&self) -> bool {
+        self.normal
     }
 
     /// Normalizes every relation in place:
@@ -573,40 +938,142 @@ impl RelationState {
     /// module docs), so the correspondence holds on closure states only.
     ///
     /// Returns at once on a state already normalized: the flag this sets
-    /// survives until the statements change. Otherwise each relation is
-    /// normalized in place, so a relation already at its fixpoint costs
-    /// one round of the three checks and nothing else. Only the tuples a
-    /// pass creates (a join, a saturation extension) are compiled; their
-    /// facts are stored with them.
+    /// survives until the statements change. Otherwise only what the
+    /// dirty set can affect is re-checked. A statement stored before the
+    /// last normalization (a *clean* one) is incomparable with, and not
+    /// mergeable with, every other clean one, since both checks read
+    /// only the two statements; so subsumption and merging compare only
+    /// pairs with a dirty statement. Saturation reads the fact set too,
+    /// so it runs on the dirty statements and on the clean ones a newly
+    /// asserted fact may extend. A clean statement's
+    /// extensions are never covered by another stored statement (that
+    /// statement would dominate it), so removing a statement gives no
+    /// clean one an extension. A state built by [`RelationState::insert_raw`]
+    /// from the empty state is all dirty: that is full normalization.
+    /// Passes scan in statement order, so the first mergeable pair and
+    /// the first extension are those a scan of every statement finds,
+    /// and the normal form is the same. Only the tuples a pass creates
+    /// (a join, a saturation extension) are compiled; their facts are
+    /// stored with them.
     pub fn normalize(&mut self) {
+        self.normalize_logged(None, None);
+    }
+
+    /// [`RelationState::normalize`], recording every statement it stores
+    /// and removes in `log` and taking the statements it creates from
+    /// `memo`.
+    pub(crate) fn normalize_logged(
+        &mut self,
+        mut log: Option<&mut UndoLog>,
+        memo: Option<&StatementMemo>,
+    ) {
         if self.normal {
             return;
         }
+        let mut pending = std::mem::take(&mut self.pending);
+        // Newly asserted facts still held; a denied one extends nothing.
+        pending.asserted.retain(|f| self.facts.contains(f));
         let schema = Arc::clone(&self.schema);
         for rel in schema.relations() {
             let statements = self
                 .relations
                 .get_mut(rel.name())
                 .expect("schema relations are pre-populated");
-            // The fact *set* is a normalization invariant, so the passes
-            // read the index as it stood before the relation changed;
-            // the per-statement refcounts catch up below.
-            let replay = normalize_relation(rel, statements, &FactView(&self.facts));
-            self.fp ^= replay.fp;
-            // Count gains before losses: every fact stays asserted, so
-            // a fact is then never dropped from the index while a
-            // statement asserting it is still to be counted in.
-            for s in &replay.gained {
-                index_facts(&mut self.facts, s.facts());
+            let mut dirty: Vec<Statement> = pending
+                .stored
+                .iter()
+                .filter(|(r, s)| r == rel.name() && statements.contains(s))
+                .map(|(_, s)| s.clone())
+                .collect();
+            dirty.sort();
+            dirty.dedup();
+            let relevant = || {
+                pending
+                    .asserted
+                    .iter()
+                    .filter(|f| extends_into(rel, f.predicate()))
+            };
+            let recheck: Vec<Statement> =
+                if dirty.len() == statements.len() || relevant().next().is_none() {
+                    Vec::new()
+                } else {
+                    statements
+                        .iter()
+                        .filter(|s| {
+                            dirty.binary_search(s).is_err()
+                                && relevant().any(|f| may_extend(rel, s.tuple(), f))
+                        })
+                        .cloned()
+                        .collect()
+                };
+            if dirty.is_empty() && recheck.is_empty() {
+                continue;
             }
-            for s in &replay.lost {
-                unindex_facts(&mut self.facts, s.facts());
-            }
+            let replay = Replay {
+                rel,
+                statements,
+                fp: &mut self.fp,
+                index: &mut self.facts,
+                log: log.as_deref_mut(),
+            };
+            normalize_relation(replay, dirty, recheck, memo);
         }
         // The fact set is unchanged, so normalizing a later relation
         // leaves an earlier one at its fixpoint: one pass suffices.
+        pending.stored.clear();
+        pending.asserted.clear();
+        self.pending = pending;
         self.normal = true;
     }
+}
+
+/// Whether a fact of `predicate` can pass [`may_extend`] for some
+/// statement of `rel`: whether it is one of the heading's existence,
+/// characteristic or association predicates.
+fn extends_into(rel: &RelationSchema, predicate: &Symbol) -> bool {
+    rel.mentioned().contains(predicate)
+        || rel.participants().iter().enumerate().any(|(pi, p)| {
+            (p.asserts_existence() && rel.existence_predicate_of(pi) == predicate)
+                || (1..p.columns.len())
+                    .any(|ci| rel.characteristic_predicate_of(pi, ci) == predicate)
+        })
+}
+
+/// Whether saturating `t` could use `fact`: whether `fact` matches one
+/// of the patterns [`first_extension`] looks up for `t`, or is a
+/// fact one of `t`'s single-column extensions asserts beyond `t`'s own
+/// (the existence or association facts of a participant it fills in).
+/// An extension asserts `t`'s facts plus such facts only, so a
+/// normalized state's statement gains an extension from newly asserted
+/// facts only if one of them passes this test.
+fn may_extend(rel: &RelationSchema, t: &Tuple, fact: &Fact) -> bool {
+    let predicate = fact.predicate();
+    rel.participants().iter().enumerate().any(|(pi, p)| {
+        let base = rel.participant_offset(pi);
+        match t[base].as_atom() {
+            Some(key) => (1..p.columns.len()).any(|ci| {
+                t[base + ci].is_null()
+                    && predicate == rel.characteristic_predicate_of(pi, ci)
+                    && fact.get(p.columns[0].characteristic.as_str()) == Some(key)
+            }),
+            None => {
+                (p.asserts_existence() && predicate == rel.existence_predicate_of(pi))
+                    || p.case_pairs().any(|(pred, case)| {
+                        predicate == pred
+                            && rel
+                                .bindings_of(pred.as_str())
+                                .expect("mentioned predicates are bound")
+                                .iter()
+                                .all(|(other_case, opi)| {
+                                    other_case == case
+                                        || t[rel.id_column(*opi)].as_atom().is_some_and(|a| {
+                                            fact.get(other_case.as_str()) == Some(a)
+                                        })
+                                })
+                    })
+            }
+        }
+    })
 }
 
 /// Whether `joined` (the compiled facts of `a ⊔ b`) asserts exactly the
@@ -616,19 +1083,24 @@ fn asserts_exactly(joined: &FactBase, a: &Statement, b: &Statement) -> bool {
         && joined.iter().all(|f| a.asserts(f) || b.asserts(f))
 }
 
-/// Single-column extensions of `t` justified by already-true facts and
-/// not covered by any stored statement, with their compiled facts.
-/// Coverage is checked before compiling, so a stored tuple (which covers
-/// itself) is never recompiled.
-fn saturation_extensions(
+/// The first single-column extension of `t` justified by already-true
+/// facts, with its compiled facts: participants, then columns, then
+/// attesting facts in canonical order. Only that candidate and any
+/// rejected before it are compiled.
+///
+/// A stored statement never covers an extension here: an extension is
+/// strictly above `t`, so a statement at or above it would dominate `t`,
+/// and both callers look for extensions only where no statement
+/// dominates another (normalization after its subsumption pass,
+/// [`RelationState::is_normalized`] after checking `t`'s pairs).
+fn first_extension(
     rel: &RelationSchema,
     t: &Tuple,
     statements: &BTreeSet<Statement>,
     facts: &FactView<'_>,
-) -> Vec<Statement> {
-    use dme_logic::Pattern;
-    let mut out = Vec::new();
-    let mut push_candidate = |column: usize, atom: dme_value::Atom| {
+    memo: Option<&StatementMemo>,
+) -> Option<Statement> {
+    let candidate = |column: usize, atom: &dme_value::Atom| -> Option<Statement> {
         let values: Vec<Value> = t
             .values()
             .enumerate()
@@ -641,13 +1113,16 @@ fn saturation_extensions(
             })
             .collect();
         let candidate = Tuple::new(values);
-        if statements.iter().any(|b| candidate.sem_le(b.tuple())) {
-            return;
-        }
-        let compiled = tuple_facts(rel, &candidate);
-        if compiled.iter().all(|f| facts.holds(f)) {
-            out.push(Statement::new(candidate, &compiled));
-        }
+        debug_assert!(
+            !statements.iter().any(|b| candidate.sem_le(b.tuple())),
+            "a stored statement dominates {t}"
+        );
+        let candidate = compile(memo, rel, candidate);
+        candidate
+            .facts()
+            .iter()
+            .all(|f| facts.holds(f))
+            .then_some(candidate)
     };
 
     for (pi, p) in rel.participants().iter().enumerate() {
@@ -656,17 +1131,22 @@ fn saturation_extensions(
         match id {
             Some(key) => {
                 // Characteristic columns attested by characteristic facts.
+                let id_case = p.columns[0].characteristic.as_str();
                 for (ci, _col) in p.columns.iter().enumerate().skip(1) {
                     if !t[base + ci].is_null() {
                         continue;
                     }
-                    let pred = rel.characteristic_predicate_of(pi, ci).clone();
-                    let pattern = Pattern::predicate(pred)
-                        .with(p.columns[0].characteristic.clone(), key.clone());
-                    for fact in facts.matching(&pattern) {
-                        if let Some(v) = fact.get(dme_logic::vocab::VALUE_CASE) {
-                            push_candidate(base + ci, v.clone());
-                        }
+                    let pred = rel.characteristic_predicate_of(pi, ci);
+                    let found = facts.find_matching(
+                        pred,
+                        |f| f.get(id_case) == Some(key),
+                        |fact| {
+                            let v = fact.get(dme_logic::vocab::VALUE_CASE)?;
+                            candidate(base + ci, v)
+                        },
+                    );
+                    if found.is_some() {
+                        return found;
                     }
                 }
             }
@@ -677,119 +1157,240 @@ fn saturation_extensions(
                     let bindings = rel
                         .bindings_of(pred.as_str())
                         .expect("mentioned predicates are bound");
-                    let mut pattern = Pattern::predicate(pred.clone());
-                    let mut complete = true;
-                    for (other_case, opi) in bindings {
-                        if other_case == case {
-                            continue;
-                        }
-                        match t[rel.id_column(*opi)].as_atom() {
-                            Some(a) => pattern = pattern.with(other_case.clone(), a.clone()),
-                            None => {
-                                complete = false;
-                                break;
-                            }
-                        }
-                    }
-                    if !complete {
+                    let others = || {
+                        bindings
+                            .iter()
+                            .filter(|(other_case, _)| *other_case != case)
+                    };
+                    if others().any(|(_, opi)| t[rel.id_column(*opi)].is_null()) {
                         continue;
                     }
-                    for fact in facts.matching(&pattern) {
-                        if let Some(v) = fact.get(case.as_str()) {
-                            push_candidate(base, v.clone());
-                        }
+                    let bound = |f: &Fact| {
+                        others().all(|(other_case, opi)| {
+                            f.get(other_case.as_str()) == t[rel.id_column(*opi)].as_atom()
+                        })
+                    };
+                    let found = facts.find_matching(pred, bound, |fact| {
+                        candidate(base, fact.get(case.as_str())?)
+                    });
+                    if found.is_some() {
+                        return found;
                     }
                 }
             }
         }
     }
-    out
+    None
 }
 
-/// What one relation's normalization changed, for the state to replay
-/// into its fingerprint and fact index.
-#[derive(Default)]
-struct Replay {
-    /// XOR of the fingerprints of every statement added or removed.
-    fp: u64,
-    /// The statements added.
-    gained: Vec<Statement>,
-    /// The statements removed.
-    lost: Vec<Statement>,
+/// Where one relation's normalization applies each change as it makes
+/// it: the relation's statements, the state's fingerprint and fact
+/// index, and the transition's log when one is kept.
+struct Replay<'a> {
+    rel: &'a RelationSchema,
+    statements: &'a mut BTreeSet<Statement>,
+    fp: &'a mut u64,
+    index: &'a mut FactIndex,
+    log: Option<&'a mut UndoLog>,
 }
 
-impl Replay {
-    fn add(&mut self, rel: &RelationSchema, statements: &mut BTreeSet<Statement>, s: Statement) {
-        self.fp ^= statement_fp(rel.name().as_str(), s.tuple());
-        self.gained.push(s.clone());
-        let inserted = statements.insert(s);
+impl Replay<'_> {
+    fn add(&mut self, s: Statement) {
+        *self.fp ^= s.0.fp;
+        index_facts(self.index, s.facts(), None);
+        if let Some(log) = self.log.as_deref_mut() {
+            log.changes
+                .push(Change::Stored(self.rel.name().clone(), s.clone()));
+        }
+        let inserted = self.statements.insert(s);
         debug_assert!(inserted, "normalization adds only unstored statements");
     }
 
-    fn remove(&mut self, rel: &RelationSchema, statements: &mut BTreeSet<Statement>, t: &Tuple) {
-        let s = statements.take(t).expect("removed statements are stored");
-        self.fp ^= statement_fp(rel.name().as_str(), s.tuple());
-        self.lost.push(s);
+    fn remove(&mut self, t: &Tuple) {
+        let s = self
+            .statements
+            .take(t)
+            .expect("removed statements are stored");
+        *self.fp ^= s.0.fp;
+        unindex_facts(self.index, s.facts());
+        if let Some(log) = self.log.as_deref_mut() {
+            log.changes
+                .push(Change::Removed(self.rel.name().clone(), s));
+        }
     }
 }
 
-fn normalize_relation(
+/// A set of statements kept as a sorted vector: the dirty statements of
+/// one relation, and the clean ones saturation re-checks. Both are
+/// small.
+#[derive(Default)]
+struct Marked(Vec<Statement>);
+
+impl Marked {
+    fn from_sorted(statements: Vec<Statement>) -> Self {
+        debug_assert!(statements.windows(2).all(|w| w[0] < w[1]));
+        Marked(statements)
+    }
+
+    fn contains(&self, t: &Tuple) -> bool {
+        self.0.binary_search_by(|s| s.tuple().cmp(t)).is_ok()
+    }
+
+    fn insert(&mut self, s: Statement) {
+        if let Err(at) = self.0.binary_search(&s) {
+            self.0.insert(at, s);
+        }
+    }
+
+    fn remove(&mut self, t: &Tuple) {
+        if let Ok(at) = self.0.binary_search_by(|s| s.tuple().cmp(t)) {
+            self.0.remove(at);
+        }
+    }
+
+    /// The marked statements after `t`, in order.
+    fn after(&self, t: &Tuple) -> &[Statement] {
+        &self.0[self.0.partition_point(|s| s.tuple() <= t)..]
+    }
+}
+
+/// The merge of two statements: their join, when the two are
+/// incomparable and the join asserts exactly their combined facts.
+///
+/// Decided from the tuples before the join is built. A join asserts
+/// every fact of both statements and, beyond them, only association
+/// facts whose participants the two identify between them but neither
+/// does alone: its existence and characteristic facts are each one
+/// statement's, since a statement with a characteristic identifies its
+/// participant (coherence). Only a merge is compiled.
+fn merge_of(
     rel: &RelationSchema,
-    statements: &mut BTreeSet<Statement>,
-    facts: &FactView<'_>,
-) -> Replay {
-    let mut replay = Replay::default();
+    a: &Statement,
+    b: &Statement,
+    memo: Option<&StatementMemo>,
+) -> Option<Statement> {
+    let (ta, tb) = (a.tuple(), b.tuple());
+    let (mut a_only, mut b_only) = (false, false);
+    for (x, y) in ta.values().zip(tb.values()) {
+        match (x.is_null(), y.is_null()) {
+            (false, true) => a_only = true,
+            (true, false) => b_only = true,
+            (false, false) if x != y => return None, // no join
+            _ => {}
+        }
+    }
+    if !(a_only && b_only) {
+        return None; // comparable pair, handled by subsumption
+    }
+    let identifies = |t: &Tuple, pi: usize| !t[rel.id_column(pi)].is_null();
+    let asserts_more = rel.all_bindings().any(|(_, bindings)| {
+        let by = |t: &Tuple| bindings.values().all(|&pi| identifies(t, pi));
+        bindings
+            .values()
+            .all(|&pi| identifies(ta, pi) || identifies(tb, pi))
+            && !by(ta)
+            && !by(tb)
+    });
+    if asserts_more {
+        return None;
+    }
+    // The join is not stored: it would strictly dominate `a`, and the
+    // subsumption pass just removed such pairs.
+    let j = ta
+        .sem_join(tb)
+        .expect("the statements agree wherever both speak");
+    debug_assert!(
+        asserts_exactly(&tuple_facts(rel, &j), a, b),
+        "merge of {ta} and {tb}"
+    );
+    Some(compile(memo, rel, j))
+}
+
+/// Normalizes one relation whose statements outside `dirty` are
+/// pairwise normalized and, outside `recheck` too, have no saturation
+/// extension (see [`RelationState::normalize`]). Every pass scans in
+/// statement order and skips only checks that cannot succeed, so it
+/// makes the choices a scan of every statement makes.
+///
+/// Normalization never changes the fact set, and no fact's count drops
+/// to zero on the way: a dominated statement's facts are its
+/// dominator's, a merge stores the join before removing its two
+/// statements, and an extension asserts facts already held. So the
+/// passes read the fact index while the changes update it.
+fn normalize_relation(
+    mut replay: Replay<'_>,
+    dirty: Vec<Statement>,
+    recheck: Vec<Statement>,
+    memo: Option<&StatementMemo>,
+) {
+    let rel = replay.rel;
+    let mut dirty = Marked::from_sorted(dirty);
+    let recheck = Marked::from_sorted(recheck);
+    // The statements added since the last subsumption pass (`None`
+    // before the first: the dirty ones). After a pass no statement
+    // dominates another, and removals create no dominance, so only a
+    // pair with a fresh statement can be comparable.
+    let mut fresh: Option<Marked> = None;
     loop {
         // Subsumption pass: drop statements strictly below another.
-        let dominated: Vec<Tuple> = statements
+        let statements = &*replay.statements;
+        let added = fresh.as_ref().unwrap_or(&dirty);
+        let dominated: Vec<Statement> = statements
             .iter()
-            .filter(|a| statements.iter().any(|b| a.tuple().sem_lt(b.tuple())))
-            .map(|a| a.tuple().clone())
+            .filter(|a| {
+                let above = |b: &Statement| a.tuple().sem_lt(b.tuple());
+                if added.contains(a.tuple()) {
+                    statements.iter().any(above)
+                } else {
+                    added.0.iter().any(above)
+                }
+            })
+            .cloned()
             .collect();
-        for t in &dominated {
-            replay.remove(rel, statements, t);
+        let fresh = fresh.insert(Marked::default());
+        for s in &dominated {
+            replay.remove(s.tuple());
+            dirty.remove(s.tuple());
         }
 
         // Merge pass: find one mergeable pair, apply, restart.
-        let mut merge: Option<(Tuple, Tuple, Statement)> = None;
+        let statements = &*replay.statements;
+        let mut merge: Option<(Statement, Statement, Statement)> = None;
         'outer: for a in statements.iter() {
-            for b in statements.iter() {
-                if a >= b {
-                    continue;
-                }
-                if let Some(j) = a.tuple().sem_join(b.tuple()) {
-                    if j == *a.tuple() || j == *b.tuple() {
-                        continue; // comparable pair, handled by subsumption
-                    }
-                    // `j` is not stored: it would strictly dominate `a`,
-                    // and the subsumption pass just removed such pairs.
-                    let joined = tuple_facts(rel, &j);
-                    if asserts_exactly(&joined, a, b) {
-                        merge = Some((
-                            a.tuple().clone(),
-                            b.tuple().clone(),
-                            Statement::new(j, &joined),
-                        ));
-                        break 'outer;
-                    }
+            let partners: &mut dyn Iterator<Item = &Statement> = if dirty.contains(a.tuple()) {
+                &mut statements.range::<Tuple, _>((Bound::Excluded(a.tuple()), Bound::Unbounded))
+            } else {
+                &mut dirty.after(a.tuple()).iter()
+            };
+            for b in partners {
+                if let Some(j) = merge_of(rel, a, b, memo) {
+                    merge = Some((a.clone(), b.clone(), j));
+                    break 'outer;
                 }
             }
         }
         if let Some((a, b, j)) = merge {
-            replay.remove(rel, statements, &a);
-            replay.remove(rel, statements, &b);
-            replay.add(rel, statements, j);
+            dirty.insert(j.clone());
+            fresh.insert(j.clone());
+            replay.add(j);
+            for t in [a.tuple(), b.tuple()] {
+                replay.remove(t);
+                dirty.remove(t);
+            }
             continue;
         }
 
         // Saturation pass: add one uncovered extension, restart.
-        let extension = statements.iter().find_map(|s| {
-            saturation_extensions(rel, s.tuple(), statements, facts)
-                .into_iter()
-                .next()
-        });
+        let statements = &*replay.statements;
+        let facts = FactView(&*replay.index);
+        let extension = statements
+            .iter()
+            .filter(|s| dirty.contains(s.tuple()) || recheck.contains(s.tuple()))
+            .find_map(|s| first_extension(rel, s.tuple(), statements, &facts, memo));
         if let Some(candidate) = extension {
-            replay.add(rel, statements, candidate);
+            dirty.insert(candidate.clone());
+            fresh.insert(candidate.clone());
+            replay.add(candidate);
             continue;
         }
 
@@ -797,7 +1398,6 @@ fn normalize_relation(
             break;
         }
     }
-    replay
 }
 
 #[cfg(test)]
@@ -906,7 +1506,9 @@ mod tests {
                     }
                 }
             }
-            assert_eq!(state.fact_counts(), &recount, "{state:?}");
+            let counts: BTreeMap<Fact, u32> =
+                state.fact_counts().map(|(f, n)| (f.clone(), n)).collect();
+            assert_eq!(counts, recount, "{state:?}");
         }
 
         let ops = [

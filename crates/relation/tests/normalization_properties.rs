@@ -13,14 +13,20 @@
 //! * every transition path (`apply`, `apply_candidate` and a compiled
 //!   operation) keeps the state's derived data — fingerprint, fact index
 //!   and each statement's stored facts — equal to a rebuild from its
-//!   tuples.
+//!   tuples;
+//! * the in-place transition (`CompiledOp::apply_in_place`, which
+//!   normalizes only what its changes can affect) ends where a full scan
+//!   of every statement ends, and its undo log restores the prior state
+//!   exactly.
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use dme_logic::ToFacts;
+use dme_logic::{FactBase, Pattern, ToFacts};
+use dme_relation::facts::tuple_facts;
 use dme_relation::fixtures;
-use dme_relation::ops::StatementSet;
-use dme_relation::{RelOp, RelationState};
+use dme_relation::ops::{remainders, StatementSet};
+use dme_relation::{RelOp, RelationSchema, RelationState};
 use dme_value::{Tuple, Value};
 use proptest::prelude::*;
 
@@ -75,6 +81,46 @@ fn arb_statement() -> impl Strategy<Value = (&'static str, Tuple)> {
                 _ => ("Jobs", jobs),
             },
         )
+}
+
+/// One machine-shop statement over two names, two machines, one age and
+/// one machine type: the size of `dme_core::witness::machine_shop(2, 2)`,
+/// where a state's normal form can depend on the path that reached it
+/// (a Jobs statement pairs a supervisor with one of two machines).
+fn arb_small_statement() -> impl Strategy<Value = (&'static str, Tuple)> {
+    let name = || prop_oneof![Just(Value::str("T.Manhart")), Just(Value::str("C.Gershag"))];
+    let or_null = |v: BoxedStrategy<Value>| prop_oneof![Just(Value::Null), v].boxed();
+    (
+        0u8..4,
+        (
+            or_null(name().boxed()),
+            name(),
+            or_null(arb_machine().boxed()),
+        ),
+        (name(), arb_machine()),
+    )
+        .prop_map(
+            |(relation, (boss, worker, job), (name, machine))| match relation {
+                0 => ("Employees", Tuple::new([name, Value::int(32)])),
+                1 => ("Operate", Tuple::new([name, machine, Value::str("lathe")])),
+                _ => ("Jobs", Tuple::new([boss, worker, job])),
+            },
+        )
+}
+
+/// An insert or delete of one to three statements.
+fn arb_op(statement: BoxedStrategy<(&'static str, Tuple)>) -> impl Strategy<Value = RelOp> {
+    (any::<bool>(), prop::collection::vec(statement, 1..4)).prop_map(|(insert, statements)| {
+        let mut set = StatementSet::new();
+        for (relation, tuple) in statements {
+            set.add(relation, tuple);
+        }
+        if insert {
+            RelOp::insert_set(set)
+        } else {
+            RelOp::delete_set(set)
+        }
+    })
 }
 
 /// How one scripted step applies its operation.
@@ -139,6 +185,222 @@ fn assert_matches_rebuild(state: &RelationState) -> Result<(), TestCaseError> {
                 fresh.facts(),
                 "stored facts of {}",
                 stored.tuple()
+            );
+        }
+    }
+    Ok(())
+}
+
+/// The full-scan normalization the in-place one must agree with: every
+/// pass scans every statement of every relation, as normalization did
+/// before it tracked what a change touched. Works on tuples, compiling
+/// facts from scratch, and returns the normalized state.
+fn full_scan_normalize(state: &RelationState) -> RelationState {
+    let facts = state.to_facts();
+    let mut out = RelationState::empty(Arc::clone(state.schema()));
+    for rel in state.schema().relations() {
+        let name = rel.name().as_str();
+        let mut statements: BTreeSet<Tuple> = state.tuples(name).cloned().collect();
+        full_scan_relation(rel, &mut statements, &facts);
+        for t in statements {
+            out.insert_raw(name, t)
+                .expect("normal forms are well-formed");
+        }
+    }
+    out
+}
+
+fn full_scan_relation(rel: &RelationSchema, statements: &mut BTreeSet<Tuple>, facts: &FactBase) {
+    loop {
+        let dominated: Vec<Tuple> = statements
+            .iter()
+            .filter(|a| statements.iter().any(|b| a.sem_lt(b)))
+            .cloned()
+            .collect();
+        for t in &dominated {
+            statements.remove(t);
+        }
+        let mut merge: Option<(Tuple, Tuple, Tuple)> = None;
+        'outer: for a in statements.iter() {
+            for b in statements.iter() {
+                if a >= b {
+                    continue;
+                }
+                if let Some(j) = a.sem_join(b) {
+                    if j == *a || j == *b {
+                        continue;
+                    }
+                    let joined = tuple_facts(rel, &j);
+                    let (fa, fb) = (tuple_facts(rel, a), tuple_facts(rel, b));
+                    let exact = fa.iter().chain(fb.iter()).all(|f| joined.holds(f))
+                        && joined.iter().all(|f| fa.holds(f) || fb.holds(f));
+                    if exact {
+                        merge = Some((a.clone(), b.clone(), j));
+                        break 'outer;
+                    }
+                }
+            }
+        }
+        if let Some((a, b, j)) = merge {
+            statements.remove(&a);
+            statements.remove(&b);
+            statements.insert(j);
+            continue;
+        }
+        let extension = statements.iter().find_map(|t| {
+            full_scan_extensions(rel, t, statements, facts)
+                .into_iter()
+                .next()
+        });
+        if let Some(candidate) = extension {
+            statements.insert(candidate);
+            continue;
+        }
+        if dominated.is_empty() {
+            break;
+        }
+    }
+}
+
+/// Single-column extensions of `t` attested by `facts` and not covered
+/// by a statement, in the order the full scan tries them.
+fn full_scan_extensions(
+    rel: &RelationSchema,
+    t: &Tuple,
+    statements: &BTreeSet<Tuple>,
+    facts: &FactBase,
+) -> Vec<Tuple> {
+    let mut out = Vec::new();
+    let mut push_candidate = |column: usize, atom: &dme_value::Atom| {
+        let candidate = Tuple::new(t.values().enumerate().map(|(i, v)| {
+            if i == column {
+                Value::Atom(atom.clone())
+            } else {
+                v.clone()
+            }
+        }));
+        if statements.iter().any(|b| candidate.sem_le(b)) {
+            return;
+        }
+        if tuple_facts(rel, &candidate).iter().all(|f| facts.holds(f)) {
+            out.push(candidate);
+        }
+    };
+    for (pi, p) in rel.participants().iter().enumerate() {
+        let base = rel.participant_offset(pi);
+        match t[base].as_atom() {
+            Some(key) => {
+                for ci in 1..p.columns.len() {
+                    if !t[base + ci].is_null() {
+                        continue;
+                    }
+                    let pattern =
+                        Pattern::predicate(rel.characteristic_predicate_of(pi, ci).clone())
+                            .with(p.columns[0].characteristic.clone(), key.clone());
+                    for fact in facts.matching(&pattern) {
+                        if let Some(v) = fact.get(dme_logic::vocab::VALUE_CASE) {
+                            push_candidate(base + ci, v);
+                        }
+                    }
+                }
+            }
+            None => {
+                for (pred, case) in p.case_pairs() {
+                    let bindings = rel.bindings_of(pred.as_str()).expect("bound predicate");
+                    let mut pattern = Pattern::predicate(pred.clone());
+                    let mut complete = true;
+                    for (other_case, opi) in bindings {
+                        if other_case == case {
+                            continue;
+                        }
+                        match t[rel.id_column(*opi)].as_atom() {
+                            Some(a) => pattern = pattern.with(other_case.clone(), a.clone()),
+                            None => {
+                                complete = false;
+                                break;
+                            }
+                        }
+                    }
+                    if !complete {
+                        continue;
+                    }
+                    for fact in facts.matching(&pattern) {
+                        if let Some(v) = fact.get(case.as_str()) {
+                            push_candidate(base, v);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// What `op` does to `state` before normalization, built from public
+/// building blocks: an insert stores its statements; a delete removes
+/// every statement asserting a denied fact and stores its remainders.
+/// `None` for a malformed statement.
+fn unnormalized_successor(op: &RelOp, state: &RelationState) -> Option<RelationState> {
+    let schema = Arc::clone(state.schema());
+    let mut next = state.clone();
+    match op {
+        RelOp::Insert(set) => {
+            for (relation, t) in set.iter() {
+                next.insert_raw(relation.as_str(), t.clone()).ok()?;
+            }
+        }
+        RelOp::Delete(set) => {
+            let mut denied = FactBase::new();
+            for (relation, t) in set.iter() {
+                let rel = schema.relation(relation.as_str())?;
+                RelationState::check_tuple(&schema, rel, t).ok()?;
+                denied.extend(tuple_facts(rel, t).iter().cloned());
+            }
+            for rel in schema.relations() {
+                let name = rel.name().as_str();
+                let affected: Vec<Tuple> = next
+                    .tuples(name)
+                    .filter(|u| tuple_facts(rel, u).iter().any(|f| denied.holds(f)))
+                    .cloned()
+                    .collect();
+                for u in affected {
+                    next.delete_raw(name, &u).expect("relation exists");
+                    let stored = next.relation(name).expect("relation exists").clone();
+                    for r in remainders(rel, &u, &denied, &stored) {
+                        next.insert_raw(name, r.tuple().clone())
+                            .expect("remainders are well-formed");
+                    }
+                }
+            }
+        }
+    }
+    Some(next)
+}
+
+/// Equal states with equal derived data: `Eq`, fingerprint, fact-index
+/// fact set and every statement's stored facts.
+fn assert_same_state(
+    got: &RelationState,
+    want: &RelationState,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got, want, "{}", what);
+    prop_assert_eq!(
+        got.fingerprint(),
+        want.fingerprint(),
+        "{}: fingerprint",
+        what
+    );
+    prop_assert_eq!(got.to_facts(), want.to_facts(), "{}: fact index", what);
+    for rel in got.schema().relations() {
+        let name = rel.name().as_str();
+        for (g, w) in got.statements(name).zip(want.statements(name)) {
+            prop_assert_eq!(
+                g.facts(),
+                w.facts(),
+                "{}: stored facts of {}",
+                what,
+                g.tuple()
             );
         }
     }
@@ -276,6 +538,55 @@ proptest! {
             prop_assert!(next.to_facts().entails(&s.to_facts()), "facts only grow");
             let again = op.apply(&next).expect("idempotent re-apply");
             prop_assert_eq!(again, next);
+        }
+    }
+
+    /// The in-place transition agrees with the full-scan oracle after
+    /// every step of a script, and its undo log restores the state it
+    /// started from exactly, `normal` flag included. Scripts run over
+    /// the Figure 3 domains and over a two-name, two-machine shop; they
+    /// start from the empty state or from the raw Figure 3 state (every
+    /// statement dirty), and a raw step leaves the next transition an
+    /// unnormalized state to start from.
+    #[test]
+    fn in_place_transitions_match_a_full_scan(
+        small in any::<bool>(),
+        from_figure3 in any::<bool>(),
+        script in prop::collection::vec(
+            (any::<bool>(), arb_op(arb_statement().boxed()), arb_op(arb_small_statement().boxed())),
+            1..12,
+        ),
+    ) {
+        let mut cur = if from_figure3 {
+            fixtures::figure3_state()
+        } else {
+            RelationState::empty(Arc::new(fixtures::machine_shop_schema()))
+        };
+        for (raw, wide_op, small_op) in script {
+            let op = if small { small_op } else { wide_op };
+            let Ok(compiled) = op.compile(cur.schema()) else {
+                prop_assert!(unnormalized_successor(&op, &cur).is_none());
+                continue;
+            };
+            let oracle = full_scan_normalize(
+                &unnormalized_successor(&op, &cur).expect("the operation compiled"),
+            );
+            let before = cur.clone();
+            let log = compiled.apply_in_place(&mut cur);
+            assert_same_state(&cur, &oracle, &format!("{op}"))?;
+            prop_assert!(cur.is_marked_normalized() && cur.is_normalized(), "{}", op);
+            let after = cur.clone();
+            log.undo(&mut cur);
+            assert_same_state(&cur, &before, &format!("undo of {op}"))?;
+            prop_assert_eq!(cur.is_marked_normalized(), before.is_marked_normalized());
+            // Keep the candidate, valid or not, to reach more states.
+            cur = after;
+            if raw {
+                // An unnormalized start for the next transition.
+                if let Some((relation, t)) = op.statements().iter().next() {
+                    let _ = cur.insert_raw(relation.as_str(), t.clone());
+                }
+            }
         }
     }
 }
