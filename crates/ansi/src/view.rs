@@ -125,8 +125,9 @@ impl ExternalView {
     }
 
     /// [`ExternalView::consistent_with`] on a pre-compiled conceptual
-    /// fact base, so a caller auditing many views can compile the
-    /// conceptual state once (e.g. through a `dme_core::FactInterner`).
+    /// fact base, so a caller auditing many views compiles the
+    /// conceptual state once (`to_facts`) and passes the result to
+    /// each view.
     pub fn consistent_with_facts(&self, conceptual_facts: &FactBase) -> bool {
         let vocab = self.schema.vocabulary();
         state_equivalent(&self.state, &vocab.filter(conceptual_facts)).is_equivalent()

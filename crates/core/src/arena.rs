@@ -24,6 +24,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use dme_logic::FingerprintBuildHasher;
+
 /// Dense integer name for an interned state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StateId(u32);
@@ -72,14 +74,20 @@ impl ArenaStats {
 /// A hash-consing arena over whole states.
 ///
 /// States are appended once and never move. Lookup is
-/// fingerprint-first: the index maps a 64-bit fingerprint to the
-/// (almost always singleton) list of IDs carrying it, and the full `Eq`
-/// comparison only runs on fingerprint collisions.
+/// fingerprint-first: the index maps a 64-bit fingerprint, unhashed (it
+/// already is a hash), to the latest ID carrying it, `chain` links each
+/// ID to the previous one with the same fingerprint, and every
+/// candidate on that (almost always one-long) chain is confirmed with
+/// `Eq`. Interning a state allocates nothing beyond the growth of these
+/// tables.
 #[derive(Clone, Debug)]
 pub struct StateArena<S> {
     states: Vec<S>,
     fps: Vec<u64>,
-    index: HashMap<u64, Vec<u32>>,
+    index: HashMap<u64, u32, FingerprintBuildHasher>,
+    /// `chain[id]`: the next ID to try with `id`'s fingerprint; an ID
+    /// linked to itself ends its chain.
+    chain: Vec<u32>,
     hits: u64,
     misses: u64,
 }
@@ -96,7 +104,8 @@ impl<S> StateArena<S> {
         StateArena {
             states: Vec::new(),
             fps: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
+            chain: Vec::new(),
             hits: 0,
             misses: 0,
         }
@@ -159,12 +168,17 @@ impl<S: Eq> StateArena<S> {
     /// deciding whether to intern count via [`StateArena::intern`] or
     /// [`StateArena::add_probe_stats`].
     pub fn probe(&self, fp: u64, state: &S) -> Option<StateId> {
-        self.index
-            .get(&fp)?
-            .iter()
-            .copied()
-            .find(|&i| self.states[i as usize] == *state)
-            .map(StateId)
+        let mut id = *self.index.get(&fp)?;
+        loop {
+            if self.states[id as usize] == *state {
+                return Some(StateId(id));
+            }
+            let next = self.chain[id as usize];
+            if next == id {
+                return None;
+            }
+            id = next;
+        }
     }
 
     /// Interns `state`, returning its ID and whether it was new.
@@ -179,7 +193,8 @@ impl<S: Eq> StateArena<S> {
         let id = StateId::from_index(self.states.len());
         self.states.push(state);
         self.fps.push(fp);
-        self.index.entry(fp).or_default().push(id.0);
+        let previous = self.index.insert(fp, id.0);
+        self.chain.push(previous.unwrap_or(id.0));
         self.misses += 1;
         (id, true)
     }
@@ -245,6 +260,29 @@ mod tests {
         assert_eq!(arena.probe(7, &"y".to_string()), Some(b));
         assert_eq!(arena.probe(7, &"z".to_string()), None);
         assert_eq!(arena.probe(8, &"x".to_string()), None);
+    }
+
+    #[test]
+    fn a_long_collision_chain_probes_back_to_every_id() {
+        // Four states share fingerprint 7, interleaved with states of
+        // other fingerprints, so the chain skips over foreign IDs.
+        let mut arena: StateArena<String> = StateArena::new();
+        let mut sharing = Vec::new();
+        for (i, name) in ["p", "q", "r", "s"].into_iter().enumerate() {
+            let (id, new) = arena.intern(7, name.into());
+            assert!(new, "{name} is distinct");
+            sharing.push((id, name));
+            arena.intern(100 + i as u64, format!("other-{i}"));
+        }
+        for &(id, name) in &sharing {
+            assert_eq!(arena.probe(7, &name.to_string()), Some(id), "{name}");
+            assert_eq!(arena.intern(7, name.into()), (id, false), "{name}");
+            assert_eq!(arena.fingerprint_of(id), 7);
+        }
+        assert_eq!(arena.probe(7, &"t".to_string()), None);
+        assert_eq!(arena.probe(7, &"other-0".to_string()), None);
+        assert_eq!(arena.probe(100, &"other-0".to_string()), Some(StateId(1)));
+        assert_eq!(arena.len(), 8);
     }
 
     #[test]

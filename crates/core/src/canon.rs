@@ -6,12 +6,21 @@
 //! Compilation is the expensive, perfectly cacheable step: a state's
 //! fact base depends only on the state's canonical form.
 //!
-//! [`FactInterner`] memoizes that step. The first compilation of a state
-//! stores the fact base behind an [`Arc`]; every later request for an
+//! [`FactInterner`] memoizes that step where states recur. The first
+//! compilation of a state through an interner stores the fact base
+//! behind an [`Arc`]; every later request to the same interner for an
 //! equal state — from any thread, any checker tier, or any application
 //! model of a data-model check — returns the shared `Arc` without
 //! recompiling. The table is sharded by state hash so parallel workers
 //! rarely contend on the same lock.
+//!
+//! The engine compiles through one only when a state can recur: across
+//! the cells of a Definition 6 grid, across checks that share
+//! caller-owned interners (`Checker::interners`), and across the
+//! re-checks of an incremental session. A single model-pair check
+//! without shared interners compiles each of its (distinct) closure
+//! states directly, because a fresh interner could only miss and would
+//! copy every state into its table.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hash, RandomState};

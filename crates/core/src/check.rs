@@ -200,7 +200,9 @@ impl<'a, MS, MO, NS, NO> Checker<'a, MS, MO, NS, NO> {
 
     /// Shares caller-owned fact-base interners across checks, so a
     /// state compiled by one check is a cache hit in the next. Without
-    /// them every run compiles through fresh interners.
+    /// them a model-pair run compiles each closure state once,
+    /// directly, and a Definition 6 grid compiles through fresh
+    /// interners of its own (its states recur across cells).
     pub fn interners(
         mut self,
         m_interner: &'a FactInterner<MS>,
@@ -227,14 +229,6 @@ where
         if let Some(budget) = self.budget {
             config.budget = budget;
         }
-        let fresh;
-        let (mi, ni) = match self.interners {
-            Some(pair) => pair,
-            None => {
-                fresh = (FactInterner::new(), FactInterner::new());
-                (&fresh.0, &fresh.1)
-            }
-        };
         let (ms, ns, kind) = match (&self.target, self.tier) {
             (Target::Sets(..), Tier::Operation) => {
                 return Err(CheckError::Unsupported(
@@ -256,10 +250,19 @@ where
                     tier.kind(),
                     self.state_cap,
                     &config,
-                    mi,
-                    ni,
+                    self.interners,
                     &self.observer,
                 )
+            }
+        };
+        // A grid meets every model's states in several cells, so it
+        // compiles through interners: fresh ones unless shared.
+        let fresh;
+        let (mi, ni) = match self.interners {
+            Some(pair) => pair,
+            None => {
+                fresh = (FactInterner::new(), FactInterner::new());
+                (&fresh.0, &fresh.1)
             }
         };
         parallel::data_models_verdict(

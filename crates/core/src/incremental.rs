@@ -550,8 +550,7 @@ where
                         &self.left.dense_states(),
                         &self.right.dense_states(),
                         self.threads,
-                        &self.m_interner,
-                        &self.n_interner,
+                        Some((&self.m_interner, &self.n_interner)),
                         &self.obs,
                     )?;
                     let l_ranks = RankCache::harvest(

@@ -12,9 +12,11 @@
 //!    always on the calling thread through
 //!    [`FiniteModel::closure_with`], the crate's one discovery loop;
 //! 2. **canonical pairing** — every state's fact base is compiled
-//!    through a shared [`FactInterner`], so each state is compiled once
-//!    per engine run (and once per *grid* in a data-model check, where
-//!    the same states recur across model pairs);
+//!    once: directly for a single model pair, whose closure states are
+//!    distinct, and through a [`FactInterner`] when one is present — in
+//!    a data-model check, where the same states recur across the
+//!    grid's model pairs, or when the caller shares interners across
+//!    checks;
 //! 3. **the operation-pairing frontier** — behaviour signatures,
 //!    composition closures, per-state reachability and the final
 //!    unmatched-operation scan.
@@ -41,6 +43,7 @@ use std::cmp;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -435,19 +438,44 @@ pub(crate) struct PairedIds {
     pub(crate) n_rank: Vec<u32>,
 }
 
-/// Parallel fact compilation through the interner, then the §3.3.1
-/// pairing checks (injective per side, onto across sides). Pairs are
-/// numbered in fact-base order by fingerprint, then content: a total
-/// order on content, so a state's pair index depends only on its fact
-/// base and the state set, and sorting compares mostly one `u64`.
-/// `Ok(None)` means the budget stopped the run.
-fn pair_with_interner<MS, NS>(
+/// The fact-base interners a check compiles through, one per side, or
+/// `None` to compile every state directly.
+pub(crate) type Interners<'a, MS, NS> = Option<(&'a FactInterner<MS>, &'a FactInterner<NS>)>;
+
+/// One state's compiled fact base: shared from an interner's table, or
+/// owned when the check compiles directly.
+enum Compiled {
+    Shared(Arc<FactBase>),
+    Owned(FactBase),
+}
+
+impl Deref for Compiled {
+    type Target = FactBase;
+
+    fn deref(&self) -> &FactBase {
+        match self {
+            Compiled::Shared(facts) => facts,
+            Compiled::Owned(facts) => facts,
+        }
+    }
+}
+
+/// Parallel fact compilation, then the §3.3.1 pairing checks
+/// (injective per side, onto across sides). Each state is compiled
+/// once, through its side's interner when `interners` holds them (a
+/// grid or caller-shared cache, where states recur) and directly
+/// otherwise: one pair's closure states are distinct, so a fresh
+/// interner could only miss. Pairs are numbered in fact-base order by
+/// fingerprint, then content: a total order on content, so a state's
+/// pair index depends only on its fact base and the state set, and
+/// sorting compares mostly one `u64`. `Ok(None)` means the budget
+/// stopped the run.
+fn pair_states<MS, NS>(
     m_states: &[MS],
     n_states: &[NS],
     threads: usize,
     ctx: &EngineCtx,
-    m_interner: &FactInterner<MS>,
-    n_interner: &FactInterner<NS>,
+    interners: Interners<'_, MS, NS>,
 ) -> Result<Option<PairedIds>, CheckError>
 where
     MS: Clone + Ord + Hash + ToFacts + Send + Sync,
@@ -459,13 +487,13 @@ where
 
     /// One side's compiled fact bases and state IDs, sorted by
     /// [`by_content`].
-    type Sorted = Vec<(Arc<FactBase>, StateId)>;
+    type Sorted = Vec<(Compiled, StateId)>;
 
     fn compile_side<S>(
         states: &[S],
         threads: usize,
         ctx: &EngineCtx,
-        interner: &FactInterner<S>,
+        interner: Option<&FactInterner<S>>,
         side: &str,
     ) -> Result<Option<Sorted>, CheckError>
     where
@@ -478,7 +506,13 @@ where
                 if ctx.stopped() {
                     return (None, false);
                 }
-                (Some(interner.compile_observed(&states[i], &ctx.obs)), true)
+                let facts = match interner {
+                    Some(interner) => {
+                        Compiled::Shared(interner.compile_observed(&states[i], &ctx.obs))
+                    }
+                    None => Compiled::Owned(states[i].to_facts()),
+                };
+                (Some(facts), true)
             },
         );
         if compiled.len() != states.len() {
@@ -490,7 +524,7 @@ where
             .map(|(i, facts)| (facts, StateId::from_index(i)))
             .collect();
         sorted.sort_unstable_by(|a, b| by_content(&a.0, &b.0));
-        if sorted.windows(2).any(|w| w[0].0 == w[1].0) {
+        if sorted.windows(2).any(|w| *w[0].0 == *w[1].0) {
             return Err(CheckError::Pairing(format!(
                 "two {side} states share a fact base (compilation not injective)"
             )));
@@ -500,6 +534,7 @@ where
 
     let _span = ctx.obs.span("par/pairing");
     ctx.obs.add(Counter::PairingChecks, 1);
+    let (m_interner, n_interner) = interners.unzip();
     let Some(m_sorted) = compile_side(m_states, threads, ctx, m_interner, "left")? else {
         return Ok(None);
     };
@@ -732,8 +767,7 @@ fn check_pair<MS, MO, NS, NO>(
     threads: usize,
     ctx: &EngineCtx,
     early: bool,
-    m_interner: &FactInterner<MS>,
-    n_interner: &FactInterner<NS>,
+    interners: Interners<'_, MS, NS>,
 ) -> Result<Option<Verdict>, CheckError>
 where
     MS: Clone + Ord + Hash + ToFacts + Send + Sync,
@@ -741,13 +775,12 @@ where
     MO: fmt::Display,
     NO: fmt::Display,
 {
-    let Some(paired) = pair_with_interner(
+    let Some(paired) = pair_states(
         m_closure.arena.states(),
         n_closure.arena.states(),
         threads,
         ctx,
-        m_interner,
-        n_interner,
+        interners,
     )?
     else {
         return Ok(None);
@@ -916,16 +949,17 @@ where
 /// closure states the caller already holds (in state-ID order), with an
 /// unlimited budget. This is the first half of the engine entry for
 /// closures discovered elsewhere: [`crate::incremental`] materializes
-/// both closures from its caches (bit-identical to a fresh enumeration)
-/// and harvests the resulting ranks so later re-checks over the same
-/// state sets can skip compilation entirely; [`crate::symbolic`] hands
-/// in the closures its SAT layers discovered.
+/// both closures from its caches (bit-identical to a fresh enumeration),
+/// compiles through its persistent interners and harvests the resulting
+/// ranks so later re-checks over the same state sets can skip
+/// compilation entirely; [`crate::symbolic`] hands in the closures its
+/// SAT layers discovered and compiles them directly (`interners` is
+/// `None`).
 pub(crate) fn pair_on_states<MS, NS>(
     m_states: &[MS],
     n_states: &[NS],
     threads: usize,
-    m_interner: &FactInterner<MS>,
-    n_interner: &FactInterner<NS>,
+    interners: Interners<'_, MS, NS>,
     obs: &Observer,
 ) -> Result<PairedIds, CheckError>
 where
@@ -933,13 +967,12 @@ where
     NS: Clone + Ord + Hash + ToFacts + Send + Sync,
 {
     let ctx = EngineCtx::new(&CheckBudget::UNLIMITED, obs.clone());
-    let paired = pair_with_interner(
+    let paired = pair_states(
         m_states,
         n_states,
         resolve_threads(threads),
         &ctx,
-        m_interner,
-        n_interner,
+        interners,
     )?;
     Ok(paired.expect("an unlimited budget cannot exhaust"))
 }
@@ -983,19 +1016,18 @@ where
 }
 
 /// The engine's model-pair check — Definition 1 when `kind` is `None`,
-/// else Definition 2/3/5 — with caller-provided interners (so the
-/// facade can share compilation caches across checks and read
-/// [`FactInterner::stats`] afterwards). The entry behind
+/// else Definition 2/3/5 — compiling through caller-provided interners
+/// when `interners` holds them (so the facade can share compilation
+/// caches across checks and read [`FactInterner::stats`] afterwards),
+/// directly otherwise. The entry behind
 /// [`Checker::run`](crate::check::Checker::run) for a model pair.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn models_verdict<MS, MO, NS, NO>(
     m: &FiniteModel<MS, MO>,
     n: &FiniteModel<NS, NO>,
     kind: Option<EquivKind>,
     state_cap: usize,
     config: &ParallelConfig,
-    m_interner: &FactInterner<MS>,
-    n_interner: &FactInterner<NS>,
+    interners: Interners<'_, MS, NS>,
     obs: &Observer,
 ) -> Result<Verdict, CheckError>
 where
@@ -1022,8 +1054,7 @@ where
         threads,
         &ctx,
         config.early_exit,
-        m_interner,
-        n_interner,
+        interners,
     )? {
         Some(verdict) => Ok(verdict),
         None => Ok(ctx.exhausted_verdict()),
@@ -1140,8 +1171,7 @@ where
             1,
             ctx,
             true, // only pair equivalence matters here; exit pairs early
-            m_interner,
-            n_interner,
+            Some((m_interner, n_interner)),
         );
         match outcome {
             Ok(Some(verdict)) => (Some(Ok(verdict.is_equivalent())), true),
@@ -1200,8 +1230,8 @@ mod tests {
         Fact::new("p", [("x", Atom::Int(n))])
     }
 
-    /// The engine entry as the facade drives it: fresh interners, no
-    /// observer.
+    /// The engine entry as the facade drives it: no shared interners,
+    /// no observer.
     fn par_check(
         m: &FiniteModel<FactBase, String>,
         n: &FiniteModel<FactBase, String>,
@@ -1215,8 +1245,7 @@ mod tests {
             Some(kind),
             state_cap,
             config,
-            &FactInterner::new(),
-            &FactInterner::new(),
+            None,
             &Observer::disabled(),
         )
     }

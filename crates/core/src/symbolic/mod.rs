@@ -403,8 +403,7 @@ impl<'a> SymbolicChecker<'a> {
             m_closure.arena.states(),
             n_closure.arena.states(),
             1,
-            &FactInterner::new(),
-            &FactInterner::new(),
+            None,
             &self.observer,
         )
         .and_then(|paired| {

@@ -9,7 +9,7 @@
 //! states carry equal fingerprints whichever operation sequence produced
 //! them. Distinct states may collide.
 
-use std::hash::{DefaultHasher, Hash, Hasher};
+use std::hash::{BuildHasherDefault, DefaultHasher, Hash, Hasher};
 
 /// The stand-alone 64-bit content hash of one value, computed with the
 /// standard library's [`DefaultHasher`] from a fixed initial state.
@@ -48,6 +48,36 @@ pub fn content_fingerprint_wide<T: Hash + ?Sized>(value: &T) -> u128 {
     let hi = content_fingerprint_seeded(0xc2b2_ae3d_27d4_eb4f, value);
     ((hi as u128) << 64) | lo as u128
 }
+
+/// A [`Hasher`] that passes a 64-bit fingerprint through unchanged:
+/// the key of a fingerprint-keyed map already is a uniform hash, so
+/// hashing it again only costs time. Any other input is folded in byte
+/// by byte, which keeps the hasher total but is not meant to be used.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(*b);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The [`std::hash::BuildHasher`] of maps keyed by fingerprints (see
+/// [`FingerprintHasher`]).
+pub type FingerprintBuildHasher = BuildHasherDefault<FingerprintHasher>;
 
 #[cfg(test)]
 mod tests {

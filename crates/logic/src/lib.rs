@@ -38,7 +38,10 @@ pub mod vocab;
 
 pub use fact::Fact;
 pub use factbase::{FactBase, FactDelta};
-pub use fingerprint::{content_fingerprint, content_fingerprint_seeded, content_fingerprint_wide};
+pub use fingerprint::{
+    content_fingerprint, content_fingerprint_seeded, content_fingerprint_wide,
+    FingerprintBuildHasher, FingerprintHasher,
+};
 pub use interpretation::{state_equivalent, EquivalenceReport, ToFacts};
 pub use pattern::Pattern;
 pub use universe::{EntityTypeDecl, PredicateDecl, Universe, UniverseError};

@@ -43,11 +43,10 @@ use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::{Arc, Mutex};
 
-use dme_logic::{Fact, FactBase};
+use dme_logic::{Fact, FactBase, FingerprintBuildHasher};
 use dme_value::{Symbol, Tuple, Value};
 
 use crate::facts::tuple_facts;
@@ -60,28 +59,8 @@ use crate::schema::{RelationSchema, RelationalSchema};
 /// already has waits in `collided`.
 #[derive(Clone, Default)]
 struct FactIndex {
-    by_fingerprint: HashMap<u64, (Fact, u32), BuildHasherDefault<FingerprintHasher>>,
+    by_fingerprint: HashMap<u64, (Fact, u32), FingerprintBuildHasher>,
     collided: Vec<(Fact, u32)>,
-}
-
-/// Hashes a fact fingerprint to itself: it already is a hash.
-#[derive(Default)]
-struct FingerprintHasher(u64);
-
-impl Hasher for FingerprintHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(*b);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 impl FactIndex {
@@ -385,9 +364,7 @@ impl fmt::Debug for Statement {
 /// ([`crate::CompiledOp::apply_in_place`]); an operation applied to
 /// many states keeps creating the same few statements.
 #[derive(Debug, Default)]
-pub(crate) struct StatementMemo(
-    Mutex<HashMap<u64, Vec<Statement>, BuildHasherDefault<FingerprintHasher>>>,
-);
+pub(crate) struct StatementMemo(Mutex<HashMap<u64, Vec<Statement>, FingerprintBuildHasher>>);
 
 impl StatementMemo {
     /// The statement of `tuple` in `rel`, compiled on first use.

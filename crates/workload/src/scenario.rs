@@ -28,6 +28,7 @@
 //! really do imply equal semantics.
 
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use dme_core::model::{FiniteModel, UndoFn};
 use dme_logic::{content_fingerprint, Fact, FactBase};
@@ -108,34 +109,38 @@ impl fmt::Display for ScenarioOp {
 }
 
 impl ScenarioOp {
-    /// Applies every step strictly, in place. On success returns the
-    /// applied steps (for undo); on any failure the state is restored
-    /// and `None` is returned.
-    fn apply_steps(&self, state: &mut FactBase) -> Option<Vec<(bool, Fact)>> {
-        let mut applied: Vec<(bool, Fact)> = Vec::with_capacity(self.steps.len());
-        for (add, fact) in &self.steps {
+    /// Applies every step strictly, in place, and reports whether all
+    /// succeeded. When a step fails, the steps before it are undone, so
+    /// the state is as it was. Allocates nothing beyond what the fact
+    /// set's own growth needs.
+    fn apply_steps(&self, state: &mut FactBase) -> bool {
+        for (done, (add, fact)) in self.steps.iter().enumerate() {
             let ok = if *add {
                 state.insert(fact.clone())
             } else {
                 state.remove(fact)
             };
             if !ok {
-                for (add, fact) in applied.iter().rev() {
-                    undo_step(state, *add, fact);
-                }
-                return None;
+                undo_steps(&self.steps[..done], state);
+                return false;
             }
-            applied.push((*add, fact.clone()));
         }
-        Some(applied)
+        true
     }
 }
 
-fn undo_step(state: &mut FactBase, was_insert: bool, fact: &Fact) {
-    if was_insert {
-        state.remove(fact);
-    } else {
-        state.insert(fact.clone());
+/// An operation's steps, shared by the undos of its successful
+/// candidates.
+type SharedSteps = Arc<[(bool, Fact)]>;
+
+/// Undoes applied `steps`, the last one first.
+fn undo_steps(steps: &[(bool, Fact)], state: &mut FactBase) {
+    for (add, fact) in steps.iter().rev() {
+        if *add {
+            state.remove(fact);
+        } else {
+            state.insert(fact.clone());
+        }
     }
 }
 
@@ -332,33 +337,35 @@ impl Scenario {
     /// empty; the application function applies the operation's steps
     /// strictly and then requires every constraint, with the
     /// deferred-validation split installed so the closure enumerators
-    /// validate only probe-missing candidates.
+    /// validate only probe-missing candidates. A candidate that fails
+    /// allocates nothing; one that succeeds allocates only its boxed
+    /// undo, which shares the operation's steps from a slot per
+    /// operation position, filled on the operation's first success and
+    /// shared by clones of the model.
     pub fn model(&self, name: &str) -> FiniteModel<FactBase, ScenarioOp> {
         let full_name = format!("{name}[c{:016x}]", self.constraint_digest());
         let apply_constraints = self.constraints.clone();
         let validate_constraints = self.constraints.clone();
+        let undo_steps_of: Vec<OnceLock<SharedSteps>> =
+            self.ops.iter().map(|_| OnceLock::new()).collect();
         FiniteModel::new(
             full_name,
             FactBase::new(),
             self.ops.clone(),
             move |op: &ScenarioOp, state: &FactBase| {
                 let mut next = state.clone();
-                op.apply_steps(&mut next)?;
-                apply_constraints
-                    .iter()
-                    .all(|c| c.holds(&next))
+                (op.apply_steps(&mut next) && apply_constraints.iter().all(|c| c.holds(&next)))
                     .then_some(next)
             },
         )
         .with_fingerprint(FactBase::fingerprint)
         .with_candidate(
-            |_, op: &ScenarioOp, state: &mut FactBase| {
-                let applied = op.apply_steps(state)?;
-                Some(Box::new(move |s: &mut FactBase| {
-                    for (add, fact) in applied.iter().rev() {
-                        undo_step(s, *add, fact);
-                    }
-                }) as UndoFn<FactBase>)
+            move |i, op: &ScenarioOp, state: &mut FactBase| {
+                if !op.apply_steps(state) {
+                    return None;
+                }
+                let steps = Arc::clone(undo_steps_of[i].get_or_init(|| op.steps.as_slice().into()));
+                Some(Box::new(move |s: &mut FactBase| undo_steps(&steps, s)) as UndoFn<FactBase>)
             },
             move |state| validate_constraints.iter().all(|c| c.holds(state)),
         )

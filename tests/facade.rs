@@ -15,9 +15,10 @@ use borkin_equiv::equivalence::witness;
 use borkin_equiv::equivalence::{Checker, FactInterner, Tier};
 use borkin_equiv::graph::{GraphOp, GraphState};
 use borkin_equiv::logic::{Fact, FactBase};
-use borkin_equiv::obs::{Observer, RingSink};
+use borkin_equiv::obs::{Counter, Observer, RingSink};
 use borkin_equiv::relation::{RelOp, RelationState};
 use borkin_equiv::value::Atom;
+use borkin_equiv::workload::scenario::corpus;
 
 const STATE_CAP: usize = 4_000;
 
@@ -79,6 +80,18 @@ fn micro_rel() -> FiniteModel<RelationState, RelOp> {
     let schema = witness::micro_relational_schema();
     let ops = enumerate_rel_ops(&schema, 2);
     relational_model("micro-rel", RelationState::empty(Arc::new(schema)), ops)
+}
+
+fn mini_rel() -> FiniteModel<RelationState, RelOp> {
+    let schema = witness::mini_relational_schema();
+    let ops = enumerate_rel_ops(&schema, 2);
+    relational_model("mini-rel", RelationState::empty(Arc::new(schema)), ops)
+}
+
+fn mini_graph() -> FiniteModel<GraphState, GraphOp> {
+    let schema = Arc::new(witness::mini_graph_schema());
+    let ops = enumerate_graph_ops(&schema);
+    graph_model("mini-graph", GraphState::empty(schema), ops)
 }
 
 fn micro_graph() -> FiniteModel<GraphState, GraphOp> {
@@ -181,6 +194,105 @@ fn interners_fill_identically_across_routes() {
     assert_eq!(one_mi.stats().unique, two_mi.stats().unique);
     assert_eq!(one_ni.stats().unique, two_ni.stats().unique);
     assert!(one_mi.stats().unique > 0, "interner saw the left closure");
+}
+
+/// Runs `m` against `n` at every tier, once compiling each state
+/// directly (no interners) and once through fresh shared interners, and
+/// asserts equal verdicts and equal numbers of states compiled. Returns
+/// the direct route's states compiled, interner hits and interner
+/// misses at the last tier, Definition 5 (a Definition 6 tier compiles
+/// through a grid's own interners even when none are shared).
+fn assert_interner_parity<MS, MO, NS, NO>(
+    m: &FiniteModel<MS, MO>,
+    n: &FiniteModel<NS, NO>,
+) -> (u64, u64, u64)
+where
+    MS: Clone + Ord + std::hash::Hash + borkin_equiv::logic::ToFacts + Send + Sync,
+    NS: Clone + Ord + std::hash::Hash + borkin_equiv::logic::ToFacts + Send + Sync,
+    MO: Clone + std::fmt::Display + Send + Sync,
+    NO: Clone + std::fmt::Display + Send + Sync,
+{
+    let tiers = [
+        Tier::Operation,
+        Tier::Isomorphic,
+        Tier::Composed { max_depth: 2 },
+        Tier::DataModel {
+            kind: EquivKind::Isomorphic,
+        },
+        Tier::StateDependent { max_depth: 2 },
+    ];
+    let mut compiled = (0, 0, 0);
+    for tier in tiers {
+        let direct_obs = Observer::new(RingSink::with_capacity(16));
+        let direct = Checker::new(m, n)
+            .tier(tier)
+            .state_cap(STATE_CAP)
+            .observer(direct_obs.clone())
+            .run();
+        let (mi, ni) = (FactInterner::new(), FactInterner::new());
+        let shared_obs = Observer::new(RingSink::with_capacity(16));
+        let shared = Checker::new(m, n)
+            .tier(tier)
+            .state_cap(STATE_CAP)
+            .interners(&mi, &ni)
+            .observer(shared_obs.clone())
+            .run();
+        assert_eq!(
+            norm(direct),
+            norm(shared),
+            "{}/{} {tier:?}",
+            m.name(),
+            n.name()
+        );
+        compiled = (
+            direct_obs.counter(Counter::StatesCompiled),
+            direct_obs.counter(Counter::InternerHits),
+            direct_obs.counter(Counter::InternerMisses),
+        );
+        assert_eq!(
+            shared_obs.counter(Counter::StatesCompiled),
+            compiled.0,
+            "both routes compile every state once: {}/{} {tier:?}",
+            m.name(),
+            n.name()
+        );
+    }
+    compiled
+}
+
+#[test]
+fn pairing_with_and_without_interners_agrees_on_every_tier() {
+    let (m, n) = (mini_rel(), mini_graph());
+    let sizes = [
+        m.closure(STATE_CAP).unwrap().len(),
+        n.closure(STATE_CAP).unwrap().len(),
+    ];
+    assert_eq!(sizes, [57, 57], "the mini shop's two closures");
+    assert_eq!(
+        assert_interner_parity(&m, &n),
+        (2 * 57, 0, 0),
+        "mini shop: every closure state compiled once, no interner touched"
+    );
+    for (i, scenario) in corpus(0xFAC4DE, 12).into_iter().enumerate() {
+        let mutations = scenario.mutations();
+        let m = scenario.model("left");
+        let rights = [
+            scenario.model("right"),
+            scenario
+                .mutate(mutations[i % mutations.len()])
+                .model("mutant"),
+        ];
+        for n in &rights {
+            let sizes = m.closure(STATE_CAP).unwrap().len() + n.closure(STATE_CAP).unwrap().len();
+            assert_eq!(
+                assert_interner_parity(&m, n),
+                (sizes as u64, 0, 0),
+                "{}/{}",
+                m.name(),
+                n.name()
+            );
+        }
+    }
 }
 
 #[test]

@@ -510,12 +510,21 @@ fn a_full_lane_sheds_typed_overloads_over_the_wire() {
         metrics.contains("requests_shed"),
         "shed counter is exported: {metrics}"
     );
-    // ...and the lane drains: a fresh submission commits.
+    // ...and the lane drains: a fresh submission commits. Any of the
+    // stampede's toggles may have committed, so the drain toggles
+    // `ops[0]`'s association against the current state: insert it if
+    // absent, delete it if present.
+    let assoc = match &ops[0] {
+        GraphOp::InsertAssociation(a) | GraphOp::DeleteAssociation(a) => a.clone(),
+        other => panic!("a supervision toggle, not {other:?}"),
+    };
+    let toggle = if service.conceptual().has_association(&assoc) {
+        GraphOp::DeleteAssociation(assoc)
+    } else {
+        GraphOp::InsertAssociation(assoc)
+    };
     let sess = client.open_session(SessionKind::Graph).unwrap();
-    let outcome = sess
-        .submit_graph(vec![ops[0].clone()])
-        .or_else(|_| sess.submit_graph(vec![ops[1].clone()]))
-        .unwrap();
+    let outcome = sess.submit_graph(vec![toggle]).unwrap();
     assert!(!outcome.is_shed(), "the drained lane admits again");
     for sess in sessions {
         sess.close().unwrap();
