@@ -1,9 +1,9 @@
 //! The unified [`Checker`] facade over the equivalence hierarchy.
 //!
 //! One builder in front of one engine ([`crate::parallel`]): pick a
-//! [`Tier`], optionally a [`ParallelConfig`], a [`CheckBudget`], shared
-//! [`FactInterner`]s and an [`Observer`], and [`Checker::run`] returns
-//! the engine's structured [`Verdict`].
+//! [`Tier`], optionally a [`ParallelConfig`], a [`CheckBudget`] and an
+//! [`Observer`], and [`Checker::run`] returns the engine's structured
+//! [`Verdict`].
 //!
 //! ```
 //! use std::sync::Arc;
@@ -28,13 +28,11 @@
 //! to the independent oracle in [`crate::slow_reference`].
 
 use std::fmt;
-use std::hash::Hash;
 use std::slice;
 
 use dme_logic::ToFacts;
 use dme_obs::{EventSink, Metric, Observer};
 
-use crate::canon::FactInterner;
 use crate::equiv::{CheckError, EquivKind};
 use crate::model::FiniteModel;
 use crate::parallel::{self, CheckBudget, ParallelConfig, Verdict};
@@ -106,13 +104,14 @@ enum Target<'a, MS, MO, NS, NO> {
 }
 
 /// The unified equivalence checker: a builder over the six tiers,
-/// engine threads, budgets, interners and observability.
+/// engine threads, budgets and observability.
 ///
 /// Construction picks the target ([`Checker::new`] for an
 /// application-model pair, [`Checker::data_models`] for Definition 6
 /// sets); the builder methods refine the check; [`Checker::run`]
 /// decides it on the engine. Every tier, [`Tier::Operation`] included,
-/// honours the thread count, the budget and the interners.
+/// honours the thread count and the budget. Each run compiles every
+/// closure's states once, for itself alone.
 pub struct Checker<'a, MS, MO, NS, NO> {
     target: Target<'a, MS, MO, NS, NO>,
     tier: Tier,
@@ -120,7 +119,6 @@ pub struct Checker<'a, MS, MO, NS, NO> {
     parallel: Option<ParallelConfig>,
     budget: Option<CheckBudget>,
     observer: Observer,
-    interners: Option<(&'a FactInterner<MS>, &'a FactInterner<NS>)>,
 }
 
 impl<'a, MS, MO, NS, NO> Checker<'a, MS, MO, NS, NO> {
@@ -132,7 +130,6 @@ impl<'a, MS, MO, NS, NO> Checker<'a, MS, MO, NS, NO> {
             parallel: None,
             budget: None,
             observer: Observer::disabled(),
-            interners: None,
         }
     }
 
@@ -197,26 +194,12 @@ impl<'a, MS, MO, NS, NO> Checker<'a, MS, MO, NS, NO> {
     pub fn sink(self, sink: impl EventSink + 'static) -> Self {
         self.observer(Observer::new(sink))
     }
-
-    /// Shares caller-owned fact-base interners across checks, so a
-    /// state compiled by one check is a cache hit in the next. Without
-    /// them a model-pair run compiles each closure state once,
-    /// directly, and a Definition 6 grid compiles through fresh
-    /// interners of its own (its states recur across cells).
-    pub fn interners(
-        mut self,
-        m_interner: &'a FactInterner<MS>,
-        n_interner: &'a FactInterner<NS>,
-    ) -> Self {
-        self.interners = Some((m_interner, n_interner));
-        self
-    }
 }
 
 impl<MS, MO, NS, NO> Checker<'_, MS, MO, NS, NO>
 where
-    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
+    MS: Clone + Ord + ToFacts + Send + Sync,
+    NS: Clone + Ord + ToFacts + Send + Sync,
     MO: Clone + fmt::Display + Send + Sync,
     NO: Clone + fmt::Display + Send + Sync,
 {
@@ -250,31 +233,11 @@ where
                     tier.kind(),
                     self.state_cap,
                     &config,
-                    self.interners,
                     &self.observer,
                 )
             }
         };
-        // A grid meets every model's states in several cells, so it
-        // compiles through interners: fresh ones unless shared.
-        let fresh;
-        let (mi, ni) = match self.interners {
-            Some(pair) => pair,
-            None => {
-                fresh = (FactInterner::new(), FactInterner::new());
-                (&fresh.0, &fresh.1)
-            }
-        };
-        parallel::data_models_verdict(
-            ms,
-            ns,
-            kind,
-            self.state_cap,
-            &config,
-            mi,
-            ni,
-            &self.observer,
-        )
+        parallel::data_models_verdict(ms, ns, kind, self.state_cap, &config, &self.observer)
     }
 }
 
@@ -336,19 +299,15 @@ mod tests {
     }
 
     #[test]
-    fn operation_tier_honours_threads_budget_and_interners() {
+    fn operation_tier_honours_threads_and_budget() {
         let m = two_fact_model("m");
         let n = two_fact_model("n");
-        let left = FactInterner::new();
-        let right = FactInterner::new();
         let verdict = Checker::new(&m, &n)
             .tier(Tier::Operation)
             .parallel(ParallelConfig::with_threads(2))
-            .interners(&left, &right)
             .run()
             .unwrap();
         assert_eq!(verdict, Verdict::Equivalent { state_pairs: 4 });
-        assert_eq!(left.stats().unique, 4);
         let starved = Checker::new(&m, &n)
             .tier(Tier::Operation)
             .budget(CheckBudget::nodes(3))
@@ -423,17 +382,6 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(verdict, Verdict::Equivalent { state_pairs: 1 });
-    }
-
-    #[test]
-    fn shared_interners_fill() {
-        let m = two_fact_model("m");
-        let n = two_fact_model("n");
-        let left = FactInterner::new();
-        let right = FactInterner::new();
-        let verdict = Checker::new(&m, &n).interners(&left, &right).run().unwrap();
-        assert!(verdict.is_equivalent());
-        assert_eq!(left.stats().unique, 4);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!   universe)`, so columns survive arbitrary changes to the *operation
 //!   list*: dropping, adding or mutating one operation leaves every
 //!   other column valid;
-//! * shared [`FactInterner`]s, so re-pairing after a re-check compiles
-//!   every already-seen state from cache;
 //! * a harvested **pairing-rank cache**: the §3.3.1 pairing sorts every
 //!   state's compiled fact base into a total order, and a state's rank
 //!   in that order is a pure function of its content and the reachable
@@ -23,7 +21,10 @@
 //!   long as a mutation leaves the reachable set unchanged (the common
 //!   case for label or precondition tweaks), re-checks rebuild the full
 //!   pairing from the cached ranks in O(states) without compiling a
-//!   single fact base;
+//!   single fact base. A miss compiles both materialized closures
+//!   afresh, each state once; no compiled fact base outlives its
+//!   pairing, because another model may hold an equal state that
+//!   compiles to other facts (see [`ToFacts`]);
 //! * a keyed **verdict cache**: `(left model, right model, equivalence
 //!   kind, state cap) → verdict`, answered without any closure work at
 //!   all when nothing changed.
@@ -79,14 +80,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
 
 use dme_logic::{content_fingerprint_wide, ToFacts};
 use dme_obs::{Counter, Observer};
 use dme_storage::wal;
 
 use crate::arena::{StateArena, StateId};
-use crate::canon::FactInterner;
 use crate::equiv::{CheckError, EquivKind};
 use crate::model::{ClosureTooLarge, Discovery, FiniteModel, TransitionMemo, Tx};
 use crate::parallel::{check_prepaired, pair_on_states, PairedIds, Side, Verdict, Witness};
@@ -137,7 +136,7 @@ impl CacheStats {
 /// pairing-rank cache needs: the dense→persistent id map it was
 /// renumbered through, and an order-independent fingerprint of the
 /// reachable state *set*. The states themselves stay in the persistent
-/// arena; only a pairing that cannot reuse cached ranks copies them out.
+/// arena; a pairing that cannot reuse cached ranks borrows them there.
 struct Materialized {
     /// Wide hash of the ordered operation labels this closure is for.
     ops_digest: u128,
@@ -248,18 +247,15 @@ impl<S> ClosureCache<S> {
 
 impl<S> ClosureCache<S>
 where
-    S: Clone + Ord + Hash + ToFacts,
+    S: Clone + Ord + ToFacts,
 {
     /// The materialized closure's states, in dense-id order.
-    fn dense_states(&self) -> Vec<S> {
+    fn dense_states(&self) -> Vec<&S> {
         let mat = self
             .materialized
             .as_ref()
             .expect("refreshed before pairing");
-        mat.order
-            .iter()
-            .map(|&id| self.arena.get(id).clone())
-            .collect()
+        mat.order.iter().map(|&id| self.arena.get(id)).collect()
     }
 
     /// Brings the cache up to date with `model`, leaving its closure in
@@ -411,42 +407,30 @@ pub struct VerdictImageReport {
 }
 
 /// A persistent checking session: re-checks models incrementally,
-/// reusing closures, compiled states and verdicts across runs. See the
+/// reusing closures, pairings and verdicts across runs. See the
 /// [module docs](self) for the contract and the reuse model.
 pub struct IncrementalChecker<MS, NS> {
     left: ClosureCache<MS>,
     right: ClosureCache<NS>,
     verdicts: HashMap<VerdictKey, Verdict>,
-    m_interner: FactInterner<MS>,
-    n_interner: FactInterner<NS>,
     threads: usize,
     obs: Observer,
     stats: CacheStats,
 }
 
-impl<MS, NS> Default for IncrementalChecker<MS, NS>
-where
-    MS: Clone + Eq + Hash + ToFacts,
-    NS: Clone + Eq + Hash + ToFacts,
-{
+impl<MS, NS> Default for IncrementalChecker<MS, NS> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<MS, NS> IncrementalChecker<MS, NS>
-where
-    MS: Clone + Eq + Hash + ToFacts,
-    NS: Clone + Eq + Hash + ToFacts,
-{
+impl<MS, NS> IncrementalChecker<MS, NS> {
     /// An empty session (single-threaded engine, disabled observer).
     pub fn new() -> Self {
         IncrementalChecker {
             left: ClosureCache::new(),
             right: ClosureCache::new(),
             verdicts: HashMap::new(),
-            m_interner: FactInterner::new(),
-            n_interner: FactInterner::new(),
             threads: 1,
             obs: Observer::disabled(),
             stats: CacheStats::default(),
@@ -482,8 +466,8 @@ where
 
 impl<MS, NS> IncrementalChecker<MS, NS>
 where
-    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
+    MS: Clone + Ord + ToFacts + Send + Sync,
+    NS: Clone + Ord + ToFacts + Send + Sync,
 {
     /// Checks `m` against `n` under `kind` with the given state cap,
     /// reusing everything the session already knows. Equivalent to
@@ -550,7 +534,6 @@ where
                         &self.left.dense_states(),
                         &self.right.dense_states(),
                         self.threads,
-                        Some((&self.m_interner, &self.n_interner)),
                         &self.obs,
                     )?;
                     let l_ranks = RankCache::harvest(
@@ -887,7 +870,8 @@ mod tests {
     fn assert_fresh(cache: &ClosureCache<FactBase>, model: &FiniteModel<FactBase, String>) {
         let fresh = model.closure(512).unwrap();
         let mat = cache.materialized.as_ref().expect("refreshed");
-        assert_eq!(cache.dense_states(), fresh.arena.states(), "{model:?}");
+        let fresh_states: Vec<&FactBase> = fresh.arena.states().iter().collect();
+        assert_eq!(cache.dense_states(), fresh_states, "{model:?}");
         assert_eq!(mat.transitions, fresh.transitions, "{model:?}");
     }
 

@@ -33,7 +33,6 @@
 
 pub mod arena;
 pub mod bitset;
-pub mod canon;
 pub mod check;
 pub mod enumerate;
 pub mod equiv;
@@ -51,7 +50,6 @@ pub use dme_obs as obs;
 
 pub use arena::{ArenaStats, Closure, StateArena, StateId};
 pub use bitset::BitSet;
-pub use canon::{FactInterner, InternerStats};
 pub use check::{Checker, Tier, DEFAULT_STATE_CAP};
 pub use equiv::{pair_states, CheckError, DataModelReport, EquivKind, MatchReport};
 pub use incremental::{CacheStats, IncrementalChecker, VerdictImageReport};

@@ -11,12 +11,13 @@
 //! 1. **closure exploration** — breadth-first over the valid states,
 //!    always on the calling thread through
 //!    [`FiniteModel::closure_with`], the crate's one discovery loop;
-//! 2. **canonical pairing** — every state's fact base is compiled
-//!    once: directly for a single model pair, whose closure states are
-//!    distinct, and through a [`FactInterner`] when one is present — in
-//!    a data-model check, where the same states recur across the
-//!    grid's model pairs, or when the caller shares interners across
-//!    checks;
+//! 2. **canonical pairing** — every closure is compiled exactly once,
+//!    directly with [`ToFacts::to_facts`], into its states' fact bases
+//!    sorted by content (rejecting two states with one fact base), and
+//!    two compiled closures are paired by one merge walk. A Definition 6
+//!    grid compiles each model's closure once and pairs it in every
+//!    cell. No compilation is shared between closures: a state's facts
+//!    depend on its model's schema, which state equality may ignore;
 //! 3. **the operation-pairing frontier** — behaviour signatures,
 //!    composition closures, per-state reachability and the final
 //!    unmatched-operation scan.
@@ -42,10 +43,8 @@
 use std::cmp;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::hash::Hash;
-use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use dme_logic::{FactBase, ToFacts};
@@ -53,7 +52,6 @@ use dme_obs::{Counter, Observer};
 
 use crate::arena::{Closure, StateArena, StateId};
 use crate::bitset::BitSet;
-use crate::canon::FactInterner;
 use crate::equiv::{compose, identity_signature, reach_from, CheckError, EquivKind, Signature};
 use crate::model::{ClosureTooLarge, FiniteModel};
 
@@ -438,113 +436,71 @@ pub(crate) struct PairedIds {
     pub(crate) n_rank: Vec<u32>,
 }
 
-/// The fact-base interners a check compiles through, one per side, or
-/// `None` to compile every state directly.
-pub(crate) type Interners<'a, MS, NS> = Option<(&'a FactInterner<MS>, &'a FactInterner<NS>)>;
+/// One closure compiled for pairing: every state's fact base beside its
+/// state ID, sorted by fingerprint, then content — a total order on
+/// content, so a state's pair index depends only on its fact base and
+/// the state set, and sorting compares mostly one `u64`.
+pub(crate) struct CompiledClosure(Vec<(FactBase, StateId)>);
 
-/// One state's compiled fact base: shared from an interner's table, or
-/// owned when the check compiles directly.
-enum Compiled {
-    Shared(Arc<FactBase>),
-    Owned(FactBase),
+fn by_content(a: &FactBase, b: &FactBase) -> cmp::Ordering {
+    a.fingerprint().cmp(&b.fingerprint()).then_with(|| a.cmp(b))
 }
 
-impl Deref for Compiled {
-    type Target = FactBase;
-
-    fn deref(&self) -> &FactBase {
-        match self {
-            Compiled::Shared(facts) => facts,
-            Compiled::Owned(facts) => facts,
-        }
-    }
-}
-
-/// Parallel fact compilation, then the §3.3.1 pairing checks
-/// (injective per side, onto across sides). Each state is compiled
-/// once, through its side's interner when `interners` holds them (a
-/// grid or caller-shared cache, where states recur) and directly
-/// otherwise: one pair's closure states are distinct, so a fresh
-/// interner could only miss. Pairs are numbered in fact-base order by
-/// fingerprint, then content: a total order on content, so a state's
-/// pair index depends only on its fact base and the state set, and
-/// sorting compares mostly one `u64`. `Ok(None)` means the budget
-/// stopped the run.
-fn pair_states<MS, NS>(
-    m_states: &[MS],
-    n_states: &[NS],
+/// Compiles one closure's states (in state-ID order) with
+/// [`ToFacts::to_facts`], each exactly once, and checks the §3.3.1
+/// correspondence is injective on this side: two states sharing a fact
+/// base are a [`CheckError::Pairing`]. A state's facts depend on its
+/// model's schema, so a compilation belongs to one closure and is never
+/// shared with another. `Ok(None)` means the budget stopped the run.
+fn compile_closure<S>(
+    states: &[S],
+    side: Side,
     threads: usize,
     ctx: &EngineCtx,
-    interners: Interners<'_, MS, NS>,
-) -> Result<Option<PairedIds>, CheckError>
+) -> Result<Option<CompiledClosure>, CheckError>
 where
-    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
+    S: ToFacts + Sync,
 {
-    fn by_content(a: &FactBase, b: &FactBase) -> cmp::Ordering {
-        a.fingerprint().cmp(&b.fingerprint()).then_with(|| a.cmp(b))
-    }
-
-    /// One side's compiled fact bases and state IDs, sorted by
-    /// [`by_content`].
-    type Sorted = Vec<(Compiled, StateId)>;
-
-    fn compile_side<S>(
-        states: &[S],
-        threads: usize,
-        ctx: &EngineCtx,
-        interner: Option<&FactInterner<S>>,
-        side: &str,
-    ) -> Result<Option<Sorted>, CheckError>
-    where
-        S: Clone + Ord + Hash + ToFacts + Send + Sync,
-    {
-        let compiled = drive(
-            effective_threads(threads, states.len()),
-            states.len(),
-            |i| {
-                if ctx.stopped() {
-                    return (None, false);
-                }
-                let facts = match interner {
-                    Some(interner) => {
-                        Compiled::Shared(interner.compile_observed(&states[i], &ctx.obs))
-                    }
-                    None => Compiled::Owned(states[i].to_facts()),
-                };
-                (Some(facts), true)
-            },
-        );
-        if compiled.len() != states.len() {
-            return Ok(None);
-        }
-        ctx.obs.add(Counter::StatesCompiled, states.len() as u64);
-        let mut sorted: Sorted = compiled
-            .into_iter()
-            .map(|(i, facts)| (facts, StateId::from_index(i)))
-            .collect();
-        sorted.sort_unstable_by(|a, b| by_content(&a.0, &b.0));
-        if sorted.windows(2).any(|w| *w[0].0 == *w[1].0) {
-            return Err(CheckError::Pairing(format!(
-                "two {side} states share a fact base (compilation not injective)"
-            )));
-        }
-        Ok(Some(sorted))
-    }
-
-    let _span = ctx.obs.span("par/pairing");
-    ctx.obs.add(Counter::PairingChecks, 1);
-    let (m_interner, n_interner) = interners.unzip();
-    let Some(m_sorted) = compile_side(m_states, threads, ctx, m_interner, "left")? else {
+    let compiled = drive(
+        effective_threads(threads, states.len()),
+        states.len(),
+        |i| {
+            if ctx.stopped() {
+                return (None, false);
+            }
+            (Some(states[i].to_facts()), true)
+        },
+    );
+    if compiled.len() != states.len() {
         return Ok(None);
-    };
-    let Some(n_sorted) = compile_side(n_states, threads, ctx, n_interner, "right")? else {
-        return Ok(None);
-    };
-    // Onto: one merge walk over the two sorted lists.
+    }
+    ctx.obs.add(Counter::StatesCompiled, states.len() as u64);
+    let mut sorted: Vec<(FactBase, StateId)> = compiled
+        .into_iter()
+        .map(|(i, facts)| (facts, StateId::from_index(i)))
+        .collect();
+    sorted.sort_unstable_by(|a, b| by_content(&a.0, &b.0));
+    if sorted.windows(2).any(|w| w[0].0 == w[1].0) {
+        return Err(CheckError::Pairing(format!(
+            "two {side} states share a fact base (compilation not injective)"
+        )));
+    }
+    Ok(Some(CompiledClosure(sorted)))
+}
+
+/// Pairs two compiled closures: one merge walk checks the
+/// correspondence is onto (the same fact bases on both sides), then
+/// numbers the pairs in fact-base order.
+fn pair_compiled(
+    m: &CompiledClosure,
+    n: &CompiledClosure,
+    obs: &Observer,
+) -> Result<PairedIds, CheckError> {
+    obs.add(Counter::PairingChecks, 1);
+    let (m, n) = (&m.0, &n.0);
     let (mut i, mut j, mut only_left, mut only_right) = (0, 0, 0, 0);
-    while i < m_sorted.len() && j < n_sorted.len() {
-        match by_content(&m_sorted[i].0, &n_sorted[j].0) {
+    while i < m.len() && j < n.len() {
+        match by_content(&m[i].0, &n[j].0) {
             cmp::Ordering::Less => {
                 only_left += 1;
                 i += 1;
@@ -559,30 +515,52 @@ where
             }
         }
     }
-    only_left += m_sorted.len() - i;
-    only_right += n_sorted.len() - j;
+    only_left += m.len() - i;
+    only_right += n.len() - j;
     if only_left + only_right > 0 {
         return Err(CheckError::Pairing(format!(
             "state sets are not onto: {only_left} application states expressible only on the left, {only_right} only on the right"
         )));
     }
-    let m_by_pair: Vec<StateId> = m_sorted.into_iter().map(|(_, sid)| sid).collect();
-    let n_by_pair: Vec<StateId> = n_sorted.into_iter().map(|(_, sid)| sid).collect();
-    let mut m_rank = vec![0u32; m_states.len()];
-    for (p, sid) in m_by_pair.iter().enumerate() {
-        m_rank[sid.index()] = p as u32;
-    }
-    let mut n_rank = vec![0u32; n_states.len()];
-    for (p, sid) in n_by_pair.iter().enumerate() {
-        n_rank[sid.index()] = p as u32;
-    }
-    Ok(Some(PairedIds {
+    let ranks = |sorted: &[(FactBase, StateId)]| {
+        let by_pair: Vec<StateId> = sorted.iter().map(|(_, sid)| *sid).collect();
+        let mut rank = vec![0u32; by_pair.len()];
+        for (p, sid) in by_pair.iter().enumerate() {
+            rank[sid.index()] = p as u32;
+        }
+        (by_pair, rank)
+    };
+    let (m_by_pair, m_rank) = ranks(m);
+    let (n_by_pair, n_rank) = ranks(n);
+    Ok(PairedIds {
         pairs: m_by_pair.len(),
         m_by_pair,
         n_by_pair,
         m_rank,
         n_rank,
-    }))
+    })
+}
+
+/// The §3.3.1 pairing of one model pair: both closures compiled, then
+/// paired. `Ok(None)` means the budget stopped the run.
+fn pair_states<MS, NS>(
+    m_states: &[MS],
+    n_states: &[NS],
+    threads: usize,
+    ctx: &EngineCtx,
+) -> Result<Option<PairedIds>, CheckError>
+where
+    MS: ToFacts + Sync,
+    NS: ToFacts + Sync,
+{
+    let _span = ctx.obs.span("par/pairing");
+    let Some(m) = compile_closure(m_states, Side::Left, threads, ctx)? else {
+        return Ok(None);
+    };
+    let Some(n) = compile_closure(n_states, Side::Right, threads, ctx)? else {
+        return Ok(None);
+    };
+    pair_compiled(&m, &n, &ctx.obs).map(Some)
 }
 
 /// Behaviour signatures, one worker item per operation — a pure relabel
@@ -754,54 +732,12 @@ where
     Some(found)
 }
 
-/// One application-model pair on precomputed closures. `kind` is the
-/// Definition 2/3/5 match, or `None` for Definition 1's index-aligned
-/// comparison. `Ok(None)` means the budget stopped the run.
-#[allow(clippy::too_many_arguments)]
-fn check_pair<MS, MO, NS, NO>(
-    m_ops: &[MO],
-    n_ops: &[NO],
-    m_closure: &Closure<MS>,
-    n_closure: &Closure<NS>,
-    kind: Option<EquivKind>,
-    threads: usize,
-    ctx: &EngineCtx,
-    early: bool,
-    interners: Interners<'_, MS, NS>,
-) -> Result<Option<Verdict>, CheckError>
-where
-    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    MO: fmt::Display,
-    NO: fmt::Display,
-{
-    let Some(paired) = pair_states(
-        m_closure.arena.states(),
-        n_closure.arena.states(),
-        threads,
-        ctx,
-        interners,
-    )?
-    else {
-        return Ok(None);
-    };
-    check_paired(
-        m_ops,
-        n_ops,
-        &m_closure.transitions,
-        &n_closure.transitions,
-        &paired,
-        kind,
-        threads,
-        ctx,
-        early,
-    )
-}
-
-/// The post-pairing half of [`check_pair`]: signature relabeling, the
-/// kind-specific scan, and witness assembly, on a caller-supplied
-/// pairing and the closures' transition tables. Of each model it reads
-/// only the operation list: its length and the witness labels.
+/// The post-pairing half of a check: signature relabeling, the
+/// kind-specific scan (`kind` is `None` for Definition 1's
+/// index-aligned comparison), and witness assembly, on a pairing and
+/// the closures' transition tables. Of each model it reads only the
+/// operation list: its length and the witness labels. `Ok(None)` means
+/// the budget stopped the run.
 #[allow(clippy::too_many_arguments)]
 fn check_paired<MO, NO>(
     m_ops: &[MO],
@@ -948,39 +884,30 @@ where
 /// Runs the §3.3.1 pairing (injective per side, onto across sides) on
 /// closure states the caller already holds (in state-ID order), with an
 /// unlimited budget. This is the first half of the engine entry for
-/// closures discovered elsewhere: [`crate::incremental`] materializes
-/// both closures from its caches (bit-identical to a fresh enumeration),
-/// compiles through its persistent interners and harvests the resulting
-/// ranks so later re-checks over the same state sets can skip
-/// compilation entirely; [`crate::symbolic`] hands in the closures its
-/// SAT layers discovered and compiles them directly (`interners` is
-/// `None`).
+/// closures discovered elsewhere: [`crate::incremental`] hands in the
+/// closures it materialized from its caches (bit-identical to a fresh
+/// enumeration) and harvests the resulting ranks so later re-checks
+/// over the same state sets can skip compilation entirely;
+/// [`crate::symbolic`] hands in the closures its SAT layers discovered.
 pub(crate) fn pair_on_states<MS, NS>(
     m_states: &[MS],
     n_states: &[NS],
     threads: usize,
-    interners: Interners<'_, MS, NS>,
     obs: &Observer,
 ) -> Result<PairedIds, CheckError>
 where
-    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
+    MS: ToFacts + Sync,
+    NS: ToFacts + Sync,
 {
     let ctx = EngineCtx::new(&CheckBudget::UNLIMITED, obs.clone());
-    let paired = pair_states(
-        m_states,
-        n_states,
-        resolve_threads(threads),
-        &ctx,
-        interners,
-    )?;
+    let paired = pair_states(m_states, n_states, resolve_threads(threads), &ctx)?;
     Ok(paired.expect("an unlimited budget cannot exhaust"))
 }
 
 /// Runs the signature-through-scan half of the engine on transition
 /// tables and a pairing the caller already holds, with an unlimited
 /// budget; `kind` is `None` for Definition 1. Paired with
-/// [`pair_on_states`] this reproduces [`check_pair`] exactly — same
+/// [`pair_on_states`] this reproduces [`models_verdict`] exactly — same
 /// signatures, same scan order, same witness labels — which is what
 /// lets [`crate::incremental`] reuse a cached pairing and
 /// [`crate::symbolic`] decide on SAT-discovered closures without
@@ -1016,10 +943,8 @@ where
 }
 
 /// The engine's model-pair check — Definition 1 when `kind` is `None`,
-/// else Definition 2/3/5 — compiling through caller-provided interners
-/// when `interners` holds them (so the facade can share compilation
-/// caches across checks and read [`FactInterner::stats`] afterwards),
-/// directly otherwise. The entry behind
+/// else Definition 2/3/5: both closures explored, compiled and paired,
+/// then decided. The entry behind
 /// [`Checker::run`](crate::check::Checker::run) for a model pair.
 pub(crate) fn models_verdict<MS, MO, NS, NO>(
     m: &FiniteModel<MS, MO>,
@@ -1027,12 +952,11 @@ pub(crate) fn models_verdict<MS, MO, NS, NO>(
     kind: Option<EquivKind>,
     state_cap: usize,
     config: &ParallelConfig,
-    interners: Interners<'_, MS, NS>,
     obs: &Observer,
 ) -> Result<Verdict, CheckError>
 where
-    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
+    MS: Clone + Ord + ToFacts + Send + Sync,
+    NS: Clone + Ord + ToFacts + Send + Sync,
     MO: Clone + fmt::Display + Send + Sync,
     NO: Clone + fmt::Display + Send + Sync,
 {
@@ -1045,40 +969,44 @@ where
     let Some(n_closure) = explore_closure(n, state_cap, &ctx)? else {
         return Ok(ctx.exhausted_verdict());
     };
-    match check_pair(
+    let Some(paired) = pair_states(
+        m_closure.arena.states(),
+        n_closure.arena.states(),
+        threads,
+        &ctx,
+    )?
+    else {
+        return Ok(ctx.exhausted_verdict());
+    };
+    let verdict = check_paired(
         m.ops(),
         n.ops(),
-        &m_closure,
-        &n_closure,
+        &m_closure.transitions,
+        &n_closure.transitions,
+        &paired,
         kind,
         threads,
         &ctx,
         config.early_exit,
-        interners,
-    )? {
-        Some(verdict) => Ok(verdict),
-        None => Ok(ctx.exhausted_verdict()),
-    }
+    )?;
+    Ok(verdict.unwrap_or_else(|| ctx.exhausted_verdict()))
 }
 
-/// Parallel Definition 6 check with caller-provided interners: every
-/// model's closure is explored once, then [`grid_verdict`] decides the
-/// grid. The entry behind [`Checker::run`](crate::check::Checker::run)
-/// for [`Tier::DataModel`](crate::check::Tier::DataModel).
-#[allow(clippy::too_many_arguments)]
+/// The engine's Definition 6 check: every model's closure is explored
+/// once, then [`grid_verdict`] decides the grid. The entry behind
+/// [`Checker::run`](crate::check::Checker::run) for
+/// [`Tier::DataModel`](crate::check::Tier::DataModel).
 pub(crate) fn data_models_verdict<MS, MO, NS, NO>(
     ms: &[FiniteModel<MS, MO>],
     ns: &[FiniteModel<NS, NO>],
     kind: EquivKind,
     state_cap: usize,
     config: &ParallelConfig,
-    m_interner: &FactInterner<MS>,
-    n_interner: &FactInterner<NS>,
     obs: &Observer,
 ) -> Result<Verdict, CheckError>
 where
-    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
+    MS: Clone + Ord + ToFacts + Send + Sync,
+    NS: Clone + Ord + ToFacts + Send + Sync,
     MO: Clone + fmt::Display + Send + Sync,
     NO: Clone + fmt::Display + Send + Sync,
 {
@@ -1124,9 +1052,7 @@ where
     let Some(n_side) = explore(ns, state_cap, threads, &ctx)? else {
         return Ok(ctx.exhausted_verdict());
     };
-    grid_verdict(
-        &m_side, &n_side, kind, threads, &ctx, m_interner, n_interner,
-    )
+    grid_verdict(&m_side, &n_side, kind, threads, &ctx)
 }
 
 /// One model of a Definition 6 grid after closure discovery: the name
@@ -1137,42 +1063,75 @@ pub(crate) struct Explored<'a, S, O> {
     pub(crate) closure: Closure<S>,
 }
 
-/// The Definition 6 grid on already explored closures: every (m, n)
-/// pair, one worker item each (each pair checked single-threaded to
-/// avoid oversubscription); the shared interners make every state
-/// compile once for the whole grid, not once per pair. Witnesses are
-/// the names of application models with no equivalent counterpart.
+/// The Definition 6 grid on already explored closures. Every model's
+/// closure is compiled once, then every (m, n) pair is one worker item
+/// (each checked single-threaded to avoid oversubscription) that pairs
+/// the two compiled closures and decides the pair. A model whose
+/// compilation is not injective matches nothing. Witnesses are the
+/// names of application models with no equivalent counterpart.
 pub(crate) fn grid_verdict<MS, MO, NS, NO>(
     ms: &[Explored<'_, MS, MO>],
     ns: &[Explored<'_, NS, NO>],
     kind: EquivKind,
     threads: usize,
     ctx: &EngineCtx,
-    m_interner: &FactInterner<MS>,
-    n_interner: &FactInterner<NS>,
 ) -> Result<Verdict, CheckError>
 where
-    MS: Clone + Ord + Hash + ToFacts + Send + Sync,
-    NS: Clone + Ord + Hash + ToFacts + Send + Sync,
+    MS: ToFacts + Sync,
+    NS: ToFacts + Sync,
     MO: fmt::Display + Sync,
     NO: fmt::Display + Sync,
 {
+    /// Every model's compiled closure, `None` where compilation is not
+    /// injective; `None` overall when the budget stopped the run.
+    fn compile_all<S: ToFacts + Sync, O>(
+        models: &[Explored<'_, S, O>],
+        side: Side,
+        threads: usize,
+        ctx: &EngineCtx,
+    ) -> Option<Vec<Option<CompiledClosure>>> {
+        let _span = ctx.obs.span("par/pairing");
+        models
+            .iter()
+            .map(
+                |m| match compile_closure(m.closure.arena.states(), side, threads, ctx) {
+                    Ok(compiled) => compiled.map(Some),
+                    Err(_) => Some(None),
+                },
+            )
+            .collect()
+    }
+    let (Some(m_compiled), Some(n_compiled)) = (
+        compile_all(ms, Side::Left, threads, ctx),
+        compile_all(ns, Side::Right, threads, ctx),
+    ) else {
+        return Ok(ctx.exhausted_verdict());
+    };
     // Pairing failures mean "not equivalent", not a checker error: the
     // two models express different application states.
     let grid = ms.len() * ns.len();
     let cells = drive(threads, grid, |cell| {
-        let (m, n) = (&ms[cell / ns.len()], &ns[cell % ns.len()]);
-        let outcome = check_pair(
-            m.ops,
-            n.ops,
-            &m.closure,
-            &n.closure,
-            Some(kind),
-            1,
-            ctx,
-            true, // only pair equivalence matters here; exit pairs early
-            Some((m_interner, n_interner)),
-        );
+        let (mi, ni) = (cell / ns.len(), cell % ns.len());
+        let (Some(m), Some(n)) = (&m_compiled[mi], &n_compiled[ni]) else {
+            return (Some(Ok(false)), true);
+        };
+        let paired = {
+            let _span = ctx.obs.span("par/pairing");
+            pair_compiled(m, n, &ctx.obs)
+        };
+        let outcome = paired.and_then(|paired| {
+            check_paired(
+                ms[mi].ops,
+                ns[ni].ops,
+                &ms[mi].closure.transitions,
+                &ns[ni].closure.transitions,
+                &paired,
+                Some(kind),
+                1,
+                ctx,
+                true, // only pair equivalence matters here; exit pairs early
+            )
+        });
         match outcome {
             Ok(Some(verdict)) => (Some(Ok(verdict.is_equivalent())), true),
             Ok(None) => (None, false),
@@ -1230,8 +1189,7 @@ mod tests {
         Fact::new("p", [("x", Atom::Int(n))])
     }
 
-    /// The engine entry as the facade drives it: no shared interners,
-    /// no observer.
+    /// The engine entry as the facade drives it, with no observer.
     fn par_check(
         m: &FiniteModel<FactBase, String>,
         n: &FiniteModel<FactBase, String>,
@@ -1239,15 +1197,7 @@ mod tests {
         state_cap: usize,
         config: &ParallelConfig,
     ) -> Result<Verdict, CheckError> {
-        models_verdict(
-            m,
-            n,
-            Some(kind),
-            state_cap,
-            config,
-            None,
-            &Observer::disabled(),
-        )
+        models_verdict(m, n, Some(kind), state_cap, config, &Observer::disabled())
     }
 
     /// A toy model whose states are fact bases: each operation adds or
@@ -1423,28 +1373,26 @@ mod tests {
     }
 
     #[test]
-    fn data_model_grid_matches_and_interner_caches() {
+    fn data_model_grid_matches_and_compiles_each_closure_once() {
         let ms = vec![two_fact_model("m0"), two_fact_model("m1")];
         let ns = vec![two_fact_model("n0"), two_fact_model("n1")];
-        let left = FactInterner::new();
-        let right = FactInterner::new();
-        let verdict = data_models_verdict(
-            &ms,
-            &ns,
-            EquivKind::Isomorphic,
-            100,
-            &ParallelConfig::with_threads(4),
-            &left,
-            &right,
-            &Observer::disabled(),
-        )
-        .unwrap();
-        assert_eq!(verdict, Verdict::Equivalent { state_pairs: 4 });
-        // Both m-models share their 4 states: compiled once, hit
-        // thereafter across the whole grid.
-        let stats = left.stats();
-        assert_eq!(stats.unique, 4);
-        assert!(stats.hits > 0, "grid reuses compiled fact bases: {stats:?}");
+        for threads in [1, 4] {
+            let obs = Observer::new(dme_obs::RingSink::with_capacity(64));
+            let verdict = data_models_verdict(
+                &ms,
+                &ns,
+                EquivKind::Isomorphic,
+                100,
+                &ParallelConfig::with_threads(threads),
+                &obs,
+            )
+            .unwrap();
+            assert_eq!(verdict, Verdict::Equivalent { state_pairs: 4 });
+            // Four models of four states each: every closure compiles
+            // once for the whole grid, and each of the four cells pairs.
+            assert_eq!(obs.counter(Counter::StatesCompiled), 16);
+            assert_eq!(obs.counter(Counter::PairingChecks), 4);
+        }
     }
 
     #[test]

@@ -56,7 +56,6 @@ use dme_logic::{Fact, FactBase};
 use dme_obs::{Counter, Metric, Observer};
 
 use crate::arena::{Closure, StateArena, StateId};
-use crate::canon::FactInterner;
 use crate::check::Tier;
 use crate::equiv::{CheckError, EquivKind};
 use crate::model::ClosureTooLarge;
@@ -403,7 +402,6 @@ impl<'a> SymbolicChecker<'a> {
             m_closure.arena.states(),
             n_closure.arena.states(),
             1,
-            None,
             &self.observer,
         )
         .and_then(|paired| {
@@ -440,15 +438,7 @@ impl<'a> SymbolicChecker<'a> {
             Err(stop) => return stop,
         };
         let ctx = EngineCtx::new(&CheckBudget::UNLIMITED, self.observer.clone());
-        SymbolicOutcome::Definitive(grid_verdict(
-            &m_side,
-            &n_side,
-            kind,
-            1,
-            &ctx,
-            &FactInterner::new(),
-            &FactInterner::new(),
-        ))
+        SymbolicOutcome::Definitive(grid_verdict(&m_side, &n_side, kind, 1, &ctx))
     }
 
     /// Discovers every spec's closure, in order, for the engine's grid.

@@ -13,9 +13,22 @@ use crate::{FactBase, FactDelta};
 
 /// Compilation of a database state into the statements true of the
 /// application state it represents.
+///
+/// A state's facts depend on its model's schema (which column of a
+/// relation plays which role, say), but its `Eq` and `Hash` may ignore
+/// that schema: two states of different models can be equal and still
+/// compile to different fact bases. So no cache that spans models may
+/// key a compilation on the state alone.
 pub trait ToFacts {
     /// The set of true statements of this state.
     fn to_facts(&self) -> FactBase;
+}
+
+/// A borrowed state compiles like the state itself.
+impl<T: ToFacts + ?Sized> ToFacts for &T {
+    fn to_facts(&self) -> FactBase {
+        (**self).to_facts()
+    }
 }
 
 impl ToFacts for FactBase {

@@ -16,12 +16,8 @@ pub enum Counter {
     NodesExpanded,
     /// Valid states produced by closure enumeration.
     StatesEnumerated,
-    /// States compiled to fact bases (interner hits and misses alike).
+    /// States compiled to fact bases, each closure's states once.
     StatesCompiled,
-    /// Fact-base compilations answered from the interner cache.
-    InternerHits,
-    /// Fact-base compilations that had to run `to_facts`.
-    InternerMisses,
     /// Behaviour signatures built (one per operation per check).
     SignaturesBuilt,
     /// Signatures produced while closing under composition.
@@ -122,12 +118,10 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (the order snapshot arrays
     /// are indexed in).
-    pub const ALL: [Counter; 43] = [
+    pub const ALL: [Counter; 41] = [
         Counter::NodesExpanded,
         Counter::StatesEnumerated,
         Counter::StatesCompiled,
-        Counter::InternerHits,
-        Counter::InternerMisses,
         Counter::SignaturesBuilt,
         Counter::SignaturesComposed,
         Counter::ReachabilityExpansions,
@@ -178,8 +172,6 @@ impl Counter {
             Counter::NodesExpanded => "nodes_expanded",
             Counter::StatesEnumerated => "states_enumerated",
             Counter::StatesCompiled => "states_compiled",
-            Counter::InternerHits => "interner_hits",
-            Counter::InternerMisses => "interner_misses",
             Counter::SignaturesBuilt => "signatures_built",
             Counter::SignaturesComposed => "signatures_composed",
             Counter::ReachabilityExpansions => "reachability_expansions",

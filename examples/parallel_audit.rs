@@ -1,6 +1,6 @@
 //! The parallel, memoized engine end to end — through the unified
-//! [`Checker`] facade: verdicts, witnesses, budgets, the compilation
-//! cache, and the observability layer (JSON-lines transcript plus a
+//! [`Checker`] facade: verdicts, witnesses, budgets, compile-once
+//! pairing, and the observability layer (JSON-lines transcript plus a
 //! phase report).
 //!
 //! ```console
@@ -16,9 +16,9 @@ use borkin_equiv::equivalence::equiv::EquivKind;
 use borkin_equiv::equivalence::model::{graph_model, relational_model, FiniteModel};
 use borkin_equiv::equivalence::parallel::{CheckBudget, ParallelConfig, Verdict};
 use borkin_equiv::equivalence::witness;
-use borkin_equiv::equivalence::{Checker, FactInterner, Tier};
+use borkin_equiv::equivalence::{Checker, Tier};
 use borkin_equiv::graph::{GraphOp, GraphState};
-use borkin_equiv::obs::{JsonLinesSink, Observer, Report, RingSink};
+use borkin_equiv::obs::{Counter, JsonLinesSink, Observer, Report, RingSink};
 use borkin_equiv::relation::{RelOp, RelationState};
 
 const STATE_CAP: usize = 4_000;
@@ -93,35 +93,34 @@ fn main() {
     println!("[4] …on a 1k-node budget:   {verdict}");
     assert!(matches!(verdict, Verdict::BudgetExhausted { .. }));
 
-    // 5. A Definition 6 grid with shared interners: every state
-    //    compiles once for the whole grid. The JSON-lines sink writes a
-    //    machine-readable transcript of the whole check.
+    // 5. A Definition 6 grid: each model's closure compiles once for
+    //    the whole grid and is paired in every cell. The JSON-lines
+    //    sink writes a machine-readable transcript of the whole check.
     let ms = vec![rel_micro("micro-rel", 2), rel_micro("micro-rel-b", 2)];
     let ns = vec![graph_micro("micro-graph")];
-    let left = FactInterner::new();
-    let right = FactInterner::new();
     let transcript = Path::new(env!("CARGO_MANIFEST_DIR")).join("target/parallel_audit.jsonl");
-    let sink = JsonLinesSink::create(&transcript).expect("transcript file");
+    let grid_obs = Observer::new(JsonLinesSink::create(&transcript).expect("transcript file"));
     let verdict = Checker::data_models(&ms, &ns)
         .tier(Tier::DataModel {
             kind: EquivKind::StateDependent { max_depth: 3 },
         })
         .state_cap(STATE_CAP)
         .parallel(config)
-        .interners(&left, &right)
-        .sink(sink)
+        .observer(grid_obs.clone())
         .run()
         .expect("checkable");
     println!("[5] Def. 6, 2x1 grid:       {verdict}");
-    let stats = left.stats();
-    println!(
-        "    left interner: {} unique states, {} hits / {} misses ({:.0}% hit rate)",
-        stats.unique,
-        stats.hits,
-        stats.misses,
-        stats.hit_rate() * 100.0
-    );
-    assert!(stats.hits > 0, "the grid must reuse compiled states");
+    let closure_sizes: usize = ms
+        .iter()
+        .map(|m| m.closure(STATE_CAP).expect("checked above").len())
+        .chain(
+            ns.iter()
+                .map(|n| n.closure(STATE_CAP).expect("checked above").len()),
+        )
+        .sum();
+    let compiled = grid_obs.counter(Counter::StatesCompiled);
+    println!("    states compiled: {compiled} (each of the 3 closures once)");
+    assert_eq!(compiled, closure_sizes as u64);
     println!("    transcript: {}", transcript.display());
 
     // The phase report of check [1], from the ring sink.

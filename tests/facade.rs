@@ -1,7 +1,9 @@
 //! Facade parity: every setting of the one engine behind [`Checker`]
-//! (plain, `.parallel(..)`, `.budget(..)`, `.interners(..)`) decides the
-//! same predicates as the independent `slow_reference` oracle — with
-//! the observer enabled and disabled.
+//! (plain, `.parallel(..)`, `.budget(..)`) decides the same predicates
+//! as the independent `slow_reference` oracle — with the observer
+//! enabled and disabled.
+
+mod common;
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -12,7 +14,7 @@ use borkin_equiv::equivalence::model::{graph_model, relational_model, FiniteMode
 use borkin_equiv::equivalence::parallel::{CheckBudget, ParallelConfig, Verdict};
 use borkin_equiv::equivalence::slow_reference;
 use borkin_equiv::equivalence::witness;
-use borkin_equiv::equivalence::{Checker, FactInterner, Tier};
+use borkin_equiv::equivalence::{Checker, Tier};
 use borkin_equiv::graph::{GraphOp, GraphState};
 use borkin_equiv::logic::{Fact, FactBase};
 use borkin_equiv::obs::{Counter, Observer, RingSink};
@@ -153,126 +155,90 @@ fn thread_count_never_changes_the_verdict_on_paper_witness() {
 
 #[test]
 fn data_model_routes_agree_on_paper_witness() {
-    let ms = vec![micro_rel()];
-    let ns = vec![micro_graph()];
     let kind = EquivKind::StateDependent { max_depth: 2 };
-    let oracle = slow_reference::data_model_verdict_slow(&ms, &ns, kind, STATE_CAP).unwrap();
-    for threads in [1usize, 2] {
-        let engine = Checker::data_models(&ms, &ns)
-            .tier(Tier::DataModel { kind })
-            .state_cap(STATE_CAP)
-            .parallel(ParallelConfig::with_threads(threads))
-            .run()
-            .unwrap();
-        assert_eq!(engine, oracle, "threads {threads}");
-    }
+    let assert_routes_agree =
+        |ms: &[FiniteModel<RelationState, RelOp>], ns: &[FiniteModel<GraphState, GraphOp>]| {
+            let oracle = slow_reference::data_model_verdict_slow(ms, ns, kind, STATE_CAP).unwrap();
+            for threads in [1usize, 2] {
+                let engine = Checker::data_models(ms, ns)
+                    .tier(Tier::DataModel { kind })
+                    .state_cap(STATE_CAP)
+                    .parallel(ParallelConfig::with_threads(threads))
+                    .run()
+                    .unwrap();
+                assert_eq!(engine, oracle, "{} models, threads {threads}", ms.len());
+            }
+        };
+    assert_routes_agree(&[micro_rel()], &[micro_graph()]);
+    // A swapped `Super` heading compiles the same tuples to other
+    // facts, and its states compare equal to the unswapped model's:
+    // `Au` must still find no match for its states among g1's.
+    assert_routes_agree(
+        &[
+            common::micro_rel_variant("Ar", true, false),
+            common::micro_rel_variant("Au", false, true),
+        ],
+        &[common::micro_graph_k(0), common::micro_graph_k(1)],
+    );
 }
 
-#[test]
-fn interners_fill_identically_across_routes() {
-    let m = micro_rel();
-    let n = micro_graph();
-    let kind = EquivKind::StateDependent { max_depth: 2 };
-    let one_mi = FactInterner::new();
-    let one_ni = FactInterner::new();
-    let one_thread = Checker::new(&m, &n)
-        .tier(Tier::from_kind(kind))
-        .state_cap(STATE_CAP)
-        .interners(&one_mi, &one_ni)
-        .run()
-        .unwrap();
-    let two_mi = FactInterner::new();
-    let two_ni = FactInterner::new();
-    let two_threads = Checker::new(&m, &n)
-        .tier(Tier::from_kind(kind))
-        .state_cap(STATE_CAP)
-        .parallel(ParallelConfig::with_threads(2))
-        .interners(&two_mi, &two_ni)
-        .run()
-        .unwrap();
-    assert_eq!(one_thread, two_threads);
-    assert_eq!(one_mi.stats().unique, two_mi.stats().unique);
-    assert_eq!(one_ni.stats().unique, two_ni.stats().unique);
-    assert!(one_mi.stats().unique > 0, "interner saw the left closure");
-}
-
-/// Runs `m` against `n` at every tier, once compiling each state
-/// directly (no interners) and once through fresh shared interners, and
-/// asserts equal verdicts and equal numbers of states compiled. Returns
-/// the direct route's states compiled, interner hits and interner
-/// misses at the last tier, Definition 5 (a Definition 6 tier compiles
-/// through a grid's own interners even when none are shared).
-fn assert_interner_parity<MS, MO, NS, NO>(
-    m: &FiniteModel<MS, MO>,
-    n: &FiniteModel<NS, NO>,
-) -> (u64, u64, u64)
+/// Runs `m` against `n` at every tier on one and on two threads, and
+/// asserts equal outcomes and that each run compiles every state of
+/// both closures exactly once.
+fn assert_compiles_once<MS, MO, NS, NO>(m: &FiniteModel<MS, MO>, n: &FiniteModel<NS, NO>)
 where
-    MS: Clone + Ord + std::hash::Hash + borkin_equiv::logic::ToFacts + Send + Sync,
-    NS: Clone + Ord + std::hash::Hash + borkin_equiv::logic::ToFacts + Send + Sync,
+    MS: Clone + Ord + borkin_equiv::logic::ToFacts + Send + Sync,
+    NS: Clone + Ord + borkin_equiv::logic::ToFacts + Send + Sync,
     MO: Clone + std::fmt::Display + Send + Sync,
     NO: Clone + std::fmt::Display + Send + Sync,
 {
+    let states = m.closure(STATE_CAP).unwrap().len() + n.closure(STATE_CAP).unwrap().len();
     let tiers = [
         Tier::Operation,
         Tier::Isomorphic,
         Tier::Composed { max_depth: 2 },
+        Tier::StateDependent { max_depth: 2 },
         Tier::DataModel {
             kind: EquivKind::Isomorphic,
         },
-        Tier::StateDependent { max_depth: 2 },
     ];
-    let mut compiled = (0, 0, 0);
     for tier in tiers {
-        let direct_obs = Observer::new(RingSink::with_capacity(16));
-        let direct = Checker::new(m, n)
-            .tier(tier)
-            .state_cap(STATE_CAP)
-            .observer(direct_obs.clone())
-            .run();
-        let (mi, ni) = (FactInterner::new(), FactInterner::new());
-        let shared_obs = Observer::new(RingSink::with_capacity(16));
-        let shared = Checker::new(m, n)
-            .tier(tier)
-            .state_cap(STATE_CAP)
-            .interners(&mi, &ni)
-            .observer(shared_obs.clone())
-            .run();
+        let outcomes = [1usize, 2].map(|threads| {
+            let obs = Observer::new(RingSink::with_capacity(16));
+            let outcome = Checker::new(m, n)
+                .tier(tier)
+                .state_cap(STATE_CAP)
+                .parallel(ParallelConfig::with_threads(threads))
+                .observer(obs.clone())
+                .run();
+            assert_eq!(
+                obs.counter(Counter::StatesCompiled),
+                states as u64,
+                "every closure state compiled once: {}/{} {tier:?} t{threads}",
+                m.name(),
+                n.name()
+            );
+            norm(outcome)
+        });
         assert_eq!(
-            norm(direct),
-            norm(shared),
+            outcomes[0],
+            outcomes[1],
             "{}/{} {tier:?}",
             m.name(),
             n.name()
         );
-        compiled = (
-            direct_obs.counter(Counter::StatesCompiled),
-            direct_obs.counter(Counter::InternerHits),
-            direct_obs.counter(Counter::InternerMisses),
-        );
-        assert_eq!(
-            shared_obs.counter(Counter::StatesCompiled),
-            compiled.0,
-            "both routes compile every state once: {}/{} {tier:?}",
-            m.name(),
-            n.name()
-        );
     }
-    compiled
 }
 
 #[test]
-fn pairing_with_and_without_interners_agrees_on_every_tier() {
+fn every_tier_compiles_each_closure_once() {
     let (m, n) = (mini_rel(), mini_graph());
     let sizes = [
         m.closure(STATE_CAP).unwrap().len(),
         n.closure(STATE_CAP).unwrap().len(),
     ];
     assert_eq!(sizes, [57, 57], "the mini shop's two closures");
-    assert_eq!(
-        assert_interner_parity(&m, &n),
-        (2 * 57, 0, 0),
-        "mini shop: every closure state compiled once, no interner touched"
-    );
+    assert_compiles_once(&m, &n);
     for (i, scenario) in corpus(0xFAC4DE, 12).into_iter().enumerate() {
         let mutations = scenario.mutations();
         let m = scenario.model("left");
@@ -283,14 +249,7 @@ fn pairing_with_and_without_interners_agrees_on_every_tier() {
                 .model("mutant"),
         ];
         for n in &rights {
-            let sizes = m.closure(STATE_CAP).unwrap().len() + n.closure(STATE_CAP).unwrap().len();
-            assert_eq!(
-                assert_interner_parity(&m, n),
-                (sizes as u64, 0, 0),
-                "{}/{}",
-                m.name(),
-                n.name()
-            );
+            assert_compiles_once(&m, n);
         }
     }
 }

@@ -1,7 +1,9 @@
 //! Differential testing of incremental re-verification against the
 //! generated scenario corpus.
 //!
-//! Three proofs, matching the incremental session's contract:
+//! Three proofs, matching the incremental session's contract, plus a
+//! pin that a session moving between models never pairs one model's
+//! states with another's compiled facts:
 //!
 //! 1. **Thread and warmth invariance** — over 64 generated scenarios,
 //!    the session returns the one-shot [`Checker`] facade's exact
@@ -22,6 +24,8 @@
 //!    prefix; whatever was dropped simply re-checks cold. No cut and
 //!    no corruption ever changes an answer.
 
+mod common;
+
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
@@ -32,7 +36,9 @@ use borkin_equiv::equivalence::model::FiniteModel;
 use borkin_equiv::equivalence::parallel::Verdict;
 use borkin_equiv::equivalence::slow_reference;
 use borkin_equiv::equivalence::{Checker, IncrementalChecker, Tier};
+use borkin_equiv::graph::GraphState;
 use borkin_equiv::logic::FactBase;
+use borkin_equiv::relation::RelationState;
 use borkin_equiv::workload::scenario::{corpus, Mutation, Scenario, ScenarioConfig, ScenarioOp};
 
 const STATE_CAP: usize = 4096;
@@ -304,6 +310,34 @@ fn warm_incremental_rechecks_agree_with_cold_symbolic() {
         }
     }
     assert_eq!(covered.len(), 4, "all four mutation kinds exercised");
+}
+
+/// A session that moves on to another model re-compiles every state:
+/// `Aru`'s states compare equal to `Au`'s, but its swapped `Super`
+/// heading compiles them to other facts, so no compilation from the
+/// first check may answer for the second.
+#[test]
+fn a_new_universe_recompiles_states_that_compare_equal() {
+    let kind = EquivKind::StateDependent { max_depth: 2 };
+    let mut s: IncrementalChecker<RelationState, GraphState> = IncrementalChecker::new();
+    for (m, n) in [
+        (
+            common::micro_rel_variant("Au", false, true),
+            common::micro_graph_k(4),
+        ),
+        (
+            common::micro_rel_variant("Aru", true, true),
+            common::micro_graph_k(1),
+        ),
+    ] {
+        let cold = Checker::new(&m, &n)
+            .tier(Tier::from_kind(kind))
+            .state_cap(STATE_CAP)
+            .run();
+        assert!(matches!(cold, Ok(Verdict::Equivalent { .. })), "{cold:?}");
+        let session = s.check(&m, &n, kind, STATE_CAP);
+        assert_eq!(session, cold, "{} vs {}", m.name(), n.name());
+    }
 }
 
 /// Op mutations take the delta path (columns for unchanged operations
