@@ -182,6 +182,33 @@ fn data_model_routes_agree_on_paper_witness() {
     );
 }
 
+/// Pairing once filled a fact interner per side, so the name speaks of
+/// interners; each closure is now compiled directly. One and two
+/// threads must still reach the same verdict on the paper witness and
+/// compile the same, non-empty set of states.
+#[test]
+fn interners_fill_identically_across_routes() {
+    let m = micro_rel();
+    let n = micro_graph();
+    let kind = EquivKind::StateDependent { max_depth: 2 };
+    let [(one_thread, one_compiled), (two_threads, two_compiled)] = [1usize, 2].map(|threads| {
+        let obs = Observer::new(RingSink::with_capacity(16));
+        let verdict = Checker::new(&m, &n)
+            .tier(Tier::from_kind(kind))
+            .state_cap(STATE_CAP)
+            .parallel(ParallelConfig::with_threads(threads))
+            .observer(obs.clone())
+            .run()
+            .unwrap();
+        (verdict, obs.counter(Counter::StatesCompiled))
+    });
+    assert_eq!(one_thread, two_threads);
+    assert_eq!(one_compiled, two_compiled);
+    let states = m.closure(STATE_CAP).unwrap().len() + n.closure(STATE_CAP).unwrap().len();
+    assert_eq!(one_compiled, states as u64, "both closures compiled");
+    assert!(one_compiled > 0, "pairing saw the closures");
+}
+
 /// Runs `m` against `n` at every tier on one and on two threads, and
 /// asserts equal outcomes and that each run compiles every state of
 /// both closures exactly once.
@@ -230,8 +257,12 @@ where
     }
 }
 
+/// Pairing once had a route with and one without fact interners, so
+/// the name speaks of both; the one route left compiles each closure
+/// directly, and must compile each closure state exactly once and reach
+/// the same verdict on one and two threads at every tier.
 #[test]
-fn every_tier_compiles_each_closure_once() {
+fn pairing_with_and_without_interners_agrees_on_every_tier() {
     let (m, n) = (mini_rel(), mini_graph());
     let sizes = [
         m.closure(STATE_CAP).unwrap().len(),
