@@ -3,7 +3,7 @@
 use std::fmt;
 
 use crate::json::escape;
-use crate::trace::TraceId;
+use crate::stitch::TraceStep;
 
 /// The fixed vocabulary of monotonic counters. A closed enum (rather
 /// than arbitrary strings) keeps the hot-path increment a single indexed
@@ -258,25 +258,13 @@ pub enum EventKind {
         /// The value observed.
         value: u64,
     },
-    /// A point on one request's causal path, tagged with its
-    /// [`TraceId`]. Grepping a transcript for the 16-hex-digit id
-    /// reconstructs the request's journey through the service.
-    Trace {
-        /// The step's stable name (e.g. `server/admit`).
-        name: &'static str,
-        /// The request's trace id.
-        trace: TraceId,
-        /// This step's span id within the trace (`0` when the emitter
-        /// did not assign one — legacy flat trace points).
-        span: u64,
-        /// The parent step's span id (`0` for a root step or a flat
-        /// trace point). Parent links let a `TraceAssembler` stitch one
-        /// cross-shard transaction back into a single causal tree.
-        parent: u64,
-        /// Free-form detail (a tier name, an LSN, …). Empty when the
-        /// caller had nothing to add.
-        detail: String,
-    },
+    /// One step on a request's causal path: the record the trace hub
+    /// stores, emitted as it is recorded. Grepping a transcript for the
+    /// 16-hex-digit trace id reconstructs the request's journey through
+    /// the service, and its span and parent links let a
+    /// [`TraceAssembler`](crate::TraceAssembler) stitch one cross-shard
+    /// transaction back into a single causal tree.
+    Trace(TraceStep),
 }
 
 /// One observed event: a sequence number, a monotonic timestamp (µs
@@ -333,16 +321,9 @@ impl Event {
                     escape(name)
                 ));
             }
-            EventKind::Trace {
-                name,
-                trace,
-                span,
-                parent,
-                detail,
-            } => {
-                out.push_str(&crate::trace::trace_json(
-                    name, *trace, *span, *parent, detail,
-                ));
+            EventKind::Trace(step) => {
+                out.push_str(&format!("\"ev\":\"trace\",\"trace\":\"{}\",", step.trace));
+                step.write_fields(&mut out);
             }
         }
         out.push('}');

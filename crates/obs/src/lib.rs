@@ -23,6 +23,12 @@
 //!    table when a phase starts and emits the *delta* when it ends, so a
 //!    transcript says not just "12 ms in reachability" but "12 ms and
 //!    48 210 node expansions in reachability".
+//! 4. **One trace record.** A service request's causal path is a set of
+//!    [`TraceStep`]s (trace id, span, parent, shard, name, detail).
+//!    [`TraceHub::record`] records each step once: the hub keeps it for
+//!    `TraceLookup` and emits the same record as [`EventKind::Trace`],
+//!    so a transcript and the hub assemble, through
+//!    [`TraceAssembler`], into the same causal tree.
 //!
 //! ## Quick start
 //!
@@ -59,7 +65,7 @@ pub use observer::{Observer, SpanGuard};
 pub use registry::{ShardMetrics, ShardRegistry, ShardSnapshot};
 pub use report::{PhaseStats, Report};
 pub use sink::{EventSink, JsonLinesSink, RingSink};
-pub use stitch::{TraceAssembler, TraceEvent, TraceHub};
+pub use stitch::{TraceAssembler, TraceHub, TraceStep};
 pub use trace::TraceId;
 
 pub(crate) mod json {

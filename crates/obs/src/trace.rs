@@ -1,4 +1,5 @@
-//! Deterministic trace identifiers.
+//! Deterministic trace identifiers, and the flat trace points emitted
+//! where no trace hub is reachable.
 //!
 //! A [`TraceId`] names one service request across every layer it
 //! touches: session admit, translation, equivalence verification, group
@@ -10,8 +11,7 @@
 
 use std::fmt;
 
-use crate::json::escape;
-use crate::{Event, EventKind, Observer};
+use crate::{Event, EventKind, Observer, TraceStep};
 
 /// A 64-bit trace identifier, rendered as 16 lowercase hex digits.
 ///
@@ -45,32 +45,22 @@ impl fmt::Display for TraceId {
 }
 
 impl Observer {
-    /// Emits a trace event: a point annotation carrying a [`TraceId`],
-    /// linking this moment to one request's causal path. The detail
-    /// string is built only when the observer is enabled.
+    /// Emits a flat trace step (span and parent 0, no shard) for a
+    /// point recorded where no [`TraceHub`](crate::TraceHub) allocates
+    /// spans: crash-recovery replay and checkpoints. Every other
+    /// service step goes through [`TraceHub::record`](crate::TraceHub::record),
+    /// which emits the same record with its span coordinates. The
+    /// detail string is built only when the observer is enabled.
     pub fn trace_event(&self, name: &'static str, trace: TraceId, detail: impl FnOnce() -> String) {
-        self.trace_event_linked(name, trace, 0, 0, detail);
-    }
-
-    /// Emits a trace event carrying causal-tree coordinates: this
-    /// step's span id and its parent's (`0` = none). A flat
-    /// [`Observer::trace_event`] is the `span = parent = 0` case.
-    pub fn trace_event_linked(
-        &self,
-        name: &'static str,
-        trace: TraceId,
-        span: u64,
-        parent: u64,
-        detail: impl FnOnce() -> String,
-    ) {
         if self.enabled() {
-            self.emit_kind(EventKind::Trace {
-                name,
+            self.emit_kind(EventKind::Trace(TraceStep {
                 trace,
-                span,
-                parent,
+                span: 0,
+                parent: 0,
+                shard: None,
+                name,
                 detail: detail(),
-            });
+            }));
         }
     }
 }
@@ -79,33 +69,10 @@ impl Event {
     /// The trace id carried by this event, if any.
     pub fn trace(&self) -> Option<TraceId> {
         match &self.kind {
-            EventKind::Trace { trace, .. } => Some(*trace),
+            EventKind::Trace(step) => Some(step.trace),
             _ => None,
         }
     }
-}
-
-pub(crate) fn trace_json(
-    name: &str,
-    trace: TraceId,
-    span: u64,
-    parent: u64,
-    detail: &str,
-) -> String {
-    let mut out = format!(
-        "\"ev\":\"trace\",\"name\":\"{}\",\"trace\":\"{trace}\"",
-        escape(name)
-    );
-    if span != 0 {
-        out.push_str(&format!(",\"span\":{span}"));
-    }
-    if parent != 0 {
-        out.push_str(&format!(",\"parent\":{parent}"));
-    }
-    if !detail.is_empty() {
-        out.push_str(&format!(",\"detail\":\"{}\"", escape(detail)));
-    }
-    out
 }
 
 #[cfg(test)]
@@ -154,19 +121,19 @@ mod tests {
     }
 
     #[test]
-    fn linked_trace_events_render_span_coordinates() {
+    fn flat_trace_points_render_zero_span_coordinates() {
         let ring = RingSink::with_capacity(8);
         let obs = Observer::new(ring.clone());
         let t = TraceId::derive(9);
-        obs.trace_event_linked("server/wal_append", t, 4, 2, || "lsn 7".into());
-        obs.trace_event("server/admit", t, String::new);
-        let events = ring.events();
-        let json = events[0].to_json();
-        assert!(json.contains("\"span\":4"), "{json}");
-        assert!(json.contains("\"parent\":2"), "{json}");
-        // Flat trace points render exactly as before: no span keys.
-        let flat = events[1].to_json();
-        assert!(!flat.contains("\"span\""), "{flat}");
-        assert!(!flat.contains("\"parent\""), "{flat}");
+        obs.trace_event("server/replay", t, || "lsn 7".into());
+        let json = ring.events()[0].to_json();
+        assert!(
+            json.ends_with(&format!(
+                "\"ev\":\"trace\",\"trace\":\"{t}\",\"span\":0,\"parent\":0,\
+                 \"name\":\"server/replay\",\"detail\":\"lsn 7\"}}"
+            )),
+            "{json}"
+        );
+        assert!(!json.contains("\"shard\""), "{json}");
     }
 }

@@ -1,6 +1,7 @@
 //! Property tests for the observability primitives: JSON-lines
 //! escaping must round-trip arbitrary Unicode (control characters and
-//! non-BMP code points included) through pure-ASCII transcripts, the
+//! non-BMP code points included) through pure-ASCII transcripts, a
+//! trace step's shard must render exactly when it has one, the
 //! ring sink must keep exactly the most recent events in order across
 //! wraparound, and histogram snapshot merging must be associative and
 //! commutative (so per-thread histograms can be combined in any order).
@@ -10,6 +11,7 @@ use std::sync::{Arc, Mutex};
 
 use dme_obs::{
     Event, EventKind, EventSink, Histogram, HistogramSnapshot, JsonLinesSink, RingSink, TraceId,
+    TraceStep,
 };
 use proptest::prelude::*;
 
@@ -105,6 +107,7 @@ proptest! {
     #[test]
     fn jsonl_escaping_roundtrips_and_stays_ascii(
         points in prop::collection::vec(0u32..0x110000, 0..24),
+        shard in prop::option::of(0u32..64),
     ) {
         let detail: String = points.iter().filter_map(|&p| char::from_u32(p)).collect();
         let buf = SharedBuf(Arc::new(Mutex::new(Vec::new())));
@@ -112,13 +115,14 @@ proptest! {
         sink.record(&Event {
             seq: 0,
             at_micros: 0,
-            kind: EventKind::Trace {
-                name: "prop/escape",
+            kind: EventKind::Trace(TraceStep {
                 trace: TraceId(1),
                 span: 0,
                 parent: 0,
+                shard,
+                name: "prop/escape",
                 detail: detail.clone(),
-            },
+            }),
         });
         sink.flush().unwrap();
         let bytes = buf.0.lock().unwrap().clone();
@@ -129,6 +133,13 @@ proptest! {
             line.bytes().all(|b| (0x20..0x7F).contains(&b)),
             "no raw control bytes in a transcript line"
         );
+        match shard {
+            Some(s) => prop_assert!(
+                line.contains(&format!("\"name\":\"prop/escape\",\"shard\":{s}")),
+                "the shard follows the name"
+            ),
+            None => prop_assert!(!line.contains("\"shard\""), "no shard, no shard key"),
+        }
         if detail.is_empty() {
             prop_assert!(!line.contains("\"detail\""), "empty detail is omitted");
         } else {

@@ -41,9 +41,12 @@
 //!   registry ([`SessionService::shard_metrics`]) merged and
 //!   `shard`-labelled by the exporters; every transaction's causal path
 //!   (admit → verify → group commit → per-shard WAL append → reply) is
-//!   recorded as a cross-shard span tree in a bounded trace hub
-//!   ([`SessionService::trace_hub`]), stamped into the WAL frames, and
-//!   served back over the wire via `AdminRequest::TraceLookup`; and
+//!   recorded, one `TraceStep` per step, in a bounded trace hub
+//!   ([`SessionService::trace_hub`]) that emits each step to the
+//!   service's observer as it stores it, so the transcript and the
+//!   hub's cross-shard span tree hold the same steps; the spans are
+//!   stamped into the WAL frames and the tree is served back over the
+//!   wire via `AdminRequest::TraceLookup`; and
 //!   `AdminRequest::WatchMetrics` streams periodic telemetry deltas as
 //!   server-push [`wire::Response::MetricsDelta`] frames
 //!   ([`Client::watch_metrics`]).
@@ -577,7 +580,7 @@ mod tests {
             .iter()
             .filter(|e| e.trace() == Some(info.trace))
             .map(|e| match &e.kind {
-                dme_obs::EventKind::Trace { name, .. } => *name,
+                dme_obs::EventKind::Trace(step) => step.name,
                 other => panic!("non-trace event carried a trace: {other:?}"),
             })
             .collect();
@@ -587,7 +590,8 @@ mod tests {
                 "server/admit",
                 "server/verify",
                 "server/group_commit",
-                "server/wal_append"
+                "server/wal_append",
+                "server/reply"
             ]
         );
         // Both renderings are served through the typed front door.

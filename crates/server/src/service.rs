@@ -124,8 +124,8 @@ pub struct ServiceConfig {
     /// Most transactions a lane leader drains into one group commit.
     pub max_batch: usize,
     /// Recent traces the service's trace hub remembers for
-    /// `TraceLookup` queries (FIFO-evicted; 0 disables cross-shard
-    /// trace stitching entirely).
+    /// `TraceLookup` queries (FIFO-evicted). 0 keeps none and allocates
+    /// no span ids, so the observer's trace steps come out flat.
     pub trace_capacity: usize,
     /// Every Nth checkpoint is a **full** image; the checkpoints in
     /// between are **incremental** (the dirty keys' current records,
@@ -421,12 +421,6 @@ struct StagedTxn {
     trace: TraceId,
     /// The admit (root) span this transaction's journal spans hang off.
     span: u64,
-    /// The group-commit span, allocated when the journal buffers are
-    /// built (0 until then, or when the hub is disabled).
-    gc_span: u64,
-    /// One `(shard, span)` per involved shard's WAL append — the span
-    /// stamped into that shard's frame.
-    wal_spans: Vec<(usize, u64)>,
     enqueued: std::time::Instant,
     payload: Vec<u8>,
     ops: Vec<GraphOp>,
@@ -680,7 +674,7 @@ impl SessionService {
         wal_devices: Vec<Box<dyn LogDevice>>,
     ) -> Self {
         let shard_metrics = Arc::new(ShardRegistry::new(config.shards));
-        let trace_hub = Arc::new(TraceHub::new(config.trace_capacity));
+        let trace_hub = Arc::new(TraceHub::new(config.trace_capacity, config.obs.clone()));
         SessionService {
             shared: Arc::new(Shared {
                 core: Mutex::new(core),
@@ -1320,18 +1314,13 @@ impl SessionService {
                 config.obs.add(Counter::RequestsShed, 1);
                 metrics.add(Counter::RequestsShed, 1);
                 metrics.set_lane_depth(depth as u64);
-                let shed_span = self.shared.trace_hub.record(
+                self.shared.trace_hub.record(
                     trace,
                     "server/shed",
                     span,
                     Some(shard as u32),
                     || format!("shard {shard} depth {depth}"),
                 );
-                config
-                    .obs
-                    .trace_event_linked("server/shed", trace, shed_span, span, || {
-                        format!("shard {shard} depth {depth}")
-                    });
                 return Outcome::Shed { shard, depth };
             }
             let id = q.next_id;
@@ -1462,15 +1451,11 @@ impl SessionService {
                 "def1-translation"
             };
             let views = core.views.len();
-            let verify_span =
-                self.shared
-                    .trace_hub
-                    .record(req.trace, "server/verify", req.span, None, || {
-                        format!("tier={tier} views={views}")
-                    });
-            obs.trace_event_linked("server/verify", req.trace, verify_span, req.span, || {
-                format!("tier={tier} views={views}")
-            });
+            self.shared
+                .trace_hub
+                .record(req.trace, "server/verify", req.span, None, || {
+                    format!("tier={tier} views={views}")
+                });
             let shards = shard::shard_set(&self.shared.schema, &req.gops, config.shards);
             let lsn = core.next_lsn;
             core.next_lsn += 1;
@@ -1510,8 +1495,6 @@ impl SessionService {
                 version: core.version,
                 trace: req.trace,
                 span: req.span,
-                gc_span: 0,
-                wal_spans: Vec::new(),
                 enqueued: req.enqueued,
                 payload,
                 ops: req.gops,
@@ -1538,25 +1521,23 @@ impl SessionService {
         let mut frames = 0u64;
         let batch_size = staged.len();
         let hub = &self.shared.trace_hub;
-        for st in &mut staged {
+        for st in &staged {
             // Allocate the journal spans *before* the frames are built,
             // so each shard's frame is stamped with its own WAL span
-            // (child of the group-commit span, child of admit). A
-            // disabled hub yields span 0, which the WAL codec
+            // (child of the group-commit span, child of admit). A hub
+            // of capacity 0 yields span 0, which the WAL codec
             // normalizes back to a plain traced frame.
-            st.gc_span = hub.record(st.trace, "server/group_commit", st.span, None, || {
+            let gc_span = hub.record(st.trace, "server/group_commit", st.span, None, || {
                 format!("batch={batch_size}")
             });
-            let (lsn, gc_span) = (st.lsn, st.gc_span);
             for &s in &st.shards {
                 let wal_span = hub.record(
                     st.trace,
                     "server/wal_append",
                     gc_span,
                     Some(s as u32),
-                    || format!("lsn {lsn} shard {s}"),
+                    || format!("lsn {} shard {s}", st.lsn),
                 );
-                st.wal_spans.push((s, wal_span));
                 let mut frame = Vec::new();
                 wal::append_record_spanned(
                     &mut frame,
@@ -1627,21 +1608,6 @@ impl SessionService {
                 let at = core.history.partition_point(|t| t.lsn < first_lsn);
                 let mut committed = Vec::with_capacity(batch_size);
                 for st in staged {
-                    obs.trace_event_linked(
-                        "server/group_commit",
-                        st.trace,
-                        st.gc_span,
-                        st.span,
-                        || format!("batch={batch_size}"),
-                    );
-                    let wal_span = st.wal_spans.first().map(|&(_, sp)| sp).unwrap_or(0);
-                    obs.trace_event_linked(
-                        "server/wal_append",
-                        st.trace,
-                        wal_span,
-                        st.gc_span,
-                        || format!("lsn {}", st.lsn),
-                    );
                     let latency = st.enqueued.elapsed().as_micros() as u64;
                     obs.record(Metric::CommitLatency, latency);
                     // Attribute the commit to its home lane, the frames
@@ -1653,7 +1619,7 @@ impl SessionService {
                     if st.shards.len() > 1 {
                         home_metrics.add(Counter::CrossShardCommits, 1);
                     }
-                    for &(s, _) in &st.wal_spans {
+                    for &s in &st.shards {
                         self.shared
                             .shard_metrics
                             .shard(s)

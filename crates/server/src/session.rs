@@ -95,7 +95,6 @@ impl Session {
                 "relational sessions submit relational operations".into(),
             ));
         }
-        let obs = self.service.shared.config.obs.clone();
         let hub = std::sync::Arc::clone(&self.service.shared.trace_hub);
         let trace = self.service.next_trace();
         let session_id = self.id;
@@ -103,9 +102,6 @@ impl Session {
         // The admit step is the transaction's root span; everything the
         // commit pipeline records downstream hangs off it.
         let admit = hub.record(trace, "server/admit", 0, None, || {
-            format!("session {session_id} model=graph ops={ops}")
-        });
-        obs.trace_event_linked("server/admit", trace, admit, 0, || {
             format!("session {session_id} model=graph ops={ops}")
         });
         match self.service.submit(gops, None, trace, admit) {
@@ -156,9 +152,6 @@ impl Session {
         let admit = hub.record(trace, "server/admit", 0, None, || {
             format!("session {session_id} model=relational view={view_name}")
         });
-        obs.trace_event_linked("server/admit", trace, admit, 0, || {
-            format!("session {session_id} model=relational view={view_name}")
-        });
         for attempt in 1..=max_attempts {
             let (handle, base_version, _) = self
                 .snapshot
@@ -169,10 +162,7 @@ impl Session {
                 let _timer = obs.time(dme_obs::Metric::TranslateLatency);
                 let gops = handle.translate_up(op)?;
                 let n = gops.len();
-                let t_span = hub.record(trace, "server/translate", admit, None, || {
-                    format!("attempt {attempt} gops={n}")
-                });
-                obs.trace_event_linked("server/translate", trace, t_span, admit, || {
+                hub.record(trace, "server/translate", admit, None, || {
                     format!("attempt {attempt} gops={n}")
                 });
                 gops

@@ -14,7 +14,10 @@
 //!    deliberately shallow lane queue — typed `Overloaded` responses
 //!    name the refusing shard and observed depth, and the clients
 //!    retry with backoff until every transaction lands,
-//! 4. reads an external view and the telemetry over the same wire.
+//! 4. reads an external view and the telemetry over the same wire,
+//! 5. commits one cross-shard transaction and checks that its
+//!    `TraceLookup` tree equals the tree assembled from the observer's
+//!    ring transcript.
 //!
 //! Run with: `cargo run --release --example shop_server`
 
@@ -23,7 +26,7 @@ use std::time::Duration;
 
 use borkin_equiv::equivalence::translate::CompletionMode;
 use borkin_equiv::graph::{Association, EntityRef, GraphOp};
-use borkin_equiv::obs::{Observer, RingSink};
+use borkin_equiv::obs::{EventKind, Observer, RingSink, TraceAssembler};
 use borkin_equiv::server::shard::shard_of;
 use borkin_equiv::server::{
     CommitOutcome, LogDevice, MemDevice, NetServer, ServiceConfig, SessionKind, SessionService,
@@ -55,7 +58,8 @@ fn main() {
         },
     ];
 
-    let obs = Observer::new(RingSink::with_capacity(8192));
+    let ring = RingSink::with_capacity(8192);
+    let obs = Observer::new(ring.clone());
     let wals: Vec<Box<dyn LogDevice>> = (0..SHARDS)
         .map(|_| {
             // A visible sync cost plus a shallow queue make admission
@@ -252,6 +256,21 @@ fn main() {
         .trace_lookup(info.trace.as_u64())
         .expect("trace resolves");
     println!("  TraceLookup({}) ->\n    {tree}", info.trace);
+    // The observer's transcript records the same steps the hub does:
+    // assembled from the ring, they render the identical tree.
+    let mut from_ring = TraceAssembler::new();
+    for event in ring.events() {
+        if let EventKind::Trace(step) = event.kind {
+            if step.trace == info.trace {
+                from_ring.push(step);
+            }
+        }
+    }
+    assert_eq!(from_ring.to_json(info.trace), tree);
+    println!(
+        "  ring transcript tree == TraceLookup tree ({} steps)",
+        from_ring.len()
+    );
 
     // Two consecutive streamed deltas from the subscription opened
     // above — the first one carries the commit we just watched land.

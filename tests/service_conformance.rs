@@ -497,6 +497,7 @@ fn one_trace_id_reconstructs_the_transaction_causal_path() {
             "server/verify",
             "server/group_commit",
             "server/wal_append",
+            "server/reply",
             "server/replay",
         ],
         "trace {needle} causal path"
@@ -520,10 +521,13 @@ fn one_trace_id_reconstructs_the_transaction_causal_path() {
 /// ≥2 shard lanes assembles — via the service's trace hub — into one
 /// causal tree rooted at its admit span, with a `server/wal_append`
 /// span on *every* involved shard, and each involved shard's WAL frame
-/// is stamped with that shard's own span pair.
+/// is stamped with that shard's own span pair. The observer's ring
+/// transcript carries the same steps: assembled, it renders the very
+/// tree `lookup_trace` serves.
 #[test]
 fn a_cross_shard_transaction_stitches_into_one_causal_tree() {
     use borkin_equiv::graph::{Association, EntityRef};
+    use borkin_equiv::obs::{EventKind, Observer, RingSink, TraceAssembler};
     use borkin_equiv::server::shard::shard_of;
     use borkin_equiv::storage::wal;
     use borkin_equiv::value::Atom;
@@ -536,11 +540,13 @@ fn a_cross_shard_transaction_stitches_into_one_causal_tree() {
         seed: 9,
     };
     let initial = workload::graph_state(cfg);
+    let ring = RingSink::with_capacity(1024);
     let service = SessionService::new_sharded(
         initial,
         Vec::new(),
         ServiceConfig {
             shards: SHARDS,
+            obs: Observer::new(ring.clone()),
             ..ServiceConfig::default()
         },
         (0..SHARDS)
@@ -592,6 +598,18 @@ fn a_cross_shard_transaction_stitches_into_one_causal_tree() {
     }
     // lookup_trace (the TraceLookup admin surface) renders the same tree.
     assert_eq!(service.lookup_trace(info.trace), tree);
+    // So does the observer's transcript: the ring holds the same steps,
+    // both shards' wal_appends and the reply included.
+    let mut from_ring = TraceAssembler::new();
+    for event in ring.events() {
+        if let EventKind::Trace(step) = event.kind {
+            if step.trace == info.trace {
+                from_ring.push(step);
+            }
+        }
+    }
+    assert_eq!(from_ring.len(), events.len(), "one step per hub step");
+    assert_eq!(from_ring.to_json(info.trace), tree);
 
     // Every involved shard's WAL carries the transaction, stamped with
     // that shard's own (span, parent) pair from the stitched tree.
@@ -626,26 +644,26 @@ proptest! {
 
     /// The assembler is order-insensitive: any arrival permutation of a
     /// trace's events stitches into the identical rendered tree (spans
-    /// order the tree; arrival order is only a span-less tiebreaker).
+    /// order the tree; content breaks ties between span-less steps).
     #[test]
     fn trace_assembly_is_order_insensitive(seed in 0u64..1_000_000) {
-        use borkin_equiv::obs::{TraceAssembler, TraceEvent, TraceId};
+        use borkin_equiv::obs::{TraceAssembler, TraceId, TraceStep};
 
-        let event = |seq: u64, span: u64, parent: u64, name: &str, shard: Option<u32>| TraceEvent {
-            seq,
+        let step = |span: u64, parent: u64, name: &'static str, shard: Option<u32>| TraceStep {
+            trace: TraceId(seed),
             span,
             parent,
-            name: name.into(),
             shard,
+            name,
             detail: format!("step {span}"),
         };
         let canonical = vec![
-            event(0, 1, 0, "server/admit", None),
-            event(1, 2, 1, "server/verify", None),
-            event(2, 3, 1, "server/group_commit", None),
-            event(3, 4, 3, "server/wal_append", Some(0)),
-            event(4, 5, 3, "server/wal_append", Some(2)),
-            event(5, 6, 1, "server/reply", None),
+            step(1, 0, "server/admit", None),
+            step(2, 1, "server/verify", None),
+            step(3, 1, "server/group_commit", None),
+            step(4, 3, "server/wal_append", Some(0)),
+            step(5, 3, "server/wal_append", Some(2)),
+            step(6, 1, "server/reply", None),
         ];
         let expected = {
             let mut asm = TraceAssembler::new();
