@@ -711,7 +711,7 @@ fn storage_engine() -> String {
         &mut boot_only,
         cp_records[0].lsn,
         cp_records[0].trace,
-        &cp_records[0].payload,
+        cp_records[0].payload,
     );
     let cold_image = dme_server::DurableImage {
         checkpoint: boot_only,

@@ -83,7 +83,7 @@ use std::fmt;
 
 use dme_logic::{content_fingerprint_wide, ToFacts};
 use dme_obs::{Counter, Observer};
-use dme_storage::wal;
+use dme_storage::{wal, Reader};
 
 use crate::arena::{StateArena, StateId};
 use crate::equiv::{CheckError, EquivKind};
@@ -603,7 +603,7 @@ where
             torn: tail_error.is_some(),
         };
         for record in records {
-            match decode_row(&record.payload) {
+            match decode_row(record.payload) {
                 Some((key, verdict)) => {
                     self.verdicts.insert(key, verdict);
                     report.loaded += 1;
@@ -666,83 +666,38 @@ fn encode_row(key: &VerdictKey, verdict: &Verdict) -> Option<Vec<u8>> {
     Some(out)
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let slice = &self.buf[self.at..end];
-        self.at = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_be_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_be_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn u128(&mut self) -> Option<u128> {
-        Some(u128::from_be_bytes(self.take(16)?.try_into().ok()?))
-    }
-
-    fn done(&self) -> bool {
-        self.at == self.buf.len()
-    }
-}
-
 fn decode_row(payload: &[u8]) -> Option<(VerdictKey, Verdict)> {
-    let mut r = Reader {
-        buf: payload,
-        at: 0,
-    };
-    let m = r.u128()?;
-    let n = r.u128()?;
-    let kind_tag = r.u8()?;
+    let mut r = Reader::new(payload);
+    let m = r.u128().ok()?;
+    let n = r.u128().ok()?;
+    let kind_tag = r.u8().ok()?;
     kind_from_parts(kind_tag, 0)?; // validate the tag range
-    let kind_depth = r.u64()?;
-    let cap = r.u64()?;
     let key = VerdictKey {
         m,
         n,
         kind_tag,
-        kind_depth,
-        cap,
+        kind_depth: r.u64().ok()?,
+        cap: r.u64().ok()?,
     };
-    let verdict = match r.u8()? {
+    let verdict = match r.u8().ok()? {
         0 => Verdict::Equivalent {
-            state_pairs: r.u64()? as usize,
+            state_pairs: r.u64().ok()? as usize,
         },
         1 => {
-            let state_pairs = r.u64()? as usize;
-            let count = r.u32()? as usize;
-            // Cap pathological counts before allocating.
-            if count > payload.len() {
-                return None;
-            }
-            let mut witnesses = Vec::with_capacity(count);
-            for _ in 0..count {
-                let side = match r.u8()? {
-                    0 => Side::Left,
-                    1 => Side::Right,
-                    _ => return None,
-                };
-                let len = r.u32()? as usize;
-                let label = String::from_utf8(r.take(len)?.to_vec()).ok()?;
-                witnesses.push(Witness { side, label });
-            }
+            let state_pairs = r.u64().ok()? as usize;
+            let count = r.u32().ok()?;
+            let witnesses = (0..count)
+                .map(|_| {
+                    let side = match r.u8().ok()? {
+                        0 => Side::Left,
+                        1 => Side::Right,
+                        _ => return None,
+                    };
+                    let len = r.u32().ok()? as usize;
+                    let label = String::from_utf8(r.take(len).ok()?.to_vec()).ok()?;
+                    Some(Witness { side, label })
+                })
+                .collect::<Option<_>>()?;
             Verdict::Counterexample {
                 state_pairs,
                 witnesses,
@@ -750,9 +705,7 @@ fn decode_row(payload: &[u8]) -> Option<(VerdictKey, Verdict)> {
         }
         _ => return None,
     };
-    if !r.done() {
-        return None;
-    }
+    r.finish().ok()?;
     Some((key, verdict))
 }
 

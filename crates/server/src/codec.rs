@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use dme_graph::{Association, Entity, EntityRef, GraphChange, GraphSchema, GraphState};
-use dme_storage::{decode_tuple, encode_tuple};
+use dme_storage::{decode_tuple, encode_tuple, ReadError, Reader};
 use dme_value::{Tuple, Value};
 
 use crate::error::ServerError;
@@ -278,46 +278,40 @@ fn decode_assoc(
     Ok(Association::new(pred.name().clone(), roles?))
 }
 
-/// Walks every `(kind, name, tuple)` record of an encoded delta.
-fn for_each_record(
+/// Walks the records of an encoded delta as the changes they encode.
+fn for_each_change(
+    schema: &GraphSchema,
     payload: &[u8],
-    mut f: impl FnMut(u8, &str, &Tuple) -> Result<(), ServerError>,
+    mut f: impl FnMut(GraphChange) -> Result<(), ServerError>,
 ) -> Result<(), ServerError> {
-    let mut at = 0;
-    while at < payload.len() {
-        let kind = payload[at];
-        at += 1;
-        if payload.len() < at + 2 {
-            return Err(corrupt("truncated record name length"));
-        }
-        let name_len = u16::from_be_bytes([payload[at], payload[at + 1]]) as usize;
-        at += 2;
-        if payload.len() < at + name_len {
-            return Err(corrupt("truncated record name"));
-        }
-        let name = std::str::from_utf8(&payload[at..at + name_len])
+    let mut r = Reader::new(payload);
+    let torn = |e: ReadError| corrupt(format!("delta record {e}"));
+    while !r.is_empty() {
+        let kind = r.u8().map_err(torn)?;
+        let name_len = r.u16().map_err(torn)?.into();
+        let name = std::str::from_utf8(r.take(name_len).map_err(torn)?)
             .map_err(|_| corrupt("record name is not utf-8"))?;
-        let name_end = at + name_len;
-        at = name_end;
-        if payload.len() < at + 4 {
-            return Err(corrupt("truncated tuple length"));
-        }
-        let tuple_len = u32::from_be_bytes([
-            payload[at],
-            payload[at + 1],
-            payload[at + 2],
-            payload[at + 3],
-        ]) as usize;
-        at += 4;
-        if payload.len() < at + tuple_len {
-            return Err(corrupt("truncated tuple"));
-        }
-        let tuple = decode_tuple(&payload[at..at + tuple_len])
+        let tuple_len = r.u32().map_err(torn)? as usize;
+        let tuple = decode_tuple(r.take(tuple_len).map_err(torn)?)
             .map_err(|e| corrupt(format!("tuple decode: {e}")))?;
-        at += tuple_len;
-        f(kind, name, &tuple)?;
+        f(match kind {
+            KIND_ENTITY_INSERT => GraphChange::InsertEntity(decode_entity(schema, name, &tuple)?),
+            KIND_ENTITY_DELETE => GraphChange::DeleteEntity(decode_entity(schema, name, &tuple)?),
+            KIND_ASSOC_INSERT => {
+                GraphChange::InsertAssociation(decode_assoc(schema, name, &tuple)?)
+            }
+            KIND_ASSOC_DELETE => {
+                GraphChange::DeleteAssociation(decode_assoc(schema, name, &tuple)?)
+            }
+            other => return Err(corrupt(format!("unknown delta record kind {other}"))),
+        })?;
     }
     Ok(())
+}
+
+fn entity_key(schema: &GraphSchema, e: &Entity) -> Result<EntityRef, ServerError> {
+    e.to_ref(schema)
+        .ok_or_else(|| corrupt(format!("entity of type {} has no key", e.entity_type)))
 }
 
 /// Folds an encoded delta over `state`, yielding the state after it.
@@ -335,38 +329,21 @@ pub fn apply_delta(state: &GraphState, payload: &[u8]) -> Result<GraphState, Ser
 /// callers must discard it (recovery abandons the whole attempt).
 pub fn apply_delta_in_place(state: &mut GraphState, payload: &[u8]) -> Result<(), ServerError> {
     let schema = Arc::clone(state.schema());
-    for_each_record(payload, |kind, name, tuple| {
-        match kind {
-            KIND_ENTITY_INSERT => {
-                let e = decode_entity(&schema, name, tuple)?;
-                state
-                    .insert_entity_raw(e)
-                    .map_err(|e| corrupt(format!("replayed entity insert: {e}")))?;
+    for_each_change(&schema, payload, |change| {
+        let (what, applied) = match change {
+            GraphChange::InsertEntity(e) => ("entity insert", state.insert_entity_raw(e).map(drop)),
+            GraphChange::DeleteEntity(e) => (
+                "entity delete",
+                state.remove_entity_raw(&entity_key(&schema, &e)?).map(drop),
+            ),
+            GraphChange::InsertAssociation(a) => {
+                ("association insert", state.insert_association_raw(a))
             }
-            KIND_ENTITY_DELETE => {
-                let e = decode_entity(&schema, name, tuple)?;
-                let r = e
-                    .to_ref(&schema)
-                    .ok_or_else(|| corrupt(format!("entity of type {name} has no key")))?;
-                state
-                    .remove_entity_raw(&r)
-                    .map_err(|e| corrupt(format!("replayed entity delete: {e}")))?;
+            GraphChange::DeleteAssociation(a) => {
+                ("association delete", state.remove_association_raw(&a))
             }
-            KIND_ASSOC_INSERT => {
-                let a = decode_assoc(&schema, name, tuple)?;
-                state
-                    .insert_association_raw(a)
-                    .map_err(|e| corrupt(format!("replayed association insert: {e}")))?;
-            }
-            KIND_ASSOC_DELETE => {
-                let a = decode_assoc(&schema, name, tuple)?;
-                state
-                    .remove_association_raw(&a)
-                    .map_err(|e| corrupt(format!("replayed association delete: {e}")))?;
-            }
-            other => return Err(corrupt(format!("unknown delta record kind {other}"))),
-        }
-        Ok(())
+        };
+        applied.map_err(|e| corrupt(format!("replayed {what}: {e}")))
     })
 }
 
@@ -379,38 +356,30 @@ pub fn apply_delta_in_place(state: &mut GraphState, payload: &[u8]) -> Result<()
 pub fn apply_delta_lenient(state: &GraphState, payload: &[u8]) -> Result<GraphState, ServerError> {
     let schema = Arc::clone(state.schema());
     let mut state = state.clone();
-    for_each_record(payload, |kind, name, tuple| {
-        match kind {
-            KIND_ENTITY_INSERT => {
-                let e = decode_entity(&schema, name, tuple)?;
-                if let Some(r) = e.to_ref(&schema) {
-                    let _ = state.remove_entity_raw(&r);
-                }
-                state
-                    .insert_entity_raw(e)
-                    .map_err(|e| corrupt(format!("checkpointed entity upsert: {e}")))?;
-            }
-            KIND_ENTITY_DELETE => {
-                let e = decode_entity(&schema, name, tuple)?;
-                let r = e
-                    .to_ref(&schema)
-                    .ok_or_else(|| corrupt(format!("entity of type {name} has no key")))?;
+    for_each_change(&schema, payload, |change| match change {
+        GraphChange::InsertEntity(e) => {
+            if let Some(r) = e.to_ref(&schema) {
                 let _ = state.remove_entity_raw(&r);
             }
-            KIND_ASSOC_INSERT => {
-                let a = decode_assoc(&schema, name, tuple)?;
-                let _ = state.remove_association_raw(&a);
-                state
-                    .insert_association_raw(a)
-                    .map_err(|e| corrupt(format!("checkpointed association upsert: {e}")))?;
-            }
-            KIND_ASSOC_DELETE => {
-                let a = decode_assoc(&schema, name, tuple)?;
-                let _ = state.remove_association_raw(&a);
-            }
-            other => return Err(corrupt(format!("unknown delta record kind {other}"))),
+            state
+                .insert_entity_raw(e)
+                .map(drop)
+                .map_err(|e| corrupt(format!("checkpointed entity upsert: {e}")))
         }
-        Ok(())
+        GraphChange::DeleteEntity(e) => {
+            let _ = state.remove_entity_raw(&entity_key(&schema, &e)?);
+            Ok(())
+        }
+        GraphChange::InsertAssociation(a) => {
+            let _ = state.remove_association_raw(&a);
+            state
+                .insert_association_raw(a)
+                .map_err(|e| corrupt(format!("checkpointed association upsert: {e}")))
+        }
+        GraphChange::DeleteAssociation(a) => {
+            let _ = state.remove_association_raw(&a);
+            Ok(())
+        }
     })?;
     Ok(state)
 }
@@ -462,23 +431,21 @@ pub fn encode_incremental_checkpoint(prev_lsn: u64, records: &[u8]) -> Vec<u8> {
 /// Decodes a checkpoint payload. Untagged payloads (whose first byte
 /// is a delta record kind, or which are empty) are legacy full images.
 pub fn decode_checkpoint(payload: &[u8]) -> Result<CheckpointImage<'_>, ServerError> {
-    match payload.first() {
-        None => Ok(CheckpointImage::Full { delta: payload }),
-        Some(&CP_FULL) => Ok(CheckpointImage::Full {
-            delta: &payload[1..],
-        }),
-        Some(&CP_INCR) => {
-            if payload.len() < 9 {
-                return Err(corrupt("incremental checkpoint lacks its chain link"));
-            }
-            let prev_lsn = u64::from_be_bytes(payload[1..9].try_into().unwrap());
+    let mut r = Reader::new(payload);
+    match r.u8() {
+        Err(_) => Ok(CheckpointImage::Full { delta: payload }),
+        Ok(CP_FULL) => Ok(CheckpointImage::Full { delta: r.rest() }),
+        Ok(CP_INCR) => {
+            let prev_lsn = r
+                .u64()
+                .map_err(|_| corrupt("incremental checkpoint lacks its chain link"))?;
             Ok(CheckpointImage::Incremental {
                 prev_lsn,
-                delta: &payload[9..],
+                delta: r.rest(),
             })
         }
-        Some(&kind) if kind <= KIND_ASSOC_DELETE => Ok(CheckpointImage::Full { delta: payload }),
-        Some(other) => Err(corrupt(format!("unknown checkpoint tag {other:#04x}"))),
+        Ok(kind) if kind <= KIND_ASSOC_DELETE => Ok(CheckpointImage::Full { delta: payload }),
+        Ok(other) => Err(corrupt(format!("unknown checkpoint tag {other:#04x}"))),
     }
 }
 
@@ -550,6 +517,7 @@ mod tests {
     use dme_graph::fixtures as gfix;
     use dme_graph::GraphOp;
     use dme_value::Atom;
+    use proptest::prelude::*;
 
     #[test]
     fn state_round_trips_through_checkpoint_image() {
@@ -722,5 +690,49 @@ mod tests {
             decode_state(Arc::clone(g.schema()), &bad),
             Err(ServerError::Recovery(_))
         ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Garbage checkpoint and delta payloads — valid ones after a
+        /// few edits, and random bytes — decode to a typed
+        /// [`ServerError::Recovery`] or to a value, and never panic.
+        #[test]
+        fn garbage_checkpoints_and_deltas_are_typed_errors(
+            which in 0usize..3,
+            edits in prop::collection::vec((any::<usize>(), any::<u8>(), 0u8..3), 1..4),
+            random in prop::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let g = gfix::figure4_state();
+            let empty = GraphState::empty(Arc::clone(g.schema()));
+            let valid = [
+                encode_full_checkpoint(&g),
+                encode_incremental_checkpoint(7, &encode_delta(&g, &empty)),
+                encode_state(&g),
+            ];
+            let mut mutated = valid[which].clone();
+            for (at, byte, edit) in edits {
+                let at = at % (mutated.len() + 1);
+                match (edit, mutated.get_mut(at)) {
+                    (0, Some(b)) => *b = byte,
+                    (1, _) => mutated.truncate(at),
+                    _ => mutated.insert(at, byte),
+                }
+            }
+            for bytes in [mutated, random] {
+                match decode_checkpoint(&bytes) {
+                    Ok(CheckpointImage::Full { delta } | CheckpointImage::Incremental { delta, .. }) => {
+                        prop_assert!(bytes.ends_with(delta));
+                    }
+                    Err(e) => prop_assert!(matches!(e, ServerError::Recovery(_)), "{:?}", e),
+                }
+                for base in [&g, &empty] {
+                    if let Err(e) = apply_delta(base, &bytes) {
+                        prop_assert!(matches!(e, ServerError::Recovery(_)), "{:?}", e);
+                    }
+                }
+            }
+        }
     }
 }

@@ -9,7 +9,7 @@
 use std::fmt;
 
 use dme_core::translate::TranslateError;
-use dme_storage::WalError;
+use dme_storage::{ReadError, WalError};
 
 use crate::device::DeviceError;
 
@@ -123,6 +123,14 @@ impl From<DeviceError> for ServerError {
 impl From<WalError> for ServerError {
     fn from(e: WalError) -> Self {
         ServerError::Recovery(e.to_string())
+    }
+}
+
+/// A malformed wire payload. Recovery's decoders map their read errors
+/// to [`ServerError::Recovery`] instead.
+impl From<ReadError> for ServerError {
+    fn from(e: ReadError) -> Self {
+        ServerError::Protocol(format!("payload {e}"))
     }
 }
 

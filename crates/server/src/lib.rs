@@ -572,7 +572,8 @@ mod tests {
             .expect_commit();
         assert_ne!(info.trace.as_u64(), 0);
         // The WAL frame is stamped with the commit's trace id.
-        let records = dme_storage::wal::replay(&service.durable_image().wal).unwrap();
+        let image = service.durable_image();
+        let records = dme_storage::wal::replay(&image.wal).unwrap();
         assert_eq!(records[0].trace, Some(info.trace.as_u64()));
         // The transcript shows the commit's causal path, in order.
         let path: Vec<&str> = ring

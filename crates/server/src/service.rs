@@ -771,7 +771,7 @@ impl SessionService {
             let mut chain = vec![end];
             let mut cur = end;
             loop {
-                match codec::decode_checkpoint(&cp_records[cur].payload) {
+                match codec::decode_checkpoint(cp_records[cur].payload) {
                     Ok(codec::CheckpointImage::Full { .. }) => break,
                     Ok(codec::CheckpointImage::Incremental { prev_lsn, .. }) => {
                         // Nearest earlier record carrying the linked
@@ -790,7 +790,7 @@ impl SessionService {
             chain.reverse();
             let mut folded: Option<GraphState> = None;
             for &i in &chain {
-                match codec::decode_checkpoint(&cp_records[i].payload) {
+                match codec::decode_checkpoint(cp_records[i].payload) {
                     Ok(codec::CheckpointImage::Full { delta }) => {
                         match codec::decode_state(Arc::clone(&schema), delta) {
                             Ok(s) => folded = Some(s),
@@ -842,7 +842,7 @@ impl SessionService {
                 continue;
             }
             let timer = obs.time(Metric::ReplayLatency);
-            codec::apply_delta_in_place(&mut state, &r.payload)?;
+            codec::apply_delta_in_place(&mut state, r.payload)?;
             drop(timer);
             replayed += 1;
             replayed_bytes += r.payload.len() as u64;

@@ -12,7 +12,12 @@
 //! `[version u8][tag u8][body]`; unknown versions and tags are typed
 //! [`ServerError::Protocol`] rejections, and any bit flip anywhere in
 //! the frame is caught by the frame checksum before the payload is
-//! looked at.
+//! looked at. The payload decoders read through the one bounded
+//! [`dme_storage::Reader`] and borrow the payload from the frame.
+//! Decoding is canonical: a payload decodes only if it is exactly the
+//! bytes its message encodes to, so trailing bytes, boolean bytes other
+//! than 0 and 1, and map or set entries out of ascending key order are
+//! all rejected.
 //!
 //! Request tags live in `0x01..=0x09`, response tags in `0x81..=0x8B`,
 //! so a frame can never be misread across directions. One response is
@@ -24,7 +29,7 @@ use dme_graph::{Association, Entity, EntityRef, GraphOp, SemanticUnit};
 use dme_obs::{Counter, Metric, TraceId};
 use dme_relation::ops::StatementSet;
 use dme_relation::{RelOp, RelationState};
-use dme_storage::{decode_tuple, encode_tuple, wal};
+use dme_storage::{decode_tuple, encode_tuple, wal, Reader};
 use dme_value::{Atom, Tuple};
 
 use crate::codec::AdminRequest;
@@ -303,162 +308,129 @@ fn put_rel_op(out: &mut Vec<u8>, op: &RelOp) {
     }
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    at: usize,
+// Domain readers over the shared bounded reader. Every map or set the
+// encoder writes in key order must decode in strictly ascending key
+// order, so a payload decodes only from the one byte string it
+// re-encodes to.
+
+fn str(r: &mut Reader<'_>) -> Result<String, ServerError> {
+    let n = r.u16()?.into();
+    String::from_utf8(r.take(n)?.to_vec()).map_err(|_| bad("string is not utf-8"))
 }
 
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, at: 0 }
-    }
+fn blob<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], ServerError> {
+    let n = r.u32()? as usize;
+    Ok(r.take(n)?)
+}
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServerError> {
-        if self.buf.len() < self.at + n {
-            return Err(bad(format!(
-                "payload truncated at byte {} (wanted {n} more)",
-                self.at
-            )));
-        }
-        let s = &self.buf[self.at..self.at + n];
-        self.at += n;
-        Ok(s)
-    }
+fn text(r: &mut Reader<'_>, what: &str) -> Result<String, ServerError> {
+    String::from_utf8(blob(r)?.to_vec()).map_err(|_| bad(format!("{what} is not utf-8")))
+}
 
-    fn u8(&mut self) -> Result<u8, ServerError> {
-        Ok(self.take(1)?[0])
+/// Reads `count` items, reserving no more slots than input bytes
+/// remain (every item takes at least one byte).
+fn many<'a, T>(
+    r: &mut Reader<'a>,
+    count: usize,
+    mut item: impl FnMut(&mut Reader<'a>) -> Result<T, ServerError>,
+) -> Result<Vec<T>, ServerError> {
+    let mut items = Vec::with_capacity(count.min(r.remaining()));
+    for _ in 0..count {
+        items.push(item(r)?);
     }
+    Ok(items)
+}
 
-    fn u16(&mut self) -> Result<u16, ServerError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
+fn ascending<K: Ord>(keys: impl Iterator<Item = K>, what: &str) -> Result<(), ServerError> {
+    let sorted = keys.is_sorted_by(|a, b| a < b);
+    sorted
+        .then_some(())
+        .ok_or_else(|| bad(format!("{what} are not in strictly ascending order")))
+}
+
+fn atom(r: &mut Reader<'_>) -> Result<Atom, ServerError> {
+    match r.u8()? {
+        1 => Ok(Atom::Bool(r.bool()?)),
+        2 => Ok(Atom::Int(r.u64()? as i64)),
+        3 => Ok(Atom::Str(str(r)?)),
+        other => Err(bad(format!("bad atom tag {other:#04x}"))),
     }
+}
 
-    fn u32(&mut self) -> Result<u32, ServerError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+fn entity_ref(r: &mut Reader<'_>) -> Result<EntityRef, ServerError> {
+    let ty = str(r)?;
+    let key = atom(r)?;
+    Ok(EntityRef::new(ty, key))
+}
+
+fn entity(r: &mut Reader<'_>) -> Result<Entity, ServerError> {
+    let ty = str(r)?;
+    let n = r.u16()?.into();
+    let chars = many(r, n, |r| Ok((str(r)?, atom(r)?)))?;
+    ascending(chars.iter().map(|(name, _)| name), "characteristics")?;
+    Ok(Entity::new(ty, chars))
+}
+
+fn assoc(r: &mut Reader<'_>) -> Result<Association, ServerError> {
+    let pred = str(r)?;
+    let n = r.u16()?.into();
+    let roles = many(r, n, |r| Ok((str(r)?, entity_ref(r)?)))?;
+    ascending(roles.iter().map(|(role, _)| role), "roles")?;
+    Ok(Association::new(pred, roles))
+}
+
+fn unit(r: &mut Reader<'_>) -> Result<SemanticUnit, ServerError> {
+    let mut u = SemanticUnit::new();
+    for _ in 0..r.u16()? {
+        u = u.with_entity(entity(r)?);
     }
-
-    fn u64(&mut self) -> Result<u64, ServerError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+    for _ in 0..r.u16()? {
+        u = u.with_association(assoc(r)?);
     }
+    Ok(u)
+}
 
-    fn bool(&mut self) -> Result<bool, ServerError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            other => Err(bad(format!("bad boolean byte {other:#04x}"))),
-        }
+fn graph_op(r: &mut Reader<'_>) -> Result<GraphOp, ServerError> {
+    match r.u8()? {
+        0 => Ok(GraphOp::InsertEntity(entity(r)?)),
+        1 => Ok(GraphOp::DeleteEntity(entity_ref(r)?)),
+        2 => Ok(GraphOp::InsertAssociation(assoc(r)?)),
+        3 => Ok(GraphOp::DeleteAssociation(assoc(r)?)),
+        4 => Ok(GraphOp::InsertUnit(unit(r)?)),
+        5 => Ok(GraphOp::DeleteUnit(unit(r)?)),
+        other => Err(bad(format!("bad graph op tag {other:#04x}"))),
     }
+}
 
-    fn str(&mut self) -> Result<String, ServerError> {
-        let n = self.u16()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| bad("string is not utf-8"))
+fn tuple(r: &mut Reader<'_>) -> Result<Tuple, ServerError> {
+    decode_tuple(blob(r)?).map_err(|e| bad(format!("tuple decode: {e}")))
+}
+
+fn statements(r: &mut Reader<'_>) -> Result<StatementSet, ServerError> {
+    let n = r.u32()? as usize;
+    let rows = many(r, n, |r| Ok((str(r)?, tuple(r)?)))?;
+    ascending(rows.iter(), "statements")?;
+    let mut s = StatementSet::new();
+    for (relation, tuple) in rows {
+        s.add(relation, tuple);
     }
+    Ok(s)
+}
 
-    fn blob(&mut self) -> Result<&'a [u8], ServerError> {
-        let n = self.u32()? as usize;
-        self.take(n)
+fn rel_op(r: &mut Reader<'_>) -> Result<RelOp, ServerError> {
+    match r.u8()? {
+        0 => Ok(RelOp::Insert(statements(r)?)),
+        1 => Ok(RelOp::Delete(statements(r)?)),
+        other => Err(bad(format!("bad relational op tag {other:#04x}"))),
     }
+}
 
-    fn atom(&mut self) -> Result<Atom, ServerError> {
-        match self.u8()? {
-            1 => Ok(Atom::Bool(self.bool()?)),
-            2 => Ok(Atom::Int(i64::from_be_bytes(
-                self.take(8)?.try_into().unwrap(),
-            ))),
-            3 => Ok(Atom::Str(self.str()?)),
-            other => Err(bad(format!("bad atom tag {other:#04x}"))),
-        }
-    }
-
-    fn entity_ref(&mut self) -> Result<EntityRef, ServerError> {
-        let ty = self.str()?;
-        let key = self.atom()?;
-        Ok(EntityRef::new(ty, key))
-    }
-
-    fn entity(&mut self) -> Result<Entity, ServerError> {
-        let ty = self.str()?;
-        let n = self.u16()? as usize;
-        let mut chars = Vec::with_capacity(n);
-        for _ in 0..n {
-            let name = self.str()?;
-            let atom = self.atom()?;
-            chars.push((name, atom));
-        }
-        Ok(Entity::new(ty, chars))
-    }
-
-    fn assoc(&mut self) -> Result<Association, ServerError> {
-        let pred = self.str()?;
-        let n = self.u16()? as usize;
-        let mut roles = Vec::with_capacity(n);
-        for _ in 0..n {
-            let role = self.str()?;
-            let r = self.entity_ref()?;
-            roles.push((role, r));
-        }
-        Ok(Association::new(pred, roles))
-    }
-
-    fn unit(&mut self) -> Result<SemanticUnit, ServerError> {
-        let ne = self.u16()? as usize;
-        let mut u = SemanticUnit::new();
-        for _ in 0..ne {
-            u = u.with_entity(self.entity()?);
-        }
-        let na = self.u16()? as usize;
-        for _ in 0..na {
-            u = u.with_association(self.assoc()?);
-        }
-        Ok(u)
-    }
-
-    fn graph_op(&mut self) -> Result<GraphOp, ServerError> {
-        match self.u8()? {
-            0 => Ok(GraphOp::InsertEntity(self.entity()?)),
-            1 => Ok(GraphOp::DeleteEntity(self.entity_ref()?)),
-            2 => Ok(GraphOp::InsertAssociation(self.assoc()?)),
-            3 => Ok(GraphOp::DeleteAssociation(self.assoc()?)),
-            4 => Ok(GraphOp::InsertUnit(self.unit()?)),
-            5 => Ok(GraphOp::DeleteUnit(self.unit()?)),
-            other => Err(bad(format!("bad graph op tag {other:#04x}"))),
-        }
-    }
-
-    fn tuple(&mut self) -> Result<Tuple, ServerError> {
-        let bytes = self.blob()?;
-        decode_tuple(bytes).map_err(|e| bad(format!("tuple decode: {e}")))
-    }
-
-    fn statements(&mut self) -> Result<StatementSet, ServerError> {
-        let n = self.u32()? as usize;
-        let mut s = StatementSet::new();
-        for _ in 0..n {
-            let relation = self.str()?;
-            let tuple = self.tuple()?;
-            s.add(relation, tuple);
-        }
-        Ok(s)
-    }
-
-    fn rel_op(&mut self) -> Result<RelOp, ServerError> {
-        match self.u8()? {
-            0 => Ok(RelOp::Insert(self.statements()?)),
-            1 => Ok(RelOp::Delete(self.statements()?)),
-            other => Err(bad(format!("bad relational op tag {other:#04x}"))),
-        }
-    }
-
-    fn done(&self) -> Result<(), ServerError> {
-        if self.at == self.buf.len() {
-            Ok(())
-        } else {
-            Err(bad(format!(
-                "{} trailing bytes after the message body",
-                self.buf.len() - self.at
-            )))
-        }
+fn check_version(r: &mut Reader<'_>) -> Result<(), ServerError> {
+    match r.u8()? {
+        WIRE_VERSION => Ok(()),
+        other => Err(bad(format!(
+            "unsupported wire version {other} (this build speaks {WIRE_VERSION})"
+        ))),
     }
 }
 
@@ -535,17 +507,12 @@ impl Request {
     /// [`ServerError::Protocol`].
     pub fn decode(payload: &[u8]) -> Result<Request, ServerError> {
         let mut r = Reader::new(payload);
-        let version = r.u8()?;
-        if version != WIRE_VERSION {
-            return Err(bad(format!(
-                "unsupported wire version {version} (this build speaks {WIRE_VERSION})"
-            )));
-        }
+        check_version(&mut r)?;
         let req = match r.u8()? {
             REQ_OPEN_SESSION => {
                 let kind = match r.u8()? {
                     0 => SessionKind::Graph,
-                    1 => SessionKind::Relational { view: r.str()? },
+                    1 => SessionKind::Relational { view: str(&mut r)? },
                     other => return Err(bad(format!("bad session kind {other:#04x}"))),
                 };
                 Request::OpenSession { kind }
@@ -553,28 +520,24 @@ impl Request {
             REQ_SUBMIT_GRAPH => {
                 let session = r.u64()?;
                 let n = r.u32()? as usize;
-                let mut ops = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    ops.push(r.graph_op()?);
-                }
+                let ops = many(&mut r, n, graph_op)?;
                 Request::SubmitGraph { session, ops }
             }
-            REQ_SUBMIT_RELATIONAL => {
-                let session = r.u64()?;
-                let op = r.rel_op()?;
-                Request::SubmitRelational { session, op }
-            }
+            REQ_SUBMIT_RELATIONAL => Request::SubmitRelational {
+                session: r.u64()?,
+                op: rel_op(&mut r)?,
+            },
             REQ_REFRESH => Request::Refresh { session: r.u64()? },
             REQ_CLOSE => Request::Close { session: r.u64()? },
-            REQ_VIEW_STATE => Request::ViewState { view: r.str()? },
+            REQ_VIEW_STATE => Request::ViewState { view: str(&mut r)? },
             REQ_METRICS => Request::Metrics { json: r.bool()? },
             REQ_CHECKPOINT => Request::Checkpoint,
             REQ_ADMIN => Request::Admin {
-                body: r.blob()?.to_vec(),
+                body: blob(&mut r)?.to_vec(),
             },
             other => return Err(bad(format!("unknown request tag {other:#04x}"))),
         };
-        r.done()?;
+        r.finish()?;
         Ok(req)
     }
 }
@@ -641,12 +604,7 @@ impl Response {
     /// Decodes a response payload.
     pub fn decode(payload: &[u8]) -> Result<Response, ServerError> {
         let mut r = Reader::new(payload);
-        let version = r.u8()?;
-        if version != WIRE_VERSION {
-            return Err(bad(format!(
-                "unsupported wire version {version} (this build speaks {WIRE_VERSION})"
-            )));
-        }
+        check_version(&mut r)?;
         let resp = match r.u8()? {
             RESP_SESSION_OPENED => Response::SessionOpened { session: r.u64()? },
             RESP_COMMITTED => Response::Committed(CommitInfo {
@@ -662,40 +620,31 @@ impl Response {
             RESP_REFRESHED => Response::Refreshed { version: r.u64()? },
             RESP_CLOSED => Response::Closed,
             RESP_VIEW_STATE => {
-                let nr = r.u16()? as usize;
-                let mut relations = Vec::with_capacity(nr);
-                for _ in 0..nr {
-                    let name = r.str()?;
-                    let nt = r.u32()? as usize;
-                    let mut tuples = Vec::with_capacity(nt.min(4096));
-                    for _ in 0..nt {
-                        tuples.push(r.tuple()?);
-                    }
-                    relations.push((name, tuples));
-                }
+                let n = r.u16()?.into();
+                let relations = many(&mut r, n, |r| {
+                    let name = str(r)?;
+                    let n = r.u32()? as usize;
+                    Ok((name, many(r, n, tuple)?))
+                })?;
                 Response::ViewState { relations }
             }
             RESP_METRICS => Response::Metrics {
-                body: String::from_utf8(r.blob()?.to_vec())
-                    .map_err(|_| bad("metrics body is not utf-8"))?,
+                body: text(&mut r, "metrics body")?,
             },
             RESP_CHECKPOINT_TAKEN => Response::CheckpointTaken,
             RESP_ADMIN => Response::Admin {
-                body: String::from_utf8(r.blob()?.to_vec())
-                    .map_err(|_| bad("admin body is not utf-8"))?,
+                body: text(&mut r, "admin body")?,
             },
             RESP_METRICS_DELTA => Response::MetricsDelta {
-                body: String::from_utf8(r.blob()?.to_vec())
-                    .map_err(|_| bad("metrics delta body is not utf-8"))?,
+                body: text(&mut r, "metrics delta body")?,
             },
             RESP_ERROR => Response::Error {
                 code: r.u16()?,
-                message: String::from_utf8(r.blob()?.to_vec())
-                    .map_err(|_| bad("error message is not utf-8"))?,
+                message: text(&mut r, "error message")?,
             },
             other => return Err(bad(format!("unknown response tag {other:#04x}"))),
         };
-        r.done()?;
+        r.finish()?;
         Ok(resp)
     }
 }
@@ -709,7 +658,7 @@ fn frame(correlation: u64, payload: &[u8]) -> Vec<u8> {
     buf
 }
 
-fn unframe(bytes: &[u8]) -> Result<(u64, Vec<u8>), ServerError> {
+fn unframe(bytes: &[u8]) -> Result<(u64, &[u8]), ServerError> {
     let (record, consumed) = wal::decode_frame(bytes, 0).map_err(|e| bad(e.to_string()))?;
     if consumed != bytes.len() {
         return Err(bad(format!(
@@ -728,7 +677,7 @@ pub fn encode_request_frame(correlation: u64, request: &Request) -> Vec<u8> {
 /// Decodes exactly one framed request, returning its correlation id.
 pub fn decode_request_frame(bytes: &[u8]) -> Result<(u64, Request), ServerError> {
     let (correlation, payload) = unframe(bytes)?;
-    Ok((correlation, Request::decode(&payload)?))
+    Ok((correlation, Request::decode(payload)?))
 }
 
 /// Frames a response with the correlation id it answers.
@@ -739,7 +688,7 @@ pub fn encode_response_frame(correlation: u64, response: &Response) -> Vec<u8> {
 /// Decodes exactly one framed response, returning its correlation id.
 pub fn decode_response_frame(bytes: &[u8]) -> Result<(u64, Response), ServerError> {
     let (correlation, payload) = unframe(bytes)?;
-    Ok((correlation, Response::decode(&payload)?))
+    Ok((correlation, Response::decode(payload)?))
 }
 
 /// Rebuilds a [`ServerError`] from its wire form. The stable code picks

@@ -10,9 +10,11 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
 
 use dme_value::{Atom, Tuple, Value};
+
+use crate::read::{ReadError, Reader};
 
 const TAG_NULL: u8 = 0;
 const TAG_BOOL: u8 = 1;
@@ -28,6 +30,20 @@ pub enum CodecError {
     BadTag(u8),
     /// A string payload was not valid UTF-8.
     BadUtf8,
+    /// A boolean value byte was neither 0 nor 1.
+    BadBool(u8),
+    /// Bytes followed the tuple's last value.
+    Trailing(usize),
+}
+
+impl From<ReadError> for CodecError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated { .. } => CodecError::Truncated,
+            ReadError::Trailing { extra, .. } => CodecError::Trailing(extra),
+            ReadError::BadBool { byte, .. } => CodecError::BadBool(byte),
+        }
+    }
 }
 
 impl fmt::Display for CodecError {
@@ -36,6 +52,8 @@ impl fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "truncated record"),
             CodecError::BadTag(t) => write!(f, "unknown value tag {t}"),
             CodecError::BadUtf8 => write!(f, "invalid utf-8 in string value"),
+            CodecError::BadBool(b) => write!(f, "bad boolean byte {b:#04x}"),
+            CodecError::Trailing(n) => write!(f, "{n} trailing bytes after the tuple"),
         }
     }
 }
@@ -62,37 +80,14 @@ fn encode_value(out: &mut Vec<u8>, v: &Value) {
     }
 }
 
-fn decode_value(buf: &mut &[u8]) -> Result<Value, CodecError> {
-    if buf.is_empty() {
-        return Err(CodecError::Truncated);
-    }
-    let tag = buf.get_u8();
-    match tag {
+fn decode_value(r: &mut Reader<'_>) -> Result<Value, CodecError> {
+    match r.u8()? {
         TAG_NULL => Ok(Value::Null),
-        TAG_BOOL => {
-            if buf.is_empty() {
-                return Err(CodecError::Truncated);
-            }
-            Ok(Value::bool(buf.get_u8() != 0))
-        }
-        TAG_INT => {
-            if buf.len() < 8 {
-                return Err(CodecError::Truncated);
-            }
-            let raw = buf.get_u64();
-            Ok(Value::int((raw ^ (1 << 63)) as i64))
-        }
+        TAG_BOOL => Ok(Value::bool(r.bool()?)),
+        TAG_INT => Ok(Value::int((r.u64()? ^ (1 << 63)) as i64)),
         TAG_STR => {
-            if buf.len() < 4 {
-                return Err(CodecError::Truncated);
-            }
-            let len = buf.get_u32() as usize;
-            if buf.len() < len {
-                return Err(CodecError::Truncated);
-            }
-            let (head, rest) = buf.split_at(len);
-            let s = std::str::from_utf8(head).map_err(|_| CodecError::BadUtf8)?;
-            *buf = rest;
+            let len = r.u32()? as usize;
+            let s = std::str::from_utf8(r.take(len)?).map_err(|_| CodecError::BadUtf8)?;
             Ok(Value::str(s))
         }
         other => Err(CodecError::BadTag(other)),
@@ -109,16 +104,15 @@ pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
     out
 }
 
-/// Decodes a tuple.
-pub fn decode_tuple(mut buf: &[u8]) -> Result<Tuple, CodecError> {
-    if buf.len() < 2 {
-        return Err(CodecError::Truncated);
-    }
-    let arity = buf.get_u16() as usize;
-    let mut values = Vec::with_capacity(arity);
+/// Decodes a tuple: exactly one, with no bytes after its last value.
+pub fn decode_tuple(buf: &[u8]) -> Result<Tuple, CodecError> {
+    let mut r = Reader::new(buf);
+    let arity = usize::from(r.u16()?);
+    let mut values = Vec::with_capacity(arity.min(r.remaining()));
     for _ in 0..arity {
-        values.push(decode_value(&mut buf)?);
+        values.push(decode_value(&mut r)?);
     }
+    r.finish()?;
     Ok(Tuple::new(values))
 }
 
@@ -173,6 +167,24 @@ mod tests {
         let n = bytes.len();
         bytes[n - 1] = 0xff;
         assert_eq!(decode_tuple(&bytes), Err(CodecError::BadUtf8));
+    }
+
+    #[test]
+    fn trailing_bytes_are_rejected() {
+        let mut bytes = encode_tuple(&tuple!["x", 1]);
+        bytes.extend_from_slice(&[0, 0]);
+        assert_eq!(decode_tuple(&bytes), Err(CodecError::Trailing(2)));
+        assert_eq!(decode_tuple(&[0, 0, 9]), Err(CodecError::Trailing(1)));
+    }
+
+    #[test]
+    fn bool_bytes_other_than_0_and_1_are_rejected() {
+        let mut bytes = encode_tuple(&tuple![true]);
+        let n = bytes.len();
+        bytes[n - 1] = 2;
+        assert_eq!(decode_tuple(&bytes), Err(CodecError::BadBool(2)));
+        bytes[n - 1] = 0xFF;
+        assert_eq!(decode_tuple(&bytes), Err(CodecError::BadBool(0xFF)));
     }
 
     #[test]

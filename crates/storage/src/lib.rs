@@ -11,6 +11,10 @@
 //! * slotted pages over raw byte buffers ([`page`]),
 //! * heap files of encoded records ([`heap`]),
 //! * a compact binary codec for tuples ([`codec`]),
+//! * one bounded reader that every decoder of outside bytes — tuples,
+//!   WAL frames, checkpoint and wire payloads, verdict-cache images —
+//!   reads through, so that no input can make a decoder panic
+//!   ([`read`]),
 //! * ordered and hash secondary indexes ([`index`]),
 //! * LSN-versioned fact storage with snapshot reads and garbage
 //!   collection ([`mvcc`]), and
@@ -33,10 +37,12 @@ pub mod heap;
 pub mod index;
 pub mod mvcc;
 pub mod page;
+pub mod read;
 pub mod wal;
 
 pub use codec::{decode_tuple, encode_tuple, CodecError};
 pub use heap::{HeapFile, RecordPtr};
 pub use mvcc::{GcStats, MvccStore, PinSet};
 pub use page::{Page, PageError, PAGE_SIZE};
+pub use read::{ReadError, Reader};
 pub use wal::{WalError, WalRecord};

@@ -32,7 +32,9 @@
 
 use std::fmt;
 
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
+
+use crate::read::Reader;
 
 /// Magic leading every record, so a replay landing mid-garbage fails
 /// fast instead of mis-framing.
@@ -49,9 +51,10 @@ pub const FLAG_SPAN: u8 = 0x02;
 const KNOWN_FLAGS: u8 = FLAG_TRACE | FLAG_SPAN;
 
 /// One replayed record: the log sequence number, the optional trace id
-/// of the request that produced it, and the opaque payload.
+/// of the request that produced it, and the opaque payload, borrowed
+/// from the decoded buffer.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalRecord {
+pub struct WalRecord<'a> {
     /// Monotonic log sequence number (assigned by the appender).
     pub lsn: u64,
     /// The producing request's trace id, when the appender recorded
@@ -63,10 +66,10 @@ pub struct WalRecord {
     /// and never stored; a parent of zero marks a root step.
     pub span: Option<(u64, u64)>,
     /// Opaque payload bytes.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
 }
 
-impl WalRecord {
+impl WalRecord<'_> {
     /// The encoded size of this record's frame in bytes.
     pub fn frame_len(&self) -> usize {
         frame_len(self.payload.len())
@@ -203,88 +206,54 @@ pub fn frame_len(payload_len: usize) -> usize {
     2 + 1 + 8 + 4 + payload_len + 8
 }
 
-fn decode_record(buf: &[u8], at: usize) -> Result<(WalRecord, usize), WalError> {
-    let mut rest = &buf[at..];
-    if rest.len() < 2 {
-        return Err(WalError::Truncated { at });
-    }
-    if rest.get_u16() != WAL_MAGIC {
-        return Err(WalError::BadMagic { at });
-    }
-    if rest.is_empty() {
-        return Err(WalError::Truncated { at });
-    }
-    let flags = rest.get_u8();
-    if flags & !KNOWN_FLAGS != 0 {
-        return Err(WalError::BadFlags { at, flags });
-    }
-    let trace_len = if flags & FLAG_TRACE != 0 { 8 } else { 0 };
-    let span_len = if flags & FLAG_SPAN != 0 { 16 } else { 0 };
-    if rest.len() < 8 + trace_len + span_len + 4 {
-        return Err(WalError::Truncated { at });
-    }
-    let lsn = rest.get_u64();
-    let trace = if trace_len > 0 {
-        Some(rest.get_u64())
-    } else {
-        None
-    };
-    let span = if span_len > 0 {
-        Some((rest.get_u64(), rest.get_u64()))
-    } else {
-        None
-    };
-    let len = rest.get_u32() as usize;
-    if rest.len() < len + 8 {
-        return Err(WalError::Truncated { at });
-    }
-    let payload = rest[..len].to_vec();
-    rest.advance(len);
-    let stored = rest.get_u64();
-    let frame = frame_len(len) + trace_len + span_len;
-    if fnv1a(&buf[at..at + frame - 8]) != stored {
-        return Err(WalError::BadChecksum { at, lsn });
-    }
-    Ok((
-        WalRecord {
-            lsn,
-            trace,
-            span,
-            payload,
-        },
-        frame,
-    ))
-}
-
 /// Decodes the single frame starting at byte `at`, returning the record
 /// and its encoded frame length. This is the streaming entry point the
 /// network transport uses: a connection accumulates bytes and peels
 /// complete frames off the front, treating [`WalError::Truncated`] as
 /// "wait for more bytes" and every other error as a corrupt stream.
-pub fn decode_frame(buf: &[u8], at: usize) -> Result<(WalRecord, usize), WalError> {
-    decode_record(buf, at)
+pub fn decode_frame(buf: &[u8], at: usize) -> Result<(WalRecord<'_>, usize), WalError> {
+    let mut r = Reader::new(buf.get(at..).unwrap_or_default());
+    let torn = |_| WalError::Truncated { at };
+    if r.u16().map_err(torn)? != WAL_MAGIC {
+        return Err(WalError::BadMagic { at });
+    }
+    let flags = r.u8().map_err(torn)?;
+    if flags & !KNOWN_FLAGS != 0 {
+        return Err(WalError::BadFlags { at, flags });
+    }
+    let lsn = r.u64().map_err(torn)?;
+    let trace = match flags & FLAG_TRACE {
+        0 => None,
+        _ => Some(r.u64().map_err(torn)?),
+    };
+    let span = match flags & FLAG_SPAN {
+        0 => None,
+        _ => Some((r.u64().map_err(torn)?, r.u64().map_err(torn)?)),
+    };
+    let len = r.u32().map_err(torn)? as usize;
+    let payload = r.take(len).map_err(torn)?;
+    let covered = r.consumed();
+    let stored = r.u64().map_err(torn)?;
+    if fnv1a(covered) != stored {
+        return Err(WalError::BadChecksum { at, lsn });
+    }
+    let record = WalRecord {
+        lsn,
+        trace,
+        span,
+        payload,
+    };
+    Ok((record, r.consumed().len()))
 }
 
 /// Strict replay: decodes every record or returns the typed error of
 /// the first frame that fails. Use this when the log is expected to be
 /// clean (e.g. after a graceful shutdown).
-pub fn replay(buf: &[u8]) -> Result<Vec<WalRecord>, WalError> {
-    let mut records = Vec::new();
-    let mut at = 0;
-    while at < buf.len() {
-        let (record, frame) = decode_record(buf, at)?;
-        if let Some(prev) = records.last().map(|r: &WalRecord| r.lsn) {
-            if record.lsn <= prev {
-                return Err(WalError::NonMonotonicLsn {
-                    prev,
-                    next: record.lsn,
-                });
-            }
-        }
-        records.push(record);
-        at += frame;
+pub fn replay(buf: &[u8]) -> Result<Vec<WalRecord<'_>>, WalError> {
+    match replay_tolerant(buf) {
+        (records, None) => Ok(records),
+        (_, Some(e)) => Err(e),
     }
-    Ok(records)
 }
 
 /// Crash-tolerant replay: decodes the longest clean prefix of records.
@@ -293,28 +262,20 @@ pub fn replay(buf: &[u8]) -> Result<Vec<WalRecord>, WalError> {
 /// *followed by more decodable data* still truncates there — once the
 /// tail is suspect nothing after it can be trusted, which is exactly
 /// the prefix-consistency recovery needs.
-pub fn replay_tolerant(buf: &[u8]) -> (Vec<WalRecord>, Option<WalError>) {
-    let mut records = Vec::new();
+pub fn replay_tolerant(buf: &[u8]) -> (Vec<WalRecord<'_>>, Option<WalError>) {
+    let mut records: Vec<WalRecord> = Vec::new();
     let mut at = 0;
     while at < buf.len() {
-        match decode_record(buf, at) {
-            Ok((record, frame)) => {
-                if let Some(prev) = records.last().map(|r: &WalRecord| r.lsn) {
-                    if record.lsn <= prev {
-                        return (
-                            records,
-                            Some(WalError::NonMonotonicLsn {
-                                prev,
-                                next: record.lsn,
-                            }),
-                        );
-                    }
-                }
-                records.push(record);
-                at += frame;
-            }
+        let (record, frame) = match decode_frame(buf, at) {
+            Ok(decoded) => decoded,
             Err(e) => return (records, Some(e)),
+        };
+        let next = record.lsn;
+        if let Some(prev) = records.last().map(|r| r.lsn).filter(|&prev| next <= prev) {
+            return (records, Some(WalError::NonMonotonicLsn { prev, next }));
         }
+        records.push(record);
+        at += frame;
     }
     (records, None)
 }
@@ -324,7 +285,7 @@ pub fn replay_tolerant(buf: &[u8]) -> (Vec<WalRecord>, Option<WalError>) {
 /// checkpoint write simply falls back to the previous one). Returns the
 /// latest fully-written checkpoint, if any, plus the error describing a
 /// dropped tail.
-pub fn latest_checkpoint(buf: &[u8]) -> (Option<WalRecord>, Option<WalError>) {
+pub fn latest_checkpoint(buf: &[u8]) -> (Option<WalRecord<'_>>, Option<WalError>) {
     let (mut records, err) = replay_tolerant(buf);
     (records.pop(), err)
 }
@@ -343,7 +304,8 @@ mod tests {
 
     #[test]
     fn round_trips() {
-        let records = replay(&log3()).unwrap();
+        let log = log3();
+        let records = replay(&log).unwrap();
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].payload, b"alpha");
         assert_eq!(records[0].trace, None);

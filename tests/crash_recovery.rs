@@ -248,7 +248,7 @@ fn clamp_checkpoint(run: &Run, mut image: DurableImage, k: usize) -> DurableImag
     let mut buf = Vec::new();
     for r in records {
         if r.lsn <= max_lsn {
-            wal::append_record_traced(&mut buf, r.lsn, r.trace, &r.payload);
+            wal::append_record_traced(&mut buf, r.lsn, r.trace, r.payload);
         }
     }
     image.checkpoint = buf;
@@ -301,7 +301,7 @@ fn fault_point_3_crash_after_append_before_checkpoint() {
             &mut initial_only,
             cp_records[0].lsn,
             cp_records[0].trace,
-            &cp_records[0].payload,
+            cp_records[0].payload,
         );
         let image = DurableImage {
             wal: run.image.wal.clone(),
@@ -323,12 +323,12 @@ fn fault_point_4_crash_mid_checkpoint_falls_back() {
         let (cp_records, _) = wal::replay_tolerant(&run.image.checkpoint);
         let mut prefix = Vec::new();
         for r in &cp_records[..cp_records.len() - 1] {
-            wal::append_record_traced(&mut prefix, r.lsn, r.trace, &r.payload);
+            wal::append_record_traced(&mut prefix, r.lsn, r.trace, r.payload);
         }
         let intact = prefix.len();
         let last = cp_records.last().unwrap();
         let mut full = prefix.clone();
-        wal::append_record_traced(&mut full, last.lsn, last.trace, &last.payload);
+        wal::append_record_traced(&mut full, last.lsn, last.trace, last.payload);
         // Tear the final checkpoint record at several depths: recovery
         // falls back to the previous checkpoint + full WAL replay.
         for cut in [
@@ -615,7 +615,7 @@ fn large_image_recovery_scales_with_wal_since_checkpoint() {
         &mut boot_only,
         cp_records[0].lsn,
         cp_records[0].trace,
-        &cp_records[0].payload,
+        cp_records[0].payload,
     );
     let cold = DurableImage {
         checkpoint: boot_only,

@@ -22,14 +22,22 @@
 //! 3. **Torn durable images** — a verdict image cut at *every* byte
 //!    boundary, or with bytes flipped, loads as a checksum-clean
 //!    prefix; whatever was dropped simply re-checks cold. No cut and
-//!    no corruption ever changes an answer.
+//!    no corruption ever changes an answer. Behind a valid checksum,
+//!    random and mutated row payloads load as a typed report and never
+//!    panic the row decoder.
 
 mod common;
+#[path = "common/garbage.rs"]
+mod garbage;
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
+use std::sync::OnceLock;
+
+use garbage::Garbage;
+use proptest::prelude::*;
 
 use borkin_equiv::equivalence::equiv::{CheckError, EquivKind};
 use borkin_equiv::equivalence::model::FiniteModel;
@@ -39,6 +47,7 @@ use borkin_equiv::equivalence::{Checker, IncrementalChecker, Tier};
 use borkin_equiv::graph::GraphState;
 use borkin_equiv::logic::FactBase;
 use borkin_equiv::relation::RelationState;
+use borkin_equiv::storage::wal;
 use borkin_equiv::workload::scenario::{corpus, Mutation, Scenario, ScenarioConfig, ScenarioOp};
 
 const STATE_CAP: usize = 4096;
@@ -512,5 +521,61 @@ fn torn_verdict_images_never_change_answers() {
         let report = s.load_verdicts(&corrupt);
         assert!(report.loaded <= total);
         check_all(&mut s);
+    }
+}
+
+/// The row payloads of a real verdict image: a one-toggle scenario
+/// against itself and against its delete-dropped mutant, so both row
+/// shapes (with and without witnesses) appear.
+fn valid_rows() -> &'static [Vec<u8>] {
+    static ROWS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    ROWS.get_or_init(|| {
+        let toy = Scenario::generate(ScenarioConfig {
+            seed: 0x70A8,
+            toggles: 1,
+            fact_arity: 1,
+            constraint_density: 0.0,
+            composite_ops: 0,
+        });
+        let mutant = toy.mutate(Mutation::DropOp(1));
+        let mut writer = session();
+        for right in [&toy, &mutant] {
+            for kind in KINDS {
+                writer
+                    .check(&toy.model("left"), &right.model("right"), kind, STATE_CAP)
+                    .expect("the toy pair checks");
+            }
+        }
+        let image = writer.save_verdicts();
+        let (records, tail) = wal::replay_tolerant(&image);
+        assert!(tail.is_none());
+        records.iter().map(|r| r.payload.to_vec()).collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Checksum-valid frames whose payloads are random bytes or mutated
+    /// rows: loading reports how many rows decoded and flags the rest as
+    /// torn, without panicking.
+    #[test]
+    fn garbage_rows_behind_valid_checksums_load_as_a_typed_report(seed in 0u64..1_000_000) {
+        let rows = valid_rows();
+        let mut junk = Garbage(seed);
+        let mut image = Vec::new();
+        let frames = 1 + junk.below(6);
+        for lsn in 1..=frames {
+            let row = &rows[junk.below(rows.len() as u64) as usize];
+            let payload = match junk.below(3) {
+                0 => junk.bytes(96),
+                1 => row.clone(),
+                _ => junk.mutate(row),
+            };
+            wal::append_record(&mut image, lsn, &payload);
+        }
+        let report = session().load_verdicts(&image);
+        prop_assert!(report.loaded as u64 <= frames);
+        prop_assert_eq!(report.torn, report.loaded as u64 != frames);
     }
 }

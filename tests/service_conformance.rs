@@ -508,7 +508,8 @@ fn one_trace_id_reconstructs_the_transaction_causal_path() {
         "verify event names its equivalence tier: {verify_detail}"
     );
     // And the WAL record itself is stamped with the same id.
-    let records = borkin_equiv::storage::wal::replay(&service.durable_image().wal).unwrap();
+    let image = service.durable_image();
+    let records = borkin_equiv::storage::wal::replay(&image.wal).unwrap();
     assert!(
         records
             .iter()

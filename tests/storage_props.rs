@@ -11,18 +11,27 @@
 //! - **MvccStore** — model-checked snapshot reads: `get_at` agrees with
 //!   a naive version map at every (key, snapshot) point, and neither
 //!   `gc` nor tombstone purging changes any read at or above the
-//!   retention horizon.
+//!   retention horizon;
+//! - **garbage** — random and mutated byte strings fed to
+//!   `decode_tuple` and to `wal::decode_frame` at every offset return a
+//!   typed result and never panic.
+
+#[path = "common/garbage.rs"]
+mod garbage;
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+
+use garbage::Garbage;
 
 use borkin_equiv::storage::heap::HeapFile;
 use borkin_equiv::storage::index::OrderedIndex;
 use borkin_equiv::storage::mvcc::MvccStore;
 use borkin_equiv::storage::page::Page;
 use borkin_equiv::storage::wal;
-use borkin_equiv::storage::RecordPtr;
+use borkin_equiv::storage::{decode_tuple, encode_tuple, RecordPtr};
+use borkin_equiv::value::{Atom, Tuple, Value};
 
 /// Deterministic case-local randomness (the proptest shim hands us a
 /// seed; everything else derives from it).
@@ -308,6 +317,56 @@ proptest! {
                     key,
                     snapshot
                 );
+            }
+        }
+    }
+
+    /// Random and mutated tuple blobs decode to a typed error or to the
+    /// one tuple that re-encodes to exactly those bytes.
+    #[test]
+    fn garbage_tuples_are_typed_errors_or_canonical(seed in 0u64..1_000_000) {
+        let mut junk = Garbage(seed);
+        for _ in 0..64 {
+            let valid = encode_tuple(&Tuple::new((0..junk.below(4)).map(|_| match junk.below(4) {
+                0 => Value::Null,
+                1 => Value::Atom(Atom::Bool(junk.below(2) == 0)),
+                2 => Value::Atom(Atom::Int(junk.next() as i64)),
+                _ => Value::Atom(Atom::Str("λx".repeat(junk.below(3) as usize))),
+            })));
+            for bytes in [junk.mutate(&valid), junk.bytes(24)] {
+                if let Ok(tuple) = decode_tuple(&bytes) {
+                    prop_assert_eq!(encode_tuple(&tuple), bytes);
+                }
+            }
+        }
+    }
+
+    /// `decode_frame` at every offset up to and including the end of a
+    /// random or mutated log returns a typed result: a frame that lies
+    /// inside the buffer, or an error. At the end it is always
+    /// `Truncated`, which is how a frame scan knows to stop.
+    #[test]
+    fn decode_frame_at_every_offset_is_typed(seed in 0u64..1_000_000) {
+        let mut junk = Garbage(seed);
+        let mut log = Vec::new();
+        for lsn in 1..=4u64 {
+            let payload = junk.bytes(24);
+            let span = (junk.below(2) == 0).then(|| (junk.next() | 1, junk.next()));
+            wal::append_record_spanned(&mut log, lsn, Some(junk.next()), span, &payload);
+        }
+        for bytes in [junk.mutate(&log), junk.mutate(&log), junk.bytes(96)] {
+            for at in 0..=bytes.len() {
+                match wal::decode_frame(&bytes, at) {
+                    Ok((record, len)) => {
+                        prop_assert!(at + len <= bytes.len(), "frame at {} overruns", at);
+                        prop_assert_eq!(record.frame_len(), len);
+                    }
+                    Err(e) => prop_assert!(
+                        at < bytes.len() || e == wal::WalError::Truncated { at },
+                        "at the end: {:?}",
+                        e
+                    ),
+                }
             }
         }
     }

@@ -2,9 +2,17 @@
 //! [`Response`] variant round-trips through its payload encoding and
 //! its CRC framing, and the framing rejects *every* single-byte
 //! truncation and *every* single-bit flip — at every byte offset of the
-//! frame, header and payload and checksum alike.
+//! frame, header and payload and checksum alike. Below the frame, the
+//! payload decoders meet garbage directly: random and mutated payloads
+//! decode to a typed error or to a message that re-encodes byte for
+//! byte, and never panic.
+
+#[path = "common/garbage.rs"]
+mod garbage;
 
 use proptest::prelude::*;
+
+use garbage::Garbage;
 
 use borkin_equiv::graph::{Association, Entity, EntityRef, GraphOp, SemanticUnit};
 use borkin_equiv::obs::TraceId;
@@ -15,6 +23,7 @@ use borkin_equiv::server::wire::{
     Request, Response,
 };
 use borkin_equiv::server::{AdminRequest, CommitInfo, ServerError, SessionKind};
+use borkin_equiv::storage::encode_tuple;
 use borkin_equiv::value::{Atom, Tuple, Value};
 
 /// Deterministic splitmix64 — the suite's only entropy source, so a
@@ -343,6 +352,87 @@ proptest! {
             prop_assert!(decode_request_frame(&frame).is_err());
         }
     }
+}
+
+/// Random payloads, and valid payloads after a few random edits: each
+/// request and each response payload the generator produced.
+fn garbage_payloads(seed: u64) -> Vec<Vec<u8>> {
+    let mut mix = Mix(seed);
+    let mut junk = Garbage(seed);
+    let valid: Vec<Vec<u8>> = sample_requests(&mut mix)
+        .iter()
+        .map(Request::encode)
+        .chain(sample_responses(&mut mix).iter().map(Response::encode))
+        .collect();
+    let mut out = Vec::new();
+    for payload in &valid {
+        for _ in 0..24 {
+            out.push(junk.mutate(payload));
+        }
+        // Random bodies behind a valid version and tag reach the body
+        // decoders, not just the header checks.
+        let mut random = payload[..2].to_vec();
+        random.extend(junk.bytes(48));
+        out.push(random);
+        out.push(junk.bytes(16));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The payload decoders never panic on garbage, and decoding is
+    /// canonical: every random or mutated payload is refused with a
+    /// typed [`ServerError::Protocol`] or is exactly the byte string its
+    /// decoded message encodes to.
+    #[test]
+    fn garbage_payloads_are_protocol_errors_or_canonical(seed in 0u64..1_000_000) {
+        for payload in garbage_payloads(seed) {
+            match Request::decode(&payload) {
+                Ok(request) => prop_assert_eq!(request.encode(), payload.clone()),
+                Err(e) => prop_assert!(matches!(e, ServerError::Protocol(_)), "{:?}", e),
+            }
+            match Response::decode(&payload) {
+                Ok(response) => prop_assert_eq!(response.encode(), payload.clone()),
+                Err(e) => prop_assert!(matches!(e, ServerError::Protocol(_)), "{:?}", e),
+            }
+        }
+    }
+}
+
+/// The two ways tuple blobs used to decode from bytes their encoder
+/// never writes: padding after the tuple's last value, and a boolean
+/// value byte above 1.
+#[test]
+fn padded_tuples_and_bool_bytes_above_one_are_rejected() {
+    let submit = |blob: &[u8]| {
+        let mut payload = Request::Refresh { session: 7 }.encode();
+        payload[1] = 0x03; // SubmitRelational
+        payload.push(0); // Insert
+        payload.extend_from_slice(&1u32.to_be_bytes());
+        payload.extend_from_slice(&1u16.to_be_bytes());
+        payload.push(b'R');
+        payload.extend_from_slice(&(blob.len() as u32).to_be_bytes());
+        payload.extend_from_slice(blob);
+        payload
+    };
+    let blob = encode_tuple(&Tuple::new([Value::Atom(Atom::Bool(true))]));
+    let valid = submit(&blob);
+    assert_eq!(Request::decode(&valid).unwrap().encode(), valid);
+
+    let mut padded = blob.clone();
+    padded.extend_from_slice(&[0, 0]);
+    assert!(matches!(
+        Request::decode(&submit(&padded)),
+        Err(ServerError::Protocol(_))
+    ));
+    let mut two = blob;
+    *two.last_mut().unwrap() = 2;
+    assert!(matches!(
+        Request::decode(&submit(&two)),
+        Err(ServerError::Protocol(_))
+    ));
 }
 
 /// The codec is canonical: encoding a decoded frame reproduces the
