@@ -25,8 +25,9 @@
 //! The database that wires the three levels together is
 //! `dme-server`'s `SessionService`: its conceptual level is a semantic
 //! graph state, its external levels are these views, and its internal
-//! level is the MVCC store, write-ahead log and checkpoint chain of
-//! `dme-storage`.
+//! level is the write-ahead log and checkpoint chain of `dme-storage`,
+//! plus the commit payloads the service keeps in memory since its last
+//! collected full checkpoint.
 
 pub mod session;
 pub mod view;

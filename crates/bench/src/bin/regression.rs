@@ -22,7 +22,7 @@ use dme_core::{Checker, EquivKind, ParallelConfig, Tier};
 use dme_graph::{Association, EntityRef, GraphOp, GraphState};
 use dme_logic::{Fact, FactBase};
 use dme_relation::{RelOp, RelationState, RelationalSchema};
-use dme_server::{CommitMode, MemDevice, ServiceConfig, SessionKind, SessionService, ViewSpec};
+use dme_server::{MemDevice, ServiceConfig, SessionKind, SessionService, ViewSpec};
 use dme_value::Atom;
 
 const STATE_CAP: usize = 4_000;
@@ -214,7 +214,7 @@ fn service_throughput() -> Vec<String> {
     let mut rows = Vec::new();
     for sessions in [1usize, 2, 4, 8] {
         let mut row = BTreeMap::new();
-        for mode in [CommitMode::Group, CommitMode::PerOp] {
+        for (label, max_batch) in [("group", ServiceConfig::default().max_batch), ("per_op", 1)] {
             let mut syncs = 0u64;
             // Per-transaction latency comes from the service's own
             // commit-latency histogram, accumulated across all sampled
@@ -227,7 +227,7 @@ fn service_throughput() -> Vec<String> {
                         initial.clone(),
                         views(),
                         ServiceConfig {
-                            commit_mode: mode,
+                            max_batch,
                             obs: obs.clone(),
                             ..ServiceConfig::default()
                         },
@@ -261,10 +261,6 @@ fn service_throughput() -> Vec<String> {
                     syncs = service.wal_syncs();
                 });
                 (stats, obs.histogram(Metric::CommitLatency))
-            };
-            let label = match mode {
-                CommitMode::Group => "group",
-                CommitMode::PerOp => "per_op",
             };
             println!(
                 "service/sessions={sessions}/{label}: {}µs (commit p50/p95/p99 {}/{}/{}µs, \
@@ -595,7 +591,7 @@ fn json_timing(t: &Timing) -> String {
     format!("\"{}\":{{{}}}", t.name, t.stats.json_fields())
 }
 
-/// MVCC storage-engine guards. Two gated rows:
+/// Storage-engine guards. Two gated rows:
 ///
 /// - `snapshot_open`: opening a session pins an LSN and shares the
 ///   committed state — it must NOT clone it. The gate holds the p50 of
@@ -691,7 +687,7 @@ fn storage_engine() -> String {
         .expect("session admits");
     // Enough WAL (a few MB) that the replay marginal clears timer
     // noise over the ~half-second state-sized fixed cost both
-    // recoveries pay (checkpoint decode + MVCC base load).
+    // recoveries pay (checkpoint decode + boot checkpoint).
     let ops = dme_workload::supervision_toggle_ops(cfg, 60_000);
     let mut transactions = 0usize;
     for chunk in ops.chunks(50) {
@@ -834,7 +830,7 @@ fn streaming_overhead() -> String {
             initial.clone(),
             Vec::new(),
             ServiceConfig {
-                commit_mode: CommitMode::PerOp,
+                max_batch: 1,
                 obs: obs.clone(),
                 ..ServiceConfig::default()
             },
@@ -1419,8 +1415,8 @@ fn main() {
     println!("== service scaling (networked, open loop) ==");
     let scaling_rows = service_scaling(&root);
 
-    // ---- MVCC storage engine: snapshot opens + recovery SLO ----------
-    println!("== storage engine (MVCC) ==");
+    // ---- Storage engine: snapshot opens + recovery SLO ---------------
+    println!("== storage engine ==");
     let storage_row = storage_engine();
 
     // ---- Live metric streaming overhead ------------------------------

@@ -106,8 +106,9 @@ pub enum Counter {
     /// Snapshot handles opened by sessions (each an O(1) LSN pin over
     /// the shared state, never a state clone).
     SnapshotOpens,
-    /// MVCC versions reclaimed by checkpoint-time garbage collection
-    /// (unobservable behind the oldest live snapshot pin).
+    /// Commit records released from the service's in-memory commit log
+    /// when a full checkpoint that no older snapshot pin holds back
+    /// becomes the `state_at` base.
     VersionsGcd,
     /// Bytes of checkpoint images appended (full and incremental).
     CheckpointBytes,

@@ -9,7 +9,7 @@
 //! both: recovery decodes the checkpoint into a state, then folds the
 //! logged deltas over it.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use dme_graph::{Association, Entity, EntityRef, GraphChange, GraphSchema, GraphState};
@@ -278,23 +278,52 @@ fn decode_assoc(
     Ok(Association::new(pred.name().clone(), roles?))
 }
 
+/// One record of an encoded delta, not yet decoded: its kind byte, the
+/// name and tuple bytes that identify its fact, and the whole record.
+struct RawRecord<'a> {
+    kind: u8,
+    name: &'a [u8],
+    tuple: &'a [u8],
+    bytes: &'a [u8],
+}
+
+/// Walks the records of an encoded delta without decoding them.
+fn for_each_record<'a>(
+    payload: &'a [u8],
+    mut f: impl FnMut(RawRecord<'a>) -> Result<(), ServerError>,
+) -> Result<(), ServerError> {
+    let mut r = Reader::new(payload);
+    let torn = |e: ReadError| corrupt(format!("delta record {e}"));
+    while !r.is_empty() {
+        let start = payload.len() - r.remaining();
+        let kind = r.u8().map_err(torn)?;
+        let name_len = r.u16().map_err(torn)?.into();
+        let name = r.take(name_len).map_err(torn)?;
+        let tuple_len = r.u32().map_err(torn)? as usize;
+        let tuple = r.take(tuple_len).map_err(torn)?;
+        let bytes = &payload[start..payload.len() - r.remaining()];
+        f(RawRecord {
+            kind,
+            name,
+            tuple,
+            bytes,
+        })?;
+    }
+    Ok(())
+}
+
 /// Walks the records of an encoded delta as the changes they encode.
 fn for_each_change(
     schema: &GraphSchema,
     payload: &[u8],
     mut f: impl FnMut(GraphChange) -> Result<(), ServerError>,
 ) -> Result<(), ServerError> {
-    let mut r = Reader::new(payload);
-    let torn = |e: ReadError| corrupt(format!("delta record {e}"));
-    while !r.is_empty() {
-        let kind = r.u8().map_err(torn)?;
-        let name_len = r.u16().map_err(torn)?.into();
-        let name = std::str::from_utf8(r.take(name_len).map_err(torn)?)
-            .map_err(|_| corrupt("record name is not utf-8"))?;
-        let tuple_len = r.u32().map_err(torn)? as usize;
-        let tuple = decode_tuple(r.take(tuple_len).map_err(torn)?)
-            .map_err(|e| corrupt(format!("tuple decode: {e}")))?;
-        f(match kind {
+    for_each_record(payload, |record| {
+        let name =
+            std::str::from_utf8(record.name).map_err(|_| corrupt("record name is not utf-8"))?;
+        let tuple =
+            decode_tuple(record.tuple).map_err(|e| corrupt(format!("tuple decode: {e}")))?;
+        f(match record.kind {
             KIND_ENTITY_INSERT => GraphChange::InsertEntity(decode_entity(schema, name, &tuple)?),
             KIND_ENTITY_DELETE => GraphChange::DeleteEntity(decode_entity(schema, name, &tuple)?),
             KIND_ASSOC_INSERT => {
@@ -304,9 +333,8 @@ fn for_each_change(
                 GraphChange::DeleteAssociation(decode_assoc(schema, name, &tuple)?)
             }
             other => return Err(corrupt(format!("unknown delta record kind {other}"))),
-        })?;
-    }
-    Ok(())
+        })
+    })
 }
 
 fn entity_key(schema: &GraphSchema, e: &Entity) -> Result<EntityRef, ServerError> {
@@ -451,7 +479,7 @@ pub fn decode_checkpoint(payload: &[u8]) -> Result<CheckpointImage<'_>, ServerEr
 
 /// The replay-safe ordering class of a delta record kind: association
 /// deletes, entity deletes, entity inserts, association inserts.
-pub(crate) fn record_class(kind: u8) -> u8 {
+fn record_class(kind: u8) -> u8 {
     match kind {
         KIND_ASSOC_DELETE => 0,
         KIND_ENTITY_DELETE => 1,
@@ -461,54 +489,32 @@ pub(crate) fn record_class(kind: u8) -> u8 {
     }
 }
 
-/// The stable MVCC fact key of a change: the key identifies the fact
-/// (entity by type + characteristics, association by predicate +
-/// roles) independent of whether the version is an insert or a delete,
-/// so both versions of one fact land on one chain.
-pub(crate) fn mvcc_fact_key(change: &GraphChange) -> Vec<u8> {
-    fn key(tag: u8, name: &str, tuple: &Tuple) -> Vec<u8> {
-        let mut out = Vec::with_capacity(3 + name.len() + 16);
-        out.push(tag);
-        out.extend_from_slice(&(name.len() as u16).to_be_bytes());
-        out.extend_from_slice(name.as_bytes());
-        out.extend_from_slice(&encode_tuple(tuple));
-        out
+/// The records of an incremental checkpoint: the newest record of every
+/// fact the encoded deltas in `payloads` (oldest first) touch, in
+/// canonical order — class by class (see [`encode_delta`]), facts
+/// sorted by key within a class. A fact's key is entity-or-association,
+/// then its name and tuple, so its insert and its delete share it.
+/// Records are copied as they are, never decoded.
+pub(crate) fn newest_records<'a>(
+    payloads: impl IntoIterator<Item = &'a [u8]>,
+) -> Result<Vec<u8>, ServerError> {
+    let is_assoc = |kind| matches!(kind, KIND_ASSOC_INSERT | KIND_ASSOC_DELETE);
+    let mut newest = HashMap::new();
+    for payload in payloads {
+        for_each_record(payload, |r| {
+            newest.insert((is_assoc(r.kind), r.name, r.tuple), (r.kind, r.bytes));
+            Ok(())
+        })?;
     }
-    match change {
-        GraphChange::InsertEntity(e) | GraphChange::DeleteEntity(e) => {
-            key(b'E', e.entity_type.as_str(), &entity_tuple(e))
-        }
-        GraphChange::InsertAssociation(a) | GraphChange::DeleteAssociation(a) => {
-            key(b'A', a.predicate.as_str(), &assoc_tuple(a))
-        }
-    }
-}
-
-/// Encodes one change as a single delta record — the per-version
-/// payload the MVCC store keeps. The embedded kind byte (`record[0]`)
-/// doubles as the version's insert/delete marker.
-pub(crate) fn mvcc_fact_record(change: &GraphChange) -> Vec<u8> {
-    encode_changes(std::slice::from_ref(change))
-}
-
-/// Whether a stored MVCC record is a delete marker.
-pub(crate) fn record_is_delete(record: &[u8]) -> bool {
-    matches!(
-        record.first(),
-        Some(&KIND_ENTITY_DELETE) | Some(&KIND_ASSOC_DELETE)
-    )
-}
-
-/// Routes an MVCC fact key to one of `shards` version-store
-/// partitions (FNV-1a over the key bytes — independent of the WAL's
-/// entity-based sharding, it only balances the version index).
-pub(crate) fn mvcc_shard(key: &[u8], shards: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    (h % shards.max(1) as u64) as usize
+    // `(length, name)` sorts as the length-prefixed name bytes do.
+    let mut records: Vec<_> = newest
+        .into_iter()
+        .map(|((_, name, tuple), (kind, bytes))| {
+            (record_class(kind), name.len(), name, tuple, bytes)
+        })
+        .collect();
+    records.sort_unstable();
+    Ok(records.into_iter().flat_map(|r| r.4).copied().collect())
 }
 
 #[cfg(test)]
@@ -643,35 +649,30 @@ mod tests {
     }
 
     #[test]
-    fn mvcc_fact_keys_identify_facts_across_insert_and_delete() {
+    fn newest_records_keep_the_last_record_of_each_fact_in_class_order() {
         let g = gfix::figure4_state();
         let e = g.entities().next().unwrap().clone();
         let a = g.associations().next().unwrap().clone();
-        let ins = GraphChange::InsertEntity(e.clone());
-        let del = GraphChange::DeleteEntity(e);
+        let enc = |c: GraphChange| encode_changes(&[c]);
+        let payloads = [
+            enc(GraphChange::InsertAssociation(a.clone())),
+            enc(GraphChange::DeleteEntity(e.clone())),
+            enc(GraphChange::InsertEntity(e.clone())),
+            enc(GraphChange::DeleteAssociation(a.clone())),
+        ];
+        // Insert and delete of one fact share its key: the newest
+        // record wins, and deletes sort before inserts.
+        let mut want = enc(GraphChange::DeleteAssociation(a));
+        want.extend(enc(GraphChange::InsertEntity(e)));
         assert_eq!(
-            mvcc_fact_key(&ins),
-            mvcc_fact_key(&del),
-            "both versions of one fact share a chain"
+            newest_records(payloads.iter().map(Vec::as_slice)).unwrap(),
+            want
         );
-        let ains = GraphChange::InsertAssociation(a.clone());
-        let adel = GraphChange::DeleteAssociation(a);
-        assert_eq!(mvcc_fact_key(&ains), mvcc_fact_key(&adel));
-        assert_ne!(mvcc_fact_key(&ins), mvcc_fact_key(&ains));
-        // Record bytes carry the insert/delete marker in the kind byte.
-        assert!(!record_is_delete(&mvcc_fact_record(&ins)));
-        assert!(record_is_delete(&mvcc_fact_record(&del)));
-        assert!(record_is_delete(&mvcc_fact_record(&adel)));
         // Class order: assoc-del < ent-del < ent-ins < assoc-ins.
         assert!(record_class(KIND_ASSOC_DELETE) < record_class(KIND_ENTITY_DELETE));
         assert!(record_class(KIND_ENTITY_DELETE) < record_class(KIND_ENTITY_INSERT));
         assert!(record_class(KIND_ENTITY_INSERT) < record_class(KIND_ASSOC_INSERT));
-        // Sharding is deterministic and in range.
-        for shards in [1usize, 2, 4, 7] {
-            let s = mvcc_shard(&mvcc_fact_key(&ins), shards);
-            assert!(s < shards);
-            assert_eq!(s, mvcc_shard(&mvcc_fact_key(&ins), shards));
-        }
+        assert!(newest_records([&payloads[0][..3]]).is_err(), "torn record");
     }
 
     #[test]

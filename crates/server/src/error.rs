@@ -54,9 +54,19 @@ pub enum ServerError {
     /// opened, already closed, or currently checked out by another
     /// in-flight request on the same connection.
     UnknownSession(u64),
-    /// A consistency audit found that the internal level (the MVCC
-    /// fold at the latest LSN) no longer rebuilds the conceptual state.
+    /// A consistency audit found that the internal level (the commit
+    /// log folded over its base at the latest LSN) no longer rebuilds
+    /// the conceptual state.
     StorageDiverged(String),
+    /// `state_at` was asked for a state older than the history the
+    /// service still keeps: commits up to `horizon` were folded into
+    /// the `state_at` base at a full checkpoint and released.
+    HistoryCollected {
+        /// The LSN asked for.
+        lsn: u64,
+        /// The oldest LSN whose state can still be rebuilt.
+        horizon: u64,
+    },
 }
 
 impl ServerError {
@@ -77,6 +87,7 @@ impl ServerError {
             ServerError::Protocol(_) => 10,
             ServerError::UnknownSession(_) => 11,
             ServerError::StorageDiverged(_) => 12,
+            ServerError::HistoryCollected { .. } => 13,
         }
     }
 }
@@ -102,6 +113,10 @@ impl fmt::Display for ServerError {
                 write!(f, "unknown or busy session {id}")
             }
             ServerError::StorageDiverged(why) => write!(f, "internal level diverged: {why}"),
+            ServerError::HistoryCollected { lsn, horizon } => write!(
+                f,
+                "the state at LSN {lsn} was collected: history starts at LSN {horizon}"
+            ),
         }
     }
 }
@@ -162,6 +177,8 @@ mod tests {
             .to_string()
             .contains("bad tag"));
         assert!(ServerError::UnknownSession(7).to_string().contains('7'));
+        let collected = ServerError::HistoryCollected { lsn: 1, horizon: 2 }.to_string();
+        assert!(collected.contains("LSN 1") && collected.contains("LSN 2"));
         let e: ServerError = DeviceError::Full { at: 9 }.into();
         assert!(matches!(e, ServerError::Crashed(_)));
     }
@@ -183,8 +200,9 @@ mod tests {
             ServerError::Protocol(String::new()),
             ServerError::UnknownSession(0),
             ServerError::StorageDiverged(String::new()),
+            ServerError::HistoryCollected { lsn: 0, horizon: 0 },
         ];
         let codes: Vec<u16> = all.iter().map(ServerError::code).collect();
-        assert_eq!(codes, (1..=12).collect::<Vec<u16>>());
+        assert_eq!(codes, (1..=13).collect::<Vec<u16>>());
     }
 }

@@ -16,9 +16,9 @@
 //!   base-version conflict detection for relational sessions, and
 //!   serialized, *batched* commits routed by write-set hash to
 //!   per-shard commit lanes ([`crate::shard`]): each lane's leader
-//!   drains a batch that shares one WAL append + sync per involved
-//!   shard (group commit, [`CommitMode`]), and different lanes' syncs
-//!   overlap.
+//!   drains a batch of up to [`ServiceConfig::max_batch`] transactions
+//!   that shares one WAL append + sync per involved shard (group
+//!   commit), and different lanes' syncs overlap.
 //! * **Admission control** — every lane's queue is bounded
 //!   ([`ServiceConfig::queue_depth`]); a submit that finds its home
 //!   lane full is *shed* with a typed [`CommitOutcome::Shed`] /
@@ -27,7 +27,9 @@
 //!   conceptual deltas with appended checkpoints; the durable state is
 //!   *only* the checkpoint + logs ([`DurableImage`]), and commits are
 //!   acknowledged strictly after their record is synced on every shard
-//!   they touch.
+//!   they touch. The same delta payloads, kept in memory back to the
+//!   last full checkpoint no snapshot held back, are the internal level
+//!   [`SessionService::state_at`] and the audit fold.
 //! * **Recovery** ([`SessionService::recover_sharded`]) — merge the
 //!   shard logs by LSN (cross-shard frames dedupe), replay to the last
 //!   committed transaction, truncating torn tails; aborted transactions
@@ -50,10 +52,9 @@
 //!   `AdminRequest::WatchMetrics` streams periodic telemetry deltas as
 //!   server-push [`wire::Response::MetricsDelta`] frames
 //!   ([`Client::watch_metrics`]).
-//! * **Verification** — with `lockstep-verify` (compile feature or
-//!   [`ServiceConfig::lockstep_verify`]) every commit re-checks
-//!   Definition 2 between the conceptual state and every external view,
-//!   within each view's vocabulary.
+//! * **Verification** — with [`ServiceConfig::lockstep_verify`] every
+//!   commit re-checks Definition 2 between the conceptual state and
+//!   every external view, within each view's vocabulary.
 
 pub mod codec;
 pub mod device;
@@ -69,8 +70,8 @@ pub use device::{DeviceError, LogDevice, MemDevice, WriteBudget};
 pub use error::ServerError;
 pub use net::{Client, MetricsWatch, NetServer, RemoteSession};
 pub use service::{
-    CommitInfo, CommitMode, CommitOutcome, CommittedTxn, DurableImage, RecoveryReport,
-    ServiceConfig, ServiceConfigBuilder, SessionService, ViewSpec,
+    CommitInfo, CommitOutcome, CommittedTxn, DurableImage, RecoveryReport, ServiceConfig,
+    ServiceConfigBuilder, SessionService, ViewSpec,
 };
 pub use session::{Session, SessionKind};
 
@@ -353,7 +354,6 @@ mod tests {
             .shards(4)
             .queue_depth(128)
             .max_batch(16)
-            .commit_mode(CommitMode::Group)
             .checkpoint_every(10)
             .lockstep_verify(false)
             .max_attempts(3)
@@ -615,9 +615,10 @@ mod tests {
     #[test]
     fn group_commit_syncs_less_than_per_op() {
         use crossbeam::scope;
-        for (mode, name) in [(CommitMode::Group, "group"), (CommitMode::PerOp, "per-op")] {
+        let group = ServiceConfig::default().max_batch;
+        for (max_batch, name) in [(group, "group"), (1, "per-op")] {
             let service = boot(ServiceConfig {
-                commit_mode: mode,
+                max_batch,
                 ..ServiceConfig::default()
             });
             let pairs = [

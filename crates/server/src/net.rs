@@ -55,7 +55,7 @@ use std::thread::JoinHandle;
 use dme_graph::GraphOp;
 use dme_obs::{Counter, Observer};
 use dme_relation::RelOp;
-use dme_storage::wal::{self, WalError};
+use dme_storage::wal::{self, WalError, WalRecord};
 use dme_value::Tuple;
 use smol::channel::{self, Receiver, Sender, TrySendError};
 
@@ -68,15 +68,23 @@ use crate::wire::{self, Request, Response};
 // ---------------------------------------------------------------------
 // Transport.
 
-/// Peels one complete frame off the front of `buf`, or reports that the
-/// bytes so far are only a prefix (`Ok(None)`), or that the stream can
-/// never parse again (`Err`).
-fn take_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, ServerError> {
+/// Peels one complete frame off the front of `buf` and hands it to
+/// `decode` in place — the checked frame bytes plus the record they
+/// frame — or reports that the bytes so far are only a prefix
+/// (`Ok(None)`), or that the stream can never parse again (`Err`).
+fn take_frame<T>(
+    buf: &mut Vec<u8>,
+    decode: impl FnOnce(&[u8], WalRecord<'_>) -> T,
+) -> Result<Option<T>, ServerError> {
     if buf.is_empty() {
         return Ok(None);
     }
     match wal::decode_frame(buf, 0) {
-        Ok((_, consumed)) => Ok(Some(buf.drain(..consumed).collect())),
+        Ok((record, consumed)) => {
+            let decoded = decode(&buf[..consumed], record);
+            buf.drain(..consumed);
+            Ok(Some(decoded))
+        }
         Err(WalError::Truncated { .. }) => Ok(None),
         Err(e) => Err(ServerError::Protocol(format!("corrupt wire stream: {e}"))),
     }
@@ -91,12 +99,16 @@ struct FrameReader {
 
 impl FrameReader {
     /// Receives the next complete frame, blocking for more chunks as
-    /// needed. `Ok(None)` is a clean close at a frame boundary; a close
+    /// needed, and decodes it with `decode` (see [`take_frame`]).
+    /// `Ok(None)` is a clean close at a frame boundary; a close
     /// mid-frame is a protocol error.
-    fn recv_frame_blocking(&mut self) -> Result<Option<Vec<u8>>, ServerError> {
+    fn recv_blocking<T>(
+        &mut self,
+        decode: impl Fn(&[u8], WalRecord<'_>) -> T,
+    ) -> Result<Option<T>, ServerError> {
         loop {
-            if let Some(frame) = take_frame(&mut self.buf)? {
-                return Ok(Some(frame));
+            if let Some(decoded) = take_frame(&mut self.buf, &decode)? {
+                return Ok(Some(decoded));
             }
             match self.rx.recv_blocking() {
                 Ok(chunk) => self.buf.extend_from_slice(&chunk),
@@ -106,11 +118,14 @@ impl FrameReader {
         }
     }
 
-    /// Async [`FrameReader::recv_frame_blocking`].
-    async fn recv_frame(&mut self) -> Result<Option<Vec<u8>>, ServerError> {
+    /// Async [`FrameReader::recv_blocking`].
+    async fn recv<T>(
+        &mut self,
+        decode: impl Fn(&[u8], WalRecord<'_>) -> T,
+    ) -> Result<Option<T>, ServerError> {
         loop {
-            if let Some(frame) = take_frame(&mut self.buf)? {
-                return Ok(Some(frame));
+            if let Some(decoded) = take_frame(&mut self.buf, &decode)? {
+                return Ok(Some(decoded));
             }
             match self.rx.recv().await {
                 Ok(chunk) => self.buf.extend_from_slice(&chunk),
@@ -152,10 +167,11 @@ impl Conn {
             .map_err(|_| ServerError::Protocol("connection closed".into()))
     }
 
-    /// Receives the next complete frame; see
-    /// `FrameReader::recv_frame_blocking`.
+    /// Receives the next complete frame, blocking for more chunks as
+    /// needed. `Ok(None)` is a clean close at a frame boundary; a close
+    /// mid-frame is a protocol error.
     pub fn recv_frame_blocking(&mut self) -> Result<Option<Vec<u8>>, ServerError> {
-        self.reader.recv_frame_blocking()
+        self.reader.recv_blocking(|frame, _| frame.to_vec())
     }
 
     /// Splits into the send half and the receive half, so each can be
@@ -342,8 +358,11 @@ async fn serve_conn(
 ) {
     let (reply, mut reader) = conn.split();
     loop {
-        let frame = match reader.recv_frame().await {
-            Ok(Some(frame)) => frame,
+        let decoded = reader
+            .recv(|_, record| Request::decode(record.payload).map(|r| (record.lsn, r)))
+            .await;
+        let decoded = match decoded {
+            Ok(Some(decoded)) => decoded,
             Ok(None) => return,
             Err(e) => {
                 // The stream can never re-synchronise: answer under the
@@ -356,7 +375,7 @@ async fn serve_conn(
                 return;
             }
         };
-        let (correlation, request) = match wire::decode_request_frame(&frame) {
+        let (correlation, request) = match decoded {
             Ok(decoded) => decoded,
             Err(e) => {
                 obs.add(Counter::RequestsServed, 1);
@@ -482,11 +501,13 @@ impl Client {
                 // Weak, not Arc: the inner holds the send half, and the
                 // demultiplexer must not keep the connection open after
                 // the last `Client` clone is gone.
-                let result = reader.recv_frame_blocking();
+                let result = reader.recv_blocking(|_, record| {
+                    Response::decode(record.payload).map(|r| (record.lsn, r))
+                });
                 let Some(inner) = demux.upgrade() else { return };
                 match result {
-                    Ok(Some(frame)) => {
-                        let (correlation, response) = match wire::decode_response_frame(&frame) {
+                    Ok(Some(decoded)) => {
+                        let (correlation, response) = match decoded {
                             Ok(decoded) => decoded,
                             // The server never sends bad frames; a
                             // flipped bit in transit fails everyone.

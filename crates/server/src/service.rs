@@ -64,24 +64,13 @@ use dme_logic::ToFacts;
 use dme_obs::{Counter, Metric, Observer, ShardRegistry, TelemetrySnapshot, TraceHub, TraceId};
 use dme_relation::{RelationState, RelationalSchema};
 use dme_storage::wal;
-use dme_storage::{MvccStore, PinSet, WalError};
+use dme_storage::WalError;
 
 use crate::codec;
 use crate::device::{DeviceError, LogDevice};
 use crate::error::ServerError;
 use crate::session::{Session, SessionKind};
 use crate::shard;
-
-/// How commits are batched through the journal.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CommitMode {
-    /// The leader drains up to `max_batch` requests and syncs once per
-    /// batch per involved shard.
-    Group,
-    /// One transaction per append + sync (the baseline group commit is
-    /// measured against).
-    PerOp,
-}
 
 /// An external view the service serves to relational sessions.
 #[derive(Clone, Debug)]
@@ -98,8 +87,6 @@ pub struct ViewSpec {
 /// validates) or field-by-field from [`ServiceConfig::default`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Commit batching mode.
-    pub commit_mode: CommitMode,
     /// Take a checkpoint after this many commits (0 = only on demand).
     pub checkpoint_every: u64,
     /// Verify every committed transaction's views against the
@@ -122,6 +109,8 @@ pub struct ServiceConfig {
     /// outcome instead of waiting.
     pub queue_depth: usize,
     /// Most transactions a lane leader drains into one group commit.
+    /// 1 commits one transaction per append + sync (the baseline group
+    /// commit is measured against).
     pub max_batch: usize,
     /// Recent traces the service's trace hub remembers for
     /// `TraceLookup` queries (FIFO-evicted). 0 keeps none and allocates
@@ -138,9 +127,8 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            commit_mode: CommitMode::Group,
             checkpoint_every: 0,
-            lockstep_verify: cfg!(feature = "lockstep-verify"),
+            lockstep_verify: false,
             max_attempts: 8,
             backoff_micros: 20,
             obs: Observer::disabled(),
@@ -207,12 +195,6 @@ pub struct ServiceConfigBuilder {
 }
 
 impl ServiceConfigBuilder {
-    /// Sets the commit batching mode.
-    pub fn commit_mode(mut self, mode: CommitMode) -> Self {
-        self.config.commit_mode = mode;
-        self
-    }
-
     /// Checkpoint after this many commits (0 = only on demand).
     pub fn checkpoint_every(mut self, every: u64) -> Self {
         self.config.checkpoint_every = every;
@@ -440,16 +422,13 @@ struct Core {
     history: Vec<CommittedTxn>,
     checkpoints: Box<dyn LogDevice>,
     crashed: Option<String>,
-    /// Per-partition MVCC version stores (fact keys are routed by
-    /// `codec::mvcc_shard`, one partition per commit lane). Every
-    /// committed change lands here as an LSN-keyed version, backing
-    /// incremental checkpoints and `state_at` reconstruction.
-    mvcc: Vec<MvccStore>,
-    /// Fact keys dirtied since the last checkpoint — the payload of
-    /// the next incremental checkpoint image.
-    dirty: BTreeSet<Vec<u8>>,
-    /// The anchor state `state_at` folds MVCC versions over, and the
-    /// LSN it reflects. Advanced to the current state at full
+    /// `(lsn, payload)` of every commit after `base_lsn`, in LSN order:
+    /// the same encoded delta each WAL frame carries. `state_at` and
+    /// the audit fold it over `base`; incremental checkpoints take the
+    /// newest record of every fact it touched since the last image.
+    log: Vec<(u64, Vec<u8>)>,
+    /// The anchor state the log folds over, and the LSN it reflects.
+    /// Advanced to the current state (and the log cleared) at full
     /// checkpoints once no older snapshot pin needs history behind it.
     base: Arc<GraphState>,
     base_lsn: u64,
@@ -553,6 +532,33 @@ impl Lane {
     }
 }
 
+/// Live snapshot pins, refcounted by LSN (several sessions may pin
+/// one LSN).
+#[derive(Default)]
+struct PinSet {
+    pins: BTreeMap<u64, usize>,
+}
+
+impl PinSet {
+    fn pin(&mut self, lsn: u64) {
+        *self.pins.entry(lsn).or_insert(0) += 1;
+    }
+
+    fn unpin(&mut self, lsn: u64) {
+        if let Some(count) = self.pins.get_mut(&lsn) {
+            *count -= 1;
+            if *count == 0 {
+                self.pins.remove(&lsn);
+            }
+        }
+    }
+
+    /// The oldest pinned LSN, if any snapshot is live.
+    fn oldest(&self) -> Option<u64> {
+        self.pins.keys().next().copied()
+    }
+}
+
 pub(crate) struct Shared {
     core: Mutex<Core>,
     lanes: Vec<Lane>,
@@ -567,9 +573,10 @@ pub(crate) struct Shared {
     /// `AdminRequest::TraceLookup`.
     pub(crate) trace_hub: Arc<TraceHub>,
     pub(crate) open_sessions: AtomicU64,
-    /// Live snapshot pins by LSN: the oldest pin is the MVCC garbage
-    /// collection horizon. A leaf lock — taken briefly, never while
-    /// waiting on any other lock.
+    /// Live snapshot pins by LSN: while one is older than a full
+    /// checkpoint, the checkpoint keeps the commit log behind it. A
+    /// leaf lock — taken briefly, never while waiting on any other
+    /// lock.
     pins: Mutex<PinSet>,
     next_session: AtomicU64,
     next_txn: AtomicU64,
@@ -626,6 +633,24 @@ impl SessionService {
         wal_devices: Vec<Box<dyn LogDevice>>,
         checkpoint_device: Box<dyn LogDevice>,
     ) -> Result<Self, ServerError> {
+        Self::boot(initial, 0, 0, views, config, wal_devices, checkpoint_device)
+    }
+
+    /// The one boot path behind a fresh start and recovery: checks the
+    /// config against the devices, materializes every view over `state`
+    /// (the committed state as of `lsn`, `version` commits in), and
+    /// writes a full checkpoint of it, so the durable image is
+    /// self-contained from the first commit on and the devices a crash
+    /// left behind are no longer load-bearing.
+    fn boot(
+        state: GraphState,
+        lsn: u64,
+        version: u64,
+        views: Vec<ViewSpec>,
+        config: ServiceConfig,
+        wal_devices: Vec<Box<dyn LogDevice>>,
+        checkpoint_device: Box<dyn LogDevice>,
+    ) -> Result<Self, ServerError> {
         config.validate()?;
         if wal_devices.len() != config.shards {
             return Err(ServerError::InvalidConfig(format!(
@@ -636,46 +661,31 @@ impl SessionService {
         }
         let mut materialized = BTreeMap::new();
         for spec in views {
-            let view = ExternalView::materialize(&spec.name, spec.schema, &initial, spec.mode)?;
+            let view = ExternalView::materialize(&spec.name, spec.schema, &state, spec.mode)?;
             materialized.insert(spec.name, Arc::new(view));
         }
-        let schema = Arc::clone(initial.schema());
-        let shards = config.shards;
-        let conceptual = Arc::new(initial);
+        let schema = Arc::clone(state.schema());
+        let conceptual = Arc::new(state);
         let core = Core {
             base: Arc::clone(&conceptual),
             conceptual,
             views: materialized,
-            version: 0,
-            next_lsn: 1,
+            version,
+            next_lsn: lsn + 1,
             commits_since_checkpoint: 0,
             history: Vec::new(),
             checkpoints: checkpoint_device,
             crashed: None,
-            mvcc: std::iter::repeat_with(MvccStore::new)
-                .take(shards)
-                .collect(),
-            dirty: BTreeSet::new(),
-            base_lsn: 0,
+            log: Vec::new(),
+            base_lsn: lsn,
             last_cp_lsn: 0,
             last_full_lsn: 0,
             prev_full_lsn: 0,
             checkpoints_taken: 0,
         };
-        let service = Self::assemble(core, schema, config, wal_devices);
-        service.checkpoint_now()?;
-        Ok(service)
-    }
-
-    fn assemble(
-        core: Core,
-        schema: Arc<GraphSchema>,
-        config: ServiceConfig,
-        wal_devices: Vec<Box<dyn LogDevice>>,
-    ) -> Self {
         let shard_metrics = Arc::new(ShardRegistry::new(config.shards));
         let trace_hub = Arc::new(TraceHub::new(config.trace_capacity, config.obs.clone()));
-        SessionService {
+        let service = SessionService {
             shared: Arc::new(Shared {
                 core: Mutex::new(core),
                 lanes: wal_devices.into_iter().map(Lane::over).collect(),
@@ -684,12 +694,14 @@ impl SessionService {
                 shard_metrics,
                 trace_hub,
                 open_sessions: AtomicU64::new(0),
-                pins: Mutex::new(PinSet::new()),
+                pins: Mutex::new(PinSet::default()),
                 next_session: AtomicU64::new(0),
                 next_txn: AtomicU64::new(0),
                 registry: Mutex::new(BTreeMap::new()),
             }),
-        }
+        };
+        service.checkpoint_now()?;
+        Ok(service)
     }
 
     /// Rebuilds a single-sharded service from the durable image a crash
@@ -728,14 +740,6 @@ impl SessionService {
         wal_devices: Vec<Box<dyn LogDevice>>,
         checkpoint_device: Box<dyn LogDevice>,
     ) -> Result<(Self, RecoveryReport), ServerError> {
-        config.validate()?;
-        if wal_devices.len() != config.shards {
-            return Err(ServerError::InvalidConfig(format!(
-                "{} WAL devices for {} shards",
-                wal_devices.len(),
-                config.shards
-            )));
-        }
         let obs = config.obs.clone();
         let _span = obs.span("server/recover");
         let recovery_timer = obs.time(Metric::RecoveryLatency);
@@ -861,41 +865,15 @@ impl SessionService {
             wal_tail,
             checkpoint_tail,
         };
-        let version = replayed as u64;
-        let mut materialized = BTreeMap::new();
-        for spec in views {
-            let view = ExternalView::materialize(&spec.name, spec.schema, &state, spec.mode)?;
-            materialized.insert(spec.name, Arc::new(view));
-        }
-        let shards = config.shards;
-        let conceptual = Arc::new(state);
-        let base_lsn = next_lsn - 1;
-        let core = Core {
-            base: Arc::clone(&conceptual),
-            conceptual,
-            views: materialized,
-            version,
-            next_lsn,
-            commits_since_checkpoint: 0,
-            history: Vec::new(),
-            checkpoints: checkpoint_device,
-            crashed: None,
-            mvcc: std::iter::repeat_with(MvccStore::new)
-                .take(shards)
-                .collect(),
-            dirty: BTreeSet::new(),
-            base_lsn,
-            last_cp_lsn: 0,
-            last_full_lsn: 0,
-            prev_full_lsn: 0,
-            checkpoints_taken: 0,
-        };
-        let service = Self::assemble(core, schema, config, wal_devices);
-        // Re-anchor durability: the recovered state becomes the new
-        // checkpoint (always a *full* image — `checkpoints_taken` was
-        // reset — so the possibly-torn old devices are no longer
-        // load-bearing).
-        service.checkpoint_now()?;
+        let service = Self::boot(
+            state,
+            next_lsn - 1,
+            replayed as u64,
+            views,
+            config,
+            wal_devices,
+            checkpoint_device,
+        )?;
         drop(recovery_timer);
         Ok((service, report))
     }
@@ -920,8 +898,8 @@ impl SessionService {
                         .get(view)
                         .ok_or_else(|| ServerError::UnknownView(view.clone()))?;
                     // O(1) snapshot: two Arc bumps plus an LSN pin —
-                    // never a state clone. The pin holds the MVCC GC
-                    // horizon at this snapshot's LSN until the session
+                    // never a state clone. The pin keeps the commit log
+                    // back to this snapshot's LSN until the session
                     // drops or rebases.
                     let pin_lsn = core.next_lsn - 1;
                     self.shared.pins.lock().unwrap().pin(pin_lsn);
@@ -1017,17 +995,18 @@ impl SessionService {
     }
 
     /// Releases a snapshot pin taken by [`SessionService::open_session`]
-    /// or [`SessionService::snapshot_for`], letting MVCC garbage
-    /// collection advance past it.
+    /// or [`SessionService::snapshot_for`], letting a full checkpoint
+    /// release the commit log behind it.
     pub(crate) fn unpin(&self, lsn: u64) {
         self.shared.pins.lock().unwrap().unpin(lsn);
     }
 
-    /// The committed conceptual state as of `lsn`, reconstructed by
-    /// folding the MVCC version chains over the recovery/boot base
-    /// state. Valid for any LSN at or above the garbage-collection
-    /// horizon (the oldest live snapshot pin, or the latest full
-    /// checkpoint when nothing is pinned).
+    /// The committed conceptual state as of `lsn`: the logged commits
+    /// up to `lsn` folded over the `state_at` base. History behind the
+    /// base is gone: the base advances to the current state at a full
+    /// checkpoint that no older snapshot pin holds back, and an `lsn`
+    /// below it is [`ServerError::HistoryCollected`], never a later
+    /// state.
     pub fn state_at(&self, lsn: u64) -> Result<GraphState, ServerError> {
         let core = self.shared.core.lock().unwrap();
         if let Some(why) = &core.crashed {
@@ -1036,34 +1015,31 @@ impl SessionService {
         Self::fold_at(&core, lsn)
     }
 
+    /// Clones the base and replays every logged payload with an LSN up
+    /// to `lsn` through the strict fold recovery uses, so the audit
+    /// checks the very bytes recovery would replay.
     fn fold_at(core: &Core, lsn: u64) -> Result<GraphState, ServerError> {
-        let mut records: Vec<(u8, Vec<u8>, Vec<u8>)> = Vec::new();
-        for store in &core.mvcc {
-            for (key, v) in store.latest_upto(lsn) {
-                if v.lsn <= core.base_lsn {
-                    // Already reflected in the base state.
-                    continue;
-                }
-                let bytes = v.value.expect("service versions carry record bytes");
-                records.push((codec::record_class(bytes[0]), key, bytes.to_vec()));
-            }
+        if lsn < core.base_lsn {
+            return Err(ServerError::HistoryCollected {
+                lsn,
+                horizon: core.base_lsn,
+            });
         }
-        // Class-then-key order matches the delta codec's canonical
-        // order (deletes before inserts), so one lenient fold applies.
-        records.sort();
-        let mut delta = Vec::new();
-        for (_, _, bytes) in &records {
-            delta.extend_from_slice(bytes);
+        let mut state = GraphState::clone(&core.base);
+        for (at, payload) in core.log.iter().take_while(|(at, _)| *at <= lsn) {
+            codec::apply_delta_in_place(&mut state, payload).map_err(|e| {
+                ServerError::StorageDiverged(format!("logged commit {at} does not apply: {e}"))
+            })?;
         }
-        codec::apply_delta_lenient(&core.base, &delta)
+        Ok(state)
     }
 
     /// Audits all three levels under an `ansi/audit` span (one
     /// [`Counter::AuditsRun`] per call): every external view must be
     /// state equivalent to the conceptual state within its vocabulary,
-    /// and the internal level — the MVCC fold at the latest LSN — must
-    /// rebuild the conceptual state exactly. The conceptual state is
-    /// compiled once for all views.
+    /// and the internal level — the commit log folded over its base at
+    /// the latest LSN — must rebuild the conceptual state exactly. The
+    /// conceptual state is compiled once for all views.
     pub fn verify_consistency(&self) -> Result<(), ServerError> {
         let obs = &self.shared.config.obs;
         let _span = obs.span("ansi/audit");
@@ -1076,7 +1052,7 @@ impl SessionService {
             let lsn = core.next_lsn - 1;
             if Self::fold_at(&core, lsn)? != *core.conceptual {
                 return Err(ServerError::StorageDiverged(format!(
-                    "MVCC fold at LSN {lsn} differs from the conceptual state"
+                    "the commit log folded to LSN {lsn} differs from the conceptual state"
                 )));
             }
             (Arc::clone(&core.conceptual), core.views.clone())
@@ -1192,13 +1168,13 @@ impl SessionService {
     /// Appends a checkpoint image to the checkpoint device and syncs
     /// it. Every `full_checkpoint_every`-th image (and always the
     /// first) is a full conceptual state; the ones in between are
-    /// incremental — the records the dirty fact keys currently carry,
-    /// chained by LSN to the previous image. A durable full image also
-    /// drives the storage economy: MVCC versions behind the oldest
-    /// snapshot pin are collected, the `state_at` base advances when
-    /// nothing pins history, and each shard's WAL is truncated up to
-    /// the *previous* full image (keeping one spare chain so a corrupt
-    /// newest record still leaves a recoverable image).
+    /// incremental — the newest record of every fact the commit log
+    /// touched since the previous image, chained to it by LSN. A
+    /// durable full image also drives the storage economy: when no
+    /// snapshot pin is older than it, it becomes the `state_at` base and
+    /// the commit log is released, and each shard's WAL is truncated up
+    /// to the *previous* full image (keeping one spare chain so a
+    /// corrupt newest record still leaves a recoverable image).
     fn take_checkpoint(&self, core: &mut Core, trace: Option<TraceId>) -> Result<(), ServerError> {
         let config = &self.shared.config;
         let obs = &config.obs;
@@ -1210,23 +1186,9 @@ impl SessionService {
         let payload = if full {
             codec::encode_full_checkpoint(&core.conceptual)
         } else {
-            let mut records: Vec<(u8, &[u8], Vec<u8>)> = Vec::new();
-            let partitions = core.mvcc.len();
-            for key in &core.dirty {
-                let store = &core.mvcc[codec::mvcc_shard(key, partitions)];
-                if let Some(v) = store.version_at(key, lsn) {
-                    let bytes = v.value.expect("service versions carry record bytes");
-                    records.push((codec::record_class(bytes[0]), key, bytes.to_vec()));
-                }
-            }
-            // Canonical delta order: deletes before inserts, keys
-            // sorted within each class.
-            records.sort();
-            let mut delta = Vec::new();
-            for (_, _, bytes) in &records {
-                delta.extend_from_slice(bytes);
-            }
-            codec::encode_incremental_checkpoint(core.last_cp_lsn, &delta)
+            let since = core.log.partition_point(|(at, _)| *at <= core.last_cp_lsn);
+            let records = codec::newest_records(core.log[since..].iter().map(|(_, p)| &p[..]))?;
+            codec::encode_incremental_checkpoint(core.last_cp_lsn, &records)
         };
         let mut buf = Vec::new();
         wal::append_record_traced(&mut buf, lsn, trace.map(TraceId::as_u64), &payload);
@@ -1239,35 +1201,24 @@ impl SessionService {
                 core.commits_since_checkpoint = 0;
                 core.checkpoints_taken += 1;
                 core.last_cp_lsn = lsn;
-                core.dirty.clear();
                 obs.add(Counter::CheckpointsTaken, 1);
                 obs.add(Counter::CheckpointBytes, payload.len() as u64);
                 if let Some(t) = trace {
                     obs.trace_event("server/checkpoint", t, || format!("lsn {lsn}"));
                 }
-                // MVCC garbage collection: versions behind the oldest
-                // live snapshot pin (or this checkpoint, whichever is
-                // older) can no longer be observed.
-                let oldest_pin = self.shared.pins.lock().unwrap().oldest();
-                let horizon = oldest_pin.unwrap_or(lsn).min(lsn);
-                let mut dropped = 0u64;
-                for store in &mut core.mvcc {
-                    dropped += store.gc(horizon).versions_dropped;
-                }
                 if full {
                     core.prev_full_lsn = core.last_full_lsn;
                     core.last_full_lsn = lsn;
-                    if horizon == lsn {
+                    let oldest_pin = self.shared.pins.lock().unwrap().oldest();
+                    if oldest_pin.is_none_or(|pin| pin >= lsn) {
                         // Nothing pins history: the current state
-                        // becomes the new `state_at` base, after which
-                        // single-version delete chains are dead weight
-                        // (folding them over the new base is a no-op).
+                        // becomes the `state_at` base, and the commits
+                        // folded into it are released.
                         core.base = Arc::clone(&core.conceptual);
                         core.base_lsn = lsn;
-                        for store in &mut core.mvcc {
-                            dropped += store
-                                .purge_if(horizon, |v| v.value.is_none_or(codec::record_is_delete))
-                                .versions_dropped;
+                        if !core.log.is_empty() {
+                            obs.add(Counter::VersionsGcd, core.log.len() as u64);
+                            core.log.clear();
                         }
                     }
                     // Shard WALs are covered up to the *previous* full
@@ -1277,9 +1228,6 @@ impl SessionService {
                             lane.wal.lock().unwrap().truncate_upto(core.prev_full_lsn);
                         }
                     }
-                }
-                if dropped > 0 {
-                    obs.add(Counter::VersionsGcd, dropped);
                 }
                 Ok(())
             }
@@ -1344,10 +1292,7 @@ impl SessionService {
             }
             if !q.leader && !q.pending.is_empty() {
                 q.leader = true;
-                let take = match config.commit_mode {
-                    CommitMode::Group => config.max_batch.min(q.pending.len()),
-                    CommitMode::PerOp => 1,
-                };
+                let take = config.max_batch.min(q.pending.len());
                 let batch: Vec<Request> = q.pending.drain(..take).collect();
                 metrics.set_lane_depth(q.pending.len() as u64);
                 drop(q);
@@ -1461,31 +1406,7 @@ impl SessionService {
             core.next_lsn += 1;
             core.version += 1;
             let payload = codec::encode_changes(txn.changes());
-            // Record every committed change as an LSN-keyed version in
-            // its MVCC partition and mark its fact key dirty for the
-            // next incremental checkpoint. A storage failure here is a
-            // crash (same contract as a device failure: the in-memory
-            // state is tainted, only the durable image matters).
-            let partitions = core.mvcc.len();
-            let mut mvcc_failure: Option<String> = None;
-            for change in txn.changes() {
-                let key = codec::mvcc_fact_key(change);
-                let record = codec::mvcc_fact_record(change);
-                let partition = codec::mvcc_shard(&key, partitions);
-                if let Err(e) = core.mvcc[partition].put(&key, lsn, &record) {
-                    mvcc_failure = Some(format!("mvcc put: {e}"));
-                    break;
-                }
-                core.dirty.insert(key);
-            }
-            if let Some(why) = mvcc_failure {
-                core.crashed = Some(why.clone());
-                outcomes.push((req.id, Outcome::Crashed(why.clone())));
-                for req in staged.drain(..) {
-                    outcomes.push((req.id, Outcome::Crashed(why.clone())));
-                }
-                return outcomes;
-            }
+            core.log.push((lsn, payload.clone()));
             for (name, v) in advanced {
                 core.views.insert(name, Arc::new(v));
             }
@@ -1668,9 +1589,35 @@ mod tests {
     use super::*;
     use crate::device::MemDevice;
     use dme_graph::fixtures as gfix;
-    use dme_graph::{Association, EntityRef};
+    use dme_graph::{Association, Entity, EntityRef, GraphChange};
     use dme_relation::fixtures as rfix;
     use dme_value::Atom;
+
+    fn supervise(agent: &str, object: &str) -> Association {
+        let emp = |name: &str| EntityRef::new("employee", Atom::str(name));
+        Association::new(
+            "supervise",
+            [("agent", emp(agent)), ("object", emp(object))],
+        )
+    }
+
+    fn wayshum(age: i64) -> Entity {
+        Entity::new(
+            "employee",
+            [("name", Atom::str("G.Wayshum")), ("age", Atom::int(age))],
+        )
+    }
+
+    fn boot(config: ServiceConfig) -> SessionService {
+        SessionService::new(
+            gfix::figure4_state(),
+            Vec::new(),
+            config,
+            Box::new(MemDevice::new()),
+            Box::new(MemDevice::new()),
+        )
+        .unwrap()
+    }
 
     /// A Figure 4 service with the Figure 3 view, after one committed
     /// conceptual update (the Figure 6 supervision), plus the view as
@@ -1721,10 +1668,120 @@ mod tests {
     #[test]
     fn audit_catches_a_lost_internal_version() {
         let (service, _) = committed_once();
-        service.shared.core.lock().unwrap().mvcc = vec![MvccStore::new()];
+        service.shared.core.lock().unwrap().log.pop();
         assert!(matches!(
             service.verify_consistency(),
             Err(ServerError::StorageDiverged(_))
         ));
+    }
+
+    #[test]
+    fn state_at_behind_a_collected_base_is_a_typed_error() {
+        let service = boot(ServiceConfig::default());
+        let mut session = service.open_session(SessionKind::Graph).unwrap();
+        let toggle = [
+            GraphOp::InsertAssociation(supervise("G.Wayshum", "T.Manhart")),
+            GraphOp::DeleteAssociation(supervise("G.Wayshum", "T.Manhart")),
+        ];
+        for op in toggle {
+            session.submit_graph(vec![op]).unwrap().expect_commit();
+        }
+        assert_eq!(service.state_at(1).unwrap(), gfix::figure6_state());
+        // Nothing pins history, so the full checkpoint at LSN 2 folds
+        // both commits into the base and releases them.
+        service.checkpoint_now().unwrap();
+        assert_eq!(
+            service.state_at(1),
+            Err(ServerError::HistoryCollected { lsn: 1, horizon: 2 })
+        );
+        assert_eq!(service.state_at(0).unwrap_err().code(), 13);
+        assert_eq!(service.state_at(2).unwrap(), gfix::figure4_state());
+        service.verify_consistency().unwrap();
+    }
+
+    #[test]
+    fn a_snapshot_pin_keeps_history_through_a_full_checkpoint() {
+        let (service, _) = committed_once();
+        let reader = service
+            .open_session(SessionKind::Relational {
+                view: "shop".into(),
+            })
+            .unwrap();
+        let mut writer = service.open_session(SessionKind::Graph).unwrap();
+        writer
+            .submit_graph(vec![GraphOp::DeleteAssociation(supervise(
+                "G.Wayshum",
+                "T.Manhart",
+            ))])
+            .unwrap()
+            .expect_commit();
+        service.checkpoint_now().unwrap();
+        // The reader pinned LSN 1, so the checkpoint at LSN 2 keeps it.
+        assert_eq!(service.state_at(1).unwrap(), gfix::figure6_state());
+        drop(reader);
+        service.checkpoint_now().unwrap();
+        assert!(matches!(
+            service.state_at(1),
+            Err(ServerError::HistoryCollected { .. })
+        ));
+    }
+
+    #[test]
+    fn incremental_checkpoints_carry_each_touched_fact_as_present_or_absent() {
+        let service = boot(ServiceConfig {
+            full_checkpoint_every: 2,
+            ..ServiceConfig::default()
+        });
+        let mut session = service.open_session(SessionKind::Graph).unwrap();
+        // Both versions of G.Wayshum are touched twice; the newest
+        // record of each is what the image must carry.
+        let gone = EntityRef::new("employee", Atom::str("G.Wayshum"));
+        let ops = [
+            GraphOp::DeleteAssociation(supervise("G.Wayshum", "C.Gershag")),
+            GraphOp::DeleteEntity(gone.clone()),
+            GraphOp::InsertEntity(wayshum(40)),
+            GraphOp::DeleteEntity(gone),
+            GraphOp::InsertEntity(wayshum(50)),
+            GraphOp::InsertAssociation(supervise("T.Manhart", "C.Gershag")),
+        ];
+        for op in ops {
+            session.submit_graph(vec![op]).unwrap().expect_commit();
+        }
+        service.checkpoint_now().unwrap();
+        let image = service.durable_image();
+        let records = wal::replay(&image.checkpoint).unwrap();
+        let newest = records.last().unwrap();
+        assert_eq!(newest.lsn, 6);
+        let codec::CheckpointImage::Incremental { prev_lsn, delta } =
+            codec::decode_checkpoint(newest.payload).unwrap()
+        else {
+            panic!("the second checkpoint is incremental");
+        };
+        assert_eq!(prev_lsn, 0, "chained to the boot image");
+        // Each touched fact's record, from the conceptual state alone:
+        // an insert if the fact is present, a delete if it is absent.
+        // One fact per record class, so class order fixes the bytes.
+        let now = service.conceptual();
+        let assoc = |a: Association| {
+            if now.associations().any(|x| *x == a) {
+                GraphChange::InsertAssociation(a)
+            } else {
+                GraphChange::DeleteAssociation(a)
+            }
+        };
+        let entity = |e: Entity| {
+            if now.entities().any(|x| *x == e) {
+                GraphChange::InsertEntity(e)
+            } else {
+                GraphChange::DeleteEntity(e)
+            }
+        };
+        let want = codec::encode_changes(&[
+            assoc(supervise("G.Wayshum", "C.Gershag")),
+            entity(wayshum(40)),
+            entity(wayshum(50)),
+            assoc(supervise("T.Manhart", "C.Gershag")),
+        ]);
+        assert_eq!(delta, want.as_slice());
     }
 }

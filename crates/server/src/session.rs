@@ -38,7 +38,7 @@ pub struct Session {
     id: u64,
     kind: SessionKind,
     /// Relational sessions: the snapshot handle, its base version, and
-    /// the LSN pin holding the MVCC GC horizon for this snapshot.
+    /// the LSN pin that keeps `state_at` history back to this snapshot.
     snapshot: Option<(ViewSession, u64, u64)>,
     closed: bool,
 }

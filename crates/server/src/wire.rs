@@ -694,8 +694,8 @@ pub fn decode_response_frame(bytes: &[u8]) -> Result<(u64, Response), ServerErro
 /// Rebuilds a [`ServerError`] from its wire form. The stable code picks
 /// the variant; string fields are restored from the message verbatim,
 /// but fields the `Display` rendering already folded into prose (retry
-/// counts, view names, session ids) are not parsed back out — clients
-/// match on [`ServerError::code`], not on reconstructed fields.
+/// counts, view names, session ids, LSNs) are not parsed back out —
+/// clients match on [`ServerError::code`], not on reconstructed fields.
 pub fn error_from_wire(code: u16, message: String) -> ServerError {
     match code {
         1 => ServerError::Conflict { attempts: 0 },
@@ -709,6 +709,7 @@ pub fn error_from_wire(code: u16, message: String) -> ServerError {
         9 => ServerError::InvalidConfig(message),
         11 => ServerError::UnknownSession(0),
         12 => ServerError::StorageDiverged(message),
+        13 => ServerError::HistoryCollected { lsn: 0, horizon: 0 },
         // 10 and anything a newer server might mint.
         _ => ServerError::Protocol(message),
     }
@@ -908,5 +909,15 @@ mod tests {
         let mut framed = encode_request_frame(1, &Request::Checkpoint);
         framed.push(0xAB);
         assert!(decode_request_frame(&framed).is_err());
+    }
+
+    #[test]
+    fn storage_errors_keep_their_codes_over_the_wire() {
+        for e in [
+            ServerError::StorageDiverged("fold".into()),
+            ServerError::HistoryCollected { lsn: 1, horizon: 2 },
+        ] {
+            assert_eq!(error_from_wire(e.code(), e.to_string()).code(), e.code());
+        }
     }
 }

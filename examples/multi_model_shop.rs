@@ -6,7 +6,7 @@
 //! An ANSI/SPARC three-schema database with a graph conceptual model,
 //! two different relational external views (the Figure 3 three-relation
 //! schema and the Figure 9 single-relation schema), and an internal
-//! level of MVCC versions over a write-ahead log. Updates enter at both
+//! level of logged commits over a write-ahead log. Updates enter at both
 //! the conceptual and an external level; every level stays equivalent.
 //!
 //! Run with: `cargo run --example multi_model_shop`

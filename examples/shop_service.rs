@@ -23,7 +23,7 @@ use borkin_equiv::obs::{Counter, Observer, Report, RingSink};
 use borkin_equiv::relation::display::render_relation;
 use borkin_equiv::server::wire::{Request, Response};
 use borkin_equiv::server::{
-    AdminRequest, CommitMode, MemDevice, ServiceConfig, SessionKind, SessionService, ViewSpec,
+    AdminRequest, MemDevice, ServiceConfig, SessionKind, SessionService, ViewSpec,
 };
 use borkin_equiv::workload::{self, SessionStream, ShopConfig};
 
@@ -56,7 +56,6 @@ fn main() {
         initial.clone(),
         views(),
         ServiceConfig {
-            commit_mode: CommitMode::Group,
             checkpoint_every: 4,
             obs: obs.clone(),
             ..ServiceConfig::default()

@@ -126,7 +126,7 @@ fn exporters_satisfy_their_format_contracts() {
     assert!(!json.contains("\"shards\""));
 }
 
-/// Contract for the MVCC storage-engine families: the snapshot/GC/
+/// Contract for the storage-engine families: the snapshot/GC/
 /// checkpoint/replay counters and the recovery-latency histogram added
 /// with the storage tier must reach both exporters under their wire
 /// names — dashboards key on these exact strings.

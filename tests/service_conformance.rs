@@ -27,9 +27,9 @@ use proptest::prelude::*;
 
 use borkin_equiv::ansi::ExternalView;
 use borkin_equiv::equivalence::translate::CompletionMode;
-use borkin_equiv::graph::GraphOp;
+use borkin_equiv::graph::{GraphOp, GraphState};
 use borkin_equiv::server::{
-    CommitMode, MemDevice, ServiceConfig, SessionKind, SessionService, ViewSpec,
+    CommittedTxn, MemDevice, ServerError, ServiceConfig, SessionKind, SessionService, ViewSpec,
 };
 use borkin_equiv::workload::{self, SessionStream, ShopConfig};
 
@@ -40,6 +40,7 @@ struct ScheduleSpec {
     sessions: usize,
     ops_each: usize,
     per_op_commit: bool,
+    lockstep_verify: bool,
 }
 
 fn shop_cfg(seed: u64) -> ShopConfig {
@@ -74,7 +75,7 @@ fn run_schedule(spec: ScheduleSpec) -> Result<(), String> {
 
 /// [`run_schedule`] with a checkpoint cadence: `checkpoint_every`
 /// commits between images, every `full_checkpoint_every`-th a full one.
-/// A non-zero cadence exercises incremental chains, MVCC garbage
+/// A non-zero cadence exercises incremental chains, commit-log
 /// collection, and WAL truncation *under* the concurrent storm.
 fn run_schedule_with(
     spec: ScheduleSpec,
@@ -84,11 +85,12 @@ fn run_schedule_with(
     let cfg = shop_cfg(spec.seed);
     let initial = workload::graph_state(cfg);
     let config = ServiceConfig {
-        commit_mode: if spec.per_op_commit {
-            CommitMode::PerOp
+        max_batch: if spec.per_op_commit {
+            1
         } else {
-            CommitMode::Group
+            ServiceConfig::default().max_batch
         },
+        lockstep_verify: spec.lockstep_verify,
         checkpoint_every,
         full_checkpoint_every,
         ..ServiceConfig::default()
@@ -104,8 +106,8 @@ fn run_schedule_with(
 
     // A sentinel relational session opened *before* the storm: its
     // pinned snapshot must still read the initial state afterwards, no
-    // matter how many commits, checkpoints, or GC passes happened — the
-    // MVCC pin, not a private state copy, is what holds that history.
+    // matter how many commits and checkpoints happened — the shared
+    // copy-on-write state, not a private copy, is what holds it.
     let sentinel = service
         .open_session(SessionKind::Relational {
             view: "personnel".into(),
@@ -220,31 +222,18 @@ fn run_schedule_with(
         }
     }
 
-    // Oracle 4: time travel. `state_at(lsn)` must reproduce the
-    // sequential replay of every committed prefix. Only meaningful when
-    // no checkpoint cadence runs — a cadence garbage-collects version
-    // history behind the GC horizon, by design.
-    if checkpoint_every == 0 {
-        let mut cursor = initial.clone();
-        let at = service
-            .state_at(0)
-            .map_err(|e| format!("state_at(0): {e}"))?;
-        if at != cursor {
-            return Err("state_at(0) != initial state".into());
+    // Oracle 4: time travel, first with the sentinel's pin having held
+    // history through the storm; then, under a cadence, again after
+    // enough checkpoints that one is a full image nothing pins, which
+    // collects every commit into the `state_at` base.
+    time_travel_conforms(&service, &initial, &history, checkpoint_every > 0)?;
+    if checkpoint_every > 0 {
+        for _ in 0..full_checkpoint_every {
+            service
+                .checkpoint_now()
+                .map_err(|e| format!("checkpoint: {e}"))?;
         }
-        for txn in &history {
-            cursor = GraphOp::apply_all(&txn.ops, &cursor).expect("already replayed once");
-            let at = service
-                .state_at(txn.lsn)
-                .map_err(|e| format!("state_at({}): {e}", txn.lsn))?;
-            if at != cursor {
-                return Err(format!(
-                    "state_at({}) != sequential replay of the first {} transactions",
-                    txn.lsn,
-                    history.iter().take_while(|t| t.lsn <= txn.lsn).count()
-                ));
-            }
-        }
+        time_travel_conforms(&service, &initial, &history, true)?;
     }
 
     // Oracle 3: recovery from the durable image agrees with the live
@@ -281,10 +270,49 @@ fn run_schedule_with(
     Ok(())
 }
 
-/// The MVCC economy under fire: the same concurrent schedules, now with
-/// checkpoint cadences that interleave incremental images, version GC,
-/// base advancement, and WAL truncation with the commit storm — every
-/// oracle (including the pinned pre-storm sentinel) must still hold.
+/// `state_at(lsn)` must reproduce the sequential replay of every
+/// committed prefix, or — where `may_collect` and a full checkpoint
+/// folded that history into the base — refuse with the typed
+/// `HistoryCollected`, never answer with another state. The latest LSN
+/// always answers with the final state.
+fn time_travel_conforms(
+    service: &SessionService,
+    initial: &GraphState,
+    history: &[CommittedTxn],
+    may_collect: bool,
+) -> Result<(), String> {
+    let mut cursor = initial.clone();
+    let prefixes = std::iter::once((0, cursor.clone())).chain(history.iter().map(|txn| {
+        cursor = GraphOp::apply_all(&txn.ops, &cursor).expect("already replayed once");
+        (txn.lsn, cursor.clone())
+    }));
+    let mut last = initial.clone();
+    for (lsn, want) in prefixes {
+        match service.state_at(lsn) {
+            Ok(at) if at == want => {}
+            Ok(_) => {
+                return Err(format!(
+                    "state_at({lsn}) != sequential replay of the first {} transactions",
+                    history.iter().take_while(|t| t.lsn <= lsn).count()
+                ))
+            }
+            Err(ServerError::HistoryCollected { .. }) if may_collect => {}
+            Err(e) => return Err(format!("state_at({lsn}): {e}")),
+        }
+        last = want;
+    }
+    let latest = history.last().map_or(0, |txn| txn.lsn);
+    if service.state_at(latest).as_ref() != Ok(&last) {
+        return Err(format!("state_at({latest}) is not the final state"));
+    }
+    Ok(())
+}
+
+/// The storage economy under fire: the same concurrent schedules, now
+/// with checkpoint cadences that interleave incremental images, base
+/// advancement, commit-log collection and WAL truncation with the
+/// commit storm — every oracle (including the pinned pre-storm sentinel
+/// and `state_at` under collection) must still hold.
 #[test]
 fn checkpoint_cadences_conform_under_concurrency() {
     for seed in [7, 42, 1978] {
@@ -296,6 +324,7 @@ fn checkpoint_cadences_conform_under_concurrency() {
                 sessions: 5,
                 ops_each: 4,
                 per_op_commit: seed % 2 == 0,
+                lockstep_verify: every % 2 == 1,
             };
             run_schedule_with(spec, every, full).unwrap_or_else(|violation| {
                 panic!("seed {seed}, cadence ({every},{full}): {violation}")
@@ -360,8 +389,8 @@ fn record_regression(spec: ScheduleSpec, violation: &str) {
         let _ = writeln!(f, "# {violation}");
         let _ = writeln!(
             f,
-            "seed={} sessions={} ops_each={} per_op_commit={}",
-            spec.seed, spec.sessions, spec.ops_each, spec.per_op_commit
+            "seed={} sessions={} ops_each={} per_op_commit={} lockstep_verify={}",
+            spec.seed, spec.sessions, spec.ops_each, spec.per_op_commit, spec.lockstep_verify
         );
     }
 }
@@ -377,12 +406,14 @@ proptest! {
         sessions in 2usize..=6,
         ops_each in 1usize..=6,
         per_op_commit in 0u32..2,
+        lockstep_verify in 0u32..2,
     ) {
         let spec = ScheduleSpec {
             seed,
             sessions,
             ops_each,
             per_op_commit: per_op_commit == 1,
+            lockstep_verify: lockstep_verify == 1,
         };
         if let Err(violation) = run_schedule(spec) {
             let minimal = minimize_spec(spec, reproduces);
@@ -407,6 +438,7 @@ fn minimizer_produces_a_minimal_failing_schedule() {
             sessions: 6,
             ops_each: 6,
             per_op_commit: false,
+            lockstep_verify: false,
         },
         fails,
     );
@@ -698,6 +730,7 @@ fn fixed_schedule_conforms() {
         sessions: 6,
         ops_each: 4,
         per_op_commit: false,
+        lockstep_verify: false,
     })
     .unwrap();
     run_schedule(ScheduleSpec {
@@ -705,6 +738,7 @@ fn fixed_schedule_conforms() {
         sessions: 4,
         ops_each: 3,
         per_op_commit: true,
+        lockstep_verify: true,
     })
     .unwrap();
 }

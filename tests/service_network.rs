@@ -31,8 +31,8 @@ use borkin_equiv::equivalence::translate::CompletionMode;
 use borkin_equiv::graph::GraphOp;
 use borkin_equiv::obs::{Observer, RingSink};
 use borkin_equiv::server::{
-    CommitMode, CommitOutcome, MemDevice, NetServer, ServerError, ServiceConfig, SessionKind,
-    SessionService, ViewSpec, WriteBudget,
+    CommitOutcome, MemDevice, NetServer, ServerError, ServiceConfig, SessionKind, SessionService,
+    ViewSpec, WriteBudget,
 };
 use borkin_equiv::storage::wal;
 use borkin_equiv::workload::{self, SessionStream, ShopConfig};
@@ -46,6 +46,7 @@ struct ScheduleSpec {
     sessions: usize,
     ops_each: usize,
     per_op_commit: bool,
+    lockstep_verify: bool,
 }
 
 fn shop_cfg(seed: u64) -> ShopConfig {
@@ -149,11 +150,12 @@ fn run_schedule_networked(spec: ScheduleSpec) -> Result<(), String> {
     let cfg = shop_cfg(spec.seed);
     let initial = workload::graph_state(cfg);
     let config = ServiceConfig {
-        commit_mode: if spec.per_op_commit {
-            CommitMode::PerOp
+        max_batch: if spec.per_op_commit {
+            1
         } else {
-            CommitMode::Group
+            ServiceConfig::default().max_batch
         },
+        lockstep_verify: spec.lockstep_verify,
         shards: SHARDS,
         ..ServiceConfig::default()
     };
@@ -369,8 +371,8 @@ fn record_regression(spec: ScheduleSpec, violation: &str) {
         let _ = writeln!(f, "# {violation}");
         let _ = writeln!(
             f,
-            "seed={} sessions={} ops_each={} per_op_commit={}",
-            spec.seed, spec.sessions, spec.ops_each, spec.per_op_commit
+            "seed={} sessions={} ops_each={} per_op_commit={} lockstep_verify={}",
+            spec.seed, spec.sessions, spec.ops_each, spec.per_op_commit, spec.lockstep_verify
         );
     }
 }
@@ -387,12 +389,14 @@ proptest! {
         sessions in 2usize..=5,
         ops_each in 1usize..=4,
         per_op_commit in 0u32..2,
+        lockstep_verify in 0u32..2,
     ) {
         let spec = ScheduleSpec {
             seed,
             sessions,
             ops_each,
             per_op_commit: per_op_commit == 1,
+            lockstep_verify: lockstep_verify == 1,
         };
         if let Err(violation) = run_schedule_networked(spec) {
             let minimal = minimize_spec(spec, reproduces);
@@ -417,6 +421,7 @@ fn fixed_networked_schedule_conforms() {
         sessions: 3,
         ops_each: 4,
         per_op_commit: false,
+        lockstep_verify: false,
     })
     .unwrap();
     run_schedule_networked(ScheduleSpec {
@@ -424,6 +429,7 @@ fn fixed_networked_schedule_conforms() {
         sessions: 5,
         ops_each: 4,
         per_op_commit: false,
+        lockstep_verify: false,
     })
     .unwrap();
     run_schedule_networked(ScheduleSpec {
@@ -431,6 +437,7 @@ fn fixed_networked_schedule_conforms() {
         sessions: 4,
         ops_each: 3,
         per_op_commit: true,
+        lockstep_verify: true,
     })
     .unwrap();
 }

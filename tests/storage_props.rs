@@ -1,17 +1,12 @@
-//! Property tests for the storage primitives the MVCC tier is built on.
+//! Property tests for the internal-schema formats: WAL framing, the
+//! tuple codec and the bounded reader under them.
 //!
-//! Three layers, three contracts:
+//! Two contracts:
 //!
-//! - **page / heap / index** — slotted-page round-trips, compaction
-//!   that loses no live record, and model-checked index behaviour;
 //! - **WAL framing** — the torn-write harness: a log cut at *every*
 //!   byte offset, and single-byte corruption anywhere in a frame, must
 //!   yield exactly an intact record prefix plus a typed tail error —
 //!   never a wrong record;
-//! - **MvccStore** — model-checked snapshot reads: `get_at` agrees with
-//!   a naive version map at every (key, snapshot) point, and neither
-//!   `gc` nor tombstone purging changes any read at or above the
-//!   retention horizon;
 //! - **garbage** — random and mutated byte strings fed to
 //!   `decode_tuple` and to `wal::decode_frame` at every offset return a
 //!   typed result and never panic.
@@ -19,18 +14,12 @@
 #[path = "common/garbage.rs"]
 mod garbage;
 
-use std::collections::BTreeMap;
-
 use proptest::prelude::*;
 
 use garbage::Garbage;
 
-use borkin_equiv::storage::heap::HeapFile;
-use borkin_equiv::storage::index::OrderedIndex;
-use borkin_equiv::storage::mvcc::MvccStore;
-use borkin_equiv::storage::page::Page;
 use borkin_equiv::storage::wal;
-use borkin_equiv::storage::{decode_tuple, encode_tuple, RecordPtr};
+use borkin_equiv::storage::{decode_tuple, encode_tuple};
 use borkin_equiv::value::{Atom, Tuple, Value};
 
 /// Deterministic case-local randomness (the proptest shim hands us a
@@ -57,140 +46,6 @@ impl Rng {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Slotted pages: every inserted record reads back verbatim, slots
-    /// survive deletes of *other* slots, and compaction reclaims all
-    /// dead space without disturbing a single live record or slot id.
-    #[test]
-    fn page_round_trips_and_compacts_losslessly(seed in 0u64..1_000_000) {
-        let mut rng = Rng(seed);
-        let mut page = Page::new();
-        let mut live: BTreeMap<u16, Vec<u8>> = BTreeMap::new();
-        loop {
-            let len = 1 + rng.below(120) as usize;
-            let record = rng.bytes(len);
-            match page.insert(&record) {
-                Ok(slot) => {
-                    prop_assert!(live.insert(slot, record).is_none(), "slot reused while live");
-                }
-                Err(_) => break, // page full — exactly what we wanted
-            }
-        }
-        prop_assert!(live.len() >= 2, "page holds a useful number of records");
-        // Delete about a third of the slots.
-        let doomed: Vec<u16> = live
-            .keys()
-            .copied()
-            .filter(|_| rng.below(3) == 0)
-            .collect();
-        for slot in &doomed {
-            page.delete(*slot).unwrap();
-            live.remove(slot);
-        }
-        if !doomed.is_empty() {
-            prop_assert!(page.dead_space() > 0);
-        }
-        page.compact();
-        prop_assert_eq!(page.dead_space(), 0, "compaction reclaims all dead bytes");
-        for (slot, record) in &live {
-            prop_assert_eq!(page.get(*slot).unwrap(), record.as_slice());
-        }
-        for slot in &doomed {
-            prop_assert!(page.get(*slot).is_err(), "deleted slot stays dead");
-        }
-        let scanned: BTreeMap<u16, Vec<u8>> = page
-            .live_records()
-            .map(|(s, r)| (s, r.to_vec()))
-            .collect();
-        prop_assert_eq!(scanned, live);
-    }
-
-    /// Heap files: records spill across pages, vacuum compacts every
-    /// page, and — the invariant MVCC leans on — record pointers stay
-    /// valid across vacuum.
-    #[test]
-    fn heap_pointers_survive_vacuum(seed in 0u64..1_000_000) {
-        let mut rng = Rng(seed);
-        let mut heap = HeapFile::new();
-        let mut live: BTreeMap<(u32, u16), Vec<u8>> = BTreeMap::new();
-        let mut doomed: Vec<RecordPtr> = Vec::new();
-        for _ in 0..400 {
-            let len = 1 + rng.below(300) as usize;
-            let record = rng.bytes(len);
-            let ptr = heap.insert(&record).unwrap();
-            if rng.below(3) == 0 {
-                doomed.push(ptr);
-            } else {
-                live.insert((ptr.page, ptr.slot), record);
-            }
-        }
-        prop_assert!(heap.page_count() > 1, "the workload must span pages");
-        for ptr in &doomed {
-            heap.delete(*ptr).unwrap();
-        }
-        heap.vacuum();
-        prop_assert_eq!(heap.dead_space(), 0);
-        prop_assert_eq!(heap.len(), live.len());
-        for (&(page, slot), record) in &live {
-            prop_assert_eq!(
-                heap.get(RecordPtr { page, slot }).unwrap(),
-                record.as_slice(),
-                "pointer moved under vacuum"
-            );
-        }
-        let scanned: BTreeMap<(u32, u16), Vec<u8>> = heap
-            .scan()
-            .map(|(p, r)| ((p.page, p.slot), r.to_vec()))
-            .collect();
-        prop_assert_eq!(scanned, live);
-    }
-
-    /// The ordered index against a `BTreeMap` model: point reads,
-    /// upserts, removals, and range/prefix scans all agree.
-    #[test]
-    fn ordered_index_matches_btreemap_model(seed in 0u64..1_000_000) {
-        let mut rng = Rng(seed);
-        let mut index = OrderedIndex::new();
-        let mut model: BTreeMap<Vec<u8>, RecordPtr> = BTreeMap::new();
-        let ptr = |n: u64| RecordPtr { page: (n >> 16) as u32, slot: n as u16 };
-        for i in 0..500u64 {
-            let len = 1 + rng.below(6) as usize;
-            let key = rng.bytes(len);
-            if rng.below(4) == 0 {
-                prop_assert_eq!(index.remove(&key), model.remove(&key));
-            } else {
-                prop_assert_eq!(index.insert(key.clone(), ptr(i)), model.insert(key, ptr(i)));
-            }
-        }
-        prop_assert_eq!(index.len(), model.len());
-        for (key, p) in &model {
-            prop_assert_eq!(index.get(key), Some(*p));
-        }
-        let (mut lo, mut hi) = (rng.bytes(2), rng.bytes(2));
-        if lo > hi {
-            std::mem::swap(&mut lo, &mut hi);
-        }
-        let got: Vec<(Vec<u8>, RecordPtr)> = index
-            .range(
-                std::ops::Bound::Included(lo.as_slice()),
-                std::ops::Bound::Excluded(hi.as_slice()),
-            )
-            .map(|(k, p)| (k.to_vec(), p))
-            .collect();
-        let want: Vec<(Vec<u8>, RecordPtr)> = model
-            .range(lo..hi)
-            .map(|(k, p)| (k.clone(), *p))
-            .collect();
-        prop_assert_eq!(got, want);
-        let prefix = rng.bytes(1);
-        let got: Vec<Vec<u8>> = index.prefix(&prefix).map(|(k, _)| k.to_vec()).collect();
-        let want: Vec<Vec<u8>> = model
-            .keys()
-            .filter(|k| k.starts_with(&prefix))
-            .cloned()
-            .collect();
-        prop_assert_eq!(got, want);
-    }
 
     /// The torn-write harness: cut a multi-record log at **every** byte
     /// offset. Tolerant replay must return exactly the records whose
@@ -256,68 +111,6 @@ proptest! {
         for (r, (lsn, payload)) in got.iter().zip(&records) {
             prop_assert_eq!(r.lsn, *lsn);
             prop_assert_eq!(&r.payload, payload);
-        }
-    }
-
-    /// `MvccStore` against a naive model: a random history of puts and
-    /// deletes over a small key pool, then `get_at` checked at every
-    /// (key, snapshot) point; `gc` and tombstone purging must not
-    /// change any read at or above their horizon.
-    #[test]
-    fn mvcc_snapshot_reads_match_the_model_through_gc(seed in 0u64..1_000_000) {
-        let mut rng = Rng(seed);
-        let mut store = MvccStore::new();
-        // key -> lsn -> value (None = tombstone)
-        let mut model: BTreeMap<Vec<u8>, BTreeMap<u64, Option<Vec<u8>>>> = BTreeMap::new();
-        let keys: Vec<Vec<u8>> = (0..5u8).map(|i| vec![b'k', i]).collect();
-        let max_lsn = 40u64;
-        for lsn in 1..=max_lsn {
-            let key = &keys[rng.below(keys.len() as u64) as usize];
-            if rng.below(3) == 0 {
-                store.delete(key, lsn).unwrap();
-                model.entry(key.clone()).or_default().insert(lsn, None);
-            } else {
-                let len = 1 + rng.below(20) as usize;
-                let value = rng.bytes(len);
-                store.put(key, lsn, &value).unwrap();
-                model.entry(key.clone()).or_default().insert(lsn, Some(value));
-            }
-        }
-        let model_read = |model: &BTreeMap<Vec<u8>, BTreeMap<u64, Option<Vec<u8>>>>,
-                          key: &[u8],
-                          snapshot: u64| {
-            model
-                .get(key)
-                .and_then(|versions| versions.range(..=snapshot).next_back())
-                .and_then(|(_, v)| v.clone())
-        };
-        for snapshot in 0..=max_lsn {
-            for key in &keys {
-                prop_assert_eq!(
-                    store.get_at(key, snapshot).map(<[u8]>::to_vec),
-                    model_read(&model, key, snapshot),
-                    "key {:?} at snapshot {}",
-                    key,
-                    snapshot
-                );
-            }
-        }
-        // GC below a random horizon: reads at or above it are untouched.
-        let horizon = rng.below(max_lsn + 1);
-        let before = store.version_count();
-        store.gc(horizon);
-        prop_assert!(store.version_count() <= before);
-        store.purge_tombstones(horizon);
-        for snapshot in horizon..=max_lsn {
-            for key in &keys {
-                prop_assert_eq!(
-                    store.get_at(key, snapshot).map(<[u8]>::to_vec),
-                    model_read(&model, key, snapshot),
-                    "post-gc key {:?} at snapshot {}",
-                    key,
-                    snapshot
-                );
-            }
         }
     }
 
