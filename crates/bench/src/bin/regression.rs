@@ -593,8 +593,8 @@ fn json_timing(t: &Timing) -> String {
 
 /// Storage-engine guards. Two gated rows:
 ///
-/// - `snapshot_open`: opening a session pins an LSN and shares the
-///   committed state — it must NOT clone it. The gate holds the p50 of
+/// - `snapshot_open`: opening a session shares the committed state —
+///   it must NOT clone it. The gate holds the p50 of
 ///   a 64-open batch flat (≤1.2× + slack) between a 10⁴-fact and a
 ///   10⁶-fact state; a state-sized copy anywhere on the open path
 ///   blows it by orders of magnitude. Graph sessions carry the gate:

@@ -57,7 +57,7 @@ pub use model::FiniteModel;
 pub use parallel::{CheckBudget, ParallelConfig, Side, Verdict, Witness};
 pub use symbolic::{
     DifferTrace, FoundCounterexample, SymbolicChecker, SymbolicConstraint, SymbolicOp,
-    SymbolicOutcome, SymbolicSpec, DEFAULT_BOUND,
+    SymbolicSpec, DEFAULT_BOUND,
 };
 pub use translate::{
     compile_time_translation, graph_op_to_relational, materialize_relational_state,

@@ -3,9 +3,8 @@
 //! This is the one decision procedure behind
 //! [`Checker`](crate::check::Checker), for every tier from Definition 1
 //! to Definition 6, and the verdict stage of [`crate::incremental`]
-//! (which runs the same discovery loop with its transition memo) and of
-//! [`crate::symbolic`] decide mode (which discovers closures by SAT);
-//! both hand their closures in. [`crate::slow_reference`] is its
+//! (which runs the same discovery loop with its transition memo and
+//! hands its closures in). [`crate::slow_reference`] is its
 //! independent test oracle. A check has three phases:
 //!
 //! 1. **closure exploration** — breadth-first over the valid states,
@@ -253,7 +252,7 @@ impl fmt::Display for Verdict {
 /// Shared run state: the cancellation flag, node meter, deadline, and
 /// the run's [`Observer`] (disabled observers cost one branch per
 /// charge).
-pub(crate) struct EngineCtx {
+struct EngineCtx {
     cancel: AtomicBool,
     exhausted: AtomicBool,
     nodes: AtomicU64,
@@ -264,7 +263,7 @@ pub(crate) struct EngineCtx {
 }
 
 impl EngineCtx {
-    pub(crate) fn new(budget: &CheckBudget, obs: Observer) -> Self {
+    fn new(budget: &CheckBudget, obs: Observer) -> Self {
         let started = Instant::now();
         EngineCtx {
             cancel: AtomicBool::new(false),
@@ -887,8 +886,7 @@ where
 /// closures discovered elsewhere: [`crate::incremental`] hands in the
 /// closures it materialized from its caches (bit-identical to a fresh
 /// enumeration) and harvests the resulting ranks so later re-checks
-/// over the same state sets can skip compilation entirely;
-/// [`crate::symbolic`] hands in the closures its SAT layers discovered.
+/// over the same state sets can skip compilation entirely.
 pub(crate) fn pair_on_states<MS, NS>(
     m_states: &[MS],
     n_states: &[NS],
@@ -909,9 +907,8 @@ where
 /// budget; `kind` is `None` for Definition 1. Paired with
 /// [`pair_on_states`] this reproduces [`models_verdict`] exactly — same
 /// signatures, same scan order, same witness labels — which is what
-/// lets [`crate::incremental`] reuse a cached pairing and
-/// [`crate::symbolic`] decide on SAT-discovered closures without
-/// changing any verdict.
+/// lets [`crate::incremental`] reuse a cached pairing without changing
+/// any verdict.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn check_prepaired<MO, NO>(
     m_ops: &[MO],
@@ -992,10 +989,15 @@ where
     Ok(verdict.unwrap_or_else(|| ctx.exhausted_verdict()))
 }
 
-/// The engine's Definition 6 check: every model's closure is explored
-/// once, then [`grid_verdict`] decides the grid. The entry behind
+/// The engine's Definition 6 check, the entry behind
 /// [`Checker::run`](crate::check::Checker::run) for
-/// [`Tier::DataModel`](crate::check::Tier::DataModel).
+/// [`Tier::DataModel`](crate::check::Tier::DataModel). Every model's
+/// closure is explored and compiled once, then every (m, n) pair is one
+/// worker item (each checked single-threaded to avoid
+/// oversubscription) that pairs the two compiled closures and decides
+/// the pair. A model whose compilation is not injective matches
+/// nothing. Witnesses are the names of application models with no
+/// equivalent counterpart.
 pub(crate) fn data_models_verdict<MS, MO, NS, NO>(
     ms: &[FiniteModel<MS, MO>],
     ns: &[FiniteModel<NS, NO>],
@@ -1015,12 +1017,14 @@ where
     let ctx = EngineCtx::new(&config.budget, obs.clone());
     let threads = resolve_threads(config.threads);
 
-    fn explore<'a, S, O>(
-        models: &'a [FiniteModel<S, O>],
+    /// Every model's closure, in model order; `None` when the budget
+    /// stopped the run.
+    fn explore<S, O>(
+        models: &[FiniteModel<S, O>],
         cap: usize,
         threads: usize,
         ctx: &EngineCtx,
-    ) -> Result<Option<Vec<Explored<'a, S, O>>>, CheckError>
+    ) -> Result<Option<Vec<Closure<S>>>, CheckError>
     where
         S: Clone + Ord + ToFacts + Send + Sync,
         O: Clone + Send + Sync,
@@ -1035,75 +1039,41 @@ where
         if rows.len() != models.len() {
             return Ok(None);
         }
-        let mut out = Vec::with_capacity(models.len());
-        for (i, row) in rows {
-            out.push(Explored {
-                name: models[i].name(),
-                ops: models[i].ops(),
-                closure: row.map_err(CheckError::Closure)?,
-            });
-        }
-        Ok(Some(out))
+        let closures = rows
+            .into_iter()
+            .map(|(_, row)| row.map_err(CheckError::Closure));
+        Ok(Some(closures.collect::<Result<_, _>>()?))
     }
 
-    let Some(m_side) = explore(ms, state_cap, threads, &ctx)? else {
-        return Ok(ctx.exhausted_verdict());
-    };
-    let Some(n_side) = explore(ns, state_cap, threads, &ctx)? else {
-        return Ok(ctx.exhausted_verdict());
-    };
-    grid_verdict(&m_side, &n_side, kind, threads, &ctx)
-}
-
-/// One model of a Definition 6 grid after closure discovery: the name
-/// its witness reports, its operations and its closure.
-pub(crate) struct Explored<'a, S, O> {
-    pub(crate) name: &'a str,
-    pub(crate) ops: &'a [O],
-    pub(crate) closure: Closure<S>,
-}
-
-/// The Definition 6 grid on already explored closures. Every model's
-/// closure is compiled once, then every (m, n) pair is one worker item
-/// (each checked single-threaded to avoid oversubscription) that pairs
-/// the two compiled closures and decides the pair. A model whose
-/// compilation is not injective matches nothing. Witnesses are the
-/// names of application models with no equivalent counterpart.
-pub(crate) fn grid_verdict<MS, MO, NS, NO>(
-    ms: &[Explored<'_, MS, MO>],
-    ns: &[Explored<'_, NS, NO>],
-    kind: EquivKind,
-    threads: usize,
-    ctx: &EngineCtx,
-) -> Result<Verdict, CheckError>
-where
-    MS: ToFacts + Sync,
-    NS: ToFacts + Sync,
-    MO: fmt::Display + Sync,
-    NO: fmt::Display + Sync,
-{
-    /// Every model's compiled closure, `None` where compilation is not
+    /// Every closure compiled, `None` where compilation is not
     /// injective; `None` overall when the budget stopped the run.
-    fn compile_all<S: ToFacts + Sync, O>(
-        models: &[Explored<'_, S, O>],
+    fn compile_all<S: ToFacts + Sync>(
+        closures: &[Closure<S>],
         side: Side,
         threads: usize,
         ctx: &EngineCtx,
     ) -> Option<Vec<Option<CompiledClosure>>> {
         let _span = ctx.obs.span("par/pairing");
-        models
+        closures
             .iter()
             .map(
-                |m| match compile_closure(m.closure.arena.states(), side, threads, ctx) {
+                |c| match compile_closure(c.arena.states(), side, threads, ctx) {
                     Ok(compiled) => compiled.map(Some),
                     Err(_) => Some(None),
                 },
             )
             .collect()
     }
+
+    let Some(m_closures) = explore(ms, state_cap, threads, &ctx)? else {
+        return Ok(ctx.exhausted_verdict());
+    };
+    let Some(n_closures) = explore(ns, state_cap, threads, &ctx)? else {
+        return Ok(ctx.exhausted_verdict());
+    };
     let (Some(m_compiled), Some(n_compiled)) = (
-        compile_all(ms, Side::Left, threads, ctx),
-        compile_all(ns, Side::Right, threads, ctx),
+        compile_all(&m_closures, Side::Left, threads, &ctx),
+        compile_all(&n_closures, Side::Right, threads, &ctx),
     ) else {
         return Ok(ctx.exhausted_verdict());
     };
@@ -1121,14 +1091,14 @@ where
         };
         let outcome = paired.and_then(|paired| {
             check_paired(
-                ms[mi].ops,
-                ns[ni].ops,
-                &ms[mi].closure.transitions,
-                &ns[ni].closure.transitions,
+                ms[mi].ops(),
+                ns[ni].ops(),
+                &m_closures[mi].transitions,
+                &n_closures[ni].transitions,
                 &paired,
                 Some(kind),
                 1,
-                ctx,
+                &ctx,
                 true, // only pair equivalence matters here; exit pairs early
             )
         });
@@ -1156,7 +1126,7 @@ where
         .filter(|(_, ok)| !**ok)
         .map(|(m, _)| Witness {
             side: Side::Left,
-            label: m.name.to_owned(),
+            label: m.name().to_owned(),
         })
         .chain(
             ns.iter()
@@ -1164,7 +1134,7 @@ where
                 .filter(|(_, ok)| !**ok)
                 .map(|(n, _)| Witness {
                     side: Side::Right,
-                    label: n.name.to_owned(),
+                    label: n.name().to_owned(),
                 }),
         )
         .collect();

@@ -384,27 +384,26 @@ pub(crate) fn result_bits(sum: &OpSummary, state: &[Lit]) -> Vec<Bit> {
 
 /// One unrolled path: `state[t][v]` are the (positive) state literals
 /// at time `t ∈ 0..=depth`, `sel[t]` the one-hot operation selectors
-/// for the step from `t` to `t+1` (with a trailing stutter selector
-/// when enabled).
+/// for the step from `t` to `t+1`, with the stutter selector last.
 pub(crate) struct PathEnc {
     pub state: Vec<Vec<Lit>>,
     pub sel: Vec<Vec<Lit>>,
-    /// Index of the stutter selector in each `sel[t]`, if enabled.
-    pub stutter: Option<usize>,
+    /// Index of the stutter selector in each `sel[t]`.
+    pub stutter: usize,
 }
 
 /// Unrolls one model's transition relation to `depth` steps: the
 /// initial state is all-false (the empty fact base), each step selects
-/// exactly one operation (or the stutter), selected operations imply
-/// their pre at `t`, post at `t+1` and frame on untouched facts, and
-/// every post-step state satisfies the constraints.
+/// exactly one operation or the stutter, selected operations imply
+/// their pre at `t`, post at `t+1` and frame on untouched facts, the
+/// stutter frames every fact, and every post-step state satisfies the
+/// constraints.
 pub(crate) fn encode_path(
     s: &mut Solver,
     summaries: &[OpSummary],
     constraints: &[SymbolicConstraint],
     nvars: usize,
     depth: usize,
-    stutter: bool,
 ) -> PathEnc {
     let state: Vec<Vec<Lit>> = (0..=depth)
         .map(|_| (0..nvars).map(|_| Lit::pos(s.new_var())).collect())
@@ -412,9 +411,9 @@ pub(crate) fn encode_path(
     for l in &state[0] {
         s.add_clause(&[l.negate()]);
     }
-    let sel_count = summaries.len() + usize::from(stutter);
+    let stutter = summaries.len();
     let sel: Vec<Vec<Lit>> = (0..depth)
-        .map(|_| (0..sel_count).map(|_| Lit::pos(s.new_var())).collect())
+        .map(|_| (0..=stutter).map(|_| Lit::pos(s.new_var())).collect())
         .collect();
     for t in 0..depth {
         exactly_one(s, &sel[t]);
@@ -445,12 +444,10 @@ pub(crate) fn encode_path(
                 s.add_clause(&[so.negate(), state[t][v], state[t + 1][v].negate()]);
             }
         }
-        if stutter {
-            let so = sel[t][summaries.len()];
-            for (cur, next) in state[t].iter().zip(&state[t + 1]) {
-                s.add_clause(&[so.negate(), cur.negate(), *next]);
-                s.add_clause(&[so.negate(), *cur, next.negate()]);
-            }
+        let so = sel[t][stutter];
+        for (cur, next) in state[t].iter().zip(&state[t + 1]) {
+            s.add_clause(&[so.negate(), cur.negate(), *next]);
+            s.add_clause(&[so.negate(), *cur, next.negate()]);
         }
         // Constraints hold on every state an operation produces. (The
         // initial empty state satisfies every constraint kind by
@@ -463,30 +460,8 @@ pub(crate) fn encode_path(
     PathEnc {
         state,
         sel,
-        stutter: stutter.then_some(summaries.len()),
+        stutter,
     }
-}
-
-/// Blocks the concrete state `bits` at the given state literals: the
-/// clause requiring at least one differing fact.
-pub(crate) fn block_state(s: &mut Solver, state: &[Lit], bits: u128) {
-    let clause: Vec<Lit> = state
-        .iter()
-        .enumerate()
-        .map(|(v, &l)| if bits >> v & 1 == 1 { l.negate() } else { l })
-        .collect();
-    s.add_clause(&clause);
-}
-
-/// Reads the concrete state at `state` literals from the solver model.
-pub(crate) fn read_state(s: &Solver, state: &[Lit]) -> u128 {
-    let mut bits = 0u128;
-    for (v, &l) in state.iter().enumerate() {
-        if s.value(l.var()) {
-            bits |= 1 << v;
-        }
-    }
-    bits
 }
 
 #[cfg(test)]
@@ -566,25 +541,23 @@ mod tests {
     }
 
     #[test]
-    fn path_encoding_enumerates_exactly_the_reachable_layer() {
-        // Two independent toggleable facts, insert/delete each: at depth
-        // 1 exactly the two singleton states are reachable.
+    fn path_encoding_reaches_exactly_the_states_within_its_depth() {
+        // Two independent toggleable facts, insert/delete each: one step
+        // (or a stutter) reaches the empty state and the two singletons,
+        // never both facts at once.
         let summaries = vec![
             summarize(&[(true, 0)]),
             summarize(&[(false, 0)]),
             summarize(&[(true, 1)]),
             summarize(&[(false, 1)]),
         ];
-        let mut s = Solver::new();
-        let enc = encode_path(&mut s, &summaries, &[], 2, 1, false);
-        block_state(&mut s, &enc.state[1], 0b00); // the known initial state
-        let mut found = Vec::new();
-        while s.solve() == SatResult::Sat {
-            let st = read_state(&s, &enc.state[1]);
-            found.push(st);
-            block_state(&mut s, &enc.state[1], st);
+        for (bits, reachable) in [(0b00, true), (0b01, true), (0b10, true), (0b11, false)] {
+            let mut s = Solver::new();
+            let enc = encode_path(&mut s, &summaries, &[], 2, 1);
+            for (v, &l) in enc.state[1].iter().enumerate() {
+                s.add_clause(&[Lit::new(l.var(), bits >> v & 1 == 1)]);
+            }
+            assert_eq!(s.solve() == SatResult::Sat, reachable, "state {bits:02b}");
         }
-        found.sort_unstable();
-        assert_eq!(found, vec![0b01, 0b10]);
     }
 }

@@ -1,40 +1,25 @@
-//! The symbolic bounded-equivalence tier.
+//! The symbolic tier: bounded counterexample search.
 //!
-//! Every other checker in this crate decides Definitions 2/3/5/6 by
-//! *enumerating* the full state closure, so cost is Θ(states) even when
-//! a small bound would settle the verdict. This module decides the same
-//! definitions **up to a bound** by compiling the model into CNF — in
-//! the `bound_size` spirit of VeriEQL's `bound_size = 2` — and asking a
-//! vendored CDCL core ([`sat`]) instead of walking states:
+//! Verdicts come from the enumerative engine behind [`crate::Checker`],
+//! which discovers the closure of valid states once and decides
+//! Definitions 1/2/3/5/6 over it, so its cost is Θ(states). This module
+//! answers a narrower question without building that closure: within a
+//! path bound, is there a Definition 2 counterexample? It compiles both
+//! models into CNF — in the spirit of VeriEQL's `bound_size = 2` — and
+//! asks a vendored CDCL core ([`sat`]) instead of walking states.
 //!
-//! - [`SymbolicChecker::run`] is the **decide mode**: per-depth path
-//!   unrollings enumerate the closure's BFS layers via blocking clauses.
-//!   A round that yields no new state proves the closure complete
-//!   (every state at BFS distance *d+1* has a predecessor at distance
-//!   *d*), after which the engine decides over the discovered states,
-//!   so the verdict is **bit-identical** to [`crate::Checker`]'s — the
-//!   differential suite in `tests/symbolic.rs` pins this. If the bound
-//!   runs out first, the outcome is [`SymbolicOutcome::BoundExhausted`]:
-//!   **no verdict** — never "equivalent".
-//! - [`SymbolicChecker::find_counterexample`] is the **find mode**: two
-//!   parallel path unrollings (with stutter steps) constrain a state
-//!   reachable on *both* sides within the bound where a probed
-//!   operation behaves differently from every operation of the other
-//!   model — a Definition 2 counterexample. One SAT query per operation
-//!   pair, independent of closure size: this is where symbolic beats
-//!   enumeration (the `symbolic_crossover` bench row), because a
-//!   mutated operation is refuted at bound 2 while the enumerative
-//!   engine walks 2^toggles states. A `None` answer is *inconclusive*
-//!   (no witness within the bound), mirroring the bounded-verification
-//!   contract.
-//!
-//! Once the closure is discovered, this module stops: it hands the
-//! engine ([`crate::parallel`]) each closure in the engine's own form —
-//! states as fact bases, transitions per state and operation — and the
-//! engine pairs states, builds signatures and decides pairs,
-//! Definition 1 and Definition 6 grids exactly as it does for
-//! [`crate::Checker`]. The independent implementation the differential
-//! suite compares against is [`crate::slow_reference`].
+//! [`SymbolicChecker::find_counterexample`] unrolls two parallel paths
+//! of `bound` steps (with stutter steps, so shorter paths are included)
+//! and constrains a state reachable on *both* sides where a probed
+//! operation behaves differently from every operation of the other
+//! model. That is one SAT query per operation pair, independent of
+//! closure size: a mutated operation is refuted at bound 2 while the
+//! enumerative engine walks 2^toggles states (the `symbolic_crossover`
+//! bench row). A found counterexample replays concretely
+//! ([`SymbolicSpec::replay`]) and means "not equivalent"; `Ok(None)` is
+//! **inconclusive** — no witness within the bound proves nothing about
+//! equivalence. A pair that needs a verdict goes to [`crate::Checker`]
+//! in its `FiniteModel` form.
 //!
 //! ## Scope
 //!
@@ -50,38 +35,34 @@ pub mod sat;
 
 mod encode;
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use dme_logic::{Fact, FactBase};
 use dme_obs::{Counter, Metric, Observer};
 
-use crate::arena::{Closure, StateArena, StateId};
-use crate::check::Tier;
-use crate::equiv::{CheckError, EquivKind};
-use crate::model::ClosureTooLarge;
-use crate::parallel::{
-    check_prepaired, grid_verdict, pair_on_states, CheckBudget, EngineCtx, Explored, Side, Verdict,
-    Witness,
-};
+use crate::equiv::CheckError;
+use crate::parallel::{Side, Witness};
 
 use encode::{
-    apply_summary, assert_any, block_state, encode_path, read_state, result_bits, success_bit,
-    summarize, xor_bit, OpSummary,
+    apply_summary, assert_any, encode_path, result_bits, success_bit, summarize, xor_bit, OpSummary,
 };
 use sat::{SatResult, Solver};
 
-/// Default path-length bound for [`SymbolicChecker`]: deep enough to
-/// close every corpus scenario's BFS layers, small enough that each
-/// round's CNF stays tiny.
+/// Default path-length bound for [`SymbolicChecker`]: 12 operations per
+/// side. A query's CNF grows linearly with the bound, and twelve steps
+/// exceed the fact count of every corpus scenario (at most five
+/// toggles, each set by one operation). Callers that know how deep a
+/// divergence lies pass a tighter bound: the crossover fixtures use 2.
 pub const DEFAULT_BOUND: usize = 12;
 
 /// One operation of a [`SymbolicSpec`]: a strict sequence of
 /// insert/delete steps over universe fact indices, with the display
-/// label the enumerative engine would report as a witness.
+/// label the enumerative engine reports as a witness.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SymbolicOp {
     /// Witness label; must equal the `Display` form of the concrete
-    /// operation for verdicts to be bit-identical.
+    /// operation for a found witness to name the operation the
+    /// enumerative engine reports.
     pub label: String,
     /// The steps, applied in order: `(true, v)` inserts fact `v` (error
     /// if present), `(false, v)` deletes it (error if absent). Any step
@@ -124,9 +105,7 @@ pub enum SymbolicConstraint {
 /// corpus models).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SymbolicSpec {
-    /// Model name, as reported in closure errors and Definition 6
-    /// witnesses; must equal the concrete model's name for verdict
-    /// bit-identity.
+    /// Model name, as reported in errors.
     pub name: String,
     /// The fact universe; states are subsets of it. At most 128 facts.
     pub facts: Vec<Fact>,
@@ -204,40 +183,6 @@ impl SymbolicSpec {
     }
 }
 
-/// Outcome of a symbolic decide-mode check.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SymbolicOutcome {
-    /// The bound sufficed: every closure reached its fixpoint, and this
-    /// is exactly the result the enumerative engine returns for the
-    /// same models (bit-identical verdicts, witnesses and errors).
-    Definitive(Result<Verdict, CheckError>),
-    /// The bound ran out before some closure reached its fixpoint.
-    /// This means **no verdict** — in particular it never means
-    /// "equivalent": states beyond the bound could still distinguish
-    /// the models.
-    BoundExhausted {
-        /// The bound that was exhausted.
-        bound: usize,
-        /// States discovered in the closure that failed to complete.
-        states_found: usize,
-    },
-}
-
-impl SymbolicOutcome {
-    /// The definitive result, if the bound sufficed.
-    pub fn definitive(&self) -> Option<&Result<Verdict, CheckError>> {
-        match self {
-            SymbolicOutcome::Definitive(r) => Some(r),
-            SymbolicOutcome::BoundExhausted { .. } => None,
-        }
-    }
-
-    /// Whether the bound ran out (no verdict).
-    pub fn is_bound_exhausted(&self) -> bool {
-        matches!(self, SymbolicOutcome::BoundExhausted { .. })
-    }
-}
-
 /// One satisfying assignment of a find-mode differ query, decoded into
 /// concrete operation paths: replaying `path_m` on the left model and
 /// `path_n` on the right model reaches the *same* application state,
@@ -280,290 +225,47 @@ impl FoundCounterexample {
     }
 }
 
-/// What a [`SymbolicChecker`] compares.
-enum SymTarget<'a> {
-    Pair(&'a SymbolicSpec, &'a SymbolicSpec),
-    Sets(&'a [SymbolicSpec], &'a [SymbolicSpec]),
-}
-
-/// The symbolic counterpart of [`crate::Checker`]: same tiers, same
-/// verdict type, but decided by bounded CNF encoding instead of closure
-/// enumeration. See the module docs for the decide/find split.
+/// Bounded counterexample search over one model pair. See the module
+/// docs for what an answer means.
 pub struct SymbolicChecker<'a> {
-    target: SymTarget<'a>,
-    tier: Tier,
-    state_cap: usize,
+    m: &'a SymbolicSpec,
+    n: &'a SymbolicSpec,
     bound: usize,
     observer: Observer,
 }
 
 impl<'a> SymbolicChecker<'a> {
-    /// A checker over one model pair. Defaults to [`Tier::Isomorphic`],
-    /// [`crate::DEFAULT_STATE_CAP`] and [`DEFAULT_BOUND`].
+    /// A search over one model pair, with [`DEFAULT_BOUND`] and no
+    /// observer.
     pub fn new(m: &'a SymbolicSpec, n: &'a SymbolicSpec) -> Self {
         SymbolicChecker {
-            target: SymTarget::Pair(m, n),
-            tier: Tier::Isomorphic,
-            state_cap: crate::check::DEFAULT_STATE_CAP,
+            m,
+            n,
             bound: DEFAULT_BOUND,
             observer: Observer::disabled(),
         }
     }
 
-    /// A checker over two data models (sets of application models),
-    /// defaulting to Definition 6 over isomorphic equivalence.
-    pub fn data_models(ms: &'a [SymbolicSpec], ns: &'a [SymbolicSpec]) -> Self {
-        SymbolicChecker {
-            target: SymTarget::Sets(ms, ns),
-            tier: Tier::DataModel {
-                kind: crate::equiv::EquivKind::Isomorphic,
-            },
-            state_cap: crate::check::DEFAULT_STATE_CAP,
-            bound: DEFAULT_BOUND,
-            observer: Observer::disabled(),
-        }
-    }
-
-    /// Selects the equivalence tier (same meaning as on the facade).
-    pub fn tier(mut self, tier: Tier) -> Self {
-        self.tier = tier;
-        self
-    }
-
-    /// Caps closure discovery at `cap` states per model; exceeding it
-    /// is [`CheckError::Closure`] with the same error the enumerative
-    /// engine raises.
-    pub fn state_cap(mut self, cap: usize) -> Self {
-        self.state_cap = cap;
-        self
-    }
-
-    /// Sets the path-length bound for both modes (default
-    /// [`DEFAULT_BOUND`]). Decide mode needs `bound` ≥ closure BFS
-    /// diameter + 1 to certify the fixpoint; find mode searches paths
-    /// of exactly `bound` steps (with stutters, so shorter paths are
-    /// included).
+    /// Sets the path-length bound (default [`DEFAULT_BOUND`]): each
+    /// side's path has exactly `bound` steps, with stutters, so every
+    /// state within `bound` operations of the empty state is searched.
     pub fn bound(mut self, bound: usize) -> Self {
         self.bound = bound;
         self
     }
 
-    /// Attaches an observer: clause/conflict totals land in the
-    /// `symbolic_clauses` / `symbolic_conflicts` counters and exhausted
-    /// bounds in `bound_exhausted`.
+    /// Attaches an observer: clause, conflict and restart totals land
+    /// in the `symbolic_*` counters, and every query adds one
+    /// observation to each `symbolic_*_per_depth` histogram.
     pub fn observer(mut self, observer: Observer) -> Self {
         self.observer = observer;
         self
     }
 
-    /// Decide mode: the verdict up to the bound. See
-    /// [`SymbolicOutcome`] for the definitive-vs-exhausted contract.
-    pub fn run(&self) -> SymbolicOutcome {
-        let _span = self.observer.span("symbolic/decide");
-        let outcome = match (&self.target, self.tier) {
-            (SymTarget::Sets(..), Tier::Operation) => {
-                SymbolicOutcome::Definitive(Err(CheckError::Unsupported(
-                    "Definition 1 compares the aligned operations of a single model pair; \
-                     data-model sets have no operation alignment"
-                        .into(),
-                )))
-            }
-            (SymTarget::Pair(m, n), Tier::DataModel { kind }) => {
-                self.run_grid(std::slice::from_ref(*m), std::slice::from_ref(*n), kind)
-            }
-            (SymTarget::Sets(ms, ns), tier) => {
-                self.run_grid(ms, ns, tier.kind().expect("Operation tier handled above"))
-            }
-            (SymTarget::Pair(m, n), tier) => self.run_pair(m, n, tier.kind()),
-        };
-        if outcome.is_bound_exhausted() {
-            self.observer.add(Counter::BoundExhausted, 1);
-        }
-        outcome
-    }
-
-    /// One model pair: both closures discovered, then the engine's
-    /// pairing and signature match (`kind` is `None` for Definition 1).
-    fn run_pair(
-        &self,
-        m: &SymbolicSpec,
-        n: &SymbolicSpec,
-        kind: Option<EquivKind>,
-    ) -> SymbolicOutcome {
-        let m_closure = match self.enumerate(m) {
-            Ok(c) => c,
-            Err(stop) => return stop,
-        };
-        let n_closure = match self.enumerate(n) {
-            Ok(c) => c,
-            Err(stop) => return stop,
-        };
-        let verdict = pair_on_states(
-            m_closure.arena.states(),
-            n_closure.arena.states(),
-            1,
-            &self.observer,
-        )
-        .and_then(|paired| {
-            check_prepaired(
-                &labels(m),
-                &labels(n),
-                &m_closure.transitions,
-                &n_closure.transitions,
-                &paired,
-                kind,
-                1,
-                &self.observer,
-            )
-        });
-        SymbolicOutcome::Definitive(verdict)
-    }
-
-    /// Definition 6: each model's closure discovered once, then the
-    /// engine's grid over them.
-    fn run_grid(
-        &self,
-        ms: &[SymbolicSpec],
-        ns: &[SymbolicSpec],
-        kind: EquivKind,
-    ) -> SymbolicOutcome {
-        let m_labels: Vec<_> = ms.iter().map(labels).collect();
-        let n_labels: Vec<_> = ns.iter().map(labels).collect();
-        let m_side = match self.explore(ms, &m_labels) {
-            Ok(side) => side,
-            Err(stop) => return stop,
-        };
-        let n_side = match self.explore(ns, &n_labels) {
-            Ok(side) => side,
-            Err(stop) => return stop,
-        };
-        let ctx = EngineCtx::new(&CheckBudget::UNLIMITED, self.observer.clone());
-        SymbolicOutcome::Definitive(grid_verdict(&m_side, &n_side, kind, 1, &ctx))
-    }
-
-    /// Discovers every spec's closure, in order, for the engine's grid.
-    fn explore<'s>(
-        &self,
-        specs: &'s [SymbolicSpec],
-        labels: &'s [Vec<String>],
-    ) -> Result<Vec<Explored<'s, FactBase, String>>, SymbolicOutcome> {
-        specs
-            .iter()
-            .zip(labels)
-            .map(|(spec, ops)| {
-                Ok(Explored {
-                    name: &spec.name,
-                    ops,
-                    closure: self.enumerate(spec)?,
-                })
-            })
-            .collect()
-    }
-
-    /// Discovers one spec's closure by per-depth SAT layer enumeration,
-    /// in the engine's form: states are the discovered fact subsets in
-    /// ascending bit order (the empty initial state first) as fact
-    /// bases, with `transitions[state][op]`.
-    fn enumerate(&self, spec: &SymbolicSpec) -> Result<Closure<FactBase>, SymbolicOutcome> {
-        let nvars = spec.facts.len();
-        if nvars > 128 {
-            return Err(SymbolicOutcome::Definitive(Err(CheckError::Unsupported(
-                format!(
-                    "symbolic tier supports at most 128 facts per universe; `{}` has {nvars}",
-                    spec.name
-                ),
-            ))));
-        }
-        // Two fact subsets must compile to two fact bases, one arena
-        // state each.
-        let mut distinct = BTreeSet::new();
-        if let Some(twice) = spec.facts.iter().find(|f| !distinct.insert(*f)) {
-            return Err(SymbolicOutcome::Definitive(Err(CheckError::Unsupported(
-                format!("symbolic universe of `{}` lists {twice} twice", spec.name),
-            ))));
-        }
-        let summaries: Vec<OpSummary> = spec.ops.iter().map(|op| summarize(&op.steps)).collect();
-        let mut known: BTreeSet<u128> = BTreeSet::new();
-        known.insert(0);
-        let mut complete = false;
-        for depth in 1..=self.bound {
-            let mut solver = Solver::new();
-            let enc = encode_path(
-                &mut solver,
-                &summaries,
-                &spec.constraints,
-                nvars,
-                depth,
-                false,
-            );
-            for &st in &known {
-                block_state(&mut solver, &enc.state[depth], st);
-            }
-            let mut new_states = 0usize;
-            loop {
-                match solver.solve() {
-                    SatResult::Unsat => break,
-                    SatResult::Sat => {
-                        let st = read_state(&solver, &enc.state[depth]);
-                        if known.len() >= self.state_cap {
-                            self.record_solver(&solver);
-                            return Err(SymbolicOutcome::Definitive(Err(CheckError::Closure(
-                                ClosureTooLarge {
-                                    model: spec.name.clone(),
-                                    cap: self.state_cap,
-                                },
-                            ))));
-                        }
-                        let fresh = known.insert(st);
-                        debug_assert!(fresh, "blocked states cannot reappear");
-                        new_states += 1;
-                        block_state(&mut solver, &enc.state[depth], st);
-                    }
-                }
-            }
-            self.record_solver(&solver);
-            if new_states == 0 {
-                complete = true;
-                break;
-            }
-        }
-        if !complete {
-            return Err(SymbolicOutcome::BoundExhausted {
-                bound: self.bound,
-                states_found: known.len(),
-            });
-        }
-        let states: Vec<u128> = known.into_iter().collect();
-        let mut arena = StateArena::new();
-        for &bits in &states {
-            let facts = spec.fact_base(bits);
-            arena.intern(facts.fingerprint(), facts);
-        }
-        let transitions = states
-            .iter()
-            .map(|&st| {
-                summaries
-                    .iter()
-                    .map(|sum| {
-                        apply_summary(sum, st, &spec.constraints).map(|next| {
-                            StateId::from_index(
-                                states
-                                    .binary_search(&next)
-                                    .expect("closure is closed under successful operations"),
-                            )
-                        })
-                    })
-                    .collect()
-            })
-            .collect();
-        Ok(Closure { arena, transitions })
-    }
-
-    /// Records one solver's cumulative work into the observer: the
-    /// global counters, plus one observation per per-depth probe
-    /// histogram. Each depth layer runs a fresh solver, so one call per
-    /// retired solver makes the histograms a per-layer budget profile —
-    /// a `BoundExhausted` verdict ships with where the budget went.
+    /// Records one retired solver's work into the observer: the global
+    /// counters, plus one observation per probe histogram. Every query
+    /// runs a fresh solver, so the histograms profile the search query
+    /// by query.
     fn record_solver(&self, solver: &Solver) {
         let stats = solver.stats();
         self.observer.add(Counter::SymbolicClauses, stats.clauses);
@@ -580,27 +282,17 @@ impl<'a> SymbolicChecker<'a> {
             .record(Metric::SymbolicRestartsPerDepth, stats.restarts);
     }
 
-    /// Find mode: searches, within the bound, for a Definition 2
-    /// counterexample — an operation that behaves differently from
-    /// *every* opposite-side operation at some state reachable on both
-    /// sides. One SAT query per operation pair (same-index twins are
-    /// probed first, so matching twins cost a single UNSAT query), no
-    /// closure enumeration at all.
+    /// Searches, within the bound, for a Definition 2 counterexample —
+    /// an operation that behaves differently from *every* opposite-side
+    /// operation at some state reachable on both sides. One SAT query
+    /// per operation pair (same-index twins are probed first, so
+    /// matching twins cost a single UNSAT query), no closure
+    /// enumeration at all.
     ///
     /// `Ok(None)` is **inconclusive**: no witness exists within the
-    /// bound, which proves nothing about equivalence. Only defined for
-    /// [`SymbolicChecker::new`] pairs.
+    /// bound, which proves nothing about equivalence.
     pub fn find_counterexample(&self) -> Result<Option<FoundCounterexample>, CheckError> {
-        let (m, n) = match self.target {
-            SymTarget::Pair(m, n) => (m, n),
-            SymTarget::Sets(..) => {
-                return Err(CheckError::Unsupported(
-                    "find_counterexample compares a single model pair; use run() for \
-                     data-model sets"
-                        .into(),
-                ))
-            }
-        };
+        let (m, n) = (self.m, self.n);
         let _span = self.observer.span("symbolic/find");
         let (joint_facts, m_map, n_map) = joint_universe(m, n);
         if joint_facts.len() > 128 {
@@ -683,7 +375,6 @@ impl<'a> SymbolicChecker<'a> {
             &mctx.constraints,
             nvars,
             self.bound,
-            true,
         );
         let pn = encode_path(
             &mut s,
@@ -691,7 +382,6 @@ impl<'a> SymbolicChecker<'a> {
             &nctx.constraints,
             nvars,
             self.bound,
-            true,
         );
         // The two paths meet: final states equal, fact by fact.
         for v in 0..nvars {
@@ -809,16 +499,11 @@ fn extract_path(s: &Solver, enc: &encode::PathEnc) -> Vec<usize> {
             .iter()
             .position(|l| s.value(l.var()))
             .expect("exactly-one selector per step");
-        if Some(chosen) != enc.stutter {
+        if chosen != enc.stutter {
             path.push(chosen);
         }
     }
     path
-}
-
-/// A spec's witness labels, in operation order.
-fn labels(spec: &SymbolicSpec) -> Vec<String> {
-    spec.ops.iter().map(|op| op.label.clone()).collect()
 }
 
 #[cfg(test)]
@@ -828,108 +513,6 @@ mod tests {
 
     fn f(n: i64) -> Fact {
         Fact::new("p", [("x", Atom::Int(n))])
-    }
-
-    #[test]
-    fn identical_toggle_specs_are_equivalent_at_every_tier() {
-        let m = SymbolicSpec::toggles("m", vec![f(1), f(2)]);
-        let n = SymbolicSpec::toggles("n", vec![f(1), f(2)]);
-        for tier in [
-            Tier::Operation,
-            Tier::Isomorphic,
-            Tier::Composed { max_depth: 2 },
-            Tier::StateDependent { max_depth: 2 },
-        ] {
-            let outcome = SymbolicChecker::new(&m, &n).tier(tier).run();
-            assert_eq!(
-                outcome.definitive().unwrap().as_ref().unwrap(),
-                &Verdict::Equivalent { state_pairs: 4 },
-                "{tier:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn dropped_op_yields_the_enumerative_witness() {
-        let m = SymbolicSpec::toggles("m", vec![f(1)]);
-        let mut n = SymbolicSpec::toggles("n", vec![f(1)]);
-        let dropped = n.ops.remove(1); // "-p(x: 1)"-style delete label
-        let outcome = SymbolicChecker::new(&m, &n).run();
-        match outcome.definitive().unwrap().as_ref().unwrap() {
-            Verdict::Counterexample {
-                state_pairs,
-                witnesses,
-            } => {
-                assert_eq!(*state_pairs, 2);
-                assert_eq!(witnesses.len(), 1);
-                assert_eq!(witnesses[0].side, Side::Left);
-                assert_eq!(witnesses[0].label, dropped.label);
-            }
-            v => panic!("expected counterexample, got {v:?}"),
-        }
-    }
-
-    #[test]
-    fn pairing_failure_matches_the_enumerative_message() {
-        let m = SymbolicSpec::toggles("m", vec![f(1)]);
-        let n = SymbolicSpec::toggles("n", vec![f(2)]);
-        let outcome = SymbolicChecker::new(&m, &n).run();
-        let err = outcome.definitive().unwrap().as_ref().unwrap_err();
-        assert_eq!(
-            err,
-            &CheckError::Pairing(
-                "state sets are not onto: 1 application states expressible only on the left, \
-                 1 only on the right"
-                    .into()
-            )
-        );
-    }
-
-    #[test]
-    fn state_cap_errors_like_the_enumerative_closure() {
-        let m = SymbolicSpec::toggles("m", vec![f(1), f(2), f(3)]);
-        let n = SymbolicSpec::toggles("n", vec![f(1), f(2), f(3)]);
-        let outcome = SymbolicChecker::new(&m, &n).state_cap(3).run();
-        let err = outcome.definitive().unwrap().as_ref().unwrap_err();
-        assert_eq!(
-            err,
-            &CheckError::Closure(ClosureTooLarge {
-                model: "m".into(),
-                cap: 3
-            })
-        );
-    }
-
-    #[test]
-    fn exhausted_bound_is_no_verdict() {
-        let m = SymbolicSpec::toggles("m", vec![f(1), f(2), f(3)]);
-        let n = SymbolicSpec::toggles("n", vec![f(1), f(2), f(3)]);
-        // Closure diameter is 3; bound 2 cannot certify the fixpoint.
-        let outcome = SymbolicChecker::new(&m, &n).bound(2).run();
-        assert_eq!(
-            outcome,
-            SymbolicOutcome::BoundExhausted {
-                bound: 2,
-                states_found: 7
-            }
-        );
-        assert!(outcome.definitive().is_none());
-    }
-
-    #[test]
-    fn constraints_prune_discovery() {
-        let mut m = SymbolicSpec::toggles("m", vec![f(1), f(2)]);
-        m.constraints
-            .push(SymbolicConstraint::Excludes { a: 0, b: 1 });
-        let mut n = SymbolicSpec::toggles("n", vec![f(1), f(2)]);
-        n.constraints
-            .push(SymbolicConstraint::Excludes { a: 0, b: 1 });
-        let outcome = SymbolicChecker::new(&m, &n).run();
-        assert_eq!(
-            outcome.definitive().unwrap().as_ref().unwrap(),
-            &Verdict::Equivalent { state_pairs: 3 },
-            "excludes prunes the both-facts state"
-        );
     }
 
     #[test]
@@ -975,6 +558,23 @@ mod tests {
     }
 
     #[test]
+    fn constraints_prune_the_searched_states() {
+        // Without the constraint, `+p(x: 2)` differs at {p(x: 1)}, where
+        // only the right side can take it; `Excludes` makes that step an
+        // error on both sides.
+        let mut m = SymbolicSpec::toggles("m", vec![f(1), f(2)]);
+        m.constraints
+            .push(SymbolicConstraint::Excludes { a: 0, b: 1 });
+        let mut n = SymbolicSpec::toggles("n", vec![f(1), f(2)]);
+        let unconstrained = SymbolicChecker::new(&m, &n).bound(2).find_counterexample();
+        assert!(unconstrained.unwrap().is_some());
+        n.constraints
+            .push(SymbolicConstraint::Excludes { a: 0, b: 1 });
+        let found = SymbolicChecker::new(&m, &n).bound(2).find_counterexample();
+        assert_eq!(found.unwrap(), None);
+    }
+
+    #[test]
     fn replay_rejects_invalid_paths() {
         let m = SymbolicSpec::toggles("m", vec![f(1)]);
         let ins = m.ops.iter().position(|op| op.steps[0].0).unwrap();
@@ -988,9 +588,9 @@ mod tests {
     }
 
     #[test]
-    fn joint_universe_beyond_128_facts_gets_the_engine_verdict() {
-        // Each side fits the 128-fact encoding; together they hold 201
-        // facts, which decide mode never packs into one word.
+    fn joint_universe_beyond_128_facts_is_unsupported() {
+        // Each side fits the 128-fact encoding; together they hold 202
+        // facts, which one joint query cannot pack into a word.
         let padded = |name: &str, base: i64| {
             let mut spec = SymbolicSpec::toggles(name, vec![f(1)]);
             spec.facts.extend((0..100).map(|i| f(base + i)));
@@ -998,111 +598,9 @@ mod tests {
         };
         let m = padded("m", 1_000);
         let n = padded("n", 2_000);
-        let outcome = SymbolicChecker::new(&m, &n).run();
-        assert_eq!(
-            outcome.definitive().unwrap().as_ref().unwrap(),
-            &Verdict::Equivalent { state_pairs: 2 }
-        );
-    }
-
-    #[test]
-    fn a_fact_listed_twice_is_unsupported() {
-        let mut m = SymbolicSpec::toggles("m", vec![f(1)]);
-        m.facts.push(f(1));
-        let outcome = SymbolicChecker::new(&m, &m).run();
         assert!(matches!(
-            outcome.definitive().unwrap().as_ref().unwrap_err(),
-            CheckError::Unsupported(_)
+            SymbolicChecker::new(&m, &n).find_counterexample(),
+            Err(CheckError::Unsupported(_))
         ));
-    }
-
-    #[test]
-    fn grid_tier_replicates_definition_6() {
-        let a = SymbolicSpec::toggles("a", vec![f(1)]);
-        let b = SymbolicSpec::toggles("b", vec![f(1)]);
-        let lone = SymbolicSpec::toggles("lone", vec![f(1), f(2)]);
-        let ms = vec![a.clone(), lone.clone()];
-        let ns = vec![b.clone()];
-        let outcome = SymbolicChecker::data_models(&ms, &ns).run();
-        match outcome.definitive().unwrap().as_ref().unwrap() {
-            Verdict::Counterexample {
-                state_pairs,
-                witnesses,
-            } => {
-                assert_eq!(*state_pairs, 2, "2x1 grid");
-                assert_eq!(witnesses.len(), 1);
-                assert_eq!(witnesses[0].label, "lone");
-                assert_eq!(witnesses[0].side, Side::Left);
-            }
-            v => panic!("expected partial equivalence, got {v:?}"),
-        }
-        let total = SymbolicChecker::data_models(&ms[..1], &ns).run();
-        assert_eq!(
-            total.definitive().unwrap().as_ref().unwrap(),
-            &Verdict::Equivalent { state_pairs: 1 }
-        );
-    }
-
-    #[test]
-    fn operation_tier_rejects_sets() {
-        let ms = vec![SymbolicSpec::toggles("m", vec![f(1)])];
-        let ns = vec![SymbolicSpec::toggles("n", vec![f(1)])];
-        let outcome = SymbolicChecker::data_models(&ms, &ns)
-            .tier(Tier::Operation)
-            .run();
-        assert!(matches!(
-            outcome.definitive().unwrap().as_ref().unwrap_err(),
-            CheckError::Unsupported(_)
-        ));
-    }
-
-    #[test]
-    fn observer_sees_symbolic_counters() {
-        use dme_obs::RingSink;
-        let m = SymbolicSpec::toggles("m", vec![f(1), f(2)]);
-        let n = SymbolicSpec::toggles("n", vec![f(1), f(2)]);
-        let obs = Observer::new(RingSink::with_capacity(16));
-        let outcome = SymbolicChecker::new(&m, &n).observer(obs.clone()).run();
-        assert!(outcome.definitive().is_some());
-        assert!(obs.counter(Counter::SymbolicClauses) > 0);
-        assert_eq!(obs.counter(Counter::BoundExhausted), 0);
-        // The verdict stage is the engine's: its phases report too.
-        assert!(obs.counter(Counter::PairingChecks) > 0);
-        assert!(obs.counter(Counter::SignaturesBuilt) > 0);
-        let bounded = SymbolicChecker::new(&m, &n)
-            .bound(1)
-            .observer(obs.clone())
-            .run();
-        assert!(bounded.is_bound_exhausted());
-        assert_eq!(obs.counter(Counter::BoundExhausted), 1);
-    }
-
-    #[test]
-    fn per_depth_probes_profile_the_budget() {
-        use dme_obs::RingSink;
-        let facts = vec![f(1), f(2), f(3)];
-        let m = SymbolicSpec::toggles("m", facts.clone());
-        let n = SymbolicSpec::toggles("n", facts);
-        let obs = Observer::new(RingSink::with_capacity(16));
-        let outcome = SymbolicChecker::new(&m, &n).observer(obs.clone()).run();
-        assert!(outcome.definitive().is_some());
-        // One observation lands per retired depth solver, so the probe
-        // histograms carry the per-layer budget profile.
-        let decisions = obs.histogram(Metric::SymbolicDecisionsPerDepth);
-        let clauses = obs.histogram(Metric::SymbolicClausesPerDepth);
-        assert!(decisions.count > 0, "at least one depth layer profiled");
-        assert_eq!(
-            decisions.count,
-            obs.histogram(Metric::SymbolicConflictsPerDepth).count,
-            "every probe records the same layers"
-        );
-        assert_eq!(decisions.count, clauses.count);
-        assert!(clauses.sum > 0, "each layer holds encoded clauses");
-        // Counters agree with the histogram totals they aggregate.
-        assert_eq!(obs.counter(Counter::SymbolicClauses), clauses.sum);
-        assert_eq!(
-            obs.counter(Counter::SymbolicRestarts),
-            obs.histogram(Metric::SymbolicRestartsPerDepth).sum
-        );
     }
 }

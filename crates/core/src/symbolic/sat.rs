@@ -5,8 +5,8 @@
 //! phase saving — vendored in the same spirit as the proptest/criterion
 //! shims under `vendor/`: no registry access, no tuning knobs beyond
 //! what the encoders in this module need. Clauses can be added between
-//! `solve` calls, which is how the closure-discovery loop enumerates
-//! models (solve, read the model, add a blocking clause, solve again).
+//! `solve` calls (the solver backtracks to the root first); find mode
+//! adds each query's clauses before its one solve.
 //!
 //! The instances produced by the `encode` module are tiny by SAT
 //! standards (hundreds of variables, low tens of thousands of clauses),
@@ -16,7 +16,7 @@
 //! geometric restart schedule (backtrack to the root after a growing
 //! conflict threshold; saved phases keep the search direction) bounds
 //! the damage of an early bad decision and is itself observable:
-//! [`SolverStats::restarts`] feeds the per-depth solver probes.
+//! [`SolverStats::restarts`] feeds the per-query solver probes.
 
 /// A propositional literal: variable index plus sign, packed as
 /// `var << 1 | negated`.

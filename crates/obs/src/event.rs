@@ -85,15 +85,12 @@ pub enum Counter {
     /// Committed transactions whose write set spanned more than one
     /// shard (serialized through multi-shard WAL appends).
     CrossShardCommits,
-    /// CNF clauses emitted by the symbolic tier's encoders (path
-    /// unrollings, constraint encodings, blocking clauses).
+    /// CNF clauses added to the symbolic tier's solvers (path
+    /// unrollings, constraint encodings, learned clauses).
     SymbolicClauses,
     /// Conflicts hit by the symbolic tier's CDCL core across all solver
-    /// queries of a check.
+    /// queries of a search.
     SymbolicConflicts,
-    /// Symbolic checks that ran out of bound before reaching the
-    /// closure fixpoint — "no verdict", never "equivalent".
-    BoundExhausted,
     /// Restarts taken by the symbolic tier's CDCL core (backtrack to
     /// the root after a conflict-count threshold, phases preserved).
     SymbolicRestarts,
@@ -103,12 +100,11 @@ pub enum Counter {
     /// Delta telemetry snapshots pushed to `WatchMetrics` subscribers
     /// over the wire.
     MetricsDeltasStreamed,
-    /// Snapshot handles opened by sessions (each an O(1) LSN pin over
-    /// the shared state, never a state clone).
+    /// Snapshot handles opened by sessions (each an O(1) `Arc` bump
+    /// over the shared state, never a state clone).
     SnapshotOpens,
     /// Commit records released from the service's in-memory commit log
-    /// when a full checkpoint that no older snapshot pin holds back
-    /// becomes the `state_at` base.
+    /// when a full checkpoint becomes the `state_at` base.
     VersionsGcd,
     /// Bytes of checkpoint images appended (full and incremental).
     CheckpointBytes,
@@ -119,7 +115,7 @@ pub enum Counter {
 impl Counter {
     /// Every counter, in declaration order (the order snapshot arrays
     /// are indexed in).
-    pub const ALL: [Counter; 41] = [
+    pub const ALL: [Counter; 40] = [
         Counter::NodesExpanded,
         Counter::StatesEnumerated,
         Counter::StatesCompiled,
@@ -153,7 +149,6 @@ impl Counter {
         Counter::CrossShardCommits,
         Counter::SymbolicClauses,
         Counter::SymbolicConflicts,
-        Counter::BoundExhausted,
         Counter::SymbolicRestarts,
         Counter::TraceLookups,
         Counter::MetricsDeltasStreamed,
@@ -203,7 +198,6 @@ impl Counter {
             Counter::CrossShardCommits => "cross_shard_commits",
             Counter::SymbolicClauses => "symbolic_clauses",
             Counter::SymbolicConflicts => "symbolic_conflicts",
-            Counter::BoundExhausted => "bound_exhausted",
             Counter::SymbolicRestarts => "symbolic_restarts",
             Counter::TraceLookups => "trace_lookups",
             Counter::MetricsDeltasStreamed => "metrics_deltas_streamed",

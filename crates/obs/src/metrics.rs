@@ -48,15 +48,16 @@ pub enum Metric {
     /// End-to-end wire request latency at the network front door
     /// (frame decoded → response frame queued).
     RequestLatency,
-    /// Symbolic-tier solver probe: decisions taken per depth layer
-    /// (one observation per unrolled path depth, not a latency).
+    /// Symbolic-tier solver probe: decisions taken per find-mode query
+    /// (one observation per SAT query, not a latency; the name keeps
+    /// its exported `per_depth` form).
     SymbolicDecisionsPerDepth,
-    /// Symbolic-tier solver probe: conflicts hit per depth layer.
+    /// Symbolic-tier solver probe: conflicts hit per find-mode query.
     SymbolicConflictsPerDepth,
     /// Symbolic-tier solver probe: clauses held (encoded + learned)
-    /// per depth layer.
+    /// per find-mode query.
     SymbolicClausesPerDepth,
-    /// Symbolic-tier solver probe: restarts taken per depth layer.
+    /// Symbolic-tier solver probe: restarts taken per find-mode query.
     SymbolicRestartsPerDepth,
     /// Whole-recovery latency (checkpoint-chain resolution + WAL
     /// replay + re-checkpoint) per `recover_sharded` call.

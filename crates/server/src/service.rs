@@ -91,7 +91,7 @@ pub struct ServiceConfig {
     pub checkpoint_every: u64,
     /// Verify every committed transaction's views against the
     /// conceptual state (Definition 2 within each view's vocabulary).
-    /// Defaults to the `lockstep-verify` compile feature.
+    /// Defaults to `false`.
     pub lockstep_verify: bool,
     /// Commit attempts a relational session makes before giving up on a
     /// conflicted snapshot.
@@ -428,8 +428,8 @@ struct Core {
     /// newest record of every fact it touched since the last image.
     log: Vec<(u64, Vec<u8>)>,
     /// The anchor state the log folds over, and the LSN it reflects.
-    /// Advanced to the current state (and the log cleared) at full
-    /// checkpoints once no older snapshot pin needs history behind it.
+    /// Advanced to the current state (and the log cleared) at every
+    /// full checkpoint.
     base: Arc<GraphState>,
     base_lsn: u64,
     /// LSN of the newest durable checkpoint record (the chain link
@@ -532,33 +532,6 @@ impl Lane {
     }
 }
 
-/// Live snapshot pins, refcounted by LSN (several sessions may pin
-/// one LSN).
-#[derive(Default)]
-struct PinSet {
-    pins: BTreeMap<u64, usize>,
-}
-
-impl PinSet {
-    fn pin(&mut self, lsn: u64) {
-        *self.pins.entry(lsn).or_insert(0) += 1;
-    }
-
-    fn unpin(&mut self, lsn: u64) {
-        if let Some(count) = self.pins.get_mut(&lsn) {
-            *count -= 1;
-            if *count == 0 {
-                self.pins.remove(&lsn);
-            }
-        }
-    }
-
-    /// The oldest pinned LSN, if any snapshot is live.
-    fn oldest(&self) -> Option<u64> {
-        self.pins.keys().next().copied()
-    }
-}
-
 pub(crate) struct Shared {
     core: Mutex<Core>,
     lanes: Vec<Lane>,
@@ -573,11 +546,6 @@ pub(crate) struct Shared {
     /// `AdminRequest::TraceLookup`.
     pub(crate) trace_hub: Arc<TraceHub>,
     pub(crate) open_sessions: AtomicU64,
-    /// Live snapshot pins by LSN: while one is older than a full
-    /// checkpoint, the checkpoint keeps the commit log behind it. A
-    /// leaf lock — taken briefly, never while waiting on any other
-    /// lock.
-    pins: Mutex<PinSet>,
     next_session: AtomicU64,
     next_txn: AtomicU64,
     /// Sessions owned by the wire front door, keyed by id. A request
@@ -694,7 +662,6 @@ impl SessionService {
                 shard_metrics,
                 trace_hub,
                 open_sessions: AtomicU64::new(0),
-                pins: Mutex::new(PinSet::default()),
                 next_session: AtomicU64::new(0),
                 next_txn: AtomicU64::new(0),
                 registry: Mutex::new(BTreeMap::new()),
@@ -897,17 +864,11 @@ impl SessionService {
                         .views
                         .get(view)
                         .ok_or_else(|| ServerError::UnknownView(view.clone()))?;
-                    // O(1) snapshot: two Arc bumps plus an LSN pin —
-                    // never a state clone. The pin keeps the commit log
-                    // back to this snapshot's LSN until the session
-                    // drops or rebases.
-                    let pin_lsn = core.next_lsn - 1;
-                    self.shared.pins.lock().unwrap().pin(pin_lsn);
+                    // O(1) snapshot: two Arc bumps, never a state clone.
                     obs.add(Counter::SnapshotOpens, 1);
                     Some((
                         dme_ansi::ViewSession::over(Arc::clone(v), Arc::clone(&core.conceptual)),
                         core.version,
-                        pin_lsn,
                     ))
                 }
             }
@@ -972,41 +933,30 @@ impl SessionService {
             .collect()
     }
 
-    /// A fresh snapshot triple (handle, version, pin LSN) for a
-    /// relational session rebasing after a conflict. The returned pin
-    /// is already registered; the caller owns releasing it.
+    /// A fresh snapshot pair (handle, version) for a relational
+    /// session rebasing after a conflict.
     pub(crate) fn snapshot_for(
         &self,
         view: &str,
-    ) -> Result<(dme_ansi::ViewSession, u64, u64), ServerError> {
+    ) -> Result<(dme_ansi::ViewSession, u64), ServerError> {
         let core = self.shared.core.lock().unwrap();
         let v = core
             .views
             .get(view)
             .ok_or_else(|| ServerError::UnknownView(view.to_string()))?;
-        let pin_lsn = core.next_lsn - 1;
-        self.shared.pins.lock().unwrap().pin(pin_lsn);
         self.shared.config.obs.add(Counter::SnapshotOpens, 1);
         Ok((
             dme_ansi::ViewSession::over(Arc::clone(v), Arc::clone(&core.conceptual)),
             core.version,
-            pin_lsn,
         ))
-    }
-
-    /// Releases a snapshot pin taken by [`SessionService::open_session`]
-    /// or [`SessionService::snapshot_for`], letting a full checkpoint
-    /// release the commit log behind it.
-    pub(crate) fn unpin(&self, lsn: u64) {
-        self.shared.pins.lock().unwrap().unpin(lsn);
     }
 
     /// The committed conceptual state as of `lsn`: the logged commits
     /// up to `lsn` folded over the `state_at` base. History behind the
-    /// base is gone: the base advances to the current state at a full
-    /// checkpoint that no older snapshot pin holds back, and an `lsn`
-    /// below it is [`ServerError::HistoryCollected`], never a later
-    /// state.
+    /// base is gone: every full checkpoint advances the base to the
+    /// current state, and an `lsn` below it is
+    /// [`ServerError::HistoryCollected`], never a later state. Open
+    /// sessions read their own snapshots, never this history.
     pub fn state_at(&self, lsn: u64) -> Result<GraphState, ServerError> {
         let core = self.shared.core.lock().unwrap();
         if let Some(why) = &core.crashed {
@@ -1170,11 +1120,11 @@ impl SessionService {
     /// first) is a full conceptual state; the ones in between are
     /// incremental — the newest record of every fact the commit log
     /// touched since the previous image, chained to it by LSN. A
-    /// durable full image also drives the storage economy: when no
-    /// snapshot pin is older than it, it becomes the `state_at` base and
-    /// the commit log is released, and each shard's WAL is truncated up
-    /// to the *previous* full image (keeping one spare chain so a
-    /// corrupt newest record still leaves a recoverable image).
+    /// durable full image also drives the storage economy: it becomes
+    /// the `state_at` base and the commit log is released, and each
+    /// shard's WAL is truncated up to the *previous* full image (keeping
+    /// one spare chain so a corrupt newest record still leaves a
+    /// recoverable image).
     fn take_checkpoint(&self, core: &mut Core, trace: Option<TraceId>) -> Result<(), ServerError> {
         let config = &self.shared.config;
         let obs = &config.obs;
@@ -1209,17 +1159,13 @@ impl SessionService {
                 if full {
                     core.prev_full_lsn = core.last_full_lsn;
                     core.last_full_lsn = lsn;
-                    let oldest_pin = self.shared.pins.lock().unwrap().oldest();
-                    if oldest_pin.is_none_or(|pin| pin >= lsn) {
-                        // Nothing pins history: the current state
-                        // becomes the `state_at` base, and the commits
-                        // folded into it are released.
-                        core.base = Arc::clone(&core.conceptual);
-                        core.base_lsn = lsn;
-                        if !core.log.is_empty() {
-                            obs.add(Counter::VersionsGcd, core.log.len() as u64);
-                            core.log.clear();
-                        }
+                    // The current state becomes the `state_at` base,
+                    // and the commits folded into it are released.
+                    core.base = Arc::clone(&core.conceptual);
+                    core.base_lsn = lsn;
+                    if !core.log.is_empty() {
+                        obs.add(Counter::VersionsGcd, core.log.len() as u64);
+                        core.log.clear();
                     }
                     // Shard WALs are covered up to the *previous* full
                     // image: truncate their fully-covered front batches.
@@ -1623,6 +1569,10 @@ mod tests {
     /// conceptual update (the Figure 6 supervision), plus the view as
     /// it stood before that commit.
     fn committed_once() -> (SessionService, Arc<ExternalView>) {
+        committed_once_with(ServiceConfig::default())
+    }
+
+    fn committed_once_with(config: ServiceConfig) -> (SessionService, Arc<ExternalView>) {
         let service = SessionService::new(
             gfix::figure4_state(),
             vec![ViewSpec {
@@ -1630,7 +1580,7 @@ mod tests {
                 schema: rfix::machine_shop_schema(),
                 mode: CompletionMode::StateCompleted,
             }],
-            ServiceConfig::default(),
+            config,
             Box::new(MemDevice::new()),
             Box::new(MemDevice::new()),
         )
@@ -1687,8 +1637,8 @@ mod tests {
             session.submit_graph(vec![op]).unwrap().expect_commit();
         }
         assert_eq!(service.state_at(1).unwrap(), gfix::figure6_state());
-        // Nothing pins history, so the full checkpoint at LSN 2 folds
-        // both commits into the base and releases them.
+        // The full checkpoint at LSN 2 folds both commits into the base
+        // and releases them.
         service.checkpoint_now().unwrap();
         assert_eq!(
             service.state_at(1),
@@ -1700,8 +1650,12 @@ mod tests {
     }
 
     #[test]
-    fn a_snapshot_pin_keeps_history_through_a_full_checkpoint() {
-        let (service, _) = committed_once();
+    fn a_full_checkpoint_collects_history_with_a_reader_open() {
+        let obs = Observer::new(dme_obs::RingSink::with_capacity(16));
+        let (service, _) = committed_once_with(ServiceConfig {
+            obs: obs.clone(),
+            ..ServiceConfig::default()
+        });
         let reader = service
             .open_session(SessionKind::Relational {
                 view: "shop".into(),
@@ -1716,14 +1670,18 @@ mod tests {
             .unwrap()
             .expect_commit();
         service.checkpoint_now().unwrap();
-        // The reader pinned LSN 1, so the checkpoint at LSN 2 keeps it.
-        assert_eq!(service.state_at(1).unwrap(), gfix::figure6_state());
-        drop(reader);
-        service.checkpoint_now().unwrap();
-        assert!(matches!(
+        // The open reader holds its own snapshot, not the commit log:
+        // the full checkpoint at LSN 2 folds both commits into the base.
+        assert_eq!(
             service.state_at(1),
-            Err(ServerError::HistoryCollected { .. })
-        ));
+            Err(ServerError::HistoryCollected { lsn: 1, horizon: 2 })
+        );
+        assert_eq!(obs.counter(Counter::VersionsGcd), 2);
+        assert_eq!(
+            *reader.conceptual_state().unwrap(),
+            gfix::figure6_state(),
+            "the reader still reads the state it opened on"
+        );
     }
 
     #[test]

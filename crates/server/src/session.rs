@@ -37,9 +37,8 @@ pub struct Session {
     service: SessionService,
     id: u64,
     kind: SessionKind,
-    /// Relational sessions: the snapshot handle, its base version, and
-    /// the LSN pin that keeps `state_at` history back to this snapshot.
-    snapshot: Option<(ViewSession, u64, u64)>,
+    /// Relational sessions: the snapshot handle and its base version.
+    snapshot: Option<(ViewSession, u64)>,
     closed: bool,
 }
 
@@ -54,7 +53,7 @@ impl Session {
         service: SessionService,
         id: u64,
         kind: SessionKind,
-        snapshot: Option<(ViewSession, u64, u64)>,
+        snapshot: Option<(ViewSession, u64)>,
     ) -> Self {
         Session {
             service,
@@ -153,7 +152,7 @@ impl Session {
             format!("session {session_id} model=relational view={view_name}")
         });
         for attempt in 1..=max_attempts {
-            let (handle, base_version, _) = self
+            let (handle, base_version) = self
                 .snapshot
                 .as_ref()
                 .expect("relational sessions hold a snapshot");
@@ -210,10 +209,7 @@ impl Session {
     }
 
     fn rebase(&mut self, view: &str) -> Result<(), ServerError> {
-        let fresh = self.service.snapshot_for(view)?;
-        if let Some((_, _, pin)) = self.snapshot.replace(fresh) {
-            self.service.unpin(pin);
-        }
+        self.snapshot = Some(self.service.snapshot_for(view)?);
         Ok(())
     }
 
@@ -224,7 +220,7 @@ impl Session {
         self.ensure_open()?;
         self.snapshot
             .as_ref()
-            .map(|(handle, _, _)| handle.state())
+            .map(|(handle, _)| handle.state())
             .ok_or_else(|| ServerError::Translate("graph sessions read conceptual state".into()))
     }
 
@@ -234,7 +230,7 @@ impl Session {
     pub fn conceptual_state(&self) -> Result<std::sync::Arc<GraphState>, ServerError> {
         self.ensure_open()?;
         match &self.snapshot {
-            Some((handle, _, _)) => Ok(handle.conceptual_shared()),
+            Some((handle, _)) => Ok(handle.conceptual_shared()),
             None => Ok(self.service.conceptual()),
         }
     }
@@ -256,7 +252,7 @@ impl Session {
     /// releases the slot too, skipping the check.
     pub fn close(mut self) -> Result<(), ServerError> {
         self.ensure_open()?;
-        if let Some((handle, _, _)) = &self.snapshot {
+        if let Some((handle, _)) = &self.snapshot {
             if !handle.consistent() {
                 let view = handle.name().to_string();
                 self.closed = true;
@@ -270,9 +266,6 @@ impl Session {
     }
 
     fn release(&mut self) {
-        if let Some((_, _, pin)) = self.snapshot.take() {
-            self.service.unpin(pin);
-        }
         self.service
             .shared
             .open_sessions

@@ -38,7 +38,7 @@ use crate::service::{CommitInfo, CommitOutcome, SessionService};
 use crate::session::{Session, SessionKind};
 
 /// The wire protocol version this build speaks.
-pub const WIRE_VERSION: u8 = 1;
+pub const WIRE_VERSION: u8 = 2;
 
 const REQ_OPEN_SESSION: u8 = 0x01;
 const REQ_SUBMIT_GRAPH: u8 = 0x02;
@@ -182,8 +182,8 @@ fn bad(why: impl Into<String>) -> ServerError {
 }
 
 // ---------------------------------------------------------------------
-// Primitive writers/readers. Strings are u16-length-prefixed (schema
-// names and keys), blobs u32-prefixed.
+// Primitive writers/readers. Every string length, blob length and
+// item count is a u32, written by `put_len` and read by `length`.
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_be_bytes());
@@ -197,13 +197,21 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_be_bytes());
 }
 
+/// Writes a length or count. A whole message fits one frame, whose
+/// payload length is itself a u32, so no length it holds can exceed
+/// one.
+fn put_len(out: &mut Vec<u8>, len: usize) {
+    let len = u32::try_from(len).expect("a wire message fits a u32-length frame");
+    put_u32(out, len);
+}
+
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u16(out, s.len() as u16);
+    put_len(out, s.len());
     out.extend_from_slice(s.as_bytes());
 }
 
 fn put_blob(out: &mut Vec<u8>, b: &[u8]) {
-    put_u32(out, b.len() as u32);
+    put_len(out, b.len());
     out.extend_from_slice(b);
 }
 
@@ -231,7 +239,7 @@ fn put_entity_ref(out: &mut Vec<u8>, r: &EntityRef) {
 
 fn put_entity(out: &mut Vec<u8>, e: &Entity) {
     put_str(out, e.entity_type.as_str());
-    put_u16(out, e.characteristics.len() as u16);
+    put_len(out, e.characteristics.len());
     for (name, atom) in &e.characteristics {
         put_str(out, name.as_str());
         put_atom(out, atom);
@@ -240,7 +248,7 @@ fn put_entity(out: &mut Vec<u8>, e: &Entity) {
 
 fn put_assoc(out: &mut Vec<u8>, a: &Association) {
     put_str(out, a.predicate.as_str());
-    put_u16(out, a.roles.len() as u16);
+    put_len(out, a.roles.len());
     for (role, r) in &a.roles {
         put_str(out, role.as_str());
         put_entity_ref(out, r);
@@ -277,18 +285,18 @@ fn put_graph_op(out: &mut Vec<u8>, op: &GraphOp) {
 }
 
 fn put_unit(out: &mut Vec<u8>, u: &SemanticUnit) {
-    put_u16(out, u.entities.len() as u16);
+    put_len(out, u.entities.len());
     for e in &u.entities {
         put_entity(out, e);
     }
-    put_u16(out, u.associations.len() as u16);
+    put_len(out, u.associations.len());
     for a in &u.associations {
         put_assoc(out, a);
     }
 }
 
 fn put_statements(out: &mut Vec<u8>, s: &StatementSet) {
-    put_u32(out, s.len() as u32);
+    put_len(out, s.len());
     for (relation, tuple) in s.iter() {
         put_str(out, relation.as_str());
         put_blob(out, &encode_tuple(tuple));
@@ -313,13 +321,17 @@ fn put_rel_op(out: &mut Vec<u8>, op: &RelOp) {
 // order, so a payload decodes only from the one byte string it
 // re-encodes to.
 
+fn length(r: &mut Reader<'_>) -> Result<usize, ServerError> {
+    Ok(r.u32()? as usize)
+}
+
 fn str(r: &mut Reader<'_>) -> Result<String, ServerError> {
-    let n = r.u16()?.into();
+    let n = length(r)?;
     String::from_utf8(r.take(n)?.to_vec()).map_err(|_| bad("string is not utf-8"))
 }
 
 fn blob<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], ServerError> {
-    let n = r.u32()? as usize;
+    let n = length(r)?;
     Ok(r.take(n)?)
 }
 
@@ -365,7 +377,7 @@ fn entity_ref(r: &mut Reader<'_>) -> Result<EntityRef, ServerError> {
 
 fn entity(r: &mut Reader<'_>) -> Result<Entity, ServerError> {
     let ty = str(r)?;
-    let n = r.u16()?.into();
+    let n = length(r)?;
     let chars = many(r, n, |r| Ok((str(r)?, atom(r)?)))?;
     ascending(chars.iter().map(|(name, _)| name), "characteristics")?;
     Ok(Entity::new(ty, chars))
@@ -373,7 +385,7 @@ fn entity(r: &mut Reader<'_>) -> Result<Entity, ServerError> {
 
 fn assoc(r: &mut Reader<'_>) -> Result<Association, ServerError> {
     let pred = str(r)?;
-    let n = r.u16()?.into();
+    let n = length(r)?;
     let roles = many(r, n, |r| Ok((str(r)?, entity_ref(r)?)))?;
     ascending(roles.iter().map(|(role, _)| role), "roles")?;
     Ok(Association::new(pred, roles))
@@ -381,10 +393,10 @@ fn assoc(r: &mut Reader<'_>) -> Result<Association, ServerError> {
 
 fn unit(r: &mut Reader<'_>) -> Result<SemanticUnit, ServerError> {
     let mut u = SemanticUnit::new();
-    for _ in 0..r.u16()? {
+    for _ in 0..length(r)? {
         u = u.with_entity(entity(r)?);
     }
-    for _ in 0..r.u16()? {
+    for _ in 0..length(r)? {
         u = u.with_association(assoc(r)?);
     }
     Ok(u)
@@ -407,7 +419,7 @@ fn tuple(r: &mut Reader<'_>) -> Result<Tuple, ServerError> {
 }
 
 fn statements(r: &mut Reader<'_>) -> Result<StatementSet, ServerError> {
-    let n = r.u32()? as usize;
+    let n = length(r)?;
     let rows = many(r, n, |r| Ok((str(r)?, tuple(r)?)))?;
     ascending(rows.iter(), "statements")?;
     let mut s = StatementSet::new();
@@ -468,7 +480,7 @@ impl Request {
             Request::SubmitGraph { session, ops } => {
                 out.push(REQ_SUBMIT_GRAPH);
                 put_u64(&mut out, *session);
-                put_u32(&mut out, ops.len() as u32);
+                put_len(&mut out, ops.len());
                 for op in ops {
                     put_graph_op(&mut out, op);
                 }
@@ -519,7 +531,7 @@ impl Request {
             }
             REQ_SUBMIT_GRAPH => {
                 let session = r.u64()?;
-                let n = r.u32()? as usize;
+                let n = length(&mut r)?;
                 let ops = many(&mut r, n, graph_op)?;
                 Request::SubmitGraph { session, ops }
             }
@@ -570,10 +582,10 @@ impl Response {
             Response::Closed => out.push(RESP_CLOSED),
             Response::ViewState { relations } => {
                 out.push(RESP_VIEW_STATE);
-                put_u16(&mut out, relations.len() as u16);
+                put_len(&mut out, relations.len());
                 for (name, tuples) in relations {
                     put_str(&mut out, name);
-                    put_u32(&mut out, tuples.len() as u32);
+                    put_len(&mut out, tuples.len());
                     for t in tuples {
                         put_blob(&mut out, &encode_tuple(t));
                     }
@@ -620,10 +632,10 @@ impl Response {
             RESP_REFRESHED => Response::Refreshed { version: r.u64()? },
             RESP_CLOSED => Response::Closed,
             RESP_VIEW_STATE => {
-                let n = r.u16()?.into();
+                let n = length(&mut r)?;
                 let relations = many(&mut r, n, |r| {
                     let name = str(r)?;
-                    let n = r.u32()? as usize;
+                    let n = length(r)?;
                     Ok((name, many(r, n, tuple)?))
                 })?;
                 Response::ViewState { relations }

@@ -374,9 +374,10 @@ impl Scenario {
     /// Compiles the scenario for the symbolic tier: the same model as
     /// [`Scenario::model`] (same salted name, same operation labels,
     /// same transition semantics) expressed as a
-    /// [`dme_core::symbolic::SymbolicSpec`] fact-toggle universe, so
-    /// `SymbolicChecker` verdicts are bit-identical to running the
-    /// enumerative checker on [`Scenario::model`].
+    /// [`dme_core::symbolic::SymbolicSpec`] fact-toggle universe, so a
+    /// counterexample `SymbolicChecker::find_counterexample` reports
+    /// replays on [`Scenario::model`] and names an operation the
+    /// enumerative checker reports too.
     ///
     /// The universe is the scenario's fact list extended with any
     /// operation-step facts outside it (mutants from

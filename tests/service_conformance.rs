@@ -222,10 +222,11 @@ fn run_schedule_with(
         }
     }
 
-    // Oracle 4: time travel, first with the sentinel's pin having held
-    // history through the storm; then, under a cadence, again after
-    // enough checkpoints that one is a full image nothing pins, which
-    // collects every commit into the `state_at` base.
+    // Oracle 4: time travel, first right after the storm (under a
+    // cadence, a full checkpoint may already have collected early
+    // history); then, under a cadence, again after enough checkpoints
+    // that one is a full image, which collects every commit into the
+    // `state_at` base.
     time_travel_conforms(&service, &initial, &history, checkpoint_every > 0)?;
     if checkpoint_every > 0 {
         for _ in 0..full_checkpoint_every {
@@ -311,8 +312,8 @@ fn time_travel_conforms(
 /// The storage economy under fire: the same concurrent schedules, now
 /// with checkpoint cadences that interleave incremental images, base
 /// advancement, commit-log collection and WAL truncation with the
-/// commit storm — every oracle (including the pinned pre-storm sentinel
-/// and `state_at` under collection) must still hold.
+/// commit storm — every oracle (including the pre-storm sentinel's
+/// snapshot and `state_at` under collection) must still hold.
 #[test]
 fn checkpoint_cadences_conform_under_concurrency() {
     for seed in [7, 42, 1978] {

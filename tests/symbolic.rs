@@ -1,64 +1,53 @@
-//! Differential testing of the symbolic bounded-equivalence tier
-//! against the enumerative engine and the pre-arena reference checkers
-//! in `slow_reference`.
+//! Soundness of the symbolic tier's find mode against the enumerative
+//! engine, and the engine's corpus differentials against the
+//! pre-arena reference checkers in `slow_reference`.
 //!
-//! The contract under test: whenever [`SymbolicChecker::run`] returns
-//! [`SymbolicOutcome::Definitive`], its verdict — including witnesses,
-//! their order, the searched pair count, and pairing/closure *errors* —
-//! is **bit-identical** to running the enumerative [`Checker`] facade
-//! on the same models. Decide mode hands its SAT-discovered closures to
-//! the same engine `Checker` runs, so agreeing with `Checker` alone
-//! would only test closure discovery; every differential below also
-//! compares against `slow_reference`, which shares no verdict code
-//! with the engine. Four proofs:
+//! The contract under test: a counterexample
+//! [`SymbolicChecker::find_counterexample`] returns at bound *k* is a
+//! real one. Its traces replay strictly in the concrete models, meet at
+//! the same fact base, and the probed operation disagrees there with
+//! every opposite operation its traces name; and the [`Checker`]
+//! facade's Definition 2 verdict on the same pair is "not equivalent",
+//! naming the same operation. `Ok(None)` is inconclusive, never
+//! "equivalent". Four proofs:
 //!
 //! 1. **Corpus differential** — the 64-scenario workload corpus, each
-//!    base paired against one of its adversarial mutants, across
-//!    Definitions 1/2/3/5 (and Definition 6 grids on scenario sets).
-//! 2. **Mutation differential** — every mutation kind the generator can
-//!    derive, on dense probe scenarios; a disagreement is greedily
-//!    minimized and appended to `proptest-regressions/symbolic.txt`
-//!    before the panic (the vendored proptest shim has no shrinking or
-//!    persistence of its own).
-//! 3. **Random toy models** — proptest over the same toy universe as
-//!    `tests/differential.rs`, so the symbolic tier faces the exact
-//!    model distribution the enumerative engines were proven on.
-//! 4. **Bound soundness** — every witness the find mode produces at
-//!    bound *k* replays as a real concrete counterexample: the two
-//!    paths execute strictly in the concrete models, meet at the same
-//!    fact base, and the probed operation really does disagree there
-//!    with every opposite operation.
-//!
-//! [`SymbolicOutcome::BoundExhausted`] is pinned to mean "no verdict",
-//! never "equivalent": the suite asserts it carries no verdict at all
-//! and that raising the bound on the same pair yields the enumerative
-//! answer.
+//!    base paired against one of its adversarial mutants: the facade
+//!    equals `slow_reference` across Definitions 1/2/3/5, and every
+//!    counterexample find mode reports on the pair's symbolic specs
+//!    (constraints and composite operations included) replays and is
+//!    one the facade reports too.
+//! 2. **Definition 6 grids** — scenario sets through the facade and
+//!    `slow_reference`, cell pairing skips included.
+//! 3. **Bound soundness** — proptest over the toy universe of
+//!    `tests/differential.rs`: every witness find mode produces replays
+//!    concretely and is a witness of the facade's verdict.
+//! 4. **Bound contract** — on a pair whose divergence first shows at
+//!    depth *k*, bound *k − 1* finds nothing (inconclusive) and bound
+//!    *k* finds the witness the facade reports.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::fs;
-use std::io::Write as _;
-use std::path::PathBuf;
 
 use proptest::prelude::*;
 
 use borkin_equiv::equivalence::equiv::{CheckError, EquivKind};
 use borkin_equiv::equivalence::model::FiniteModel;
-use borkin_equiv::equivalence::parallel::Verdict;
+use borkin_equiv::equivalence::parallel::{Side, Verdict};
 use borkin_equiv::equivalence::slow_reference;
 use borkin_equiv::equivalence::symbolic::{
-    SymbolicChecker, SymbolicOp, SymbolicOutcome, SymbolicSpec,
+    FoundCounterexample, SymbolicChecker, SymbolicOp, SymbolicSpec,
 };
 use borkin_equiv::equivalence::{Checker, Tier};
 use borkin_equiv::logic::{Fact, FactBase};
-use borkin_equiv::obs::{Counter, Observer, RingSink};
+use borkin_equiv::obs::{Counter, Metric, Observer, RingSink};
 use borkin_equiv::value::Atom;
-use borkin_equiv::workload::scenario::{corpus, Mutation, Scenario, ScenarioConfig, ScenarioOp};
+use borkin_equiv::workload::scenario::{
+    corpus, Mutation, Scenario, ScenarioConfig, ScenarioConstraint, ScenarioOp,
+};
 
 const STATE_CAP: usize = 4096;
-/// Deep enough to certify the closure fixpoint of every corpus scenario
-/// (toggle count + 1 BFS rounds); see `bound_exhaustion_is_no_verdict`
-/// for what happens below that.
+/// Find mode's path bound on the corpus: every corpus state lies
+/// within it.
 const BOUND: usize = 12;
 
 const KINDS: [EquivKind; 3] = [
@@ -67,29 +56,20 @@ const KINDS: [EquivKind; 3] = [
     EquivKind::StateDependent { max_depth: 2 },
 ];
 
-/// Every pair tier the symbolic checker must agree on: Definition 1
-/// plus the three application-model definitions.
-const PAIR_TIERS: [Tier; 4] = [
-    Tier::Operation,
-    Tier::Isomorphic,
-    Tier::Composed { max_depth: 2 },
-    Tier::StateDependent { max_depth: 2 },
-];
-
 type Model = FiniteModel<FactBase, ScenarioOp>;
 type Outcome = Result<Verdict, CheckError>;
 
 /// The enumerative ground truth through the facade.
-fn full_check(m: &Model, n: &Model, tier: Tier) -> Outcome {
-    Checker::new(m, n).tier(tier).state_cap(STATE_CAP).run()
-}
-
-/// The independent oracle for one pair tier.
-fn slow_check<O: Clone + std::fmt::Display>(
+fn full_check<O: Clone + std::fmt::Display + Send + Sync>(
     m: &FiniteModel<FactBase, O>,
     n: &FiniteModel<FactBase, O>,
     tier: Tier,
 ) -> Outcome {
+    Checker::new(m, n).tier(tier).state_cap(STATE_CAP).run()
+}
+
+/// The independent oracle for one pair tier.
+fn slow_check(m: &Model, n: &Model, tier: Tier) -> Outcome {
     let app = |kind| slow_reference::app_models_verdict_slow(m, n, kind, STATE_CAP);
     match tier {
         Tier::Operation => slow_reference::operation_pairs_verdict_slow(m, n, STATE_CAP),
@@ -100,26 +80,46 @@ fn slow_check<O: Clone + std::fmt::Display>(
     }
 }
 
-fn symbolic_check(m: &SymbolicSpec, n: &SymbolicSpec, tier: Tier) -> SymbolicOutcome {
-    SymbolicChecker::new(m, n)
-        .tier(tier)
-        .state_cap(STATE_CAP)
-        .bound(BOUND)
-        .run()
+/// Why `cx` is not a concrete counterexample of `ms` vs `ns`, if it is
+/// not one: each trace's paths must execute strictly, meet at one fact
+/// base, and the probed operation must disagree there with the
+/// opposite operation the trace names.
+fn replay_failure(
+    ms: &SymbolicSpec,
+    ns: &SymbolicSpec,
+    cx: &FoundCounterexample,
+) -> Option<String> {
+    let (probe, other) = match cx.side {
+        Side::Left => (ms, ns),
+        Side::Right => (ns, ms),
+    };
+    if probe.ops[cx.op_index].label != cx.label {
+        return Some(format!("label {} is not op {}", cx.label, cx.op_index));
+    }
+    for trace in &cx.traces {
+        let (Some(at_m), Some(at_n)) = (ms.replay(&trace.path_m), ns.replay(&trace.path_n)) else {
+            return Some(format!("{trace:?} does not replay strictly"));
+        };
+        if at_m != at_n {
+            return Some(format!("{trace:?} paths do not meet"));
+        }
+        // The meet replays on both sides, so it lies inside both
+        // universes and `apply_op` is exact for either spec.
+        if probe.apply_op(cx.op_index, &at_m) == other.apply_op(trace.vs_op, &at_m) {
+            return Some(format!("{trace:?}: the ops agree at the meet state"));
+        }
+    }
+    None
 }
 
-/// Unwraps a definitive outcome; the corpus is sized so BOUND always
-/// certifies the fixpoint, so exhaustion here is itself a failure.
-fn definitive(outcome: SymbolicOutcome, context: &str) -> Outcome {
-    match outcome {
-        SymbolicOutcome::Definitive(r) => r,
-        SymbolicOutcome::BoundExhausted {
-            bound,
-            states_found,
-        } => panic!(
-            "{context}: bound {bound} exhausted after {states_found} states — \
-             corpus closures must fit the suite bound"
-        ),
+/// Whether the facade's Definition 2 outcome refutes equivalence the
+/// way `cx` does: a counterexample naming the same operation, or a
+/// pairing failure (the two closures express different states).
+fn facade_refutes(isomorphic: &Outcome, cx: &FoundCounterexample) -> bool {
+    match isomorphic {
+        Ok(Verdict::Counterexample { witnesses, .. }) => witnesses.contains(&cx.to_witness()),
+        Err(CheckError::Pairing(_)) => true,
+        _ => false,
     }
 }
 
@@ -127,39 +127,51 @@ fn definitive(outcome: SymbolicOutcome, context: &str) -> Outcome {
 // 1. Corpus differential
 // ---------------------------------------------------------------------
 
-/// The 64-scenario corpus, each base against one of its mutants, on a
-/// rotating definition plus always Definition 1: symbolic ≡ enumerative
-/// bit for bit (verdict, witnesses, errors).
+/// The 64-scenario corpus, each base against one of its mutants: the
+/// facade equals the slow reference on a rotating definition plus
+/// always Definition 1, and find mode's counterexample, if any, replays
+/// and is among the facade's Definition 2 witnesses.
 #[test]
 fn symbolic_agrees_with_enumerative_on_the_corpus() {
     let scenarios = corpus(0xB05_EED, 64);
     assert!(scenarios.len() >= 64);
+    let mut found = 0usize;
     for (i, base) in scenarios.iter().enumerate() {
         let mutations = base.mutations();
         let mutant = base.mutate(mutations[i % mutations.len()]);
         let m = base.model("left");
         let n = mutant.model("right");
-        let ms = base.symbolic_spec("left");
-        let ns = mutant.symbolic_spec("right");
         for tier in [Tier::from_kind(KINDS[i % KINDS.len()]), Tier::Operation] {
-            let full = full_check(&m, &n, tier);
-            let sym = definitive(
-                symbolic_check(&ms, &ns, tier),
-                &format!("scenario {i} tier {tier:?}"),
-            );
-            assert_eq!(sym, full, "scenario {i} tier {tier:?} diverges");
             assert_eq!(
-                sym,
+                full_check(&m, &n, tier),
                 slow_check(&m, &n, tier),
                 "scenario {i} tier {tier:?} diverges from the slow reference"
             );
         }
+        let ms = base.symbolic_spec("left");
+        let ns = mutant.symbolic_spec("right");
+        let cx = SymbolicChecker::new(&ms, &ns)
+            .bound(BOUND)
+            .find_counterexample()
+            .unwrap_or_else(|e| panic!("scenario {i}: corpus specs encode: {e}"));
+        if let Some(cx) = cx {
+            found += 1;
+            if let Some(why) = replay_failure(&ms, &ns, &cx) {
+                panic!("scenario {i}: find-mode witness is not concrete: {why}");
+            }
+            let isomorphic = full_check(&m, &n, Tier::Isomorphic);
+            assert!(
+                facade_refutes(&isomorphic, &cx),
+                "scenario {i}: find mode found {cx:?} but the facade says {isomorphic:?}"
+            );
+        }
     }
+    assert!(found > 0, "the mutants give find mode something to find");
 }
 
-/// Definition 6 grids over scenario *sets*: the symbolic grid must
-/// reproduce the enumerative grid's and the slow reference's
-/// partial-equivalence verdicts, cell pairing skips included.
+/// Definition 6 grids over scenario *sets*: the facade's grid verdict
+/// equals the slow reference's partial-equivalence verdict, cell
+/// pairing skips included.
 #[test]
 fn symbolic_agrees_on_data_model_grids() {
     let scenarios = corpus(0x6121D, 8);
@@ -176,32 +188,13 @@ fn symbolic_agrees_on_data_model_grids() {
                 .enumerate()
                 .map(|(i, s)| s.model(&format!("n{i}")))
                 .collect();
-            let m_specs: Vec<SymbolicSpec> = chunk
-                .iter()
-                .enumerate()
-                .map(|(i, s)| s.symbolic_spec(&format!("m{i}")))
-                .collect();
-            let n_specs: Vec<SymbolicSpec> = std::iter::once(&mutant)
-                .chain(chunk.iter().skip(1))
-                .enumerate()
-                .map(|(i, s)| s.symbolic_spec(&format!("n{i}")))
-                .collect();
             let full = Checker::data_models(&ms, &ns)
                 .tier(Tier::DataModel { kind })
                 .state_cap(STATE_CAP)
                 .run();
-            let sym = definitive(
-                SymbolicChecker::data_models(&m_specs, &n_specs)
-                    .tier(Tier::DataModel { kind })
-                    .state_cap(STATE_CAP)
-                    .bound(BOUND)
-                    .run(),
-                &format!("grid kind {kind:?}"),
-            );
-            assert_eq!(sym, full, "Definition 6 grid diverges for {kind:?}");
             let slow = slow_reference::data_model_verdict_slow(&ms, &ns, kind, STATE_CAP);
             assert_eq!(
-                sym, slow,
+                full, slow,
                 "Definition 6 grid diverges from the slow reference for {kind:?}"
             );
         }
@@ -209,175 +202,7 @@ fn symbolic_agrees_on_data_model_grids() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Mutation differential with greedy minimization
-// ---------------------------------------------------------------------
-
-/// One differential probe: compare symbolic against enumerative and
-/// the slow reference for `base` vs its mutant on every pair tier.
-/// Returns a description of the first disagreement.
-fn mismatch(base: &Scenario, mutation: Mutation) -> Option<String> {
-    let mutant = base.mutate(mutation);
-    let m = base.model("left");
-    let n = mutant.model("right");
-    let ms = base.symbolic_spec("left");
-    let ns = mutant.symbolic_spec("right");
-    for tier in PAIR_TIERS {
-        let full = full_check(&m, &n, tier);
-        let sym = match symbolic_check(&ms, &ns, tier) {
-            SymbolicOutcome::Definitive(r) => r,
-            SymbolicOutcome::BoundExhausted { bound, .. } => {
-                return Some(format!("tier {tier:?}: bound {bound} exhausted on a probe"))
-            }
-        };
-        if sym != full {
-            return Some(format!("tier {tier:?}: symbolic {sym:?} != full {full:?}"));
-        }
-        let slow = slow_check(&m, &n, tier);
-        if sym != slow {
-            return Some(format!("tier {tier:?}: symbolic {sym:?} != slow {slow:?}"));
-        }
-    }
-    None
-}
-
-/// Rewrites a mutation's index after removing constraint `removed`;
-/// `None` when the mutation targeted it.
-fn remap_constraint_removal(mutation: Mutation, removed: usize) -> Option<Mutation> {
-    match mutation {
-        Mutation::DropConstraint(k) if k == removed => None,
-        Mutation::DropConstraint(k) if k > removed => Some(Mutation::DropConstraint(k - 1)),
-        other => Some(other),
-    }
-}
-
-/// Rewrites a mutation's index after removing operation `removed`;
-/// `None` when the mutation targeted it.
-fn remap_op_removal(mutation: Mutation, removed: usize) -> Option<Mutation> {
-    let shift = |k: usize| if k > removed { k - 1 } else { k };
-    match mutation {
-        Mutation::DropConstraint(_) => Some(mutation),
-        Mutation::SwapOpDirection(k) if k != removed => Some(Mutation::SwapOpDirection(shift(k))),
-        Mutation::RenameBinding(k) if k != removed => Some(Mutation::RenameBinding(shift(k))),
-        Mutation::DropOp(k) if k != removed => Some(Mutation::DropOp(shift(k))),
-        _ => None,
-    }
-}
-
-/// Greedy 1-removal minimizer: keep deleting constraints and operations
-/// from the base scenario while the symbolic-vs-enumerative mismatch
-/// reproduces.
-fn minimize(mut base: Scenario, mut mutation: Mutation) -> (Scenario, Mutation) {
-    loop {
-        let mut shrunk = false;
-        for i in 0..base.constraints.len() {
-            if let Some(remapped) = remap_constraint_removal(mutation, i) {
-                let mut candidate = base.clone();
-                candidate.constraints.remove(i);
-                if mismatch(&candidate, remapped).is_some() {
-                    base = candidate;
-                    mutation = remapped;
-                    shrunk = true;
-                    break;
-                }
-            }
-        }
-        if shrunk {
-            continue;
-        }
-        for i in 0..base.ops.len() {
-            if base.ops.len() == 1 {
-                break;
-            }
-            if let Some(remapped) = remap_op_removal(mutation, i) {
-                let mut candidate = base.clone();
-                candidate.ops.remove(i);
-                if mismatch(&candidate, remapped).is_some() {
-                    base = candidate;
-                    mutation = remapped;
-                    shrunk = true;
-                    break;
-                }
-            }
-        }
-        if !shrunk {
-            return (base, mutation);
-        }
-    }
-}
-
-/// Appends a minimized counterexample to
-/// `proptest-regressions/symbolic.txt` (human-readable repro record; CI
-/// uploads the directory as an artifact on failure).
-fn persist_regression(base: &Scenario, mutation: Mutation, detail: &str) -> PathBuf {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("proptest-regressions");
-    let _ = fs::create_dir_all(&dir);
-    let path = dir.join("symbolic.txt");
-    let mut entry = String::new();
-    let _ = writeln!(
-        entry,
-        "# symbolic-vs-enumerative mismatch (minimized): {detail}"
-    );
-    let _ = writeln!(entry, "cc mutation={mutation:?} scenario={base:?}");
-    if let Ok(mut file) = fs::OpenOptions::new().create(true).append(true).open(&path) {
-        let _ = file.write_all(entry.as_bytes());
-    }
-    path
-}
-
-/// For every mutation kind on every probe scenario, symbolic and
-/// enumerative verdicts agree exactly. A disagreement is minimized and
-/// persisted before failing.
-#[test]
-fn every_mutation_kind_matches_the_enumerative_engine() {
-    let probes = [
-        ScenarioConfig {
-            seed: 0x5EB1,
-            toggles: 3,
-            fact_arity: 2,
-            constraint_density: 1.0,
-            composite_ops: 2,
-        },
-        ScenarioConfig {
-            seed: 0x5EB2,
-            toggles: 4,
-            fact_arity: 1,
-            constraint_density: 0.5,
-            composite_ops: 1,
-        },
-        ScenarioConfig {
-            seed: 0x5EB3,
-            toggles: 2,
-            fact_arity: 3,
-            constraint_density: 1.5,
-            composite_ops: 0,
-        },
-    ];
-    let mut covered = std::collections::BTreeSet::new();
-    for config in probes {
-        let base = Scenario::generate(config);
-        for mutation in base.mutations() {
-            covered.insert(match mutation {
-                Mutation::DropConstraint(_) => "drop-constraint",
-                Mutation::SwapOpDirection(_) => "swap-op-direction",
-                Mutation::RenameBinding(_) => "rename-binding",
-                Mutation::DropOp(_) => "drop-op",
-            });
-            if let Some(detail) = mismatch(&base, mutation) {
-                let (min_base, min_mutation) = minimize(base.clone(), mutation);
-                let path = persist_regression(&min_base, min_mutation, &detail);
-                panic!(
-                    "symbolic differential failed ({detail}); minimized case appended \
-                     to {}: mutation {min_mutation:?} on {min_base:?}",
-                    path.display()
-                );
-            }
-        }
-    }
-    assert_eq!(covered.len(), 4, "all four mutation kinds exercised");
-}
-
-// ---------------------------------------------------------------------
-// 3. Random toy models (proptest)
+// 3. Bound soundness on random toy models (proptest)
 // ---------------------------------------------------------------------
 
 fn fact(n: u8) -> Fact {
@@ -441,52 +266,13 @@ fn ops_strategy() -> impl Strategy<Value = Vec<(bool, u8)>> {
     prop::collection::vec((any::<bool>(), 0u8..3), 1..6)
 }
 
-fn tier_strategy() -> impl Strategy<Value = Tier> {
-    prop_oneof![
-        Just(Tier::Operation),
-        Just(Tier::Isomorphic),
-        (0usize..3).prop_map(|max_depth| Tier::Composed { max_depth }),
-        (0usize..3).prop_map(|max_depth| Tier::StateDependent { max_depth }),
-    ]
-}
-
 proptest! {
-    /// On every random toy-model pair and every tier, the symbolic
-    /// verdict equals the enumerative facade's and the slow reference's
-    /// — including errors.
-    #[test]
-    fn symbolic_agrees_on_random_toy_models(
-        m_ops in ops_strategy(),
-        n_ops in ops_strategy(),
-        tier in tier_strategy(),
-    ) {
-        let m = toy_model("m", &m_ops);
-        let n = toy_model("n", &n_ops);
-        let full = Checker::new(&m, &n).tier(tier).state_cap(STATE_CAP).run();
-        let slow = slow_check(&m, &n, tier);
-        let sym = SymbolicChecker::new(&toy_spec("m", &m_ops), &toy_spec("n", &n_ops))
-            .tier(tier)
-            .state_cap(STATE_CAP)
-            .bound(BOUND)
-            .run();
-        match sym {
-            SymbolicOutcome::Definitive(r) => {
-                prop_assert_eq!(&r, &full);
-                prop_assert_eq!(r, slow);
-            }
-            SymbolicOutcome::BoundExhausted { .. } => prop_assert!(
-                false,
-                "toy closures (≤ 8 states) must close within bound {}",
-                BOUND
-            ),
-        }
-    }
-
     /// Bound soundness of the find mode: every counterexample witness
     /// produced at a finite bound replays concretely — the two paths
     /// execute strictly, meet at the same fact base, and the probed
     /// operation genuinely disagrees there with each opposite operation
-    /// its traces name.
+    /// its traces name — and the facade's Definition 2 verdict on the
+    /// toy models reports the same operation.
     #[test]
     fn find_mode_witnesses_replay_concretely(
         m_ops in ops_strategy(),
@@ -499,95 +285,94 @@ proptest! {
             .find_counterexample()
             .unwrap();
         if let Some(cx) = found {
-            let (probe_spec, other_spec) = match cx.side {
-                borkin_equiv::equivalence::parallel::Side::Left => (&ms, &ns),
-                borkin_equiv::equivalence::parallel::Side::Right => (&ns, &ms),
-            };
-            prop_assert_eq!(&probe_spec.ops[cx.op_index].label, &cx.label);
-            for trace in &cx.traces {
-                let at_m = ms.replay(&trace.path_m);
-                let at_n = ns.replay(&trace.path_n);
-                prop_assert!(at_m.is_some(), "left path must replay strictly");
-                prop_assert!(at_n.is_some(), "right path must replay strictly");
-                let meet = at_m.unwrap();
-                prop_assert_eq!(&meet, &at_n.unwrap(), "paths must meet");
-                // The meet replays on both sides, so it lies inside both
-                // universes and `apply_op` is exact for either spec.
-                let probe_result = probe_spec.apply_op(cx.op_index, &meet);
-                let other_result = other_spec.apply_op(trace.vs_op, &meet);
-                prop_assert_ne!(
-                    probe_result,
-                    other_result,
-                    "witness claims the ops disagree at the meet state"
-                );
-            }
-            // A found counterexample and a definitive Def-2 verdict on
-            // the same pair cannot contradict each other.
-            let decide = SymbolicChecker::new(&ms, &ns).bound(BOUND).run();
-            if let SymbolicOutcome::Definitive(Ok(verdict)) = decide {
-                prop_assert!(
-                    matches!(verdict, Verdict::Counterexample { .. }),
-                    "find mode found {:?} but decide mode says {:?}",
-                    cx,
-                    verdict
-                );
-            }
+            let why = replay_failure(&ms, &ns, &cx);
+            prop_assert!(why.is_none(), "witness is not concrete: {:?}", why);
+            let isomorphic = full_check(
+                &toy_model("m", &m_ops),
+                &toy_model("n", &n_ops),
+                Tier::Isomorphic,
+            );
+            prop_assert!(
+                facade_refutes(&isomorphic, &cx),
+                "find mode found {:?} but the facade says {:?}",
+                cx,
+                isomorphic
+            );
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// 4. Bound semantics and instrumentation
+// 4. Bound contract and instrumentation
 // ---------------------------------------------------------------------
 
-/// `BoundExhausted` is "no verdict", never "equivalent": the outcome
-/// carries no `Verdict` at all, and re-running with a sufficient bound
-/// produces the enumerative answer — which here is a counterexample the
-/// small bound could not see.
+/// An exhausted bound is "no verdict", never "equivalent". Four facts
+/// chained by `Requires` (f3 needs f2 needs f1 needs f0) put the only
+/// state holding f3 at depth 4, and the mutant's delete of f3 toggles
+/// a fact nothing inserts, so it errors everywhere: the pair first
+/// diverges at depth k = 4. Bound k − 1 finds nothing, bound k finds
+/// the delete, and the facade agrees the pair is not equivalent.
 #[test]
 fn bound_exhaustion_is_no_verdict() {
-    let base = Scenario::generate(ScenarioConfig {
+    const K: usize = 4;
+    let mut base = Scenario::generate(ScenarioConfig {
         seed: 0xB0B0,
-        toggles: 4,
+        toggles: K,
         fact_arity: 1,
         constraint_density: 0.0,
         composite_ops: 0,
     });
-    let mutant = base.mutate(Mutation::DropOp(1));
+    base.constraints = base
+        .facts
+        .windows(2)
+        .map(|w| ScenarioConstraint::Requires {
+            a: w[1].clone(),
+            b: w[0].clone(),
+        })
+        .collect();
+    let deepest = base.facts[K - 1].clone();
+    let delete = base
+        .ops
+        .iter()
+        .position(|op| op.steps == [(false, deepest.clone())])
+        .expect("every toggle has a delete");
+    let mutant = base.mutate(Mutation::RenameBinding(delete));
     let ms = base.symbolic_spec("left");
     let ns = mutant.symbolic_spec("right");
-    // Closure diameter is 4 (all four facts set), so bound 2 cannot
-    // certify the fixpoint on either side.
-    let short = SymbolicChecker::new(&ms, &ns).bound(2).run();
-    match short {
-        SymbolicOutcome::BoundExhausted {
-            bound,
-            states_found,
-        } => {
-            assert_eq!(bound, 2);
-            assert!(states_found > 0);
-        }
-        SymbolicOutcome::Definitive(_) => panic!("bound 2 must exhaust on a 4-toggle closure"),
+
+    let short = SymbolicChecker::new(&ms, &ns)
+        .bound(K - 1)
+        .find_counterexample()
+        .unwrap();
+    assert_eq!(short, None, "no witness within bound {}", K - 1);
+
+    let cx = SymbolicChecker::new(&ms, &ns)
+        .bound(K)
+        .find_counterexample()
+        .unwrap()
+        .expect("the divergence lies within bound K");
+    assert_eq!((cx.side, cx.op_index), (Side::Left, delete));
+    if let Some(why) = replay_failure(&ms, &ns, &cx) {
+        panic!("witness is not concrete: {why}");
     }
-    assert!(short.definitive().is_none(), "exhaustion yields no verdict");
-    let long = definitive(
-        SymbolicChecker::new(&ms, &ns).bound(BOUND).run(),
-        "sufficient bound",
-    );
-    let full = full_check(
+    let twin = cx.traces.iter().find(|t| t.vs_op == delete).unwrap();
+    assert_eq!(twin.path_m.len(), K, "the twins first differ at depth K");
+
+    let isomorphic = full_check(
         &base.model("left"),
         &mutant.model("right"),
         Tier::Isomorphic,
     );
-    assert_eq!(long, full);
     assert!(
-        matches!(long, Ok(Verdict::Counterexample { .. })),
-        "the dropped op is exactly what a premature 'equivalent' would have missed"
+        matches!(isomorphic, Ok(Verdict::Counterexample { .. }))
+            && facade_refutes(&isomorphic, &cx),
+        "the facade must report the delete, got {isomorphic:?}"
     );
 }
 
-/// The observer counters: clauses and conflicts accumulate on every
-/// run; `bound_exhausted` increments only when the bound runs out.
+/// The observer counters: every find-mode query adds its clauses,
+/// conflicts and restarts, and one observation to each per-query probe
+/// histogram, whose sums the counters equal.
 #[test]
 fn symbolic_counters_reach_the_observer() {
     let base = Scenario::generate(ScenarioConfig {
@@ -600,20 +385,37 @@ fn symbolic_counters_reach_the_observer() {
     let ms = base.symbolic_spec("left");
     let ns = base.symbolic_spec("right");
     let obs = Observer::new(RingSink::with_capacity(64));
-    let outcome = SymbolicChecker::new(&ms, &ns)
+    let found = SymbolicChecker::new(&ms, &ns)
         .bound(BOUND)
         .observer(obs.clone())
-        .run();
-    assert!(outcome.definitive().is_some());
+        .find_counterexample()
+        .unwrap();
+    assert_eq!(found, None, "a scenario matches itself");
     assert!(
         obs.counter(Counter::SymbolicClauses) > 0,
         "encoding emits clauses"
     );
-    assert_eq!(obs.counter(Counter::BoundExhausted), 0);
-    let exhausted = SymbolicChecker::new(&ms, &ns)
-        .bound(1)
-        .observer(obs.clone())
-        .run();
-    assert!(exhausted.is_bound_exhausted());
-    assert_eq!(obs.counter(Counter::BoundExhausted), 1);
+    // Equal twins: one UNSAT query per operation and side.
+    let queries = 2 * ms.ops.len() as u64;
+    for (counter, probe) in [
+        (Counter::SymbolicClauses, Metric::SymbolicClausesPerDepth),
+        (
+            Counter::SymbolicConflicts,
+            Metric::SymbolicConflictsPerDepth,
+        ),
+        (Counter::SymbolicRestarts, Metric::SymbolicRestartsPerDepth),
+    ] {
+        let histogram = obs.histogram(probe);
+        assert_eq!(histogram.count, queries, "{probe:?} observes every query");
+        assert_eq!(
+            obs.counter(counter),
+            histogram.sum,
+            "{counter:?} totals {probe:?}"
+        );
+    }
+    assert_eq!(
+        obs.histogram(Metric::SymbolicDecisionsPerDepth).count,
+        queries
+    );
+    assert_eq!(obs.counter(Counter::WitnessesFound), 0);
 }

@@ -411,7 +411,7 @@ fn padded_tuples_and_bool_bytes_above_one_are_rejected() {
         payload[1] = 0x03; // SubmitRelational
         payload.push(0); // Insert
         payload.extend_from_slice(&1u32.to_be_bytes());
-        payload.extend_from_slice(&1u16.to_be_bytes());
+        payload.extend_from_slice(&1u32.to_be_bytes());
         payload.push(b'R');
         payload.extend_from_slice(&(blob.len() as u32).to_be_bytes());
         payload.extend_from_slice(blob);
@@ -451,4 +451,41 @@ fn encoding_is_canonical() {
         let (corr, back) = decode_response_frame(&frame).unwrap();
         assert_eq!(encode_response_frame(corr, &back), frame);
     }
+}
+
+/// Lengths and counts past `u16::MAX` round-trip: a 70 000-byte view
+/// name, a 70 000-byte string value in a relational insert (as relation
+/// name and as tuple value) and as a graph entity key, and a view state
+/// of 70 000 relations.
+#[test]
+fn lengths_past_u16_round_trip() {
+    let long = "a".repeat(70_000);
+    let mut insert = StatementSet::new();
+    insert.add(
+        long.clone(),
+        Tuple::new([Value::Atom(Atom::Str(long.clone()))]),
+    );
+    let requests = [
+        Request::ViewState { view: long.clone() },
+        Request::SubmitRelational {
+            session: 1,
+            op: RelOp::Insert(insert),
+        },
+        Request::SubmitGraph {
+            session: 1,
+            ops: vec![GraphOp::DeleteEntity(EntityRef::new(
+                "employee",
+                Atom::Str(long.clone()),
+            ))],
+        },
+    ];
+    for request in requests {
+        let frame = encode_request_frame(3, &request);
+        assert_eq!(decode_request_frame(&frame).unwrap(), (3, request));
+    }
+    let response = Response::ViewState {
+        relations: (0..70_000).map(|i| (format!("r{i}"), Vec::new())).collect(),
+    };
+    let frame = encode_response_frame(4, &response);
+    assert_eq!(decode_response_frame(&frame).unwrap(), (4, response));
 }
