@@ -1271,18 +1271,31 @@ fn main() {
             .expect("runs");
         assert!(verdict.is_equivalent());
     };
-    let ovh_no_sink = time_us(SAMPLES, || run_with(Observer::disabled()));
-    let ovh_ring = time_us(SAMPLES, || {
-        run_with(Observer::new(RingSink::with_capacity(4096)))
-    });
+    // The three observers are sampled round-robin (no sink, ring, JSON
+    // lines per round), as the mini configs are, so a slow stretch of
+    // a shared host cannot land on one side of the gate's ratio. Each
+    // sample times the observer's construction too.
     let transcript_path = root.join("target/equiv_transcript.jsonl");
-    let ovh_jsonl = time_us(SAMPLES, || match JsonLinesSink::create(&transcript_path) {
-        Ok(sink) => run_with(Observer::new(sink)),
-        Err(e) => panic!(
-            "cannot create transcript at {}: {e}",
-            transcript_path.display()
-        ),
-    });
+    let observers: [&dyn Fn() -> Observer; 3] = [
+        &Observer::disabled,
+        &|| Observer::new(RingSink::with_capacity(4096)),
+        &|| match JsonLinesSink::create(&transcript_path) {
+            Ok(sink) => Observer::new(sink),
+            Err(e) => panic!(
+                "cannot create transcript at {}: {e}",
+                transcript_path.display()
+            ),
+        },
+    ];
+    let mut ovh_samples: [Vec<u64>; 3] = Default::default();
+    for _ in 0..SAMPLES {
+        for (samples, observer) in ovh_samples.iter_mut().zip(observers) {
+            let t = Instant::now();
+            run_with(observer());
+            samples.push(t.elapsed().as_micros() as u64);
+        }
+    }
+    let [ovh_no_sink, ovh_ring, ovh_jsonl] = ovh_samples.map(Stats::from_samples);
     // The acceptance bar in numbers: an enabled observer adds the ring
     // writes plus the latency-histogram atomics; the delta over the
     // disabled run is the per-run instrumentation cost.

@@ -65,30 +65,17 @@
 //! exactly this reason). Changing the name or initial state invalidates
 //! the side's arena and columns wholesale ([`Counter::CacheInvalidations`]);
 //! changing only operations takes the delta path.
-//!
-//! ## Durable image
-//!
-//! [`IncrementalChecker::save_verdicts`] serializes the verdict cache
-//! into the WAL frame format of `dme-storage` (per-record FNV-1a
-//! checksums), and [`IncrementalChecker::load_verdicts`] replays it
-//! tolerantly: a torn or corrupted tail is detected by checksum and
-//! simply dropped, so a damaged image degrades to a cold re-check —
-//! never a wrong verdict. Keys are built from the standard library
-//! hasher and are stable **within one build only**; an image written by
-//! another build misses cleanly. Arena states are generic and are not
-//! persisted — only the verdict rows are.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use dme_logic::{content_fingerprint_wide, ToFacts};
 use dme_obs::{Counter, Observer};
-use dme_storage::{wal, Reader};
 
 use crate::arena::{StateArena, StateId};
 use crate::equiv::{CheckError, EquivKind};
 use crate::model::{ClosureTooLarge, Discovery, FiniteModel, TransitionMemo, Tx};
-use crate::parallel::{check_prepaired, pair_on_states, PairedIds, Side, Verdict, Witness};
+use crate::parallel::{check_prepaired, pair_on_states, PairedIds, Verdict};
 
 /// Running totals of what the session reused versus recomputed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -361,19 +348,6 @@ fn kind_parts(kind: EquivKind) -> (u8, u64) {
     }
 }
 
-fn kind_from_parts(tag: u8, depth: u64) -> Option<EquivKind> {
-    match tag {
-        0 => Some(EquivKind::Isomorphic),
-        1 => Some(EquivKind::Composed {
-            max_depth: depth as usize,
-        }),
-        2 => Some(EquivKind::StateDependent {
-            max_depth: depth as usize,
-        }),
-        _ => None,
-    }
-}
-
 fn universe_key<S, O>(model: &FiniteModel<S, O>) -> u128
 where
     S: Clone + Ord + ToFacts,
@@ -393,17 +367,6 @@ where
         model.state_fingerprint(model.initial()),
         labels,
     ))
-}
-
-/// What [`IncrementalChecker::load_verdicts`] found in a durable image.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct VerdictImageReport {
-    /// Verdict rows recovered and installed in the session cache.
-    pub loaded: usize,
-    /// Whether the image ended in a torn or corrupted tail (detected by
-    /// the per-record checksum and dropped). A torn image is not an
-    /// error: the missing entries simply re-check cold.
-    pub torn: bool,
 }
 
 /// A persistent checking session: re-checks models incrementally,
@@ -456,11 +419,6 @@ impl<MS, NS> IncrementalChecker<MS, NS> {
     /// The session's reuse statistics so far.
     pub fn stats(&self) -> CacheStats {
         self.stats
-    }
-
-    /// Number of cached verdicts.
-    pub fn verdict_entries(&self) -> usize {
-        self.verdicts.len()
     }
 }
 
@@ -570,143 +528,6 @@ where
         self.verdicts.insert(key, verdict.clone());
         Ok(verdict)
     }
-
-    /// Serializes the verdict cache as a durable image: one
-    /// checksummed WAL record per verdict, in a stable key order. The
-    /// image is only meaningful to the build that wrote it (keys come
-    /// from the standard hasher); any other reader misses cleanly.
-    pub fn save_verdicts(&self) -> Vec<u8> {
-        let mut rows: Vec<(&VerdictKey, &Verdict)> = self.verdicts.iter().collect();
-        rows.sort_by_key(|(k, _)| (k.m, k.n, k.kind_tag, k.kind_depth, k.cap));
-        let mut image = Vec::new();
-        let mut lsn = 0u64;
-        for (key, verdict) in rows {
-            let Some(payload) = encode_row(key, verdict) else {
-                continue;
-            };
-            lsn += 1;
-            wal::append_record(&mut image, lsn, &payload);
-        }
-        image
-    }
-
-    /// Loads a durable image produced by
-    /// [`IncrementalChecker::save_verdicts`], tolerating a torn or
-    /// corrupted tail: the longest checksum-clean prefix is installed,
-    /// the rest is dropped and reported. Entries the image lost are
-    /// simply re-checked cold on their next lookup — a damaged image
-    /// can cost time, never correctness.
-    pub fn load_verdicts(&mut self, image: &[u8]) -> VerdictImageReport {
-        let (records, tail_error) = wal::replay_tolerant(image);
-        let mut report = VerdictImageReport {
-            loaded: 0,
-            torn: tail_error.is_some(),
-        };
-        for record in records {
-            match decode_row(record.payload) {
-                Some((key, verdict)) => {
-                    self.verdicts.insert(key, verdict);
-                    report.loaded += 1;
-                }
-                None => {
-                    // A checksum-clean record that does not decode means
-                    // the image is from an incompatible writer; treat
-                    // the rest as torn.
-                    report.torn = true;
-                    break;
-                }
-            }
-        }
-        report
-    }
-}
-
-/// Re-exported so callers can distinguish torn-tail kinds if they care;
-/// most should only look at [`VerdictImageReport::torn`].
-pub use dme_storage::wal::WalError as ImageError;
-
-// The row payload, big-endian:
-// [m u128][n u128][kind u8][depth u64][cap u64][verdict tag u8]...
-//   tag 0 (Equivalent):      [state_pairs u64]
-//   tag 1 (Counterexample):  [state_pairs u64][count u32]
-//                            ([side u8][len u32][label bytes])*
-fn encode_row(key: &VerdictKey, verdict: &Verdict) -> Option<Vec<u8>> {
-    let mut out = Vec::with_capacity(64);
-    out.extend_from_slice(&key.m.to_be_bytes());
-    out.extend_from_slice(&key.n.to_be_bytes());
-    out.push(key.kind_tag);
-    out.extend_from_slice(&key.kind_depth.to_be_bytes());
-    out.extend_from_slice(&key.cap.to_be_bytes());
-    match verdict {
-        Verdict::Equivalent { state_pairs } => {
-            out.push(0);
-            out.extend_from_slice(&(*state_pairs as u64).to_be_bytes());
-        }
-        Verdict::Counterexample {
-            state_pairs,
-            witnesses,
-        } => {
-            out.push(1);
-            out.extend_from_slice(&(*state_pairs as u64).to_be_bytes());
-            out.extend_from_slice(&(witnesses.len() as u32).to_be_bytes());
-            for w in witnesses {
-                out.push(match w.side {
-                    Side::Left => 0,
-                    Side::Right => 1,
-                });
-                let label = w.label.as_bytes();
-                out.extend_from_slice(&(label.len() as u32).to_be_bytes());
-                out.extend_from_slice(label);
-            }
-        }
-        // A session engine runs unbudgeted; exhausted verdicts are
-        // never cached, so there is nothing to persist.
-        Verdict::BudgetExhausted { .. } => return None,
-    }
-    Some(out)
-}
-
-fn decode_row(payload: &[u8]) -> Option<(VerdictKey, Verdict)> {
-    let mut r = Reader::new(payload);
-    let m = r.u128().ok()?;
-    let n = r.u128().ok()?;
-    let kind_tag = r.u8().ok()?;
-    kind_from_parts(kind_tag, 0)?; // validate the tag range
-    let key = VerdictKey {
-        m,
-        n,
-        kind_tag,
-        kind_depth: r.u64().ok()?,
-        cap: r.u64().ok()?,
-    };
-    let verdict = match r.u8().ok()? {
-        0 => Verdict::Equivalent {
-            state_pairs: r.u64().ok()? as usize,
-        },
-        1 => {
-            let state_pairs = r.u64().ok()? as usize;
-            let count = r.u32().ok()?;
-            let witnesses = (0..count)
-                .map(|_| {
-                    let side = match r.u8().ok()? {
-                        0 => Side::Left,
-                        1 => Side::Right,
-                        _ => return None,
-                    };
-                    let len = r.u32().ok()? as usize;
-                    let label = String::from_utf8(r.take(len).ok()?.to_vec()).ok()?;
-                    Some(Witness { side, label })
-                })
-                .collect::<Option<_>>()?;
-            Verdict::Counterexample {
-                state_pairs,
-                witnesses,
-            }
-        }
-        _ => return None,
-    };
-    r.finish().ok()?;
-    Some((key, verdict))
 }
 
 #[cfg(test)]
@@ -865,51 +686,5 @@ mod tests {
             clean.stats().transitions_recomputed
         );
         assert!(errored.stats().transitions_reused > clean.stats().transitions_reused);
-    }
-
-    #[test]
-    fn durable_image_round_trips() {
-        // Same state sets (so pairing succeeds) but the left has a
-        // delete the right lacks: a cacheable counterexample verdict.
-        let m = toy("m", &[(true, 0), (false, 0)]);
-        let n = toy("n", &[(true, 0)]);
-        let mut session = IncrementalChecker::new();
-        let verdict = session.check(&m, &n, EquivKind::Isomorphic, 512);
-        let image = session.save_verdicts();
-        let mut restored: IncrementalChecker<FactBase, FactBase> = IncrementalChecker::new();
-        let report = restored.load_verdicts(&image);
-        assert_eq!(
-            report,
-            VerdictImageReport {
-                loaded: session.verdict_entries(),
-                torn: false
-            }
-        );
-        let warm = restored.check(&m, &n, EquivKind::Isomorphic, 512);
-        assert_eq!(warm, verdict);
-        assert_eq!(restored.stats().verdict_hits, 1);
-    }
-
-    #[test]
-    fn torn_images_load_a_clean_prefix() {
-        let m = toy("m", &[(true, 0)]);
-        let n = toy("n", &[(true, 0)]);
-        let mut session = IncrementalChecker::new();
-        session.check(&m, &n, EquivKind::Isomorphic, 512).unwrap();
-        session
-            .check(&m, &n, EquivKind::Composed { max_depth: 1 }, 512)
-            .unwrap();
-        let image = session.save_verdicts();
-        for cut in 0..image.len() {
-            let mut fresh: IncrementalChecker<FactBase, FactBase> = IncrementalChecker::new();
-            let report = fresh.load_verdicts(&image[..cut]);
-            // A strict prefix always loses at least part of the last
-            // record; a cut off a record boundary is flagged as torn.
-            assert!(report.loaded < session.verdict_entries());
-        }
-        let mut fresh: IncrementalChecker<FactBase, FactBase> = IncrementalChecker::new();
-        let report = fresh.load_verdicts(&image);
-        assert_eq!(report.loaded, session.verdict_entries());
-        assert!(!report.torn);
     }
 }

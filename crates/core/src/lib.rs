@@ -52,7 +52,7 @@ pub use arena::{ArenaStats, Closure, StateArena, StateId};
 pub use bitset::BitSet;
 pub use check::{Checker, Tier, DEFAULT_STATE_CAP};
 pub use equiv::{pair_states, CheckError, DataModelReport, EquivKind, MatchReport};
-pub use incremental::{CacheStats, IncrementalChecker, VerdictImageReport};
+pub use incremental::{CacheStats, IncrementalChecker};
 pub use model::FiniteModel;
 pub use parallel::{CheckBudget, ParallelConfig, Side, Verdict, Witness};
 pub use symbolic::{

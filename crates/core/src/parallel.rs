@@ -35,9 +35,10 @@
 //! provably the *lowest-indexed* one, the same witness every run.
 //!
 //! Every state application, signature composition and reachability
-//! expansion is charged against a [`CheckBudget`]; blowing the node or
-//! time limit yields [`Verdict::BudgetExhausted`] instead of an answer,
-//! never a wrong answer.
+//! expansion is charged against a [`CheckBudget`]; blowing the node
+//! limit yields [`Verdict::BudgetExhausted`] instead of an answer, never
+//! a wrong answer. The budget counts nodes, not time, so whether a check
+//! runs out does not depend on how fast the host is.
 
 use std::cmp;
 use std::collections::BTreeSet;
@@ -60,37 +61,17 @@ pub struct CheckBudget {
     /// Maximum number of nodes — state applications, signature
     /// compositions and reachability expansions — explored.
     pub max_nodes: u64,
-    /// Wall-clock limit for the whole check.
-    pub max_time: Option<Duration>,
 }
 
 impl CheckBudget {
     /// No limits.
     pub const UNLIMITED: CheckBudget = CheckBudget {
         max_nodes: u64::MAX,
-        max_time: None,
     };
 
     /// A node-count limit.
     pub fn nodes(max_nodes: u64) -> Self {
-        CheckBudget {
-            max_nodes,
-            max_time: None,
-        }
-    }
-
-    /// A wall-clock limit.
-    pub fn time(limit: Duration) -> Self {
-        CheckBudget {
-            max_nodes: u64::MAX,
-            max_time: Some(limit),
-        }
-    }
-
-    /// Adds a wall-clock limit to this budget.
-    pub fn and_time(mut self, limit: Duration) -> Self {
-        self.max_time = Some(limit);
-        self
+        CheckBudget { max_nodes }
     }
 }
 
@@ -249,7 +230,7 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Shared run state: the cancellation flag, node meter, deadline, and
+/// Shared run state: the cancellation flag, node meter, start time, and
 /// the run's [`Observer`] (disabled observers cost one branch per
 /// charge).
 struct EngineCtx {
@@ -257,21 +238,18 @@ struct EngineCtx {
     exhausted: AtomicBool,
     nodes: AtomicU64,
     max_nodes: u64,
-    deadline: Option<Instant>,
     started: Instant,
     obs: Observer,
 }
 
 impl EngineCtx {
     fn new(budget: &CheckBudget, obs: Observer) -> Self {
-        let started = Instant::now();
         EngineCtx {
             cancel: AtomicBool::new(false),
             exhausted: AtomicBool::new(false),
             nodes: AtomicU64::new(0),
             max_nodes: budget.max_nodes,
-            deadline: budget.max_time.map(|d| started + d),
-            started,
+            started: Instant::now(),
             obs,
         }
     }
@@ -297,7 +275,7 @@ impl EngineCtx {
         }
         self.obs.add(Counter::NodesExpanded, n);
         let total = self.nodes.fetch_add(n, Ordering::Relaxed).saturating_add(n);
-        if total > self.max_nodes || self.deadline.is_some_and(|d| Instant::now() >= d) {
+        if total > self.max_nodes {
             self.blow();
             return false;
         }
@@ -1310,7 +1288,7 @@ mod tests {
     }
 
     #[test]
-    fn time_budget_exhausts_cleanly() {
+    fn zero_node_budget_exhausts_cleanly() {
         let m = two_fact_model("m");
         let n = two_fact_model("n");
         let verdict = par_check(
@@ -1318,7 +1296,7 @@ mod tests {
             &n,
             EquivKind::Composed { max_depth: 3 },
             100,
-            &ParallelConfig::with_threads(2).budget(CheckBudget::time(Duration::ZERO)),
+            &ParallelConfig::with_threads(2).budget(CheckBudget::nodes(0)),
         )
         .unwrap();
         assert!(

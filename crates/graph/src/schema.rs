@@ -63,6 +63,19 @@ pub enum GraphSchemaError {
         /// The role missing a rule.
         role: Symbol,
     },
+    /// An entity type or predicate is too wide for the durable delta
+    /// record, which stores a name's byte length and a tuple's arity in
+    /// 16 bits: a name longer than `u16::MAX` bytes, or more than
+    /// `u16::MAX` characteristics or roles.
+    TooWide {
+        /// The entity type or predicate.
+        name: Symbol,
+        /// What overflowed: `"name bytes"`, `"characteristics"` or
+        /// `"roles"`.
+        what: &'static str,
+        /// How many there are.
+        len: usize,
+    },
 }
 
 impl fmt::Display for GraphSchemaError {
@@ -74,11 +87,40 @@ impl fmt::Display for GraphSchemaError {
             GraphSchemaError::MissingParticipation { predicate, role } => {
                 write!(f, "no participation rule for role `{predicate}:{role}`")
             }
+            GraphSchemaError::TooWide { name, what, len } => {
+                let head: String = name.as_str().chars().take(32).collect();
+                let cut = if head.len() < name.as_str().len() {
+                    "…"
+                } else {
+                    ""
+                };
+                write!(
+                    f,
+                    "`{head}{cut}` has {len} {what}; durable records hold at most {}",
+                    u16::MAX
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for GraphSchemaError {}
+
+/// Refuses a name longer than `u16::MAX` bytes, or more than
+/// `u16::MAX` characteristics or roles: the widths the durable delta
+/// record can carry.
+fn check_width(name: &Symbol, parts: usize, what: &'static str) -> Result<(), GraphSchemaError> {
+    for (len, what) in [(name.as_str().len(), "name bytes"), (parts, what)] {
+        if len > usize::from(u16::MAX) {
+            return Err(GraphSchemaError::TooWide {
+                name: name.clone(),
+                what,
+                len,
+            });
+        }
+    }
+    Ok(())
+}
 
 /// The schema of a semantic-graph application model.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -89,11 +131,19 @@ pub struct GraphSchema {
 
 impl GraphSchema {
     /// Builds and validates a graph schema. Every (predicate, role) of
-    /// the universe must receive exactly one participation rule.
+    /// the universe must receive exactly one participation rule, and
+    /// every entity type and predicate must fit the durable delta record
+    /// ([`GraphSchemaError::TooWide`]).
     pub fn new(
         universe: Universe,
         participations: impl IntoIterator<Item = ((Symbol, Symbol), Participation)>,
     ) -> Result<Self, GraphSchemaError> {
+        for et in universe.entity_types() {
+            check_width(et.name(), et.characteristics().count(), "characteristics")?;
+        }
+        for pred in universe.predicates() {
+            check_width(pred.name(), pred.arity(), "roles")?;
+        }
         let participations: BTreeMap<_, _> = participations.into_iter().collect();
         for (predicate, role) in participations.keys() {
             let known = universe
@@ -183,7 +233,8 @@ impl GraphSchema {
 mod tests {
     use super::*;
     use crate::fixtures;
-    use dme_value::sym;
+    use dme_logic::{EntityTypeDecl, PredicateDecl};
+    use dme_value::{sym, Domain, DomainCatalog};
 
     #[test]
     fn machine_shop_schema_is_valid() {
@@ -247,6 +298,50 @@ mod tests {
                 role: sym!("object"),
             }
         );
+    }
+
+    /// A one-entity-type universe whose type name is `name_len` bytes
+    /// and which has `extra` characteristics beside its identifier.
+    fn wide_universe(name_len: usize, extra: usize) -> Universe {
+        let ids = Symbol::new("ids");
+        let chars = (0..=extra).map(|i| (Symbol::new(format!("c{i}")), ids.clone()));
+        Universe::new(
+            DomainCatalog::new().with(Domain::of_strs("ids", ["a"])),
+            [EntityTypeDecl::new("e".repeat(name_len), "c0", chars)],
+            Vec::<PredicateDecl>::new(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn refuses_what_the_durable_record_cannot_carry() {
+        let err = GraphSchema::new(wide_universe(70_000, 0), []).unwrap_err();
+        assert_eq!(
+            err,
+            GraphSchemaError::TooWide {
+                name: Symbol::new("e".repeat(70_000)),
+                what: "name bytes",
+                len: 70_000,
+            }
+        );
+        assert!(err
+            .to_string()
+            .starts_with(&format!("`{}…` has 70000", "e".repeat(32))));
+        let err = GraphSchema::new(wide_universe(1, 65_535), []).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                GraphSchemaError::TooWide {
+                    what: "characteristics",
+                    len: 65_536,
+                    ..
+                }
+            ),
+            "{err}"
+        );
+        // Exactly at the bound is fine.
+        assert!(GraphSchema::new(wide_universe(65_535, 0), []).is_ok());
+        assert!(GraphSchema::new(wide_universe(1, 65_534), []).is_ok());
     }
 
     #[test]

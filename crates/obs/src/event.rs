@@ -77,7 +77,8 @@ pub enum Counter {
     /// harvested rank cache instead of recompiling every state.
     PairingsReused,
     /// Wire requests served to completion by the network front door
-    /// (every decoded frame that got a response, including errors).
+    /// (every decoded frame whose response was queued, errors included;
+    /// shed frames count in [`Counter::RequestsShed`] instead).
     RequestsServed,
     /// Wire requests shed by admission control (bounded queue full —
     /// answered with a typed `Overloaded` response, never enqueued).
@@ -104,7 +105,7 @@ pub enum Counter {
     /// over the shared state, never a state clone).
     SnapshotOpens,
     /// Commit records released from the service's in-memory commit log
-    /// when a full checkpoint becomes the `state_at` base.
+    /// when a full checkpoint becomes the base the log folds over.
     VersionsGcd,
     /// Bytes of checkpoint images appended (full and incremental).
     CheckpointBytes,

@@ -119,6 +119,7 @@ fn assoc_tuple(a: &Association) -> Tuple {
 fn push_record(out: &mut Vec<u8>, kind: u8, name: &str, tuple: &Tuple) {
     out.push(kind);
     let name_bytes = name.as_bytes();
+    // `GraphSchema::new` refuses names (and arities) past `u16::MAX`.
     out.extend_from_slice(&(name_bytes.len() as u16).to_be_bytes());
     out.extend_from_slice(name_bytes);
     let encoded = encode_tuple(tuple);
@@ -522,7 +523,8 @@ mod tests {
     use super::*;
     use dme_graph::fixtures as gfix;
     use dme_graph::GraphOp;
-    use dme_value::Atom;
+    use dme_logic::{EntityTypeDecl, PredicateDecl, Universe};
+    use dme_value::{Atom, Domain, DomainCatalog, Symbol};
     use proptest::prelude::*;
 
     #[test]
@@ -543,6 +545,29 @@ mod tests {
         assert_eq!(apply_delta(&g, &down).unwrap(), premise);
         let up = encode_delta(&premise, &g);
         assert_eq!(apply_delta(&premise, &up).unwrap(), g);
+    }
+
+    #[test]
+    fn the_widest_schema_name_round_trips_through_a_delta() {
+        // `GraphSchema::new` refuses one byte more (`TooWide`).
+        let name = "e".repeat(usize::from(u16::MAX));
+        let universe = Universe::new(
+            DomainCatalog::new().with(Domain::of_strs("ids", ["a"])),
+            [EntityTypeDecl::new(
+                name.as_str(),
+                "id",
+                [(Symbol::new("id"), Symbol::new("ids"))],
+            )],
+            Vec::<PredicateDecl>::new(),
+        )
+        .unwrap();
+        let schema = Arc::new(GraphSchema::new(universe, []).unwrap());
+        let empty = GraphState::empty(schema);
+        let mut one = empty.clone();
+        one.insert_entity_raw(Entity::new(name.as_str(), [("id", Atom::str("a"))]))
+            .unwrap();
+        let delta = encode_delta(&empty, &one);
+        assert_eq!(apply_delta(&empty, &delta).unwrap(), one);
     }
 
     #[test]

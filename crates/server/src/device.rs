@@ -360,16 +360,15 @@ mod tests {
             let devices: Vec<Mutex<MemDevice>> = (0..4)
                 .map(|_| Mutex::new(MemDevice::new().with_budget(Arc::clone(&budget))))
                 .collect();
-            crossbeam::scope(|sc| {
+            std::thread::scope(|sc| {
                 for d in &devices {
-                    sc.spawn(move |_| {
+                    sc.spawn(move || {
                         for _ in 0..8 {
                             let _ = d.lock().unwrap().append(&[trial as u8; 7]);
                         }
                     });
                 }
-            })
-            .unwrap();
+            });
             let total: usize = devices.iter().map(|d| d.lock().unwrap().len()).sum();
             assert!(total <= 64, "trial {trial}: wrote {total} of 64 budget");
             assert!(budget.tripped());

@@ -58,21 +58,12 @@ pub enum ServerError {
     /// log folded over its base at the latest LSN) no longer rebuilds
     /// the conceptual state.
     StorageDiverged(String),
-    /// `state_at` was asked for a state older than the history the
-    /// service still keeps: commits up to `horizon` were folded into
-    /// the `state_at` base at a full checkpoint and released.
-    HistoryCollected {
-        /// The LSN asked for.
-        lsn: u64,
-        /// The oldest LSN whose state can still be rebuilt.
-        horizon: u64,
-    },
 }
 
 impl ServerError {
     /// The stable wire code for this error. Codes are part of the
     /// protocol: new variants take fresh numbers, old numbers are never
-    /// reused.
+    /// reused. Code 13 belonged to a deleted variant and stays retired.
     pub fn code(&self) -> u16 {
         match self {
             ServerError::Conflict { .. } => 1,
@@ -87,7 +78,6 @@ impl ServerError {
             ServerError::Protocol(_) => 10,
             ServerError::UnknownSession(_) => 11,
             ServerError::StorageDiverged(_) => 12,
-            ServerError::HistoryCollected { .. } => 13,
         }
     }
 }
@@ -113,10 +103,6 @@ impl fmt::Display for ServerError {
                 write!(f, "unknown or busy session {id}")
             }
             ServerError::StorageDiverged(why) => write!(f, "internal level diverged: {why}"),
-            ServerError::HistoryCollected { lsn, horizon } => write!(
-                f,
-                "the state at LSN {lsn} was collected: history starts at LSN {horizon}"
-            ),
         }
     }
 }
@@ -177,8 +163,6 @@ mod tests {
             .to_string()
             .contains("bad tag"));
         assert!(ServerError::UnknownSession(7).to_string().contains('7'));
-        let collected = ServerError::HistoryCollected { lsn: 1, horizon: 2 }.to_string();
-        assert!(collected.contains("LSN 1") && collected.contains("LSN 2"));
         let e: ServerError = DeviceError::Full { at: 9 }.into();
         assert!(matches!(e, ServerError::Crashed(_)));
     }
@@ -200,9 +184,8 @@ mod tests {
             ServerError::Protocol(String::new()),
             ServerError::UnknownSession(0),
             ServerError::StorageDiverged(String::new()),
-            ServerError::HistoryCollected { lsn: 0, horizon: 0 },
         ];
         let codes: Vec<u16> = all.iter().map(ServerError::code).collect();
-        assert_eq!(codes, (1..=13).collect::<Vec<u16>>());
+        assert_eq!(codes, (1..=12).collect::<Vec<u16>>());
     }
 }

@@ -28,8 +28,8 @@
 //!   *only* the checkpoint + logs ([`DurableImage`]), and commits are
 //!   acknowledged strictly after their record is synced on every shard
 //!   they touch. The same delta payloads, kept in memory back to the
-//!   last full checkpoint no snapshot held back, are the internal level
-//!   [`SessionService::state_at`] and the audit fold.
+//!   last full checkpoint, are the internal level
+//!   [`SessionService::verify_consistency`] folds.
 //! * **Recovery** ([`SessionService::recover_sharded`]) — merge the
 //!   shard logs by LSN (cross-shard frames dedupe), replay to the last
 //!   committed transaction, truncating torn tails; aborted transactions
@@ -390,7 +390,7 @@ mod tests {
 
     #[test]
     fn sharded_service_commits_across_lanes_and_recovers() {
-        use crossbeam::scope;
+        use std::thread::scope;
         let config = ServiceConfig::builder().shards(4).build().unwrap();
         let service = SessionService::new_sharded(
             gfix::figure4_state(),
@@ -411,15 +411,14 @@ mod tests {
         scope(|sc| {
             for (a, o) in pairs {
                 let service = service.clone();
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     let mut s = service.open_session(SessionKind::Graph).unwrap();
                     s.submit_graph(vec![supervise(a, o)])
                         .unwrap()
                         .expect_commit();
                 });
             }
-        })
-        .unwrap();
+        });
         let history = service.committed_history();
         assert_eq!(history.len(), 4);
         let lsns: Vec<u64> = history.iter().map(|t| t.lsn).collect();
@@ -465,10 +464,10 @@ mod tests {
         .unwrap();
         // new() checkpoints to the checkpoint device, so only commit
         // syncs pay the delay.
-        let outcome = crossbeam::scope(|sc| {
+        let outcome = std::thread::scope(|sc| {
             let leader = {
                 let service = service.clone();
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     let mut s = service.open_session(SessionKind::Graph).unwrap();
                     s.submit_graph(vec![supervise("G.Wayshum", "T.Manhart")])
                         .unwrap()
@@ -477,7 +476,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
             let queued = {
                 let service = service.clone();
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     let mut s = service.open_session(SessionKind::Graph).unwrap();
                     s.submit_graph(vec![supervise("T.Manhart", "C.Gershag")])
                         .unwrap()
@@ -491,8 +490,7 @@ mod tests {
             leader.join().unwrap().expect_commit();
             queued.join().unwrap().expect_commit();
             shed
-        })
-        .unwrap();
+        });
         match outcome {
             CommitOutcome::Shed { shard: 0, depth } => assert!(depth >= 1),
             other => panic!("expected Shed, got {other:?}"),
@@ -614,7 +612,7 @@ mod tests {
 
     #[test]
     fn group_commit_syncs_less_than_per_op() {
-        use crossbeam::scope;
+        use std::thread::scope;
         let group = ServiceConfig::default().max_batch;
         for (max_batch, name) in [(group, "group"), (1, "per-op")] {
             let service = boot(ServiceConfig {
@@ -630,13 +628,12 @@ mod tests {
             scope(|sc| {
                 for (a, o) in pairs {
                     let service = service.clone();
-                    sc.spawn(move |_| {
+                    sc.spawn(move || {
                         let mut s = service.open_session(SessionKind::Graph).unwrap();
                         s.submit_graph(vec![supervise(a, o)]).unwrap();
                     });
                 }
-            })
-            .unwrap();
+            });
             assert_eq!(service.committed_history().len(), 4, "{name}");
             assert!(
                 service.wal_syncs() <= 4,

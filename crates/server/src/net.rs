@@ -51,9 +51,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use dme_graph::GraphOp;
-use dme_obs::{Counter, Observer};
+use dme_obs::{Counter, Metric, Observer};
 use dme_relation::RelOp;
 use dme_storage::wal::{self, WalError, WalRecord};
 use dme_value::Tuple;
@@ -251,6 +252,17 @@ struct Job {
     correlation: u64,
     request: Request,
     reply: Sender<Vec<u8>>,
+    /// When the frame decoded; `None` while the observer is disabled.
+    decoded_at: Option<Instant>,
+}
+
+/// Counts one response queued for a decoded frame and records its
+/// decode → queued latency.
+fn served(obs: &Observer, decoded_at: Option<Instant>) {
+    obs.add(Counter::RequestsServed, 1);
+    if let Some(t) = decoded_at {
+        obs.record(Metric::RequestLatency, t.elapsed().as_micros() as u64);
+    }
 }
 
 /// The served front door: accept thread + per-connection reader tasks
@@ -283,6 +295,7 @@ impl NetServer {
             let (tx, rx) = channel::bounded::<Job>(depth);
             queues.push(tx);
             let service = service.clone();
+            let obs = obs.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("dme-dispatch-{shard}"))
@@ -291,7 +304,9 @@ impl NetServer {
                             let response = service.handle(job.request);
                             let frame = wire::encode_response_frame(job.correlation, &response);
                             // A vanished client drops its responses.
-                            let _ = job.reply.send_blocking(frame);
+                            if job.reply.send_blocking(frame).is_ok() {
+                                served(&obs, job.decoded_at);
+                            }
                         }
                     })
                     .expect("spawn dispatcher"),
@@ -375,15 +390,21 @@ async fn serve_conn(
                 return;
             }
         };
+        let decoded_at = obs.enabled().then(Instant::now);
         let (correlation, request) = match decoded {
             Ok(decoded) => decoded,
             Err(e) => {
-                obs.add(Counter::RequestsServed, 1);
                 let resp = Response::Error {
                     code: e.code(),
                     message: e.to_string(),
                 };
-                let _ = reply.send(wire::encode_response_frame(0, &resp)).await;
+                if reply
+                    .send(wire::encode_response_frame(0, &resp))
+                    .await
+                    .is_ok()
+                {
+                    served(&obs, decoded_at);
+                }
                 continue;
             }
         };
@@ -401,6 +422,7 @@ async fn serve_conn(
             correlation,
             request,
             reply: reply.clone(),
+            decoded_at,
         }) {
             Ok(()) => {}
             Err(TrySendError::Full(job)) => {
@@ -804,6 +826,42 @@ mod tests {
     }
 
     #[test]
+    fn every_answered_request_is_counted_with_its_latency() {
+        let obs = Observer::new(dme_obs::RingSink::with_capacity(16));
+        let service = SessionService::new(
+            gfix::figure4_state(),
+            Vec::<ViewSpec>::new(),
+            ServiceConfig {
+                obs: obs.clone(),
+                ..ServiceConfig::default()
+            },
+            Box::new(MemDevice::new()),
+            Box::new(MemDevice::new()),
+        )
+        .unwrap();
+        let server = NetServer::serve(service);
+        let client = server.connect().unwrap();
+        let session = client.open_session(SessionKind::Graph).unwrap();
+        session.refresh().unwrap();
+        client.checkpoint().unwrap();
+        // A checksum-clean frame whose payload is no request is answered
+        // with a typed error, and counts as served too.
+        let mut conn = server.dialer().connect().unwrap();
+        let mut junk = Vec::new();
+        wal::append_record(&mut junk, 9, &[0xEE]);
+        conn.send_bytes(junk).unwrap();
+        let (corr, resp) =
+            wire::decode_response_frame(&conn.recv_frame_blocking().unwrap().unwrap()).unwrap();
+        assert_eq!(corr, 0);
+        assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+        // Shutting down joins the dispatchers, so every count has landed.
+        drop((session, client, conn));
+        server.shutdown();
+        assert_eq!(obs.counter(Counter::RequestsServed), 4);
+        assert_eq!(obs.histogram(Metric::RequestLatency).count, 4);
+    }
+
+    #[test]
     fn a_corrupt_stream_gets_a_correlation_zero_error() {
         let (server, _service) = serve();
         let mut conn = server.dialer().connect().unwrap();
@@ -833,9 +891,9 @@ mod tests {
         let sessions: Vec<RemoteSession> = (0..8)
             .map(|_| client.open_session(SessionKind::Graph).unwrap())
             .collect();
-        crossbeam::scope(|sc| {
+        std::thread::scope(|sc| {
             for (i, s) in sessions.iter().enumerate() {
-                sc.spawn(move |_| {
+                sc.spawn(move || {
                     // Two distinct supervisions not present in Figure 4,
                     // each raced by four sessions: exactly one of each
                     // commits, the duplicates abort.
@@ -861,8 +919,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         for s in sessions {
             s.close().unwrap();
         }

@@ -422,16 +422,15 @@ struct Core {
     history: Vec<CommittedTxn>,
     checkpoints: Box<dyn LogDevice>,
     crashed: Option<String>,
-    /// `(lsn, payload)` of every commit after `base_lsn`, in LSN order:
-    /// the same encoded delta each WAL frame carries. `state_at` and
-    /// the audit fold it over `base`; incremental checkpoints take the
-    /// newest record of every fact it touched since the last image.
+    /// `(lsn, payload)` of every commit since the last full
+    /// checkpoint, in LSN order: the same encoded delta each WAL frame
+    /// carries. The audit folds it over `base`; incremental checkpoints
+    /// take the newest record of every fact it touched since the last
+    /// image.
     log: Vec<(u64, Vec<u8>)>,
-    /// The anchor state the log folds over, and the LSN it reflects.
-    /// Advanced to the current state (and the log cleared) at every
-    /// full checkpoint.
+    /// The anchor state the log folds over. Advanced to the current
+    /// state (and the log cleared) at every full checkpoint.
     base: Arc<GraphState>,
-    base_lsn: u64,
     /// LSN of the newest durable checkpoint record (the chain link
     /// incremental images carry).
     last_cp_lsn: u64,
@@ -645,7 +644,6 @@ impl SessionService {
             checkpoints: checkpoint_device,
             crashed: None,
             log: Vec::new(),
-            base_lsn: lsn,
             last_cp_lsn: 0,
             last_full_lsn: 0,
             prev_full_lsn: 0,
@@ -951,32 +949,12 @@ impl SessionService {
         ))
     }
 
-    /// The committed conceptual state as of `lsn`: the logged commits
-    /// up to `lsn` folded over the `state_at` base. History behind the
-    /// base is gone: every full checkpoint advances the base to the
-    /// current state, and an `lsn` below it is
-    /// [`ServerError::HistoryCollected`], never a later state. Open
-    /// sessions read their own snapshots, never this history.
-    pub fn state_at(&self, lsn: u64) -> Result<GraphState, ServerError> {
-        let core = self.shared.core.lock().unwrap();
-        if let Some(why) = &core.crashed {
-            return Err(ServerError::Crashed(why.clone()));
-        }
-        Self::fold_at(&core, lsn)
-    }
-
-    /// Clones the base and replays every logged payload with an LSN up
-    /// to `lsn` through the strict fold recovery uses, so the audit
-    /// checks the very bytes recovery would replay.
-    fn fold_at(core: &Core, lsn: u64) -> Result<GraphState, ServerError> {
-        if lsn < core.base_lsn {
-            return Err(ServerError::HistoryCollected {
-                lsn,
-                horizon: core.base_lsn,
-            });
-        }
+    /// Clones the base and replays every logged payload through the
+    /// strict fold recovery uses, so the audit checks the very bytes
+    /// recovery would replay.
+    fn fold_log(core: &Core) -> Result<GraphState, ServerError> {
         let mut state = GraphState::clone(&core.base);
-        for (at, payload) in core.log.iter().take_while(|(at, _)| *at <= lsn) {
+        for (at, payload) in &core.log {
             codec::apply_delta_in_place(&mut state, payload).map_err(|e| {
                 ServerError::StorageDiverged(format!("logged commit {at} does not apply: {e}"))
             })?;
@@ -1000,7 +978,7 @@ impl SessionService {
                 return Err(ServerError::Crashed(why.clone()));
             }
             let lsn = core.next_lsn - 1;
-            if Self::fold_at(&core, lsn)? != *core.conceptual {
+            if Self::fold_log(&core)? != *core.conceptual {
                 return Err(ServerError::StorageDiverged(format!(
                     "the commit log folded to LSN {lsn} differs from the conceptual state"
                 )));
@@ -1121,8 +1099,8 @@ impl SessionService {
     /// incremental — the newest record of every fact the commit log
     /// touched since the previous image, chained to it by LSN. A
     /// durable full image also drives the storage economy: it becomes
-    /// the `state_at` base and the commit log is released, and each
-    /// shard's WAL is truncated up to the *previous* full image (keeping
+    /// the base the commit log folds over, the log is released, and
+    /// each shard's WAL is truncated up to the *previous* full image (keeping
     /// one spare chain so a corrupt newest record still leaves a
     /// recoverable image).
     fn take_checkpoint(&self, core: &mut Core, trace: Option<TraceId>) -> Result<(), ServerError> {
@@ -1159,10 +1137,9 @@ impl SessionService {
                 if full {
                     core.prev_full_lsn = core.last_full_lsn;
                     core.last_full_lsn = lsn;
-                    // The current state becomes the `state_at` base,
-                    // and the commits folded into it are released.
+                    // The current state becomes the log's base, and
+                    // the commits folded into it are released.
                     core.base = Arc::clone(&core.conceptual);
-                    core.base_lsn = lsn;
                     if !core.log.is_empty() {
                         obs.add(Counter::VersionsGcd, core.log.len() as u64);
                         core.log.clear();
@@ -1626,30 +1603,6 @@ mod tests {
     }
 
     #[test]
-    fn state_at_behind_a_collected_base_is_a_typed_error() {
-        let service = boot(ServiceConfig::default());
-        let mut session = service.open_session(SessionKind::Graph).unwrap();
-        let toggle = [
-            GraphOp::InsertAssociation(supervise("G.Wayshum", "T.Manhart")),
-            GraphOp::DeleteAssociation(supervise("G.Wayshum", "T.Manhart")),
-        ];
-        for op in toggle {
-            session.submit_graph(vec![op]).unwrap().expect_commit();
-        }
-        assert_eq!(service.state_at(1).unwrap(), gfix::figure6_state());
-        // The full checkpoint at LSN 2 folds both commits into the base
-        // and releases them.
-        service.checkpoint_now().unwrap();
-        assert_eq!(
-            service.state_at(1),
-            Err(ServerError::HistoryCollected { lsn: 1, horizon: 2 })
-        );
-        assert_eq!(service.state_at(0).unwrap_err().code(), 13);
-        assert_eq!(service.state_at(2).unwrap(), gfix::figure4_state());
-        service.verify_consistency().unwrap();
-    }
-
-    #[test]
     fn a_full_checkpoint_collects_history_with_a_reader_open() {
         let obs = Observer::new(dme_obs::RingSink::with_capacity(16));
         let (service, _) = committed_once_with(ServiceConfig {
@@ -1672,11 +1625,8 @@ mod tests {
         service.checkpoint_now().unwrap();
         // The open reader holds its own snapshot, not the commit log:
         // the full checkpoint at LSN 2 folds both commits into the base.
-        assert_eq!(
-            service.state_at(1),
-            Err(ServerError::HistoryCollected { lsn: 1, horizon: 2 })
-        );
         assert_eq!(obs.counter(Counter::VersionsGcd), 2);
+        service.verify_consistency().unwrap();
         assert_eq!(
             *reader.conceptual_state().unwrap(),
             gfix::figure6_state(),

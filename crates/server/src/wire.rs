@@ -26,7 +26,7 @@
 //! the first path where the server speaks without being spoken to.
 
 use dme_graph::{Association, Entity, EntityRef, GraphOp, SemanticUnit};
-use dme_obs::{Counter, Metric, TraceId};
+use dme_obs::{Counter, TraceId};
 use dme_relation::ops::StatementSet;
 use dme_relation::{RelOp, RelationState};
 use dme_storage::{decode_tuple, encode_tuple, wal, Reader};
@@ -721,8 +721,7 @@ pub fn error_from_wire(code: u16, message: String) -> ServerError {
         9 => ServerError::InvalidConfig(message),
         11 => ServerError::UnknownSession(0),
         12 => ServerError::StorageDiverged(message),
-        13 => ServerError::HistoryCollected { lsn: 0, horizon: 0 },
-        // 10 and anything a newer server might mint.
+        // 10, the retired 13, and anything a newer server might mint.
         _ => ServerError::Protocol(message),
     }
 }
@@ -767,28 +766,6 @@ impl SessionService {
                 message: e.to_string(),
             },
         }
-    }
-
-    /// Serves one CRC-framed request and frames the answer under the
-    /// same correlation id. A frame that fails the checksum or does not
-    /// parse is answered under correlation id 0 (the reserved "broken
-    /// frame" id) so the client's demultiplexer can surface it.
-    pub fn handle_frame(&self, bytes: &[u8]) -> Vec<u8> {
-        let obs = self.shared.config.obs.clone();
-        let timer = obs.time(Metric::RequestLatency);
-        let (correlation, response) = match decode_request_frame(bytes) {
-            Ok((correlation, request)) => (correlation, self.handle(request)),
-            Err(e) => (
-                0,
-                Response::Error {
-                    code: e.code(),
-                    message: e.to_string(),
-                },
-            ),
-        };
-        obs.add(Counter::RequestsServed, 1);
-        drop(timer);
-        encode_response_frame(correlation, &response)
     }
 
     /// Runs `f` against a registered session, *checking the session out*
@@ -925,11 +902,12 @@ mod tests {
 
     #[test]
     fn storage_errors_keep_their_codes_over_the_wire() {
-        for e in [
-            ServerError::StorageDiverged("fold".into()),
-            ServerError::HistoryCollected { lsn: 1, horizon: 2 },
-        ] {
-            assert_eq!(error_from_wire(e.code(), e.to_string()).code(), e.code());
-        }
+        let e = ServerError::StorageDiverged("fold".into());
+        assert_eq!(error_from_wire(e.code(), e.to_string()).code(), e.code());
+        // Code 13 is retired: it decodes like any unknown code.
+        assert!(matches!(
+            error_from_wire(13, "gone".into()),
+            ServerError::Protocol(m) if m == "gone"
+        ));
     }
 }

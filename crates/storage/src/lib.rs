@@ -10,8 +10,7 @@
 //!
 //! * a compact binary codec for tuples ([`codec`]),
 //! * one bounded reader that every decoder of outside bytes — tuples,
-//!   WAL frames, checkpoint and wire payloads, verdict-cache images —
-//!   reads through, so that no input can make a decoder panic
+//!   WAL frames, checkpoint and wire payloads — reads through, so that no input can make a decoder panic
 //!   ([`read`]), and
 //! * a framed, checksummed write-ahead log with torn-write-tolerant
 //!   replay and appended checkpoints ([`wal`]).
@@ -19,9 +18,8 @@
 //! The WAL and the checkpoint chain are the one durable format:
 //! `dme-server`'s `SessionService` logs every committed conceptual
 //! delta to the WAL, keeps the same delta payloads in memory back to
-//! its last collected full checkpoint (its `state_at` reads and its
-//! audit fold them), and recovers from the checkpoint chain plus the
-//! log. The paper's point that "the internal schema presumably contains
+//! its last collected full checkpoint (its audit folds them), and
+//! recovers from the checkpoint chain plus the log. The paper's point that "the internal schema presumably contains
 //! much implementation information which has no equivalent at the
 //! conceptual level" (§3.2.3) shows up concretely: frame layouts, LSNs,
 //! shard logs and checkpoint cadences all vary without changing the

@@ -1,8 +1,8 @@
 //! One bounded reader for big-endian, length-prefixed bytes.
 //!
 //! Every decoder of bytes that come from outside the process — WAL and
-//! checkpoint frames, wire payloads, tuple blobs, verdict-cache images —
-//! reads through [`Reader`]. It never panics: a read past the end is
+//! checkpoint frames, wire payloads, tuple blobs — reads through
+//! [`Reader`]. It never panics: a read past the end is
 //! [`ReadError::Truncated`], a boolean byte other than 0 or 1 is
 //! [`ReadError::BadBool`], and bytes left over when the caller says the
 //! message is complete are [`ReadError::Trailing`]. Slices come back
@@ -131,11 +131,6 @@ impl<'a> Reader<'a> {
         self.array().map(u64::from_be_bytes)
     }
 
-    /// A big-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, ReadError> {
-        self.array().map(u128::from_be_bytes)
-    }
-
     /// A boolean byte: 0 or 1, nothing else.
     pub fn bool(&mut self) -> Result<bool, ReadError> {
         let at = self.at;
@@ -181,7 +176,7 @@ mod tests {
         assert_eq!(r.u32(), Err(ReadError::Truncated { at: 0, wanted: 4 }));
         assert_eq!(r.remaining(), 3);
         assert_eq!(r.take(2), Ok(&[7, 8][..]));
-        assert_eq!(r.u128(), Err(ReadError::Truncated { at: 2, wanted: 16 }));
+        assert_eq!(r.u64(), Err(ReadError::Truncated { at: 2, wanted: 8 }));
         assert_eq!(
             r.take(usize::MAX),
             Err(ReadError::Truncated {

@@ -1,7 +1,7 @@
 //! Differential testing of incremental re-verification against the
 //! generated scenario corpus.
 //!
-//! Three proofs, matching the incremental session's contract, plus a
+//! Two proofs, matching the incremental session's contract, plus a
 //! pin that a session moving between models never pairs one model's
 //! states with another's compiled facts:
 //!
@@ -20,25 +20,13 @@
 //!    `proptest-regressions/incremental.txt` before the panic (the
 //!    vendored proptest shim has no shrinking or persistence of its
 //!    own, so this suite carries both by hand).
-//! 3. **Torn durable images** — a verdict image cut at *every* byte
-//!    boundary, or with bytes flipped, loads as a checksum-clean
-//!    prefix; whatever was dropped simply re-checks cold. No cut and
-//!    no corruption ever changes an answer. Behind a valid checksum,
-//!    random and mutated row payloads load as a typed report and never
-//!    panic the row decoder.
 
 mod common;
-#[path = "common/garbage.rs"]
-mod garbage;
 
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::OnceLock;
-
-use garbage::Garbage;
-use proptest::prelude::*;
 
 use borkin_equiv::equivalence::equiv::{CheckError, EquivKind};
 use borkin_equiv::equivalence::model::FiniteModel;
@@ -48,7 +36,6 @@ use borkin_equiv::equivalence::{Checker, IncrementalChecker, Tier};
 use borkin_equiv::graph::GraphState;
 use borkin_equiv::logic::FactBase;
 use borkin_equiv::relation::RelationState;
-use borkin_equiv::storage::wal;
 use borkin_equiv::workload::scenario::{corpus, Mutation, Scenario, ScenarioConfig, ScenarioOp};
 
 const STATE_CAP: usize = 4096;
@@ -383,149 +370,4 @@ fn mutations_invalidate_exactly_the_affected_frontier() {
         before.invalidations + 1,
         "constraint mutation must invalidate the right-side closure cache"
     );
-}
-
-/// Satellite: crash safety of the durable verdict image. Cutting the
-/// image at any byte, or flipping bytes, loses at most a suffix of the
-/// cached verdicts — the checksum catches the tear, the session falls
-/// back to a cold re-check, and every answer stays exactly equal to the
-/// cold ground truth.
-#[test]
-fn torn_verdict_images_never_change_answers() {
-    // Two cached pairs: an equivalent one and a counterexample one, so
-    // the image carries both row encodings (with and without witnesses).
-    let eq_scenario = Scenario::generate(ScenarioConfig {
-        seed: 0x70A7,
-        toggles: 2,
-        fact_arity: 2,
-        constraint_density: 0.5,
-        composite_ops: 1,
-    });
-    let toy = Scenario::generate(ScenarioConfig {
-        seed: 0x70A8,
-        toggles: 1,
-        fact_arity: 1,
-        constraint_density: 0.0,
-        composite_ops: 0,
-    });
-    // Dropping the delete op leaves the same 2-state closure minus one
-    // transition: pairable, inequivalent — a cacheable counterexample.
-    let drop_delete = Mutation::DropOp(1);
-    assert!(toy.mutations().contains(&drop_delete));
-    let toy_mutant = toy.mutate(drop_delete);
-
-    let pairs: [(Model, Model); 2] = [
-        (eq_scenario.model("left"), eq_scenario.model("right")),
-        (toy.model("left"), toy_mutant.model("right")),
-    ];
-
-    let mut writer = session();
-    let mut expected: Vec<Outcome> = Vec::new();
-    for (m, n) in &pairs {
-        for kind in KINDS {
-            expected.push(writer.check(m, n, kind, STATE_CAP));
-        }
-    }
-    assert!(
-        expected
-            .iter()
-            .any(|o| matches!(o, Ok(Verdict::Counterexample { .. }))),
-        "fixture must cache at least one counterexample"
-    );
-    let total = writer.verdict_entries();
-    let image = writer.save_verdicts();
-    assert!(total >= 6 && !image.is_empty());
-
-    let check_all = |s: &mut IncrementalChecker<FactBase, FactBase>| {
-        for (i, (m, n)) in pairs.iter().enumerate() {
-            for (j, kind) in KINDS.iter().enumerate() {
-                let got = s.check(m, n, *kind, STATE_CAP);
-                assert_eq!(got, expected[i * KINDS.len() + j], "pair {i} kind {kind:?}");
-            }
-        }
-    };
-
-    // Every byte-boundary cut: a strict prefix loads strictly fewer
-    // rows (the tail record is torn or missing) and answers stay right.
-    for cut in 0..=image.len() {
-        let mut s = session();
-        let report = s.load_verdicts(&image[..cut]);
-        assert!(report.loaded <= total);
-        if cut < image.len() {
-            assert!(
-                report.loaded < total,
-                "a strict cut at byte {cut} must lose the torn tail"
-            );
-        } else {
-            assert_eq!((report.loaded, report.torn), (total, false));
-        }
-        check_all(&mut s);
-    }
-
-    // Byte flips anywhere in the image: the per-record checksum (or the
-    // row decoder) rejects the damage; answers stay right.
-    for i in (0..image.len()).step_by(3) {
-        let mut corrupt = image.clone();
-        corrupt[i] ^= 0x41;
-        let mut s = session();
-        let report = s.load_verdicts(&corrupt);
-        assert!(report.loaded <= total);
-        check_all(&mut s);
-    }
-}
-
-/// The row payloads of a real verdict image: a one-toggle scenario
-/// against itself and against its delete-dropped mutant, so both row
-/// shapes (with and without witnesses) appear.
-fn valid_rows() -> &'static [Vec<u8>] {
-    static ROWS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
-    ROWS.get_or_init(|| {
-        let toy = Scenario::generate(ScenarioConfig {
-            seed: 0x70A8,
-            toggles: 1,
-            fact_arity: 1,
-            constraint_density: 0.0,
-            composite_ops: 0,
-        });
-        let mutant = toy.mutate(Mutation::DropOp(1));
-        let mut writer = session();
-        for right in [&toy, &mutant] {
-            for kind in KINDS {
-                writer
-                    .check(&toy.model("left"), &right.model("right"), kind, STATE_CAP)
-                    .expect("the toy pair checks");
-            }
-        }
-        let image = writer.save_verdicts();
-        let (records, tail) = wal::replay_tolerant(&image);
-        assert!(tail.is_none());
-        records.iter().map(|r| r.payload.to_vec()).collect()
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Checksum-valid frames whose payloads are random bytes or mutated
-    /// rows: loading reports how many rows decoded and flags the rest as
-    /// torn, without panicking.
-    #[test]
-    fn garbage_rows_behind_valid_checksums_load_as_a_typed_report(seed in 0u64..1_000_000) {
-        let rows = valid_rows();
-        let mut junk = Garbage(seed);
-        let mut image = Vec::new();
-        let frames = 1 + junk.below(6);
-        for lsn in 1..=frames {
-            let row = &rows[junk.below(rows.len() as u64) as usize];
-            let payload = match junk.below(3) {
-                0 => junk.bytes(96),
-                1 => row.clone(),
-                _ => junk.mutate(row),
-            };
-            wal::append_record(&mut image, lsn, &payload);
-        }
-        let report = session().load_verdicts(&image);
-        prop_assert!(report.loaded as u64 <= frames);
-        prop_assert_eq!(report.torn, report.loaded as u64 != frames);
-    }
 }

@@ -13,7 +13,10 @@
 //!    committed schedule, must reproduce the service's final view
 //!    state, and must satisfy Definition 2 (state equivalence within
 //!    the view's vocabulary) against the final conceptual state;
-//! 3. recovery from the durable image must rebuild the same state.
+//! 3. recovery from the durable image must rebuild the same state;
+//! 4. the internal level (the commit log folded over its base) must
+//!    rebuild the conceptual state, before and after full checkpoints
+//!    collect the log.
 //!
 //! The vendored proptest shim does not shrink, so this suite carries
 //! its own schedule minimizer: a failing spec is greedily delta-debugged
@@ -27,10 +30,8 @@ use proptest::prelude::*;
 
 use borkin_equiv::ansi::ExternalView;
 use borkin_equiv::equivalence::translate::CompletionMode;
-use borkin_equiv::graph::{GraphOp, GraphState};
-use borkin_equiv::server::{
-    CommittedTxn, MemDevice, ServerError, ServiceConfig, SessionKind, SessionService, ViewSpec,
-};
+use borkin_equiv::graph::GraphOp;
+use borkin_equiv::server::{MemDevice, ServiceConfig, SessionKind, SessionService, ViewSpec};
 use borkin_equiv::workload::{self, SessionStream, ShopConfig};
 
 /// One generated schedule: everything needed to re-run it.
@@ -222,19 +223,24 @@ fn run_schedule_with(
         }
     }
 
-    // Oracle 4: time travel, first right after the storm (under a
-    // cadence, a full checkpoint may already have collected early
-    // history); then, under a cadence, again after enough checkpoints
-    // that one is a full image, which collects every commit into the
-    // `state_at` base.
-    time_travel_conforms(&service, &initial, &history, checkpoint_every > 0)?;
+    // Oracle 4: the internal level. The commit log folded over its
+    // base must rebuild the conceptual state, first right after the
+    // storm (under a cadence, a full checkpoint may already have
+    // collected early history); then, under a cadence, again after
+    // enough checkpoints that one is a full image, which collects
+    // every commit into the base.
+    service
+        .verify_consistency()
+        .map_err(|e| format!("audit: {e}"))?;
     if checkpoint_every > 0 {
         for _ in 0..full_checkpoint_every {
             service
                 .checkpoint_now()
                 .map_err(|e| format!("checkpoint: {e}"))?;
         }
-        time_travel_conforms(&service, &initial, &history, true)?;
+        service
+            .verify_consistency()
+            .map_err(|e| format!("audit after full checkpoints: {e}"))?;
     }
 
     // Oracle 3: recovery from the durable image agrees with the live
@@ -271,49 +277,11 @@ fn run_schedule_with(
     Ok(())
 }
 
-/// `state_at(lsn)` must reproduce the sequential replay of every
-/// committed prefix, or — where `may_collect` and a full checkpoint
-/// folded that history into the base — refuse with the typed
-/// `HistoryCollected`, never answer with another state. The latest LSN
-/// always answers with the final state.
-fn time_travel_conforms(
-    service: &SessionService,
-    initial: &GraphState,
-    history: &[CommittedTxn],
-    may_collect: bool,
-) -> Result<(), String> {
-    let mut cursor = initial.clone();
-    let prefixes = std::iter::once((0, cursor.clone())).chain(history.iter().map(|txn| {
-        cursor = GraphOp::apply_all(&txn.ops, &cursor).expect("already replayed once");
-        (txn.lsn, cursor.clone())
-    }));
-    let mut last = initial.clone();
-    for (lsn, want) in prefixes {
-        match service.state_at(lsn) {
-            Ok(at) if at == want => {}
-            Ok(_) => {
-                return Err(format!(
-                    "state_at({lsn}) != sequential replay of the first {} transactions",
-                    history.iter().take_while(|t| t.lsn <= lsn).count()
-                ))
-            }
-            Err(ServerError::HistoryCollected { .. }) if may_collect => {}
-            Err(e) => return Err(format!("state_at({lsn}): {e}")),
-        }
-        last = want;
-    }
-    let latest = history.last().map_or(0, |txn| txn.lsn);
-    if service.state_at(latest).as_ref() != Ok(&last) {
-        return Err(format!("state_at({latest}) is not the final state"));
-    }
-    Ok(())
-}
-
 /// The storage economy under fire: the same concurrent schedules, now
 /// with checkpoint cadences that interleave incremental images, base
 /// advancement, commit-log collection and WAL truncation with the
 /// commit storm — every oracle (including the pre-storm sentinel's
-/// snapshot and `state_at` under collection) must still hold.
+/// snapshot and the audit fold under collection) must still hold.
 #[test]
 fn checkpoint_cadences_conform_under_concurrency() {
     for seed in [7, 42, 1978] {
