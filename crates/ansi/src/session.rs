@@ -6,13 +6,15 @@
 //! per-user object: each user session holds a *snapshot* of its external
 //! view paired with the conceptual state it was materialized against,
 //! translates its own relational operations up to conceptual operations,
-//! and advances by translating committed conceptual operations back
-//! down. The concurrent session service (`dme-server`) hands one of
-//! these to every relational session; graph sessions speak the
-//! conceptual model directly and need no handle.
+//! and moves on by rebasing onto a newer snapshot. The concurrent
+//! session service (`dme-server`) hands one of these to every relational
+//! session and advances the shared views itself, translating committed
+//! conceptual operations back down; graph sessions speak the conceptual
+//! model directly and need no handle.
 
-use dme_core::translate::{relational_op_to_graph, CompletionMode, TranslateError};
+use dme_core::translate::{relational_op_to_compiled_graph, CompletionMode, TranslateError};
 use dme_graph::{GraphOp, GraphState};
+use dme_logic::FactBase;
 use dme_relation::{RelOp, RelationState, RelationalSchema};
 use std::sync::Arc;
 
@@ -20,16 +22,17 @@ use crate::view::ExternalView;
 
 /// A session's private, snapshot-isolated handle over one external view.
 ///
-/// The handle *shares* the view state and the conceptual state it was
-/// snapshotted against (`Arc` copy-on-write): opening a session is two
-/// reference bumps, not a state clone, and the shared owner pays a copy
-/// only when it mutates a state some snapshot still pins. Translation
-/// therefore never races the shared database: re-snapshotting after a
-/// commit conflict is [`ViewSession::rebase`].
+/// The handle *shares* the view state, the conceptual state it was
+/// snapshotted against and that state's compiled fact base (`Arc`
+/// copy-on-write): opening a session is three reference bumps, not a
+/// state clone or a compile. Translation therefore never races the
+/// shared database: re-snapshotting after a commit conflict is
+/// [`ViewSession::rebase`].
 #[derive(Clone)]
 pub struct ViewSession {
     view: Arc<ExternalView>,
     conceptual: Arc<GraphState>,
+    facts: Arc<FactBase>,
 }
 
 impl std::fmt::Debug for ViewSession {
@@ -40,10 +43,19 @@ impl std::fmt::Debug for ViewSession {
 
 impl ViewSession {
     /// Snapshots a session handle over `view`, paired with the
-    /// conceptual state it is currently consistent with. O(1): both
-    /// states are shared, not cloned.
-    pub fn over(view: Arc<ExternalView>, conceptual: Arc<GraphState>) -> Self {
-        ViewSession { view, conceptual }
+    /// conceptual state it is currently consistent with and that
+    /// state's fact base (`facts` must be `conceptual.to_facts()`).
+    /// O(1): all three are shared, not cloned.
+    pub fn over(
+        view: Arc<ExternalView>,
+        conceptual: Arc<GraphState>,
+        facts: Arc<FactBase>,
+    ) -> Self {
+        ViewSession {
+            view,
+            conceptual,
+            facts,
+        }
     }
 
     /// The view's name.
@@ -77,34 +89,27 @@ impl ViewSession {
     }
 
     /// Translates one of the session's relational operations up to the
-    /// conceptual operations it is equivalent to, against this snapshot.
+    /// conceptual operations it is equivalent to, against this snapshot
+    /// and its shared fact base.
     pub fn translate_up(&self, op: &RelOp) -> Result<Vec<GraphOp>, TranslateError> {
-        relational_op_to_graph(op, self.view.state(), &self.conceptual)
-    }
-
-    /// Advances the snapshot over committed conceptual operations,
-    /// returning the relational-side schedule that was applied. This is
-    /// where the copy-on-write copy happens (if the underlying states
-    /// are still shared with other snapshots).
-    pub fn advance(&mut self, gops: &[GraphOp]) -> Result<Vec<RelOp>, TranslateError> {
-        let before = Arc::clone(&self.conceptual);
-        let applied = Arc::make_mut(&mut self.view).apply_conceptual(gops, &before)?;
-        self.conceptual = Arc::new(
-            GraphOp::apply_all(gops, &before)
-                .map_err(|e| TranslateError::SourceOpFailed(e.to_string()))?,
-        );
-        Ok(applied)
+        relational_op_to_compiled_graph(op, self.view.state(), &self.conceptual, &self.facts)
     }
 
     /// Re-snapshots against fresh authoritative states (after a commit
-    /// conflict invalidated this snapshot).
-    pub fn rebase(&mut self, view: Arc<ExternalView>, conceptual: Arc<GraphState>) {
-        self.view = view;
-        self.conceptual = conceptual;
+    /// conflict invalidated this snapshot); `facts` must be
+    /// `conceptual.to_facts()`.
+    pub fn rebase(
+        &mut self,
+        view: Arc<ExternalView>,
+        conceptual: Arc<GraphState>,
+        facts: Arc<FactBase>,
+    ) {
+        *self = ViewSession::over(view, conceptual, facts);
     }
 
     /// Definition 2 within the view's vocabulary: the snapshot pair is
-    /// state equivalent.
+    /// state equivalent. Compiles the conceptual state afresh rather
+    /// than trusting the shared fact base.
     pub fn consistent(&self) -> bool {
         self.view.consistent_with(&self.conceptual)
     }
@@ -120,8 +125,14 @@ mod tests {
     use super::*;
     use dme_graph::fixtures as gfix;
     use dme_graph::{Association, EntityRef};
+    use dme_logic::ToFacts;
     use dme_relation::fixtures as rfix;
     use dme_value::{tuple, Atom, Value};
+
+    fn session_over(view: ExternalView, conceptual: GraphState) -> ViewSession {
+        let facts = Arc::new(conceptual.to_facts());
+        ViewSession::over(Arc::new(view), Arc::new(conceptual), facts)
+    }
 
     fn machine_shop_session() -> ViewSession {
         let conceptual = gfix::figure4_state();
@@ -132,7 +143,7 @@ mod tests {
             CompletionMode::StateCompleted,
         )
         .unwrap();
-        ViewSession::over(Arc::new(view), Arc::new(conceptual))
+        session_over(view, conceptual)
     }
 
     #[test]
@@ -146,53 +157,41 @@ mod tests {
     }
 
     #[test]
-    fn translate_up_then_advance_round_trips() {
-        let mut s = machine_shop_session();
+    fn translate_up_then_apply_conceptual_round_trips() {
+        let s = machine_shop_session();
         let rop = RelOp::insert("Jobs", [tuple!["G.Wayshum", "T.Manhart", Value::Null]]);
         let gops = s.translate_up(&rop).unwrap();
         assert_eq!(gops.len(), 1);
-        let rops = s.advance(&gops).unwrap();
+        let mut view = s.clone().into_view();
+        let rops = view.apply_conceptual(&gops, s.conceptual()).unwrap();
         assert_eq!(rops.len(), 1);
-        assert_eq!(s.conceptual(), &gfix::figure6_state());
-        assert_eq!(s.state(), &rfix::figure7_state());
-        assert!(s.consistent());
+        let after = GraphOp::apply_all(&gops, s.conceptual()).unwrap();
+        assert_eq!(after, gfix::figure6_state());
+        assert_eq!(view.state(), &rfix::figure7_state());
+        assert!(session_over(view, after).consistent());
+        // The snapshot the translation ran against is unmoved.
+        assert_eq!(s.conceptual(), &gfix::figure4_state());
+        assert_eq!(s.state(), &rfix::figure3_state());
     }
 
     #[test]
-    fn advance_does_not_disturb_sibling_snapshots() {
-        // Two sessions share one snapshot pair; advancing one must
-        // copy-on-write, never mutate through the shared Arc.
-        let s0 = machine_shop_session();
-        let mut s1 = s0.clone();
-        let rop = RelOp::insert("Jobs", [tuple!["G.Wayshum", "T.Manhart", Value::Null]]);
-        let gops = s1.translate_up(&rop).unwrap();
-        s1.advance(&gops).unwrap();
-        assert_eq!(s0.conceptual(), &gfix::figure4_state(), "s0 unmoved");
-        assert_eq!(s0.state(), &rfix::figure3_state());
-        assert_eq!(s1.conceptual(), &gfix::figure6_state());
-        assert!(s0.consistent() && s1.consistent());
-    }
-
-    #[test]
-    fn subset_view_sessions_skip_invisible_commits() {
+    fn translate_up_checks_the_shared_facts() {
+        // A snapshot whose view is not equivalent to its facts refuses.
         let conceptual = gfix::figure4_state();
         let view = ExternalView::materialize(
-            "personnel",
-            rfix::personnel_schema(),
-            &conceptual,
-            CompletionMode::Minimal,
+            "shop",
+            rfix::machine_shop_schema(),
+            &gfix::figure6_state(),
+            CompletionMode::StateCompleted,
         )
         .unwrap();
-        let mut s = ViewSession::over(Arc::new(view), Arc::new(conceptual.clone()));
-        // A machine-unit deletion is invisible to the personnel view.
-        let unit = dme_graph::unit::deletion_unit(
-            &conceptual,
-            [EntityRef::new("machine", Atom::str("NZ745"))],
-            [],
-        );
-        let rops = s.advance(&[GraphOp::DeleteUnit(unit)]).unwrap();
-        assert!(rops.is_empty());
-        assert!(s.consistent());
+        let s = session_over(view, conceptual);
+        let rop = RelOp::insert("Employees", [tuple!["A.New", 30]]);
+        assert!(matches!(
+            s.translate_up(&rop),
+            Err(TranslateError::StatesNotEquivalent(_))
+        ));
+        assert!(!s.consistent());
     }
 
     #[test]
@@ -213,7 +212,8 @@ mod tests {
             CompletionMode::StateCompleted,
         )
         .unwrap();
-        s.rebase(Arc::new(fresh), Arc::new(moved.clone()));
+        let facts = Arc::new(moved.to_facts());
+        s.rebase(Arc::new(fresh), Arc::new(moved.clone()), facts);
         assert_eq!(s.conceptual(), &moved);
         assert!(s.consistent());
         assert_eq!(s.into_view().state(), &rfix::figure7_state());

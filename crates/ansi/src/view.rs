@@ -1,13 +1,14 @@
 //! External views: relational application models kept in lockstep.
 
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
 use dme_core::translate::{
-    graph_op_to_relational, materialize_relational_state, CompletionMode, TranslateError,
+    graph_facts_to_relational, materialize_relational_state, CompletionMode, TranslateError,
 };
 use dme_graph::{GraphOp, GraphState};
-use dme_logic::{state_equivalent, FactBase, ToFacts};
+use dme_logic::{FactBase, ToFacts};
 use dme_relation::{RelOp, RelationState, RelationalSchema};
 
 /// One external schema of the architecture: a semantic relation
@@ -44,8 +45,20 @@ impl ExternalView {
         conceptual: &GraphState,
         mode: CompletionMode,
     ) -> Result<Self, TranslateError> {
+        Self::materialize_facts(name, schema, &conceptual.to_facts(), mode)
+    }
+
+    /// [`ExternalView::materialize`] over a compiled conceptual state
+    /// (`conceptual.to_facts()`), so a caller materializing several
+    /// views compiles the state once.
+    pub fn materialize_facts(
+        name: impl Into<String>,
+        schema: RelationalSchema,
+        conceptual_facts: &FactBase,
+        mode: CompletionMode,
+    ) -> Result<Self, TranslateError> {
         let schema = Arc::new(schema);
-        let state = materialize_relational_state(&schema, &conceptual.to_facts())?;
+        let state = materialize_relational_state(&schema, conceptual_facts)?;
         Ok(ExternalView {
             name: name.into(),
             schema,
@@ -74,24 +87,6 @@ impl ExternalView {
         self.mode
     }
 
-    /// Translates a conceptual operation into this view's terms (without
-    /// applying it).
-    pub fn plan(
-        &self,
-        op: &GraphOp,
-        conceptual: &GraphState,
-    ) -> Result<Vec<RelOp>, TranslateError> {
-        graph_op_to_relational(op, conceptual, &self.state, self.mode)
-    }
-
-    /// Applies pre-translated operations to the replica.
-    pub fn apply(&mut self, ops: &[RelOp]) -> Result<(), TranslateError> {
-        let next = RelOp::apply_all(ops, &self.state)
-            .map_err(|e| TranslateError::VerificationFailed(e.to_string()))?;
-        self.state = next;
-        Ok(())
-    }
-
     /// Applies committed conceptual operations to the replica:
     /// translates one operation at a time against the evolving
     /// `(conceptual, view)` state pair — each translation must see a
@@ -99,19 +94,47 @@ impl ExternalView {
     /// callers can journal or audit the relational-side schedule.
     ///
     /// `before` is the conceptual state the first operation applies to.
+    /// Each operation is applied once, and each conceptual state it
+    /// passes through compiled once; see
+    /// [`ExternalView::apply_conceptual_facts`].
     pub fn apply_conceptual(
         &mut self,
         gops: &[GraphOp],
         before: &GraphState,
     ) -> Result<Vec<RelOp>, TranslateError> {
-        let mut applied = Vec::new();
         let mut cursor = before.clone();
+        let mut generations = vec![before.to_facts()];
         for gop in gops {
-            let step = graph_op_to_relational(gop, &cursor, &self.state, self.mode)?;
-            self.apply(&step)?;
-            cursor = gop
-                .apply(&cursor)
+            GraphOp::apply_all_delta([gop], &mut cursor)
                 .map_err(|e| TranslateError::SourceOpFailed(e.to_string()))?;
+            generations.push(cursor.to_facts());
+        }
+        self.apply_conceptual_facts(&generations)
+    }
+
+    /// [`ExternalView::apply_conceptual`] on compiled conceptual states:
+    /// `generations[0]` is the fact base (`to_facts`) of the state the
+    /// first operation applies to, and `generations[i]` that of the
+    /// state after the `i`-th operation. A caller advancing several
+    /// views over one commit compiles each state once and hands every
+    /// view the same list. Every step still checks the view against the
+    /// state before it and verifies the translation against the state
+    /// after it (see [`graph_facts_to_relational`]). On an error the
+    /// view keeps the steps before the failing one.
+    pub fn apply_conceptual_facts<F: Borrow<FactBase>>(
+        &mut self,
+        generations: &[F],
+    ) -> Result<Vec<RelOp>, TranslateError> {
+        let mut applied = Vec::new();
+        for pair in generations.windows(2) {
+            let step = graph_facts_to_relational(
+                pair[0].borrow(),
+                pair[1].borrow(),
+                &self.state,
+                self.mode,
+            )?;
+            self.state = RelOp::apply_all(&step, &self.state)
+                .map_err(|e| TranslateError::VerificationFailed(e.to_string()))?;
             applied.extend(step);
         }
         Ok(applied)
@@ -129,7 +152,73 @@ impl ExternalView {
     /// conceptual state once (`to_facts`) and passes the result to
     /// each view.
     pub fn consistent_with_facts(&self, conceptual_facts: &FactBase) -> bool {
-        let vocab = self.schema.vocabulary();
-        state_equivalent(&self.state, &vocab.filter(conceptual_facts)).is_equivalent()
+        self.state.to_facts() == self.schema.vocabulary().filter(conceptual_facts)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dme_graph::fixtures as gfix;
+    use dme_graph::unit::deletion_unit;
+    use dme_graph::{Association, EntityRef};
+    use dme_relation::fixtures as rfix;
+    use dme_value::Atom;
+
+    #[test]
+    fn subset_views_skip_invisible_commits() {
+        let conceptual = gfix::figure4_state();
+        let mut view = ExternalView::materialize(
+            "personnel",
+            rfix::personnel_schema(),
+            &conceptual,
+            CompletionMode::Minimal,
+        )
+        .unwrap();
+        let before = view.state().clone();
+        // A machine-unit deletion is invisible to the personnel view.
+        let unit = deletion_unit(
+            &conceptual,
+            [EntityRef::new("machine", Atom::str("NZ745"))],
+            [],
+        );
+        let gops = [GraphOp::DeleteUnit(unit)];
+        let rops = view.apply_conceptual(&gops, &conceptual).unwrap();
+        assert!(rops.is_empty());
+        assert_eq!(view.state(), &before);
+        let after = GraphOp::apply_all(&gops, &conceptual).unwrap();
+        assert!(view.consistent_with(&after));
+    }
+
+    #[test]
+    fn a_multi_op_commit_advances_one_step_per_op() {
+        let conceptual = gfix::figure4_state();
+        let mut view = ExternalView::materialize(
+            "shop",
+            rfix::machine_shop_schema(),
+            &conceptual,
+            CompletionMode::StateCompleted,
+        )
+        .unwrap();
+        let supervise = |agent: &str, object: &str| {
+            Association::new(
+                "supervise",
+                [
+                    ("agent", EntityRef::new("employee", Atom::str(agent))),
+                    ("object", EntityRef::new("employee", Atom::str(object))),
+                ],
+            )
+        };
+        let gops = [
+            GraphOp::InsertAssociation(supervise("G.Wayshum", "T.Manhart")),
+            GraphOp::DeleteAssociation(supervise("G.Wayshum", "T.Manhart")),
+        ];
+        let rops = view.apply_conceptual(&gops, &conceptual).unwrap();
+        assert_eq!(rops.len(), 2, "one insert, then one delete");
+        assert_eq!(view.state(), &rfix::figure3_state());
+        // An op that errors on the conceptual side leaves the view as it was.
+        let err = view.apply_conceptual(&gops[1..], &conceptual).unwrap_err();
+        assert!(matches!(err, TranslateError::SourceOpFailed(_)), "{err}");
+        assert_eq!(view.state(), &rfix::figure3_state());
     }
 }

@@ -5,15 +5,26 @@
 //!   padded, normalization absorbs the state dependence);
 //! * `graph_to_rel/state_completed` — the paper's literal Figures 7/8
 //!   tuples, consulting the current state;
-//! * `rel_to_graph` — the reverse direction.
+//! * `rel_to_graph` — the reverse direction;
+//! * `…/precompiled` — the same translations on conceptual states whose
+//!   fact bases are already compiled (`graph_facts_to_relational`,
+//!   `relational_op_to_compiled_graph`), as the session service runs
+//!   them: it compiles each conceptual state once and shares it with
+//!   every view and snapshot. The gap to the wrapper is the compiles
+//!   the wrapper pays per call.
 //!
 //! Each translation includes the verification step (apply + fact
-//! compare), i.e. the numbers are for *certified* translations.
+//! compare against the pre- and post-states), i.e. the numbers are for
+//! *certified* translations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use dme_core::translate::{graph_op_to_relational, relational_op_to_graph, CompletionMode};
+use dme_core::translate::{
+    graph_facts_to_relational, graph_op_to_relational, relational_op_to_compiled_graph,
+    relational_op_to_graph, CompletionMode,
+};
+use dme_logic::ToFacts;
 use dme_workload::{
     graph_state, relational_state, supervision_toggle_ops, supervision_toggle_rel_ops, ShopConfig,
 };
@@ -26,6 +37,8 @@ fn bench_translation(c: &mut Criterion) {
         let r = relational_state(cfg);
         let gop = &supervision_toggle_ops(cfg, 1)[0];
         let rop = &supervision_toggle_rel_ops(cfg, 1)[0];
+        let before = g.to_facts();
+        let after = gop.apply(&g).expect("the toggle applies").to_facts();
 
         group.bench_with_input(BenchmarkId::new("graph_to_rel/minimal", n), &n, |b, _| {
             b.iter(|| {
@@ -53,12 +66,46 @@ fn bench_translation(c: &mut Criterion) {
                 })
             },
         );
+        for (name, mode) in [
+            ("graph_to_rel/minimal/precompiled", CompletionMode::Minimal),
+            (
+                "graph_to_rel/state_completed/precompiled",
+                CompletionMode::StateCompleted,
+            ),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter(|| {
+                    graph_facts_to_relational(
+                        black_box(&before),
+                        black_box(&after),
+                        black_box(&r),
+                        mode,
+                    )
+                    .expect("translates")
+                })
+            });
+        }
         group.bench_with_input(BenchmarkId::new("rel_to_graph", n), &n, |b, _| {
             b.iter(|| {
                 relational_op_to_graph(black_box(rop), black_box(&r), black_box(&g))
                     .expect("translates")
             })
         });
+        group.bench_with_input(
+            BenchmarkId::new("rel_to_graph/precompiled", n),
+            &n,
+            |b, _| {
+                b.iter(|| {
+                    relational_op_to_compiled_graph(
+                        black_box(rop),
+                        black_box(&r),
+                        black_box(&g),
+                        black_box(&before),
+                    )
+                    .expect("translates")
+                })
+            },
+        );
     }
     group.finish();
 }

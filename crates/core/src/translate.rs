@@ -327,11 +327,22 @@ pub fn materialize_relational_state(
         }
     }
     state.normalize();
-    let check = state_equivalent(facts, &state);
-    if !check.is_equivalent() {
-        return Err(TranslateError::VerificationFailed(check.to_string()));
-    }
+    check_equivalent(facts, &state.to_facts(), TranslateError::VerificationFailed)?;
     Ok(state)
+}
+
+/// Definition 2 on two compiled states: `left` and `right` must be the
+/// same fact base; a difference is reported through `err`.
+fn check_equivalent(
+    left: &FactBase,
+    right: &FactBase,
+    err: fn(String) -> TranslateError,
+) -> Result<(), TranslateError> {
+    if left == right {
+        Ok(())
+    } else {
+        Err(err(state_equivalent(left, right).to_string()))
+    }
 }
 
 /// Translates a graph operation into the equivalent relational
@@ -370,20 +381,50 @@ pub fn graph_op_to_relational(
     rel_before: &RelationState,
     mode: CompletionMode,
 ) -> Result<Vec<RelOp>, TranslateError> {
+    let before = graph_before.to_facts();
+    match op.apply(graph_before) {
+        Ok(graph_after) => {
+            graph_facts_to_relational(&before, &graph_after.to_facts(), rel_before, mode)
+        }
+        Err(e) => {
+            // A pair that is not equivalent is reported before the
+            // source operation's own error.
+            let vocab = rel_before.schema().vocabulary();
+            check_equivalent(
+                &vocab.filter(&before),
+                &rel_before.to_facts(),
+                TranslateError::StatesNotEquivalent,
+            )?;
+            Err(TranslateError::SourceOpFailed(e.to_string()))
+        }
+    }
+}
+
+/// [`graph_op_to_relational`] on compiled conceptual states: `before` and
+/// `after` are the fact bases (`to_facts`) of the graph states before
+/// and after the source operation, so a caller translating one
+/// operation into several views compiles each state once and shares it.
+/// Both checks still run: `rel_before` must compile to `before` within
+/// the view's vocabulary, and the synthesized operations applied to it
+/// must compile to `after`.
+pub fn graph_facts_to_relational(
+    before: &FactBase,
+    after: &FactBase,
+    rel_before: &RelationState,
+    mode: CompletionMode,
+) -> Result<Vec<RelOp>, TranslateError> {
     // Relativize everything to the view's vocabulary: for a full view
     // this is the identity; for a subset external schema (§1.2) it is
     // what makes the translation well-defined.
     let schema = rel_before.schema();
     let vocab = schema.vocabulary();
-    let eq = state_equivalent(&vocab.filter(&graph_before.to_facts()), rel_before);
-    if !eq.is_equivalent() {
-        return Err(TranslateError::StatesNotEquivalent(eq.to_string()));
-    }
-    let graph_after = op
-        .apply(graph_before)
-        .map_err(|e| TranslateError::SourceOpFailed(e.to_string()))?;
-    let before_facts = vocab.filter(&graph_before.to_facts());
-    let after_facts = vocab.filter(&graph_after.to_facts());
+    let before_facts = vocab.filter(before);
+    check_equivalent(
+        &before_facts,
+        &rel_before.to_facts(),
+        TranslateError::StatesNotEquivalent,
+    )?;
+    let after_facts = vocab.filter(after);
     let delta = before_facts.delta_to(&after_facts);
 
     let mut ops: Vec<RelOp> = Vec::new();
@@ -480,10 +521,11 @@ pub fn graph_op_to_relational(
             .apply(&state)
             .map_err(|e| TranslateError::VerificationFailed(e.to_string()))?;
     }
-    let check = state_equivalent(&after_facts, &state);
-    if !check.is_equivalent() {
-        return Err(TranslateError::VerificationFailed(check.to_string()));
-    }
+    check_equivalent(
+        &after_facts,
+        &state.to_facts(),
+        TranslateError::VerificationFailed,
+    )?;
     Ok(ops)
 }
 
@@ -527,19 +569,35 @@ pub fn relational_op_to_graph(
     rel_before: &RelationState,
     graph_before: &GraphState,
 ) -> Result<Vec<GraphOp>, TranslateError> {
+    relational_op_to_compiled_graph(op, rel_before, graph_before, &graph_before.to_facts())
+}
+
+/// [`relational_op_to_graph`] against a graph state whose fact base the
+/// caller already compiled: `graph_facts` must be `graph_before.to_facts()`
+/// (a session snapshot carries it beside the state). Both checks still
+/// run: `rel_before` must compile to `graph_facts` within the view's
+/// vocabulary, and the synthesized graph operations are applied to
+/// `graph_before` and the result compiled afresh.
+pub fn relational_op_to_compiled_graph(
+    op: &RelOp,
+    rel_before: &RelationState,
+    graph_before: &GraphState,
+    graph_facts: &FactBase,
+) -> Result<Vec<GraphOp>, TranslateError> {
     // For a subset view (§1.2), the view is compared against — and its
     // updates verified against — the conceptual facts *within the view's
     // vocabulary*; conceptual side-effects outside it (cascades onto
     // objects the view cannot see) are permitted.
     let vocab = rel_before.schema().vocabulary();
-    let eq = state_equivalent(rel_before, &vocab.filter(&graph_before.to_facts()));
-    if !eq.is_equivalent() {
-        return Err(TranslateError::StatesNotEquivalent(eq.to_string()));
-    }
+    let before_facts = rel_before.to_facts();
+    check_equivalent(
+        &before_facts,
+        &vocab.filter(graph_facts),
+        TranslateError::StatesNotEquivalent,
+    )?;
     let rel_after = op
         .apply(rel_before)
         .map_err(|e| TranslateError::SourceOpFailed(e.to_string()))?;
-    let before_facts = rel_before.to_facts();
     let after_facts = rel_after.to_facts();
     let delta = before_facts.delta_to(&after_facts);
 
@@ -734,10 +792,11 @@ pub fn relational_op_to_graph(
         }
     }
 
-    let check = state_equivalent(&rel_after, &vocab.filter(&mid.to_facts()));
-    if !check.is_equivalent() {
-        return Err(TranslateError::VerificationFailed(check.to_string()));
-    }
+    check_equivalent(
+        &after_facts,
+        &vocab.filter(&mid.to_facts()),
+        TranslateError::VerificationFailed,
+    )?;
     Ok(ops)
 }
 

@@ -46,5 +46,5 @@ pub mod unit;
 
 pub use ops::{GraphChange, GraphOp, GraphOpError, GraphTxn, GraphUndo};
 pub use schema::{GraphSchema, GraphSchemaError, Participation};
-pub use state::{Association, Entity, EntityRef, GraphState, GraphStateError};
+pub use state::{Association, Entity, EntityRef, GraphState, GraphStateError, Roles, RolesIter};
 pub use unit::SemanticUnit;

@@ -218,7 +218,7 @@ pub enum GraphChange {
 
 /// The record of one successful [`GraphOp::apply_all_delta`] call: the
 /// forward change log plus the inverse log needed to revert it.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct GraphTxn {
     changes: Vec<GraphChange>,
     undo: Vec<GraphUndoEntry>,
@@ -234,6 +234,15 @@ impl GraphTxn {
     /// (forfeiting the ability to undo).
     pub fn into_changes(self) -> Vec<GraphChange> {
         self.changes
+    }
+
+    /// Appends a transaction applied right after this one, so one
+    /// [`GraphOp::undo_txn`] reverts both: applying a sequence one
+    /// operation at a time and appending each record yields the record
+    /// [`GraphOp::apply_all_delta`] returns for the whole sequence.
+    pub fn append(&mut self, later: GraphTxn) {
+        self.changes.extend(later.changes);
+        self.undo.extend(later.undo);
     }
 }
 

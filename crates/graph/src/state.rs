@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
-use dme_value::{Atom, Symbol, Value};
+use dme_value::{sort_bindings, Atom, Symbol, Value};
 
 use crate::schema::GraphSchema;
 
@@ -114,6 +114,82 @@ impl fmt::Display for Entity {
     }
 }
 
+/// An association's role bindings, role → participant, sorted by role.
+///
+/// One allocation of exactly its bindings: a `BTreeMap` allocates a node
+/// with room for eleven entries, and every state, translated operation
+/// and committed-history entry holds one of these per association.
+/// Equality, ordering and hashing are those of a `BTreeMap` of the same
+/// bindings (the same entry sequence), so fingerprints are unchanged.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Roles(Box<[(Symbol, EntityRef)]>);
+
+/// Iterator over an association's `(role, participant)` bindings.
+pub type RolesIter<'a> = std::iter::Map<
+    std::slice::Iter<'a, (Symbol, EntityRef)>,
+    fn(&'a (Symbol, EntityRef)) -> (&'a Symbol, &'a EntityRef),
+>;
+
+impl Roles {
+    /// The participant filling `role`, if any.
+    pub fn get(&self, role: &str) -> Option<&EntityRef> {
+        self.0
+            .binary_search_by(|(r, _)| r.as_str().cmp(role))
+            .ok()
+            .map(|i| &self.0[i].1)
+    }
+
+    /// The bindings in role order.
+    pub fn iter(&self) -> RolesIter<'_> {
+        self.0.iter().map(|(r, e)| (r, e))
+    }
+
+    /// The roles, in order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &Symbol> {
+        self.0.iter().map(|(r, _)| r)
+    }
+
+    /// The participants, in role order.
+    pub fn values(&self) -> impl ExactSizeIterator<Item = &EntityRef> {
+        self.0.iter().map(|(_, e)| e)
+    }
+
+    /// The number of bindings.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether no role is bound.
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+}
+
+impl FromIterator<(Symbol, EntityRef)> for Roles {
+    /// Collects bindings as a map would: sorted by role, and the last
+    /// binding of a role given twice wins.
+    fn from_iter<I: IntoIterator<Item = (Symbol, EntityRef)>>(iter: I) -> Self {
+        let mut roles: Vec<(Symbol, EntityRef)> = iter.into_iter().collect();
+        sort_bindings(&mut roles);
+        Roles(roles.into_boxed_slice())
+    }
+}
+
+impl<'a> IntoIterator for &'a Roles {
+    type Item = (&'a Symbol, &'a EntityRef);
+    type IntoIter = RolesIter<'a>;
+
+    fn into_iter(self) -> RolesIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Roles {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
 /// An association node: an event of the application described by a
 /// predicate, with each role bound to an entity.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -121,7 +197,7 @@ pub struct Association {
     /// The association type (predicate).
     pub predicate: Symbol,
     /// role → participant.
-    pub roles: BTreeMap<Symbol, EntityRef>,
+    pub roles: Roles,
 }
 
 impl Association {
@@ -327,6 +403,16 @@ fn assoc_fp(assoc: &Association) -> u64 {
     dme_logic::content_fingerprint(&(1u8, assoc))
 }
 
+/// Whether a declaration's names (sorted, as the universe stores them)
+/// are exactly the sorted names `actual`, compared pairwise without
+/// building either set.
+fn same_names<'a>(
+    declared: impl ExactSizeIterator<Item = (&'a Symbol, &'a Symbol)>,
+    actual: impl ExactSizeIterator<Item = &'a Symbol>,
+) -> bool {
+    declared.len() == actual.len() && declared.zip(actual).all(|((d, _), a)| d == a)
+}
+
 impl PartialEq for GraphState {
     fn eq(&self, other: &Self) -> bool {
         self.entities == other.entities && self.associations == other.associations
@@ -394,10 +480,9 @@ impl GraphState {
     fn index_association(&mut self, assoc: &Association, delta: isize) {
         for (role, entity) in &assoc.roles {
             let key = (assoc.predicate.clone(), role.clone(), entity.clone());
-            let count = self.role_index.entry(key.clone()).or_insert(0);
             if delta > 0 {
-                *count += 1;
-            } else {
+                *self.role_index.entry(key).or_insert(0) += 1;
+            } else if let Some(count) = self.role_index.get_mut(&key) {
                 *count = count.saturating_sub(1);
                 if *count == 0 {
                     self.role_index.remove(&key);
@@ -485,15 +570,11 @@ impl GraphState {
                 key: Atom::str("<missing id>"),
             })
         })?;
-        let declared: BTreeSet<&Symbol> = decl.characteristics().map(|(c, _)| c).collect();
-        let actual: BTreeSet<&Symbol> = entity.characteristics.keys().collect();
-        if declared != actual {
+        // Both maps are sorted by name, so equal name sets zip pairwise.
+        if !same_names(decl.characteristics(), entity.characteristics.keys()) {
             return Err(GraphStateError::BadCharacteristics(r));
         }
-        for (c, v) in &entity.characteristics {
-            let domain = decl
-                .domain_of(c.as_str())
-                .expect("characteristic sets match");
+        for ((_, domain), (c, v)) in decl.characteristics().zip(&entity.characteristics) {
             if schema
                 .universe()
                 .domains()
@@ -520,15 +601,12 @@ impl GraphState {
             .universe()
             .predicate(assoc.predicate.as_str())
             .ok_or_else(|| GraphStateError::UnknownPredicate(assoc.predicate.clone()))?;
-        let declared: BTreeSet<&Symbol> = decl.cases().map(|(c, _)| c).collect();
-        let actual: BTreeSet<&Symbol> = assoc.roles.keys().collect();
-        if declared != actual {
+        if !same_names(decl.cases(), assoc.roles.keys()) {
             return Err(GraphStateError::BadRoles {
                 predicate: assoc.predicate.clone(),
             });
         }
-        for (role, entity) in &assoc.roles {
-            let expected = decl.case_type(role.as_str()).expect("role sets match");
+        for ((_, expected), (role, entity)) in decl.cases().zip(&assoc.roles) {
             if *expected != entity.entity_type {
                 return Err(GraphStateError::RoleTypeMismatch {
                     predicate: assoc.predicate.clone(),
@@ -563,11 +641,12 @@ impl GraphState {
     /// Inserts an association after shape checks.
     pub fn insert_association_raw(&mut self, assoc: Association) -> Result<(), GraphStateError> {
         Self::check_association(&self.schema, &assoc)?;
-        if !self.associations.insert(assoc.clone()) {
+        if self.associations.contains(&assoc) {
             return Err(GraphStateError::AssociationExists(assoc));
         }
         self.fp ^= assoc_fp(&assoc);
         self.index_association(&assoc, 1);
+        self.associations.insert(assoc);
         Ok(())
     }
 

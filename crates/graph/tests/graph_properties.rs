@@ -11,17 +11,17 @@
 //! * in-place application, composed application and the facts each
 //!   operation asserts or retracts agree with clone-apply.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use dme_graph::facts::{association_fact, entity_facts, state_facts};
 use dme_graph::unit::deletion_unit;
 use dme_graph::{
     fixtures, Association, Entity, EntityRef, GraphChange, GraphOp, GraphSchema, GraphState,
-    GraphUndo, SemanticUnit,
+    GraphTxn, GraphUndo, SemanticUnit,
 };
-use dme_logic::{FactBase, ToFacts};
-use dme_value::Atom;
+use dme_logic::{content_fingerprint, FactBase, ToFacts};
+use dme_value::{Atom, Symbol};
 use proptest::prelude::*;
 
 const NAMES: [&str; 3] = ["T.Manhart", "C.Gershag", "G.Wayshum"];
@@ -89,6 +89,18 @@ fn build_state(
     s.validate()
         .expect("states drawn among present employees are valid");
     s
+}
+
+/// Role bindings with repeated roles and out-of-order input.
+fn arb_bindings() -> impl Strategy<Value = Vec<(String, EntityRef)>> {
+    prop::collection::vec(
+        (
+            prop_oneof![Just("agent"), Just("object"), Just("instrument")],
+            prop_oneof![Just("A.Alpha"), Just("B.Beta"), Just("M1")],
+        )
+            .prop_map(|(role, key)| (role.to_owned(), EntityRef::new("employee", Atom::str(key)))),
+        0..5,
+    )
 }
 
 fn arb_state() -> impl Strategy<Value = GraphState> {
@@ -175,6 +187,29 @@ fn unit_facts(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// An association's compact role bindings behave as the `BTreeMap`
+    /// of the same pairs: same bindings and lookups, same order, equality
+    /// and hash (so state fingerprints are unchanged).
+    #[test]
+    fn roles_match_a_btree_map(a in arb_bindings(), b in arb_bindings()) {
+        let map = |pairs: &[(String, EntityRef)]| -> BTreeMap<Symbol, EntityRef> {
+            pairs.iter().map(|(r, e)| (Symbol::new(r), e.clone())).collect()
+        };
+        let (ma, mb) = (map(&a), map(&b));
+        let (ra, rb) = (
+            Association::new("p", a.iter().map(|(r, e)| (r.as_str(), e.clone()))),
+            Association::new("p", b.iter().map(|(r, e)| (r.as_str(), e.clone()))),
+        );
+        prop_assert!(ra.roles.iter().eq(ma.iter()));
+        for role in ["agent", "object", "instrument", "other"] {
+            prop_assert_eq!(ra.role(role), ma.get(role));
+        }
+        prop_assert_eq!(ra.roles.cmp(&rb.roles), ma.cmp(&mb));
+        prop_assert_eq!(ra.roles == rb.roles, ma == mb);
+        prop_assert_eq!(content_fingerprint(&ra.roles), content_fingerprint(&ma));
+        prop_assert_eq!(format!("{:?}", ra.roles), format!("{ma:?}"));
+    }
 
     #[test]
     fn fact_compilation_is_injective(a in arb_state(), b in arb_state()) {
@@ -343,6 +378,19 @@ proptest! {
                 }
                 prop_assert_eq!(&replay, &fast_state);
                 prop_assert_eq!(replay.fingerprint(), fast_state.fingerprint());
+                // Applying one op at a time and appending each record
+                // yields the same record, and it undoes as one.
+                let mut stepped_state = state.clone();
+                let mut stepped = GraphTxn::default();
+                for op in &ops {
+                    let step = GraphOp::apply_all_delta([op], &mut stepped_state)
+                        .expect("every op of a successful sequence applies");
+                    stepped.append(step);
+                }
+                prop_assert_eq!(&stepped_state, &fast_state);
+                prop_assert_eq!(stepped.changes(), txn.changes());
+                GraphOp::undo_txn(&mut stepped_state, stepped);
+                prop_assert_eq!(&stepped_state, &state);
                 // Undoing the in-place transaction restores the input.
                 GraphOp::undo_txn(&mut fast_state, txn);
                 prop_assert_eq!(&fast_state, &state);

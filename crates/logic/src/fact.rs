@@ -9,24 +9,25 @@
 //! null in a database state means *absence of a statement*, so nulls never
 //! reach the logic layer.
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
-use dme_value::{Atom, Symbol};
+use dme_value::{sort_bindings, Atom, Symbol};
 
 /// A ground atom of the case-grammar logic: predicate + case bindings.
 ///
 /// Facts are immutable after construction (`with_arg`/`with_predicate`
-/// return copies), so the case map is shared behind an `Arc` — cloning a
-/// fact is two reference bumps — and the structural hash is computed
-/// once and cached. Equality, ordering and hashing are over
-/// `(predicate, args)` exactly as a field-derived implementation would
-/// be; the cache is invisible.
+/// return copies), so the case bindings are shared behind an `Arc` —
+/// cloning a fact is two reference bumps — and the structural hash is
+/// computed once and cached. The bindings are one slice sorted by case
+/// (a fact binds two or three cases; a `BTreeMap` would allocate a node
+/// with room for eleven). Equality, ordering and hashing are over
+/// `(predicate, args)` exactly as a field-derived implementation over a
+/// `BTreeMap` of the same bindings would be; the cache is invisible.
 #[derive(Clone)]
 pub struct Fact {
     predicate: Symbol,
-    args: Arc<BTreeMap<Symbol, Atom>>,
+    args: Arc<[(Symbol, Atom)]>,
     /// Cached `(predicate, args)` structural hash (see [`Fact::fingerprint`]).
     fp: u64,
 }
@@ -90,15 +91,32 @@ impl Fact {
         )
     }
 
-    fn from_parts(predicate: Symbol, args: BTreeMap<Symbol, Atom>) -> Self {
+    /// The least fact with predicate `predicate`: it binds no case, and
+    /// facts order by predicate first, so every fact with that predicate
+    /// sorts at or after it — the lower bound of a predicate range scan.
+    pub(crate) fn least_of(predicate: Symbol) -> Self {
+        Self::from_parts(predicate, Vec::new())
+    }
+
+    fn from_parts(predicate: Symbol, mut args: Vec<(Symbol, Atom)>) -> Self {
+        sort_bindings(&mut args);
         // Tuple hashing visits fields in order, matching the struct
         // hash above — so this equals `content_fingerprint` of the fact.
-        let fp = crate::content_fingerprint(&(&predicate, &args));
+        // A sorted slice of pairs hashes as the map of the same pairs.
+        let fp = crate::content_fingerprint(&(&predicate, &args[..]));
         Fact {
             predicate,
-            args: Arc::new(args),
+            args: args.into(),
             fp,
         }
+    }
+
+    /// The bound atom of a case, by binary search over the sorted cases.
+    fn arg(&self, case: &str) -> Option<&(Symbol, Atom)> {
+        self.args
+            .binary_search_by(|(c, _)| c.as_str().cmp(case))
+            .ok()
+            .map(|i| &self.args[i])
     }
 
     /// The cached structural hash of `(predicate, args)` — exactly
@@ -115,12 +133,12 @@ impl Fact {
 
     /// The binding of a case, if present.
     pub fn get(&self, case: &str) -> Option<&Atom> {
-        self.args.get(case)
+        self.arg(case).map(|(_, a)| a)
     }
 
     /// Iterates over `(case, atom)` bindings in case order.
     pub fn args(&self) -> impl Iterator<Item = (&Symbol, &Atom)> {
-        self.args.iter()
+        self.args.iter().map(|(c, a)| (c, a))
     }
 
     /// Number of bound cases.
@@ -130,14 +148,14 @@ impl Fact {
 
     /// Whether this fact binds the given case.
     pub fn binds(&self, case: &str) -> bool {
-        self.args.contains_key(case)
+        self.arg(case).is_some()
     }
 
     /// Returns a copy of this fact with one case rebound. Used by
     /// renaming correspondences between data models.
     pub fn with_arg(&self, case: impl Into<Symbol>, atom: impl Into<Atom>) -> Fact {
-        let mut args = (*self.args).clone();
-        args.insert(case.into(), atom.into());
+        let mut args = self.args.to_vec();
+        args.push((case.into(), atom.into()));
         Self::from_parts(self.predicate.clone(), args)
     }
 
@@ -146,7 +164,7 @@ impl Fact {
     /// predicate).
     pub fn with_predicate(&self, predicate: impl Into<Symbol>) -> Fact {
         let predicate = predicate.into();
-        let fp = crate::content_fingerprint(&(&predicate, &*self.args));
+        let fp = crate::content_fingerprint(&(&predicate, &self.args[..]));
         Fact {
             predicate,
             args: Arc::clone(&self.args),
@@ -231,6 +249,28 @@ mod tests {
             operate().to_string(),
             "operate{agent: T.Manhart, object: NZ745}"
         );
+    }
+
+    #[test]
+    fn hash_and_order_are_those_of_a_case_map() {
+        use std::collections::BTreeMap;
+        let cases = |f: &Fact| -> BTreeMap<Symbol, Atom> {
+            f.args().map(|(c, a)| (c.clone(), a.clone())).collect()
+        };
+        let facts = [
+            operate(),
+            Fact::new("operate", [("agent", Atom::str("T.Manhart"))]),
+            Fact::new("p", [("z", Atom::int(1)), ("a", Atom::int(2))]),
+            Fact::least_of(Symbol::new("operate")),
+        ];
+        for f in &facts {
+            let map = (f.predicate().clone(), cases(f));
+            assert_eq!(f.fingerprint(), crate::content_fingerprint(&map));
+            for g in &facts {
+                let other = (g.predicate().clone(), cases(g));
+                assert_eq!(f.cmp(g), map.cmp(&other), "{f} vs {g}");
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 
 use crate::{Fact, Pattern};
+use dme_value::Symbol;
 
 /// An immutable-ish set of ground facts with set-algebra helpers.
 ///
@@ -116,21 +117,30 @@ impl FactBase {
         self.facts.iter()
     }
 
+    /// The facts whose predicate is `predicate`, in canonical order.
+    /// Facts order by predicate first, so they form one contiguous range
+    /// and the scan visits no other predicate's facts.
+    fn predicate_range(&self, predicate: Symbol) -> impl Iterator<Item = &Fact> {
+        self.facts
+            .range(Fact::least_of(predicate.clone())..)
+            .take_while(move |f| *f.predicate() == predicate)
+    }
+
     /// All facts whose predicate equals `predicate`.
     pub fn with_predicate<'a>(&'a self, predicate: &'a str) -> impl Iterator<Item = &'a Fact> {
-        self.facts
-            .iter()
-            .filter(move |f| f.predicate().as_str() == predicate)
+        self.predicate_range(Symbol::new(predicate))
     }
 
     /// All facts matching a [`Pattern`] (predicate plus required bindings).
     pub fn matching<'a>(&'a self, pattern: &'a Pattern) -> impl Iterator<Item = &'a Fact> {
-        self.facts.iter().filter(move |f| pattern.matches(f))
+        self.predicate_range(pattern.predicate_name().clone())
+            .filter(move |f| pattern.matches(f))
     }
 
     /// The first fact matching `pattern`, if any.
     pub fn find(&self, pattern: &Pattern) -> Option<&Fact> {
-        self.facts.iter().find(|f| pattern.matches(f))
+        self.predicate_range(pattern.predicate_name().clone())
+            .find(|f| pattern.matches(f))
     }
 
     /// Whether every fact of `other` also holds here.

@@ -62,7 +62,7 @@ impl EntityTypeDecl {
     }
 
     /// All characteristics (including the identifying one), with domains.
-    pub fn characteristics(&self) -> impl Iterator<Item = (&Symbol, &Symbol)> {
+    pub fn characteristics(&self) -> impl ExactSizeIterator<Item = (&Symbol, &Symbol)> {
         self.characteristics.iter()
     }
 
@@ -104,7 +104,7 @@ impl PredicateDecl {
     }
 
     /// All cases with their entity types, in case order.
-    pub fn cases(&self) -> impl Iterator<Item = (&Symbol, &Symbol)> {
+    pub fn cases(&self) -> impl ExactSizeIterator<Item = (&Symbol, &Symbol)> {
         self.cases.iter()
     }
 

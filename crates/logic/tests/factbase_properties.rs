@@ -1,7 +1,7 @@
 //! Property tests for fact bases: set-algebra laws and the delta/apply
 //! round trip that operation-equivalence checking relies on.
 
-use dme_logic::{Fact, FactBase};
+use dme_logic::{Fact, FactBase, Pattern};
 use dme_value::Atom;
 use proptest::prelude::*;
 
@@ -22,6 +22,33 @@ fn arb_fact() -> impl Strategy<Value = Fact> {
 
 fn arb_base() -> impl Strategy<Value = FactBase> {
     prop::collection::vec(arb_fact(), 0..12).prop_map(FactBase::from_facts)
+}
+
+/// Patterns over the facts' predicates and one no fact has ("r", and
+/// "" which sorts before all of them), binding `x`, `y`, both or neither.
+fn arb_pattern() -> impl Strategy<Value = Pattern> {
+    (
+        prop_oneof![
+            Just("p"),
+            Just("q"),
+            Just("be e"),
+            Just("e.age"),
+            Just("r"),
+            Just("")
+        ],
+        prop::option::of(-5i64..5),
+        prop::option::of(-3i64..3),
+    )
+        .prop_map(|(pred, x, y)| {
+            let mut pattern = Pattern::predicate(pred);
+            if let Some(x) = x {
+                pattern = pattern.with("x", Atom::Int(x));
+            }
+            if let Some(y) = y {
+                pattern = pattern.with("y", Atom::Int(y));
+            }
+            pattern
+        })
 }
 
 proptest! {
@@ -68,6 +95,20 @@ proptest! {
         prop_assert!(a.holds(&f));
         prop_assert!(a.remove(&f));
         prop_assert!(!a.holds(&f));
+    }
+
+    /// The predicate-range lookups return exactly what a scan of every
+    /// fact filtered by the pattern returns, in the same order, so the
+    /// first match is unchanged.
+    #[test]
+    fn predicate_range_lookups_match_a_full_scan(a in arb_base(), p in arb_pattern()) {
+        let scanned: Vec<&Fact> = a.iter().filter(|f| p.matches(f)).collect();
+        prop_assert_eq!(a.matching(&p).collect::<Vec<_>>(), scanned.clone());
+        prop_assert_eq!(a.find(&p), scanned.first().copied());
+        let named = p.predicate_name().as_str();
+        let same_predicate: Vec<&Fact> =
+            a.iter().filter(|f| f.predicate().as_str() == named).collect();
+        prop_assert_eq!(a.with_predicate(named).collect::<Vec<_>>(), same_predicate);
     }
 
     /// Deltas compose: applying delta(a→b) then delta(b→c) equals c.

@@ -43,7 +43,7 @@
 //! existence statement lives in the non-nullable Operate row — the
 //! relational mirror of the graph model's *semantic unit* deletion).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
@@ -89,9 +89,16 @@ impl From<ConstraintViolation> for OpError {
 
 /// A set of statements, possibly spanning several relations — the
 /// argument of both operation types.
-#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// Stored as the map `relation → set of tuples`, flattened: relations in
+/// order, each with its sorted, duplicate-free tuples. That is one small
+/// allocation per relation where a `BTreeMap` of `BTreeSet`s allocates a
+/// node with room for eleven entries at both levels, and a request
+/// usually carries one statement. Equality, ordering, hashing and `Debug`
+/// are those of that map.
+#[derive(Clone, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StatementSet {
-    by_relation: BTreeMap<Symbol, BTreeSet<Tuple>>,
+    by_relation: Vec<(Symbol, Vec<Tuple>)>,
 }
 
 impl StatementSet {
@@ -102,20 +109,32 @@ impl StatementSet {
 
     /// Statements of a single relation.
     pub fn single(relation: impl Into<Symbol>, tuples: impl IntoIterator<Item = Tuple>) -> Self {
-        let mut s = Self::new();
-        let relation = relation.into();
-        for t in tuples {
-            s.add(relation.clone(), t);
+        let mut tuples: Vec<Tuple> = tuples.into_iter().collect();
+        if tuples.is_empty() {
+            return Self::new();
         }
-        s
+        tuples.sort();
+        tuples.dedup();
+        tuples.shrink_to_fit();
+        StatementSet {
+            by_relation: vec![(relation.into(), tuples)],
+        }
     }
 
     /// Adds one statement.
     pub fn add(&mut self, relation: impl Into<Symbol>, tuple: Tuple) {
-        self.by_relation
-            .entry(relation.into())
-            .or_default()
-            .insert(tuple);
+        let relation = relation.into();
+        let at = match self.by_relation.binary_search_by(|(r, _)| r.cmp(&relation)) {
+            Ok(at) => at,
+            Err(at) => {
+                self.by_relation.insert(at, (relation, Vec::new()));
+                at
+            }
+        };
+        let tuples = &mut self.by_relation[at].1;
+        if let Err(i) = tuples.binary_search(&tuple) {
+            tuples.insert(i, tuple);
+        }
     }
 
     /// Builder-style [`StatementSet::add`].
@@ -133,17 +152,44 @@ impl StatementSet {
 
     /// Statements of one relation.
     pub fn tuples(&self, relation: &str) -> impl Iterator<Item = &Tuple> {
-        self.by_relation.get(relation).into_iter().flatten()
+        self.by_relation
+            .binary_search_by(|(r, _)| r.as_str().cmp(relation))
+            .map_or(&[][..], |at| &self.by_relation[at].1[..])
+            .iter()
     }
 
     /// Number of statements.
     pub fn len(&self) -> usize {
-        self.by_relation.values().map(BTreeSet::len).sum()
+        self.by_relation.iter().map(|(_, ts)| ts.len()).sum()
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.by_relation.values().all(BTreeSet::is_empty)
+        self.by_relation.is_empty()
+    }
+}
+
+impl fmt::Debug for StatementSet {
+    /// Prints the map `relation → set of tuples`, as a struct over a
+    /// `BTreeMap` of `BTreeSet`s would.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Set<'a>(&'a [Tuple]);
+        impl fmt::Debug for Set<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_set().entries(self.0).finish()
+            }
+        }
+        struct Map<'a>(&'a [(Symbol, Vec<Tuple>)]);
+        impl fmt::Debug for Map<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_map()
+                    .entries(self.0.iter().map(|(r, ts)| (r, Set(ts))))
+                    .finish()
+            }
+        }
+        f.debug_struct("StatementSet")
+            .field("by_relation", &Map(&self.by_relation))
+            .finish()
     }
 }
 

@@ -19,15 +19,15 @@
 //!   of every statement ends, and its undo log restores the prior state
 //!   exactly.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dme_logic::{FactBase, Pattern, ToFacts};
+use dme_logic::{content_fingerprint, FactBase, Pattern, ToFacts};
 use dme_relation::facts::tuple_facts;
 use dme_relation::fixtures;
 use dme_relation::ops::{remainders, StatementSet};
 use dme_relation::{RelOp, RelationSchema, RelationState};
-use dme_value::{Tuple, Value};
+use dme_value::{Symbol, Tuple, Value};
 use proptest::prelude::*;
 
 /// Candidate Jobs statements over the machine-shop domains (some null
@@ -419,6 +419,48 @@ fn state_with(tuples: &[Tuple]) -> RelationState {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A statement set behaves as the map `relation → set of tuples` it
+    /// stores flattened: the same statements in the same order, the same
+    /// lookups, ordering, equality, hash and `Debug`; and `single` builds
+    /// what adding the same tuples one at a time builds.
+    #[test]
+    fn statement_sets_match_a_map_of_sets(
+        a in prop::collection::vec(arb_statement(), 0..6),
+        b in prop::collection::vec(arb_statement(), 0..6),
+    ) {
+        type Map = BTreeMap<Symbol, BTreeSet<Tuple>>;
+        let build = |stmts: &[(&str, Tuple)]| {
+            let mut set = StatementSet::new();
+            let mut map = Map::new();
+            for (r, t) in stmts {
+                set.add(*r, t.clone());
+                map.entry(Symbol::new(r)).or_default().insert(t.clone());
+            }
+            (set, map)
+        };
+        let flat = |m: &Map| -> Vec<(Symbol, Tuple)> {
+            m.iter().flat_map(|(r, ts)| ts.iter().map(|t| (r.clone(), t.clone()))).collect()
+        };
+        let ((sa, ma), (sb, mb)) = (build(&a), build(&b));
+        let listed: Vec<(Symbol, Tuple)> = sa.iter().map(|(r, t)| (r.clone(), t.clone())).collect();
+        prop_assert_eq!(listed, flat(&ma));
+        prop_assert_eq!(sa.len(), flat(&ma).len());
+        prop_assert_eq!(sa.is_empty(), ma.is_empty());
+        for r in ["Employees", "Operate", "Jobs", "Other"] {
+            prop_assert!(sa.tuples(r).eq(ma.get(r).into_iter().flatten()));
+        }
+        prop_assert_eq!(sa.cmp(&sb), ma.cmp(&mb));
+        prop_assert_eq!(sa == sb, ma == mb);
+        prop_assert_eq!(content_fingerprint(&sa), content_fingerprint(&ma));
+        prop_assert_eq!(format!("{sa:?}"), format!("StatementSet {{ by_relation: {ma:?} }}"));
+        let jobs: Vec<Tuple> = a.iter().filter(|(r, _)| *r == "Jobs").map(|(_, t)| t.clone()).collect();
+        let mut added = StatementSet::new();
+        for t in &jobs {
+            added.add("Jobs", t.clone());
+        }
+        prop_assert_eq!(StatementSet::single("Jobs", jobs), added);
+    }
 
     #[test]
     fn normalization_preserves_facts(tuples in prop::collection::vec(arb_jobs_tuple(), 0..8)) {

@@ -223,13 +223,12 @@ fn corrupt(why: impl Into<String>) -> ServerError {
     ServerError::Recovery(why.into())
 }
 
-fn decode_entity(schema: &GraphSchema, name: &str, tuple: &Tuple) -> Result<Entity, ServerError> {
+fn decode_entity(schema: &GraphSchema, name: &str, tuple: Tuple) -> Result<Entity, ServerError> {
     let et = schema
         .universe()
-        .entity_types()
-        .find(|et| et.name().as_str() == name)
+        .entity_type(name)
         .ok_or_else(|| corrupt(format!("unknown entity type {name} in log")))?;
-    let chars: Vec<_> = et.characteristics().map(|(c, _)| c.clone()).collect();
+    let chars = et.characteristics();
     if tuple.arity() != chars.len() {
         return Err(corrupt(format!(
             "entity record arity {} != {} characteristics of {name}",
@@ -237,46 +236,47 @@ fn decode_entity(schema: &GraphSchema, name: &str, tuple: &Tuple) -> Result<Enti
             chars.len()
         )));
     }
-    let values: Result<Vec<_>, _> = tuple
-        .values()
-        .map(|v| {
-            v.as_atom()
-                .cloned()
-                .ok_or_else(|| corrupt(format!("null in entity record for {name}")))
+    let characteristics = chars
+        .zip(tuple.into_values())
+        .map(|((c, _), v)| {
+            let value = v
+                .into_atom()
+                .ok_or_else(|| corrupt(format!("null in entity record for {name}")))?;
+            Ok((c.clone(), value))
         })
-        .collect();
-    Ok(Entity::new(
-        et.name().clone(),
-        chars.into_iter().zip(values?),
-    ))
+        .collect::<Result<_, ServerError>>()?;
+    Ok(Entity {
+        entity_type: et.name().clone(),
+        characteristics,
+    })
 }
 
 fn decode_assoc(
     schema: &GraphSchema,
     name: &str,
-    tuple: &Tuple,
+    tuple: Tuple,
 ) -> Result<Association, ServerError> {
     let pred = schema
         .universe()
-        .predicates()
-        .find(|p| p.name().as_str() == name)
+        .predicate(name)
         .ok_or_else(|| corrupt(format!("unknown predicate {name} in log")))?;
-    let cases: Vec<_> = pred.cases().map(|(c, t)| (c.clone(), t.clone())).collect();
-    if tuple.arity() != cases.len() {
+    if tuple.arity() != pred.arity() {
         return Err(corrupt(format!("association record arity for {name}")));
     }
-    let roles: Result<Vec<_>, ServerError> = cases
-        .into_iter()
-        .zip(tuple.values())
+    let roles = pred
+        .cases()
+        .zip(tuple.into_values())
         .map(|((case, et), v)| {
             let key = v
-                .as_atom()
-                .cloned()
+                .into_atom()
                 .ok_or_else(|| corrupt(format!("null in association record for {name}")))?;
-            Ok((case, EntityRef::new(et, key)))
+            Ok((case.clone(), EntityRef::new(et.clone(), key)))
         })
-        .collect();
-    Ok(Association::new(pred.name().clone(), roles?))
+        .collect::<Result<_, ServerError>>()?;
+    Ok(Association {
+        predicate: pred.name().clone(),
+        roles,
+    })
 }
 
 /// One record of an encoded delta, not yet decoded: its kind byte, the
@@ -325,14 +325,10 @@ fn for_each_change(
         let tuple =
             decode_tuple(record.tuple).map_err(|e| corrupt(format!("tuple decode: {e}")))?;
         f(match record.kind {
-            KIND_ENTITY_INSERT => GraphChange::InsertEntity(decode_entity(schema, name, &tuple)?),
-            KIND_ENTITY_DELETE => GraphChange::DeleteEntity(decode_entity(schema, name, &tuple)?),
-            KIND_ASSOC_INSERT => {
-                GraphChange::InsertAssociation(decode_assoc(schema, name, &tuple)?)
-            }
-            KIND_ASSOC_DELETE => {
-                GraphChange::DeleteAssociation(decode_assoc(schema, name, &tuple)?)
-            }
+            KIND_ENTITY_INSERT => GraphChange::InsertEntity(decode_entity(schema, name, tuple)?),
+            KIND_ENTITY_DELETE => GraphChange::DeleteEntity(decode_entity(schema, name, tuple)?),
+            KIND_ASSOC_INSERT => GraphChange::InsertAssociation(decode_assoc(schema, name, tuple)?),
+            KIND_ASSOC_DELETE => GraphChange::DeleteAssociation(decode_assoc(schema, name, tuple)?),
             other => return Err(corrupt(format!("unknown delta record kind {other}"))),
         })
     })

@@ -165,6 +165,32 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_leaves_sibling_snapshots_where_they_were() {
+        // Two sessions snapshot one generation; one commits. The other
+        // keeps its snapshot pair (copy-on-write, never a write through
+        // the shared states) until it refreshes.
+        let service = boot(ServiceConfig::default());
+        let open = || {
+            service
+                .open_session(SessionKind::Relational {
+                    view: "shop".into(),
+                })
+                .unwrap()
+        };
+        let (mut writer, mut sibling) = (open(), open());
+        let op = RelOp::insert("Jobs", [tuple!["G.Wayshum", "T.Manhart", Value::Null]]);
+        writer.submit_relational(&op).unwrap();
+        assert_eq!(writer.relational_state().unwrap(), &rfix::figure7_state());
+        assert_eq!(sibling.relational_state().unwrap(), &rfix::figure3_state());
+        assert_eq!(*sibling.conceptual_state().unwrap(), gfix::figure4_state());
+        sibling.refresh().unwrap();
+        assert_eq!(sibling.relational_state().unwrap(), &rfix::figure7_state());
+        assert_eq!(*sibling.conceptual_state().unwrap(), gfix::figure6_state());
+        writer.close().unwrap();
+        sibling.close().unwrap();
+    }
+
+    #[test]
     fn aborted_transactions_leave_no_trace() {
         let service = boot(ServiceConfig::default());
         let mut s = service.open_session(SessionKind::Graph).unwrap();

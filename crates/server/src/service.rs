@@ -59,8 +59,8 @@ use std::sync::{Arc, Condvar, Mutex};
 
 use dme_ansi::ExternalView;
 use dme_core::translate::CompletionMode;
-use dme_graph::{GraphOp, GraphSchema, GraphState};
-use dme_logic::ToFacts;
+use dme_graph::{GraphOp, GraphSchema, GraphState, GraphTxn};
+use dme_logic::{FactBase, ToFacts};
 use dme_obs::{Counter, Metric, Observer, ShardRegistry, TelemetrySnapshot, TraceHub, TraceId};
 use dme_relation::{RelationState, RelationalSchema};
 use dme_storage::wal;
@@ -415,6 +415,12 @@ struct Core {
     /// commit path pays one state copy per *pinned generation* (via
     /// `Arc::make_mut`) instead of every reader paying a clone.
     conceptual: Arc<GraphState>,
+    /// The compiled fact base of `conceptual`, one per generation:
+    /// compiled at boot and then once per committed operation from the
+    /// actual post-state, and shared by every view's translation and
+    /// every relational snapshot. `None` when the service serves no
+    /// views: nothing translates, so nothing is compiled.
+    facts: Option<Arc<FactBase>>,
     views: BTreeMap<String, Arc<ExternalView>>,
     version: u64,
     next_lsn: u64,
@@ -626,9 +632,13 @@ impl SessionService {
                 config.shards
             )));
         }
+        // One compile of the state serves every view's materialization
+        // and becomes the first generation's shared fact base.
         let mut materialized = BTreeMap::new();
+        let mut facts = None;
         for spec in views {
-            let view = ExternalView::materialize(&spec.name, spec.schema, &state, spec.mode)?;
+            let facts = facts.get_or_insert_with(|| Arc::new(state.to_facts()));
+            let view = ExternalView::materialize_facts(&spec.name, spec.schema, facts, spec.mode)?;
             materialized.insert(spec.name, Arc::new(view));
         }
         let schema = Arc::clone(state.schema());
@@ -636,6 +646,7 @@ impl SessionService {
         let core = Core {
             base: Arc::clone(&conceptual),
             conceptual,
+            facts,
             views: materialized,
             version,
             next_lsn: lsn + 1,
@@ -862,12 +873,9 @@ impl SessionService {
                         .views
                         .get(view)
                         .ok_or_else(|| ServerError::UnknownView(view.clone()))?;
-                    // O(1) snapshot: two Arc bumps, never a state clone.
+                    // O(1) snapshot: Arc bumps, never a state clone.
                     obs.add(Counter::SnapshotOpens, 1);
-                    Some((
-                        dme_ansi::ViewSession::over(Arc::clone(v), Arc::clone(&core.conceptual)),
-                        core.version,
-                    ))
+                    Some((Self::view_session(&core, v), core.version))
                 }
             }
         };
@@ -943,10 +951,29 @@ impl SessionService {
             .get(view)
             .ok_or_else(|| ServerError::UnknownView(view.to_string()))?;
         self.shared.config.obs.add(Counter::SnapshotOpens, 1);
-        Ok((
-            dme_ansi::ViewSession::over(Arc::clone(v), Arc::clone(&core.conceptual)),
-            core.version,
-        ))
+        Ok((Self::view_session(&core, v), core.version))
+    }
+
+    /// A snapshot handle over `view` paired with the current generation:
+    /// the conceptual state and its shared fact base.
+    fn view_session(core: &Core, view: &Arc<ExternalView>) -> dme_ansi::ViewSession {
+        let facts = core
+            .facts
+            .as_ref()
+            .expect("a service with views compiles its state");
+        dme_ansi::ViewSession::over(
+            Arc::clone(view),
+            Arc::clone(&core.conceptual),
+            Arc::clone(facts),
+        )
+    }
+
+    /// Whether the shared fact base is the compile of the current
+    /// conceptual state (vacuously, when no view needs one).
+    fn facts_current(core: &Core) -> bool {
+        core.facts
+            .as_ref()
+            .is_none_or(|facts| **facts == core.conceptual.to_facts())
     }
 
     /// Clones the base and replays every logged payload through the
@@ -1259,43 +1286,50 @@ impl SessionService {
                     continue;
                 }
             }
-            // Advance the views against the pre-state first — operation
-            // translation only needs the state the ops depart from — so
-            // the conceptual apply can then run in place, O(delta),
-            // without cloning the whole state per transaction.
+            // Apply the transaction once, in place, one operation at a
+            // time. With views, every state it passes through is
+            // compiled once, from the actual state, and each view
+            // translates against the same generations; a view that
+            // refuses undoes the whole transaction. Copy-on-write: the
+            // clone inside `make_mut` is paid only when a snapshot still
+            // shares this generation — and then once per generation,
+            // not once per open session.
             let verify_timer = obs.time(Metric::VerifyLatency);
-            let mut advanced = Vec::with_capacity(core.views.len());
             let mut failure: Option<Outcome> = None;
-            for (name, view) in &core.views {
-                let mut v = ExternalView::clone(view);
-                if let Err(e) = v.apply_conceptual(&req.gops, &core.conceptual) {
-                    failure = Some(Outcome::Aborted(format!("view {name}: {e}")));
-                    break;
+            let mut txn = GraphTxn::default();
+            let mut generations: Vec<Arc<FactBase>> = core.facts.iter().cloned().collect();
+            let conceptual = Arc::make_mut(&mut core.conceptual);
+            for op in &req.gops {
+                match GraphOp::apply_all_delta([op], conceptual) {
+                    Ok(step) => {
+                        txn.append(step);
+                        if !generations.is_empty() {
+                            generations.push(Arc::new(conceptual.to_facts()));
+                        }
+                    }
+                    Err(e) => {
+                        failure = Some(Outcome::Aborted(e.to_string()));
+                        break;
+                    }
                 }
-                advanced.push((name.clone(), v));
             }
-            if let Some(out) = failure {
-                drop(verify_timer);
-                obs.add(Counter::TxnsAborted, 1);
-                outcomes.push((req.id, out));
-                continue;
-            }
-            // Copy-on-write: the clone inside `make_mut` is paid only
-            // when a snapshot still shares this generation — and then
-            // once per generation, not once per open session.
-            let txn = match GraphOp::apply_all_delta(&req.gops, Arc::make_mut(&mut core.conceptual))
-            {
-                Ok(txn) => txn,
-                Err(e) => {
-                    drop(verify_timer);
-                    obs.add(Counter::TxnsAborted, 1);
-                    outcomes.push((req.id, Outcome::Aborted(e.to_string())));
-                    continue;
+            let mut advanced = Vec::with_capacity(core.views.len());
+            if failure.is_none() {
+                for (name, view) in &core.views {
+                    let mut v = ExternalView::clone(view);
+                    if let Err(e) = v.apply_conceptual_facts(&generations) {
+                        failure = Some(Outcome::Aborted(format!("view {name}: {e}")));
+                        break;
+                    }
+                    advanced.push((name.clone(), v));
                 }
-            };
-            if config.lockstep_verify {
+            }
+            if failure.is_none() && config.lockstep_verify && !advanced.is_empty() {
+                // Lockstep trusts no shared compile: one fresh compile
+                // of the post-state, checked against every view.
+                let fresh = core.conceptual.to_facts();
                 for (name, v) in &advanced {
-                    if !v.consistent_with(&core.conceptual) {
+                    if !v.consistent_with_facts(&fresh) {
                         failure = Some(Outcome::Lockstep(name.clone()));
                         break;
                     }
@@ -1304,10 +1338,21 @@ impl SessionService {
             drop(verify_timer);
             if let Some(out) = failure {
                 GraphOp::undo_txn(Arc::make_mut(&mut core.conceptual), txn);
+                debug_assert!(
+                    Self::facts_current(&core),
+                    "undo restores the shared facts' state"
+                );
                 obs.add(Counter::TxnsAborted, 1);
                 outcomes.push((req.id, out));
                 continue;
             }
+            if let Some(post) = generations.pop() {
+                core.facts = Some(post);
+            }
+            debug_assert!(
+                Self::facts_current(&core),
+                "the shared facts compile the post-state"
+            );
             // Which equivalence tier vouched for this translation: with
             // lockstep on, every view was checked state equivalent to
             // the advanced conceptual state (Definition 2 within the

@@ -32,6 +32,6 @@ pub mod value;
 
 pub use atom::Atom;
 pub use domain::{Domain, DomainCatalog, DomainError, DomainSpec};
-pub use symbol::Symbol;
+pub use symbol::{sort_bindings, Symbol};
 pub use tuple::Tuple;
 pub use value::Value;

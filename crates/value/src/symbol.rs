@@ -103,6 +103,18 @@ macro_rules! sym {
     };
 }
 
+/// Sorts name-keyed bindings by name, keeping only the last binding of
+/// a name given twice: the entries, in order, of the map
+/// `FromIterator` would build from the same pairs. Compact sorted-slice
+/// maps (an association's roles, a fact's cases) are built with it.
+pub fn sort_bindings<T>(bindings: &mut Vec<(Symbol, T)>) {
+    // Reversed, then stably sorted: each name's last binding leads its
+    // run, and `dedup_by` keeps the first of a run.
+    bindings.reverse();
+    bindings.sort_by(|a, b| a.0.cmp(&b.0));
+    bindings.dedup_by(|later, kept| later.0 == kept.0);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -49,6 +49,11 @@ impl Tuple {
         self.0.iter()
     }
 
+    /// The components, consumed in column order.
+    pub fn into_values(self) -> std::vec::IntoIter<Value> {
+        self.0.into_vec().into_iter()
+    }
+
     /// The underlying slice.
     pub fn as_slice(&self) -> &[Value] {
         &self.0
