@@ -29,8 +29,10 @@
 //! plus the commit payloads the service keeps in memory since its last
 //! collected full checkpoint.
 
+pub mod generation;
 pub mod session;
 pub mod view;
 
+pub use generation::Generation;
 pub use session::ViewSession;
 pub use view::ExternalView;

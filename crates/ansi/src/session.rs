@@ -14,25 +14,24 @@
 
 use dme_core::translate::{relational_op_to_compiled_graph, CompletionMode, TranslateError};
 use dme_graph::{GraphOp, GraphState};
-use dme_logic::FactBase;
 use dme_relation::{RelOp, RelationState, RelationalSchema};
 use std::sync::Arc;
 
+use crate::generation::Generation;
 use crate::view::ExternalView;
 
 /// A session's private, snapshot-isolated handle over one external view.
 ///
-/// The handle *shares* the view state, the conceptual state it was
-/// snapshotted against and that state's compiled fact base (`Arc`
-/// copy-on-write): opening a session is three reference bumps, not a
+/// The handle *shares* the view state and the conceptual generation it
+/// was snapshotted against — that state and its compiled fact base —
+/// (`Arc` copy-on-write): opening a session is reference bumps, not a
 /// state clone or a compile. Translation therefore never races the
 /// shared database: re-snapshotting after a commit conflict is
 /// [`ViewSession::rebase`].
 #[derive(Clone)]
 pub struct ViewSession {
     view: Arc<ExternalView>,
-    conceptual: Arc<GraphState>,
-    facts: Arc<FactBase>,
+    conceptual: Generation,
 }
 
 impl std::fmt::Debug for ViewSession {
@@ -43,19 +42,10 @@ impl std::fmt::Debug for ViewSession {
 
 impl ViewSession {
     /// Snapshots a session handle over `view`, paired with the
-    /// conceptual state it is currently consistent with and that
-    /// state's fact base (`facts` must be `conceptual.to_facts()`).
-    /// O(1): all three are shared, not cloned.
-    pub fn over(
-        view: Arc<ExternalView>,
-        conceptual: Arc<GraphState>,
-        facts: Arc<FactBase>,
-    ) -> Self {
-        ViewSession {
-            view,
-            conceptual,
-            facts,
-        }
+    /// conceptual generation it is currently consistent with. O(1):
+    /// both are shared, not cloned.
+    pub fn over(view: Arc<ExternalView>, conceptual: Generation) -> Self {
+        ViewSession { view, conceptual }
     }
 
     /// The view's name.
@@ -80,38 +70,37 @@ impl ViewSession {
 
     /// The conceptual state this snapshot is paired with.
     pub fn conceptual(&self) -> &GraphState {
-        &self.conceptual
+        self.conceptual.state()
     }
 
     /// A shared handle on the snapshot's conceptual state (no clone).
     pub fn conceptual_shared(&self) -> Arc<GraphState> {
-        Arc::clone(&self.conceptual)
+        Arc::clone(self.conceptual.state())
     }
 
     /// Translates one of the session's relational operations up to the
     /// conceptual operations it is equivalent to, against this snapshot
-    /// and its shared fact base.
+    /// and its generation's fact base.
     pub fn translate_up(&self, op: &RelOp) -> Result<Vec<GraphOp>, TranslateError> {
-        relational_op_to_compiled_graph(op, self.view.state(), &self.conceptual, &self.facts)
+        relational_op_to_compiled_graph(
+            op,
+            self.view.state(),
+            self.conceptual.state(),
+            self.conceptual.facts(),
+        )
     }
 
     /// Re-snapshots against fresh authoritative states (after a commit
-    /// conflict invalidated this snapshot); `facts` must be
-    /// `conceptual.to_facts()`.
-    pub fn rebase(
-        &mut self,
-        view: Arc<ExternalView>,
-        conceptual: Arc<GraphState>,
-        facts: Arc<FactBase>,
-    ) {
-        *self = ViewSession::over(view, conceptual, facts);
+    /// conflict invalidated this snapshot).
+    pub fn rebase(&mut self, view: Arc<ExternalView>, conceptual: Generation) {
+        *self = ViewSession::over(view, conceptual);
     }
 
     /// Definition 2 within the view's vocabulary: the snapshot pair is
     /// state equivalent. Compiles the conceptual state afresh rather
     /// than trusting the shared fact base.
     pub fn consistent(&self) -> bool {
-        self.view.consistent_with(&self.conceptual)
+        self.view.consistent_with(self.conceptual.state())
     }
 
     /// Consumes the handle, yielding the snapshot view (unshared).
@@ -125,13 +114,11 @@ mod tests {
     use super::*;
     use dme_graph::fixtures as gfix;
     use dme_graph::{Association, EntityRef};
-    use dme_logic::ToFacts;
     use dme_relation::fixtures as rfix;
     use dme_value::{tuple, Atom, Value};
 
     fn session_over(view: ExternalView, conceptual: GraphState) -> ViewSession {
-        let facts = Arc::new(conceptual.to_facts());
-        ViewSession::over(Arc::new(view), Arc::new(conceptual), facts)
+        ViewSession::over(Arc::new(view), Generation::new(conceptual))
     }
 
     fn machine_shop_session() -> ViewSession {
@@ -212,8 +199,7 @@ mod tests {
             CompletionMode::StateCompleted,
         )
         .unwrap();
-        let facts = Arc::new(moved.to_facts());
-        s.rebase(Arc::new(fresh), Arc::new(moved.clone()), facts);
+        s.rebase(Arc::new(fresh), Generation::new(moved.clone()));
         assert_eq!(s.conceptual(), &moved);
         assert!(s.consistent());
         assert_eq!(s.into_view().state(), &rfix::figure7_state());

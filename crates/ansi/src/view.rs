@@ -5,7 +5,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use dme_core::translate::{
-    graph_facts_to_relational, materialize_relational_state, CompletionMode, TranslateError,
+    graph_facts_to_relational, graph_op_failed, materialize_relational_state, CompletionMode,
+    TranslateError,
 };
 use dme_graph::{GraphOp, GraphState};
 use dme_logic::{FactBase, ToFacts};
@@ -95,21 +96,27 @@ impl ExternalView {
     ///
     /// `before` is the conceptual state the first operation applies to.
     /// Each operation is applied once, and each conceptual state it
-    /// passes through compiled once; see
-    /// [`ExternalView::apply_conceptual_facts`].
+    /// passes through compiled once. An error reports what
+    /// [`dme_core::translate::graph_op_to_relational`] would report for
+    /// the failing step (a pair that is not equivalent before the
+    /// operation's own failure), and the view keeps the steps before it.
     pub fn apply_conceptual(
         &mut self,
         gops: &[GraphOp],
         before: &GraphState,
     ) -> Result<Vec<RelOp>, TranslateError> {
+        let mut applied = Vec::new();
         let mut cursor = before.clone();
-        let mut generations = vec![before.to_facts()];
+        let mut facts = before.to_facts();
         for gop in gops {
-            GraphOp::apply_all_delta([gop], &mut cursor)
-                .map_err(|e| TranslateError::SourceOpFailed(e.to_string()))?;
-            generations.push(cursor.to_facts());
+            if let Err(e) = GraphOp::apply_all_delta([gop], &mut cursor) {
+                return Err(graph_op_failed(&facts, &self.state, e));
+            }
+            let after = cursor.to_facts();
+            applied.extend(self.apply_conceptual_facts(&[&facts, &after])?);
+            facts = after;
         }
-        self.apply_conceptual_facts(&generations)
+        Ok(applied)
     }
 
     /// [`ExternalView::apply_conceptual`] on compiled conceptual states:
@@ -220,5 +227,49 @@ mod tests {
         let err = view.apply_conceptual(&gops[1..], &conceptual).unwrap_err();
         assert!(matches!(err, TranslateError::SourceOpFailed(_)), "{err}");
         assert_eq!(view.state(), &rfix::figure3_state());
+        // The view keeps the steps before a failing one.
+        let failing = [gops[0].clone(), gops[0].clone()];
+        let err = view.apply_conceptual(&failing, &conceptual).unwrap_err();
+        assert!(matches!(err, TranslateError::SourceOpFailed(_)), "{err}");
+        assert_eq!(view.state(), &rfix::figure7_state());
+    }
+
+    #[test]
+    fn a_view_out_of_step_is_reported_before_a_failing_op() {
+        // The view holds Figure 7 (the supervision inserted); the
+        // conceptual state is Figure 4, where deleting it fails.
+        let mut view = ExternalView::materialize(
+            "shop",
+            rfix::machine_shop_schema(),
+            &gfix::figure6_state(),
+            CompletionMode::StateCompleted,
+        )
+        .unwrap();
+        let conceptual = gfix::figure4_state();
+        let ghost = Association::new(
+            "supervise",
+            [
+                ("agent", EntityRef::new("employee", Atom::str("G.Wayshum"))),
+                ("object", EntityRef::new("employee", Atom::str("T.Manhart"))),
+            ],
+        );
+        let gops = [GraphOp::DeleteAssociation(ghost)];
+        let err = view.apply_conceptual(&gops, &conceptual).unwrap_err();
+        assert!(
+            matches!(err, TranslateError::StatesNotEquivalent(_)),
+            "{err}"
+        );
+        let per_call = dme_core::translate::graph_op_to_relational(
+            &gops[0],
+            &conceptual,
+            view.state(),
+            view.mode(),
+        )
+        .unwrap_err();
+        assert!(
+            matches!(per_call, TranslateError::StatesNotEquivalent(_)),
+            "{per_call}"
+        );
+        assert_eq!(view.state(), &rfix::figure7_state());
     }
 }

@@ -386,17 +386,27 @@ pub fn graph_op_to_relational(
         Ok(graph_after) => {
             graph_facts_to_relational(&before, &graph_after.to_facts(), rel_before, mode)
         }
-        Err(e) => {
-            // A pair that is not equivalent is reported before the
-            // source operation's own error.
-            let vocab = rel_before.schema().vocabulary();
-            check_equivalent(
-                &vocab.filter(&before),
-                &rel_before.to_facts(),
-                TranslateError::StatesNotEquivalent,
-            )?;
-            Err(TranslateError::SourceOpFailed(e.to_string()))
-        }
+        Err(e) => Err(graph_op_failed(&before, rel_before, e)),
+    }
+}
+
+/// The error of translating a graph operation that failed on the state
+/// compiling to `before`: a pair that is not equivalent is reported
+/// first (`StatesNotEquivalent`), as [`graph_facts_to_relational`]
+/// reports it, and only then the operation's own error (`SourceOpFailed`).
+pub fn graph_op_failed(
+    before: &FactBase,
+    rel_before: &RelationState,
+    err: impl std::fmt::Display,
+) -> TranslateError {
+    let vocab = rel_before.schema().vocabulary();
+    match check_equivalent(
+        &vocab.filter(before),
+        &rel_before.to_facts(),
+        TranslateError::StatesNotEquivalent,
+    ) {
+        Err(not_equivalent) => not_equivalent,
+        Ok(()) => TranslateError::SourceOpFailed(err.to_string()),
     }
 }
 

@@ -9,10 +9,13 @@
 //! both: recovery decodes the checkpoint into a state, then folds the
 //! logged deltas over it.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use dme_graph::{Association, Entity, EntityRef, GraphChange, GraphSchema, GraphState};
+use dme_graph::{
+    Association, Entity, EntityRef, GraphChange, GraphSchema, GraphState, GraphStateError,
+};
 use dme_storage::{decode_tuple, encode_tuple, ReadError, Reader};
 use dme_value::{Tuple, Value};
 
@@ -313,25 +316,63 @@ fn for_each_record<'a>(
     Ok(())
 }
 
+/// The name and the tuple of one record.
+fn decode_parts<'a>(record: &RawRecord<'a>) -> Result<(&'a str, Tuple), ServerError> {
+    let name = std::str::from_utf8(record.name).map_err(|_| corrupt("record name is not utf-8"))?;
+    let tuple = decode_tuple(record.tuple).map_err(|e| corrupt(format!("tuple decode: {e}")))?;
+    Ok((name, tuple))
+}
+
+/// Decodes one record into the change it encodes.
+fn decode_change(schema: &GraphSchema, record: &RawRecord<'_>) -> Result<GraphChange, ServerError> {
+    let (name, tuple) = decode_parts(record)?;
+    Ok(match record.kind {
+        KIND_ENTITY_INSERT => GraphChange::InsertEntity(decode_entity(schema, name, tuple)?),
+        KIND_ENTITY_DELETE => GraphChange::DeleteEntity(decode_entity(schema, name, tuple)?),
+        KIND_ASSOC_INSERT => GraphChange::InsertAssociation(decode_assoc(schema, name, tuple)?),
+        KIND_ASSOC_DELETE => GraphChange::DeleteAssociation(decode_assoc(schema, name, tuple)?),
+        other => return Err(corrupt(format!("unknown delta record kind {other}"))),
+    })
+}
+
 /// Walks the records of an encoded delta as the changes they encode.
 fn for_each_change(
     schema: &GraphSchema,
     payload: &[u8],
     mut f: impl FnMut(GraphChange) -> Result<(), ServerError>,
 ) -> Result<(), ServerError> {
-    for_each_record(payload, |record| {
-        let name =
-            std::str::from_utf8(record.name).map_err(|_| corrupt("record name is not utf-8"))?;
-        let tuple =
-            decode_tuple(record.tuple).map_err(|e| corrupt(format!("tuple decode: {e}")))?;
-        f(match record.kind {
-            KIND_ENTITY_INSERT => GraphChange::InsertEntity(decode_entity(schema, name, tuple)?),
-            KIND_ENTITY_DELETE => GraphChange::DeleteEntity(decode_entity(schema, name, tuple)?),
-            KIND_ASSOC_INSERT => GraphChange::InsertAssociation(decode_assoc(schema, name, tuple)?),
-            KIND_ASSOC_DELETE => GraphChange::DeleteAssociation(decode_assoc(schema, name, tuple)?),
-            other => return Err(corrupt(format!("unknown delta record kind {other}"))),
-        })
-    })
+    for_each_record(payload, |record| f(decode_change(schema, &record)?))
+}
+
+/// Applies one decoded change with the strict raw mutations: an insert
+/// of a present fact or a delete of an absent one is corruption.
+fn apply_change(
+    state: &mut GraphState,
+    schema: &GraphSchema,
+    change: GraphChange,
+) -> Result<(), ServerError> {
+    let what = change_kind(&change);
+    match change {
+        GraphChange::InsertEntity(e) => state.insert_entity_raw(e).map(drop),
+        GraphChange::DeleteEntity(e) => state.remove_entity_raw(&entity_key(schema, &e)?).map(drop),
+        GraphChange::InsertAssociation(a) => state.insert_association_raw(a),
+        GraphChange::DeleteAssociation(a) => state.remove_association_raw(&a),
+    }
+    .map_err(|e| replay_error(what, e))
+}
+
+/// What a change does, as replay errors name it.
+fn change_kind(change: &GraphChange) -> &'static str {
+    match change {
+        GraphChange::InsertEntity(_) => "entity insert",
+        GraphChange::DeleteEntity(_) => "entity delete",
+        GraphChange::InsertAssociation(_) => "association insert",
+        GraphChange::DeleteAssociation(_) => "association delete",
+    }
+}
+
+fn replay_error(what: &str, e: GraphStateError) -> ServerError {
+    corrupt(format!("replayed {what}: {e}"))
 }
 
 fn entity_key(schema: &GraphSchema, e: &Entity) -> Result<EntityRef, ServerError> {
@@ -347,29 +388,136 @@ pub fn apply_delta(state: &GraphState, payload: &[u8]) -> Result<GraphState, Ser
 }
 
 /// [`apply_delta`] without the clone: folds the delta directly into
-/// `state`. Recovery replays every WAL record since the checkpoint
-/// through this — a clone per record would make replay O(records ×
-/// state) and sink the recovery SLO; in place it is O(delta) per
-/// record. On error the state may hold a partial application, so
-/// callers must discard it (recovery abandons the whole attempt).
+/// `state`. On error the state may hold a partial application, so
+/// callers must discard it. A run of deltas folds faster through one
+/// [`LogReplay`].
 pub fn apply_delta_in_place(state: &mut GraphState, payload: &[u8]) -> Result<(), ServerError> {
     let schema = Arc::clone(state.schema());
     for_each_change(&schema, payload, |change| {
-        let (what, applied) = match change {
-            GraphChange::InsertEntity(e) => ("entity insert", state.insert_entity_raw(e).map(drop)),
-            GraphChange::DeleteEntity(e) => (
-                "entity delete",
-                state.remove_entity_raw(&entity_key(&schema, &e)?).map(drop),
+        apply_change(state, &schema, change)
+    })
+}
+
+/// Folds a run of encoded deltas, in order, into a state: recovery's
+/// replay of the WAL and the audit's fold of the commit log. Every
+/// record gets the checks of [`apply_delta_in_place`] on each payload in
+/// turn, in the same order and with the same errors; the state that
+/// [`LogReplay::finish`] leaves is the one that would leave.
+///
+/// What it saves is work on facts a log toggles again and again. An
+/// association record is decoded the first time its bytes are seen: the
+/// tuple codec is canonical (each decodable byte string is the encoding
+/// of its value), so records with equal name and tuple bytes carry
+/// equal associations. From then on the replay tracks that
+/// association's presence by those bytes — an insert of a present one
+/// or a delete of an absent one fails exactly where the fold would —
+/// and `finish` applies only the net change of each. Entity records
+/// apply at once: the raw mutations of entities and of associations
+/// never look at each other, so they commute. Each replayed record thus
+/// costs a hash lookup, not a decode and two ordered-set updates, and
+/// the state's fingerprint and role index move once per net change.
+///
+/// On error the state may hold a partial application, so callers must
+/// discard it (recovery abandons the whole attempt).
+pub struct LogReplay<'s, 'p> {
+    state: &'s mut GraphState,
+    schema: Arc<GraphSchema>,
+    /// Every association a record named, keyed by its name and tuple
+    /// bytes.
+    touched: HashMap<(&'p [u8], &'p [u8]), Touched>,
+}
+
+/// One association a replayed record named.
+struct Touched {
+    assoc: Association,
+    /// Whether the state held it when the replay first met it.
+    was_present: bool,
+    /// Whether it is present after the records replayed so far.
+    present: bool,
+    /// Whether an insert record has passed its shape check.
+    shape_checked: bool,
+}
+
+impl<'s, 'p> LogReplay<'s, 'p> {
+    /// Starts a replay into `state`.
+    pub fn new(state: &'s mut GraphState) -> Self {
+        LogReplay {
+            schema: Arc::clone(state.schema()),
+            state,
+            touched: HashMap::new(),
+        }
+    }
+
+    /// Replays one encoded delta.
+    pub fn apply(&mut self, payload: &'p [u8]) -> Result<(), ServerError> {
+        for_each_record(payload, |record| match record.kind {
+            KIND_ASSOC_INSERT | KIND_ASSOC_DELETE => self.association(&record),
+            _ => apply_change(
+                self.state,
+                &self.schema,
+                decode_change(&self.schema, &record)?,
             ),
-            GraphChange::InsertAssociation(a) => {
-                ("association insert", state.insert_association_raw(a))
-            }
-            GraphChange::DeleteAssociation(a) => {
-                ("association delete", state.remove_association_raw(&a))
+        })
+    }
+
+    /// One association record: the checks `apply_change` would make
+    /// (decode, then for an insert the shape and then the absence, for
+    /// a delete the presence), against the tracked presence.
+    fn association(&mut self, record: &RawRecord<'p>) -> Result<(), ServerError> {
+        let t = match self.touched.entry((record.name, record.tuple)) {
+            Entry::Occupied(t) => t.into_mut(),
+            Entry::Vacant(slot) => {
+                let (name, tuple) = decode_parts(record)?;
+                let assoc = decode_assoc(&self.schema, name, tuple)?;
+                let was_present = self.state.has_association(&assoc);
+                slot.insert(Touched {
+                    assoc,
+                    was_present,
+                    present: was_present,
+                    shape_checked: false,
+                })
             }
         };
-        applied.map_err(|e| corrupt(format!("replayed {what}: {e}")))
-    })
+        if record.kind == KIND_ASSOC_INSERT {
+            if !t.shape_checked {
+                GraphState::check_association(&self.schema, &t.assoc)
+                    .map_err(|e| replay_error("association insert", e))?;
+                t.shape_checked = true;
+            }
+            if t.present {
+                let e = GraphStateError::AssociationExists(t.assoc.clone());
+                return Err(replay_error("association insert", e));
+            }
+            t.present = true;
+        } else {
+            if !t.present {
+                let e = GraphStateError::NoSuchAssociation(t.assoc.clone());
+                return Err(replay_error("association delete", e));
+            }
+            t.present = false;
+        }
+        Ok(())
+    }
+
+    /// Applies the net change of every association the replay touched.
+    pub fn finish(self) -> Result<(), ServerError> {
+        for (_, t) in self.touched {
+            match (t.was_present, t.present) {
+                (false, true) => apply_change(
+                    self.state,
+                    &self.schema,
+                    GraphChange::InsertAssociation(t.assoc),
+                )?,
+                (true, false) => apply_change(
+                    self.state,
+                    &self.schema,
+                    GraphChange::DeleteAssociation(t.assoc),
+                )?,
+                _ => {}
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Folds an encoded delta over `state` with *upsert/ignore* semantics:
@@ -754,6 +902,91 @@ mod tests {
                         prop_assert!(matches!(e, ServerError::Recovery(_)), "{:?}", e);
                     }
                 }
+            }
+        }
+
+        /// A log replay is the per-payload strict fold: on random logs
+        /// that toggle a few associations and entities — with now and
+        /// then an insert of a present fact, a delete of an absent one,
+        /// an unknown predicate or a torn record — both end in the same
+        /// state (fingerprint and role index included) or in the same
+        /// error.
+        #[test]
+        fn log_replay_is_the_per_payload_fold(
+            log in prop::collection::vec(prop::collection::vec((0usize..12, 0u8..200), 1..4), 0..40),
+        ) {
+            let g = gfix::figure4_state();
+            let mut associations: Vec<Association> = g.associations().cloned().collect();
+            associations.push(Association::new(
+                "supervise",
+                [
+                    ("agent", EntityRef::new("employee", Atom::str("G.Wayshum"))),
+                    ("object", EntityRef::new("employee", Atom::str("T.Manhart"))),
+                ],
+            ));
+            let entities: Vec<Entity> = g.entities().cloned().collect();
+            let mut present = g.clone();
+            let payloads: Vec<Vec<u8>> = log
+                .iter()
+                .map(|records| {
+                    let mut out = Vec::new();
+                    for &(which, fault) in records {
+                        let a = &associations[which % associations.len()];
+                        let e = &entities[which % entities.len()];
+                        let held = present.has_association(a);
+                        // Fault 0 writes the record that must fail.
+                        let insert = held == (fault == 0);
+                        match fault {
+                            1 => push_record(&mut out, KIND_ASSOC_INSERT, "nosuch", &assoc_tuple(a)),
+                            2 => out.extend_from_slice(&[KIND_ASSOC_DELETE, 0]),
+                            3..=9 => {
+                                let r = e.to_ref(g.schema()).expect("entities have keys");
+                                if present.entity(&r).is_some() {
+                                    let _ = present.remove_entity_raw(&r);
+                                    push_record(&mut out, KIND_ENTITY_DELETE, e.entity_type.as_str(), &entity_tuple(e));
+                                } else {
+                                    let _ = present.insert_entity_raw(e.clone());
+                                    push_record(&mut out, KIND_ENTITY_INSERT, e.entity_type.as_str(), &entity_tuple(e));
+                                }
+                            }
+                            _ if insert => {
+                                let _ = present.insert_association_raw(a.clone());
+                                push_record(&mut out, KIND_ASSOC_INSERT, a.predicate.as_str(), &assoc_tuple(a));
+                            }
+                            _ => {
+                                let _ = present.remove_association_raw(a);
+                                push_record(&mut out, KIND_ASSOC_DELETE, a.predicate.as_str(), &assoc_tuple(a));
+                            }
+                        }
+                    }
+                    out
+                })
+                .collect();
+            let mut folded = g.clone();
+            let fold = payloads
+                .iter()
+                .try_for_each(|p| apply_delta_in_place(&mut folded, p));
+            let mut replayed = g.clone();
+            let mut replay = LogReplay::new(&mut replayed);
+            let replay = payloads
+                .iter()
+                .try_for_each(|p| replay.apply(p))
+                .and_then(|()| replay.finish());
+            match (fold, replay) {
+                (Ok(()), Ok(())) => {
+                    prop_assert_eq!(&replayed, &folded);
+                    prop_assert_eq!(replayed.fingerprint(), folded.fingerprint());
+                    for a in &associations {
+                        for (role, e) in &a.roles {
+                            prop_assert_eq!(
+                                replayed.role_count(e, a.predicate.as_str(), role.as_str()),
+                                folded.role_count(e, a.predicate.as_str(), role.as_str())
+                            );
+                        }
+                    }
+                }
+                (Err(f), Err(r)) => prop_assert_eq!(f.to_string(), r.to_string()),
+                (f, r) => prop_assert!(false, "fold {:?}, replay {:?}", f, r),
             }
         }
     }

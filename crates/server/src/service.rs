@@ -57,7 +57,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use dme_ansi::ExternalView;
+use dme_ansi::{ExternalView, Generation};
 use dme_core::translate::CompletionMode;
 use dme_graph::{GraphOp, GraphSchema, GraphState, GraphTxn};
 use dme_logic::{FactBase, ToFacts};
@@ -410,17 +410,15 @@ struct StagedTxn {
 }
 
 struct Core {
-    /// The committed conceptual state. Shared copy-on-write with every
-    /// open snapshot: opening a session bumps the refcount, and the
-    /// commit path pays one state copy per *pinned generation* (via
-    /// `Arc::make_mut`) instead of every reader paying a clone.
-    conceptual: Arc<GraphState>,
-    /// The compiled fact base of `conceptual`, one per generation:
-    /// compiled at boot and then once per committed operation from the
-    /// actual post-state, and shared by every view's translation and
-    /// every relational snapshot. `None` when the service serves no
-    /// views: nothing translates, so nothing is compiled.
-    facts: Option<Arc<FactBase>>,
+    /// The committed conceptual state and its compiled fact base.
+    /// Shared copy-on-write with every open snapshot: opening a session
+    /// bumps the refcounts, and the commit path pays one state copy per
+    /// *pinned generation* (via [`Generation::state_mut`]) instead of
+    /// every reader paying a clone. The fact base is compiled only when
+    /// a view translates or a relational snapshot opens — once at boot,
+    /// then once per committed operation from the actual post-state —
+    /// so a service without views compiles nothing.
+    conceptual: Generation,
     views: BTreeMap<String, Arc<ExternalView>>,
     version: u64,
     next_lsn: u64,
@@ -633,20 +631,22 @@ impl SessionService {
             )));
         }
         // One compile of the state serves every view's materialization
-        // and becomes the first generation's shared fact base.
+        // and stays as the first generation's shared fact base.
+        let schema = Arc::clone(state.schema());
+        let conceptual = Generation::new(state);
         let mut materialized = BTreeMap::new();
-        let mut facts = None;
         for spec in views {
-            let facts = facts.get_or_insert_with(|| Arc::new(state.to_facts()));
-            let view = ExternalView::materialize_facts(&spec.name, spec.schema, facts, spec.mode)?;
+            let view = ExternalView::materialize_facts(
+                &spec.name,
+                spec.schema,
+                conceptual.facts(),
+                spec.mode,
+            )?;
             materialized.insert(spec.name, Arc::new(view));
         }
-        let schema = Arc::clone(state.schema());
-        let conceptual = Arc::new(state);
         let core = Core {
-            base: Arc::clone(&conceptual),
+            base: Arc::clone(conceptual.state()),
             conceptual,
-            facts,
             views: materialized,
             version,
             next_lsn: lsn + 1,
@@ -816,13 +816,14 @@ impl SessionService {
         let mut replayed = 0;
         let mut replayed_bytes = 0u64;
         let mut next_lsn = cp_lsn + 1;
+        let mut replay = codec::LogReplay::new(&mut state);
         for r in &records {
             if r.lsn <= cp_lsn {
                 next_lsn = next_lsn.max(r.lsn + 1);
                 continue;
             }
             let timer = obs.time(Metric::ReplayLatency);
-            codec::apply_delta_in_place(&mut state, r.payload)?;
+            replay.apply(r.payload)?;
             drop(timer);
             replayed += 1;
             replayed_bytes += r.payload.len() as u64;
@@ -833,6 +834,7 @@ impl SessionService {
                 obs.trace_event("server/replay", TraceId(t), || format!("lsn {}", r.lsn));
             }
         }
+        replay.finish()?;
         let report = RecoveryReport {
             checkpoint_lsn: cp_lsn,
             replayed,
@@ -913,7 +915,7 @@ impl SessionService {
     /// A shared snapshot of the conceptual state (an `Arc` bump, not a
     /// clone — the commit path copies on write if someone holds it).
     pub fn conceptual(&self) -> Arc<GraphState> {
-        Arc::clone(&self.shared.core.lock().unwrap().conceptual)
+        Arc::clone(self.shared.core.lock().unwrap().conceptual.state())
     }
 
     /// A snapshot of one external view's relational state.
@@ -955,25 +957,12 @@ impl SessionService {
     }
 
     /// A snapshot handle over `view` paired with the current generation:
-    /// the conceptual state and its shared fact base.
+    /// the conceptual state and its shared fact base, compiled here if
+    /// no commit or snapshot has compiled it yet, so every snapshot of
+    /// the generation shares one compile.
     fn view_session(core: &Core, view: &Arc<ExternalView>) -> dme_ansi::ViewSession {
-        let facts = core
-            .facts
-            .as_ref()
-            .expect("a service with views compiles its state");
-        dme_ansi::ViewSession::over(
-            Arc::clone(view),
-            Arc::clone(&core.conceptual),
-            Arc::clone(facts),
-        )
-    }
-
-    /// Whether the shared fact base is the compile of the current
-    /// conceptual state (vacuously, when no view needs one).
-    fn facts_current(core: &Core) -> bool {
-        core.facts
-            .as_ref()
-            .is_none_or(|facts| **facts == core.conceptual.to_facts())
+        core.conceptual.facts();
+        dme_ansi::ViewSession::over(Arc::clone(view), core.conceptual.clone())
     }
 
     /// Clones the base and replays every logged payload through the
@@ -981,11 +970,15 @@ impl SessionService {
     /// recovery would replay.
     fn fold_log(core: &Core) -> Result<GraphState, ServerError> {
         let mut state = GraphState::clone(&core.base);
+        let mut replay = codec::LogReplay::new(&mut state);
         for (at, payload) in &core.log {
-            codec::apply_delta_in_place(&mut state, payload).map_err(|e| {
+            replay.apply(payload).map_err(|e| {
                 ServerError::StorageDiverged(format!("logged commit {at} does not apply: {e}"))
             })?;
         }
+        replay.finish().map_err(|e| {
+            ServerError::StorageDiverged(format!("the commit log does not apply: {e}"))
+        })?;
         Ok(state)
     }
 
@@ -1005,12 +998,12 @@ impl SessionService {
                 return Err(ServerError::Crashed(why.clone()));
             }
             let lsn = core.next_lsn - 1;
-            if Self::fold_log(&core)? != *core.conceptual {
+            if Self::fold_log(&core)? != **core.conceptual.state() {
                 return Err(ServerError::StorageDiverged(format!(
                     "the commit log folded to LSN {lsn} differs from the conceptual state"
                 )));
             }
-            (Arc::clone(&core.conceptual), core.views.clone())
+            (Arc::clone(core.conceptual.state()), core.views.clone())
         };
         obs.mark("ansi/views_audited", views.len() as u64);
         let conceptual_facts = conceptual.to_facts();
@@ -1139,7 +1132,7 @@ impl SessionService {
             .checkpoints_taken
             .is_multiple_of(config.full_checkpoint_every);
         let payload = if full {
-            codec::encode_full_checkpoint(&core.conceptual)
+            codec::encode_full_checkpoint(core.conceptual.state())
         } else {
             let since = core.log.partition_point(|(at, _)| *at <= core.last_cp_lsn);
             let records = codec::newest_records(core.log[since..].iter().map(|(_, p)| &p[..]))?;
@@ -1166,7 +1159,7 @@ impl SessionService {
                     core.last_full_lsn = lsn;
                     // The current state becomes the log's base, and
                     // the commits folded into it are released.
-                    core.base = Arc::clone(&core.conceptual);
+                    core.base = Arc::clone(core.conceptual.state());
                     if !core.log.is_empty() {
                         obs.add(Counter::VersionsGcd, core.log.len() as u64);
                         core.log.clear();
@@ -1291,20 +1284,27 @@ impl SessionService {
             // compiled once, from the actual state, and each view
             // translates against the same generations; a view that
             // refuses undoes the whole transaction. Copy-on-write: the
-            // clone inside `make_mut` is paid only when a snapshot still
-            // shares this generation — and then once per generation,
-            // not once per open session.
+            // clone inside `state_mut` is paid only when a snapshot
+            // still shares this generation — and then once per
+            // generation, not once per open session. The apply comes
+            // before any view has looked at the transaction, so a
+            // transaction that aborts pays that clone too, and the
+            // restored state is compiled again at its next use.
             let verify_timer = obs.time(Metric::VerifyLatency);
+            let core = &mut *core;
+            let translating = !core.views.is_empty();
             let mut failure: Option<Outcome> = None;
             let mut txn = GraphTxn::default();
-            let mut generations: Vec<Arc<FactBase>> = core.facts.iter().cloned().collect();
-            let conceptual = Arc::make_mut(&mut core.conceptual);
+            let mut generations: Vec<Arc<FactBase>> = Vec::new();
+            if translating {
+                generations.push(Arc::clone(core.conceptual.facts()));
+            }
             for op in &req.gops {
-                match GraphOp::apply_all_delta([op], conceptual) {
+                match GraphOp::apply_all_delta([op], core.conceptual.state_mut()) {
                     Ok(step) => {
                         txn.append(step);
-                        if !generations.is_empty() {
-                            generations.push(Arc::new(conceptual.to_facts()));
+                        if translating {
+                            generations.push(Arc::clone(core.conceptual.facts()));
                         }
                     }
                     Err(e) => {
@@ -1327,7 +1327,7 @@ impl SessionService {
             if failure.is_none() && config.lockstep_verify && !advanced.is_empty() {
                 // Lockstep trusts no shared compile: one fresh compile
                 // of the post-state, checked against every view.
-                let fresh = core.conceptual.to_facts();
+                let fresh = core.conceptual.state().to_facts();
                 for (name, v) in &advanced {
                     if !v.consistent_with_facts(&fresh) {
                         failure = Some(Outcome::Lockstep(name.clone()));
@@ -1337,20 +1337,13 @@ impl SessionService {
             }
             drop(verify_timer);
             if let Some(out) = failure {
-                GraphOp::undo_txn(Arc::make_mut(&mut core.conceptual), txn);
-                debug_assert!(
-                    Self::facts_current(&core),
-                    "undo restores the shared facts' state"
-                );
+                GraphOp::undo_txn(core.conceptual.state_mut(), txn);
                 obs.add(Counter::TxnsAborted, 1);
                 outcomes.push((req.id, out));
                 continue;
             }
-            if let Some(post) = generations.pop() {
-                core.facts = Some(post);
-            }
             debug_assert!(
-                Self::facts_current(&core),
+                core.conceptual.facts_are_fresh(),
                 "the shared facts compile the post-state"
             );
             // Which equivalence tier vouched for this translation: with

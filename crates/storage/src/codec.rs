@@ -105,6 +105,11 @@ pub fn encode_tuple(t: &Tuple) -> Vec<u8> {
 }
 
 /// Decodes a tuple: exactly one, with no bytes after its last value.
+///
+/// The encoding is canonical: a buffer decodes only if it is exactly
+/// [`encode_tuple`] of what it decodes to, so two buffers decode to
+/// equal tuples only if they are equal. Log replay relies on this to
+/// recognize a fact by its bytes.
 pub fn decode_tuple(buf: &[u8]) -> Result<Tuple, CodecError> {
     let mut r = Reader::new(buf);
     let arity = usize::from(r.u16()?);
@@ -185,6 +190,37 @@ mod tests {
         assert_eq!(decode_tuple(&bytes), Err(CodecError::BadBool(2)));
         bytes[n - 1] = 0xFF;
         assert_eq!(decode_tuple(&bytes), Err(CodecError::BadBool(0xFF)));
+    }
+
+    #[test]
+    fn every_decodable_buffer_is_the_encoding_of_its_tuple() {
+        for t in [
+            tuple![],
+            tuple!["G.Wayshum", 50],
+            tuple![Value::Null, "T.Manhart", "NZ745"],
+            tuple![true, false, -5, ""],
+        ] {
+            let bytes = encode_tuple(&t);
+            let mut variants = Vec::new();
+            for at in 0..=bytes.len() {
+                variants.push(bytes[..at].to_vec());
+                for byte in 0..=u8::MAX {
+                    let mut inserted = bytes.clone();
+                    inserted.insert(at, byte);
+                    variants.push(inserted);
+                    if at < bytes.len() {
+                        let mut changed = bytes.clone();
+                        changed[at] = byte;
+                        variants.push(changed);
+                    }
+                }
+            }
+            for v in variants {
+                if let Ok(decoded) = decode_tuple(&v) {
+                    assert_eq!(encode_tuple(&decoded), v, "{decoded:?}");
+                }
+            }
+        }
     }
 
     #[test]

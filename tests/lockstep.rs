@@ -7,7 +7,7 @@
 //! on a state-equivalent pair — and vice versa for random relational
 //! walks.
 
-use borkin_equiv::ansi::{ExternalView, ViewSession};
+use borkin_equiv::ansi::{ExternalView, Generation, ViewSession};
 use borkin_equiv::equivalence::enumerate::{enumerate_graph_ops, enumerate_rel_ops};
 use borkin_equiv::equivalence::translate::{
     graph_facts_to_relational, graph_op_to_relational, relational_op_to_graph, CompletionMode,
@@ -156,7 +156,8 @@ proptest! {
         let specs = shared_view_specs();
         let rops: Vec<Vec<RelOp>> =
             specs.iter().map(|(schema, _)| enumerate_rel_ops(schema, 2)).collect();
-        let mut facts = Arc::new(graph.to_facts());
+        let mut generation = Generation::new(graph.clone());
+        let mut facts = Arc::clone(generation.facts());
         let mut shared = Vec::new();
         let mut per_call = Vec::new();
         for (schema, mode) in &specs {
@@ -179,11 +180,11 @@ proptest! {
                 continue;
             };
             // The shared generation: the state mutated in place, compiled once.
-            let mut in_place = graph.clone();
-            GraphOp::apply_all_delta([op], &mut in_place).expect("the op applies");
-            prop_assert_eq!(&in_place, &oracle);
-            let next = Arc::new(in_place.to_facts());
+            GraphOp::apply_all_delta([op], generation.state_mut()).expect("the op applies");
+            prop_assert_eq!(&**generation.state(), &oracle);
+            let next = Arc::clone(generation.facts());
             prop_assert_eq!(&*next, &oracle.to_facts());
+            prop_assert!(generation.facts_are_fresh());
             for i in 0..specs.len() {
                 let mode = specs[i].1;
                 let wrapped = graph_op_to_relational(op, &graph, per_call[i].state(), mode);
@@ -197,11 +198,7 @@ proptest! {
                 prop_assert_eq!(shared[i].state(), per_call[i].state());
                 prop_assert!(per_call[i].consistent_with(&oracle), "{op} left view {i} behind");
                 // The relational direction over the same generation.
-                let snapshot = ViewSession::over(
-                    Arc::clone(&shared[i]),
-                    Arc::new(oracle.clone()),
-                    Arc::clone(&next),
-                );
+                let snapshot = ViewSession::over(Arc::clone(&shared[i]), generation.clone());
                 let rop = &rops[i][rel_choice % rops[i].len()];
                 prop_assert_eq!(
                     snapshot.translate_up(rop),
